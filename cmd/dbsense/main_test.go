@@ -1,0 +1,191 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/harness"
+)
+
+// dbsense runs realMain and returns its exit code and output streams.
+func dbsense(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = realMain(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// withTable swaps the experiment table for the test's stub rows.
+func withTable(t *testing.T, rows []harness.Experiment) {
+	t.Helper()
+	saved := harness.Experiments
+	harness.Experiments = rows
+	t.Cleanup(func() { harness.Experiments = saved })
+}
+
+func TestUsageErrorsHaveNoSideEffects(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string // stderr substring
+	}{
+		{"no arguments", nil, "usage:"},
+		{"unknown subcommand", []string{"frobnicate"}, "usage:"},
+		{"flat form is gone", []string{"-quick", "fig7"}, "usage:"},
+		{"bare experiment name", []string{"fig7"}, "usage:"},
+		{"missing experiment", []string{"run"}, "usage:"},
+		{"two experiments", []string{"run", "fig7", "fig5"}, "usage:"},
+		{"list takes no arguments", []string{"list", "fig7"}, "usage:"},
+		{"unknown experiment", []string{"run", "fig99"}, `unknown experiment "fig99"`},
+		{"-faults is gone", []string{"run", "recovery", "-faults"}, "flag provided but not defined"},
+		{"unknown -emit", []string{"run", "fig7", "-emit", "xml"}, `unknown -emit format "xml"`},
+		{"unknown -workload", []string{"run", "fig2cores", "-workload", "tpcx"}, `unknown -workload "tpcx"`},
+		{"-workload on a row that ignores it", []string{"run", "fig5", "-workload", "asdb"}, "fig5 ignores -workload"},
+		{"-workload on serve", []string{"serve", "-workload", "asdb"}, "serve ignores -workload"},
+		{"unknown -schedule", []string{"run", "chaos", "-schedule", "meteor"}, `unknown -schedule "meteor"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Every sink flag is set (right after the subcommand, so the
+			// case's own flags win): none may leave a file behind.
+			dir := t.TempDir()
+			args := tc.args
+			if len(args) > 0 {
+				args = append([]string{args[0],
+					"-emit", "json", "-o", filepath.Join(dir, "out.jsonl"),
+					"-metrics-out", filepath.Join(dir, "metrics.prom"),
+					"-profile", filepath.Join(dir, "prof"),
+				}, args[1:]...)
+			}
+			code, stdout, stderr := dbsense(args...)
+			if code != 2 {
+				t.Errorf("exit code = %d, want 2", code)
+			}
+			if !strings.Contains(stderr, tc.want) {
+				t.Errorf("stderr = %q, want it to contain %q", stderr, tc.want)
+			}
+			if stdout != "" {
+				t.Errorf("stdout = %q, want nothing", stdout)
+			}
+			if left, _ := os.ReadDir(dir); len(left) != 0 {
+				t.Errorf("usage error left %v behind", left[0].Name())
+			}
+		})
+	}
+}
+
+func TestListPrintsEveryRowOnce(t *testing.T) {
+	code, stdout, _ := dbsense("list")
+	if code != 0 {
+		t.Fatalf("exit code = %d", code)
+	}
+	lines := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(stdout, "\n"), "\n") {
+		name, desc, _ := strings.Cut(strings.TrimSpace(line), " ")
+		if _, dup := lines[name]; dup {
+			t.Errorf("%s listed twice", name)
+		}
+		lines[name] = strings.TrimSpace(desc)
+	}
+	for _, x := range harness.Experiments {
+		if lines[x.Name] == "" {
+			t.Errorf("%s: not listed, or listed without a description", x.Name)
+		}
+	}
+	if lines["all"] == "" {
+		t.Error("all: not listed")
+	}
+	if want := len(harness.Experiments) + 1; len(lines) != want {
+		t.Errorf("%d lines, want %d (every row plus all)", len(lines), want)
+	}
+}
+
+// stubRow prints and emits one marker so a test can see it ran.
+func stubRow(name string, inAll bool, fail error) harness.Experiment {
+	return harness.Experiment{
+		Name: name, Desc: "stub", InAll: inAll,
+		Run: func(e *harness.Env) error {
+			fmt.Fprintf(e.Out, "ran %s\n", name)
+			for i := 0; i < 3; i++ {
+				e.Emit.Emit(harness.Record{Record: "point", Experiment: name, X: float64(i + 1)})
+			}
+			return fail
+		},
+	}
+}
+
+func TestRunAllIsTheInAllRowsInTableOrder(t *testing.T) {
+	withTable(t, []harness.Experiment{
+		stubRow("a", true, nil), stubRow("b", false, nil), stubRow("c", true, nil),
+	})
+	code, stdout, stderr := dbsense("run", "all", "-density", "7", "-measure", "3")
+	if code != 0 {
+		t.Fatalf("exit code = %d, stderr %q", code, stderr)
+	}
+	want := "== a (density=7, measure=3s) ==\nran a\n\n== c (density=7, measure=3s) ==\nran c\n\n"
+	if stdout != want {
+		t.Errorf("stdout = %q, want %q", stdout, want)
+	}
+}
+
+// A failing cell must exit 1 only after every sink is complete: the CSV
+// here is far below csv.Writer's 4 KB buffer, so it reaches the file
+// only if the emitter is closed on the error path.
+func TestFailingRowStillFlushesEverySink(t *testing.T) {
+	withTable(t, []harness.Experiment{
+		stubRow("ok", true, nil),
+		stubRow("bad", true, errors.New("cell 7 lost an acked commit")),
+		stubRow("after", true, nil),
+	})
+	dir := t.TempDir()
+	csv, prom := filepath.Join(dir, "out.csv"), filepath.Join(dir, "metrics.prom")
+	code, stdout, stderr := dbsense("run", "all", "-emit", "csv", "-o", csv, "-metrics-out", prom)
+	if code != 1 {
+		t.Errorf("exit code = %d, want 1", code)
+	}
+	if !strings.Contains(stderr, "cell 7 lost an acked commit") {
+		t.Errorf("stderr = %q, want the cell error", stderr)
+	}
+	if strings.Contains(stdout, "ran after") {
+		t.Error("rows after the failing one still ran")
+	}
+	got, err := os.ReadFile(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSuffix(string(got), "\n"), "\n")
+	if len(rows) != 1+3+3 {
+		t.Fatalf("csv has %d lines, want header + 3 ok + 3 bad:\n%s", len(rows), got)
+	}
+	if !strings.HasPrefix(rows[0], "record,experiment,") || !strings.HasPrefix(rows[6], "point,bad,") {
+		t.Errorf("csv incomplete:\n%s", got)
+	}
+	if _, err := os.Stat(prom); err != nil {
+		t.Errorf("-metrics-out not written on the error path: %v", err)
+	}
+}
+
+// One real row rendered through Env must equal the direct harness call:
+// the table adds framing, not behaviour.
+func TestRowMatchesDirectHarnessCall(t *testing.T) {
+	opt := harness.TestOptions()
+	var row harness.Experiment
+	for _, x := range harness.Experiments {
+		if x.Name == "table2" {
+			row = x
+		}
+	}
+	var out bytes.Buffer
+	if err := row.Execute(&harness.Env{Opt: opt, Out: &out}); err != nil {
+		t.Fatal(err)
+	}
+	tb := harness.Table2(opt)
+	want := fmt.Sprintf("== table2 (density=%d, measure=%.0fs) ==\n%s\n",
+		opt.Density, opt.Measure.Seconds(), tb.Render())
+	if out.String() != want {
+		t.Errorf("row output:\n%s\nwant:\n%s", out.String(), want)
+	}
+}

@@ -198,15 +198,9 @@ func runChaosCell(sf int, opt Options, spec ChaosSpec, rate float64) ChaosPoint 
 		return out
 	}
 
-	density := opt.Density / 20
-	if density < 2 {
-		density = 2
-	}
-	acfg := asdb.Config{SF: sf, ActualRowsPerSF: density, Seed: opt.Seed}
+	acfg := asdbConfig(sf, opt)
 	d := asdb.Build(acfg)
-	srv := newServer(opt, Knobs{WriteLimitMBps: 50})
-	srv.AttachDB(d.DB)
-	srv.WarmBufferPool()
+	srv := warmServer(d.DB, opt, Knobs{WriteLimitMBps: 50})
 	crashAt := opt.Warmup + opt.Measure/2
 	ro := engine.RecoveryOptions{MaxFlushBytes: 4 << 10}
 	if spec.Crash {

@@ -368,3 +368,148 @@ func EmitTrace(e *Emitter, experiment, workload string, sf int, tr *trace.Trace)
 	}
 	walk(tr.Root, 0)
 }
+
+// EmitResilience exports a retention curve, one point record per
+// intensity step with the robustness counters as fields.
+func EmitResilience(e *Emitter, r ResilienceResult) {
+	for _, p := range r.Points {
+		e.Emit(Record{
+			Record: "point", Experiment: "resilience", Workload: string(r.Workload), SF: r.SF,
+			Knob: "fault_intensity", X: p.Intensity,
+			Fields: map[string]float64{
+				"throughput":      p.Throughput,
+				"retention":       p.Retention,
+				"faults_injected": float64(p.FaultsInjected),
+				"fault_io_errors": float64(p.FaultIOErrors),
+				"io_retries":      float64(p.IORetries),
+				"txn_retries":     float64(p.TxnRetries),
+				"query_retries":   float64(p.QueryRetries),
+				"deadline_kills":  float64(p.DeadlineKills),
+				"degraded_plans":  float64(p.DegradedPlans),
+				"failed":          float64(p.DegradedFailed),
+			},
+		})
+	}
+}
+
+// EmitRecovery exports the MTTR surface: per cell, an MTTR curve point
+// (one curve per storage bandwidth) and a point record with the
+// recovery-pass counters.
+func EmitRecovery(e *Emitter, r RecoveryResult) {
+	for _, p := range r.Points {
+		name := fmt.Sprintf("bw%.0fMBps", p.BandwidthMBps)
+		x := p.CkptInterval.Seconds() * 1e3
+		e.Emit(Record{
+			Record: "curve_point", Experiment: "recovery", Workload: "asdb", SF: r.SF,
+			Metric: "mttr_ms", Name: name, Knob: "ckpt_interval_ms", X: x,
+			Value: p.MTTRMs, Unit: "ms",
+		})
+		e.Emit(Record{
+			Record: "point", Experiment: "recovery", Workload: "asdb", SF: r.SF,
+			Name: name, Knob: "ckpt_interval_ms", X: x,
+			Fields: map[string]float64{
+				"mttr_ms":        p.MTTRMs,
+				"log_scanned_kb": p.LogScannedKB,
+				"redo_pages":     float64(p.RedoPages),
+				"undo_records":   float64(p.UndoRecords),
+				"clrs":           float64(p.CLRs),
+				"winners":        float64(p.Winners),
+				"losers":         float64(p.Losers),
+				"lost_txns":      float64(p.LostTxns),
+			},
+		})
+	}
+}
+
+// EmitCrashMatrix exports the crash-point grid, one point record per
+// cell with the invariant verdict in Text ("" = verified).
+func EmitCrashMatrix(e *Emitter, r CrashMatrixResult) {
+	for _, c := range r.Cells {
+		idem := 0.0
+		if c.Run.Idempotent() {
+			idem = 1
+		}
+		rep := c.Run.Report
+		e.Emit(Record{
+			Record: "point", Experiment: "recovery_matrix", Workload: "asdb", SF: r.SF,
+			Name: c.Plan.Point.String(), Knob: "nth", X: float64(c.Plan.Nth),
+			Text: c.Run.InvariantErr,
+			Fields: map[string]float64{
+				"crash_lsn":    float64(rep.CrashLSN),
+				"lost_records": float64(rep.LostRecords),
+				"lost_txns":    float64(rep.LostTxns),
+				"winners":      float64(rep.Winners),
+				"losers":       float64(rep.Losers),
+				"redo_pages":   float64(rep.RedoPages),
+				"undo_records": float64(rep.UndoRecords),
+				"clrs":         float64(rep.CLRs),
+				"mttr_ms":      rep.Elapsed.Seconds() * 1e3,
+				"passes":       float64(c.Run.Passes),
+				"idempotent":   idem,
+			},
+		})
+	}
+}
+
+// EmitReplication exports the commit-mode sweep: per cell a point
+// record, then (when armed) its telemetry series and traced commits'
+// cross-node span trees.
+func EmitReplication(e *Emitter, r ReplicationResult) {
+	for _, p := range r.Points {
+		e.Emit(Record{
+			Record: "point", Experiment: "replication", Workload: "asdb", SF: r.SF,
+			Name: fmt.Sprintf("%s-r%d", p.Mode, p.Replicas),
+			Knob: "bandwidth_mbps", X: p.BandwidthMBps,
+			Text: p.Err,
+			Fields: map[string]float64{
+				"replicas":      float64(p.Replicas),
+				"tps":           p.TPS,
+				"commit_ack_ms": p.CommitAckMs,
+				"max_lag_kb":    p.MaxLagKB,
+				"shipped_mb":    p.ShippedMB,
+				"applied_txns":  float64(p.AppliedTxns),
+				"unacked":       float64(p.Unacked),
+			},
+		})
+		cell := fmt.Sprintf("%s-r%d-bw%.0f", p.Mode, p.Replicas, p.BandwidthMBps)
+		EmitTelemetry(e, "replication", "asdb", r.SF, cell, p.Telemetry)
+		for _, tr := range p.CommitSpans {
+			EmitTrace(e, "replication", "asdb", r.SF, tr)
+		}
+	}
+}
+
+// EmitFailover exports the failover sweep: per cell a point record with
+// the RTO phases and PITR verification, plus the RTO span tree for
+// cells that verified.
+func EmitFailover(e *Emitter, r FailoverResult) {
+	for _, c := range r.Cells {
+		e.Emit(Record{
+			Record: "point", Experiment: "failover", Workload: "asdb", SF: r.SF,
+			Name: c.Mode.String(), Knob: "replicas", X: float64(c.Replicas),
+			Text: c.Err,
+			Fields: map[string]float64{
+				"commits":         float64(c.Commits),
+				"rto_ms":          c.Failover.RTO.Seconds() * 1e3,
+				"detect_ms":       c.Failover.Detect.Seconds() * 1e3,
+				"replay_ms":       c.Failover.Replay.Seconds() * 1e3,
+				"promote_ms":      c.Failover.Promote.Seconds() * 1e3,
+				"promoted":        float64(c.Failover.Promoted),
+				"primary_lsn":     float64(c.Failover.PrimaryLSN),
+				"promoted_lsn":    float64(c.Failover.PromotedLSN),
+				"acked":           float64(c.Failover.AckedCommits),
+				"lost_acked":      float64(c.Failover.LostAckedCommits),
+				"lost_commits":    float64(c.Failover.LostCommits),
+				"pitr_target_lsn": float64(c.PITR.TargetLSN),
+				"pitr_landed_lsn": float64(c.PITR.LandedLSN),
+				"pitr_segments":   float64(c.PITR.Segments),
+				"pitr_records":    float64(c.PITR.Records),
+				"pitr_txns":       float64(c.PITR.Txns),
+				"pitr_ms":         c.PITR.Elapsed.Seconds() * 1e3,
+			},
+		})
+		if c.Err == "" {
+			EmitTrace(e, "failover", "asdb", r.SF, c.Failover.TraceTree())
+		}
+	}
+}

@@ -23,32 +23,12 @@ const (
 
 // PaperSFs returns the scale factors the paper uses for a workload.
 func PaperSFs(w Workload) []int {
-	switch w {
-	case WTpch:
-		return []int{10, 30, 100, 300}
-	case WTpce, WHtap:
-		return []int{5000, 15000}
-	case WAsdb:
-		return []int{2000, 6000}
-	default:
-		return nil
+	for _, row := range workloads {
+		if row.name == w {
+			return row.sfs
+		}
 	}
-}
-
-// runWorkload dispatches one point.
-func runWorkload(w Workload, sf int, opt Options, k Knobs) Result {
-	switch w {
-	case WTpch:
-		return RunTPCH(sf, opt, k)
-	case WTpce:
-		return RunTPCE(sf, opt, k)
-	case WAsdb:
-		return RunASDB(sf, opt, k)
-	case WHtap:
-		return RunHTAP(sf, opt, k)
-	default:
-		panic("harness: unknown workload " + string(w))
-	}
+	return nil
 }
 
 // CoreSteps is the paper's core-allocation sweep: socket 0's physical
@@ -249,7 +229,7 @@ type Fig4Result struct {
 
 // Fig4 reproduces the bandwidth CDFs with full core and LLC allocations.
 func Fig4(w Workload, sf int, opt Options) Fig4Result {
-	r := runWorkload(w, sf, opt, Knobs{})
+	r := runPoint(w, sf, opt, Knobs{})
 	return Fig4Result{
 		Workload: w, SF: sf,
 		SSDRead:  metrics.NewDistribution(r.ReadBWSeries),
@@ -329,10 +309,8 @@ func Fig6(sf int, opt Options, dops []int) Fig6Result {
 	perDop := Sweep(opt.Parallel, len(dops), func(di int) map[int]sim.Duration {
 		dop := dops[di]
 		elapsed := map[int]sim.Duration{}
-		d := tpch.Build(tpch.Config{SF: sf, ActualLineitemPerSF: opt.Density, Seed: opt.Seed})
-		srv := newServer(opt, Knobs{Cores: dop, MaxDOP: dop})
-		srv.AttachDB(d.DB)
-		srv.WarmBufferPool()
+		d := tpch.Build(tpchConfig(sf, opt))
+		srv := warmServer(d.DB, opt, Knobs{Cores: dop, MaxDOP: dop})
 		srv.Start()
 		g := sim.NewRNG(opt.Seed + int64(dop))
 		for _, qi := range g.Perm(tpch.NumQueries) {
@@ -367,7 +345,7 @@ type Fig7Result struct {
 // Fig7 reproduces the Q20 plan-shape comparison: the same query explained
 // at MAXDOP 1 and MAXDOP 32.
 func Fig7(sf int, opt Options) Fig7Result {
-	d := tpch.Build(tpch.Config{SF: sf, ActualLineitemPerSF: opt.Density, Seed: opt.Seed})
+	d := tpch.Build(tpchConfig(sf, opt))
 	srv := newServer(opt, Knobs{})
 	srv.AttachDB(d.DB)
 	g := sim.NewRNG(opt.Seed)
@@ -412,10 +390,8 @@ func Fig8(opt Options, grants []float64) Fig8Result {
 	perGrant := Sweep(opt.Parallel, len(grants), func(gi int) map[int]sim.Duration {
 		grant := grants[gi]
 		elapsed := map[int]sim.Duration{}
-		d := tpch.Build(tpch.Config{SF: 100, ActualLineitemPerSF: opt.Density, Seed: opt.Seed})
-		srv := newServer(opt, Knobs{GrantPct: grant})
-		srv.AttachDB(d.DB)
-		srv.WarmBufferPool()
+		d := tpch.Build(tpchConfig(100, opt))
+		srv := warmServer(d.DB, opt, Knobs{GrantPct: grant})
 		srv.Start()
 		g := sim.NewRNG(opt.Seed)
 		for _, qi := range g.Perm(tpch.NumQueries) {
@@ -451,39 +427,10 @@ func Table2(opt Options) core.Table {
 		}
 		t.AddRow(name, fmt.Sprint(sf), core.F(data), core.F(index), fits)
 	}
-	for _, sf := range PaperSFs(WAsdb) {
-		d := RunlessASDB(sf, opt)
-		add("ASDB", sf, d)
-	}
-	for _, sf := range PaperSFs(WTpce) {
-		d := RunlessTPCE(sf, opt, false)
-		add("TPC-E", sf, d)
-	}
-	for _, sf := range PaperSFs(WHtap) {
-		d := RunlessTPCE(sf, opt, true)
-		add("HTAP", sf, d)
-	}
-	for _, sf := range PaperSFs(WTpch) {
-		d := tpch.Build(tpch.Config{SF: sf, ActualLineitemPerSF: opt.Density, Seed: opt.Seed})
-		add("TPC-H", sf, d.DB)
+	for _, row := range workloads {
+		for _, sf := range row.sfs {
+			add(row.title, sf, row.build(sf, opt).db)
+		}
 	}
 	return t
-}
-
-// RunlessASDB builds the ASDB database without running it (Table 2).
-func RunlessASDB(sf int, opt Options) *engine.Database {
-	density := opt.Density / 20
-	if density < 2 {
-		density = 2
-	}
-	return buildASDB(sf, density, opt.Seed)
-}
-
-// RunlessTPCE builds the TPC-E database without running it (Table 2).
-func RunlessTPCE(customers int, opt Options, withCSI bool) *engine.Database {
-	density := opt.Density / 25
-	if density < 2 {
-		density = 2
-	}
-	return buildTPCE(customers, density, opt.Seed, withCSI)
 }

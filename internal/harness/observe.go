@@ -25,10 +25,8 @@ type TraceResult struct {
 // TraceTPCH runs one TPC-H query with tracing on and returns its
 // EXPLAIN-ANALYZE material (the `dbsense trace` experiment).
 func TraceTPCH(sf, qn int, opt Options) TraceResult {
-	d := tpch.Build(tpch.Config{SF: sf, ActualLineitemPerSF: opt.Density, Seed: opt.Seed})
-	srv := newServer(opt, Knobs{Trace: true})
-	srv.AttachDB(d.DB)
-	srv.WarmBufferPool()
+	d := tpch.Build(tpchConfig(sf, opt))
+	srv := warmServer(d.DB, opt, Knobs{Trace: true})
 	srv.Start()
 	g := sim.NewRNG(opt.Seed)
 	var res engine.QueryResult
@@ -74,7 +72,7 @@ type QStatsResult struct {
 // RunQStats measures one workload at its default knobs and returns the
 // query-stats snapshot alongside the usual point metrics.
 func RunQStats(w Workload, sf int, opt Options) QStatsResult {
-	return QStatsResult{Workload: w, SF: sf, Result: runWorkload(w, sf, opt, Knobs{})}
+	return QStatsResult{Workload: w, SF: sf, Result: runPoint(w, sf, opt, Knobs{})}
 }
 
 // QueryStatsTable renders a query-stats snapshot as the paper-style

@@ -6,7 +6,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/sim"
-	"repro/internal/workload/asdb"
 )
 
 // RecoveryCkptIntervals is the default checkpoint-cadence axis of the
@@ -45,23 +44,13 @@ func (r RecoveryRun) Idempotent() bool { return r.Digest == r.DigestRerun }
 // after success to demonstrate idempotence. ASDB is the write-heaviest
 // mix (40% updates/inserts/deletes), so it exercises every record type.
 func runRecovery(sf int, opt Options, k Knobs, ro engine.RecoveryOptions, rerun bool) RecoveryRun {
-	density := opt.Density / 20
-	if density < 2 {
-		density = 2
-	}
-	d := asdb.Build(asdb.Config{SF: sf, ActualRowsPerSF: density, Seed: opt.Seed})
-	srv := newServer(opt, k)
-	srv.AttachDB(d.DB)
-	srv.WarmBufferPool()
+	row := workload(WAsdb)
+	d := row.build(sf, opt)
+	srv := warmServer(d.db, opt, k)
 	srv.ArmRecovery(ro)
 	srv.Start()
-	clients := opt.Users
-	if clients <= 0 {
-		clients = 128
-	}
-	var st asdb.Stats
 	until := driverHorizon(opt)
-	asdb.RunClients(srv, d, clients, asdb.DefaultMix(), until, &st)
+	d.drive(srv, row.drivers(opt), until)
 	srv.Sim.Run(until + sim.Time(600*sim.Second))
 
 	out := RecoveryRun{Crashed: srv.Crashed(), Commits: srv.Ctr.TxnCommits}

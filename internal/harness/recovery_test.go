@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/workload/asdb"
 )
 
 // runASDBRecording is RunASDB with the typed logical-record layer on:
@@ -16,25 +15,14 @@ import (
 // writes, so it only engages with full ArmRecovery.
 func runASDBRecording(sf int, opt Options, k Knobs) Result {
 	opt.MinQueries = 0
-	density := opt.Density / 20
-	if density < 2 {
-		density = 2
-	}
-	d := asdb.Build(asdb.Config{SF: sf, ActualRowsPerSF: density, Seed: opt.Seed})
-	srv := newServer(opt, k)
-	srv.AttachDB(d.DB)
-	srv.WarmBufferPool()
+	row := workload(WAsdb)
+	d := row.build(sf, opt)
+	srv := warmServer(d.db, opt, k)
 	srv.Log.Recording = true
 	srv.Start()
-	clients := opt.Users
-	if clients <= 0 {
-		clients = 128
-	}
-	var st asdb.Stats
-	until := driverHorizon(opt)
-	asdb.RunClients(srv, d, clients, asdb.DefaultMix(), until, &st)
+	d.drive(srv, row.drivers(opt), driverHorizon(opt))
 	r := measure(srv, opt)
-	r.Throughput = float64(r.Delta.TxnCommits) / r.ElapsedSecs
+	row.throughput(&r)
 	return r
 }
 

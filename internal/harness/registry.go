@@ -1,0 +1,447 @@
+package harness
+
+import (
+	"errors"
+	"fmt"
+	"io"
+
+	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
+	"repro/internal/workload/tpch"
+)
+
+// Env is what an experiment row runs against: the measurement options,
+// where rendered text and structured records go, and the values of the
+// per-experiment dbsense flags.
+type Env struct {
+	Opt      Options
+	Quick    bool     // reduced sweeps and scale factors for a fast pass
+	Workload Workload // -workload restriction ("" = every workload)
+
+	Out  io.Writer // rendered tables
+	Emit *Emitter  // structured records (nil discards)
+	// Prom, when non-nil, queues a telemetry snapshot for Prometheus
+	// exposition, labelled with its experiment cell.
+	Prom func(snap *telemetry.Snapshot, labels ...[2]string)
+
+	TraceQuery int     // -trace: TPC-H query number for the trace experiment
+	Rate       float64 // -rate: serve/chaos connection arrivals per second
+	Storm      bool    // -storm: serve drives the 6x arrival burst
+	Schedule   string  // -schedule: restrict chaos to one named fault schedule
+}
+
+// Experiment is one row of the experiment table.
+type Experiment struct {
+	Name string
+	Desc string // one-liner for `dbsense list`
+	// InAll is whether `dbsense run all` includes the row.
+	InAll bool
+	// UsesWorkload is whether the row honours Env.Workload; setting
+	// -workload on a row that ignores it is a usage error.
+	UsesWorkload bool
+	// ownBanner marks the single-cell serve row, which prints its own
+	// banner (it carries the cell's rate and storm setting) and no
+	// trailing blank line.
+	ownBanner bool
+	Run       func(*Env) error
+}
+
+// Execute runs the row framed the way dbsense prints it: the
+// "== name (...) ==" banner, the row's output, a blank line.
+func (x Experiment) Execute(env *Env) error {
+	if x.ownBanner {
+		return x.Run(env)
+	}
+	env.printf("== %s (density=%d, measure=%.0fs) ==\n", x.Name, env.Opt.Density, env.Opt.Measure.Seconds())
+	if err := x.Run(env); err != nil {
+		return err
+	}
+	env.write("\n")
+	return nil
+}
+
+// Experiments is the experiment table, in `dbsense list` and `run all`
+// order. Adding an experiment is adding a row.
+var Experiments = []Experiment{
+	{Name: "table2", Desc: "peak throughput per workload at paper scale", InAll: true, Run: runTable2},
+	{Name: "fig2cores", Desc: "throughput vs logical cores, per workload and SF", InAll: true, UsesWorkload: true, Run: runFig2Cores},
+	{Name: "fig2llc", Desc: "throughput and MPKI vs LLC size (also derives Table 4)", InAll: true, UsesWorkload: true, Run: runFig2LLC},
+	{Name: "table3", Desc: "wait-type ratios across scale factors", InAll: true, Run: runTable3},
+	// Not in "all": fig2llc prints Table 4 from the same sweep.
+	{Name: "table4", Desc: "cache sensitivity classes (fig2llc's sweep, table only)", UsesWorkload: true, Run: runTable4},
+	{Name: "fig3", Desc: "resource-demand trends along core and cache sweeps", InAll: true, Run: runFig3},
+	{Name: "fig4", Desc: "bandwidth-demand distributions (SSD read/write, DRAM)", InAll: true, UsesWorkload: true, Run: runFig4},
+	{Name: "fig5", Desc: "TPC-H QPS vs SSD read limit, against a linear model", InAll: true, Run: runFig5},
+	{Name: "fig5write", Desc: "ASDB TPS vs SSD write limit", InAll: true, Run: runFig5Write},
+	{Name: "fig6", Desc: "TPC-H per-query speedup vs MAXDOP", InAll: true, Run: runFig6},
+	{Name: "fig7", Desc: "Q20 plan shapes at MAXDOP 1 vs 32", InAll: true, Run: runFig7},
+	{Name: "fig8", Desc: "TPC-H speedup vs memory-grant fraction", InAll: true, Run: runFig8},
+	{Name: "trace", Desc: "execution trace tree for one TPC-H query (-trace N)", InAll: true, Run: runTrace},
+	{Name: "qstats", Desc: "per-statement execution statistics, per workload", InAll: true, UsesWorkload: true, Run: runQStats},
+	{Name: "serving", Desc: "open-loop network serving sweep: latency/goodput/shed vs offered load", Run: runServing},
+	{Name: "replication", Desc: "WAL log-shipping throughput and commit-ack latency", Run: runReplication},
+	{Name: "resilience", Desc: "throughput retention under fault injection", UsesWorkload: true, Run: runResilience},
+	{Name: "recovery", Desc: "ARIES restart MTTR and crash matrix", Run: runRecoveryExp},
+	{Name: "failover", Desc: "replica promotion RTO and PITR", Run: runFailover},
+	{Name: "chaos", Desc: "acked-commit safety under net faults, crashes, and failover (-schedule, -rate)", Run: runChaos},
+	{Name: "serve", Desc: "one serving cell at -rate conn/s, optionally with -storm", ownBanner: true, Run: runServeCell},
+}
+
+func (e *Env) printf(format string, args ...any) {
+	fmt.Fprintf(e.Out, format, args...)
+}
+
+func (e *Env) write(s string) {
+	io.WriteString(e.Out, s)
+}
+
+func (e *Env) prom(snap *telemetry.Snapshot, labels ...[2]string) {
+	if e.Prom != nil && snap != nil {
+		e.Prom(snap, labels...)
+	}
+}
+
+// workloads is the set a UsesWorkload row sweeps: the -workload
+// restriction, or every workload in table order.
+func (e *Env) workloads() []Workload {
+	if e.Workload != "" {
+		return []Workload{e.Workload}
+	}
+	ws := make([]Workload, len(workloads))
+	for i, row := range workloads {
+		ws[i] = row.name
+	}
+	return ws
+}
+
+// quickOr picks a row's quick-mode parameter under -quick, else the
+// full one.
+func quickOr[T any](e *Env, quick, full T) T {
+	if e.Quick {
+		return quick
+	}
+	return full
+}
+
+// asdbSF is the ASDB scale factor of the serving, replication,
+// recovery, failover and chaos cells.
+func (e *Env) asdbSF() int { return quickOr(e, 1000, 2000) }
+
+func runTable2(e *Env) error {
+	tb := Table2(e.Opt)
+	e.write(tb.Render())
+	EmitTable(e.Emit, "table2", "table2", tb)
+	return nil
+}
+
+func runFig2Cores(e *Env) error {
+	steps := quickOr(e, []int{2, 8, 16, 32}, CoreSteps)
+	for _, w := range e.workloads() {
+		fam := CurveFamily(Fig2Cores(w, PaperSFs(w), steps, e.Opt).PerfBySF)
+		e.write(RenderFamily(fmt.Sprintf("Fig2 cores: %s (throughput vs logical cores)", w), fam, "cores"))
+		EmitFamily(e.Emit, "fig2cores", string(w), "throughput", "cores", "per_sec", fam)
+	}
+	return nil
+}
+
+// llcSweep runs the LLC sweep for every selected workload, handing each
+// workload's curves to show as they complete, and returns Table 4.
+func llcSweep(e *Env, show func(Fig2LLCResult)) core.Table {
+	steps := quickOr(e, []int{2, 8, 20, 40}, LLCSteps)
+	var all []Fig2LLCResult
+	for _, w := range e.workloads() {
+		res := Fig2LLC(w, PaperSFs(w), steps, e.Opt)
+		all = append(all, res)
+		show(res)
+	}
+	return Table4(all)
+}
+
+func runFig2LLC(e *Env) error {
+	t4 := llcSweep(e, func(res Fig2LLCResult) {
+		w := string(res.Workload)
+		perf, mpki := CurveFamily(res.PerfBySF), CurveFamily(res.MPKIBySF)
+		e.write(RenderFamily(fmt.Sprintf("Fig2 LLC: %s (throughput vs MB)", w), perf, "MB"))
+		e.write(RenderFamily(fmt.Sprintf("Fig2 MPKI: %s (MPKI vs MB)", w), mpki, "MB"))
+		EmitFamily(e.Emit, "fig2llc", w, "throughput", "llc_mb", "per_sec", perf)
+		EmitFamily(e.Emit, "fig2llc", w, "mpki", "llc_mb", "mpki", mpki)
+	})
+	e.printf("-- Table 4 (derived from the same sweep) --\n%s", t4.Render())
+	EmitTable(e.Emit, "fig2llc", "table4", t4)
+	return nil
+}
+
+func runTable4(e *Env) error {
+	tb := llcSweep(e, func(Fig2LLCResult) {})
+	e.write(tb.Render())
+	EmitTable(e.Emit, "table4", "table4", tb)
+	return nil
+}
+
+func runTable3(e *Env) error {
+	small, large := quickOr(e, 2000, 5000), quickOr(e, 6000, 15000)
+	res := Table3(small, large, e.Opt)
+	t := core.Table{Headers: []string{"Wait Type", fmt.Sprintf("SF%d/SF%d ratio", large, small)}}
+	for _, r := range res.Ratios {
+		t.AddRow(r.Label, core.F(r.Value()))
+	}
+	t.AddRow(res.SumLockLatchPage.Label, core.F(res.SumLockLatchPage.Value()))
+	e.write(t.Render())
+	EmitTable(e.Emit, "table3", "table3", t)
+	return nil
+}
+
+func runFig3(e *Env) error {
+	for _, pair := range []struct {
+		w  Workload
+		sf int
+	}{{WTpch, 100}, {WAsdb, 2000}} {
+		res := Fig3(pair.w, pair.sf, e.Opt)
+		t := core.Table{Headers: []string{"trend", "knob", "throughput", "SSD-R MB/s", "SSD-W MB/s", "DRAM MB/s"}}
+		for _, p := range res.CoreDriven {
+			t.AddRow("cores", core.F(p.Knob), core.F(p.Throughput), core.F(p.SSDReadMBps), core.F(p.SSDWriteMBps), core.F(p.DRAMMBps))
+		}
+		for _, p := range res.CacheDriven {
+			t.AddRow("LLC-MB", core.F(p.Knob), core.F(p.Throughput), core.F(p.SSDReadMBps), core.F(p.SSDWriteMBps), core.F(p.DRAMMBps))
+		}
+		e.printf("-- %s SF %d --\n%s", pair.w, pair.sf, t.Render())
+		EmitTable(e.Emit, "fig3", fmt.Sprintf("%s-sf%d", pair.w, pair.sf), t)
+	}
+	return nil
+}
+
+func runFig4(e *Env) error {
+	t := core.Table{Headers: []string{"workload", "SF", "metric", "p10", "p50", "p90", "p99", "mean"}}
+	ws := e.workloads()
+	results := Sweep(e.Opt.Parallel, len(ws), func(i int) Fig4Result {
+		sfs := PaperSFs(ws[i])
+		return Fig4(ws[i], sfs[len(sfs)-1], e.Opt)
+	}, e.Opt.Progress)
+	for _, res := range results {
+		w := string(res.Workload)
+		for _, row := range []struct {
+			name string
+			d    metrics.Distribution
+		}{{"SSD-read", res.SSDRead}, {"SSD-write", res.SSDWrite}, {"DRAM", res.DRAM}} {
+			t.AddRow(w, fmt.Sprint(res.SF), row.name,
+				core.F(row.d.Percentile(10)), core.F(row.d.Percentile(50)),
+				core.F(row.d.Percentile(90)), core.F(row.d.Percentile(99)), core.F(row.d.Mean()))
+		}
+		EmitDistribution(e.Emit, "fig4", w, res.SF, "ssd_read_mbps", "MB/s", res.SSDRead)
+		EmitDistribution(e.Emit, "fig4", w, res.SF, "ssd_write_mbps", "MB/s", res.SSDWrite)
+		EmitDistribution(e.Emit, "fig4", w, res.SF, "dram_mbps", "MB/s", res.DRAM)
+	}
+	e.write(t.Render())
+	return nil
+}
+
+func runFig5(e *Env) error {
+	c := Fig5(e.Opt, quickOr(e, []float64{100, 400, 800, 2500}, Fig5Steps))
+	lin := c.LinearReference()
+	t := core.Table{Headers: []string{"read limit MB/s", "QPS", "linear-model QPS"}}
+	for i, p := range c.Points {
+		t.AddRow(core.F(p.X), core.F(p.Y), core.F(lin.Points[i].Y))
+	}
+	e.write(t.Render())
+	EmitCurve(e.Emit, "fig5", "tpch", 300, "qps", "read_limit_mbps", "qps", c)
+	EmitCurve(e.Emit, "fig5", "tpch", 300, "qps_linear_model", "read_limit_mbps", "qps", lin)
+	target := c.Last().Y * 0.8
+	if actual, linear, ok := c.AllocationForTarget(target); ok {
+		e.printf("to reach %.3f QPS: actual needs %.0f MB/s; a linear model would provision %.0f MB/s (%.0f%% over)\n",
+			target, actual, linear, 100*(linear/actual-1))
+	}
+	return nil
+}
+
+func runFig5Write(e *Env) error {
+	c := Fig5Write(e.Opt)
+	base := c.Last().Y
+	t := core.Table{Headers: []string{"write limit MB/s", "TPS", "vs unlimited"}}
+	for _, p := range c.Points {
+		t.AddRow(core.F(p.X), core.F(p.Y), fmt.Sprintf("%+.0f%%", 100*(p.Y/base-1)))
+	}
+	e.write(t.Render())
+	EmitCurve(e.Emit, "fig5write", "asdb", 2000, "tps", "write_limit_mbps", "tps", c)
+	return nil
+}
+
+func runFig6(e *Env) error {
+	for _, sf := range PaperSFs(WTpch) {
+		res := Fig6(sf, e.Opt, nil)
+		t := core.Table{Headers: []string{"query", "dop1", "dop2", "dop4", "dop8", "dop16", "dop32"}}
+		for q := 1; q <= tpch.NumQueries; q++ {
+			row := []string{fmt.Sprintf("Q%d", q)}
+			for _, dop := range DOPSteps {
+				row = append(row, core.F(res.Speedup(q, dop)))
+			}
+			t.AddRow(row...)
+		}
+		e.printf("-- TPC-H SF %d: speedup relative to MAXDOP=32 --\n%s", sf, t.Render())
+		EmitTable(e.Emit, "fig6", fmt.Sprintf("sf%d", sf), t)
+	}
+	return nil
+}
+
+func runFig7(e *Env) error {
+	for _, sf := range []int{10, 300} {
+		res := Fig7(sf, e.Opt)
+		e.printf("-- Q20 @ SF %d --\nMAXDOP=1:\n%s\nMAXDOP=32:\n%s\n", sf, res.SerialPlan, res.ParallelPlan)
+		EmitTable(e.Emit, "fig7", fmt.Sprintf("q20-sf%d", sf), core.Table{
+			Headers: []string{"maxdop", "shape"},
+			Rows:    [][]string{{"1", res.SerialShape}, {"32", res.ParShape}},
+		})
+	}
+	return nil
+}
+
+func runFig8(e *Env) error {
+	res := Fig8(e.Opt, nil)
+	t := core.Table{Headers: []string{"query", "M=15%", "M=5%", "M=2%"}}
+	for q := 1; q <= tpch.NumQueries; q++ {
+		t.AddRow(fmt.Sprintf("Q%d", q),
+			core.F(res.Speedup(q, 0.15)), core.F(res.Speedup(q, 0.05)), core.F(res.Speedup(q, 0.02)))
+	}
+	e.printf("-- TPC-H SF 100: speedup vs default 25%% grant --\n%s", t.Render())
+	EmitTable(e.Emit, "fig8", "sf100", t)
+	return nil
+}
+
+func runTrace(e *Env) error {
+	sf := quickOr(e, 10, 100)
+	res := TraceTPCH(sf, e.TraceQuery, e.Opt)
+	e.write(res.Render())
+	EmitTrace(e.Emit, "trace", "tpch", sf, res.Trace)
+	if res.Stmt != nil {
+		EmitWaits(e.Emit, "trace", "tpch", sf, "query", float64(e.TraceQuery), res.Stmt.WaitNs)
+	}
+	return nil
+}
+
+func runQStats(e *Env) error {
+	ws := e.workloads()
+	results := Sweep(e.Opt.Parallel, len(ws), func(i int) QStatsResult {
+		return RunQStats(ws[i], PaperSFs(ws[i])[0], e.Opt)
+	}, e.Opt.Progress)
+	for _, res := range results {
+		t := QueryStatsTable(res.Result.QueryStats)
+		e.printf("-- query stats: %s SF %d --\n%s", res.Workload, res.SF, t.Render())
+		EmitResult(e.Emit, "qstats", string(res.Workload), res.SF, "", 0, res.Result)
+		e.prom(res.Result.Telemetry,
+			[2]string{"experiment", "qstats"},
+			[2]string{"workload", string(res.Workload)},
+			[2]string{"sf", fmt.Sprint(res.SF)})
+	}
+	return nil
+}
+
+func runServing(e *Env) error {
+	res := Serving(e.asdbSF(), e.Opt, Knobs{}, nil)
+	e.write(res.String())
+	EmitServing(e.Emit, res)
+	for _, p := range res.Points {
+		e.prom(p.Telemetry,
+			[2]string{"experiment", "serving"},
+			[2]string{"offered_rps", fmt.Sprintf("%g", p.OfferedRPS)})
+	}
+	e.prom(res.Storm.Telemetry,
+		[2]string{"experiment", "serving"},
+		[2]string{"offered_rps", "storm"})
+	return nil
+}
+
+func runReplication(e *Env) error {
+	// Nil axes take the harness defaults.
+	res := Replication(e.asdbSF(), e.Opt, nil, quickOr(e, []float64{200}, nil), quickOr(e, []int{1}, nil))
+	e.write(res.String())
+	EmitReplication(e.Emit, res)
+	for _, p := range res.Points {
+		e.prom(p.Telemetry,
+			[2]string{"experiment", "replication"},
+			[2]string{"mode", p.Mode.String()},
+			[2]string{"replicas", fmt.Sprint(p.Replicas)},
+			[2]string{"bw_mbps", fmt.Sprintf("%.0f", p.BandwidthMBps)})
+	}
+	return res.Err()
+}
+
+// runResilience sweeps TPC-H and TPC-E by default, or a single
+// -workload override at its smallest paper scale factor.
+func runResilience(e *Env) error {
+	type pair struct {
+		w  Workload
+		sf int
+	}
+	pairs := []pair{{WTpch, 100}, {WTpce, quickOr(e, 2000, 5000)}}
+	if e.Workload != "" {
+		pairs = []pair{{e.Workload, PaperSFs(e.Workload)[0]}}
+	}
+	steps := quickOr(e, []float64{0, 1, 4}, FaultSteps)
+	for _, p := range pairs {
+		res := Resilience(p.w, p.sf, e.Opt, steps)
+		e.write(res.String())
+		EmitResilience(e.Emit, res)
+	}
+	return nil
+}
+
+// runRecoveryExp runs both halves — the MTTR sweep and the crash matrix
+// — and reports either's failed cells only after both have rendered and
+// emitted.
+func runRecoveryExp(e *Env) error {
+	sf := e.asdbSF()
+	res := Recovery(sf, e.Opt, quickOr(e, []sim.Duration{500 * sim.Millisecond, 2 * sim.Second}, RecoveryCkptIntervals), nil)
+	e.write(res.String())
+	EmitRecovery(e.Emit, res)
+	m := CrashMatrix(sf, e.Opt, nil)
+	e.write(m.String())
+	EmitCrashMatrix(e.Emit, m)
+	return errors.Join(res.Err(), m.Err())
+}
+
+func runFailover(e *Env) error {
+	res := Failover(e.asdbSF(), e.Opt, nil)
+	e.write(res.String())
+	EmitFailover(e.Emit, res)
+	return res.Err()
+}
+
+func runChaos(e *Env) error {
+	var specs []ChaosSpec // nil runs the full matrix
+	if e.Schedule != "" {
+		for _, sp := range ChaosSpecs() {
+			if sp.Schedule == e.Schedule {
+				specs = append(specs, sp)
+			}
+		}
+	}
+	res := Chaos(e.asdbSF(), e.Opt, specs, e.Rate)
+	e.write(res.String())
+	EmitChaos(e.Emit, res)
+	for _, p := range res.Points {
+		e.prom(p.Telemetry,
+			[2]string{"experiment", "chaos"},
+			[2]string{"cell", p.Spec.Name})
+	}
+	return res.Err()
+}
+
+// runServeCell boots the serving front end under open-loop traffic at one
+// offered load and reports the cell — the single-run counterpart of the
+// serving sweep.
+func runServeCell(e *Env) error {
+	sf := e.asdbSF()
+	e.printf("== serve (density=%d, measure=%.0fs, rate=%g conn/s, storm=%v) ==\n",
+		e.Opt.Density, e.Opt.Measure.Seconds(), e.Rate, e.Storm)
+	pt := ServeOnce(sf, e.Opt, Knobs{}, e.Rate, e.Storm)
+	e.printf("offered %.1f rps -> goodput %.1f rps\n", pt.OfferedRPS, pt.GoodputRPS)
+	e.printf("latency p50 %.3f ms, p99 %.2f ms, p999 %.2f ms\n", pt.P50Ms, pt.P99Ms, pt.P999Ms)
+	e.printf("shed %.1f%% (%d), degraded %d, refused %d, dropped %d, conns %d\n",
+		100*pt.ShedRate, pt.Shed, pt.Degraded, pt.Refused, pt.Dropped, pt.Accepted)
+	EmitServeOnce(e.Emit, sf, pt)
+	e.prom(pt.Telemetry,
+		[2]string{"experiment", "serve"},
+		[2]string{"rate", fmt.Sprintf("%g", e.Rate)})
+	return nil
+}

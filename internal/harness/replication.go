@@ -29,17 +29,11 @@ var ReplReplicaCounts = []int{1, 2}
 // injection is wired here rather than in newServer so the replication
 // axes can target the cluster.
 func buildReplicated(sf int, opt Options, k Knobs, rcfg repl.Config, ro engine.RecoveryOptions) (*engine.Server, *repl.Cluster, *asdb.Dataset) {
-	density := opt.Density / 20
-	if density < 2 {
-		density = 2
-	}
-	acfg := asdb.Config{SF: sf, ActualRowsPerSF: density, Seed: opt.Seed}
+	acfg := asdbConfig(sf, opt)
 	d := asdb.Build(acfg)
 	kk := k
 	kk.Faults = nil // wired below, with the cluster as a target
-	srv := newServer(opt, kk)
-	srv.AttachDB(d.DB)
-	srv.WarmBufferPool()
+	srv := warmServer(d.DB, opt, kk)
 	srv.ArmRecovery(ro)
 	rcfg.NewImage = func() *engine.Database { return asdb.Build(acfg).DB }
 	cl := repl.New(srv, rcfg)
@@ -150,13 +144,9 @@ func Replication(sf int, opt Options, modes []repl.Mode, bandwidths []float64, r
 			TraceCommits: opt.Telemetry,
 		}
 		srv, cl, d := buildReplicated(sf, opt, k, rcfg, engine.RecoveryOptions{})
-		clients := opt.Users
-		if clients <= 0 {
-			clients = 128
-		}
 		end := sim.Time(opt.Warmup + opt.Measure)
 		var st asdb.Stats
-		asdb.RunClients(srv, d, clients, asdb.DefaultMix(), end, &st)
+		asdb.RunClients(srv, d, workload(WAsdb).drivers(opt), asdb.DefaultMix(), end, &st)
 		srv.Sim.Run(sim.Time(opt.Warmup))
 		before := *srv.Ctr
 		srv.Sim.Run(end)
@@ -256,13 +246,9 @@ func Failover(sf int, opt Options, modes []repl.Mode) FailoverResult {
 			ArchiveSegBytes: 32 << 10, SnapshotEvery: 2,
 		}
 		srv, cl, d := buildReplicated(sf, opt, Knobs{WriteLimitMBps: 50}, rcfg, ro)
-		clients := opt.Users
-		if clients <= 0 {
-			clients = 128
-		}
 		until := driverHorizon(opt)
 		var st asdb.Stats
-		asdb.RunClients(srv, d, clients, asdb.DefaultMix(), until, &st)
+		asdb.RunClients(srv, d, workload(WAsdb).drivers(opt), asdb.DefaultMix(), until, &st)
 
 		var frep *repl.FailoverReport
 		var prep *repl.PITRReport
@@ -359,17 +345,11 @@ type HTAPRoutedResult struct {
 // buffer pool and device, and the cell verifies digest equality at
 // quiesce — the columnstore delta replay path included.
 func ReplicatedHTAP(customers int, opt Options, k Knobs, rcfg repl.Config) HTAPRoutedResult {
-	density := opt.Density / 25
-	if density < 2 {
-		density = 2
-	}
-	hcfg := htap.Config{Customers: customers, ActualTradesPerCustomer: density, Seed: opt.Seed}
+	hcfg := htapConfig(customers, opt)
 	d := htap.Build(hcfg)
 	kk := k
 	kk.Faults = nil
-	srv := newServer(opt, kk)
-	srv.AttachDB(d.DB)
-	srv.WarmBufferPool()
+	srv := warmServer(d.DB, opt, kk)
 	srv.ArmRecovery(engine.RecoveryOptions{})
 	byDB := make(map[*engine.Database]*tpce.Dataset)
 	rcfg.NewImage = func() *engine.Database {
@@ -381,13 +361,9 @@ func ReplicatedHTAP(customers int, opt Options, k Knobs, rcfg repl.Config) HTAPR
 	srv.Start()
 	cl.Start()
 
-	users := opt.Users
-	if users <= 0 {
-		users = 99
-	}
 	end := sim.Time(opt.Warmup + opt.Measure)
 	var st tpce.Stats
-	tpce.RunUsers(srv, d, users, tpce.DefaultMix(), end, &st)
+	tpce.RunUsers(srv, d, workload(WHtap).drivers(opt), tpce.DefaultMix(), end, &st)
 	var passes, passesWarm int64
 	srv.Sim.Spawn("htap-analyst", func(p *sim.Proc) {
 		g := srv.Sim.RNG().Fork()

@@ -58,7 +58,7 @@ func Resilience(w Workload, sf int, opt Options, steps []float64) ResilienceResu
 		steps = FaultSteps
 	}
 	rs := Sweep(opt.Parallel, len(steps), func(i int) Result {
-		return runWorkload(w, sf, opt, resilienceKnobs(opt, steps[i]))
+		return runPoint(w, sf, opt, resilienceKnobs(opt, steps[i]))
 	}, opt.Progress)
 	out := ResilienceResult{Workload: w, SF: sf}
 	base := rs[0].Throughput

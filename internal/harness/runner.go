@@ -216,129 +216,196 @@ func measure(srv *engine.Server, opt Options) Result {
 	return r
 }
 
+// dataset is a built workload database plus the driver that loads it:
+// n closed-loop streams/users/clients running until the given instant.
+type dataset struct {
+	db    *engine.Database
+	drive func(srv *engine.Server, n int, until sim.Time)
+}
+
+// workloadSpec is one row of the workload table: everything the runners
+// and cell builders need to know about a workload class.
+type workloadSpec struct {
+	name  Workload
+	title string // Table 2 label
+	sfs   []int  // the paper's scale factors
+	// rows maps Options.Density to generated rows per paper scale unit
+	// (tpch lineitem rows per SF, tpce/htap trades per customer, asdb rows
+	// per SF unit).
+	rows func(density int) int
+	// drivers is the closed-loop driver count: the Options override or the
+	// paper's default.
+	drivers func(opt Options) int
+	// extendWindow is whether measure() honours Options.MinQueries. Only
+	// the workloads with an analytical component do; a pure OLTP point
+	// completes no queries and would always run the full 8 extensions.
+	extendWindow bool
+	build        func(sf int, opt Options) dataset
+	// throughput fills the Result's headline rates from its counter delta.
+	throughput func(r *Result)
+}
+
+func orDefault(v, def int) int {
+	if v > 0 {
+		return v
+	}
+	return def
+}
+
+func tps(r *Result) { r.Throughput = float64(r.Delta.TxnCommits) / r.ElapsedSecs }
+
+// workloads is the workload table, in the order sweeps over "every
+// workload" run and Table 2 lists them. It is filled by init because the
+// build funcs use the per-workload config helpers below, which read the
+// table.
+var workloads []workloadSpec
+
+func init() {
+	workloads = []workloadSpec{
+		{
+			name: WAsdb, title: "ASDB", sfs: []int{2000, 6000},
+			rows:    func(d int) int { return max(2, d/20) },
+			drivers: func(opt Options) int { return orDefault(opt.Users, 128) },
+			build: func(sf int, opt Options) dataset {
+				d := asdb.Build(asdbConfig(sf, opt))
+				return dataset{d.DB, func(srv *engine.Server, n int, until sim.Time) {
+					asdb.RunClients(srv, d, n, asdb.DefaultMix(), until, new(asdb.Stats))
+				}}
+			},
+			throughput: tps,
+		},
+		{
+			name: WTpce, title: "TPC-E", sfs: []int{5000, 15000},
+			rows:    func(d int) int { return max(2, d/25) },
+			drivers: func(opt Options) int { return orDefault(opt.Users, 100) },
+			build: func(customers int, opt Options) dataset {
+				d := tpce.Build(tpce.Config{
+					Customers:               customers,
+					ActualTradesPerCustomer: workload(WTpce).rows(opt.Density),
+					Seed:                    opt.Seed,
+				})
+				return dataset{d.DB, func(srv *engine.Server, n int, until sim.Time) {
+					tpce.RunUsers(srv, d, n, tpce.DefaultMix(), until, new(tpce.Stats))
+				}}
+			},
+			throughput: tps,
+		},
+		{
+			name: WHtap, title: "HTAP", sfs: []int{5000, 15000},
+			rows:         func(d int) int { return max(2, d/25) },
+			drivers:      func(opt Options) int { return orDefault(opt.Users, 99) },
+			extendWindow: true,
+			build: func(customers int, opt Options) dataset {
+				d := htap.Build(htapConfig(customers, opt))
+				return dataset{d.DB, func(srv *engine.Server, n int, until sim.Time) {
+					htap.Run(srv, d, n, until, new(htap.Stats))
+				}}
+			},
+			throughput: func(r *Result) {
+				r.OLTPTps = float64(r.Delta.TxnCommits) / r.ElapsedSecs
+				r.DSSQps = float64(r.Delta.QueriesDone) / r.ElapsedSecs
+				r.Throughput = r.OLTPTps + r.DSSQps
+			},
+		},
+		{
+			name: WTpch, title: "TPC-H", sfs: []int{10, 30, 100, 300},
+			rows:         func(d int) int { return d },
+			drivers:      func(opt Options) int { return orDefault(opt.Streams, 3) },
+			extendWindow: true,
+			build: func(sf int, opt Options) dataset {
+				d := tpch.Build(tpchConfig(sf, opt))
+				return dataset{d.DB, func(srv *engine.Server, n int, until sim.Time) {
+					tpch.RunStreams(srv, d, n, until, new(tpch.StreamStats))
+				}}
+			},
+			throughput: func(r *Result) { r.Throughput = float64(r.Delta.QueriesDone) / r.ElapsedSecs },
+		},
+	}
+}
+
+// workload returns w's table row.
+func workload(w Workload) *workloadSpec {
+	for i := range workloads {
+		if workloads[i].name == w {
+			return &workloads[i]
+		}
+	}
+	panic("harness: unknown workload " + string(w))
+}
+
+// asdbConfig, htapConfig and tpchConfig are the dataset configs at the
+// table's density rule, for the cell builders that need the typed
+// dataset (replica images, the serving catalog, single-query timing)
+// rather than a driven point.
+func asdbConfig(sf int, opt Options) asdb.Config {
+	return asdb.Config{SF: sf, ActualRowsPerSF: workload(WAsdb).rows(opt.Density), Seed: opt.Seed}
+}
+
+func htapConfig(customers int, opt Options) htap.Config {
+	return htap.Config{Customers: customers, ActualTradesPerCustomer: workload(WHtap).rows(opt.Density), Seed: opt.Seed}
+}
+
+func tpchConfig(sf int, opt Options) tpch.Config {
+	return tpch.Config{SF: sf, ActualLineitemPerSF: workload(WTpch).rows(opt.Density), Seed: opt.Seed}
+}
+
+// warmServer boots a server for the knobs with db attached and its
+// buffer pool warm, not yet started (cells arm recovery or replication
+// first).
+func warmServer(db *engine.Database, opt Options, k Knobs) *engine.Server {
+	srv := newServer(opt, k)
+	srv.AttachDB(db)
+	srv.WarmBufferPool()
+	return srv
+}
+
+// runPoint measures one workload at one scale factor and knob setting:
+// build, boot, drive through warmup, measure.
+func runPoint(w Workload, sf int, opt Options, k Knobs) Result {
+	r, _ := runPointServer(w, sf, opt, k)
+	return r
+}
+
+// runPointServer is runPoint that also returns the stopped server, for
+// callers that read more than the Result.
+func runPointServer(w Workload, sf int, opt Options, k Knobs) (Result, *engine.Server) {
+	row := workload(w)
+	if !row.extendWindow {
+		opt.MinQueries = 0
+	}
+	d := row.build(sf, opt)
+	srv := warmServer(d.db, opt, k)
+	srv.Start()
+	d.drive(srv, row.drivers(opt), driverHorizon(opt))
+	r := measure(srv, opt)
+	row.throughput(&r)
+	return r, srv
+}
+
 // RunTPCH measures TPC-H stream throughput (QPS) at one knob setting.
 func RunTPCH(sf int, opt Options, k Knobs) Result {
-	d := tpch.Build(tpch.Config{SF: sf, ActualLineitemPerSF: opt.Density, Seed: opt.Seed})
-	srv := newServer(opt, k)
-	srv.AttachDB(d.DB)
-	srv.WarmBufferPool()
-	srv.Start()
-	streams := opt.Streams
-	if streams <= 0 {
-		streams = 3
-	}
-	var st tpch.StreamStats
-	until := driverHorizon(opt)
-	tpch.RunStreams(srv, d, streams, until, &st)
-	r := measure(srv, opt)
-	r.Throughput = float64(r.Delta.QueriesDone) / r.ElapsedSecs
-	return r
+	return runPoint(WTpch, sf, opt, k)
 }
 
 // RunTPCE measures TPC-E throughput (TPS) at one knob setting.
 func RunTPCE(customers int, opt Options, k Knobs) Result {
-	opt.MinQueries = 0
-	density := opt.Density / 25
-	if density < 2 {
-		density = 2
-	}
-	d := tpce.Build(tpce.Config{Customers: customers, ActualTradesPerCustomer: density, Seed: opt.Seed})
-	srv := newServer(opt, k)
-	srv.AttachDB(d.DB)
-	srv.WarmBufferPool()
-	srv.Start()
-	users := opt.Users
-	if users <= 0 {
-		users = 100
-	}
-	var st tpce.Stats
-	until := driverHorizon(opt)
-	tpce.RunUsers(srv, d, users, tpce.DefaultMix(), until, &st)
-	r := measure(srv, opt)
-	r.Throughput = float64(r.Delta.TxnCommits) / r.ElapsedSecs
-	return r
+	return runPoint(WTpce, customers, opt, k)
 }
 
 // TPCEWaits runs TPC-E and returns the full wait-class breakdown plus
 // per-object lock waits, for Table 3.
 func TPCEWaits(customers int, opt Options, k Knobs) (Result, map[int]int64) {
-	opt.MinQueries = 0
-	density := opt.Density / 25
-	if density < 2 {
-		density = 2
-	}
-	d := tpce.Build(tpce.Config{Customers: customers, ActualTradesPerCustomer: density, Seed: opt.Seed})
-	srv := newServer(opt, k)
-	srv.AttachDB(d.DB)
-	srv.WarmBufferPool()
-	srv.Start()
-	users := opt.Users
-	if users <= 0 {
-		users = 100
-	}
-	var st tpce.Stats
-	until := driverHorizon(opt)
-	tpce.RunUsers(srv, d, users, tpce.DefaultMix(), until, &st)
-	r := measure(srv, opt)
-	r.Throughput = float64(r.Delta.TxnCommits) / r.ElapsedSecs
+	r, srv := runPointServer(WTpce, customers, opt, k)
 	return r, srv.Locks.WaitNsByObj
 }
 
 // RunASDB measures ASDB throughput (TPS) at one knob setting.
 func RunASDB(sf int, opt Options, k Knobs) Result {
-	opt.MinQueries = 0
-	density := opt.Density / 20
-	if density < 2 {
-		density = 2
-	}
-	d := asdb.Build(asdb.Config{SF: sf, ActualRowsPerSF: density, Seed: opt.Seed})
-	srv := newServer(opt, k)
-	srv.AttachDB(d.DB)
-	srv.WarmBufferPool()
-	srv.Start()
-	clients := opt.Users
-	if clients <= 0 {
-		clients = 128
-	}
-	var st asdb.Stats
-	until := driverHorizon(opt)
-	asdb.RunClients(srv, d, clients, asdb.DefaultMix(), until, &st)
-	r := measure(srv, opt)
-	r.Throughput = float64(r.Delta.TxnCommits) / r.ElapsedSecs
-	return r
-}
-
-// buildASDB and buildTPCE expose raw database construction for Table 2.
-func buildASDB(sf, density int, seed int64) *engine.Database {
-	return asdb.Build(asdb.Config{SF: sf, ActualRowsPerSF: density, Seed: seed}).DB
-}
-
-func buildTPCE(customers, density int, seed int64, withCSI bool) *engine.Database {
-	return tpce.Build(tpce.Config{Customers: customers, ActualTradesPerCustomer: density, Seed: seed, WithCSI: withCSI}).DB
+	return runPoint(WAsdb, sf, opt, k)
 }
 
 // RunHTAP measures the hybrid workload: TPS for the 99-user transactional
 // component and QPS for the single analytical user.
 func RunHTAP(customers int, opt Options, k Knobs) Result {
-	density := opt.Density / 25
-	if density < 2 {
-		density = 2
-	}
-	d := htap.Build(htap.Config{Customers: customers, ActualTradesPerCustomer: density, Seed: opt.Seed})
-	srv := newServer(opt, k)
-	srv.AttachDB(d.DB)
-	srv.WarmBufferPool()
-	srv.Start()
-	users := opt.Users
-	if users <= 0 {
-		users = 99
-	}
-	var st htap.Stats
-	until := driverHorizon(opt)
-	htap.Run(srv, d, users, until, &st)
-	r := measure(srv, opt)
-	r.OLTPTps = float64(r.Delta.TxnCommits) / r.ElapsedSecs
-	r.DSSQps = float64(r.Delta.QueriesDone) / r.ElapsedSecs
-	r.Throughput = r.OLTPTps + r.DSSQps
-	return r
+	return runPoint(WHtap, customers, opt, k)
 }

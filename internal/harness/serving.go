@@ -60,14 +60,8 @@ func pctMs(sorted []sim.Duration, q float64) float64 {
 // runServingPoint boots an isolated simulation — engine, front end,
 // transport, traffic plan — for one offered load.
 func runServingPoint(sf int, opt Options, k Knobs, rate float64, storm *openloop.Storm) ServingPoint {
-	density := opt.Density / 20
-	if density < 2 {
-		density = 2
-	}
-	d := asdb.Build(asdb.Config{SF: sf, ActualRowsPerSF: density, Seed: opt.Seed})
-	srv := newServer(opt, k)
-	srv.AttachDB(d.DB)
-	srv.WarmBufferPool()
+	d := asdb.Build(asdbConfig(sf, opt))
+	srv := warmServer(d.DB, opt, k)
 	srv.Start()
 	f := serve.New(srv, d, serve.Config{})
 	if err := f.Start(); err != nil {
@@ -197,6 +191,30 @@ func EmitServing(e *Emitter, r ServingResult) {
 			fmt.Sprintf("offered_rps=%g", p.OfferedRPS), p.Telemetry)
 	}
 	EmitTelemetry(e, "serving", "asdb", r.SF, "storm", r.Storm.Telemetry)
+}
+
+// EmitServeOnce exports a single serving cell (the `serve`
+// experiment): one point record per headline metric at the cell's
+// offered load, plus its telemetry series labelled with the connection
+// rate.
+func EmitServeOnce(e *Emitter, sf int, p ServingPoint) {
+	for _, m := range []struct {
+		name, unit string
+		v          float64
+	}{
+		{"goodput", "rps", p.GoodputRPS},
+		{"p50", "ms", p.P50Ms},
+		{"p99", "ms", p.P99Ms},
+		{"p999", "ms", p.P999Ms},
+		{"shed_rate", "frac", p.ShedRate},
+		{"degraded", "requests", float64(p.Degraded)},
+	} {
+		e.Emit(Record{
+			Record: "point", Experiment: "serve", Workload: "asdb", SF: sf,
+			Metric: m.name, X: p.OfferedRPS, Value: m.v, Unit: m.unit,
+		})
+	}
+	EmitTelemetry(e, "serve", "asdb", sf, fmt.Sprintf("rate=%g", p.RatePerSec), p.Telemetry)
 }
 
 // String renders the sweep as an aligned table.

@@ -87,6 +87,6 @@ type Point struct {
 func RunPoints(points []Point, opt Options) []Result {
 	return Sweep(opt.Parallel, len(points), func(i int) Result {
 		p := points[i]
-		return runWorkload(p.Workload, p.SF, opt, p.Knobs)
+		return runPoint(p.Workload, p.SF, opt, p.Knobs)
 	}, opt.Progress)
 }
