@@ -289,18 +289,42 @@ type iterFrame struct {
 	idx int
 }
 
-// Iter walks entries in ascending key order.
+// maxHeight bounds the iterator's descent stack. The root has at least 2
+// children and every other interior node at least minDegree, so a ninth
+// level needs more than 2*32^7*31 (2e12) entries — more than fit in memory.
+const maxHeight = 8
+
+// Iter walks entries in ascending key order. It is a plain value with the
+// descent stack inline, so positioning one allocates nothing.
 type Iter struct {
-	stack []iterFrame
+	stack [maxHeight]iterFrame
+	depth int
+}
+
+func (it *Iter) push(n *node, idx int) {
+	it.stack[it.depth] = iterFrame{n, idx}
+	it.depth++
+}
+
+// pushLeftmost pushes n and the leftmost path below it.
+func (it *Iter) pushLeftmost(n *node) {
+	for {
+		it.push(n, 0)
+		if n.leaf() {
+			break
+		}
+		n = n.children[0]
+	}
+	it.normalize()
 }
 
 // Seek returns an iterator positioned at the first entry >= k.
-func (t *Tree) Seek(k Key) *Iter {
-	it := &Iter{}
+func (t *Tree) Seek(k Key) Iter {
+	var it Iter
 	n := t.root
 	for {
 		i := n.findGE(k)
-		it.stack = append(it.stack, iterFrame{n, i})
+		it.push(n, i)
 		if n.leaf() {
 			break
 		}
@@ -311,45 +335,37 @@ func (t *Tree) Seek(k Key) *Iter {
 }
 
 // Min returns an iterator at the smallest entry.
-func (t *Tree) Min() *Iter {
-	it := &Iter{}
-	n := t.root
-	for {
-		it.stack = append(it.stack, iterFrame{n, 0})
-		if n.leaf() {
-			break
-		}
-		n = n.children[0]
-	}
-	it.normalize()
+func (t *Tree) Min() Iter {
+	var it Iter
+	it.pushLeftmost(t.root)
 	return it
 }
 
 // normalize pops exhausted frames so that Valid/Key/Value address a real
 // entry: the top frame's idx always points at an in-range key.
 func (it *Iter) normalize() {
-	for len(it.stack) > 0 {
-		top := &it.stack[len(it.stack)-1]
+	for it.depth > 0 {
+		top := &it.stack[it.depth-1]
 		if top.idx < len(top.n.keys) {
 			return
 		}
-		it.stack = it.stack[:len(it.stack)-1]
+		it.depth--
 	}
 }
 
 // Valid reports whether the iterator addresses an entry.
-func (it *Iter) Valid() bool { return len(it.stack) > 0 }
+func (it *Iter) Valid() bool { return it.depth > 0 }
 
 // Key returns the current key; only valid iterators may be dereferenced.
-func (it *Iter) Key() Key { top := it.stack[len(it.stack)-1]; return top.n.keys[top.idx] }
+func (it *Iter) Key() Key { top := &it.stack[it.depth-1]; return top.n.keys[top.idx] }
 
 // Value returns the current value.
-func (it *Iter) Value() int64 { top := it.stack[len(it.stack)-1]; return top.n.vals[top.idx] }
+func (it *Iter) Value() int64 { top := &it.stack[it.depth-1]; return top.n.vals[top.idx] }
 
 // Next advances to the next entry in key order. The iterator must be
 // valid. Mutating the tree invalidates iterators.
 func (it *Iter) Next() {
-	top := &it.stack[len(it.stack)-1]
+	top := &it.stack[it.depth-1]
 	if top.n.leaf() {
 		top.idx++
 		it.normalize()
@@ -357,16 +373,8 @@ func (it *Iter) Next() {
 	}
 	// Interior: we just consumed key idx; descend into child idx+1's
 	// leftmost path.
-	n := top.n.children[top.idx+1]
 	top.idx++
-	for {
-		it.stack = append(it.stack, iterFrame{n, 0})
-		if n.leaf() {
-			break
-		}
-		n = n.children[0]
-	}
-	it.normalize()
+	it.pushLeftmost(top.n.children[top.idx])
 }
 
 // Geom computes nominal index geometry for costing: how large and how

@@ -110,6 +110,26 @@ func TestSeekPositionsAtFirstGE(t *testing.T) {
 	}
 }
 
+func TestSeekAllocatesNothing(t *testing.T) {
+	tr := New()
+	for i := int64(0); i < 100_000; i++ { // three levels
+		tr.Insert(Key{i * 7 % 100_000}, i)
+	}
+	key := Key{0}
+	var sum int64
+	avg := testing.AllocsPerRun(100, func() {
+		key[0] = (key[0] + 7919) % 100_000
+		it := tr.Seek(key)
+		for n := 0; n < 100 && it.Valid(); n++ { // crosses leaves and an interior key
+			sum += it.Value()
+			it.Next()
+		}
+	})
+	if avg != 0 || sum == 0 {
+		t.Errorf("Seek + 100 Next: %v allocs (sum %d), want 0", avg, sum)
+	}
+}
+
 func TestDeleteRandomizedAgainstReference(t *testing.T) {
 	g := sim.NewRNG(99)
 	tr := New()
@@ -197,7 +217,8 @@ func TestDeleteEverythingProperty(t *testing.T) {
 				return false
 			}
 		}
-		return tr.Len() == 0 && !tr.Min().Valid()
+		it := tr.Min()
+		return tr.Len() == 0 && !it.Valid()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -48,6 +48,10 @@ type Session struct {
 
 	err    *QueryError // first statement failure since the last TakeErr
 	closed bool
+
+	// stmt is Exec's statement-attributed counter set, reset per attempt
+	// and folded into the query statistics before the attempt returns.
+	stmt metrics.Counters
 }
 
 // Open opens a session for the proc. Opening is free: the OLTP
@@ -113,19 +117,21 @@ func (sess *Session) Query(q *opt.LNode, o QueryOptions) QueryResult {
 	return res
 }
 
-// Exec runs one whole transaction (fn) as a labeled statement: a fresh
-// counter set is attached for the duration so waits, buffer traffic and
-// I/O attribute to it, the attempt is folded into the server's
-// per-template query statistics under label, and transient aborts
+// Exec runs one whole transaction (fn) as a labeled statement: the
+// session's counter set is zeroed and attached for the duration so waits,
+// buffer traffic and I/O attribute to it, the attempt is folded into the
+// server's per-template query statistics under label, and transient aborts
 // (victim, IO) are retried with backoff under the session's Retry
 // policy using g for jitter. It reports whether the transaction
 // ultimately committed; the caller can distinguish "failed with retries
-// disabled" via sess.Retry.Enabled().
+// disabled" via sess.Retry.Enabled(). Exec calls on one session do not
+// nest: fn must not call Exec on the session it runs under.
 func (sess *Session) Exec(label string, g *sim.RNG, fn func() bool) bool {
 	s, p := sess.S, sess.P
 	run := func() bool {
 		t0 := p.Now()
-		stmt := &metrics.Counters{}
+		stmt := &sess.stmt
+		*stmt = metrics.Counters{}
 		prev := p.Attr()
 		p.SetAttr(stmt)
 		ok := fn()

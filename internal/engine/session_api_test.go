@@ -154,3 +154,41 @@ func TestSessionCountsOpenClose(t *testing.T) {
 	s.Stop()
 	s.Sim.Run(sim.Time(2 * sim.Second))
 }
+
+// TestExecReusesSessionCounters pins Exec's bookkeeping: each attempt
+// charges a zeroed counter set, the fold into the query statistics is
+// cumulative, the proc's previous attribution comes back, and none of it
+// allocates.
+func TestExecReusesSessionCounters(t *testing.T) {
+	s := NewServer(Config{Seed: 3})
+	s.AttachDB(testDB())
+	s.Start()
+	s.Sim.Spawn("probe", func(p *sim.Proc) {
+		sess := s.Open(p)
+		defer sess.Close()
+		charge := func() bool {
+			stmt := metrics.StmtOf(p)
+			stmt.AddWait(metrics.WaitLock, 7)
+			stmt.BufferHits++
+			return true
+		}
+		sess.Exec("t.Charge", nil, charge)
+		sess.Exec("t.Charge", nil, charge)
+		rows := s.QStats.Snapshot()
+		if len(rows) != 1 || rows[0].Query != "t.Charge" || rows[0].Executions != 2 ||
+			rows[0].WaitNs[metrics.WaitLock] != 14 || rows[0].Counters.WaitNs[metrics.WaitLock] != 14 ||
+			rows[0].Counters.BufferHits != 2 {
+			t.Errorf("two attempts of 7 ns + 1 hit folded as %+v", rows)
+		}
+		if p.Attr() != nil {
+			t.Errorf("Exec left %v attached to the proc", p.Attr())
+		}
+		empty := func() bool { return true }
+		if avg := testing.AllocsPerRun(100, func() { sess.Exec("t.Empty", nil, empty) }); avg != 0 {
+			t.Errorf("Exec of an empty transaction allocates %v objects, want 0", avg)
+		}
+	})
+	s.Sim.Run(sim.Time(sim.Second))
+	s.Stop()
+	s.Sim.Run(sim.Time(2 * sim.Second))
+}

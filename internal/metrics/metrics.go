@@ -194,6 +194,61 @@ func (c Counters) Sub(o Counters) Counters {
 	return d
 }
 
+// Add folds o into c in place, field by field — the cumulative dual of
+// Sub, for folding a statement's counters into a per-template total
+// without copying either set.
+func (c *Counters) Add(o *Counters) {
+	c.Instructions += o.Instructions
+	c.Cycles += o.Cycles
+	c.LLCAccesses += o.LLCAccesses
+	c.LLCMisses += o.LLCMisses
+	c.DRAMReadBytes += o.DRAMReadBytes
+	c.DRAMWriteBytes += o.DRAMWriteBytes
+	c.QPIBytes += o.QPIBytes
+	c.SSDReadBytes += o.SSDReadBytes
+	c.SSDWriteBytes += o.SSDWriteBytes
+	c.SSDReadOps += o.SSDReadOps
+	c.SSDWriteOps += o.SSDWriteOps
+	c.TxnCommits += o.TxnCommits
+	c.TxnAborts += o.TxnAborts
+	c.QueriesDone += o.QueriesDone
+	c.BufferHits += o.BufferHits
+	c.BufferMisses += o.BufferMisses
+	c.Spills += o.Spills
+	c.FaultsInjected += o.FaultsInjected
+	c.FaultIOErrors += o.FaultIOErrors
+	c.IORetries += o.IORetries
+	c.TxnRetries += o.TxnRetries
+	c.QueryRetries += o.QueryRetries
+	c.DeadlineKills += o.DeadlineKills
+	c.DegradedPlans += o.DegradedPlans
+	c.QueriesFailed += o.QueriesFailed
+	c.QueriesCanceled += o.QueriesCanceled
+	c.CpusetFallbacks += o.CpusetFallbacks
+	c.Crashes += o.Crashes
+	c.Recoveries += o.Recoveries
+	c.RecoveryRedoPages += o.RecoveryRedoPages
+	c.RecoveryRedoRecords += o.RecoveryRedoRecords
+	c.RecoveryUndoRecords += o.RecoveryUndoRecords
+	c.RecoveryCLRs += o.RecoveryCLRs
+	c.RecoveryElapsedNs += o.RecoveryElapsedNs
+	c.CommitsNotDurable += o.CommitsNotDurable
+	c.CrashLostTxns += o.CrashLostTxns
+	c.CrashLostRecords += o.CrashLostRecords
+	c.ReplShippedBatches += o.ReplShippedBatches
+	c.ReplShippedBytes += o.ReplShippedBytes
+	c.ReplAppliedTxns += o.ReplAppliedTxns
+	c.ReplUnackedCommits += o.ReplUnackedCommits
+	c.ReplLinkStalls += o.ReplLinkStalls
+	c.ArchivedSegments += o.ArchivedSegments
+	c.ArchivedBytes += o.ArchivedBytes
+	c.ArchiveSegmentsLost += o.ArchiveSegmentsLost
+	c.PITRRestores += o.PITRRestores
+	for i := range c.WaitNs {
+		c.WaitNs[i] += o.WaitNs[i]
+	}
+}
+
 // MPKI returns LLC misses per thousand instructions.
 func (c Counters) MPKI() float64 {
 	if c.Instructions == 0 {

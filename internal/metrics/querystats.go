@@ -95,7 +95,7 @@ func (qs *QueryStats) Record(query string, e Exec) {
 		for i, ns := range e.Stmt.WaitNs {
 			r.WaitNs[i] += ns
 		}
-		r.Counters = r.Counters.add(*e.Stmt)
+		r.Counters.Add(e.Stmt)
 	}
 }
 
@@ -119,12 +119,4 @@ func (qs *QueryStats) Snapshot() []QueryStatRow {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Query < out[j].Query })
 	return out
-}
-
-// add returns c + o field-wise (the cumulative-fold dual of Sub).
-func (c Counters) add(o Counters) Counters {
-	zero := Counters{}
-	// c - (0 - o) computes c + o while reusing Sub's field coverage, so a
-	// counter added to the struct cannot be summed here but missed there.
-	return c.Sub(zero.Sub(o))
 }

@@ -34,10 +34,11 @@ func fillCounters(t *testing.T, base int64) Counters {
 	return c
 }
 
-// TestCountersSubCoversEveryField guards Sub's hand-written field list:
-// a and b differ by exactly delta in every field, so any field Sub (or
-// the add dual) forgets shows up as a zero in the difference.
-func TestCountersSubCoversEveryField(t *testing.T) {
+// TestCountersSubAndAddCoverEveryField guards the hand-written field lists
+// of Sub and of its in-place dual Add: a and b differ by exactly delta in
+// every field and every WaitNs slot, so a field Sub forgets shows up as a
+// zero in the difference, and one Add forgets as b + (a-b) != a.
+func TestCountersSubAndAddCoverEveryField(t *testing.T) {
 	const delta = 1000
 	a := fillCounters(t, delta)
 	b := fillCounters(t, 0)
@@ -60,24 +61,14 @@ func TestCountersSubCoversEveryField(t *testing.T) {
 			}
 		}
 	}
-	check("Sub", a.Sub(b), delta)
-	// add is implemented via Sub, so this also fails if either drifts.
-	sum := b.add(b)
-	want := fillCounters(t, 0)
-	v := reflect.ValueOf(&want).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
-		switch f.Kind() {
-		case reflect.Int64:
-			f.SetInt(f.Int() * 2)
-		case reflect.Array:
-			for j := 0; j < f.Len(); j++ {
-				f.Index(j).SetInt(f.Index(j).Int() * 2)
-			}
-		}
-	}
-	if sum != want {
-		t.Errorf("add dropped a field: got %+v, want %+v", sum, want)
+	d := a.Sub(b)
+	check("Sub", d, delta)
+	// With d == delta everywhere, b + d is a exactly when Add folds every
+	// field and every WaitNs slot.
+	sum := b
+	sum.Add(&d)
+	if sum != a {
+		t.Errorf("Add dropped a field: got %+v, want %+v", sum, a)
 	}
 }
 

@@ -1,0 +1,53 @@
+package sim
+
+import "testing"
+
+// Kernel micro-benchmarks: the host cost of one event on each of the
+// dispatch paths, and of the event heap alone. One iteration is one event.
+
+// BenchmarkHandoff: two procs sleeping in step, so every event switches
+// goroutines.
+func BenchmarkHandoff(b *testing.B) {
+	s := New(1)
+	for i := 0; i < 2; i++ {
+		s.Spawn("pp", func(p *Proc) {
+			for n := 0; n < b.N/2; n++ {
+				p.Sleep(Microsecond)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run(Time(b.N) * Time(Second))
+}
+
+// BenchmarkSelfResume: one sleeper, whose own wakeup is always the next
+// event — no goroutine switch.
+func BenchmarkSelfResume(b *testing.B) {
+	s := New(1)
+	s.Spawn("alone", func(p *Proc) {
+		for n := 0; n < b.N; n++ {
+			p.Sleep(Microsecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run(Time(b.N) * Time(Second))
+}
+
+// BenchmarkSchedule: push one event and pop the earliest with 10 000
+// pending, the heap cost inside every event above.
+func BenchmarkSchedule(b *testing.B) {
+	s := New(1)
+	g := NewRNG(1)
+	p := &Proc{sim: s}
+	for i := 0; i < 10_000; i++ {
+		s.schedule(Time(g.Int64n(1_000_000)), p)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		s.schedule(s.events[0].at+Time(g.Int64n(1_000_000)), p)
+		s.pop()
+	}
+}

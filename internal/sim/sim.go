@@ -1,17 +1,19 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // Simulated entities ("procs") run as goroutines that execute in strict
-// lockstep with the scheduler: at any instant exactly one goroutine — the
-// scheduler or a single proc — is active. Procs advance simulated time by
-// blocking on kernel primitives (Sleep, WaitQueue, Resource); the scheduler
-// pops the earliest pending event, advances the virtual clock, and resumes
-// the corresponding proc. Because execution is serialized and all randomness
-// flows through the kernel's seeded RNG, a simulation with a given seed and
-// configuration reproduces identical results on every run.
+// lockstep: at any instant exactly one goroutine — a single proc, or the
+// caller of Run while no proc can run — is active. Procs advance simulated
+// time by blocking on kernel primitives (Sleep, WaitQueue, Resource). There
+// is no scheduler goroutine: the proc that blocks pops the earliest pending
+// event itself, advances the virtual clock, and hands control straight to
+// that event's proc — one goroutine switch per event, none when the event
+// is its own. Events leave the heap in the total order (time, schedule
+// sequence) whoever pops them, so because execution is serialized and all
+// randomness flows through the kernel's seeded RNG, a simulation with a
+// given seed and configuration reproduces identical results on every run.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -43,23 +45,28 @@ func DurationOf(seconds float64) Duration { return Duration(seconds * float64(Se
 type Sim struct {
 	now    Time
 	seq    uint64
-	events eventHeap
+	events []event // 4-ary min-heap ordered by event.before
 	rng    *RNG
 
-	// yield is signalled by the currently-running proc when it blocks or
-	// terminates, returning control to the scheduler loop.
-	yield chan struct{}
+	until Time          // horizon of the Run in progress
+	idle  chan struct{} // signalled when nothing more can run before until
+	cur   *Proc         // proc currently executing, nil outside Run
+	nlive int           // procs spawned and not yet finished
 
-	cur      *Proc // proc currently executing, nil when scheduler runs
-	nlive    int   // procs spawned and not yet finished
-	stopping bool
+	// Self-profile of the Run in progress, flushed to ProfLoop/ProfProc
+	// when it returns so that an event costs no atomic operation.
+	prof      bool          // Profiling() as sampled when Run began
+	mark      time.Time     // host time of the last phase boundary
+	loopWall  time.Duration // dispatch: yield entry to next's return
+	procWall  time.Duration // everything else, goroutine switch included
+	delivered int64         // events delivered
 }
 
 // New creates a simulation whose RNG is seeded with seed.
 func New(seed int64) *Sim {
 	return &Sim{
-		rng:   NewRNG(seed),
-		yield: make(chan struct{}),
+		rng:  NewRNG(seed),
+		idle: make(chan struct{}),
 	}
 }
 
@@ -76,39 +83,141 @@ type event struct {
 	epoch uint64 // wakeup is valid only if the proc has not resumed since
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before is the kernel's total event order: time, then schedule sequence.
+// seq is unique, so any correct heap pops the same sequence.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
 func (s *Sim) schedule(at Time, p *Proc) {
 	if at < s.now {
 		at = s.now
 	}
 	s.seq++
-	heap.Push(&s.events, event{at: at, seq: s.seq, p: p, epoch: p.epoch})
-	p.pending++
+	s.push(event{at: at, seq: s.seq, p: p, epoch: p.epoch})
+}
+
+// push and pop keep s.events a 4-ary min-heap (children of i are
+// 4i+1..4i+4): half the depth of a binary heap for the sift-up every
+// schedule pays, and typed, so no event is boxed on the way in or out.
+func (s *Sim) push(e event) {
+	h := append(s.events, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+	s.events = h
+}
+
+// pop removes the earliest event, s.events[0].
+func (s *Sim) pop() {
+	h := s.events
+	n := len(h) - 1
+	e := h[n]
+	h[n] = event{} // drop the *Proc so a finished proc can be collected
+	h = h[:n]
+	s.events = h
+	if n == 0 {
+		return
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		m := c
+		for j := c + 1; j < end; j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(&e) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = e
+}
+
+// next is the kernel's one dispatch step, run by whichever goroutine is
+// giving up control. It discards wakeups of finished procs and stale
+// wakeups, then pops the earliest event, advances the clock and makes its
+// proc current. It returns nil, leaving the event queued, when the heap is
+// empty or the earliest event lies past the Run horizon.
+func (s *Sim) next() *Proc {
+	var p *Proc
+	for len(s.events) > 0 {
+		ev := &s.events[0]
+		if ev.p.done || ev.epoch != ev.p.epoch {
+			// Stale: the proc resumed (and possibly parked elsewhere) since
+			// this wakeup was scheduled — e.g. a wait that timed out before
+			// its queue wake arrived. Stale wakeups must not fire.
+			s.pop()
+			continue
+		}
+		if ev.at <= s.until {
+			p = ev.p
+			s.now = ev.at
+			p.epoch++
+			s.pop()
+		}
+		break
+	}
+	s.cur = p
+	if s.prof {
+		t := time.Now()
+		s.loopWall += t.Sub(s.mark)
+		s.mark = t
+		if p != nil {
+			s.delivered++
+		}
+	}
+	return p
+}
+
+// yield is next as called by a proc that parks or finishes: it first
+// closes the proc's sim.proc phase.
+func (s *Sim) yield() *Proc {
+	if s.prof {
+		t := time.Now()
+		s.procWall += t.Sub(s.mark)
+		s.mark = t
+	}
+	return s.next()
+}
+
+// switchTo wakes the goroutine that runs next: p's, or Run's caller when
+// next found nothing to run.
+func (s *Sim) switchTo(p *Proc) {
+	if p == nil {
+		s.idle <- struct{}{}
+	} else {
+		p.resume <- struct{}{}
+	}
 }
 
 // Proc is a simulated process. All Proc methods must be called from the
 // proc's own goroutine while it is the active entity.
 type Proc struct {
-	sim     *Sim
-	name    string
-	resume  chan struct{}
-	pending int    // scheduled wakeups not yet delivered
-	waiting bool   // parked on a WaitQueue (woken by WakeOne/WakeAll)
-	epoch   uint64 // increments on every resume; stale wakeups are dropped
-	done    bool
-	fail    error // errno-style sticky failure slot (see SetFail)
-	attr    any   // opaque per-proc attribution slot (see SetAttr)
+	sim    *Sim
+	name   string
+	resume chan struct{}
+	epoch  uint64 // increments on every resume; stale wakeups are dropped
+	done   bool
+	fail   error // errno-style sticky failure slot (see SetFail)
+	attr   any   // opaque per-proc attribution slot (see SetAttr)
 }
 
 // SetAttr attaches an opaque attribution value to the proc. Higher layers
@@ -154,8 +263,8 @@ func (p *Proc) Now() Time { return p.sim.now }
 func (p *Proc) RNG() *RNG { return p.sim.rng }
 
 // Spawn creates a new proc that runs fn. The proc starts at the current
-// simulated time (it is scheduled as an event, so it begins when the
-// scheduler next reaches now).
+// simulated time (it is scheduled as an event, so it begins once the
+// events already queued for now have run).
 func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc {
 	p := &Proc{sim: s, name: name, resume: make(chan struct{})}
 	s.nlive++
@@ -164,20 +273,24 @@ func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc {
 		fn(p)
 		p.done = true
 		s.nlive--
-		s.yield <- struct{}{}
+		s.switchTo(s.yield())
 	}()
 	s.schedule(s.now, p)
 	return p
 }
 
-// park transfers control back to the scheduler and blocks until the proc is
-// resumed.
+// park gives up control and blocks until one of the proc's wakeups is
+// delivered. When that wakeup is the very next event there is nobody to
+// switch to and park returns without a channel operation.
 func (p *Proc) park() {
-	if p.sim.cur != p {
+	s := p.sim
+	if s.cur != p {
 		panic(fmt.Sprintf("sim: proc %q parked while not active", p.name))
 	}
-	p.sim.yield <- struct{}{}
-	<-p.resume
+	if q := s.yield(); q != p {
+		s.switchTo(q)
+		<-p.resume
+	}
 }
 
 // Sleep suspends the proc for d simulated time.
@@ -197,90 +310,31 @@ func (p *Proc) Yield() {
 }
 
 // Run executes events until no events remain or the clock would pass until.
-// It returns the time at which it stopped. Procs that are still blocked on
+// It returns the time at which it stopped. The calling goroutine delivers
+// only the first event; from then on each proc that parks or finishes
+// dispatches the next one itself, and Run's caller sleeps until one of them
+// finds nothing left to run before until. Procs that are still blocked on
 // wait queues stay parked; long-running simulations should arrange a
 // cooperative shutdown (broadcast a stop flag and WakeAll their queues) so
 // procs unwind cleanly rather than leaking goroutines.
 func (s *Sim) Run(until Time) Time {
-	if Profiling() {
-		return s.runProfiled(until)
-	}
-	for s.events.Len() > 0 {
-		ev := heap.Pop(&s.events).(event)
-		ev.p.pending--
-		if ev.p.done {
-			continue
-		}
-		if ev.epoch != ev.p.epoch {
-			// The proc resumed (and possibly parked elsewhere) since this
-			// wakeup was scheduled — e.g. a wait that timed out before its
-			// queue wake arrived. Stale wakeups must not fire.
-			continue
-		}
-		if ev.at > until {
-			// Put it back and stop.
-			s.seq++
-			heap.Push(&s.events, event{at: ev.at, seq: ev.seq, p: ev.p, epoch: ev.epoch})
-			ev.p.pending++
-			s.now = until
-			return s.now
-		}
-		s.now = ev.at
-		ev.p.waiting = false
-		ev.p.epoch++
-		s.cur = ev.p
-		ev.p.resume <- struct{}{}
-		<-s.yield
-		s.cur = nil
-	}
-	if s.now < until {
-		s.now = until
-	}
-	return s.now
-}
-
-// runProfiled is Run with wall-clock phase timers: dispatch overhead
-// (heap pops, stale-wakeup filtering, channel handoff setup) accrues to
-// sim.loop, the time between resume and yield — the proc actually
-// executing — to sim.proc. Identical simulated behavior to Run; only
-// host-side counters differ.
-func (s *Sim) runProfiled(until Time) Time {
 	start := s.now
-	t0 := time.Now()
-	defer func() {
-		ProfLoop.Add(time.Since(t0), 1)
-		profAddSim(Duration(s.now - start))
-	}()
-	for s.events.Len() > 0 {
-		ev := heap.Pop(&s.events).(event)
-		ev.p.pending--
-		if ev.p.done {
-			continue
-		}
-		if ev.epoch != ev.p.epoch {
-			continue
-		}
-		if ev.at > until {
-			s.seq++
-			heap.Push(&s.events, event{at: ev.at, seq: ev.seq, p: ev.p, epoch: ev.epoch})
-			ev.p.pending++
-			s.now = until
-			return s.now
-		}
-		s.now = ev.at
-		ev.p.waiting = false
-		ev.p.epoch++
-		s.cur = ev.p
-		pt := time.Now()
-		ev.p.resume <- struct{}{}
-		<-s.yield
-		procWall := time.Since(pt)
-		ProfProc.Add(procWall, 1)
-		ProfLoop.Add(-procWall, 0) // proc time is inside the deferred total; carve it out
-		s.cur = nil
+	s.until = until
+	if s.prof = Profiling(); s.prof {
+		s.mark = time.Now()
+	}
+	if p := s.next(); p != nil {
+		p.resume <- struct{}{}
+		<-s.idle
 	}
 	if s.now < until {
 		s.now = until
+	}
+	if s.prof {
+		ProfLoop.Add(s.loopWall, 1)
+		ProfProc.Add(s.procWall, s.delivered)
+		profAddSim(Duration(s.now - start))
+		s.loopWall, s.procWall, s.delivered = 0, 0, 0
 	}
 	return s.now
 }
@@ -299,7 +353,6 @@ type WaitQueue struct {
 // Wait parks p on the queue until woken.
 func (q *WaitQueue) Wait(p *Proc) {
 	q.procs = append(q.procs, p)
-	p.waiting = true
 	p.park()
 }
 
@@ -313,7 +366,6 @@ func (q *WaitQueue) WaitTimeout(p *Proc, d Duration) (timedOut bool) {
 	}
 	p.sim.schedule(p.sim.now+Time(d), p) // timeout wakeup
 	q.procs = append(q.procs, p)
-	p.waiting = true
 	p.park()
 	// Either the timeout fired (p still queued) or a wake dequeued p
 	// first; the loser's event is dropped by the epoch check.

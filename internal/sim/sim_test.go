@@ -1,9 +1,15 @@
 package sim
 
 import (
+	"container/heap"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestClockAdvancesWithSleep(t *testing.T) {
@@ -275,5 +281,308 @@ func TestWaitTimeout(t *testing.T) {
 	}
 	if got := secondWake - start; got != Time(205*Millisecond) {
 		t.Fatalf("stale timeout disturbed later sleep: woke after %v", Duration(got))
+	}
+}
+
+// refHeap is a container/heap over the kernel's event order: the reference
+// the typed 4-ary heap is checked against.
+type refHeap []event
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].before(&h[j]) }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(event)) }
+func (h *refHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+func TestEventHeapPopsInTimeSeqOrderProperty(t *testing.T) {
+	prop := func(seed int64) bool {
+		g := rand.New(rand.NewSource(seed))
+		s := New(1)
+		var ref refHeap
+		popSame := func(want event) bool {
+			got := s.events[0]
+			s.pop()
+			return got.at == want.at && got.seq == want.seq
+		}
+		for i := uint64(1); i <= 3000; i++ {
+			if g.Intn(3) == 0 && len(ref) > 0 {
+				if !popSame(heap.Pop(&ref).(event)) {
+					return false
+				}
+				continue
+			}
+			// Few distinct times, so most comparisons fall through to seq.
+			e := event{at: Time(g.Intn(40)), seq: i}
+			s.push(e)
+			heap.Push(&ref, e)
+		}
+		rest := append([]event(nil), s.events...)
+		sort.Slice(rest, func(i, j int) bool { return rest[i].before(&rest[j]) })
+		for _, want := range rest {
+			if !popSame(want) {
+				return false
+			}
+		}
+		return len(s.events) == 0
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// resumeRec is one line of a scenario trace: proc who gained control at now.
+type resumeRec struct {
+	now  Time
+	what string // "<proc>: <what it had been doing>"
+}
+
+// spawnTraceScenario starts procs that between them use every kernel
+// primitive and returns the trace they write: one record every time a proc
+// gains control — at its start and after each blocking call — so the trace
+// length is the number of events delivered. It needs 100 ms of simulated
+// time.
+func spawnTraceScenario(s *Sim) *[]resumeRec {
+	var trace []resumeRec
+	spawn := func(name string, fn func(p *Proc, rec func(string))) {
+		s.Spawn(name, func(p *Proc) {
+			rec := func(what string) { trace = append(trace, resumeRec{p.Now(), name + ": " + what}) }
+			rec("start")
+			fn(p, rec)
+		})
+	}
+	for _, c := range []struct {
+		name string
+		d    Duration
+		n    int
+	}{{"sleep7", 7 * Millisecond, 5}, {"sleep3", 3 * Millisecond, 10}, {"sleep3b", 3 * Millisecond, 10}} {
+		c := c
+		spawn(c.name, func(p *Proc, rec func(string)) {
+			for i := 0; i < c.n; i++ {
+				p.Sleep(c.d)
+				rec("slept")
+			}
+		})
+	}
+	spawn("yielder", func(p *Proc, rec func(string)) {
+		for i := 0; i < 3; i++ {
+			p.Yield()
+			rec("yielded")
+		}
+		p.Sleep(3 * Millisecond) // lands on the instant sleep3 and sleep3b wake
+		rec("slept")
+		p.Yield()
+		rec("yielded late")
+	})
+	var never, early, all WaitQueue
+	spawn("timeout", func(p *Proc, rec func(string)) {
+		rec(fmt.Sprint("timed out ", never.WaitTimeout(p, 10*Millisecond)))
+	})
+	spawn("woken", func(p *Proc, rec func(string)) {
+		rec(fmt.Sprint("timed out ", early.WaitTimeout(p, 50*Millisecond)))
+		p.Sleep(60 * Millisecond) // the stale timeout wakeup falls inside this sleep
+		rec("slept")
+	})
+	spawn("waker", func(p *Proc, rec func(string)) {
+		p.Sleep(5 * Millisecond)
+		rec(fmt.Sprint("woke one ", early.WakeOne(s)))
+		p.Sleep(15 * Millisecond)
+		all.WakeAll(s)
+		rec("woke all")
+	})
+	for _, name := range []string{"all1", "all2"} {
+		spawn(name, func(p *Proc, rec func(string)) {
+			all.Wait(p)
+			rec("woken")
+		})
+	}
+	r := NewResource(1)
+	for _, name := range []string{"res1", "res2", "res3"} {
+		spawn(name, func(p *Proc, rec func(string)) {
+			if wait := r.Acquire(p); wait > 0 { // parked once, behind the holder
+				rec(fmt.Sprintf("acquired after %dms", wait/Millisecond))
+			}
+			p.Sleep(4 * Millisecond)
+			rec("held")
+			r.Release(s)
+		})
+	}
+	spawn("parent", func(p *Proc, rec func(string)) {
+		p.Sleep(2 * Millisecond)
+		rec("slept")
+		spawn("child", func(p *Proc, rec func(string)) {
+			p.Sleep(Millisecond)
+			rec("slept")
+			spawn("grandchild", func(*Proc, func(string)) {})
+		})
+	})
+	var forever WaitQueue
+	spawn("forever", func(p *Proc, rec func(string)) {
+		forever.Wait(p)
+		rec("woken") // never
+	})
+	return &trace
+}
+
+const traceScenarioEnd = Time(100 * Millisecond)
+
+func TestEventTraceIndependentOfRunWindows(t *testing.T) {
+	whole := New(1)
+	want := spawnTraceScenario(whole)
+	whole.Run(traceScenarioEnd)
+	if whole.Live() != 1 { // "forever"
+		t.Fatalf("%d procs live after the scenario, want 1", whole.Live())
+	}
+	for _, windows := range []Time{4, 50, 100_000} {
+		s := New(1)
+		got := spawnTraceScenario(s)
+		for k := Time(1); k <= windows; k++ {
+			if end := s.Run(traceScenarioEnd * k / windows); end != traceScenarioEnd*k/windows {
+				t.Fatalf("Run returned %d, want %d", end, traceScenarioEnd*k/windows)
+			}
+		}
+		if !reflect.DeepEqual(*got, *want) {
+			t.Fatalf("%d windows: trace differs from one Run:\n%v\nwant\n%v", windows, *got, *want)
+		}
+	}
+	// The trace itself: wait outcomes, and no stale timeout wakeup — "woken"
+	// left its queue at 5 ms, its timeout event (50 ms) must not cut the
+	// 60 ms sleep short.
+	at := make(map[string]Time)
+	for _, r := range *want {
+		at[r.what] = r.now
+	}
+	for what, when := range map[string]Duration{
+		"timeout: timed out true":  10 * Millisecond,
+		"woken: timed out false":   5 * Millisecond,
+		"woken: slept":             65 * Millisecond,
+		"all1: woken":              20 * Millisecond,
+		"all2: woken":              20 * Millisecond,
+		"res3: acquired after 8ms": 8 * Millisecond,
+		"grandchild: start":        3 * Millisecond,
+	} {
+		if now, ok := at[what]; !ok || now != Time(when) {
+			t.Errorf("%q at %d (recorded: %v), want %d", what, now, ok, when)
+		}
+	}
+	if now, ok := at["forever: woken"]; ok {
+		t.Errorf("proc parked on an unwoken queue ran at %d", now)
+	}
+}
+
+func TestRunRegainsControlWhenNothingCanRun(t *testing.T) {
+	// A proc that finishes as the very last event hands control back.
+	s := New(1)
+	s.Spawn("last", func(p *Proc) { p.Sleep(Millisecond) })
+	if end := s.Run(Time(Second)); end != Time(Second) || s.Live() != 0 {
+		t.Fatalf("end = %d, live = %d", end, s.Live())
+	}
+	// So does one that parks with no wakeup pending anywhere.
+	var q WaitQueue
+	woken := false
+	s.Spawn("parked", func(p *Proc) {
+		q.Wait(p)
+		woken = true
+	})
+	if end := s.Run(Time(2 * Second)); end != Time(2*Second) || s.Live() != 1 {
+		t.Fatalf("end = %d, live = %d", end, s.Live())
+	}
+	// Waking it from outside Run is delivered by the next Run.
+	q.WakeOne(s)
+	s.Run(Time(3 * Second))
+	if !woken || s.Live() != 0 {
+		t.Fatalf("woken = %v, live = %d", woken, s.Live())
+	}
+}
+
+func TestParkOutsideRunPanics(t *testing.T) {
+	s := New(1)
+	var parked *Proc
+	s.Spawn("p", func(p *Proc) { parked = p; p.Sleep(Second) })
+	s.Run(Time(Millisecond))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Sleep on a proc that is not running did not panic")
+		}
+	}()
+	parked.Sleep(Millisecond)
+}
+
+// pingPong spawns two procs that sleep in step until *stop, so that every
+// event is a hand-off from one to the other, and returns their resume count.
+func pingPong(s *Sim, stop *bool) *int64 {
+	resumes := new(int64)
+	for i := 0; i < 2; i++ {
+		s.Spawn("pp", func(p *Proc) {
+			for *resumes++; !*stop; *resumes++ {
+				p.Sleep(Microsecond)
+			}
+		})
+	}
+	return resumes
+}
+
+func TestHandoffAllocatesNothing(t *testing.T) {
+	s := New(1)
+	stop := false
+	pingPong(s, &stop)
+	window := func() { s.Run(s.Now() + Time(100*Microsecond)) }
+	if avg := testing.AllocsPerRun(50, window); avg != 0 {
+		t.Errorf("%v allocs per 200 hand-offs, want 0", avg)
+	}
+	stop = true
+	window()
+	if s.Live() != 0 {
+		t.Fatalf("%d procs still live", s.Live())
+	}
+}
+
+func profCounts(t *testing.T) (loopNs, procNs, procCalls int64) {
+	t.Helper()
+	for _, st := range ProfSnapshot() {
+		switch st.Name {
+		case ProfLoop.Name:
+			loopNs = st.WallNs
+		case ProfProc.Name:
+			procNs, procCalls = st.WallNs, st.Calls
+		}
+	}
+	return
+}
+
+func TestProfilingCountsEveryResumeAndFitsInsideRun(t *testing.T) {
+	plain := New(1)
+	want := spawnTraceScenario(plain)
+	plain.Run(traceScenarioEnd)
+
+	EnableProfiling()
+	defer DisableProfiling()
+	loop0, proc0, calls0 := profCounts(t)
+	s := New(1)
+	got := spawnTraceScenario(s)
+	stop := false
+	resumes := pingPong(s, &stop)    // hand-offs
+	s.Spawn("alone", func(p *Proc) { // self-resumes once the others are done
+		for *resumes++; p.Now() < 2*traceScenarioEnd; *resumes++ {
+			p.Sleep(Millisecond)
+		}
+	})
+	t0 := time.Now()
+	s.Run(traceScenarioEnd)
+	stop = true
+	s.Run(3 * traceScenarioEnd)
+	wall := int64(time.Since(t0))
+	loop1, proc1, calls1 := profCounts(t)
+
+	if !reflect.DeepEqual(*got, *want) {
+		t.Errorf("trace with profiling on differs:\n%v\nwant\n%v", *got, *want)
+	}
+	if n := int64(len(*got)) + *resumes; calls1-calls0 != n {
+		t.Errorf("sim.proc calls = %d, counted %d resumes", calls1-calls0, n)
+	}
+	if loop1 <= loop0 || proc1 <= proc0 {
+		t.Errorf("phase walls did not advance: loop %d, proc %d", loop1-loop0, proc1-proc0)
+	}
+	if sum := (loop1 - loop0) + (proc1 - proc0); sum > wall {
+		t.Errorf("sim.loop + sim.proc = %d ns, more than the %d ns Run took", sum, wall)
 	}
 }

@@ -188,29 +188,34 @@ func RunClients(srv *engine.Server, d *Dataset, clients int, mix Mix, until sim.
 		st.ByType = make(map[string]int)
 	}
 	type entry struct {
-		name string
-		w    float64
-		fn   func(*client) bool
+		name  string
+		label string // query-stats template, "asdb.<name>"
+		w     float64
+		fn    func(*client) bool
 	}
 	entries := []entry{
-		{"PointRead", mix.PointRead, (*client).pointRead},
-		{"RangeRead", mix.RangeRead, (*client).rangeRead},
-		{"JoinRead", mix.JoinRead, (*client).joinRead},
-		{"Update", mix.Update, (*client).update},
-		{"Insert", mix.Insert, (*client).insert},
-		{"Delete", mix.Delete, (*client).del},
+		{name: "PointRead", w: mix.PointRead, fn: (*client).pointRead},
+		{name: "RangeRead", w: mix.RangeRead, fn: (*client).rangeRead},
+		{name: "JoinRead", w: mix.JoinRead, fn: (*client).joinRead},
+		{name: "Update", w: mix.Update, fn: (*client).update},
+		{name: "Insert", w: mix.Insert, fn: (*client).insert},
+		{name: "Delete", w: mix.Delete, fn: (*client).del},
 	}
 	var totalW float64
-	for _, e := range entries {
-		totalW += e.w
+	for i := range entries {
+		entries[i].label = "asdb." + entries[i].name
+		totalW += entries[i].w
 	}
+	// One skew table for every client: a Zipf is immutable (Next takes the
+	// RNG) and building it draws no randomness.
+	zBig := sim.NewZipf(d.Big.NominalRows(), 0.6)
 	for i := 0; i < clients; i++ {
 		srv.Sim.Spawn("asdb-client", func(p *sim.Proc) {
 			c := &client{
 				d:    d,
 				sess: srv.Open(p).BindCtx(),
 				g:    srv.Sim.RNG().Fork(),
-				zBig: sim.NewZipf(d.Big.NominalRows(), 0.6),
+				zBig: zBig,
 			}
 			defer c.sess.Close()
 			for !srv.Stopped() && p.Now() < until {
@@ -220,9 +225,9 @@ func RunClients(srv *engine.Server, d *Dataset, clients int, mix Mix, until sim.
 					if pick <= 0 {
 						// Exec attaches per-attempt statement counters,
 						// folds the attempt into the server's query stats
-						// ("asdb.<OpName>"), and retries transient aborts
-						// under the session policy.
-						ok := c.sess.Exec("asdb."+e.name, c.g, func() bool { return e.fn(c) })
+						// under e.label, and retries transient aborts under
+						// the session policy.
+						ok := c.sess.Exec(e.label, c.g, func() bool { return e.fn(c) })
 						// Without a retry policy, count every attempt as
 						// the pre-retry driver did (aborts included).
 						if ok || !c.sess.Retry.Enabled() {

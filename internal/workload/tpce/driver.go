@@ -52,34 +52,39 @@ func RunUsers(srv *engine.Server, d *Dataset, users int, mix Mix, until sim.Time
 		st.ByType = make(map[string]int)
 	}
 	type entry struct {
-		name string
-		w    float64
-		fn   func(*user) bool
+		name  string
+		label string // query-stats template, "tpce.<name>"
+		w     float64
+		fn    func(*user) bool
 	}
 	entries := []entry{
-		{"TradeOrder", mix.TradeOrder, (*user).tradeOrder},
-		{"TradeResult", mix.TradeResult, (*user).tradeResult},
-		{"TradeStatus", mix.TradeStatus, (*user).tradeStatus},
-		{"CustomerPosition", mix.CustomerPosition, (*user).customerPosition},
-		{"MarketWatch", mix.MarketWatch, (*user).marketWatch},
-		{"SecurityDetail", mix.SecurityDetail, (*user).securityDetail},
-		{"TradeLookup", mix.TradeLookup, (*user).tradeLookup},
-		{"TradeUpdate", mix.TradeUpdate, (*user).tradeUpdate},
-		{"BrokerVolume", mix.BrokerVolume, (*user).brokerVolume},
-		{"MarketFeed", mix.MarketFeed, (*user).marketFeed},
-		{"DataMaintenance", mix.DataMaintenance, (*user).dataMaintenance},
+		{name: "TradeOrder", w: mix.TradeOrder, fn: (*user).tradeOrder},
+		{name: "TradeResult", w: mix.TradeResult, fn: (*user).tradeResult},
+		{name: "TradeStatus", w: mix.TradeStatus, fn: (*user).tradeStatus},
+		{name: "CustomerPosition", w: mix.CustomerPosition, fn: (*user).customerPosition},
+		{name: "MarketWatch", w: mix.MarketWatch, fn: (*user).marketWatch},
+		{name: "SecurityDetail", w: mix.SecurityDetail, fn: (*user).securityDetail},
+		{name: "TradeLookup", w: mix.TradeLookup, fn: (*user).tradeLookup},
+		{name: "TradeUpdate", w: mix.TradeUpdate, fn: (*user).tradeUpdate},
+		{name: "BrokerVolume", w: mix.BrokerVolume, fn: (*user).brokerVolume},
+		{name: "MarketFeed", w: mix.MarketFeed, fn: (*user).marketFeed},
+		{name: "DataMaintenance", w: mix.DataMaintenance, fn: (*user).dataMaintenance},
 	}
 	var totalW float64
-	for _, e := range entries {
-		totalW += e.w
+	for i := range entries {
+		entries[i].label = "tpce." + entries[i].name
+		totalW += entries[i].w
 	}
+	// One skew table for every user: a Zipf is immutable (Next takes the
+	// RNG) and building it draws no randomness.
+	zA := sim.NewZipf(d.NAcct(), 0.55)
 	for i := 0; i < users; i++ {
 		srv.Sim.Spawn("tpce-user", func(p *sim.Proc) {
 			u := &user{
 				d:    d,
 				sess: srv.Open(p).BindCtx(),
 				g:    srv.Sim.RNG().Fork(),
-				zA:   sim.NewZipf(d.NAcct(), 0.55),
+				zA:   zA,
 			}
 			defer u.sess.Close()
 			for !srv.Stopped() && p.Now() < until {
@@ -89,9 +94,9 @@ func RunUsers(srv *engine.Server, d *Dataset, users int, mix Mix, until sim.Time
 					if pick <= 0 {
 						// Exec attaches per-attempt statement counters,
 						// folds the attempt into the server's query stats
-						// ("tpce.<TxnName>"), and retries transient aborts
-						// under the session policy.
-						ok := u.sess.Exec("tpce."+e.name, u.g, func() bool { return e.fn(u) })
+						// under e.label, and retries transient aborts under
+						// the session policy.
+						ok := u.sess.Exec(e.label, u.g, func() bool { return e.fn(u) })
 						// Without a retry policy, count every attempt as
 						// the pre-retry driver did (aborts included).
 						if ok || !u.sess.Retry.Enabled() {
