@@ -41,6 +41,7 @@ type fileState struct {
 	referenced []uint64
 	dirty      []uint64
 	nResident  int64
+	nDirty     int64 // set bits in dirty: lets a checkpoint round skip clean files
 }
 
 func (fs *fileState) grow(pageNo int64) {
@@ -287,7 +288,10 @@ func (p *Pool) Probe(proc *sim.Proc, f *storage.File, pageNo int64, write bool, 
 	}
 	fs.set(fs.referenced, pageNo, true)
 	if write {
-		fs.set(fs.dirty, pageNo, true)
+		if !fs.bit(fs.dirty, pageNo) {
+			fs.set(fs.dirty, pageNo, true)
+			fs.nDirty++
+		}
 		if p.armed {
 			p.markDirty(pageKey{f.ID, pageNo})
 		}
@@ -424,8 +428,9 @@ func (p *Pool) makeRoom(n int64) {
 			}
 		}
 		fs.dirty[p.handWord] &^= evictable
+		fs.nDirty -= int64(bits.OnesCount64(dirtyEvicted))
 		fs.resident[p.handWord] &^= evictable
-		cnt := int64(popcount(evictable))
+		cnt := int64(bits.OnesCount64(evictable))
 		fs.nResident -= cnt
 		p.resident -= cnt
 		p.evictions += cnt
@@ -436,19 +441,11 @@ func (p *Pool) makeRoom(n int64) {
 					p.markDurable(pageKey{fs.file.ID, pg})
 				}
 			}
-			p.dev.WriteAsync(p.sm.Now(), int64(popcount(dirtyEvicted))*storage.PageBytes)
+			p.dev.WriteAsync(p.sm.Now(), int64(bits.OnesCount64(dirtyEvicted))*storage.PageBytes)
 		}
 		p.handWord++
 		guard = 0
 	}
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }
 
 // StartCheckpointer spawns the background checkpoint writer: every
@@ -496,6 +493,11 @@ func (p *Pool) checkpoint(proc *sim.Proc) {
 		}
 	}
 	for _, fs := range p.files {
+		if fs.nDirty == 0 {
+			// Clean: the walk below would find no page to write, so it
+			// could not block and p.stopped is as the last check left it.
+			continue
+		}
 		pending := int64(0)
 		for wi := range fs.dirty {
 			d := fs.dirty[wi] & fs.resident[wi]
@@ -503,7 +505,9 @@ func (p *Pool) checkpoint(proc *sim.Proc) {
 				continue
 			}
 			fs.dirty[wi] &^= d
-			pending += int64(popcount(d))
+			n := int64(bits.OnesCount64(d))
+			fs.nDirty -= n
+			pending += n
 			if p.armed {
 				for b := d; b != 0; b &= b - 1 {
 					pg := int64(wi)*64 + int64(bits.TrailingZeros64(b&-b))

@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -289,5 +290,75 @@ func TestFuzzyCheckpointTracksRecLSN(t *testing.T) {
 	}
 	if begins == 0 || ends == 0 {
 		t.Fatalf("checkpoint records begin=%d end=%d, want both", begins, ends)
+	}
+}
+
+// A checkpoint round skips files whose dirty count is zero, so the count
+// must track the dirty bitmap through every path that sets or clears a
+// bit, and a round must still write exactly what a walk of every bitmap
+// would: each dirty resident page once, in one completed round.
+func TestDirtyCountTracksBitmapProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		s := sim.New(seed)
+		ctr := &metrics.Counters{}
+		p := New(s, iodev.New(iodev.PaperSSD(), ctr), ctr, 96*storage.PageBytes)
+		var files []*storage.File
+		for id := 1; id <= 4; id++ {
+			files = append(files, file(id, 500))
+			p.Register(files[id-1])
+		}
+		g := sim.NewRNG(seed)
+		// walk is the full walk's view of the pool: dirty resident pages.
+		walk := func() (n int64) {
+			for _, fs := range p.files {
+				for wi := range fs.dirty {
+					n += int64(bits.OnesCount64(fs.dirty[wi] & fs.resident[wi]))
+				}
+			}
+			return n
+		}
+		ok := true
+		check := func(op string) {
+			for _, fs := range p.files {
+				var n int64
+				for _, w := range fs.dirty {
+					n += int64(bits.OnesCount64(w))
+				}
+				if fs.nDirty != n {
+					t.Errorf("seed %d after %s: file %d nDirty = %d, bitmap holds %d", seed, op, fs.file.ID, fs.nDirty, n)
+					ok = false
+				}
+			}
+		}
+		s.Spawn("w", func(proc *sim.Proc) {
+			for i := 0; i < 600 && ok; i++ {
+				// Files 1 and 3 are only read, so every round has clean
+				// files between and around the dirty ones.
+				fl := files[g.Intn(4)]
+				switch k := g.Intn(20); {
+				case k == 0:
+					want, pages, rounds, wrote := walk(), p.ckptPages, p.ckptRounds, ctr.SSDWriteBytes
+					p.checkpoint(proc)
+					if p.ckptPages-pages != want || p.ckptRounds-rounds != 1 ||
+						ctr.SSDWriteBytes-wrote != want*storage.PageBytes || walk() != 0 {
+						t.Errorf("seed %d round %d: wrote %d pages / %d bytes in %d rounds, full walk has %d; %d left dirty",
+							seed, p.ckptRounds, p.ckptPages-pages, ctr.SSDWriteBytes-wrote, p.ckptRounds-rounds, want, walk())
+						ok = false
+					}
+					check("checkpoint")
+				case k < 5:
+					p.Scan(proc, fl, g.Int64n(400), g.Int64n(60)+1, 16) // evicts, dirty pages included
+					check("scan")
+				default:
+					p.Probe(proc, fl, g.Int64n(500), fl.ID%2 == 0 && g.Bool(0.6), 0)
+					check("probe")
+				}
+			}
+		})
+		s.Run(sim.Time(3600 * sim.Second))
+		return ok && p.ckptRounds > 0 && p.evictions > 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -16,6 +16,11 @@
 // so data resident outside the current mask still hits.
 package cache
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // LineBytes is the cache line size.
 const LineBytes = 64
 
@@ -55,23 +60,52 @@ func (s Stats) MissRatio() float64 {
 }
 
 // LLC is one socket's simulated last-level cache.
+//
+// Storage is two flat tables of simSets × Ways words, a set's ways
+// adjacent. Both encodings reserve 0 for an invalid way, so a zeroed
+// table is an empty cache:
+//
+//	tags[i] = sampled-line index + 1
+//	meta[i] = stamp<<1 | dirty
+//
+// stamp is one counter for the whole cache, bumped on every access, so
+// the live stamps of a set are distinct and a larger one is more recent.
+// Replacement is therefore a plain arg-min over the allowed ways' meta
+// words: an invalid way's 0 is below every live stamp, and the strict
+// comparison keeps the first of several — the first invalid allowed way
+// in way order, else the least recently used one.
 type LLC struct {
-	cfg     Config
-	simSets int
-	mask    uint64 // CAT way mask: bit i set => way i may be allocated into
+	cfg Config
 
-	tags  [][]uint64
-	valid [][]bool
-	dirty [][]bool
-	// age is a per-set monotonically increasing stamp; larger = more recent.
-	age   [][]uint64
+	// Index arithmetic, fixed by the geometry: line → sampled index is a
+	// shift when SetSample is a power of two (sampleShift >= 0), sampled
+	// index → set is a mask when simSets is one (setsPow2).
+	ss          uint64
+	sampleShift int
+	simSets     uint64
+	setsPow2    bool
+
+	// CAT state, derived by SetWayMask.
+	mask       uint64  // bit i set => way i may be allocated into
+	allowed    []uint8 // the mask's ways in way order; nil when every way is allowed
+	allocBytes int64   // capacity the mask covers
+
+	tags  []uint64
+	meta  []uint64
 	stamp uint64
 
 	stats Stats
 }
 
-// New creates an LLC with all ways allocated (full mask).
+// New creates an LLC with all ways allocated (full mask). It panics on a
+// geometry the model cannot represent: a way mask is one 64-bit word.
 func New(cfg Config) *LLC {
+	if cfg.Ways < 1 || cfg.Ways > 64 {
+		panic(fmt.Sprintf("cache: Config.Ways = %d, want 1..64", cfg.Ways))
+	}
+	if cfg.SizeBytes <= 0 {
+		panic(fmt.Sprintf("cache: Config.SizeBytes = %d, want > 0", cfg.SizeBytes))
+	}
 	if cfg.SetSample < 1 {
 		cfg.SetSample = 1
 	}
@@ -84,20 +118,18 @@ func New(cfg Config) *LLC {
 		simSets = 1
 	}
 	c := &LLC{
-		cfg:     cfg,
-		simSets: simSets,
-		mask:    (uint64(1) << uint(cfg.Ways)) - 1,
+		cfg:         cfg,
+		ss:          uint64(cfg.SetSample),
+		sampleShift: -1,
+		simSets:     uint64(simSets),
+		setsPow2:    simSets&(simSets-1) == 0,
+		tags:        make([]uint64, simSets*cfg.Ways),
+		meta:        make([]uint64, simSets*cfg.Ways),
 	}
-	c.tags = make([][]uint64, simSets)
-	c.valid = make([][]bool, simSets)
-	c.dirty = make([][]bool, simSets)
-	c.age = make([][]uint64, simSets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, cfg.Ways)
-		c.valid[i] = make([]bool, cfg.Ways)
-		c.dirty[i] = make([]bool, cfg.Ways)
-		c.age[i] = make([]uint64, cfg.Ways)
+	if c.ss&(c.ss-1) == 0 {
+		c.sampleShift = bits.TrailingZeros64(c.ss)
 	}
+	c.SetWayMask(^uint64(0))
 	return c
 }
 
@@ -105,11 +137,19 @@ func New(cfg Config) *LLC {
 // ignored; an empty mask is treated as the lowest single way (hardware
 // forbids an empty COS mask).
 func (c *LLC) SetWayMask(mask uint64) {
-	mask &= (uint64(1) << uint(c.cfg.Ways)) - 1
+	full := ^uint64(0) >> uint(64-c.cfg.Ways)
+	mask &= full
 	if mask == 0 {
 		mask = 1
 	}
 	c.mask = mask
+	c.allocBytes = int64(c.AllocatedWays()) * c.WayBytes()
+	c.allowed = nil
+	if mask != full {
+		for m := mask; m != 0; m &= m - 1 {
+			c.allowed = append(c.allowed, uint8(bits.TrailingZeros64(m)))
+		}
+	}
 }
 
 // WayMask returns the current allocation mask.
@@ -119,29 +159,17 @@ func (c *LLC) WayMask() uint64 { return c.mask }
 func (c *LLC) WayBytes() int64 { return c.cfg.SizeBytes / int64(c.cfg.Ways) }
 
 // AllocatedBytes returns the capacity covered by the current mask.
-func (c *LLC) AllocatedBytes() int64 {
-	return int64(c.AllocatedWays()) * c.WayBytes()
-}
+func (c *LLC) AllocatedBytes() int64 { return c.allocBytes }
 
 // AllocatedWays returns the way count in the current mask — the COS
 // (class-of-service) width, used to label per-COS telemetry series.
-func (c *LLC) AllocatedWays() int {
-	n := 0
-	for m := c.mask; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
-}
+func (c *LLC) AllocatedWays() int { return bits.OnesCount64(c.mask) }
 
 // Flush invalidates the entire cache (the paper reboots between the
 // largest and smallest allocation to shed out-of-mask residue).
 func (c *LLC) Flush() {
-	for i := range c.valid {
-		for j := range c.valid[i] {
-			c.valid[i][j] = false
-			c.dirty[i][j] = false
-		}
-	}
+	clear(c.tags)
+	clear(c.meta)
 }
 
 // Stats returns the scaled counters accumulated so far.
@@ -150,49 +178,62 @@ func (c *LLC) Stats() Stats { return c.stats }
 // ResetStats zeroes the counters without disturbing cache contents.
 func (c *LLC) ResetStats() { c.stats = Stats{} }
 
-// accessLine simulates one sampled line access and returns (miss, writeback).
-// Sampled lines are multiples of SetSample; dividing by the sampling factor
-// before taking the set index makes consecutive sampled lines sweep the
+// sampleIdx returns line / SetSample: the sampled index of the line's
+// sampling representative (the nearest lower line ≡ 0 mod SetSample).
+func (c *LLC) sampleIdx(line uint64) uint64 {
+	if c.sampleShift >= 0 {
+		return line >> uint(c.sampleShift)
+	}
+	return line / c.ss
+}
+
+// access simulates one access to the sampled line with index idx (global
+// line number / SetSample) and returns 0/1 counts of (miss, writeback);
+// dirty is 1 for a write and 0 for a read. Taking the set from the sampled
+// index, not the line number, makes consecutive sampled lines sweep the
 // simulated sets round-robin, mirroring the balanced set mapping of real
 // hardware for sequential data.
-func (c *LLC) accessLine(line uint64, write bool) (bool, bool) {
-	s := int((line / uint64(c.cfg.SetSample)) % uint64(c.simSets))
-	tag := line
+func (c *LLC) access(idx, dirty uint64) (miss, wb int64) {
+	var s uint64
+	if c.setsPow2 {
+		s = idx & (c.simSets - 1)
+	} else {
+		s = idx % c.simSets
+	}
+	// The set's ways, as two slices of one length: neither loop below
+	// bounds-checks.
+	ways := c.cfg.Ways
+	lo := int(s) * ways
+	tags := c.tags[lo : lo+ways : lo+ways]
+	meta := c.meta[lo:][:len(tags):len(tags)]
+	tag := idx + 1
 	c.stamp++
+	now := c.stamp << 1
 	// Lookup searches all ways: CAT does not restrict hits.
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[s][w] && c.tags[s][w] == tag {
-			c.age[s][w] = c.stamp
-			if write {
-				c.dirty[s][w] = true
-			}
-			return false, false
+	for w, t := range tags {
+		if t == tag {
+			meta[w] = now | meta[w]&1 | dirty
+			return 0, 0
 		}
 	}
 	// Miss: fill into an allowed way, evicting LRU among allowed ways.
-	victim, oldest := -1, ^uint64(0)
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.mask&(1<<uint(w)) == 0 {
-			continue
+	victim, oldest := 0, ^uint64(0)
+	if c.allowed == nil {
+		for w, m := range meta {
+			if m < oldest {
+				victim, oldest = w, m
+			}
 		}
-		if !c.valid[s][w] {
-			victim = w
-			break
-		}
-		if c.age[s][w] < oldest {
-			oldest = c.age[s][w]
-			victim = w
+	} else {
+		for _, w := range c.allowed {
+			if m := meta[w]; m < oldest {
+				victim, oldest = int(w), m
+			}
 		}
 	}
-	wb := false
-	if victim >= 0 {
-		wb = c.valid[s][victim] && c.dirty[s][victim]
-		c.tags[s][victim] = tag
-		c.valid[s][victim] = true
-		c.dirty[s][victim] = write
-		c.age[s][victim] = c.stamp
-	}
-	return true, wb
+	tags[victim] = tag
+	meta[victim] = now | dirty
+	return 1, int64(oldest & 1)
 }
 
 // maxSimPerTouch bounds the number of line accesses one bulk touch
@@ -211,9 +252,6 @@ const maxSimRandomTouch = 1 << 12
 
 // record folds simulated results back into scaled stats.
 func (c *LLC) record(total, simulated, misses, wbs int64) Stats {
-	if simulated == 0 {
-		return Stats{Accesses: total}
-	}
 	scale := float64(total) / float64(simulated)
 	st := Stats{
 		Accesses:   total,
@@ -222,6 +260,14 @@ func (c *LLC) record(total, simulated, misses, wbs int64) Stats {
 	}
 	c.stats.Add(st)
 	return st
+}
+
+// dirtyBit is access's encoding of a read (0) or a write (1).
+func dirtyBit(write bool) uint64 {
+	if write {
+		return 1
+	}
+	return 0
 }
 
 // Sequential simulates a sequential touch of length bytes starting at byte
@@ -234,47 +280,35 @@ func (c *LLC) Sequential(base uint64, bytes int64, write bool) Stats {
 	}
 	lines := (bytes + LineBytes - 1) / LineBytes
 	start := base / LineBytes
-	ss := uint64(c.cfg.SetSample)
-	first := (start + ss - 1) / ss * ss // first sampled line >= start
-	sampledAvail := int64(0)
-	if first < start+uint64(lines) {
-		sampledAvail = int64((start + uint64(lines) - first + ss - 1) / ss)
-	}
+	dirty := dirtyBit(write)
+	// Sampled indices of the sampled lines in [start, start+lines).
+	first := c.sampleIdx(start + c.ss - 1)
+	end := c.sampleIdx(start + uint64(lines) + c.ss - 1)
+	sampledAvail := int64(end - first)
 	if sampledAvail == 0 {
 		// Touch too small to include a sampled line; probe the nearest
 		// sampled representative so tiny hot structures still exercise
 		// the model.
-		m, w := c.accessLine(start/ss*ss, write)
-		var misses, wbs int64
-		if m {
-			misses++
-		}
-		if w {
-			wbs++
-		}
+		misses, wbs := c.access(c.sampleIdx(start), dirty)
 		return c.record(lines, 1, misses, wbs)
 	}
-	streaming := bytes > 2*c.AllocatedBytes()
+	streaming := bytes > 2*c.allocBytes
 	limit := int64(maxSimNonStreaming)
 	if streaming {
 		limit = maxSimPerTouch
 	}
-	step := ss
+	step := uint64(1)
 	if sampledAvail > limit {
-		step = ss * uint64((sampledAvail+limit-1)/limit)
+		step = uint64((sampledAvail + limit - 1) / limit)
 	}
 	var misses, wbs, simulated int64
-	for line := first; line < start+uint64(lines); line += step {
-		m, w := c.accessLine(line, write)
+	for idx := first; idx < end; idx += step {
+		m, w := c.access(idx, dirty)
 		simulated++
-		if m {
-			misses++
-		}
-		if w {
-			wbs++
-		}
+		misses += m
+		wbs += w
 	}
-	if step > ss && streaming {
+	if step > 1 && streaming {
 		// Capped streaming touch: the walk above ages the cache, but its
 		// sub-rate sampling would overstate reuse on revisits. A region
 		// far larger than the allocation cannot be retained, so count the
@@ -317,13 +351,14 @@ func (c *LLC) Strided(base uint64, count int64, strideBytes int64, write bool) S
 	}
 	strideLines := uint64(strideBytes / LineBytes)
 	start := base / LineBytes
-	ss := int64(c.cfg.SetSample)
+	dirty := dirtyBit(write)
+	ss := int64(c.ss)
 	sampledAvail := count / ss
 	if sampledAvail < 1 {
 		sampledAvail = 1
 	}
 	span := count * strideBytes
-	streaming := span > 2*c.AllocatedBytes()
+	streaming := span > 2*c.allocBytes
 	limit := int64(maxSimNonStreaming)
 	if streaming {
 		limit = maxSimPerTouch
@@ -334,18 +369,12 @@ func (c *LLC) Strided(base uint64, count int64, strideBytes int64, write bool) S
 	}
 	var misses, wbs, simulated int64
 	for k := int64(0); k < count; k += stepK {
-		line := start + uint64(k)*strideLines
 		// Snap to the line's sampling representative so that the same
 		// element observed through different patterns aliases consistently.
-		line = line / uint64(c.cfg.SetSample) * uint64(c.cfg.SetSample)
-		m, w := c.accessLine(line, write)
+		m, w := c.access(c.sampleIdx(start+uint64(k)*strideLines), dirty)
 		simulated++
-		if m {
-			misses++
-		}
-		if w {
-			wbs++
-		}
+		misses += m
+		wbs += w
 	}
 	if stepK > ss && streaming {
 		swbs := scaleBy(wbs, count, simulated)
@@ -370,8 +399,7 @@ func (c *LLC) Random(base uint64, regionBytes int64, count int64, write bool, po
 	if regionLines < 1 {
 		regionLines = 1
 	}
-	ss := uint64(c.cfg.SetSample)
-	want := count / int64(ss)
+	want := count / int64(c.ss)
 	if want < 1 {
 		want = 1
 	}
@@ -388,19 +416,15 @@ func (c *LLC) Random(base uint64, regionBytes int64, count int64, write bool, po
 	// access patterns. One simulated access stands for SetSample real ones.
 	var misses, wbs int64
 	start := base / LineBytes
+	dirty := dirtyBit(write)
 	for i := int64(0); i < want; i++ {
 		off := uint64(float64(regionLines) * posFn())
 		if off >= uint64(regionLines) {
 			off = uint64(regionLines) - 1
 		}
-		line := (start + off) / ss * ss
-		m, w := c.accessLine(line, write)
-		if m {
-			misses++
-		}
-		if w {
-			wbs++
-		}
+		m, w := c.access(c.sampleIdx(start+off), dirty)
+		misses += m
+		wbs += w
 	}
 	return c.record(count, want, misses, wbs)
 }

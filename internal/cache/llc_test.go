@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -174,4 +176,570 @@ func TestSupersetMasksPreserveResidency(t *testing.T) {
 	if r := st.MissRatio(); r > 0.05 {
 		t.Fatalf("data lost when growing mask: miss ratio %.3f", r)
 	}
+}
+
+func TestNewRejectsUnrepresentableGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{SizeBytes: 20 << 20, Ways: 0, SetSample: 64}, "Ways"},
+		{Config{SizeBytes: 20 << 20, Ways: 65, SetSample: 64}, "Ways"},
+		{Config{SizeBytes: 0, Ways: 20, SetSample: 64}, "SizeBytes"},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.want) {
+					t.Errorf("New(%+v): panic %q, want one naming %s", tc.cfg, msg, tc.want)
+				}
+			}()
+			New(tc.cfg)
+		}()
+	}
+	// Both ends of the way range are representable, full mask included.
+	for _, ways := range []int{1, 64} {
+		c := New(Config{SizeBytes: 1 << 20, Ways: ways, SetSample: 1})
+		if got := c.AllocatedWays(); got != ways {
+			t.Errorf("%d-way cache: full mask covers %d ways", ways, got)
+		}
+	}
+}
+
+// setLine returns the byte address of the n-th distinct sampled line that
+// maps to set 0.
+func setLine(c *LLC, n int) uint64 {
+	return uint64(n) * c.simSets * c.ss * LineBytes
+}
+
+func TestShrunkMaskEvictsOnlyAllowedWays(t *testing.T) {
+	c := testLLC(16)
+	const size = 20 << 20
+	c.Sequential(0, size, false) // fill every way of every set
+	before := append([]uint64(nil), c.tags...)
+	c.SetWayMask(0x3)
+	c.Sequential(1<<32, 10*size, false)
+	for i, tag := range c.tags {
+		if way := i % c.cfg.Ways; way >= 2 && tag != before[i] {
+			t.Fatalf("set %d way %d replaced under mask 0x3", i/c.cfg.Ways, way)
+		}
+	}
+	// Only the two lines per set that sat in ways 0-1 were lost. Re-read
+	// in touches small enough not to be counted as streams.
+	var st Stats
+	for off := uint64(0); off < size; off += 1 << 20 {
+		st.Add(c.Sequential(off, 1<<20, false))
+	}
+	if want := st.Accesses * 2 / 20; st.Misses != want {
+		t.Fatalf("re-read after masked stream: %d misses of %d, want %d", st.Misses, st.Accesses, want)
+	}
+}
+
+func TestRefillAfterFlushAscendsAllowedWays(t *testing.T) {
+	c := testLLC(16)
+	c.Sequential(0, 20<<20, false)
+	c.SetWayMask(0x2a) // ways 1, 3, 5
+	c.Flush()
+	for n, way := range []int{1, 3, 5, 1} { // the fourth fill evicts the oldest
+		if st := c.Sequential(setLine(c, n), LineBytes, false); st.Misses != 1 {
+			t.Fatalf("fill %d: %+v, want a miss", n, st)
+		}
+		if got, want := c.tags[way], c.sampleIdx(setLine(c, n)/LineBytes)+1; got != want {
+			t.Fatalf("fill %d: way %d holds tag %d, want %d (set 0: %v)", n, way, got, want, c.tags[:c.cfg.Ways])
+		}
+	}
+}
+
+func TestReadHitKeepsLineDirty(t *testing.T) {
+	c := testLLC(16)
+	c.Sequential(setLine(c, 0), LineBytes, true)
+	if st := c.Sequential(setLine(c, 0), LineBytes, false); st.Misses != 0 {
+		t.Fatalf("read of the written line: %+v, want a hit", st)
+	}
+	for n := 1; n <= 2*c.cfg.Ways; n++ { // push it out, then cycle the set once more
+		c.Sequential(setLine(c, n), LineBytes, false)
+	}
+	if wb := c.Stats().Writebacks; wb != 1 {
+		t.Fatalf("writebacks = %d, want exactly 1", wb)
+	}
+}
+
+func TestTouchesDoNotAllocate(t *testing.T) {
+	c := New(PaperLLC())
+	pos := sim.NewRNG(1).Float64
+	for name, touch := range map[string]func(){
+		"Sequential": func() { c.Sequential(4096, 8<<20, true) },
+		"Strided":    func() { c.Strided(4096, 1<<16, 256, false) },
+		"Random":     func() { c.Random(4096, 14<<20, 1<<16, false, pos) },
+	} {
+		if n := testing.AllocsPerRun(10, touch); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, n)
+		}
+	}
+}
+
+// llcModel is the surface TestMatchesReference drives on both
+// implementations.
+type llcModel interface {
+	Sequential(base uint64, bytes int64, write bool) Stats
+	Strided(base uint64, count, strideBytes int64, write bool) Stats
+	Random(base uint64, regionBytes, count int64, write bool, posFn func() float64) Stats
+	SetWayMask(mask uint64)
+	WayMask() uint64
+	AllocatedBytes() int64
+	AllocatedWays() int
+	Flush()
+	ResetStats()
+	Stats() Stats
+}
+
+// TestMatchesReference is the differential oracle for the flat layout:
+// any sequence of touches, mask changes, flushes and counter resets must
+// return, call for call, what the nested-slice implementation returns.
+func TestMatchesReference(t *testing.T) {
+	geometries := []Config{
+		PaperLLC(),
+		{SizeBytes: 20 << 20, Ways: 20, SetSample: 1},
+		{SizeBytes: 20 << 20, Ways: 20, SetSample: 16},
+		{SizeBytes: 12 << 20, Ways: 12, SetSample: 3}, // 5461 sets: the division paths
+	}
+	for _, cfg := range geometries {
+		cfg := cfg
+		t.Run(fmt.Sprintf("%dMB_%dway_sample%d", cfg.SizeBytes>>20, cfg.Ways, cfg.SetSample), func(t *testing.T) {
+			f := func(seed int64) bool { return matchesReference(t, cfg, seed) }
+			if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+func matchesReference(t *testing.T, cfg Config, seed int64) bool {
+	g := sim.NewRNG(seed)
+	// Random draws positions from its caller: give each side its own
+	// generator on one seed, so both see the same stream.
+	posSeed := g.Int63()
+	models := [2]llcModel{New(cfg), newRefLLC(cfg)}
+	pos := [2]func() float64{sim.NewRNG(posSeed).Float64, sim.NewRNG(posSeed).Float64}
+
+	// Sizes are log-uniform from below one sampled line to 10x the cache;
+	// bases revisit four regions so touches find each other's lines.
+	size := func() int64 {
+		max := 10 * cfg.SizeBytes
+		return 1 + g.Int64n(max>>uint(g.Intn(24)))
+	}
+	base := func() uint64 {
+		b := uint64(g.Intn(4)) << 32
+		if g.Bool(0.5) {
+			b += uint64(g.Int64n(cfg.SizeBytes))
+		}
+		return b
+	}
+	mask := func() uint64 {
+		switch g.Intn(5) {
+		case 0:
+			return 0
+		case 1:
+			return 1 << uint(g.Intn(cfg.Ways))
+		case 2:
+			return models[0].WayMask() & g.Uint64() // superset -> subset
+		case 3:
+			return ^uint64(0)
+		}
+		return g.Uint64() // non-contiguous, bits beyond the way count included
+	}
+
+	for step := 0; step < 60; step++ {
+		var op string
+		var got [2]Stats
+		switch k := g.Intn(10); {
+		case k < 3:
+			b, n, w := base(), size(), g.Bool(0.3)
+			op = fmt.Sprintf("Sequential(%d, %d, %v)", b, n, w)
+			for i, m := range models {
+				got[i] = m.Sequential(b, n, w)
+			}
+		case k < 5:
+			b, n, stride, w := base(), 1+size()/64, int64(8<<uint(g.Intn(10))), g.Bool(0.3)
+			op = fmt.Sprintf("Strided(%d, %d, %d, %v)", b, n, stride, w)
+			for i, m := range models {
+				got[i] = m.Strided(b, n, stride, w)
+			}
+		case k < 7:
+			b, region, n, w := base(), size(), 1+size()/64, g.Bool(0.3)
+			op = fmt.Sprintf("Random(%d, %d, %d, %v)", b, region, n, w)
+			for i, m := range models {
+				got[i] = m.Random(b, region, n, w, pos[i])
+			}
+		case k < 9:
+			mk := mask()
+			op = fmt.Sprintf("SetWayMask(%#x)", mk)
+			for _, m := range models {
+				m.SetWayMask(mk)
+			}
+		default:
+			op = "Flush"
+			if g.Bool(0.5) {
+				op = "ResetStats"
+			}
+			for _, m := range models {
+				if op == "Flush" {
+					m.Flush()
+				} else {
+					m.ResetStats()
+				}
+			}
+		}
+		for i, m := range models {
+			got[i].Add(m.Stats()) // returned and cumulative counters both
+		}
+		if got[0] != got[1] ||
+			models[0].WayMask() != models[1].WayMask() ||
+			models[0].AllocatedBytes() != models[1].AllocatedBytes() ||
+			models[0].AllocatedWays() != models[1].AllocatedWays() {
+			t.Errorf("seed %d step %d %s: LLC %+v mask %#x, refLLC %+v mask %#x",
+				seed, step, op, got[0], models[0].WayMask(), got[1], models[1].WayMask())
+			return false
+		}
+	}
+	return true
+}
+
+// refLLC is the nested-slice LLC this package shipped before the flat
+// tag/stamp tables, kept verbatim (names aside) as the oracle for
+// TestMatchesReference: one slice per set for each of tags, valid, dirty
+// and age, the set index divided out of the line number on every access.
+type refLLC struct {
+	cfg     Config
+	simSets int
+	mask    uint64 // CAT way mask: bit i set => way i may be allocated into
+
+	tags  [][]uint64
+	valid [][]bool
+	dirty [][]bool
+	// age is a per-set monotonically increasing stamp; larger = more recent.
+	age   [][]uint64
+	stamp uint64
+
+	stats Stats
+}
+
+// newRefLLC creates a refLLC with all ways allocated (full mask).
+func newRefLLC(cfg Config) *refLLC {
+	if cfg.SetSample < 1 {
+		cfg.SetSample = 1
+	}
+	sets := int(cfg.SizeBytes / int64(LineBytes*cfg.Ways))
+	if sets < 1 {
+		sets = 1
+	}
+	simSets := sets / cfg.SetSample
+	if simSets < 1 {
+		simSets = 1
+	}
+	c := &refLLC{
+		cfg:     cfg,
+		simSets: simSets,
+		mask:    (uint64(1) << uint(cfg.Ways)) - 1,
+	}
+	c.tags = make([][]uint64, simSets)
+	c.valid = make([][]bool, simSets)
+	c.dirty = make([][]bool, simSets)
+	c.age = make([][]uint64, simSets)
+	for i := range c.tags {
+		c.tags[i] = make([]uint64, cfg.Ways)
+		c.valid[i] = make([]bool, cfg.Ways)
+		c.dirty[i] = make([]bool, cfg.Ways)
+		c.age[i] = make([]uint64, cfg.Ways)
+	}
+	return c
+}
+
+// SetWayMask installs a CAT allocation mask. Bits beyond the way count are
+// ignored; an empty mask is treated as the lowest single way (hardware
+// forbids an empty COS mask).
+func (c *refLLC) SetWayMask(mask uint64) {
+	mask &= (uint64(1) << uint(c.cfg.Ways)) - 1
+	if mask == 0 {
+		mask = 1
+	}
+	c.mask = mask
+}
+
+// WayMask returns the current allocation mask.
+func (c *refLLC) WayMask() uint64 { return c.mask }
+
+// WayBytes returns the capacity of a single way.
+func (c *refLLC) WayBytes() int64 { return c.cfg.SizeBytes / int64(c.cfg.Ways) }
+
+// AllocatedBytes returns the capacity covered by the current mask.
+func (c *refLLC) AllocatedBytes() int64 {
+	return int64(c.AllocatedWays()) * c.WayBytes()
+}
+
+// AllocatedWays returns the way count in the current mask — the COS
+// (class-of-service) width, used to label per-COS telemetry series.
+func (c *refLLC) AllocatedWays() int {
+	n := 0
+	for m := c.mask; m != 0; m &= m - 1 {
+		n++
+	}
+	return n
+}
+
+// Flush invalidates the entire cache (the paper reboots between the
+// largest and smallest allocation to shed out-of-mask residue).
+func (c *refLLC) Flush() {
+	for i := range c.valid {
+		for j := range c.valid[i] {
+			c.valid[i][j] = false
+			c.dirty[i][j] = false
+		}
+	}
+}
+
+// Stats returns the scaled counters accumulated so far.
+func (c *refLLC) Stats() Stats { return c.stats }
+
+// ResetStats zeroes the counters without disturbing cache contents.
+func (c *refLLC) ResetStats() { c.stats = Stats{} }
+
+// accessLine simulates one sampled line access and returns (miss, writeback).
+// Sampled lines are multiples of SetSample; dividing by the sampling factor
+// before taking the set index makes consecutive sampled lines sweep the
+// simulated sets round-robin, mirroring the balanced set mapping of real
+// hardware for sequential data.
+func (c *refLLC) accessLine(line uint64, write bool) (bool, bool) {
+	s := int((line / uint64(c.cfg.SetSample)) % uint64(c.simSets))
+	tag := line
+	c.stamp++
+	// Lookup searches all ways: CAT does not restrict hits.
+	for w := 0; w < c.cfg.Ways; w++ {
+		if c.valid[s][w] && c.tags[s][w] == tag {
+			c.age[s][w] = c.stamp
+			if write {
+				c.dirty[s][w] = true
+			}
+			return false, false
+		}
+	}
+	// Miss: fill into an allowed way, evicting LRU among allowed ways.
+	victim, oldest := -1, ^uint64(0)
+	for w := 0; w < c.cfg.Ways; w++ {
+		if c.mask&(1<<uint(w)) == 0 {
+			continue
+		}
+		if !c.valid[s][w] {
+			victim = w
+			break
+		}
+		if c.age[s][w] < oldest {
+			oldest = c.age[s][w]
+			victim = w
+		}
+	}
+	wb := false
+	if victim >= 0 {
+		wb = c.valid[s][victim] && c.dirty[s][victim]
+		c.tags[s][victim] = tag
+		c.valid[s][victim] = true
+		c.dirty[s][victim] = write
+		c.age[s][victim] = c.stamp
+	}
+	return true, wb
+}
+
+// record folds simulated results back into scaled stats.
+func (c *refLLC) record(total, simulated, misses, wbs int64) Stats {
+	if simulated == 0 {
+		return Stats{Accesses: total}
+	}
+	scale := float64(total) / float64(simulated)
+	st := Stats{
+		Accesses:   total,
+		Misses:     int64(float64(misses)*scale + 0.5),
+		Writebacks: int64(float64(wbs)*scale + 0.5),
+	}
+	c.stats.Add(st)
+	return st
+}
+
+// Sequential simulates a sequential touch of length bytes starting at byte
+// address base and returns scaled counters. Sampled lines are those whose
+// global line number is a multiple of SetSample, so repeated scans of the
+// same region observe their own reuse.
+func (c *refLLC) Sequential(base uint64, bytes int64, write bool) Stats {
+	if bytes <= 0 {
+		return Stats{}
+	}
+	lines := (bytes + LineBytes - 1) / LineBytes
+	start := base / LineBytes
+	ss := uint64(c.cfg.SetSample)
+	first := (start + ss - 1) / ss * ss // first sampled line >= start
+	sampledAvail := int64(0)
+	if first < start+uint64(lines) {
+		sampledAvail = int64((start + uint64(lines) - first + ss - 1) / ss)
+	}
+	if sampledAvail == 0 {
+		// Touch too small to include a sampled line; probe the nearest
+		// sampled representative so tiny hot structures still exercise
+		// the model.
+		m, w := c.accessLine(start/ss*ss, write)
+		var misses, wbs int64
+		if m {
+			misses++
+		}
+		if w {
+			wbs++
+		}
+		return c.record(lines, 1, misses, wbs)
+	}
+	streaming := bytes > 2*c.AllocatedBytes()
+	limit := int64(maxSimNonStreaming)
+	if streaming {
+		limit = maxSimPerTouch
+	}
+	step := ss
+	if sampledAvail > limit {
+		step = ss * uint64((sampledAvail+limit-1)/limit)
+	}
+	var misses, wbs, simulated int64
+	for line := first; line < start+uint64(lines); line += step {
+		m, w := c.accessLine(line, write)
+		simulated++
+		if m {
+			misses++
+		}
+		if w {
+			wbs++
+		}
+	}
+	if step > ss && streaming {
+		// Capped streaming touch: the walk above ages the cache, but its
+		// sub-rate sampling would overstate reuse on revisits. A region
+		// far larger than the allocation cannot be retained, so count the
+		// stream as missing throughout. A streamed write dirties every
+		// line and each is eventually evicted, so it writes back in full;
+		// a streamed read writes back whatever dirty data it displaces.
+		swbs := refScaleBy(wbs, lines, simulated)
+		if write {
+			swbs = lines
+		}
+		return c.record2(lines, lines, swbs)
+	}
+	return c.record(lines, simulated, misses, wbs)
+}
+
+func refScaleBy(n, total, simulated int64) int64 {
+	if simulated == 0 {
+		return 0
+	}
+	return int64(float64(n)*float64(total)/float64(simulated) + 0.5)
+}
+
+// record2 records pre-scaled stats.
+func (c *refLLC) record2(accesses, misses, wbs int64) Stats {
+	st := Stats{Accesses: accesses, Misses: misses, Writebacks: wbs}
+	c.stats.Add(st)
+	return st
+}
+
+// Strided simulates count accesses starting at base separated by
+// strideBytes (e.g. reading one column out of wide rows). Sampling picks
+// every SetSample-th visited element, which keeps repeated identical scans
+// consistent with each other.
+func (c *refLLC) Strided(base uint64, count int64, strideBytes int64, write bool) Stats {
+	if count <= 0 {
+		return Stats{}
+	}
+	if strideBytes < LineBytes {
+		strideBytes = LineBytes
+	}
+	strideLines := uint64(strideBytes / LineBytes)
+	start := base / LineBytes
+	ss := int64(c.cfg.SetSample)
+	sampledAvail := count / ss
+	if sampledAvail < 1 {
+		sampledAvail = 1
+	}
+	span := count * strideBytes
+	streaming := span > 2*c.AllocatedBytes()
+	limit := int64(maxSimNonStreaming)
+	if streaming {
+		limit = maxSimPerTouch
+	}
+	stepK := ss
+	if sampledAvail > limit {
+		stepK = count / limit
+	}
+	var misses, wbs, simulated int64
+	for k := int64(0); k < count; k += stepK {
+		line := start + uint64(k)*strideLines
+		// Snap to the line's sampling representative so that the same
+		// element observed through different patterns aliases consistently.
+		line = line / uint64(c.cfg.SetSample) * uint64(c.cfg.SetSample)
+		m, w := c.accessLine(line, write)
+		simulated++
+		if m {
+			misses++
+		}
+		if w {
+			wbs++
+		}
+	}
+	if stepK > ss && streaming {
+		swbs := refScaleBy(wbs, count, simulated)
+		if write {
+			swbs = count
+		}
+		return c.record2(count, count, swbs)
+	}
+	return c.record(count, simulated, misses, wbs)
+}
+
+// Random simulates count single-line accesses over a region of regionBytes
+// starting at base; positions come from posFn, which must return values in
+// [0, 1) (uniform or skewed — the caller owns the distribution). Sampling
+// accepts draws that land on sampled lines, so hot lines keep their
+// temporal locality.
+func (c *refLLC) Random(base uint64, regionBytes int64, count int64, write bool, posFn func() float64) Stats {
+	if count <= 0 || regionBytes <= 0 {
+		return Stats{}
+	}
+	regionLines := regionBytes / LineBytes
+	if regionLines < 1 {
+		regionLines = 1
+	}
+	ss := uint64(c.cfg.SetSample)
+	want := count / int64(ss)
+	if want < 1 {
+		want = 1
+	}
+	// Random touches use a tighter cap than sequential ones: random
+	// draws have no deterministic-revisit hazard, so sub-rate sampling
+	// stays statistically sound, and bulk random touches (hash builds
+	// and probes) are the hottest call site in whole-workload runs.
+	if want > maxSimRandomTouch {
+		want = maxSimRandomTouch
+	}
+	// Each draw is quantized to its sampling representative (the nearest
+	// lower line ≡ 0 mod SetSample), the same representatives Sequential
+	// and Strided touch, so hot data keeps consistent identity across
+	// access patterns. One simulated access stands for SetSample real ones.
+	var misses, wbs int64
+	start := base / LineBytes
+	for i := int64(0); i < want; i++ {
+		off := uint64(float64(regionLines) * posFn())
+		if off >= uint64(regionLines) {
+			off = uint64(regionLines) - 1
+		}
+		line := (start + off) / ss * ss
+		m, w := c.accessLine(line, write)
+		if m {
+			misses++
+		}
+		if w {
+			wbs++
+		}
+	}
+	return c.record(count, want, misses, wbs)
 }
