@@ -43,9 +43,17 @@ func NewBTIndex(id int, name string, t *storage.Table, keyCols []int, unique, cl
 		File:      &storage.File{ID: id, Name: name},
 	}
 	ix.refreshGeom(keyWidth, rowRef)
+	// The build's keys are carved from one backing array (the tree
+	// retains them all anyway) instead of one allocation per row.
 	n := t.ActualRows()
+	w := len(ix.KeyCols)
+	if !ix.Unique {
+		w++
+	}
+	keys := make([]int64, n*int64(w))
 	for r := int64(0); r < n; r++ {
-		ix.Tree.Insert(ix.keyOf(r), r)
+		ix.Tree.Insert(ix.appendKey(keys[:0:w], r), r)
+		keys = keys[w:]
 	}
 	return ix
 }
@@ -85,7 +93,10 @@ func (ix *BTIndex) NominalBytes() int64 { return ix.File.Bytes() }
 // keyOf builds the tree key for an actual row, appending the row ID for
 // non-unique indexes so keys are distinct.
 func (ix *BTIndex) keyOf(rowID int64) btree.Key {
-	k := make(btree.Key, 0, len(ix.KeyCols)+1)
+	return ix.appendKey(make(btree.Key, 0, len(ix.KeyCols)+1), rowID)
+}
+
+func (ix *BTIndex) appendKey(k btree.Key, rowID int64) btree.Key {
 	for _, c := range ix.KeyCols {
 		k = append(k, ix.Table.Get(rowID, c))
 	}

@@ -52,6 +52,13 @@ type Session struct {
 	// stmt is Exec's statement-attributed counter set, reset per attempt
 	// and folded into the query statistics before the attempt returns.
 	stmt metrics.Counters
+
+	// Per-session scratch, reused from one statement to the next (see
+	// DESIGN.md, "Object lifetimes on the OLTP path").
+	tx  txn.Txn   // Begin's transaction when recording is off
+	rw  RowWriter // Update's writer, valid inside its callback
+	ids []int64   // ReadRange's result, valid until the next statement
+	row []int64   // RowBuf's buffer, valid until the Insert it feeds returns
 }
 
 // Open opens a session for the proc. Opening is free: the OLTP
@@ -179,9 +186,11 @@ func (sess *Session) TakeErr() *QueryError {
 	return e
 }
 
-// Begin starts a transaction.
+// Begin starts a transaction. A session runs one transaction at a time
+// and, outside crash-recovery recording, hands out the same Txn each
+// time: the handle is valid until Commit or Abort returns.
 func (sess *Session) Begin() *txn.Txn {
-	return sess.S.Txns.Begin()
+	return sess.S.Txns.BeginIn(&sess.tx)
 }
 
 // Commit charges commit processing, flushes pending work, and commits
@@ -251,7 +260,8 @@ func dataPage(t *storage.Table, nid int64) wal.PageID {
 // payload. Update statements hand one to the driver's callback; the
 // driver expresses the modification through Get/Set/Add instead of
 // writing the table directly, which is how write statements register
-// page + undo info on their WAL records.
+// page + undo info on their WAL records. The writer is the session's and
+// is valid only inside the callback.
 type RowWriter struct {
 	t   *storage.Table
 	row int64
@@ -297,7 +307,8 @@ func (sess *Session) Read(tx *txn.Txn, ix *access.BTIndex, key btree.Key, nid in
 
 // ReadRange scans count nominal entries from nid through the index
 // (shared intent on the table, no per-row locks — read-committed range
-// read at scan isolation).
+// read at scan isolation). The returned row IDs are the session's scratch:
+// valid until its next statement.
 func (sess *Session) ReadRange(tx *txn.Txn, ix *access.BTIndex, from btree.Key, nid, count int64) []int64 {
 	sess.stmtOverhead()
 	if !tx.Lock(sess.P, lock.Key{Obj: ix.Table.ID, Row: -1}, lock.IS) {
@@ -305,13 +316,13 @@ func (sess *Session) ReadRange(tx *txn.Txn, ix *access.BTIndex, from btree.Key, 
 		return nil
 	}
 	ix.ChargeLeafRange(sess.Ctx, nid, count)
-	var ids []int64
+	sess.ids = sess.ids[:0]
 	limit := int(count/ix.Table.K) + 1
 	ix.RangeActual(from, nil, func(rowID int64) bool {
-		ids = append(ids, rowID)
-		return len(ids) < limit
+		sess.ids = append(sess.ids, rowID)
+		return len(sess.ids) < limit
 	})
-	return ids
+	return sess.ids
 }
 
 // Update performs a read-modify-write of one row: U lock converted to X
@@ -331,12 +342,23 @@ func (sess *Session) Update(tx *txn.Txn, ix *access.BTIndex, key btree.Key, nid 
 		return false
 	}
 	access.Heap{T: ix.Table}.ProbePoint(sess.Ctx, nid, true)
-	w := &RowWriter{t: ix.Table, row: rowID, rec: sess.S.Txns.Recording()}
+	w := &sess.rw
+	*w = RowWriter{t: ix.Table, row: rowID, rec: sess.S.Txns.Recording()}
 	if fn != nil {
 		fn(w)
 	}
 	logRecord(tx, ix.Table, dataPage(ix.Table, nid), w.ops)
 	return true
+}
+
+// RowBuf returns the session's scratch for an n-column row (contents
+// unspecified), for drivers to build the row of an Insert in: valid until
+// that Insert returns, which copies whatever it keeps.
+func (sess *Session) RowBuf(n int) []int64 {
+	if cap(sess.row) < n {
+		sess.row = make([]int64, n)
+	}
+	return sess.row[:n]
 }
 
 // Insert appends one nominal row: IX table lock, X lock on the new row,

@@ -93,17 +93,30 @@ type grant struct {
 	count int
 }
 
+// waiter is one blocked request. Waiters are recycled through the
+// manager's free list: one is in use from the Acquire that queues it until
+// that same Acquire returns, and promote and the timeout path drop every
+// other reference before then.
 type waiter struct {
 	owner int64
 	mode  Mode
 	since sim.Time
 	ready bool
-	q     *sim.WaitQueue
+	q     sim.WaitQueue
+	next  *waiter // free list
 }
 
+// entry is the lock state of one key. Entries are recycled through the
+// manager's free list: granted and queue start on the inline arrays (most
+// keys see one or two owners and no waiter) and keep whatever heap
+// capacity they grow across reuse.
 type entry struct {
 	granted []grant
 	queue   []*waiter
+	next    *entry // free list
+
+	grantBuf [2]grant
+	queueBuf [2]*waiter
 }
 
 // Manager is a lock manager bound to one simulation.
@@ -112,6 +125,12 @@ type Manager struct {
 	ctr *metrics.Counters
 
 	entries map[Key]*entry
+
+	// Free lists. An entry is in entries or on freeEntries, never both;
+	// neither list is ever trimmed, so both are bounded by the peak number
+	// of concurrently locked keys and blocked requests.
+	freeEntries *entry
+	freeWaiters *waiter
 
 	// Timeout bounds any single lock wait; on expiry Acquire fails and
 	// the transaction should abort and retry (the deadlock/starvation
@@ -178,7 +197,7 @@ func (e *entry) findGrant(owner int64) *grant {
 func (m *Manager) Acquire(p *sim.Proc, owner int64, key Key, mode Mode) (sim.Duration, bool) {
 	e := m.entries[key]
 	if e == nil {
-		e = &entry{}
+		e = m.newEntry()
 		m.entries[key] = e
 	}
 	if g := e.findGrant(owner); g != nil {
@@ -194,21 +213,62 @@ func (m *Manager) Acquire(p *sim.Proc, owner int64, key Key, mode Mode) (sim.Dur
 		}
 		// Conversion must wait; it goes to the head of the queue, as
 		// converters do in SQL Server.
-		w := &waiter{owner: owner, mode: mode, since: p.Now(), q: &sim.WaitQueue{}}
-		e.queue = append([]*waiter{w}, e.queue...)
+		w := m.newWaiter(p, owner, mode)
+		e.queue = append(e.queue, nil)
+		copy(e.queue[1:], e.queue)
+		e.queue[0] = w
 		return m.waitFor(p, key, e, w)
 	}
 	if e.compatibleWithGranted(owner, mode) {
 		e.granted = append(e.granted, grant{owner: owner, mode: mode, count: 1})
 		return 0, true
 	}
-	w := &waiter{owner: owner, mode: mode, since: p.Now(), q: &sim.WaitQueue{}}
+	w := m.newWaiter(p, owner, mode)
 	e.queue = append(e.queue, w)
 	return m.waitFor(p, key, e, w)
 }
 
-// waitFor parks until the waiter is granted or the timeout expires.
+// newEntry takes an empty entry off the free list, or makes one.
+func (m *Manager) newEntry() *entry {
+	e := m.freeEntries
+	if e == nil {
+		e = &entry{}
+		e.granted, e.queue = e.grantBuf[:0], e.queueBuf[:0]
+		return e
+	}
+	m.freeEntries, e.next = e.next, nil
+	return e
+}
+
+func (m *Manager) newWaiter(p *sim.Proc, owner int64, mode Mode) *waiter {
+	w := m.freeWaiters
+	if w == nil {
+		w = &waiter{}
+	} else {
+		m.freeWaiters, w.next = w.next, nil
+	}
+	w.owner, w.mode, w.since, w.ready = owner, mode, p.Now(), false
+	return w
+}
+
+// unqueue removes e.queue[i], keeping order and capacity and clearing the
+// vacated slot: a recycled waiter must not stay reachable from a queue.
+func (e *entry) unqueue(i int) {
+	n := len(e.queue) - 1
+	copy(e.queue[i:], e.queue[i+1:])
+	e.queue[n] = nil
+	e.queue = e.queue[:n]
+}
+
+// waitFor parks until the waiter is granted or the timeout expires, then
+// recycles the waiter: granted or withdrawn, nothing else refers to it.
 func (m *Manager) waitFor(p *sim.Proc, key Key, e *entry, w *waiter) (sim.Duration, bool) {
+	wait, ok := m.park(p, key, e, w)
+	w.next, m.freeWaiters = m.freeWaiters, w
+	return wait, ok
+}
+
+func (m *Manager) park(p *sim.Proc, key Key, e *entry, w *waiter) (sim.Duration, bool) {
 	start := p.Now()
 	deadline := start + sim.Time(m.Timeout)
 	for !w.ready {
@@ -224,7 +284,7 @@ func (m *Manager) waitFor(p *sim.Proc, key Key, e *entry, w *waiter) (sim.Durati
 			// Victim: withdraw the request.
 			for i, qw := range e.queue {
 				if qw == w {
-					e.queue = append(e.queue[:i], e.queue[i+1:]...)
+					e.unqueue(i)
 					break
 				}
 			}
@@ -282,7 +342,7 @@ func (m *Manager) promote(key Key, e *entry) {
 		if !e.compatibleWithGranted(w.owner, w.mode) {
 			break
 		}
-		e.queue = e.queue[1:]
+		e.unqueue(0)
 		w.ready = true
 		w.q.WakeAll(m.sm)
 		// Tentatively record the grant so the next waiter's compatibility
@@ -293,6 +353,7 @@ func (m *Manager) promote(key Key, e *entry) {
 	}
 	if len(e.granted) == 0 && len(e.queue) == 0 {
 		delete(m.entries, key)
+		e.next, m.freeEntries = m.freeEntries, e
 	}
 }
 

@@ -216,6 +216,7 @@ type Proc struct {
 	resume chan struct{}
 	epoch  uint64 // increments on every resume; stale wakeups are dropped
 	done   bool
+	key    int64 // wait key of the WaitKey in progress (see WakeUpTo)
 	fail   error // errno-style sticky failure slot (see SetFail)
 	attr   any   // opaque per-proc attribution slot (see SetAttr)
 }
@@ -249,6 +250,11 @@ func (p *Proc) TakeFail() error {
 	p.fail = nil
 	return err
 }
+
+// Resumes returns how many times the proc has been given control — once
+// when it starts, once per park that returns. Tests and benchmarks use the
+// difference across a call to count the wakeups the call took.
+func (p *Proc) Resumes() uint64 { return p.epoch }
 
 // Name returns the name given at Spawn.
 func (p *Proc) Name() string { return p.name }
@@ -371,12 +377,43 @@ func (q *WaitQueue) WaitTimeout(p *Proc, d Duration) (timedOut bool) {
 	// first; the loser's event is dropped by the epoch check.
 	for i, qp := range q.procs {
 		if qp == p {
-			copy(q.procs[i:], q.procs[i+1:])
-			q.procs = q.procs[:len(q.procs)-1]
+			q.remove(i)
 			return true
 		}
 	}
 	return false
+}
+
+// remove deletes q.procs[i], keeping order and capacity. The vacated tail
+// slot is cleared so the backing array does not pin a finished proc.
+func (q *WaitQueue) remove(i int) {
+	n := len(q.procs) - 1
+	copy(q.procs[i:], q.procs[i+1:])
+	q.procs[n] = nil
+	q.procs = q.procs[:n]
+}
+
+// WaitKey parks p on the queue under key until a WakeUpTo at or past key,
+// or a WakeOne/WakeAll, wakes it.
+func (q *WaitQueue) WaitKey(p *Proc, key int64) {
+	p.key = key
+	q.Wait(p)
+}
+
+// WakeUpTo wakes, in queue order, every proc whose key is at most key and
+// leaves the others parked in their order. The queue need not be sorted by
+// key, so it is scanned whole. Every waiter must have parked with WaitKey.
+func (q *WaitQueue) WakeUpTo(s *Sim, key int64) {
+	kept := q.procs[:0]
+	for _, p := range q.procs {
+		if p.key <= key {
+			s.schedule(s.now, p)
+		} else {
+			kept = append(kept, p)
+		}
+	}
+	clear(q.procs[len(kept):])
+	q.procs = kept
 }
 
 // WakeOne wakes the proc at the head of the queue, if any. It reports
@@ -386,8 +423,7 @@ func (q *WaitQueue) WakeOne(s *Sim) bool {
 		return false
 	}
 	p := q.procs[0]
-	copy(q.procs, q.procs[1:])
-	q.procs = q.procs[:len(q.procs)-1]
+	q.remove(0)
 	s.schedule(s.now, p)
 	return true
 }
@@ -397,6 +433,7 @@ func (q *WaitQueue) WakeAll(s *Sim) {
 	for _, p := range q.procs {
 		s.schedule(s.now, p)
 	}
+	clear(q.procs)
 	q.procs = q.procs[:0]
 }
 

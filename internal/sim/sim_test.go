@@ -586,3 +586,79 @@ func TestProfilingCountsEveryResumeAndFitsInsideRun(t *testing.T) {
 		t.Errorf("sim.loop + sim.proc = %d ns, more than the %d ns Run took", sum, wall)
 	}
 }
+
+// vacated reports whether every slot of the queue's backing array past its
+// length is nil: a dequeued proc must not stay reachable through it.
+func vacated(q *WaitQueue) bool {
+	for _, p := range q.procs[len(q.procs):cap(q.procs)] {
+		if p != nil {
+			return false
+		}
+	}
+	return true
+}
+
+func TestWakeUpToWakesCoveredWaitersInQueueOrder(t *testing.T) {
+	s := New(1)
+	var q WaitQueue
+	var woke []int64
+	// Parked in this order: the queue is not sorted by key.
+	for _, key := range []int64{30, 10, 40, 20, 10} {
+		s.Spawn("w", func(p *Proc) {
+			before := p.Resumes()
+			q.WaitKey(p, key)
+			if n := p.Resumes() - before; n != 1 {
+				t.Errorf("key %d resumed %d times in one wait", key, n)
+			}
+			woke = append(woke, key)
+		})
+	}
+	step := func(wake func(), want ...int64) {
+		t.Helper()
+		woke = woke[:0]
+		s.Spawn("waker", func(p *Proc) { wake() })
+		s.Run(s.Now() + Time(Millisecond))
+		if fmt.Sprint(woke) != fmt.Sprint(want) {
+			t.Fatalf("woke %v, want %v", woke, want)
+		}
+		if !vacated(&q) {
+			t.Fatal("a woken proc is still reachable from the queue's backing array")
+		}
+	}
+	step(func() { q.WakeUpTo(s, 5) })
+	step(func() { q.WakeUpTo(s, 20) }, 10, 20, 10)
+	if q.Len() != 2 {
+		t.Fatalf("%d left parked, want 2", q.Len())
+	}
+	step(func() { q.WakeUpTo(s, 29) })
+	step(func() { q.WakeUpTo(s, 30) }, 30)
+	step(func() { q.WakeAll(s) }, 40)
+	if s.Live() != 0 {
+		t.Fatalf("%d procs still live", s.Live())
+	}
+}
+
+func TestDequeueClearsTheVacatedSlot(t *testing.T) {
+	s := New(1)
+	var q WaitQueue
+	for i := 0; i < 3; i++ {
+		s.Spawn("w", func(p *Proc) { q.Wait(p) })
+	}
+	s.Spawn("t", func(p *Proc) { q.WaitTimeout(p, Millisecond) })
+	s.Run(Time(2 * Millisecond)) // the timed wait expires and removes itself
+	if q.Len() != 3 || !vacated(&q) {
+		t.Fatalf("after timeout: len %d, vacated %v", q.Len(), vacated(&q))
+	}
+	q.WakeOne(s)
+	if q.Len() != 2 || !vacated(&q) {
+		t.Fatalf("after WakeOne: len %d, vacated %v", q.Len(), vacated(&q))
+	}
+	q.WakeAll(s)
+	if q.Len() != 0 || !vacated(&q) {
+		t.Fatalf("after WakeAll: len %d, vacated %v", q.Len(), vacated(&q))
+	}
+	s.Run(Time(Second))
+	if s.Live() != 0 {
+		t.Fatalf("%d procs still live", s.Live())
+	}
+}

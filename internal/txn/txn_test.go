@@ -152,3 +152,140 @@ func TestConverterStarvationVictimRetries(t *testing.T) {
 	l.Stop()
 	s.Run(sim.Time(3 * sim.Second))
 }
+
+func TestBeginInReusesAnEndedTxn(t *testing.T) {
+	s, m, ctr, l := setup()
+	keys := []lock.Key{{Obj: 1, Row: 1}, {Obj: 1, Row: 2}, {Obj: 2, Row: -1}}
+	s.Spawn("t", func(p *sim.Proc) {
+		var own Txn
+		first := m.BeginIn(&own)
+		if first != &own {
+			t.Fatal("BeginIn did not hand out the caller's Txn")
+		}
+		id1 := first.ID()
+		for _, k := range keys {
+			first.Lock(p, k, lock.X)
+		}
+		first.LogWrite(500)
+		if !first.Commit(p) {
+			t.Fatal("commit failed")
+		}
+		// The finished handle is inert until it is begun again.
+		if first.Active() || first.Commit(p) || first.Lock(p, keys[0], lock.S) {
+			t.Fatal("finished handle still does work")
+		}
+		first.Abort()
+		if ctr.TxnCommits != 1 || ctr.TxnAborts != 0 {
+			t.Fatalf("commits %d aborts %d after poking the finished handle", ctr.TxnCommits, ctr.TxnAborts)
+		}
+
+		other := m.Begin() // takes the next ID, as any Begin does
+		second := m.BeginIn(&own)
+		if second != &own {
+			t.Fatal("ended Txn was not reused")
+		}
+		if !second.Active() || second.logBytes != 0 || len(second.held) != 0 {
+			t.Fatalf("reused Txn starts active %v, logBytes %d, %d held", second.Active(), second.logBytes, len(second.held))
+		}
+		if cap(second.held) < len(keys) {
+			t.Fatal("reused Txn lost its held-list capacity")
+		}
+		if second.ID() != id1+2 || other.ID() != id1+1 {
+			t.Fatalf("IDs %d, %d, %d: not one sequence", id1, other.ID(), second.ID())
+		}
+		for _, k := range keys {
+			if m.Locks.Held(id1, k) || m.Locks.Held(second.ID(), k) {
+				t.Fatal("reused Txn begins holding a lock")
+			}
+		}
+
+		// A transaction dropped without Commit or Abort keeps its storage and
+		// its locks; BeginIn falls back to a fresh Txn rather than clobber it.
+		second.Lock(p, keys[0], lock.X)
+		third := m.BeginIn(&own)
+		if third == &own || !second.Active() || !m.Locks.Held(second.ID(), keys[0]) {
+			t.Fatal("BeginIn clobbered a transaction that had not ended")
+		}
+		third.Abort()
+		second.Abort()
+		other.Abort()
+	})
+	s.Run(sim.Time(sim.Second))
+	l.Stop()
+	s.Run(sim.Time(2 * sim.Second))
+}
+
+func TestRecordingKeepsOneTxnPerTransaction(t *testing.T) {
+	s, m, _, l := setup()
+	l.Recording = true
+	s.Spawn("t", func(p *sim.Proc) {
+		var own Txn
+		a := m.BeginIn(&own)
+		a.Lock(p, lock.Key{Obj: 1, Row: 1}, lock.X)
+		a.Commit(p)
+		b := m.BeginIn(&own)
+		c := m.Begin()
+		if a == &own || b == &own || a == b || b == c {
+			t.Fatal("Recording must give every transaction its own Txn")
+		}
+		if all := m.All(); len(all) != 3 || all[0] != a || all[1] != b || all[2] != c {
+			t.Fatalf("All() = %v", all)
+		}
+		if m.ByID(a.ID()) != a || m.ByID(b.ID()) != b || m.ByID(c.ID()) != c {
+			t.Fatal("ByID does not return the handles Begin handed out")
+		}
+		if act := m.Active(); len(act) != 2 || act[0] != b.ID() || act[1] != c.ID() {
+			t.Fatalf("Active() = %v, want the two open transactions", act)
+		}
+		if a.CommitRec() == nil || a.CommitRec().LSN == 0 {
+			t.Fatal("committed transaction lost its commit record")
+		}
+		b.Abort()
+		c.Abort()
+	})
+	s.Run(sim.Time(sim.Second))
+	l.Stop()
+	s.Run(sim.Time(2 * sim.Second))
+}
+
+// txnLoop runs Begin → Lock×4 → Commit back to back on one proc until
+// *stop, through begin, and returns a function that advances the
+// simulation by n transactions' worth of time.
+func txnLoop(s *sim.Sim, stop *bool, begin func() *Txn) (commits *int) {
+	commits = new(int)
+	s.Spawn("t", func(p *sim.Proc) {
+		for i := int64(0); !*stop; i++ {
+			tx := begin()
+			for j := int64(0); j < 4; j++ {
+				tx.Lock(p, lock.Key{Obj: 1, Row: (i*4 + j) % 4096}, lock.X)
+			}
+			tx.LogWrite(300)
+			tx.Commit(p)
+			*commits++
+		}
+	})
+	return commits
+}
+
+func TestNonRecordingTxnAllocatesNothing(t *testing.T) {
+	s, m, _, l := setup()
+	var own Txn
+	stop := false
+	commits := txnLoop(s, &stop, func() *Txn { return m.BeginIn(&own) })
+	window := func() { s.Run(s.Now() + sim.Time(10*sim.Millisecond)) }
+	window() // warm-up: lock entries, held capacity, queue arrays
+	before := *commits
+	if avg := testing.AllocsPerRun(20, window); avg != 0 {
+		t.Errorf("%v allocs per 10 ms window of Begin → Lock×4 → Commit, want 0", avg)
+	}
+	if *commits-before < 100 {
+		t.Fatalf("only %d transactions in the measured windows", *commits-before)
+	}
+	stop = true
+	window()
+	l.Stop()
+	s.Run(s.Now() + sim.Time(sim.Second))
+	if s.Live() != 0 {
+		t.Fatalf("%d procs still live", s.Live())
+	}
+}

@@ -61,7 +61,7 @@ type Log struct {
 	opSeq   int64     // global logical-op sequence
 
 	writerIdle sim.WaitQueue // log writer parks here when nothing to do
-	commitQ    sim.WaitQueue // committers park here until flushedLSN advances
+	commitQ    sim.WaitQueue // committers park here, keyed by LSN, until a flush covers them
 	streamQ    sim.WaitQueue // stream readers park here until flushedLSN advances
 
 	flushPenaltyNs float64 // fault-injected extra latency per flush
@@ -113,7 +113,9 @@ func (l *Log) Start() {
 				}
 			}
 			l.flushedLSN += batch
-			l.commitQ.WakeAll(l.sm)
+			// Wake only the committers this flush made durable: one that
+			// appended while it was in flight stays parked for the next.
+			l.commitQ.WakeUpTo(l.sm, l.flushedLSN)
 			l.streamQ.WakeAll(l.sm)
 		}
 	})
@@ -172,7 +174,7 @@ func (l *Log) WaitDurable(p *sim.Proc, lsn int64) (sim.Duration, error) {
 	start := p.Now()
 	for l.flushedLSN < lsn && !l.stopped {
 		l.writerIdle.WakeAll(l.sm)
-		l.commitQ.Wait(p)
+		l.commitQ.WaitKey(p, lsn)
 	}
 	wait := sim.Duration(p.Now() - start)
 	metrics.ChargeWait(p, l.ctr, metrics.WaitWriteLog, wait)

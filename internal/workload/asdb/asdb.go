@@ -72,10 +72,12 @@ func Build(cfg Config) *Dataset {
 	d.DB = db
 	sf := int64(cfg.SF)
 
+	buf := make([]int64, 13) // the widest table; AppendLoad copies
+
 	// Fixed-size reference table.
 	d.Fixed = db.AddTable(wideSchema("asdb_fixed", 6, 12), 50)
 	for i := int64(0); i < fixedRows/50; i++ {
-		d.Fixed.AppendLoad(d.row(7, i))
+		d.Fixed.AppendLoad(d.row(buf[:7], i))
 	}
 	d.PKFixed = db.AddBTIndex("pk_fixed", d.Fixed, []string{"id"}, true, true)
 
@@ -84,14 +86,14 @@ func Build(cfg Config) *Dataset {
 	kBig := int64(bigRowsPerSF / cfg.ActualRowsPerSF)
 	d.Big = db.AddTable(wideSchema("asdb_big", 12, 26), kBig)
 	for i := int64(0); i < sf*int64(cfg.ActualRowsPerSF); i++ {
-		d.Big.AppendLoad(d.row(13, i))
+		d.Big.AppendLoad(d.row(buf[:13], i))
 	}
 	d.PKBig = db.AddBTIndex("pk_big", d.Big, []string{"id"}, true, true)
 
 	kSmall := kBig
 	d.Small = db.AddTable(wideSchema("asdb_small", 9, 17), kSmall)
 	for i := int64(0); i < sf*smallRowsPerSF/kSmall; i++ {
-		d.Small.AppendLoad(d.row(10, i))
+		d.Small.AppendLoad(d.row(buf[:10], i))
 	}
 	d.PKSmall = db.AddBTIndex("pk_small", d.Small, []string{"id"}, true, true)
 
@@ -99,17 +101,17 @@ func Build(cfg Config) *Dataset {
 	// shrinks during the run.
 	d.Growing = db.AddTable(wideSchema("asdb_growing", 8, 20), kBig)
 	for i := int64(0); i < sf*growInitPerSF/kBig+4; i++ {
-		d.Growing.AppendLoad(d.row(9, i))
+		d.Growing.AppendLoad(d.row(buf[:9], i))
 	}
 	d.PKGrowing = db.AddBTIndex("pk_growing", d.Growing, []string{"id"}, true, true)
 	d.IXGrowing = db.AddBTIndex("ix_growing_v0", d.Growing, []string{"v0"}, false, false)
 	return d
 }
 
-func (d *Dataset) row(n int, id int64) []int64 {
-	r := make([]int64, n)
+// row fills r with id and a generated payload and returns it.
+func (d *Dataset) row(r []int64, id int64) []int64 {
 	r[0] = id
-	for i := 1; i < n; i++ {
+	for i := 1; i < len(r); i++ {
 		r[i] = d.rng.Int64n(1 << 30)
 	}
 	return r

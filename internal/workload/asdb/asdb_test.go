@@ -71,3 +71,43 @@ func TestMixRunsAllOps(t *testing.T) {
 		t.Fatal("growing table did not grow")
 	}
 }
+
+// A point read, an update and a delete, each a whole transaction through
+// Session.Exec, allocate nothing once the session's scratch, the lock
+// manager's free lists and the wait queues have warmed up. (Insert is left
+// out: it materializes rows and grows the trees.)
+func TestSteadyStateTransactionsAllocateNothing(t *testing.T) {
+	srv, d := tinyServer(t, 10)
+	stop := false
+	ops := 0
+	srv.Sim.Spawn("client", func(p *sim.Proc) {
+		sess := srv.Open(p).BindCtx()
+		defer sess.Close()
+		g := srv.Sim.RNG().Fork()
+		for !stop {
+			nid := g.Int64n(d.Big.NominalRows())
+			sess.Exec("asdb.PointRead", g, func() bool { return d.PointReadAt(sess, nid) })
+			sess.Exec("asdb.Update", g, func() bool { return d.UpdateAt(sess, nid) })
+			del := g.Int64n(d.Growing.NominalRows())
+			sess.Exec("asdb.Delete", g, func() bool { return d.DeleteAt(sess, del) })
+			ops += 3
+		}
+	})
+	window := func() { srv.Sim.Run(srv.Sim.Now() + sim.Time(20*sim.Millisecond)) }
+	for i := 0; i < 5; i++ {
+		window()
+	}
+	before := ops
+	if avg := testing.AllocsPerRun(20, window); avg != 0 {
+		t.Errorf("%v allocs per 20 ms window of point-read/update/delete transactions, want 0", avg)
+	}
+	if ops-before < 300 {
+		t.Fatalf("only %d transactions in the measured windows", ops-before)
+	}
+	if srv.Ctr.TxnCommits < int64(ops) {
+		t.Fatalf("%d commits for %d transactions", srv.Ctr.TxnCommits, ops)
+	}
+	stop = true
+	srv.Stop()
+	srv.Sim.Run(srv.Sim.Now() + sim.Time(120*sim.Second))
+}

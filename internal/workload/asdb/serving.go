@@ -57,7 +57,7 @@ func (d *Dataset) UpdateAt(sess *engine.Session, nid int64) bool {
 func (d *Dataset) InsertRow(sess *engine.Session) bool {
 	tx := sess.Begin()
 	id := d.Growing.NominalRows()
-	sess.Insert(tx, d.Growing, d.row(9, id),
+	sess.Insert(tx, d.Growing, d.row(sess.RowBuf(9), id),
 		[]*access.BTIndex{d.PKGrowing, d.IXGrowing}, nil)
 	return sess.Commit(tx)
 }

@@ -1,7 +1,7 @@
 package tpce
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/access"
 	"repro/internal/btree"
@@ -21,6 +21,11 @@ type user struct {
 	sess *engine.Session
 	g    *sim.RNG
 	zA   *sim.Zipf // account skew (customer tiers)
+
+	// Scratch reused from one transaction to the next: the ID batch a
+	// transaction gathers and sorts into lock order, and hsKey's result.
+	ids []int64
+	key [2]int64
 }
 
 func (u *user) pickAccount() int64 {
@@ -36,9 +41,19 @@ func (u *user) tradeKey(nid int64) btree.Key {
 	return btree.Key{u.d.Trade.Get(a, 0)}
 }
 
+// hsKey returns the holding-summary PK of a nominal row, valid until the
+// next call.
 func (u *user) hsKey(hsNid int64) btree.Key {
 	a := u.d.HoldingSummary.ToActual(hsNid)
-	return btree.Key{u.d.HoldingSummary.Get(a, 0), u.d.HoldingSummary.Get(a, 1)}
+	u.key = [2]int64{u.d.HoldingSummary.Get(a, 0), u.d.HoldingSummary.Get(a, 1)}
+	return u.key[:]
+}
+
+// sortIDs sorts a batch built on u.ids[:0] into lock order and keeps its
+// storage for the next transaction.
+func (u *user) sortIDs(ids []int64) {
+	u.ids = ids
+	slices.Sort(ids)
 }
 
 // tradeIndexes are the indexes maintained by a trade insert.
@@ -179,7 +194,7 @@ func (u *user) customerPosition() bool {
 	ca := u.pickAccount()
 	cust := ca / accountsPerCustomer
 	u.sess.Read(tx, d.PKCustomer, key1(cust), cust)
-	var symbols []int64
+	symbols := u.ids[:0]
 	for acc := cust * accountsPerCustomer; acc < (cust+1)*accountsPerCustomer; acc++ {
 		u.sess.Read(tx, d.PKAccount, key1(acc), acc)
 		// Gather positions via an intent-locked range read.
@@ -188,7 +203,7 @@ func (u *user) customerPosition() bool {
 			symbols = append(symbols, d.HoldingSummary.Get(rid, 1))
 		}
 	}
-	sort.Slice(symbols, func(i, j int) bool { return symbols[i] < symbols[j] })
+	u.sortIDs(symbols)
 	seen := int64(-1)
 	for _, s := range symbols {
 		if s == seen {
@@ -211,11 +226,11 @@ func (u *user) marketWatch() bool {
 		count = n
 	}
 	start := u.g.Int64n(n)
-	syms := make([]int64, 0, count)
+	syms := u.ids[:0]
 	for i := int64(0); i < count; i++ {
 		syms = append(syms, (start+i*7)%n)
 	}
-	sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
+	u.sortIDs(syms)
 	prev := int64(-1)
 	for _, s := range syms {
 		if s == prev {
@@ -245,11 +260,11 @@ func (u *user) tradeLookup() bool {
 	d := u.d
 	tx := u.sess.Begin()
 	n := d.Trade.NominalRows()
-	ids := make([]int64, 20)
-	for i := range ids {
-		ids[i] = u.g.Int64n(n)
+	ids := u.ids[:0]
+	for i := 0; i < 20; i++ {
+		ids = append(ids, u.g.Int64n(n))
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	u.sortIDs(ids)
 	prev := int64(-1)
 	for _, tid := range ids {
 		if tid == prev {
@@ -272,8 +287,8 @@ func (u *user) tradeUpdate() bool {
 	d := u.d
 	tx := u.sess.Begin()
 	n := d.Trade.NominalRows()
-	ids := []int64{u.g.Int64n(n), u.g.Int64n(n), u.g.Int64n(n)}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := append(u.ids[:0], u.g.Int64n(n), u.g.Int64n(n), u.g.Int64n(n))
+	u.sortIDs(ids)
 	prev := int64(-1)
 	for _, tid := range ids {
 		if tid == prev {
@@ -297,11 +312,11 @@ func (u *user) marketFeed() bool {
 		count = n
 	}
 	start := u.g.Int64n(n)
-	syms := make([]int64, 0, count)
+	syms := u.ids[:0]
 	for i := int64(0); i < count; i++ {
 		syms = append(syms, (start+i*11)%n)
 	}
-	sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
+	u.sortIDs(syms)
 	prev := int64(-1)
 	for _, sm := range syms {
 		if sm == prev {
