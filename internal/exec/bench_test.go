@@ -30,8 +30,8 @@ func benchTable(te *testEnv, rows int64) *storage.Table {
 // vectorized engine is built for.
 func benchPlan(tab *storage.Table) *Node {
 	return &Node{
-		Kind: KHashAgg,
-		Left: scanNode(tab, []int{1, 2}, func(r Row) bool { return r[1] < 400 }, 1, true),
+		Kind:   KHashAgg,
+		Left:   scanNode(tab, []int{1, 2}, func(r Row) bool { return r[1] < 400 }, 1, true),
 		Groups: []int{0},
 		Aggs:   []AggSpec{{Kind: AggSum, Col: 1}, {Kind: AggCount}},
 		Weight: tab.K, Parallel: true,

@@ -124,8 +124,8 @@ func diffCases() []diffCase {
 		}},
 		{name: "filter-nil-pred", build: func(te *testEnv) *Node {
 			return &Node{
-				Kind: KFilter,
-				Left: scanNode(te.ordersTable(), []int{0, 1}, nil, 0, true),
+				Kind:   KFilter,
+				Left:   scanNode(te.ordersTable(), []int{0, 1}, nil, 0, true),
 				Weight: 5,
 			}
 		}},
@@ -160,9 +160,9 @@ func diffCases() []diffCase {
 		}},
 		{name: "sort-multikey", build: func(te *testEnv) *Node {
 			return &Node{
-				Kind: KSort,
-				Left: scanNode(te.ordersTable(), []int{1, 2, 0}, nil, 0, true),
-				Keys: []SortKey{{Col: 0}, {Col: 1, Desc: true}},
+				Kind:   KSort,
+				Left:   scanNode(te.ordersTable(), []int{1, 2, 0}, nil, 0, true),
+				Keys:   []SortKey{{Col: 0}, {Col: 1, Desc: true}},
 				Weight: 5, Parallel: true,
 			}
 		}},

@@ -418,6 +418,14 @@ func (c *Cluster) runApplier(s *Standby) {
 			s.applierDone = true
 			c.ackQ.WakeAll(c.sm)
 		}()
+		// Record copies are carved from slabs: the standby log keeps the
+		// pointers for good, so a full slab is left behind, never reused.
+		// copies and lsns are scratch; both are dead before the next batch.
+		var (
+			slab   []wal.Record
+			copies []*wal.Record
+			lsns   []int64
+		)
 		for {
 			for len(s.inbox) == 0 && !s.shipperDone {
 				s.inboxQ.Wait(p)
@@ -434,7 +442,7 @@ func (c *Cluster) runApplier(s *Standby) {
 			// later ones are a gap — records lost to a standby crash that
 			// the reconnecting shipper will re-ship.
 			next := len(s.Srv.Log.Records())
-			var copies []*wal.Record
+			copies = copies[:0]
 			for _, sh := range batch {
 				for i, r := range sh.recs {
 					q := sh.pos + i
@@ -444,8 +452,11 @@ func (c *Cluster) runApplier(s *Standby) {
 					if q > next {
 						break
 					}
-					cp := *r // AppendBatch assigns LSNs in place; never mutate the primary's record
-					copies = append(copies, &cp)
+					if len(slab) == cap(slab) {
+						slab = make([]wal.Record, 0, 256)
+					}
+					slab = append(slab, *r) // AppendBatch assigns LSNs in place; never mutate the primary's record
+					copies = append(copies, &slab[len(slab)-1])
 					next++
 				}
 			}
@@ -459,9 +470,9 @@ func (c *Cluster) runApplier(s *Standby) {
 			// monotone (a crash freezes it, truncation rewinds only the
 			// append position), so lsns[i] <= flushed is a stable predicate
 			// even if the log crashes while this loop is parked in page I/O.
-			lsns := make([]int64, len(copies))
-			for i, r := range copies {
-				lsns[i] = r.LSN
+			lsns = lsns[:0]
+			for _, r := range copies {
+				lsns = append(lsns, r.LSN)
 			}
 			_, err := s.Srv.Log.WaitDurable(p, end)
 			if len(c.pendingTraces) > 0 {

@@ -51,3 +51,20 @@ func BenchmarkSchedule(b *testing.B) {
 		s.pop()
 	}
 }
+
+// BenchmarkWaitTimeoutWoken: 128 procs re-arming a 10 s timeout on a queue
+// that a ticker wakes every 50 µs (timeoutHerd) — every wait is woken, and
+// every event delivered leaves one stale timeout wakeup behind.
+func BenchmarkWaitTimeoutWoken(b *testing.B) {
+	const procs = 128
+	s := New(1)
+	stop := false
+	timeoutHerd(s, procs, &stop, func() {})
+	tick := Time(50 * Microsecond) // delivers procs+1 events
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run(tick * Time(b.N/(procs+1)+1))
+	b.StopTimer()
+	stop = true
+	s.Run(s.Now() + tick)
+}

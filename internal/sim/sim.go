@@ -48,6 +48,12 @@ type Sim struct {
 	events []event // 4-ary min-heap ordered by event.before
 	rng    *RNG
 
+	// dead counts the stale events known to sit in the heap: timeout
+	// wakeups whose wait was woken first (see noteDead). It is a lower
+	// bound — next discards a stale top whether it was counted or not.
+	dead     int
+	sweepDue func(dead, queued int) bool // defaultSweepDue, except in tests
+
 	until Time          // horizon of the Run in progress
 	idle  chan struct{} // signalled when nothing more can run before until
 	cur   *Proc         // proc currently executing, nil outside Run
@@ -65,8 +71,9 @@ type Sim struct {
 // New creates a simulation whose RNG is seeded with seed.
 func New(seed int64) *Sim {
 	return &Sim{
-		rng:  NewRNG(seed),
-		idle: make(chan struct{}),
+		rng:      NewRNG(seed),
+		idle:     make(chan struct{}),
+		sweepDue: defaultSweepDue,
 	}
 }
 
@@ -88,6 +95,10 @@ type event struct {
 func (e *event) before(o *event) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
+
+// stale reports whether the wakeup must not fire: its proc has finished,
+// or has resumed (and possibly parked elsewhere) since it was scheduled.
+func (e *event) stale() bool { return e.p.done || e.epoch != e.p.epoch }
 
 func (s *Sim) schedule(at Time, p *Proc) {
 	if at < s.now {
@@ -123,10 +134,16 @@ func (s *Sim) pop() {
 	h[n] = event{} // drop the *Proc so a finished proc can be collected
 	h = h[:n]
 	s.events = h
-	if n == 0 {
-		return
+	if n > 0 {
+		s.siftDown(0, e)
 	}
-	i := 0
+}
+
+// siftDown places e in the subtree whose root, the hole s.events[i], holds
+// nothing worth keeping.
+func (s *Sim) siftDown(i int, e event) {
+	h := s.events
+	n := len(h)
 	for {
 		c := 4*i + 1
 		if c >= n {
@@ -151,6 +168,42 @@ func (s *Sim) pop() {
 	h[i] = e
 }
 
+// defaultSweepDue is the sweep policy: dead events outnumber the rest of a
+// heap that is big enough for the O(n) pass to pay. Between sweeps at most
+// half of a heap of 64 or more is dead, so the heap holds at most twice its
+// peak of live wakeups plus 64, however long the run.
+func defaultSweepDue(dead, queued int) bool { return queued >= 64 && 2*dead > queued }
+
+// noteDead records that one queued event has just gone stale and will
+// never fire, and sweeps the heap once such events dominate it.
+func (s *Sim) noteDead() {
+	s.dead++
+	if s.sweepDue(s.dead, len(s.events)) {
+		s.sweep()
+	}
+}
+
+// sweep removes every stale event and rebuilds the heap from the rest.
+// Live events keep their (at, seq) and the order is total, so they pop in
+// the sequence they would have without the sweep.
+func (s *Sim) sweep() {
+	h := s.events
+	live := h[:0]
+	for i := range h {
+		if !h[i].stale() {
+			live = append(live, h[i])
+		}
+	}
+	clear(h[len(live):]) // drop the *Procs, as pop does
+	s.events = live
+	if n := len(live); n > 1 {
+		for i := (n - 2) / 4; i >= 0; i-- { // from the last parent up
+			s.siftDown(i, live[i])
+		}
+	}
+	s.dead = 0
+}
+
 // next is the kernel's one dispatch step, run by whichever goroutine is
 // giving up control. It discards wakeups of finished procs and stale
 // wakeups, then pops the earliest event, advances the clock and makes its
@@ -160,11 +213,14 @@ func (s *Sim) next() *Proc {
 	var p *Proc
 	for len(s.events) > 0 {
 		ev := &s.events[0]
-		if ev.p.done || ev.epoch != ev.p.epoch {
-			// Stale: the proc resumed (and possibly parked elsewhere) since
-			// this wakeup was scheduled — e.g. a wait that timed out before
-			// its queue wake arrived. Stale wakeups must not fire.
+		if ev.stale() {
+			// Its proc resumed on another wakeup: this is the queue wake a
+			// timeout beat to the same instant, or a dead timeout that no
+			// sweep came for. Stale wakeups must not fire.
 			s.pop()
+			if s.dead > 0 {
+				s.dead--
+			}
 			continue
 		}
 		if ev.at <= s.until {
@@ -366,6 +422,12 @@ func (q *WaitQueue) Wait(p *Proc) {
 // reports whether the wait timed out; on timeout, p has been removed
 // from the queue. A timed-out wakeup that raced with a WakeOne/WakeAll
 // is treated as woken (timedOut = false) when p was already dequeued.
+//
+// A woken wait leaves its timeout wakeup in the event heap, stale, and
+// a loop that re-arms a long timeout every time it is woken would grow the
+// heap by one such event per iteration until the clock reached them. So
+// the kernel counts them and sweeps the heap when they dominate it
+// (defaultSweepDue): the heap stays within twice its live wakeups plus 64.
 func (q *WaitQueue) WaitTimeout(p *Proc, d Duration) (timedOut bool) {
 	if d <= 0 {
 		d = 1
@@ -381,6 +443,7 @@ func (q *WaitQueue) WaitTimeout(p *Proc, d Duration) (timedOut bool) {
 			return true
 		}
 	}
+	p.sim.noteDead() // the timeout wakeup, or the wake it beat to the same instant
 	return false
 }
 

@@ -662,3 +662,227 @@ func TestDequeueClearsTheVacatedSlot(t *testing.T) {
 		t.Fatalf("%d procs still live", s.Live())
 	}
 }
+
+// timeoutHerd is repl.commitWait's pattern at the kernel: n procs loop on
+// one queue re-arming a 10 s timeout, and a ticker wakes them all every
+// 50 µs, so every wait is woken and every timeout wakeup is left behind,
+// stale, ten simulated seconds ahead of the clock. It runs until *stop and
+// returns the herd's wake count; onTick runs after each WakeAll, when the
+// heap is at its fullest.
+func timeoutHerd(s *Sim, n int, stop *bool, onTick func()) *int64 {
+	wakes := new(int64)
+	var q WaitQueue
+	for i := 0; i < n; i++ {
+		s.Spawn("herd", func(p *Proc) {
+			for !*stop {
+				if q.WaitTimeout(p, 10*Second) {
+					panic("herd wait timed out")
+				}
+				*wakes++
+			}
+		})
+	}
+	s.Spawn("ticker", func(p *Proc) {
+		for !*stop {
+			p.Sleep(50 * Microsecond)
+			q.WakeAll(s)
+			onTick()
+		}
+	})
+	return wakes
+}
+
+// staleQueued counts the stale events in the heap, which s.dead tracks.
+func staleQueued(s *Sim) int {
+	n := 0
+	for i := range s.events {
+		if s.events[i].stale() {
+			n++
+		}
+	}
+	return n
+}
+
+func TestWokenTimeoutsDoNotPileUpInTheHeap(t *testing.T) {
+	const procs = 128
+	// Wakeups that can still fire: a parked waiter's timeout, plus its wake
+	// between the WakeAll and its resume, plus the ticker's sleep.
+	const live = 2*procs + 1
+	s := New(1)
+	stop := false
+	peak := 0
+	wakes := timeoutHerd(s, procs, &stop, func() {
+		if n := len(s.events); n > peak {
+			peak = n
+		}
+	})
+	window := func() { s.Run(s.Now() + Time(Millisecond)) } // 20 ticks
+	for *wakes < 100_000 {
+		window()
+	}
+	if bound := 2*live + 64; peak > bound {
+		t.Errorf("event heap peaked at %d entries after %d woken timeouts, want at most %d", peak, *wakes, bound)
+	}
+	if got := staleQueued(s); s.dead != got {
+		t.Errorf("dead = %d with %d stale events queued", s.dead, got)
+	}
+	if avg := testing.AllocsPerRun(20, window); avg != 0 {
+		t.Errorf("%v allocs per 20 ticks of the herd, want 0", avg)
+	}
+	stop = true
+	window()
+	if s.Live() != 0 {
+		t.Fatalf("%d procs still live", s.Live())
+	}
+	s.sweep()
+	if len(s.events) != 0 || s.dead != 0 {
+		t.Errorf("after the last proc left and a sweep: %d events, dead = %d", len(s.events), s.dead)
+	}
+}
+
+func TestDeadCountIsClampedAtZero(t *testing.T) {
+	// A wakeup that went stale without passing through noteDead — no kernel
+	// primitive leaves one today — is still discarded, and is not counted.
+	s := New(1)
+	var woke Time
+	sleeper := s.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(10 * Millisecond)
+		woke = p.Now()
+		p.Sleep(10 * Millisecond)
+	})
+	s.Run(Time(Millisecond))
+	s.schedule(Time(10*Millisecond), sleeper) // loses to the Sleep's own wakeup
+	s.Run(Time(Second))
+	if woke != Time(10*Millisecond) || s.Live() != 0 {
+		t.Fatalf("woke at %d, %d procs live", woke, s.Live())
+	}
+	if s.dead != 0 || len(s.events) != 0 {
+		t.Errorf("dead = %d, %d events queued, want 0 and 0", s.dead, len(s.events))
+	}
+}
+
+// spawnSweepMix starts a seeded mix of procs that wait with timeouts (short
+// ones expire, 10 s ones are woken and leave their timeout behind), wait
+// untimed and keyed, wake each other, sleep, spawn children and exit with
+// timers pending, next to a ticker that keeps wakes coming for 5 ms. It
+// returns the (time, proc, outcome) trace; check runs at every record.
+func spawnSweepMix(s *Sim, seed int64, check func()) *[]resumeRec {
+	var trace []resumeRec
+	var qs [3]WaitQueue
+	var keyed WaitQueue // WakeUpTo's queue: WaitKey waiters only
+	wake := func(g *rand.Rand) string {
+		q := &qs[g.Intn(len(qs))]
+		switch g.Intn(3) {
+		case 0:
+			return fmt.Sprint("woke one ", q.WakeOne(s))
+		case 1:
+			q.WakeAll(s)
+			return "woke all"
+		}
+		keyed.WakeUpTo(s, int64(g.Intn(100)))
+		return "woke keyed"
+	}
+	var spawn func(name string, g *rand.Rand, steps int)
+	spawn = func(name string, g *rand.Rand, steps int) {
+		s.Spawn(name, func(p *Proc) {
+			rec := func(what string) {
+				trace = append(trace, resumeRec{p.Now(), name + ": " + what})
+				check()
+			}
+			rec("start")
+			for i := 0; i < steps; i++ {
+				q := &qs[g.Intn(len(qs))]
+				switch g.Intn(8) {
+				case 0:
+					p.Sleep(Duration(g.Intn(2000)) * Microsecond)
+					rec("slept")
+				case 1, 2, 3:
+					d := 10 * Second
+					if g.Intn(3) == 0 {
+						d = Duration(1+g.Intn(100)) * Microsecond
+					}
+					rec(fmt.Sprint("timed out ", q.WaitTimeout(p, d)))
+				case 4:
+					q.Wait(p)
+					rec("woken")
+				case 5:
+					keyed.WaitKey(p, int64(g.Intn(100)))
+					rec("woken by key")
+				case 6:
+					rec(wake(g))
+				case 7:
+					spawn(fmt.Sprint(name, ".", i), rand.New(rand.NewSource(g.Int63())), steps/2)
+				}
+			}
+		})
+	}
+	g := rand.New(rand.NewSource(seed))
+	for i := 0; i < 24; i++ {
+		spawn(fmt.Sprint("p", i), rand.New(rand.NewSource(g.Int63())), 32)
+	}
+	s.Spawn("ticker", func(p *Proc) {
+		for i := 0; i < 250; i++ {
+			p.Sleep(20 * Microsecond)
+			wake(g)
+		}
+	})
+	return &trace
+}
+
+func TestSweepIsInvisibleToTheSimulationProperty(t *testing.T) {
+	type outcome struct {
+		trace []resumeRec
+		seq   uint64
+		now   Time
+		live  int
+	}
+	sweeps := 0
+	run := func(seed int64, due func(dead, queued int) bool) outcome {
+		s := New(1)
+		s.sweepDue = func(dead, queued int) bool {
+			if !due(dead, queued) {
+				return false
+			}
+			sweeps++
+			return true
+		}
+		records, miscounted := 0, false
+		trace := spawnSweepMix(s, seed, func() {
+			if records++; records%16 != 0 { // staleQueued walks the heap
+				return
+			}
+			if got := staleQueued(s); s.dead != got && !miscounted {
+				miscounted = true
+				t.Errorf("seed %d: dead = %d with %d stale events queued", seed, s.dead, got)
+			}
+		})
+		// In two windows, the second past the 10 s timeouts: the stale ones
+		// that were never swept are discarded as the clock reaches them, and
+		// the waits nobody woke time out.
+		s.Run(Time(Second))
+		s.Run(Time(30 * Second))
+		return outcome{*trace, s.seq, s.Now(), s.Live()}
+	}
+	never := func(int, int) bool { return false }
+	always := func(int, int) bool { return true }
+	prop := func(seed int64) bool {
+		want := run(seed, never)
+		sweeps = 0
+		for _, due := range []func(int, int) bool{defaultSweepDue, always} {
+			before := sweeps
+			if got := run(seed, due); !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d: sweeping changed the run: %d records, seq %d, now %d, live %d; want %d, %d, %d, %d",
+					seed, len(got.trace), got.seq, got.now, got.live, len(want.trace), want.seq, want.now, want.live)
+				return false
+			}
+			if sweeps == before {
+				t.Errorf("seed %d: the mix never made a sweep due", seed)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 8}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -101,11 +101,11 @@ func (d *Dataset) SumBig(sel float64) *opt.LNode {
 	thr := int64(sel * float64(1<<30))
 	v0 := t.Schema.Col("v0")
 	scan := &opt.LNode{
-		Kind: opt.LScan,
-		Heap: access.Heap{T: t},
-		CSI:  d.DB.CSIOf(t),
-		Proj: []int{t.Schema.Col("id"), v0, t.Schema.Col("v1")},
-		Pred: func(r exec.Row) bool { return r[v0] < thr },
+		Kind:  opt.LScan,
+		Heap:  access.Heap{T: t},
+		CSI:   d.DB.CSIOf(t),
+		Proj:  []int{t.Schema.Col("id"), v0, t.Schema.Col("v1")},
+		Pred:  func(r exec.Row) bool { return r[v0] < thr },
 		NPred: 1, PredCols: []int{v0},
 		Sel: sel, Name: t.Name,
 	}
