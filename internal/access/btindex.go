@@ -2,7 +2,6 @@ package access
 
 import (
 	"repro/internal/btree"
-	"repro/internal/lock"
 	"repro/internal/storage"
 )
 
@@ -161,12 +160,6 @@ func (ix *BTIndex) Probe(ctx *Ctx, key btree.Key, nid int64, write bool) (int64,
 		}
 	}
 	return it.Value(), true
-}
-
-// LockKeyOf returns the row-lock key for a nominal row of this index's
-// table (key-level locking).
-func (ix *BTIndex) LockKeyOf(nid int64) lock.Key {
-	return lock.Key{Obj: ix.Table.ID, Row: nid}
 }
 
 // ChargeMaintenance charges inserting/deleting one nominal entry at

@@ -158,11 +158,6 @@ func (c *Ctx) TouchRandom(base uint64, region, count int64, write bool, mlp floa
 	c.Stall(c.M.TouchRandom(c.Core, base, region, count, write, mlp, c.RNG.Float64))
 }
 
-// TouchRandomSkewed charges accesses positioned by posFn.
-func (c *Ctx) TouchRandomSkewed(base uint64, region, count int64, write bool, mlp float64, posFn func() float64) {
-	c.Stall(c.M.TouchRandom(c.Core, base, region, count, write, mlp, posFn))
-}
-
 // TouchMeta charges the engine-metadata accesses for processing n
 // nominal rows (see CostModel.MetaTouchPerRow).
 func (c *Ctx) TouchMeta(rows float64) {

@@ -126,9 +126,6 @@ func (p *Pool) Evictions() int64 { return p.evictions }
 // the checkpoint-progress counter.
 func (p *Pool) CheckpointPages() int64 { return p.ckptPages }
 
-// CheckpointRounds returns the count of completed checkpoint rounds.
-func (p *Pool) CheckpointRounds() int64 { return p.ckptRounds }
-
 // pageKey names a page globally for the recovery maps.
 type pageKey struct {
 	file int

@@ -152,9 +152,6 @@ func (c *LLC) SetWayMask(mask uint64) {
 	}
 }
 
-// WayMask returns the current allocation mask.
-func (c *LLC) WayMask() uint64 { return c.mask }
-
 // WayBytes returns the capacity of a single way.
 func (c *LLC) WayBytes() int64 { return c.cfg.SizeBytes / int64(c.cfg.Ways) }
 
@@ -319,7 +316,7 @@ func (c *LLC) Sequential(base uint64, bytes int64, write bool) Stats {
 		if write {
 			swbs = lines
 		}
-		return c.record2(lines, lines, swbs)
+		return c.record(lines, lines, lines, swbs) // already scaled: every line a miss
 	}
 	return c.record(lines, simulated, misses, wbs)
 }
@@ -329,61 +326,6 @@ func scaleBy(n, total, simulated int64) int64 {
 		return 0
 	}
 	return int64(float64(n)*float64(total)/float64(simulated) + 0.5)
-}
-
-// record2 records pre-scaled stats.
-func (c *LLC) record2(accesses, misses, wbs int64) Stats {
-	st := Stats{Accesses: accesses, Misses: misses, Writebacks: wbs}
-	c.stats.Add(st)
-	return st
-}
-
-// Strided simulates count accesses starting at base separated by
-// strideBytes (e.g. reading one column out of wide rows). Sampling picks
-// every SetSample-th visited element, which keeps repeated identical scans
-// consistent with each other.
-func (c *LLC) Strided(base uint64, count int64, strideBytes int64, write bool) Stats {
-	if count <= 0 {
-		return Stats{}
-	}
-	if strideBytes < LineBytes {
-		strideBytes = LineBytes
-	}
-	strideLines := uint64(strideBytes / LineBytes)
-	start := base / LineBytes
-	dirty := dirtyBit(write)
-	ss := int64(c.ss)
-	sampledAvail := count / ss
-	if sampledAvail < 1 {
-		sampledAvail = 1
-	}
-	span := count * strideBytes
-	streaming := span > 2*c.allocBytes
-	limit := int64(maxSimNonStreaming)
-	if streaming {
-		limit = maxSimPerTouch
-	}
-	stepK := ss
-	if sampledAvail > limit {
-		stepK = count / limit
-	}
-	var misses, wbs, simulated int64
-	for k := int64(0); k < count; k += stepK {
-		// Snap to the line's sampling representative so that the same
-		// element observed through different patterns aliases consistently.
-		m, w := c.access(c.sampleIdx(start+uint64(k)*strideLines), dirty)
-		simulated++
-		misses += m
-		wbs += w
-	}
-	if stepK > ss && streaming {
-		swbs := scaleBy(wbs, count, simulated)
-		if write {
-			swbs = count
-		}
-		return c.record2(count, count, swbs)
-	}
-	return c.record(count, simulated, misses, wbs)
 }
 
 // Random simulates count single-line accesses over a region of regionBytes
@@ -412,8 +354,8 @@ func (c *LLC) Random(base uint64, regionBytes int64, count int64, write bool, po
 	}
 	// Each draw is quantized to its sampling representative (the nearest
 	// lower line ≡ 0 mod SetSample), the same representatives Sequential
-	// and Strided touch, so hot data keeps consistent identity across
-	// access patterns. One simulated access stands for SetSample real ones.
+	// touches, so hot data keeps consistent identity across access
+	// patterns. One simulated access stands for SetSample real ones.
 	var misses, wbs int64
 	start := base / LineBytes
 	dirty := dirtyBit(write)

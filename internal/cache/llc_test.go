@@ -128,18 +128,6 @@ func TestRandomVsSequentialConsistentRepresentatives(t *testing.T) {
 	}
 }
 
-func TestStridedTouch(t *testing.T) {
-	c := testLLC(16)
-	// Stride of 256 bytes over 1M elements = 256 MB span: streaming misses.
-	st := c.Strided(0, 1<<20, 256, false)
-	if st.Accesses != 1<<20 {
-		t.Fatalf("accesses = %d", st.Accesses)
-	}
-	if r := st.MissRatio(); r < 0.5 {
-		t.Fatalf("large strided stream miss ratio = %.3f", r)
-	}
-}
-
 func TestFlushInvalidates(t *testing.T) {
 	c := testLLC(16)
 	const ws = 4 << 20
@@ -268,7 +256,6 @@ func TestTouchesDoNotAllocate(t *testing.T) {
 	pos := sim.NewRNG(1).Float64
 	for name, touch := range map[string]func(){
 		"Sequential": func() { c.Sequential(4096, 8<<20, true) },
-		"Strided":    func() { c.Strided(4096, 1<<16, 256, false) },
 		"Random":     func() { c.Random(4096, 14<<20, 1<<16, false, pos) },
 	} {
 		if n := testing.AllocsPerRun(10, touch); n != 0 {
@@ -281,10 +268,8 @@ func TestTouchesDoNotAllocate(t *testing.T) {
 // implementations.
 type llcModel interface {
 	Sequential(base uint64, bytes int64, write bool) Stats
-	Strided(base uint64, count, strideBytes int64, write bool) Stats
 	Random(base uint64, regionBytes, count int64, write bool, posFn func() float64) Stats
 	SetWayMask(mask uint64)
-	WayMask() uint64
 	AllocatedBytes() int64
 	AllocatedWays() int
 	Flush()
@@ -341,7 +326,7 @@ func matchesReference(t *testing.T, cfg Config, seed int64) bool {
 		case 1:
 			return 1 << uint(g.Intn(cfg.Ways))
 		case 2:
-			return models[0].WayMask() & g.Uint64() // superset -> subset
+			return maskOf(models[0]) & g.Uint64() // superset -> subset
 		case 3:
 			return ^uint64(0)
 		}
@@ -357,12 +342,6 @@ func matchesReference(t *testing.T, cfg Config, seed int64) bool {
 			op = fmt.Sprintf("Sequential(%d, %d, %v)", b, n, w)
 			for i, m := range models {
 				got[i] = m.Sequential(b, n, w)
-			}
-		case k < 5:
-			b, n, stride, w := base(), 1+size()/64, int64(8<<uint(g.Intn(10))), g.Bool(0.3)
-			op = fmt.Sprintf("Strided(%d, %d, %d, %v)", b, n, stride, w)
-			for i, m := range models {
-				got[i] = m.Strided(b, n, stride, w)
 			}
 		case k < 7:
 			b, region, n, w := base(), size(), 1+size()/64, g.Bool(0.3)
@@ -393,15 +372,23 @@ func matchesReference(t *testing.T, cfg Config, seed int64) bool {
 			got[i].Add(m.Stats()) // returned and cumulative counters both
 		}
 		if got[0] != got[1] ||
-			models[0].WayMask() != models[1].WayMask() ||
+			maskOf(models[0]) != maskOf(models[1]) ||
 			models[0].AllocatedBytes() != models[1].AllocatedBytes() ||
 			models[0].AllocatedWays() != models[1].AllocatedWays() {
 			t.Errorf("seed %d step %d %s: LLC %+v mask %#x, refLLC %+v mask %#x",
-				seed, step, op, got[0], models[0].WayMask(), got[1], models[1].WayMask())
+				seed, step, op, got[0], maskOf(models[0]), got[1], maskOf(models[1]))
 			return false
 		}
 	}
 	return true
+}
+
+// maskOf reads a model's normalised way mask.
+func maskOf(m llcModel) uint64 {
+	if c, ok := m.(*LLC); ok {
+		return c.mask
+	}
+	return m.(*refLLC).mask
 }
 
 // refLLC is the nested-slice LLC this package shipped before the flat
@@ -464,9 +451,6 @@ func (c *refLLC) SetWayMask(mask uint64) {
 	}
 	c.mask = mask
 }
-
-// WayMask returns the current allocation mask.
-func (c *refLLC) WayMask() uint64 { return c.mask }
 
 // WayBytes returns the capacity of a single way.
 func (c *refLLC) WayBytes() int64 { return c.cfg.SizeBytes / int64(c.cfg.Ways) }
@@ -641,59 +625,6 @@ func (c *refLLC) record2(accesses, misses, wbs int64) Stats {
 	st := Stats{Accesses: accesses, Misses: misses, Writebacks: wbs}
 	c.stats.Add(st)
 	return st
-}
-
-// Strided simulates count accesses starting at base separated by
-// strideBytes (e.g. reading one column out of wide rows). Sampling picks
-// every SetSample-th visited element, which keeps repeated identical scans
-// consistent with each other.
-func (c *refLLC) Strided(base uint64, count int64, strideBytes int64, write bool) Stats {
-	if count <= 0 {
-		return Stats{}
-	}
-	if strideBytes < LineBytes {
-		strideBytes = LineBytes
-	}
-	strideLines := uint64(strideBytes / LineBytes)
-	start := base / LineBytes
-	ss := int64(c.cfg.SetSample)
-	sampledAvail := count / ss
-	if sampledAvail < 1 {
-		sampledAvail = 1
-	}
-	span := count * strideBytes
-	streaming := span > 2*c.AllocatedBytes()
-	limit := int64(maxSimNonStreaming)
-	if streaming {
-		limit = maxSimPerTouch
-	}
-	stepK := ss
-	if sampledAvail > limit {
-		stepK = count / limit
-	}
-	var misses, wbs, simulated int64
-	for k := int64(0); k < count; k += stepK {
-		line := start + uint64(k)*strideLines
-		// Snap to the line's sampling representative so that the same
-		// element observed through different patterns aliases consistently.
-		line = line / uint64(c.cfg.SetSample) * uint64(c.cfg.SetSample)
-		m, w := c.accessLine(line, write)
-		simulated++
-		if m {
-			misses++
-		}
-		if w {
-			wbs++
-		}
-	}
-	if stepK > ss && streaming {
-		swbs := refScaleBy(wbs, count, simulated)
-		if write {
-			swbs = count
-		}
-		return c.record2(count, count, swbs)
-	}
-	return c.record(count, simulated, misses, wbs)
 }
 
 // Random simulates count single-line accesses over a region of regionBytes

@@ -51,9 +51,7 @@ type RConfig struct {
 	// it finds the promoted standby after repl.Failover.
 	Endpoints []string
 
-	BackoffBase sim.Duration // first reconnect backoff (default 20ms)
-	BackoffMax  sim.Duration // backoff cap (default 2s)
-	MaxAttempts int          // attempts per logical request, incl. the first (default 4)
+	MaxAttempts int // attempts per logical request, incl. the first (default 4)
 
 	// BreakerThreshold consecutive breaker-keyed failures (CodeOverloaded,
 	// CodeShutdown, resets, dial failures) open the circuit for
@@ -74,12 +72,6 @@ type RConfig struct {
 func (c RConfig) withDefaults() RConfig {
 	if len(c.Endpoints) == 0 {
 		c.Endpoints = []string{"db"}
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 20 * sim.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 2 * sim.Second
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 4
@@ -207,10 +199,16 @@ func (r *Resilient) breakerBlocked(p *sim.Proc) bool {
 	return r.open && p.Now() < r.openTill
 }
 
+// Reconnect backoff doubles from backoffBase per attempt up to backoffMax.
+const (
+	backoffBase = 20 * sim.Millisecond
+	backoffMax  = 2 * sim.Second
+)
+
 func (r *Resilient) backoff(p *sim.Proc, attempt int) {
-	d := r.Cfg.BackoffBase << (attempt - 1)
-	if d > r.Cfg.BackoffMax || d <= 0 {
-		d = r.Cfg.BackoffMax
+	d := backoffBase << (attempt - 1)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	// Full jitter on the upper half keeps retry waves decorrelated.
 	d = d/2 + sim.Duration(r.G.Float64()*float64(d/2))

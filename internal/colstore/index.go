@@ -31,8 +31,7 @@ type Index struct {
 	Cols  []int // column ordinals included in the index (all, typically)
 	File  *storage.File
 
-	segRowsActual int
-	segs          [][]*Segment // [colIdx][segment]
+	segs [][]*Segment // [colIdx][segment]
 
 	// Delta store: row-major recent inserts not yet compressed.
 	delta        [][]int64
@@ -49,10 +48,9 @@ func Build(id int, tbl *storage.Table, cols []int) *Index {
 		segRows = 64
 	}
 	ix := &Index{
-		Table:         tbl,
-		Cols:          cols,
-		segRowsActual: segRows,
-		File:          &storage.File{ID: id, Name: tbl.Name + ".ncci"},
+		Table: tbl,
+		Cols:  cols,
+		File:  &storage.File{ID: id, Name: tbl.Name + ".ncci"},
 	}
 	n := int(tbl.ActualRows())
 	ix.segs = make([][]*Segment, len(cols))
@@ -93,9 +91,6 @@ func (ix *Index) Segments() int {
 	}
 	return len(ix.segs[0])
 }
-
-// SegRowsActual returns the actual rows per full segment.
-func (ix *Index) SegRowsActual() int { return ix.segRowsActual }
 
 // Segment returns the compressed segment for a column ordinal (position
 // in Cols) and segment index.

@@ -59,17 +59,6 @@ func (c Curve) At(x float64) (float64, bool) {
 	return c.Points[n-1].Y, true
 }
 
-// MaxY returns the largest Y.
-func (c Curve) MaxY() float64 {
-	max := math.Inf(-1)
-	for _, p := range c.Points {
-		if p.Y > max {
-			max = p.Y
-		}
-	}
-	return max
-}
-
 // Last returns the point with the largest X.
 func (c Curve) Last() Point {
 	if len(c.Points) == 0 {

@@ -92,7 +92,6 @@ func (s *Server) Crash() {
 	s.stopped = true
 	s.Log.Crash()
 	s.BP.Stop()
-	s.Smp.Stop()
 	if !wasStopped {
 		// Stop hooks run once; a crash during recovery already ran them.
 		for _, fn := range s.stopHooks {

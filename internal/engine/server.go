@@ -64,15 +64,6 @@ type Config struct {
 	// bit-identical to a build without telemetry at all.
 	Telemetry bool
 
-	// ReplMode selects the replication commit mode when this server is
-	// the primary of a repl.Cluster: "" or "async" (commit returns after
-	// local group commit), "sync" (wait for every standby's WAL-durable
-	// ack), or "quorum" (wait for ReplQuorum acks). The engine itself
-	// only stores these; internal/repl reads them when wiring a cluster,
-	// so a server with no cluster behaves identically regardless.
-	ReplMode   string
-	ReplQuorum int
-
 	Cost *access.CostModel
 }
 
@@ -105,7 +96,6 @@ type Server struct {
 	Locks *lock.Manager
 	Txns  *txn.Manager
 	Ctr   *metrics.Counters
-	Smp   *metrics.Sampler
 
 	// QStats is the cumulative per-query-template statistics store
 	// (dm_exec_query_stats). Always on: recording is a few counter adds
@@ -168,7 +158,6 @@ func NewServerOn(sm *sim.Sim, cfg Config) *Server {
 		Log:        wal.New(sm, dev, ctr),
 		Locks:      lock.NewManager(sm, ctr),
 		Ctr:        ctr,
-		Smp:        metrics.NewSampler(ctr),
 		QStats:     metrics.NewQueryStats(),
 		logLatch:   lock.NewNamedLatch("LOG_BUFFER", ctr),
 		allocLatch: make(map[int]*lock.NamedLatch),
@@ -220,12 +209,11 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// Start launches background services (log writer, checkpointer, metrics
-// sampler).
+// Start launches background services (log writer, checkpointer,
+// telemetry registry).
 func (s *Server) Start() {
 	s.Log.Start()
 	s.BP.StartCheckpointer()
-	s.Smp.Start(s.Sim)
 	s.Tel.Start(s.Sim)
 }
 
@@ -236,7 +224,6 @@ func (s *Server) Stop() {
 	s.cleanStop = true
 	s.Log.Stop()
 	s.BP.Stop()
-	s.Smp.Stop()
 	s.Tel.Stop(s.Sim.Now())
 	for _, fn := range s.stopHooks {
 		fn()

@@ -269,9 +269,6 @@ type RowWriter struct {
 	ops []wal.Op
 }
 
-// Row returns the actual row ID being modified.
-func (w *RowWriter) Row() int64 { return w.row }
-
 // Get reads a column of the row.
 func (w *RowWriter) Get(col int) int64 { return w.t.Get(w.row, col) }
 

@@ -66,16 +66,6 @@ func NewCrasher(plan CrashPlan, onTrigger func()) *Crasher {
 	return &Crasher{plan: plan, onTrigger: onTrigger}
 }
 
-// Plan returns the crash plan.
-func (c *Crasher) Plan() CrashPlan { return c.plan }
-
-// Triggered reports whether the crash has fired.
-func (c *Crasher) Triggered() bool { return c.triggered }
-
-// Rearm resets the trigger so a follow-up crash (e.g. during-undo in a
-// second recovery) can fire again; the hit count keeps accumulating.
-func (c *Crasher) Rearm() { c.triggered = false }
-
 // Hit reports a crash-point visit; it fires the trigger on the Nth visit
 // of the planned point.
 func (c *Crasher) Hit(p CrashPoint) {

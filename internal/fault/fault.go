@@ -9,11 +9,14 @@
 // spawned, no RNG draws), leaving fault-free runs byte-for-byte
 // identical to a build without the injector.
 //
-// Events arrive two ways: per-axis Poisson processes (the resilience
-// sweep's background noise) and a scripted Schedule — an ordered,
-// composable timeline of named-axis events that reproduces a specific
-// scenario ("partition the segment during a connection storm, then
-// reset every connection") from one config.
+// Every axis is one proc walking one timeline of Events (walk). The
+// timeline comes from one of two sources: a scripted Schedule — an
+// ordered, composable list of named-axis events that reproduces a
+// specific scenario ("partition the segment during a connection storm,
+// then reset every connection") from one config — or, for the six
+// Poisson axes (the resilience sweep's background noise), events drawn
+// lazily from the axis's private stream. The replication, network and
+// crash axes are reachable through a Schedule only.
 //
 // The injector draws from its own RNG seeded independently of the
 // simulation's, so enabling faults never perturbs the workload's random
@@ -22,6 +25,8 @@
 package fault
 
 import (
+	"sort"
+
 	"repro/internal/buffer"
 	"repro/internal/cgroup"
 	"repro/internal/iodev"
@@ -60,17 +65,6 @@ type Config struct {
 	GrantStarve  Axis // Magnitude: fraction of workspace reserved away (0..1)
 	CpusetShrink Axis // Magnitude: fraction of allowed cores removed (0..1)
 
-	// Replication axes (need Targets.Repl).
-	ReplLinkStall Axis // link down while active (Magnitude unused)
-	ReplicaSlow   Axis // Magnitude: extra ns per replica WAL flush while active
-	ArchiveLoss   Axis // Magnitude: archive segments destroyed per event
-
-	// Network axes (need Targets.Net).
-	NetPartition Axis // Magnitude: partition mode (0/1 full, 2 to-server, 3 to-client)
-	NetLoss      Axis // Magnitude: per-frame loss probability (0..1)
-	NetDegrade   Axis // Magnitude: bandwidth/latency degradation factor (≥1)
-	ConnReset    Axis // Magnitude: fraction of live connections reset per event
-
 	// Schedule is a scripted fault timeline layered over (or instead of)
 	// the Poisson axes: ordered events on named axes, validated up front
 	// by Validate. Events on different axes may overlap; events on the
@@ -96,12 +90,13 @@ func DefaultConfig(seed int64) Config {
 }
 
 // axes returns every Poisson axis with its canonical name, in the fixed
-// injector order.
-func (c *Config) axes() []struct {
+// injector order: the order the axis procs spawn in and the index of
+// each axis's private RNG stream.
+func (c *Config) axes() [6]struct {
 	name string
 	ax   Axis
 } {
-	return []struct {
+	return [6]struct {
 		name string
 		ax   Axis
 	}{
@@ -111,13 +106,6 @@ func (c *Config) axes() []struct {
 		{"buffer-spike", c.BufferSpike},
 		{"grant-starve", c.GrantStarve},
 		{"cpuset-shrink", c.CpusetShrink},
-		{"repl-link-stall", c.ReplLinkStall},
-		{"replica-slow", c.ReplicaSlow},
-		{"archive-loss", c.ArchiveLoss},
-		{"net-partition", c.NetPartition},
-		{"net-loss", c.NetLoss},
-		{"net-degrade", c.NetDegrade},
-		{"conn-reset", c.ConnReset},
 	}
 }
 
@@ -178,10 +166,7 @@ type Targets struct {
 	Ctr    *metrics.Counters
 }
 
-// axisAction is one axis's apply/clear pair, shared by the Poisson loop
-// and the scripted schedule so a scheduled event and a Poisson event on
-// the same axis behave identically (the scheduled one carries its own
-// magnitude).
+// axisAction is one axis's apply/clear pair.
 type axisAction struct {
 	apply func(mag float64)
 	clear func()
@@ -195,14 +180,9 @@ type Injector struct {
 
 	// One forked stream per axis, plus one for the device fault state's
 	// per-request draws. Forked unconditionally in a fixed order so that
-	// enabling or tuning one axis never shifts another's stream. The
-	// replication axes fork after devRNG, and the network axes after
-	// those (each family arrived later; forking it earlier would shift
-	// every pre-existing stream).
+	// enabling or tuning one axis never shifts another's stream.
 	axisRNG [6]*sim.RNG
 	devRNG  *sim.RNG
-	replRNG [3]*sim.RNG
-	netRNG  [4]*sim.RNG
 
 	stopped bool
 }
@@ -215,12 +195,6 @@ func New(sm *sim.Sim, cfg Config, t Targets) *Injector {
 		in.axisRNG[i] = root.Fork()
 	}
 	in.devRNG = root.Fork()
-	for i := range in.replRNG {
-		in.replRNG[i] = root.Fork()
-	}
-	for i := range in.netRNG {
-		in.netRNG[i] = root.Fork()
-	}
 	return in
 }
 
@@ -354,47 +328,58 @@ func partitionMode(m float64) net.PartitionMode {
 	}
 }
 
-// Start spawns one proc per enabled axis plus one per scheduled axis
-// timeline. A disabled config spawns nothing, preserving baseline
-// determinism.
+// Start begins injection. A disabled config spawns nothing, preserving
+// baseline determinism.
 func (in *Injector) Start() {
-	if !in.cfg.Enabled() {
-		return
+	if in.cfg.Enabled() {
+		in.spawnWalkers(in.buildActions())
 	}
-	acts := in.buildActions()
-	// Spawn order reproduces the historical sequence exactly (proc spawn
-	// order is part of the sim's determinism): the five original axes,
-	// the replication family, cpuset-shrink (which always trailed repl),
-	// then the network family, then the schedule walkers. Each axis keeps
-	// its historical RNG stream.
-	spawn := []struct {
-		name string
-		ax   Axis
-		rng  *sim.RNG
-	}{
-		{"io-stall", in.cfg.IOStall, in.axisRNG[0]},
-		{"io-error", in.cfg.IOError, in.axisRNG[1]},
-		{"wal-slow", in.cfg.WALSlow, in.axisRNG[2]},
-		{"buffer-spike", in.cfg.BufferSpike, in.axisRNG[3]},
-		{"grant-starve", in.cfg.GrantStarve, in.axisRNG[4]},
-		{"repl-link-stall", in.cfg.ReplLinkStall, in.replRNG[0]},
-		{"replica-slow", in.cfg.ReplicaSlow, in.replRNG[1]},
-		{"archive-loss", in.cfg.ArchiveLoss, in.replRNG[2]},
-		{"cpuset-shrink", in.cfg.CpusetShrink, in.axisRNG[5]},
-		{"net-partition", in.cfg.NetPartition, in.netRNG[0]},
-		{"net-loss", in.cfg.NetLoss, in.netRNG[1]},
-		{"net-degrade", in.cfg.NetDegrade, in.netRNG[2]},
-		{"conn-reset", in.cfg.ConnReset, in.netRNG[3]},
-	}
-	for _, a := range spawn {
+}
+
+// spawnWalkers spawns one walker per enabled Poisson axis, then one per
+// scheduled axis in axis-name order (proc spawn order is part of the
+// sim's determinism). An axis with no entry in acts — its target is
+// absent — has nothing to act on and is skipped.
+func (in *Injector) spawnWalkers(acts map[string]axisAction) {
+	for i, a := range in.cfg.axes() {
 		act, ok := acts[a.name]
+		rate := a.ax.Rate * in.cfg.Intensity
+		if !ok || rate <= 0 {
+			continue
+		}
+		// Exponential gaps between events, exponential event durations,
+		// both from the axis's private stream, gap first.
+		ax, rng, meanGapNs := a.ax, in.axisRNG[i], 1e9/rate
+		in.walk("fault-"+a.name, act, func(now sim.Time) (Event, bool) {
+			at := sim.Duration(now) + sim.Duration(rng.Exp(meanGapNs))
+			return Event{At: at, Dur: sim.Duration(rng.Exp(ax.DurNs)), Magnitude: ax.Magnitude}, true
+		})
+	}
+	byAxis := map[string]Schedule{}
+	for _, ev := range in.cfg.Schedule {
+		byAxis[ev.Axis] = append(byAxis[ev.Axis], ev)
+	}
+	names := make([]string, 0, len(byAxis))
+	for name := range byAxis {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		act, ok := acts[name]
 		if !ok {
 			continue
 		}
-		mag := a.ax.Magnitude
-		in.axis(a.name, a.ax, a.rng, func() { act.apply(mag) }, act.clear)
+		evs := byAxis[name]
+		sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
+		in.walk("fault-sched-"+name, act, func(sim.Time) (Event, bool) {
+			if len(evs) == 0 {
+				return Event{}, false
+			}
+			ev := evs[0]
+			evs = evs[1:]
+			return ev, true
+		})
 	}
-	in.startSchedule(acts)
 }
 
 func clampFrac(f float64) float64 {
@@ -407,24 +392,21 @@ func clampFrac(f float64) float64 {
 	return f
 }
 
-// axis spawns the event loop for one fault axis: exponential gaps between
-// events, exponential event durations, apply/clear around each event.
-// clear always runs after apply, including on shutdown mid-event.
-func (in *Injector) axis(name string, ax Axis, rng *sim.RNG, apply, clear func()) {
-	rate := ax.Rate * in.cfg.Intensity
-	if rate <= 0 {
-		return
-	}
-	meanGapNs := 1e9 / rate
-	in.sm.Spawn("fault-"+name, func(p *sim.Proc) {
+// walk spawns the one event loop every axis runs: take the next event
+// from next (called with the current time), sleep until it starts, apply
+// its magnitude, hold it for its duration, clear. clear always runs after
+// apply, including on shutdown mid-event.
+func (in *Injector) walk(procName string, act axisAction, next func(now sim.Time) (Event, bool)) {
+	in.sm.Spawn(procName, func(p *sim.Proc) {
 		for {
-			if !in.sleep(p, sim.Duration(rng.Exp(meanGapNs))) {
+			ev, ok := next(p.Now())
+			if !ok || !in.sleep(p, ev.At-sim.Duration(p.Now())) {
 				return
 			}
 			in.t.Ctr.FaultsInjected++
-			apply()
-			ok := in.sleep(p, sim.Duration(rng.Exp(ax.DurNs)))
-			clear()
+			act.apply(ev.Magnitude)
+			ok = in.sleep(p, ev.Dur)
+			act.clear()
 			if !ok {
 				return
 			}

@@ -91,60 +91,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// startSchedule spawns one walker proc per scheduled axis (axis-name
-// order, so spawn order is deterministic). Each walker applies its
-// axis's events in time order; different axes therefore compose freely
-// while same-axis events stay exclusive.
-func (in *Injector) startSchedule(acts map[string]axisAction) {
-	if len(in.cfg.Schedule) == 0 {
-		return
-	}
-	byAxis := map[string]Schedule{}
-	for _, ev := range in.cfg.Schedule {
-		byAxis[ev.Axis] = append(byAxis[ev.Axis], ev)
-	}
-	names := make([]string, 0, len(byAxis))
-	for name := range byAxis {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		act, ok := acts[name]
-		if !ok {
-			continue // target absent: the scripted axis has nothing to act on
-		}
-		evs := byAxis[name]
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-		in.sm.Spawn("fault-sched-"+name, func(p *sim.Proc) {
-			for _, ev := range evs {
-				if !in.sleepUntil(p, sim.Time(ev.At)) {
-					return
-				}
-				in.t.Ctr.FaultsInjected++
-				act.apply(ev.Magnitude)
-				if ev.Dur > 0 {
-					ok := in.sleep(p, ev.Dur)
-					act.clear()
-					if !ok {
-						return
-					}
-				} else {
-					act.clear()
-				}
-			}
-		})
-	}
-}
-
-// sleepUntil sleeps to absolute sim time t (Stop-aware, like sleep).
-func (in *Injector) sleepUntil(p *sim.Proc, t sim.Time) bool {
-	d := sim.Duration(t - p.Now())
-	if d <= 0 {
-		return !in.stopped
-	}
-	return in.sleep(p, d)
-}
-
 // ScheduleNames lists the named chaos scenarios BuildNamedSchedule
 // accepts, in canonical order. "none" is the empty timeline (the
 // chaos-off leg of a matrix).

@@ -55,7 +55,7 @@ func TestValidateRejectsMalformedConfigs(t *testing.T) {
 	}{
 		{"negative-rate", Config{IOStall: Axis{Rate: -1}}, "negative rate"},
 		{"negative-axis-dur", Config{WALSlow: Axis{DurNs: -5}}, "negative duration"},
-		{"negative-axis-mag", Config{NetLoss: Axis{Magnitude: -0.1}}, "negative magnitude"},
+		{"negative-axis-mag", Config{BufferSpike: Axis{Magnitude: -0.1}}, "negative magnitude"},
 		{"unknown-axis", Config{Schedule: Schedule{{Axis: "gremlins"}}}, "unknown axis"},
 		{"negative-at", Config{Schedule: Schedule{{Axis: "net-loss", At: -sim.Second}}}, "negative start"},
 		{"negative-dur", Config{Schedule: Schedule{{Axis: "net-loss", Dur: -sim.Second}}}, "negative duration"},

@@ -192,12 +192,6 @@ func runChaosCell(sf int, opt Options, spec ChaosSpec, rate float64) ChaosPoint 
 			return out
 		}
 	}
-	fcfg := fault.Config{Schedule: sched}
-	if verr := fcfg.Validate(); verr != nil {
-		out.Err = verr.Error()
-		return out
-	}
-
 	acfg := asdbConfig(sf, opt)
 	d := asdb.Build(acfg)
 	srv := warmServer(d.DB, opt, Knobs{WriteLimitMBps: 50})
@@ -222,15 +216,11 @@ func runChaosCell(sf int, opt Options, spec ChaosSpec, rate float64) ChaosPoint 
 		},
 	}
 	cl := repl.New(srv, rcfg)
-	cf := serve.NewCluster(cl, d, func(db *engine.Database) *asdb.Dataset { return byDB[db] }, serve.ClusterConfig{})
+	cf := serve.NewCluster(cl, d, func(db *engine.Database) *asdb.Dataset { return byDB[db] }, serve.Config{})
 
-	if fcfg.Enabled() {
-		inj := fault.New(srv.Sim, fcfg, fault.Targets{
-			Dev: srv.Dev, Log: srv.Log, BP: srv.BP, CPUs: srv.CPUs,
-			Grants: srv, Repl: cl, Net: cf.Net, Crash: srv.Crash, Ctr: srv.Ctr,
-		})
-		inj.Start()
-		srv.AddStopHook(inj.Stop)
+	if err := injectFaults(srv, &fault.Config{Schedule: sched}, fault.Targets{Repl: cl, Net: cf.Net, Crash: srv.Crash}); err != nil {
+		out.Err = err.Error()
+		return out
 	}
 	srv.Start()
 	cl.Start()
@@ -248,7 +238,7 @@ func runChaosCell(sf int, opt Options, spec ChaosSpec, rate float64) ChaosPoint 
 		Rate: rate, Horizon: horizon, QueryFrac: 0.02, Storm: storm,
 	}, srv.Sim.RNG().Fork())
 	ccfg := client.RConfig{
-		Endpoints:    []string{cf.Cfg.Addr, cf.Cfg.PromotedAddr},
+		Endpoints:    cf.Endpoints(),
 		ReplyTimeout: 4 * sim.Second,
 		HedgeAfter:   500 * sim.Millisecond,
 		MaxAttempts:  6,

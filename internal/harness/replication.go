@@ -45,13 +45,8 @@ func buildReplicated(sf int, opt Options, k Knobs, rcfg repl.Config, ro engine.R
 			s.Srv.BlkIO.SetWriteLimit(k.WriteLimitMBps)
 		}
 	}
-	if k.Faults != nil && k.Faults.Enabled() {
-		inj := fault.New(srv.Sim, *k.Faults, fault.Targets{
-			Dev: srv.Dev, Log: srv.Log, BP: srv.BP, CPUs: srv.CPUs,
-			Grants: srv, Repl: cl, Ctr: srv.Ctr,
-		})
-		inj.Start()
-		srv.AddStopHook(inj.Stop)
+	if err := injectFaults(srv, k.Faults, fault.Targets{Repl: cl}); err != nil {
+		panic(err) // as in newServer
 	}
 	srv.Start()
 	cl.Start()
@@ -369,7 +364,7 @@ func ReplicatedHTAP(customers int, opt Options, k Knobs, rcfg repl.Config) HTAPR
 		g := srv.Sim.RNG().Fork()
 		for qn := 0; !srv.Stopped() && p.Now() < end; qn++ {
 			tsrv, td := srv, d
-			if node := cl.RouteRead(0); node >= 0 {
+			if node := cl.RouteRead(); node >= 0 {
 				s := cl.Standbys[node]
 				tsrv, td = s.Srv, byDB[s.DB]
 			}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -64,65 +63,4 @@ func RenderFamily(title string, fam CurveFamily, knob string) string {
 	}
 	b.WriteString(t.Render())
 	return b.String()
-}
-
-// WriteFamilyCSV writes the family as CSV (sf, x, y) rows for plotting.
-func WriteFamilyCSV(w io.Writer, fam CurveFamily) error {
-	if _, err := fmt.Fprintln(w, "sf,x,y"); err != nil {
-		return err
-	}
-	for _, sf := range sortedSFs(fam) {
-		for _, p := range fam[sf].Points {
-			if _, err := fmt.Fprintf(w, "%d,%g,%g\n", sf, p.X, p.Y); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// WriteCDFCSV writes a distribution's CDF as (value, fraction) CSV. Metric
-// order is fixed so output is byte-stable run to run.
-func WriteCDFCSV(w io.Writer, name string, res Fig4Result) error {
-	if _, err := fmt.Fprintln(w, "metric,mbps,fraction"); err != nil {
-		return err
-	}
-	for _, m := range []struct {
-		label string
-		d     interface{ CDF() [][2]float64 }
-	}{
-		{"dram", res.DRAM},
-		{"ssd_read", res.SSDRead},
-		{"ssd_write", res.SSDWrite},
-	} {
-		for _, pt := range m.d.CDF() {
-			if _, err := fmt.Fprintf(w, "%s,%g,%g\n", m.label, pt[0], pt[1]); err != nil {
-				return err
-			}
-		}
-	}
-	_ = name
-	return nil
-}
-
-// SpeedupMatrix renders a Fig6/Fig8-style per-query table.
-type SpeedupMatrix struct {
-	Title    string
-	Cols     []string
-	Queries  int
-	SpeedupF func(query, col int) float64
-}
-
-// Render writes the matrix as an aligned table.
-func (m SpeedupMatrix) Render() string {
-	headers := append([]string{"query"}, m.Cols...)
-	t := core.Table{Headers: headers}
-	for q := 1; q <= m.Queries; q++ {
-		row := []string{fmt.Sprintf("Q%d", q)}
-		for c := range m.Cols {
-			row = append(row, core.F(m.SpeedupF(q, c)))
-		}
-		t.AddRow(row...)
-	}
-	return fmt.Sprintf("-- %s --\n%s", m.Title, t.Render())
 }

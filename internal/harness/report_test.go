@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 )
 
 func demoFamily() CurveFamily {
@@ -40,52 +39,5 @@ func TestRenderFamilyMissingPoints(t *testing.T) {
 	out := RenderFamily("demo", fam, "cores")
 	if !strings.Contains(out, "-") {
 		t.Fatal("missing points should render as -")
-	}
-}
-
-func TestWriteFamilyCSV(t *testing.T) {
-	var sb strings.Builder
-	if err := WriteFamilyCSV(&sb, demoFamily()); err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
-	if !strings.HasPrefix(got, "sf,x,y\n") {
-		t.Fatalf("csv header missing: %q", got)
-	}
-	if !strings.Contains(got, "10,2,10\n") || !strings.Contains(got, "300,8,12\n") {
-		t.Fatalf("csv rows wrong:\n%s", got)
-	}
-}
-
-func TestWriteCDFCSV(t *testing.T) {
-	res := Fig4Result{
-		SSDRead:  metrics.NewDistribution([]float64{1, 2, 3}),
-		SSDWrite: metrics.NewDistribution([]float64{4}),
-		DRAM:     metrics.NewDistribution([]float64{5, 6}),
-	}
-	var sb strings.Builder
-	if err := WriteCDFCSV(&sb, "x", res); err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
-	for _, want := range []string{"metric,mbps,fraction", "ssd_read,", "ssd_write,4,1", "dram,"} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("missing %q in:\n%s", want, got)
-		}
-	}
-}
-
-func TestSpeedupMatrixRender(t *testing.T) {
-	m := SpeedupMatrix{
-		Title:   "demo",
-		Cols:    []string{"dop1", "dop8"},
-		Queries: 3,
-		SpeedupF: func(q, c int) float64 {
-			return float64(q) + float64(c)/10
-		},
-	}
-	out := m.Render()
-	if !strings.Contains(out, "Q3") || !strings.Contains(out, "dop8") {
-		t.Fatalf("matrix render wrong:\n%s", out)
 	}
 }

@@ -151,15 +151,31 @@ func newServer(opt Options, k Knobs) *engine.Server {
 	if k.WriteLimitMBps > 0 {
 		srv.BlkIO.SetWriteLimit(k.WriteLimitMBps)
 	}
-	if k.Faults != nil && k.Faults.Enabled() {
-		inj := fault.New(srv.Sim, *k.Faults, fault.Targets{
-			Dev: srv.Dev, Log: srv.Log, BP: srv.BP, CPUs: srv.CPUs,
-			Grants: srv, Ctr: srv.Ctr,
-		})
-		inj.Start()
-		srv.AddStopHook(inj.Stop)
+	if err := injectFaults(srv, k.Faults, fault.Targets{}); err != nil {
+		panic(err) // Knobs are built by this package's cells, not parsed from input
 	}
 	return srv
+}
+
+// injectFaults validates cfg and, when it injects anything, starts an
+// injector that stops with srv. The targets every cell shares come from
+// srv; extra carries the ones only some cells have (Repl, Net, Crash).
+func injectFaults(srv *engine.Server, cfg *fault.Config, extra fault.Targets) error {
+	if cfg == nil {
+		return nil
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if !cfg.Enabled() {
+		return nil
+	}
+	extra.Dev, extra.Log, extra.BP, extra.CPUs = srv.Dev, srv.Log, srv.BP, srv.CPUs
+	extra.Grants, extra.Ctr = srv, srv.Ctr
+	inj := fault.New(srv.Sim, *cfg, extra)
+	inj.Start()
+	srv.AddStopHook(inj.Stop)
+	return nil
 }
 
 // driverHorizon is the furthest point drivers may run to: the base
@@ -170,27 +186,42 @@ func driverHorizon(opt Options) sim.Time {
 }
 
 // measure runs the simulation through warmup and measurement, returning
-// the measurement-window counter delta and bandwidth series.
+// the measurement-window counter delta and bandwidth series. It advances
+// the clock one simulated second at a time from the warmup instant and
+// takes one bandwidth sample per step, so the series tile the window
+// exactly; a step cut short by the window's end is scaled by its own
+// length.
 func measure(srv *engine.Server, opt Options) Result {
-	srv.Sim.Run(sim.Time(opt.Warmup))
+	at := sim.Time(opt.Warmup)
+	srv.Sim.Run(at)
 	before := *srv.Ctr
-	samplesBefore := len(srv.Smp.Samples)
-	end := sim.Time(opt.Warmup + opt.Measure)
-	srv.Sim.Run(end)
-	delta := srv.Ctr.Sub(before)
+	prev := before
+	var r Result
+	runTo := func(end sim.Time) {
+		for at < end {
+			next := min(at+sim.Time(sim.Second), end)
+			srv.Sim.Run(next)
+			cur := *srv.Ctr
+			d, secs := cur.Sub(prev), sim.Duration(next-at).Seconds()
+			r.ReadBWSeries = append(r.ReadBWSeries, float64(d.SSDReadBytes)/1e6/secs)
+			r.WriteBWSeries = append(r.WriteBWSeries, float64(d.SSDWriteBytes)/1e6/secs)
+			r.DRAMBWSeries = append(r.DRAMBWSeries, float64(d.DRAMReadBytes+d.DRAMWriteBytes)/1e6/secs)
+			prev, at = cur, next
+		}
+	}
+	runTo(at + sim.Time(opt.Measure))
 	// Analytical points with few completions extend the window so QPS
 	// does not quantize to multiples of 1/Measure.
 	for hop := 0; opt.MinQueries > 0 &&
-		delta.QueriesDone < opt.MinQueries && hop < 8; hop++ {
-		end += sim.Time(opt.Measure)
-		srv.Sim.Run(end)
-		delta = srv.Ctr.Sub(before)
+		prev.QueriesDone-before.QueriesDone < opt.MinQueries && hop < 8; hop++ {
+		runTo(at + sim.Time(opt.Measure))
 	}
 	srv.Stop()
-	srv.Sim.Run(end + sim.Time(600*sim.Second))
+	srv.Sim.Run(at + sim.Time(600*sim.Second))
 
-	secs := (sim.Duration(end) - opt.Warmup).Seconds()
-	r := Result{Delta: delta, ElapsedSecs: secs}
+	delta := prev.Sub(before)
+	secs := (sim.Duration(at) - opt.Warmup).Seconds()
+	r.Delta, r.ElapsedSecs = delta, secs
 	r.MPKI = delta.MPKI()
 	if delta.Cycles > 0 {
 		r.IPC = float64(delta.Instructions) / float64(delta.Cycles)
@@ -201,18 +232,6 @@ func measure(srv *engine.Server, opt Options) Result {
 	r.WaitNs = delta.WaitNs
 	r.QueryStats = srv.QStats.Snapshot()
 	r.Telemetry = srv.Tel.Snapshot()
-	for _, s := range srv.Smp.Samples[samplesBefore:] {
-		if s.At > end {
-			break
-		}
-		iv := s.Dur.Seconds()
-		if iv <= 0 {
-			iv = srv.Smp.Interval.Seconds()
-		}
-		r.ReadBWSeries = append(r.ReadBWSeries, float64(s.Delta.SSDReadBytes)/1e6/iv)
-		r.WriteBWSeries = append(r.WriteBWSeries, float64(s.Delta.SSDWriteBytes)/1e6/iv)
-		r.DRAMBWSeries = append(r.DRAMBWSeries, float64(s.Delta.DRAMReadBytes+s.Delta.DRAMWriteBytes)/1e6/iv)
-	}
 	return r
 }
 

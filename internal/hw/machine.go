@@ -8,7 +8,7 @@
 //
 //   - instructions, executed on a logical core (Exec) — subject to SMT
 //     sibling interference and turbo frequency;
-//   - memory touches (TouchSeq / TouchRandom / TouchStrided) — filtered
+//   - memory touches (TouchSeq / TouchRandom) — filtered
 //     through the socket's simulated LLC; misses consume DRAM and QPI
 //     bandwidth and convert to stall time, amortized by the access
 //     pattern's memory-level parallelism;
@@ -183,13 +183,6 @@ func (m *Machine) CATMaskForMB(totalMB int) uint64 {
 		perSocket = int64(m.Spec.LLC.Ways)
 	}
 	return (uint64(1) << uint(perSocket)) - 1
-}
-
-// FlushCaches empties all LLCs (the paper's reboot between sweeps).
-func (m *Machine) FlushCaches() {
-	for _, c := range m.llcs {
-		c.Flush()
-	}
 }
 
 // SetRemoteFraction sets the fraction of LLC misses served by the remote
@@ -393,15 +386,6 @@ func (m *Machine) timedAccess(socket int, fn func(*cache.LLC) cache.Stats) cache
 	st := fn(m.llcs[socket])
 	sim.ProfCache.Add(time.Since(t0), 1)
 	return st
-}
-
-// TouchStrided charges count accesses of stride strideBytes from base.
-func (m *Machine) TouchStrided(coreID int, base uint64, count, strideBytes int64, write bool, mlp float64) float64 {
-	core := m.cores[coreID]
-	st := m.timedAccess(core.Socket, func(l *cache.LLC) cache.Stats {
-		return l.Strided(base, count, strideBytes, write)
-	})
-	return m.chargeMisses(core.Socket, st, mlp)
 }
 
 // TouchRandom charges count randomly-positioned accesses over a region.

@@ -101,9 +101,6 @@ func (t *Throttle) SetLimit(limitMBps float64) {
 	t.server.SetRate(limitMBps * 1e6)
 }
 
-// Limit returns the current limit in MB/s (0 = unlimited).
-func (t *Throttle) Limit() float64 { return t.server.Rate() / 1e6 }
-
 // reserve commits throttle capacity without blocking; the caller overlaps
 // the returned delay with the device's own service delay (a request flows
 // through the throttle and the device as a pipeline, so sustained

@@ -1,9 +1,9 @@
 // Package metrics collects the observability surface the paper reads:
 // PCM-like processor counters (instructions, LLC misses, DRAM bandwidth),
 // iostat-like device counters (SSD read/write bytes), and SQL-Server-DMV
-// style cumulative wait statistics. A Sampler snapshots the counters at
-// simulated 1-second intervals, yielding the per-interval series the
-// paper's bandwidth CDFs (Figure 4) are built from.
+// style cumulative wait statistics. Counters are plain cumulative values;
+// readers (the harness's measurement window, the telemetry registry) take
+// deltas between snapshots.
 package metrics
 
 import (
@@ -255,98 +255,6 @@ func (c Counters) MPKI() float64 {
 		return 0
 	}
 	return float64(c.LLCMisses) / float64(c.Instructions) * 1000
-}
-
-// Sample is one interval snapshot.
-type Sample struct {
-	At    sim.Time
-	Dur   sim.Duration // interval length; the final flushed sample may be shorter
-	Delta Counters     // change over the interval ending at At
-}
-
-// Sampler periodically snapshots a Counters and stores per-interval deltas.
-type Sampler struct {
-	C        *Counters
-	Interval sim.Duration
-	Samples  []Sample
-
-	sm      *sim.Sim
-	prev    Counters
-	lastAt  sim.Time
-	stopped bool
-}
-
-// Stop flushes the final partial interval (so short measure windows do not
-// silently lose their tail) and makes the sampling proc exit at its next
-// wakeup, so simulations can drain cleanly instead of leaking the sampler
-// goroutine.
-func (s *Sampler) Stop() {
-	s.stopped = true
-	s.flushTail()
-}
-
-// flushTail appends the delta accumulated since the last full sample as a
-// short final sample. A tail of zero duration (Stop landing exactly on an
-// interval boundary) adds nothing.
-func (s *Sampler) flushTail() {
-	if s.sm == nil || s.sm.Now() <= s.lastAt {
-		return
-	}
-	now := s.sm.Now()
-	cur := *s.C
-	s.Samples = append(s.Samples, Sample{At: now, Dur: sim.Duration(now - s.lastAt), Delta: cur.Sub(s.prev)})
-	s.prev = cur
-	s.lastAt = now
-}
-
-// NewSampler creates a sampler over c with the paper's 1-second interval.
-func NewSampler(c *Counters) *Sampler {
-	return &Sampler{C: c, Interval: sim.Second}
-}
-
-// Start spawns the sampling proc; it runs until Stop or the simulation
-// deadline.
-func (s *Sampler) Start(sm *sim.Sim) {
-	s.sm = sm
-	s.prev = *s.C
-	s.lastAt = sm.Now()
-	sm.Spawn("metrics-sampler", func(p *sim.Proc) {
-		for !s.stopped {
-			p.Sleep(s.Interval)
-			if s.stopped {
-				// Stop already flushed the tail; sampling past it would
-				// fold post-measurement drain activity into the series.
-				break
-			}
-			cur := *s.C
-			s.Samples = append(s.Samples, Sample{At: p.Now(), Dur: s.Interval, Delta: cur.Sub(s.prev)})
-			s.prev = cur
-			s.lastAt = p.Now()
-		}
-	})
-}
-
-// Series extracts one per-interval value from every sample.
-func (s *Sampler) Series(f func(Counters) float64) []float64 {
-	out := make([]float64, len(s.Samples))
-	for i, sm := range s.Samples {
-		out[i] = f(sm.Delta)
-	}
-	return out
-}
-
-// BandwidthMBps converts per-interval byte deltas into MB/s using each
-// sample's own duration (the flushed tail may be shorter than Interval).
-func (s *Sampler) BandwidthMBps(bytes func(Counters) int64) []float64 {
-	out := make([]float64, len(s.Samples))
-	for i, sm := range s.Samples {
-		secs := sm.Dur.Seconds()
-		if secs <= 0 {
-			secs = s.Interval.Seconds()
-		}
-		out[i] = float64(bytes(sm.Delta)) / 1e6 / secs
-	}
-	return out
 }
 
 // Distribution summarizes a sample series for CDF plots (Figure 4).

@@ -1,84 +1,6 @@
 package metrics
 
-import (
-	"math"
-	"testing"
-
-	"repro/internal/sim"
-)
-
-func TestSamplerCollectsIntervalDeltas(t *testing.T) {
-	s := sim.New(1)
-	ctr := &Counters{}
-	smp := NewSampler(ctr)
-	smp.Start(s)
-	s.Spawn("load", func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			ctr.SSDReadBytes += 100e6
-			ctr.Instructions += 1000
-			ctr.LLCMisses += 50
-			p.Sleep(sim.Second)
-		}
-	})
-	s.Run(sim.Time(4500 * sim.Millisecond))
-	smp.Stop()
-	s.Run(sim.Time(10 * sim.Second))
-	if len(smp.Samples) < 4 {
-		t.Fatalf("samples = %d", len(smp.Samples))
-	}
-	bw := smp.BandwidthMBps(func(c Counters) int64 { return c.SSDReadBytes })
-	for i, v := range bw[:4] {
-		if math.Abs(v-100) > 1 {
-			t.Fatalf("interval %d bandwidth = %.1f MB/s, want 100", i, v)
-		}
-	}
-	d := smp.Samples[0].Delta
-	if got := d.MPKI(); math.Abs(got-50) > 0.01 {
-		t.Fatalf("MPKI = %f, want 50", got)
-	}
-}
-
-// TestSamplerFlushesPartialTail checks that Stop mid-interval keeps the
-// tail of the measurement window: the final sample carries its shorter
-// duration and BandwidthMBps scales by it, so no observed bytes are lost
-// and no rate is diluted.
-func TestSamplerFlushesPartialTail(t *testing.T) {
-	s := sim.New(1)
-	ctr := &Counters{}
-	smp := NewSampler(ctr)
-	smp.Start(s)
-	s.Spawn("load", func(p *sim.Proc) {
-		p.Sleep(50 * sim.Millisecond) // offset off the sample boundaries
-		for i := 0; i < 25; i++ {
-			ctr.SSDReadBytes += 10e6 // steady 100 MB/s in 100ms steps
-			p.Sleep(100 * sim.Millisecond)
-		}
-	})
-	s.Run(sim.Time(2500 * sim.Millisecond))
-	smp.Stop()
-	s.Run(sim.Time(10 * sim.Second))
-
-	if len(smp.Samples) != 3 {
-		t.Fatalf("samples = %d, want 2 full + 1 tail", len(smp.Samples))
-	}
-	tail := smp.Samples[2]
-	if tail.Dur != 500*sim.Millisecond {
-		t.Fatalf("tail duration = %v, want 500ms", tail.Dur)
-	}
-	var total int64
-	for _, sm := range smp.Samples {
-		total += sm.Delta.SSDReadBytes
-	}
-	if total != 250e6 {
-		t.Fatalf("bytes across samples = %d, want 250e6 (tail lost?)", total)
-	}
-	bw := smp.BandwidthMBps(func(c Counters) int64 { return c.SSDReadBytes })
-	for i, v := range bw {
-		if math.Abs(v-100) > 1 {
-			t.Fatalf("interval %d = %.1f MB/s, want 100 (tail must scale by its own duration)", i, v)
-		}
-	}
-}
+import "testing"
 
 func TestDistributionPercentiles(t *testing.T) {
 	d := NewDistribution([]float64{5, 1, 3, 2, 4})

@@ -175,9 +175,6 @@ func (n *Network) SetPartition(m PartitionMode) {
 	n.healQ.WakeAll(n.Sm)
 }
 
-// Partition returns the current partition mode.
-func (n *Network) Partition() PartitionMode { return n.partition }
-
 // SetLossProb arms (or with 0 disarms) per-frame loss: each delivered
 // frame is independently dropped with probability prob, drawn from the
 // network's private RNG so the simulation's streams are untouched.

@@ -139,12 +139,6 @@ func (a *Archiver) snapshot() {
 // Horizon returns the highest archived LSN (the latest valid PITR target).
 func (a *Archiver) Horizon() int64 { return a.lastLSN }
 
-// Segments returns how many segments have been sealed.
-func (a *Archiver) Segments() int { return len(a.segs) }
-
-// Snapshots returns how many snapshots have been taken.
-func (a *Archiver) Snapshots() int { return len(a.snaps) }
-
 // dropOldest destroys the oldest surviving sealed segment (the
 // archive-loss fault axis), reporting whether one existed.
 func (a *Archiver) dropOldest() bool {

@@ -68,7 +68,7 @@ func (c *Cluster) Failover(p *sim.Proc) *FailoverReport {
 	if crashAt == 0 {
 		crashAt = p.Now()
 	}
-	p.Sleep(c.Cfg.FailDetect)
+	p.Sleep(failDetect)
 	detectEnd := p.Now()
 	for !c.drained() {
 		p.Sleep(sim.Millisecond)

@@ -53,24 +53,23 @@ func (m Mode) String() string {
 	}
 }
 
-// ParseMode parses a commit-mode name ("sync", "async", "quorum").
-func ParseMode(s string) (Mode, bool) {
-	switch s {
-	case "sync":
-		return ModeSync, true
-	case "quorum":
-		return ModeQuorum, true
-	case "async", "":
-		return ModeAsync, true
-	}
-	return ModeAsync, false
-}
-
 // ErrNoAck is returned through txn.Manager.CommitWait when a sync/quorum
 // commit cannot collect its replica acknowledgements (link partitioned
 // past the ack timeout, or the cluster shut down). The transaction is
 // locally durable; the client must treat the outcome as unknown.
 var ErrNoAck = errors.New("repl: commit acknowledgement timeout")
+
+// Fixed cluster parameters.
+const (
+	linkLatency = 200 * sim.Microsecond // one-way link latency
+	// stalenessBytes bounds how far (in WAL bytes) a standby may trail
+	// the primary and still serve routed reads.
+	stalenessBytes = 4 << 20
+	lagInterval    = 100 * sim.Millisecond // replica-lag sampling period
+	// failDetect is the failure-detection delay charged before promotion
+	// begins on a primary crash.
+	failDetect = 500 * sim.Millisecond
+)
 
 // Config sizes a cluster. Zero values take defaults.
 type Config struct {
@@ -78,20 +77,8 @@ type Config struct {
 	Quorum   int // acks required in ModeQuorum (clamped to [1, Replicas])
 	Replicas int // number of standbys (default 1)
 
-	LinkMBps    float64      // per-link shipping bandwidth (default 1000)
-	LinkLatency sim.Duration // one-way link latency (default 200µs)
-	AckTimeout  sim.Duration // bound on sync/quorum commit waits (default 10s)
-
-	// StalenessBytes bounds how far (in WAL bytes) a standby may trail the
-	// primary and still serve routed reads (default 4 MB).
-	StalenessBytes int64
-
-	// LagInterval is the replica-lag sampling period (default 100ms).
-	LagInterval sim.Duration
-
-	// FailDetect is the failure-detection delay charged before promotion
-	// begins on a primary crash (default 500ms).
-	FailDetect sim.Duration
+	LinkMBps   float64      // per-link shipping bandwidth (default 1000)
+	AckTimeout sim.Duration // bound on sync/quorum commit waits (default 10s)
 
 	// TraceCommits records cross-node span trees for the first commits
 	// that enter sync/quorum commit-wait (see trace.go / CommitTraces).
@@ -126,20 +113,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.LinkMBps <= 0 {
 		cfg.LinkMBps = 1000
 	}
-	if cfg.LinkLatency <= 0 {
-		cfg.LinkLatency = 200 * sim.Microsecond
-	}
 	if cfg.AckTimeout <= 0 {
 		cfg.AckTimeout = 10 * sim.Second
-	}
-	if cfg.StalenessBytes <= 0 {
-		cfg.StalenessBytes = 4 << 20
-	}
-	if cfg.LagInterval <= 0 {
-		cfg.LagInterval = 100 * sim.Millisecond
-	}
-	if cfg.FailDetect <= 0 {
-		cfg.FailDetect = 500 * sim.Millisecond
 	}
 	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = 4
@@ -245,7 +220,6 @@ func New(primary *engine.Server, cfg Config) *Cluster {
 	}
 	c := &Cluster{Primary: primary, Cfg: cfg, sm: primary.Sim, promoted: -1}
 	scfg := primary.Cfg
-	scfg.ReplMode, scfg.ReplQuorum = "", 0
 	// Standbys don't run their own registries: replication telemetry
 	// (per-standby lag, ack latency, shipped bytes) registers on the
 	// primary's registry instead, so one sampler covers the cluster.
@@ -287,7 +261,7 @@ func (c *Cluster) Start() {
 	if c.Arch != nil {
 		c.Arch.run()
 	}
-	c.runLagSampler()
+	c.runLagTracker()
 	c.registerTelemetry()
 	if c.Cfg.Mode != ModeAsync {
 		c.Primary.Txns.CommitWait = c.commitWait
@@ -342,21 +316,18 @@ func (c *Cluster) CheckDigests() error {
 	return nil
 }
 
-// RouteRead picks the node to serve an analytical read within the
-// staleness bound (in WAL bytes; <= 0 uses Config.StalenessBytes): the
-// most caught-up standby when its lag fits the bound, else the primary.
-// Returns -1 for the primary, otherwise a standby index.
-func (c *Cluster) RouteRead(bound int64) int {
-	if bound <= 0 {
-		bound = c.Cfg.StalenessBytes
-	}
+// RouteRead picks the node to serve an analytical read: the most
+// caught-up standby when it trails the primary by at most stalenessBytes
+// of WAL, else the primary. Returns -1 for the primary, otherwise a
+// standby index.
+func (c *Cluster) RouteRead() int {
 	best, bestApplied := -1, int64(-1)
 	for i, s := range c.Standbys {
 		if s.appliedLSN > bestApplied {
 			best, bestApplied = i, s.appliedLSN
 		}
 	}
-	if best >= 0 && c.Primary.Log.FlushedLSN()-bestApplied <= bound {
+	if best >= 0 && c.Primary.Log.FlushedLSN()-bestApplied <= stalenessBytes {
 		c.RoutedReplica++
 		return best
 	}
@@ -392,7 +363,7 @@ func (c *Cluster) runShipper(s *Standby) {
 				bytes += r.Bytes
 			}
 			s.link.Serve(p, float64(bytes))
-			p.Sleep(c.Cfg.LinkLatency)
+			p.Sleep(linkLatency)
 			c.Primary.Ctr.ReplShippedBatches++
 			c.Primary.Ctr.ReplShippedBytes += bytes
 			s.inbox = append(s.inbox, shipment{pos: pos, recs: batch})
@@ -591,7 +562,7 @@ func (c *Cluster) commitWait(p *sim.Proc, lsn int64) error {
 		c.ackQ.WaitTimeout(p, rem)
 	}
 	if ok {
-		p.Sleep(c.Cfg.LinkLatency) // the acknowledgement's trip back
+		p.Sleep(linkLatency) // the acknowledgement's trip back
 		c.ackedLSNs = append(c.ackedLSNs, lsn)
 		c.ackHist.Observe(sim.Duration(p.Now() - start))
 	}
@@ -631,12 +602,12 @@ func (c *Cluster) registerTelemetry() {
 	}
 }
 
-// runLagSampler spawns the lag-tracking proc: every LagInterval it
+// runLagTracker spawns the lag-tracking proc: every lagInterval it
 // records each standby's apply lag in WAL bytes.
-func (c *Cluster) runLagSampler() {
+func (c *Cluster) runLagTracker() {
 	c.sm.Spawn("repl-lag", func(p *sim.Proc) {
 		for !c.stopped {
-			p.Sleep(c.Cfg.LagInterval)
+			p.Sleep(lagInterval)
 			if c.stopped {
 				return
 			}

@@ -190,8 +190,8 @@ func TestFailoverAndPITR(t *testing.T) {
 	if err := tp.cl.VerifyFailover(frep); err != nil {
 		t.Fatal(err)
 	}
-	if frep.RTO < sim.Duration(tp.cl.Cfg.FailDetect) {
-		t.Fatalf("RTO %v below the failure-detection delay %v", frep.RTO, tp.cl.Cfg.FailDetect)
+	if frep.Detect != 500*sim.Millisecond || frep.RTO < frep.Detect {
+		t.Fatalf("RTO %v, detect %v: want the 500ms failure-detection delay inside the RTO", frep.RTO, frep.Detect)
 	}
 	if frep.AckedCommits == 0 {
 		t.Fatal("no commits were acknowledged before the crash")
@@ -289,13 +289,13 @@ func TestRouteRead(t *testing.T) {
 		engine.RecoveryOptions{MaxFlushBytes: 4 << 10})
 	tp.runWorkload(8, sim.Time(sim.Second))
 	tp.quiesce(t)
-	if node := tp.cl.RouteRead(0); node < 0 {
+	if node := tp.cl.RouteRead(); node < 0 {
 		t.Fatal("quiesced standby rejected a zero-staleness read")
 	}
 	// Partition the link and write more: standbys now lag.
 	tp.cl.SetLinkDown(true)
 	tp.runWorkload(8, tp.srv.Sim.Now()+sim.Time(300*sim.Millisecond))
-	if node := tp.cl.RouteRead(0); node >= 0 {
+	if node := tp.cl.RouteRead(); node >= 0 {
 		t.Fatal("lagging standby accepted a zero-staleness read")
 	}
 	if tp.cl.RoutedReplica == 0 || tp.cl.RoutedPrimary == 0 {

@@ -9,20 +9,6 @@ import (
 	"repro/internal/workload/asdb"
 )
 
-// ClusterConfig sizes a cluster front end.
-type ClusterConfig struct {
-	Config
-
-	// PromotedAddr is the listen address the promoted standby's front end
-	// binds after failover (default Addr+"1"); resilient clients carry it
-	// in their endpoint list and re-dial it when the primary dies.
-	PromotedAddr string
-
-	// StalenessBytes bounds replica-read staleness for routed analytical
-	// reads (<= 0 uses the replication config's bound).
-	StalenessBytes int64
-}
-
 // Ack is one client-acknowledged exec recorded at the serving boundary:
 // which front end acked it (epoch 0 = original primary, 1 = promoted
 // standby), on which transport pair, for which request id, at which
@@ -42,7 +28,7 @@ type Ack struct {
 // promoted node so clients can re-dial and resume.
 type ClusterFrontend struct {
 	Cl   *repl.Cluster
-	Cfg  ClusterConfig
+	Cfg  Config
 	Net  *net.Network
 	FE   *Frontend // epoch-0 front end on the original primary
 	PFE  *Frontend // epoch-1 front end on the promoted standby (after Promote)
@@ -56,14 +42,11 @@ type ClusterFrontend struct {
 // NewCluster builds the cluster front end. primaryDS is the primary's
 // bound dataset; dsOf maps a standby's database image to its dataset
 // view (the same schema bound to a different image).
-func NewCluster(cl *repl.Cluster, primaryDS *asdb.Dataset, dsOf func(*engine.Database) *asdb.Dataset, cfg ClusterConfig) *ClusterFrontend {
-	cfg.Config = cfg.Config.withDefaults()
-	if cfg.PromotedAddr == "" {
-		cfg.PromotedAddr = cfg.Addr + "1"
-	}
+func NewCluster(cl *repl.Cluster, primaryDS *asdb.Dataset, dsOf func(*engine.Database) *asdb.Dataset, cfg Config) *ClusterFrontend {
+	cfg = cfg.withDefaults()
 	nw := net.New(cl.Primary.Sim, cfg.Net)
 	cf := &ClusterFrontend{Cl: cl, Cfg: cfg, Net: nw, DSOf: dsOf}
-	fe := NewOn(nw, cl.Primary, primaryDS, cfg.Config)
+	fe := NewOn(nw, cl.Primary, primaryDS, cfg)
 	fe.OnExecOK = cf.recordAck(0)
 	fe.Router = cf
 	fe.ReplUnhealthy = cf.unhealthy
@@ -73,6 +56,13 @@ func NewCluster(cl *repl.Cluster, primaryDS *asdb.Dataset, dsOf func(*engine.Dat
 
 // Start binds the primary's front end.
 func (cf *ClusterFrontend) Start() error { return cf.FE.Start() }
+
+// Endpoints is the failover-aware dial list for resilient clients: the
+// primary's listen address, then the one the promoted standby's front
+// end binds after failover.
+func (cf *ClusterFrontend) Endpoints() []string {
+	return []string{cf.Cfg.Addr, cf.Cfg.Addr + "1"}
+}
 
 // Frontend returns the currently-serving front end.
 func (cf *ClusterFrontend) Frontend() *Frontend {
@@ -88,18 +78,16 @@ func (cf *ClusterFrontend) recordAck(epoch int) func(pair, req uint64, lsn int64
 	}
 }
 
+// staleLagBytes is the apply lag (in WAL bytes) past which a standby
+// counts as unhealthy; it equals the bound repl.Cluster.RouteRead routes
+// reads within.
+const staleLagBytes = 4 << 20
+
 // unhealthy reports a degraded replication plane: a partitioned link,
-// or every standby lagging past the staleness bound. The front end
-// halves its degrade threshold while true.
+// or every standby lagging past staleLagBytes. The front end halves its
+// degrade threshold while true.
 func (cf *ClusterFrontend) unhealthy() bool {
-	if cf.Cl.LinkDown() {
-		return true
-	}
-	bound := cf.Cfg.StalenessBytes
-	if bound <= 0 {
-		bound = cf.Cl.Cfg.StalenessBytes
-	}
-	return cf.Cl.BestLagBytes() > bound
+	return cf.Cl.LinkDown() || cf.Cl.BestLagBytes() > staleLagBytes
 }
 
 // RouteQuery implements QueryRouter: degraded analytical reads go to
@@ -109,7 +97,7 @@ func (cf *ClusterFrontend) RouteQuery() (*engine.Server, *asdb.Dataset) {
 	if cf.Epoch > 0 {
 		return nil, nil
 	}
-	i := cf.Cl.RouteRead(cf.Cfg.StalenessBytes)
+	i := cf.Cl.RouteRead()
 	if i < 0 {
 		return nil, nil
 	}
@@ -118,15 +106,15 @@ func (cf *ClusterFrontend) RouteQuery() (*engine.Server, *asdb.Dataset) {
 }
 
 // Promote brings up a front end on the standby repl.Failover promoted,
-// listening at PromotedAddr on the same network segment, and advances
+// listening at Endpoints()[1] on the same network segment, and advances
 // the ack epoch. Call after Cluster.Failover succeeds.
 func (cf *ClusterFrontend) Promote() error {
 	s := cf.Cl.PromotedStandby()
 	if s == nil {
 		return errors.New("serve: no promoted standby (run repl.Failover first)")
 	}
-	cfg := cf.Cfg.Config
-	cfg.Addr = cf.Cfg.PromotedAddr
+	cfg := cf.Cfg
+	cfg.Addr = cf.Endpoints()[1]
 	fe := NewOn(cf.Net, s.Srv, cf.DSOf(s.DB), cfg)
 	fe.OnExecOK = cf.recordAck(1)
 	cf.PFE = fe

@@ -11,7 +11,7 @@ import (
 	"repro/internal/workload/asdb"
 )
 
-func bootCluster(t *testing.T, cfg ClusterConfig, rcfg repl.Config) (*engine.Server, *repl.Cluster, *ClusterFrontend) {
+func bootCluster(t *testing.T, cfg Config, rcfg repl.Config) (*engine.Server, *repl.Cluster, *ClusterFrontend) {
 	t.Helper()
 	ecfg := engine.DefaultConfig()
 	ecfg.Seed = 1
@@ -42,9 +42,9 @@ func bootCluster(t *testing.T, cfg ClusterConfig, rcfg repl.Config) (*engine.Ser
 // at the serving boundary: acked writes land in the epoch-0 ack log with
 // their commit LSNs, the primary crash yields typed CodeFailover
 // refusals, and after Failover+Promote a client reaches the promoted
-// standby at PromotedAddr and its acks carry epoch 1.
+// standby at its failover endpoint and its acks carry epoch 1.
 func TestClusterFailoverServesAtPromotedAddr(t *testing.T) {
-	srv, cl, cf := bootCluster(t, ClusterConfig{},
+	srv, cl, cf := bootCluster(t, Config{},
 		repl.Config{Mode: repl.ModeQuorum, Quorum: 1, Replicas: 2})
 	var preOK, postOK client.Reply
 	var deadCode proto.Code
@@ -74,7 +74,7 @@ func TestClusterFailoverServesAtPromotedAddr(t *testing.T) {
 			t.Errorf("promote: %v", perr)
 			return
 		}
-		pc, err := client.Dial(p, cf.Net, cf.Cfg.PromotedAddr, "t")
+		pc, err := client.Dial(p, cf.Net, cf.Endpoints()[1], "t")
 		if err != nil {
 			t.Errorf("dial promoted: %v", err)
 			return
@@ -120,7 +120,7 @@ func TestClusterFailoverServesAtPromotedAddr(t *testing.T) {
 // full resources instead of running degraded on the primary.
 func TestClusterRoutesDegradedReadsToReplica(t *testing.T) {
 	srv, cl, cf := bootCluster(t,
-		ClusterConfig{Config: Config{Workers: 1, RunQueue: 16, DegradeDepth: 1}},
+		Config{Workers: 1, RunQueue: 16, DegradeDepth: 1},
 		repl.Config{Mode: repl.ModeAsync, Replicas: 1})
 	ok := 0
 	for i := 0; i < 6; i++ {
@@ -153,7 +153,7 @@ func TestClusterRoutesDegradedReadsToReplica(t *testing.T) {
 func TestReplUnhealthyTightensAdmission(t *testing.T) {
 	run := func(linkDown bool) int64 {
 		srv, cl, cf := bootCluster(t,
-			ClusterConfig{Config: Config{Workers: 1, RunQueue: 32, DegradeDepth: 8}},
+			Config{Workers: 1, RunQueue: 32, DegradeDepth: 8},
 			repl.Config{Mode: repl.ModeAsync, Replicas: 1})
 		if linkDown {
 			cl.SetLinkDown(true)

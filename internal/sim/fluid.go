@@ -57,64 +57,3 @@ func (f *FluidServer) Backlog(now Time) Duration {
 	}
 	return Duration(f.busyUntil - now)
 }
-
-// Utilization estimators: RateMeter measures achieved throughput over
-// fixed windows, for bandwidth-pressure feedback and PCM-style reporting.
-type RateMeter struct {
-	capacity float64 // units per second considered "full"
-	window   Duration
-
-	winStart Time
-	winBytes float64
-	lastRate float64
-}
-
-// NewRateMeter creates a meter with the given capacity and measurement
-// window (typical: 1ms for feedback smoothing).
-func NewRateMeter(capacityPerSecond float64, window Duration) *RateMeter {
-	if window <= 0 {
-		window = Millisecond
-	}
-	return &RateMeter{capacity: capacityPerSecond, window: window}
-}
-
-// Add records units of traffic at the given time.
-func (m *RateMeter) Add(now Time, units float64) {
-	m.roll(now)
-	m.winBytes += units
-}
-
-func (m *RateMeter) roll(now Time) {
-	if now-m.winStart < Time(m.window) {
-		return
-	}
-	elapsed := Duration(now - m.winStart)
-	m.lastRate = m.winBytes / elapsed.Seconds()
-	m.winStart = now
-	m.winBytes = 0
-}
-
-// Rate returns the most recent completed-window rate in units/second.
-func (m *RateMeter) Rate(now Time) float64 {
-	m.roll(now)
-	return m.lastRate
-}
-
-// Utilization returns the most recent rate as a fraction of capacity,
-// clamped to [0, 1].
-func (m *RateMeter) Utilization(now Time) float64 {
-	if m.capacity <= 0 {
-		return 0
-	}
-	u := m.Rate(now) / m.capacity
-	if u < 0 {
-		return 0
-	}
-	if u > 1 {
-		return 1
-	}
-	return u
-}
-
-// Capacity returns the configured capacity.
-func (m *RateMeter) Capacity() float64 { return m.capacity }

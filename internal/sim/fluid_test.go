@@ -84,21 +84,3 @@ func TestFluidServerNeverExceedsRateProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRateMeter(t *testing.T) {
-	m := NewRateMeter(1000, Millisecond)
-	now := Time(0)
-	m.Add(now, 500)
-	// Rate reported once the window elapses, averaged over actual time.
-	now += Time(Millisecond)
-	if r := m.Rate(now); math.Abs(r-500_000) > 1 {
-		t.Fatalf("rate = %f, want 500000/s", r)
-	}
-	if u := m.Utilization(now); u != 1 {
-		t.Fatalf("utilization should clamp to 1, got %f", u)
-	}
-	m2 := NewRateMeter(0, Millisecond)
-	if m2.Utilization(0) != 0 {
-		t.Fatal("zero-capacity meter should report 0")
-	}
-}

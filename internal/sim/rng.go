@@ -74,9 +74,6 @@ func (g *RNG) Float64() float64 {
 	return float64(g.Uint64()>>11) / (1 << 53)
 }
 
-// Uniform returns a float in [lo, hi).
-func (g *RNG) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*g.Float64() }
-
 // UniformInt returns an int64 in [lo, hi] inclusive.
 func (g *RNG) UniformInt(lo, hi int64) int64 {
 	if hi <= lo {
@@ -187,6 +184,3 @@ func (z *Zipf) Next(g *RNG) int64 {
 	}
 	return v
 }
-
-// N returns the domain size.
-func (z *Zipf) N() int64 { return z.n }

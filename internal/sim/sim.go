@@ -312,9 +312,6 @@ func (p *Proc) TakeFail() error {
 // difference across a call to count the wakeups the call took.
 func (p *Proc) Resumes() uint64 { return p.epoch }
 
-// Name returns the name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Sim returns the simulation the proc belongs to.
 func (p *Proc) Sim() *Sim { return p.sim }
 
@@ -519,15 +516,6 @@ func NewResource(capacity int) *Resource {
 	return &Resource{capacity: capacity}
 }
 
-// SetCapacity changes the capacity and wakes waiters that may now fit.
-func (r *Resource) SetCapacity(s *Sim, capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	r.capacity = capacity
-	r.q.WakeAll(s)
-}
-
 // Acquire blocks p until a unit is available, then takes it. It returns the
 // simulated time spent waiting.
 func (r *Resource) Acquire(p *Proc) Duration {
@@ -539,15 +527,6 @@ func (r *Resource) Acquire(p *Proc) Duration {
 	return Duration(p.sim.now - start)
 }
 
-// TryAcquire takes a unit if one is available without blocking.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse >= r.capacity {
-		return false
-	}
-	r.inUse++
-	return true
-}
-
 // Release returns a unit and wakes one waiter.
 func (r *Resource) Release(s *Sim) {
 	if r.inUse <= 0 {
@@ -557,12 +536,6 @@ func (r *Resource) Release(s *Sim) {
 	r.q.WakeOne(s)
 }
 
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
 // Waiting returns the number of procs parked waiting for a unit — the
 // resource's instantaneous queue depth.
 func (r *Resource) Waiting() int { return r.q.Len() }
-
-// Capacity returns the current capacity.
-func (r *Resource) Capacity() int { return r.capacity }

@@ -64,14 +64,6 @@ func (h *Hist) Observe(d sim.Duration) {
 	}
 }
 
-// Cum returns the cumulative histogram (zero value on nil).
-func (h *Hist) Cum() Histogram {
-	if h == nil {
-		return Histogram{}
-	}
-	return h.h
-}
-
 // metric is one registered series plus its sampling state.
 type metric struct {
 	subsystem string

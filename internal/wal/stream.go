@@ -1,8 +1,6 @@
 package wal
 
 import (
-	"sort"
-
 	"repro/internal/sim"
 )
 
@@ -34,19 +32,6 @@ func (l *Log) NewStreamReader() *StreamReader {
 // crash) has a durable tail to deliver but would otherwise park until
 // the next flush advances the boundary.
 func (l *Log) WakeStream() { l.streamQ.WakeAll(l.sm) }
-
-// SeekLSN repositions the reader so the next record returned is the
-// first with LSN > lsn. Note that zero-byte records share their
-// predecessor's end LSN, so an LSN is ambiguous within such a run;
-// replication reconnect uses SeekPos instead, which is exact.
-func (r *StreamReader) SeekLSN(lsn int64) {
-	recs := r.l.records
-	r.pos = sort.Search(len(recs), func(i int) bool { return recs[i].LSN > lsn })
-}
-
-// Pos returns the reader's stream position: the index (in append order)
-// of the next unread record.
-func (r *StreamReader) Pos() int { return r.pos }
 
 // SeekPos repositions the reader to an absolute stream position.
 // Reconnect after a standby crash seeks to the standby's retained record
@@ -84,12 +69,6 @@ func (r *StreamReader) NextBatch(p *sim.Proc) ([]*Record, int, bool) {
 		}
 		r.l.streamQ.Wait(p)
 	}
-}
-
-// Poll returns unread durable records without blocking (possibly none)
-// plus the stream position of the first.
-func (r *StreamReader) Poll() ([]*Record, int) {
-	return r.durableTail()
 }
 
 // durableTail slices out unread records whose end byte is flushed and

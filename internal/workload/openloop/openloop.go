@@ -30,18 +30,17 @@ type Storm struct {
 
 // Config shapes the offered load.
 type Config struct {
-	Rate       float64      // mean connection arrivals per second
-	Horizon    sim.Duration // generate arrivals in [0, Horizon)
-	ReqPerConn float64      // mean requests per connection (geometric, min 1; default 8)
-	Think      sim.Duration // mean think time between requests (default 50ms)
-	QueryFrac  float64      // fraction of requests that are analytical (default 0)
-	Storm      *Storm       // optional burst window
+	Rate      float64      // mean connection arrivals per second
+	Horizon   sim.Duration // generate arrivals in [0, Horizon)
+	Think     sim.Duration // mean think time between requests (default 50ms)
+	QueryFrac float64      // fraction of requests that are analytical (default 0)
+	Storm     *Storm       // optional burst window
 }
 
+// reqPerConn is the mean requests per connection (geometric, min 1).
+const reqPerConn = 8.0
+
 func (c Config) withDefaults() Config {
-	if c.ReqPerConn <= 0 {
-		c.ReqPerConn = 8
-	}
 	if c.Think <= 0 {
 		c.Think = 50 * sim.Millisecond
 	}
@@ -113,9 +112,9 @@ func Build(cfg Config, g *sim.RNG) *Plan {
 			break
 		}
 		c := ConnPlan{At: sim.Time(at)}
-		// Geometric request count with the configured mean, min 1.
+		// Geometric request count with mean reqPerConn, min 1.
 		nreq := 1
-		for g.Float64() > 1/cfg.ReqPerConn {
+		for g.Float64() > 1/reqPerConn {
 			nreq++
 		}
 		for r := 0; r < nreq; r++ {

@@ -37,7 +37,6 @@ type Config struct {
 const (
 	accountsPerCustomer = 5
 	securitiesPer1000   = 685
-	brokersPer100       = 1
 	// The spec loads 125 initial trade days at 8 trades/customer/day
 	// plus intra-day activity: ~17,280 initial trades per customer,
 	// which lands the 5000-customer database near the paper's 32 GB.

@@ -199,7 +199,6 @@ type aggSpec struct {
 func sum(name, col string) aggSpec { return aggSpec{name, exec.AggSum, col} }
 func cnt(name string) aggSpec      { return aggSpec{name, exec.AggCount, ""} }
 func mn(name, col string) aggSpec  { return aggSpec{name, exec.AggMin, col} }
-func mx(name, col string) aggSpec  { return aggSpec{name, exec.AggMax, col} }
 func avg(name, col string) aggSpec { return aggSpec{name, exec.AggAvg, col} }
 
 // groupBy aggregates; output layout = groups ++ agg names. ngroups is the

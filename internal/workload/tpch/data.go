@@ -30,11 +30,9 @@ type Config struct {
 	Seed                int64
 }
 
-// Dates: day numbers since 1992-01-01; the spec's data spans 7 years.
-const (
-	DateLo = 0
-	DateHi = 7 * 365
-)
+// Dates are day numbers since 1992-01-01 (day 0); the spec's data spans
+// 7 years.
+const DateHi = 7 * 365
 
 // Date returns the day number of year y (1992-1998), month m, day d
 // (approximate months of 30.4 days; resolution is irrelevant to plan

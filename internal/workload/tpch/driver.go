@@ -11,14 +11,6 @@ type StreamStats struct {
 	Elapsed     sim.Duration
 }
 
-// QPS returns queries per second.
-func (s StreamStats) QPS() float64 {
-	if s.Elapsed <= 0 {
-		return 0
-	}
-	return float64(s.QueriesDone) / s.Elapsed.Seconds()
-}
-
 // RunStreams drives `streams` concurrent query streams, each running the
 // 22 queries in an independent random order repeatedly, until the
 // simulation reaches `until`. Call after srv.Start; the caller advances

@@ -74,19 +74,12 @@ func (d *Dataset) query(n int, g *sim.RNG) *opt.LNode {
 // NumQueries is the size of the query set.
 const NumQueries = 22
 
-// nomL etc. give nominal cardinalities for hints.
-func (d *Dataset) nomL() float64  { return float64(d.L.NominalRows()) }
+// nomO etc. give nominal cardinalities for hints.
 func (d *Dataset) nomO() float64  { return float64(d.O.NominalRows()) }
 func (d *Dataset) nomPS() float64 { return float64(d.PS.NominalRows()) }
 func (d *Dataset) nomP() float64  { return float64(d.P.NominalRows()) }
 func (d *Dataset) nomS() float64  { return float64(d.S.NominalRows()) }
 func (d *Dataset) nomC() float64  { return float64(d.C.NominalRows()) }
-
-// nationCode returns the dictionary code of a nation name.
-func (d *Dataset) nationCode(name string) int64 {
-	c, _ := d.N.Pool(1).Lookup(name)
-	return c
-}
 
 // Q1: pricing summary report. Scan ~97% of lineitem, compute derived
 // prices, aggregate into a handful of (returnflag, linestatus) groups.
