@@ -12,9 +12,10 @@
 // and EXPERIMENTS.md.
 //
 // Unknown experiment names, unknown -emit / -workload / -schedule
-// values, and -workload on an experiment that ignores it are usage
-// errors, rejected before any side effect (no output file is created,
-// no sweep starts).
+// values, out-of-range -trace / -measure / -warmup / -rate / -density,
+// and -workload on an experiment that ignores it are usage errors,
+// rejected before any side effect (no output file is created, no sweep
+// starts).
 //
 // With -emit json|csv, every result is also written as structured
 // records (JSONL or fixed-column CSV) to the -o path, byte-identical
@@ -40,6 +41,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/workload/tpch"
 )
 
 // cli is the parsed command line: the harness.Env the flags fill in
@@ -355,6 +357,23 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if sched := c.env.Schedule; sched != "" {
 		if known := fault.ScheduleNames(); !slices.Contains(known, sched) {
 			fmt.Fprintf(stderr, "unknown -schedule %q (want one of %v)\n", sched, known)
+			return 2
+		}
+	}
+	for _, f := range []struct {
+		ok   bool
+		flag string
+		val  any
+		want string
+	}{
+		{c.env.TraceQuery >= 1 && c.env.TraceQuery <= tpch.NumQueries, "-trace", c.env.TraceQuery, fmt.Sprintf("1..%d", tpch.NumQueries)},
+		{c.measure > 0, "-measure", c.measure, "> 0"},
+		{c.warmup >= 0, "-warmup", c.warmup, ">= 0"},
+		{c.env.Rate > 0, "-rate", c.env.Rate, "> 0"},
+		{c.env.Opt.Density >= 0, "-density", c.env.Opt.Density, ">= 0"},
+	} {
+		if !f.ok {
+			fmt.Fprintf(stderr, "%s %v out of range (want %s)\n", f.flag, f.val, f.want)
 			return 2
 		}
 	}

@@ -47,6 +47,14 @@ func TestUsageErrorsHaveNoSideEffects(t *testing.T) {
 		{"-workload on a row that ignores it", []string{"run", "fig5", "-workload", "asdb"}, "fig5 ignores -workload"},
 		{"-workload on serve", []string{"serve", "-workload", "asdb"}, "serve ignores -workload"},
 		{"unknown -schedule", []string{"run", "chaos", "-schedule", "meteor"}, `unknown -schedule "meteor"`},
+		{"-trace past the last query", []string{"run", "trace", "-trace", "99"}, "-trace 99 out of range (want 1..22)"},
+		{"-trace 0", []string{"run", "trace", "-trace", "0"}, "-trace 0 out of range (want 1..22)"},
+		{"-measure 0", []string{"run", "fig5write", "-measure", "0"}, "-measure 0 out of range (want > 0)"},
+		{"-measure NaN", []string{"run", "fig5write", "-measure", "NaN"}, "-measure NaN out of range (want > 0)"},
+		{"-warmup negative", []string{"run", "fig5write", "-warmup", "-1"}, "-warmup -1 out of range (want >= 0)"},
+		{"-rate 0", []string{"run", "serve", "-rate", "0"}, "-rate 0 out of range (want > 0)"},
+		{"-rate negative", []string{"serve", "-rate", "-5"}, "-rate -5 out of range (want > 0)"},
+		{"-density negative", []string{"run", "fig5write", "-density", "-1"}, "-density -1 out of range (want >= 0)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Every sink flag is set (right after the subcommand, so the

@@ -3,6 +3,7 @@ package access
 import (
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/buffer"
 	"repro/internal/colstore"
 	"repro/internal/hw"
@@ -105,14 +106,14 @@ func TestBTIndexProbeFindsRows(t *testing.T) {
 	f.sm.Spawn("w", func(p *sim.Proc) {
 		ctx := f.ctx(p)
 		for i := int64(0); i < 50; i++ {
-			if rowID, ok := ix.Probe(ctx, KeyFor(i*7), i*7*tb.K, false); ok {
+			if rowID, ok := ix.Probe(ctx, btree.Key{i * 7}, i*7*tb.K, false); ok {
 				if tb.Get(rowID, 0) != i*7 {
 					t.Errorf("probe returned wrong row")
 				}
 				found++
 			}
 		}
-		if _, ok := ix.Probe(ctx, KeyFor(99999), 0, false); !ok {
+		if _, ok := ix.Probe(ctx, btree.Key{99999}, 0, false); !ok {
 			missed++
 		}
 		ctx.Flush()
@@ -128,7 +129,7 @@ func TestBTIndexLookupAllPrefix(t *testing.T) {
 	tb := f.table(1, 100)
 	// Non-unique index on v = id % 50: two rows per value.
 	ix := NewBTIndex(51, "ix_v", tb, []int{1}, false, false)
-	got := ix.LookupAll(KeyFor(7))
+	got := ix.LookupAll(btree.Key{7})
 	if len(got) != 2 {
 		t.Fatalf("prefix matches = %d, want 2", len(got))
 	}
@@ -137,7 +138,7 @@ func TestBTIndexLookupAllPrefix(t *testing.T) {
 			t.Fatal("wrong row matched")
 		}
 	}
-	if n := len(ix.LookupAll(KeyFor(999))); n != 0 {
+	if n := len(ix.LookupAll(btree.Key{999})); n != 0 {
 		t.Fatalf("missing prefix matched %d", n)
 	}
 }
@@ -145,14 +146,13 @@ func TestBTIndexLookupAllPrefix(t *testing.T) {
 func TestBTIndexGeometryGrowsWithTable(t *testing.T) {
 	f := newFixture()
 	tb := f.table(1000, 100)
-	ix := NewBTIndex(52, "pk", tb, []int{0}, true, false)
-	before := ix.NominalBytes()
+	before := NewBTIndex(52, "pk", tb, []int{0}, true, false).NominalBytes()
 	for i := 0; i < 100_000; i++ {
 		tb.InsertNominal([]int64{int64(i), 0})
 	}
-	ix.RefreshGeometry()
-	if ix.NominalBytes() <= before {
-		t.Fatalf("geometry did not grow: %d -> %d", before, ix.NominalBytes())
+	after := NewBTIndex(53, "pk", tb, []int{0}, true, false).NominalBytes()
+	if after <= before {
+		t.Fatalf("geometry did not grow: %d -> %d", before, after)
 	}
 }
 

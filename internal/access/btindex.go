@@ -76,11 +76,6 @@ func (ix *BTIndex) refreshGeom(keyWidth, rowRef int64) {
 	}
 }
 
-// RefreshGeometry recomputes nominal geometry after table growth.
-func (ix *BTIndex) RefreshGeometry() {
-	ix.refreshGeom(ix.geom.KeyWidth, ix.geom.RowRefWidth)
-}
-
 // Geom returns the nominal geometry.
 func (ix *BTIndex) Geom() btree.Geom { return ix.geom }
 
@@ -104,9 +99,6 @@ func (ix *BTIndex) appendKey(k btree.Key, rowID int64) btree.Key {
 	}
 	return k
 }
-
-// KeyFor builds a search key from explicit values.
-func KeyFor(vals ...int64) btree.Key { return btree.Key(vals) }
 
 // leafPage maps a nominal row position to its leaf page within File (NC)
 // or within the table's data file (clustered).

@@ -1,7 +1,8 @@
 // Package btree implements an in-memory B-tree over composite int64 keys,
 // used for the engine's row-store indexes (clustered and nonclustered).
-// Duplicate keys are permitted; callers that need uniqueness (required for
-// exact Delete) append the row ID as a final key component.
+// Duplicate keys are permitted; callers that need uniqueness append the
+// row ID as a final key component. Entries are never removed: the engine
+// deletes a row by ghosting it in the table.
 //
 // The tree provides the functional behaviour (point and range lookups in
 // key order); the *cost* of probing a paper-scale index is derived from
@@ -161,126 +162,6 @@ func (t *Tree) Get(k Key) (int64, bool) {
 		return it.Value(), true
 	}
 	return 0, false
-}
-
-// Delete removes the entry with key exactly k (the first one, if the
-// caller inserted duplicates) and reports whether an entry was removed.
-func (t *Tree) Delete(k Key) bool {
-	if !t.root.remove(k) {
-		return false
-	}
-	if len(t.root.keys) == 0 && !t.root.leaf() {
-		t.root = t.root.children[0]
-	}
-	t.size--
-	return true
-}
-
-// remove implements CLRS B-tree deletion: every recursive descent happens
-// into a child that is guaranteed to hold at least minDegree keys.
-func (n *node) remove(k Key) bool {
-	i := n.findGE(k)
-	found := i < len(n.keys) && Compare(n.keys[i], k) == 0
-	if n.leaf() {
-		if !found {
-			return false
-		}
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
-		return true
-	}
-	if found {
-		left, right := n.children[i], n.children[i+1]
-		switch {
-		case len(left.keys) >= minDegree:
-			pk, pv := left.max()
-			n.keys[i], n.vals[i] = pk, pv
-			return left.remove(pk)
-		case len(right.keys) >= minDegree:
-			sk, sv := right.min()
-			n.keys[i], n.vals[i] = sk, sv
-			return right.remove(sk)
-		default:
-			n.mergeChildren(i)
-			return n.children[i].remove(k)
-		}
-	}
-	// Not in this node: descend into child i after ensuring it is not
-	// minimal.
-	if len(n.children[i].keys) < minDegree {
-		i = n.fillChild(i)
-	}
-	return n.children[i].remove(k)
-}
-
-// fillChild grows child i to at least minDegree keys by borrowing or
-// merging; it returns the (possibly shifted) child index to descend into.
-func (n *node) fillChild(i int) int {
-	if i > 0 && len(n.children[i-1].keys) >= minDegree {
-		// Borrow from left sibling: rotate through parent key i-1.
-		c, left := n.children[i], n.children[i-1]
-		c.keys = append([]Key{n.keys[i-1]}, c.keys...)
-		c.vals = append([]int64{n.vals[i-1]}, c.vals...)
-		if !c.leaf() {
-			c.children = append([]*node{left.children[len(left.children)-1]}, c.children...)
-			left.children = left.children[:len(left.children)-1]
-		}
-		n.keys[i-1] = left.keys[len(left.keys)-1]
-		n.vals[i-1] = left.vals[len(left.vals)-1]
-		left.keys = left.keys[:len(left.keys)-1]
-		left.vals = left.vals[:len(left.vals)-1]
-		return i
-	}
-	if i < len(n.children)-1 && len(n.children[i+1].keys) >= minDegree {
-		c, right := n.children[i], n.children[i+1]
-		c.keys = append(c.keys, n.keys[i])
-		c.vals = append(c.vals, n.vals[i])
-		if !c.leaf() {
-			c.children = append(c.children, right.children[0])
-			right.children = right.children[1:]
-		}
-		n.keys[i] = right.keys[0]
-		n.vals[i] = right.vals[0]
-		right.keys = right.keys[1:]
-		right.vals = right.vals[1:]
-		return i
-	}
-	if i == len(n.children)-1 {
-		i--
-	}
-	n.mergeChildren(i)
-	return i
-}
-
-// mergeChildren merges child i, parent key i, and child i+1 into child i.
-func (n *node) mergeChildren(i int) {
-	left, right := n.children[i], n.children[i+1]
-	left.keys = append(left.keys, n.keys[i])
-	left.vals = append(left.vals, n.vals[i])
-	left.keys = append(left.keys, right.keys...)
-	left.vals = append(left.vals, right.vals...)
-	if !left.leaf() {
-		left.children = append(left.children, right.children...)
-	}
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.vals = append(n.vals[:i], n.vals[i+1:]...)
-	n.children = append(n.children[:i+1], n.children[i+2:]...)
-}
-
-// max returns the largest entry in the subtree.
-func (n *node) max() (Key, int64) {
-	for !n.leaf() {
-		n = n.children[len(n.children)-1]
-	}
-	return n.keys[len(n.keys)-1], n.vals[len(n.vals)-1]
-}
-
-// min returns the smallest entry in the subtree.
-func (n *node) min() (Key, int64) {
-	for !n.leaf() {
-		n = n.children[0]
-	}
-	return n.keys[0], n.vals[0]
 }
 
 // iterFrame is one level of the iterator's descent stack.

@@ -130,101 +130,6 @@ func TestSeekAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestDeleteRandomizedAgainstReference(t *testing.T) {
-	g := sim.NewRNG(99)
-	tr := New()
-	ref := make(map[int64]int64)
-	var keys []int64
-	for i := 0; i < 5000; i++ {
-		k := g.Int64n(10000)
-		if _, exists := ref[k]; exists {
-			continue
-		}
-		tr.Insert(Key{k}, int64(i))
-		ref[k] = int64(i)
-		keys = append(keys, k)
-	}
-	// Delete half in random order.
-	perm := g.Perm(len(keys))
-	for _, idx := range perm[:len(perm)/2] {
-		k := keys[idx]
-		if !tr.Delete(Key{k}) {
-			t.Fatalf("Delete(%d) failed", k)
-		}
-		delete(ref, k)
-	}
-	if tr.Len() != len(ref) {
-		t.Fatalf("len = %d, want %d", tr.Len(), len(ref))
-	}
-	// Everything remaining is present with the right value; everything
-	// deleted is gone.
-	for _, k := range keys {
-		v, ok := tr.Get(Key{k})
-		want, exists := ref[k]
-		if ok != exists || (ok && v != want) {
-			t.Fatalf("Get(%d) = (%d,%v), want (%d,%v)", k, v, ok, want, exists)
-		}
-	}
-	// Iteration still sorted.
-	it := tr.Min()
-	prev := int64(-1)
-	n := 0
-	for it.Valid() {
-		if it.Key()[0] <= prev {
-			t.Fatalf("order violated: %d after %d", it.Key()[0], prev)
-		}
-		prev = it.Key()[0]
-		n++
-		it.Next()
-	}
-	if n != len(ref) {
-		t.Fatalf("iterated %d, want %d", n, len(ref))
-	}
-}
-
-func TestDeleteMissingReturnsFalse(t *testing.T) {
-	tr := New()
-	tr.Insert(Key{5}, 1)
-	if tr.Delete(Key{6}) {
-		t.Fatal("deleted missing key")
-	}
-	if !tr.Delete(Key{5}) || tr.Len() != 0 {
-		t.Fatal("delete of present key failed")
-	}
-	if tr.Delete(Key{5}) {
-		t.Fatal("double delete succeeded")
-	}
-}
-
-func TestDeleteEverythingProperty(t *testing.T) {
-	g := sim.NewRNG(3)
-	f := func(nRaw uint16) bool {
-		n := int(nRaw%500) + 1
-		tr := New()
-		ks := make([]int64, 0, n)
-		seen := make(map[int64]bool)
-		for i := 0; i < n; i++ {
-			k := g.Int64n(5000)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			tr.Insert(Key{k}, k)
-			ks = append(ks, k)
-		}
-		for _, idx := range g.Perm(len(ks)) {
-			if !tr.Delete(Key{ks[idx]}) {
-				return false
-			}
-		}
-		it := tr.Min()
-		return tr.Len() == 0 && !it.Valid()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGeom(t *testing.T) {
 	g := Geom{KeyWidth: 8, RowRefWidth: 9, NominalRows: 100_000_000}
 	if g.LeafEntriesPerPage() != 8096/24 {

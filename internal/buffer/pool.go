@@ -622,12 +622,6 @@ func (p *Pool) DurablePageLSN(file int, page int64) int64 {
 	return p.durable[pageKey{file, page}]
 }
 
-// DirtyPageLSNs returns a page's (recLSN, pageLSN), zero when clean.
-func (p *Pool) DirtyPageLSNs(file int, page int64) (recLSN, pageLSN int64) {
-	pk := pageKey{file, page}
-	return p.dirtyRec[pk], p.dirtyLast[pk]
-}
-
 // WarmFile marks an entire file resident (up to pool capacity), modelling
 // a post-load warm cache. Pages beyond capacity stay cold.
 func (p *Pool) WarmFile(f *storage.File) {

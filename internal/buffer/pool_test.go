@@ -272,7 +272,7 @@ func TestFuzzyCheckpointTracksRecLSN(t *testing.T) {
 	p.Stop()
 	l.Stop()
 	s.Run(sim.Time(2 * sim.Second))
-	if rec, last := p.DirtyPageLSNs(1, 7); rec != 0 || last != 0 {
+	if rec, last := p.dirtyRec[pageKey{1, 7}], p.dirtyLast[pageKey{1, 7}]; rec != 0 || last != 0 {
 		t.Fatalf("page still dirty after checkpoint (recLSN=%d pageLSN=%d)", rec, last)
 	}
 	if got := p.DurablePageLSN(1, 7); got != 400 {

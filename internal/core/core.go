@@ -2,9 +2,9 @@
 // library: resource-sensitivity characterization. Given measurements of a
 // workload under swept resource allocations (cores, LLC ways, bandwidth
 // limits, DOP, memory grants), it derives the analyses the paper reports:
-// normalized sensitivity curves, knees, sufficient-capacity thresholds
-// (Table 4), speedup matrices (Figures 6 and 8), and linear-versus-actual
-// response comparisons (Figure 5), plus paper-style text rendering.
+// sensitivity curves, knees, sufficient-capacity thresholds (Table 4),
+// before/after ratios (Table 3), and linear-versus-actual response
+// comparisons (Figure 5), plus paper-style text rendering.
 package core
 
 import (
@@ -67,35 +67,6 @@ func (c Curve) Last() Point {
 	return c.Points[len(c.Points)-1]
 }
 
-// Normalized returns the curve scaled so that Y at the largest X is 1
-// (the paper's "relative to full allocation" presentation).
-func (c Curve) Normalized() Curve {
-	base := c.Last().Y
-	out := Curve{Name: c.Name}
-	for _, p := range c.Points {
-		y := 0.0
-		if base != 0 {
-			y = p.Y / base
-		}
-		out.Points = append(out.Points, Point{p.X, y})
-	}
-	return out
-}
-
-// SpeedupVs returns Y(x)/Y(refX) for every point (Figure 6/8 bars: each
-// setting relative to a baseline setting).
-func (c Curve) SpeedupVs(refX float64) (Curve, error) {
-	ref, ok := c.At(refX)
-	if !ok || ref == 0 {
-		return Curve{}, fmt.Errorf("core: no baseline at x=%v for %q", refX, c.Name)
-	}
-	out := Curve{Name: c.Name}
-	for _, p := range c.Points {
-		out.Points = append(out.Points, Point{p.X, p.Y / ref})
-	}
-	return out, nil
-}
-
 // SufficientCapacity returns the smallest X whose Y reaches frac of the
 // full-allocation Y (Table 4: LLC size for >= 90% / 95% performance).
 // ok is false if no point qualifies.
@@ -138,20 +109,6 @@ func (c Curve) Knee() (Point, bool) {
 		return Point{}, false
 	}
 	return c.Points[bestI], true
-}
-
-// MarginalGain returns the per-unit improvement between consecutive
-// points: (Y_{i+1}-Y_i)/(X_{i+1}-X_i), reported at the right endpoint.
-func (c Curve) MarginalGain() Curve {
-	out := Curve{Name: c.Name + " (marginal)"}
-	for i := 1; i < len(c.Points); i++ {
-		a, b := c.Points[i-1], c.Points[i]
-		if b.X == a.X {
-			continue
-		}
-		out.Points = append(out.Points, Point{b.X, (b.Y - a.Y) / (b.X - a.X)})
-	}
-	return out
 }
 
 // LinearReference returns the straight line through the origin and the

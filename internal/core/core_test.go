@@ -30,25 +30,6 @@ func TestAtInterpolates(t *testing.T) {
 	}
 }
 
-func TestNormalizedAndSpeedup(t *testing.T) {
-	c := NewCurve("c", []Point{{1, 10}, {2, 15}, {4, 20}})
-	n := c.Normalized()
-	if n.Last().Y != 1 {
-		t.Fatalf("normalized last = %v", n.Last().Y)
-	}
-	s, err := c.SpeedupVs(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := s.At(1); got != 0.5 {
-		t.Fatalf("speedup at 1 = %v", got)
-	}
-	if _, err := c.SpeedupVs(3.3); err == nil {
-		// 3.3 interpolates fine, so this should actually succeed.
-		t.Log("interpolated baseline accepted")
-	}
-}
-
 func TestSufficientCapacity(t *testing.T) {
 	c := kneeCurve()
 	x90, ok := c.SufficientCapacity(0.90)
@@ -104,14 +85,6 @@ func TestLinearReferenceAndTarget(t *testing.T) {
 	// The paper's example: ~20% savings.
 	if savings := 1 - actualX/linearX; savings < 0.05 {
 		t.Fatalf("savings = %.2f", savings)
-	}
-}
-
-func TestMarginalGain(t *testing.T) {
-	c := NewCurve("c", []Point{{0, 0}, {1, 10}, {2, 15}})
-	m := c.MarginalGain()
-	if len(m.Points) != 2 || m.Points[0].Y != 10 || m.Points[1].Y != 5 {
-		t.Fatalf("marginal = %v", m.Points)
 	}
 }
 

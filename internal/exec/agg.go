@@ -150,6 +150,14 @@ func (t *aggTable) adopt(g *groupEnt) *groupEnt {
 	return g
 }
 
+func seqInts(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 // adoptAll merges a partition-local table into t.
 func (t *aggTable) adoptAll(src *aggTable) {
 	for _, g := range src.ents {

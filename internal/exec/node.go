@@ -17,9 +17,7 @@ const (
 	KColScan
 	KHashJoin
 	KNLIndexJoin
-	KMergeJoin
 	KHashAgg
-	KStreamAgg
 	KSort
 	KTop
 	KFilter
@@ -37,12 +35,8 @@ func (k NodeKind) String() string {
 		return "Hash Join"
 	case KNLIndexJoin:
 		return "Nested Loops (Index Seek)"
-	case KMergeJoin:
-		return "Merge Join"
 	case KHashAgg:
 		return "Hash Aggregate"
-	case KStreamAgg:
-		return "Stream Aggregate"
 	case KSort:
 		return "Sort"
 	case KTop:
@@ -201,12 +195,8 @@ func (n *Node) Shape() string {
 		short = "HJ"
 	case KNLIndexJoin:
 		short = "NL"
-	case KMergeJoin:
-		short = "MJ"
 	case KHashAgg:
 		short = "Agg"
-	case KStreamAgg:
-		short = "SAgg"
 	case KSort:
 		short = "Sort"
 	case KTop:

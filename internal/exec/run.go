@@ -76,16 +76,9 @@ func execNode(p *sim.Proc, env *Env, n *Node, st *QueryStats) []Row {
 	case KNLIndexJoin:
 		outer := runNode(p, env, n.Left, st)
 		return runNLIndexJoin(p, env, n, st, outer)
-	case KMergeJoin:
-		left := runNode(p, env, n.Left, st)
-		right := runNode(p, env, n.Right, st)
-		return runMergeJoin(p, env, n, st, left, right)
 	case KHashAgg:
 		in := runNode(p, env, n.Left, st)
 		return runHashAgg(p, env, n, st, in)
-	case KStreamAgg:
-		in := runNode(p, env, n.Left, st)
-		return runStreamAgg(p, env, n, st, in)
 	case KSort:
 		in := runNode(p, env, n.Left, st)
 		return runSort(p, env, n, st, in)

@@ -43,17 +43,6 @@ func diffCases() []diffCase {
 			Weight: orders.K, Parallel: par,
 		}
 	}
-	mergeNode := func(te *testEnv, jt JoinType) *Node {
-		orders := te.ordersTable()
-		cust := te.custTable()
-		return &Node{
-			Kind:      KMergeJoin,
-			Left:      scanNode(orders, []int{0, 1, 2}, nil, 0, true),
-			Right:     scanNode(cust, []int{0, 1}, nil, 0, false),
-			BuildKeys: []int{1}, ProbeKeys: []int{0}, JoinType: jt,
-			Weight: orders.K, Parallel: true,
-		}
-	}
 	nlNode := func(te *testEnv, jt JoinType) *Node {
 		orders := te.ordersTable()
 		cust := te.custTable()
@@ -151,13 +140,6 @@ func diffCases() []diffCase {
 				Weight: 5,
 			}
 		}},
-		{name: "streamagg", build: func(te *testEnv) *Node {
-			return &Node{
-				Kind:   KStreamAgg,
-				Left:   scanNode(te.ordersTable(), []int{1, 2}, nil, 0, true),
-				Groups: []int{0}, Aggs: allAggs, Weight: 5, Parallel: true,
-			}
-		}},
 		{name: "sort-multikey", build: func(te *testEnv) *Node {
 			return &Node{
 				Kind:   KSort,
@@ -192,13 +174,6 @@ func diffCases() []diffCase {
 		{name: "agg-empty-input-scalar", build: func(te *testEnv) *Node {
 			return &Node{
 				Kind: KHashAgg,
-				Left: scanNode(te.ordersTable(), []int{1, 2}, func(r Row) bool { return false }, 1, true),
-				Aggs: allAggs, Weight: 5,
-			}
-		}},
-		{name: "streamagg-empty-input-scalar", build: func(te *testEnv) *Node {
-			return &Node{
-				Kind: KStreamAgg,
 				Left: scanNode(te.ordersTable(), []int{1, 2}, func(r Row) bool { return false }, 1, true),
 				Aggs: allAggs, Weight: 5,
 			}
@@ -247,9 +222,6 @@ func diffCases() []diffCase {
 				n.Right.Pred = func(r Row) bool { return false }
 				n.Right.NPred = 1
 				return n
-			}},
-			diffCase{name: fmt.Sprintf("mergejoin-%d", jt), build: func(te *testEnv) *Node {
-				return mergeNode(te, jt)
 			}},
 			diffCase{name: fmt.Sprintf("nljoin-%d", jt), build: func(te *testEnv) *Node {
 				return nlNode(te, jt)

@@ -19,10 +19,10 @@ import (
 // cache model samples coarse streaming touches, so both engines issue
 // the same touch pattern (see access.ScanCursor).
 //
-// NL index join, merge join, and stream aggregate are row-bridged: their
-// row-at-a-time bodies run unchanged between batch conversions, which
-// keeps output identity trivially and costs one materialization at the
-// operator boundary (where the row engine materializes anyway).
+// NL index join is row-bridged: its row-at-a-time body runs unchanged
+// between batch conversions, which keeps output identity trivially and
+// costs one materialization at the operator boundary (where the row
+// engine materializes anyway).
 
 // runNodeVec mirrors runNode for the batch engine; spans additionally
 // record the emitted batch count.
@@ -45,7 +45,6 @@ func runNodeVec(p *sim.Proc, env *Env, n *Node, st *QueryStats) []*Batch {
 }
 
 func execNodeVec(p *sim.Proc, env *Env, n *Node, st *QueryStats) []*Batch {
-	size := batchSize(env)
 	switch n.Kind {
 	case KRowScan:
 		return vecRowScan(p, env, n)
@@ -57,17 +56,10 @@ func execNodeVec(p *sim.Proc, env *Env, n *Node, st *QueryStats) []*Batch {
 		return vecHashJoin(p, env, n, st, build, probe)
 	case KNLIndexJoin:
 		outer := batchesToRows(runNodeVec(p, env, n.Left, st))
-		return rowsToBatches(runNLIndexJoin(p, env, n, st, outer), size)
-	case KMergeJoin:
-		left := batchesToRows(runNodeVec(p, env, n.Left, st))
-		right := batchesToRows(runNodeVec(p, env, n.Right, st))
-		return rowsToBatches(runMergeJoin(p, env, n, st, left, right), size)
+		return rowsToBatches(runNLIndexJoin(p, env, n, st, outer), batchSize(env))
 	case KHashAgg:
 		in := runNodeVec(p, env, n.Left, st)
 		return vecHashAgg(p, env, n, st, in)
-	case KStreamAgg:
-		in := batchesToRows(runNodeVec(p, env, n.Left, st))
-		return rowsToBatches(runStreamAgg(p, env, n, st, in), size)
 	case KSort:
 		in := runNodeVec(p, env, n.Left, st)
 		return vecSort(p, env, n, st, in)

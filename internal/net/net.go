@@ -411,7 +411,7 @@ func (c *Conn) deliver(frame []byte) {
 
 // Recv blocks p until a frame arrives, draining buffered frames first.
 // After the inbox drains it returns the peer's close (ErrClosed) or the
-// typed error installed by Fail or a reset (ErrPeerReset).
+// error a reset installed (ErrPeerReset).
 func (c *Conn) Recv(p *sim.Proc) ([]byte, error) {
 	for len(c.inbox) == 0 && !c.closed && c.failed == nil && !c.peer.closed {
 		c.rq.Wait(p)
@@ -479,20 +479,6 @@ func (c *Conn) reset() {
 	if c.peer != nil {
 		c.peer.wasReset = true
 		c.peer.failed = ErrPeerReset
-	}
-	c.Close()
-}
-
-// Fail installs a typed error on the PEER endpoint and closes the
-// connection: the peer's pending and future Recv calls return err once
-// their inbox drains. This is how the serving layer wakes sessions
-// parked on a reply when the server stops mid-request.
-func (c *Conn) Fail(err error) {
-	if c.closed {
-		return
-	}
-	if c.peer != nil {
-		c.peer.failed = err
 	}
 	c.Close()
 }

@@ -151,26 +151,6 @@ func TestCloseWakesReceiverAfterBufferedFrames(t *testing.T) {
 	}
 }
 
-func TestFailDeliversTypedErrorToPeer(t *testing.T) {
-	sm := sim.New(1)
-	nw := New(sm, Config{})
-	l, _ := nw.Listen("db")
-	errShed := errors.New("shed")
-	var got error
-	sm.Spawn("server", func(p *sim.Proc) {
-		c, _ := l.Accept(p)
-		c.Fail(errShed)
-	})
-	sm.Spawn("client", func(p *sim.Proc) {
-		c, _ := nw.Dial(p, "db")
-		_, got = c.Recv(p)
-	})
-	sm.Run(sim.Time(sim.Second))
-	if !errors.Is(got, errShed) {
-		t.Fatalf("recv err = %v, want the Fail error", got)
-	}
-}
-
 // TestDeliverIsInstant pins the control-plane property the serving layer
 // leans on: Deliver charges neither bandwidth nor latency, so it can be
 // invoked from outside any proc (e.g. a stop hook) and the receiver sees

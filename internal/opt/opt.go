@@ -375,47 +375,6 @@ func (pl *Planner) planJoin(q *LNode, dop int) planned {
 				rowBytes: nlNode.RowBytes, costNs: nlCost, memNeed: left.memNeed}
 		}
 	}
-
-	// Candidate 3: merge join. Sorts both sides (which spill
-	// independently) and merges with no join-time workspace — the memory-
-	// constrained alternative SQL Server swaps in when grants are tight.
-	{
-		lBytes := int64(left.rows * float64(left.rowBytes+pl.Cost.TupleBytes))
-		rBytes := int64(right.rows * float64(right.rowBytes+pl.Cost.TupleBytes))
-		grantM := pl.grantBytes(maxI64(lBytes, rBytes))
-		spillM := int64(0)
-		if grantM > 0 {
-			if lBytes > grantM {
-				spillM += lBytes - grantM
-			}
-			if rBytes > grantM {
-				spillM += rBytes - grantM
-			}
-		}
-		sortCost := func(rows float64) float64 {
-			if rows < 2 {
-				return 0
-			}
-			return rows * pl.Cost.SortIPR * math.Log2(rows) * cpiNs
-		}
-		mergeCost := left.costNs + right.costNs +
-			(sortCost(left.rows)+sortCost(right.rows))/float64(dop) +
-			(left.rows+right.rows)*pl.Cost.AggIPR*0.5*cpiNs +
-			float64(2*spillM)*seqReadNsPerByte
-		if mergeCost < best.costNs {
-			mj := &exec.Node{
-				Kind: exec.KMergeJoin,
-				Left: left.node, Right: right.node,
-				BuildKeys: q.LeftKeys, ProbeKeys: q.RightKeys,
-				JoinType: q.JoinType,
-				EstRows:  outRows, Weight: outWeight, RowBytes: outBytes,
-				Parallel: dop > 1, Name: q.Name,
-			}
-			best = planned{node: mj, rows: outRows, weight: outWeight,
-				rowBytes: outBytes, costNs: mergeCost,
-				memNeed: maxI64(maxI64(left.memNeed, right.memNeed), maxI64(lBytes, rBytes))}
-		}
-	}
 	return best
 }
 
@@ -501,34 +460,8 @@ func (pl *Planner) planAgg(q *LNode, dop int) planned {
 	}
 	hashCost := child.costNs + child.rows*pl.Cost.AggIPR*cpiNs/float64(dop) +
 		float64(2*hashSpill)*seqReadNsPerByte
-	best := planned{node: hashNode, rows: groups, weight: w, rowBytes: rowBytes,
+	return planned{node: hashNode, rows: groups, weight: w, rowBytes: rowBytes,
 		costNs: hashCost, memNeed: maxI64(child.memNeed, memNeed)}
-
-	// Stream aggregate: sort the input, fold sequentially — no group
-	// table, so when the hash table far exceeds the grant the sort-based
-	// plan (whose spill is the input, once) can win. Grouped queries
-	// only; a scalar aggregate never builds a table worth spilling.
-	if len(q.Groups) > 0 && child.rows > 2 {
-		inBytes := int64(child.rows * float64(child.rowBytes+pl.Cost.TupleBytes))
-		sSpill := int64(0)
-		if grant > 0 && inBytes > grant {
-			sSpill = inBytes - grant
-		}
-		streamCost := child.costNs +
-			child.rows*(pl.Cost.SortIPR*math.Log2(child.rows)+pl.Cost.AggIPR*0.6)*cpiNs +
-			float64(2*sSpill)*seqReadNsPerByte
-		if streamCost < best.costNs {
-			sNode := &exec.Node{
-				Kind: exec.KStreamAgg, Left: child.node,
-				Groups: q.Groups, Aggs: q.Aggs,
-				EstRows: groups, Weight: w, RowBytes: rowBytes,
-				Parallel: dop > 1, Name: q.Name,
-			}
-			best = planned{node: sNode, rows: groups, weight: w, rowBytes: rowBytes,
-				costNs: streamCost, memNeed: maxI64(child.memNeed, inBytes)}
-		}
-	}
-	return best
 }
 
 func (pl *Planner) planSort(q *LNode, dop int) planned {

@@ -17,8 +17,6 @@ type Histogram struct {
 	Total  int64
 
 	Min, Max int64
-	// Distinct is an estimate of the number of distinct values.
-	Distinct int64
 }
 
 // BuildHistogram collects an equi-depth histogram with the given number
@@ -36,13 +34,6 @@ func BuildHistogram(vals []int64, buckets int) *Histogram {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	h.Total = int64(n)
 	h.Min, h.Max = s[0], s[n-1]
-	distinct := int64(1)
-	for i := 1; i < n; i++ {
-		if s[i] != s[i-1] {
-			distinct++
-		}
-	}
-	h.Distinct = distinct
 
 	per := n / buckets
 	if per < 1 {
@@ -132,15 +123,6 @@ func (h *Histogram) SelRange(lo, hi int64) float64 {
 		s = 1
 	}
 	return s
-}
-
-// SelEq estimates the fraction of rows equal to v (uniform within the
-// distinct values of v's bucket).
-func (h *Histogram) SelEq(v int64) float64 {
-	if h.Total == 0 || h.Distinct == 0 || v < h.Min || v > h.Max {
-		return 0
-	}
-	return 1 / float64(h.Distinct)
 }
 
 // ColRange is a declarative range predicate for cardinality estimation:

@@ -74,14 +74,6 @@ func (g *RNG) Float64() float64 {
 	return float64(g.Uint64()>>11) / (1 << 53)
 }
 
-// UniformInt returns an int64 in [lo, hi] inclusive.
-func (g *RNG) UniformInt(lo, hi int64) int64 {
-	if hi <= lo {
-		return lo
-	}
-	return lo + g.Int64n(hi-lo+1)
-}
-
 // Exp returns an exponentially distributed value with the given mean.
 func (g *RNG) Exp(mean float64) float64 {
 	u := g.Float64()
@@ -89,24 +81,6 @@ func (g *RNG) Exp(mean float64) float64 {
 		u = 1e-18
 	}
 	return -math.Log(1-u) * mean
-}
-
-// Normal returns a normally distributed value (Box-Muller) clamped to
-// [mean-4sd, mean+4sd].
-func (g *RNG) Normal(mean, sd float64) float64 {
-	u1 := g.Float64()
-	if u1 <= 0 {
-		u1 = 1e-18
-	}
-	u2 := g.Float64()
-	v := math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)*sd + mean
-	if v < mean-4*sd {
-		v = mean - 4*sd
-	}
-	if v > mean+4*sd {
-		v = mean + 4*sd
-	}
-	return v
 }
 
 // Bool returns true with probability p.

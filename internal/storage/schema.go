@@ -68,12 +68,6 @@ func (s *Schema) Col(name string) int {
 	return i
 }
 
-// HasCol reports whether the named column exists.
-func (s *Schema) HasCol(name string) bool {
-	_, ok := s.byName[name]
-	return ok
-}
-
 // RowWidth returns the nominal stored row width in bytes, including the
 // fixed per-row overhead (row header and slot-array entry).
 func (s *Schema) RowWidth() int64 {

@@ -22,9 +22,6 @@ func TestSchemaBasics(t *testing.T) {
 	if s.Col("day") != 2 {
 		t.Fatalf("col index = %d", s.Col("day"))
 	}
-	if !s.HasCol("name") || s.HasCol("missing") {
-		t.Fatal("HasCol wrong")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Col on missing column should panic")

@@ -8,8 +8,8 @@
 //
 // Everything here follows the engine's zero-cost-when-off discipline:
 // all hot-path mutators are nil-receiver safe and allocation-free, so a
-// subsystem holds a possibly-nil *Counter or *Hist and pays a single
-// branch when telemetry is disarmed. Nothing in this package ever reads
+// subsystem holds a possibly-nil *Hist and pays a single branch when
+// telemetry is disarmed. Nothing in this package ever reads
 // the host clock or mutates simulation state, so armed and disarmed
 // runs produce bit-identical measured results.
 package telemetry

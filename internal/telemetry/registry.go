@@ -23,34 +23,9 @@ type Point struct {
 	Value float64
 }
 
-// Counter is a registry-owned monotone counter. The nil receiver is a
-// no-op, so subsystems embed a possibly-nil *Counter and call Add
+// Hist is a registry-owned latency histogram. The nil receiver is a
+// no-op, so subsystems hold a possibly-nil *Hist and call Observe
 // unconditionally; when telemetry is off the cost is one branch.
-type Counter struct {
-	v    int64
-	prev int64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the cumulative total (0 on nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Hist is a registry-owned latency histogram. Like Counter, the nil
-// receiver is a no-op so instrumented code never branches on arming.
 type Hist struct {
 	h         Histogram
 	prevN     int64
@@ -71,8 +46,7 @@ type metric struct {
 	unit      string
 	kind      string
 
-	counter   *Counter       // KindCounter with owned storage
-	counterFn func() float64 // KindCounter derived from a cumulative source
+	counterFn func() float64 // KindCounter, read from a cumulative source
 	prevF     float64        // counterFn value at the previous sample
 	gaugeFn   func() float64 // KindGauge
 	hist      *Hist          // KindHist
@@ -109,9 +83,6 @@ func (m *metric) points() []Point {
 func (m *metric) sample(at sim.Time) {
 	var v float64
 	switch {
-	case m.counter != nil:
-		v = float64(m.counter.v - m.counter.prev)
-		m.counter.prev = m.counter.v
 	case m.counterFn != nil:
 		cur := m.counterFn()
 		v = cur - m.prevF
@@ -134,8 +105,6 @@ func (m *metric) sample(at sim.Time) {
 // for counters, current level for gauges, cumulative mean for histograms.
 func (m *metric) total() float64 {
 	switch {
-	case m.counter != nil:
-		return float64(m.counter.v)
 	case m.counterFn != nil:
 		return m.counterFn()
 	case m.gaugeFn != nil:
@@ -181,17 +150,6 @@ func (r *Registry) register(m *metric) {
 	r.byName[key] = true
 	m.buf = make([]Point, 0, r.RingCap)
 	r.metrics = append(r.metrics, m)
-}
-
-// Counter registers an owned counter series, sampled as per-interval
-// deltas. Returns nil on a nil registry.
-func (r *Registry) Counter(subsystem, name, unit string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := &Counter{}
-	r.register(&metric{subsystem: subsystem, name: name, unit: unit, kind: KindCounter, counter: c})
-	return c
 }
 
 // CounterFunc registers a counter series backed by an existing cumulative

@@ -13,9 +13,6 @@ import (
 // a no-op on nil receivers, so disarmed servers need no guards.
 func TestNilSafety(t *testing.T) {
 	var r *Registry
-	if r.Counter("a", "b", "u") != nil {
-		t.Fatal("nil registry returned a counter")
-	}
 	if r.Histogram("a", "b") != nil {
 		t.Fatal("nil registry returned a hist")
 	}
@@ -26,12 +23,6 @@ func TestNilSafety(t *testing.T) {
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry returned a snapshot")
 	}
-	var c *Counter
-	c.Add(3)
-	c.Inc()
-	if c.Value() != 0 {
-		t.Fatal("nil counter holds a value")
-	}
 	var h *Hist
 	h.Observe(sim.Millisecond)
 }
@@ -40,15 +31,11 @@ func TestNilSafety(t *testing.T) {
 // zero allocations: telemetry must never add GC pressure to simulated
 // hot loops.
 func TestHotPathAllocs(t *testing.T) {
-	var nilC *Counter
 	var nilH *Hist
-	c := &Counter{}
 	h := &Hist{}
 	for name, fn := range map[string]func(){
-		"nil-counter": func() { nilC.Add(1) },
-		"nil-hist":    func() { nilH.Observe(sim.Microsecond) },
-		"counter":     func() { c.Add(1) },
-		"hist":        func() { h.Observe(sim.Microsecond) },
+		"nil-hist": func() { nilH.Observe(sim.Microsecond) },
+		"hist":     func() { h.Observe(sim.Microsecond) },
 	} {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("%s: %v allocs per op, want 0", name, allocs)
@@ -60,7 +47,7 @@ func TestHotPathAllocs(t *testing.T) {
 // re-registration is a programming error caught loudly.
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("wal", "flushes", "ops")
+	r.CounterFunc("wal", "flushes", "ops", func() float64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
@@ -74,14 +61,14 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 func buildSampledRegistry() *Snapshot {
 	sm := sim.New(1)
 	r := NewRegistry()
-	ctr := r.Counter("txn", "commits", "ops")
-	var level float64
+	var commits, level float64
+	r.CounterFunc("txn", "commits", "ops", func() float64 { return commits })
 	r.Gauge("grant", "occupancy", "frac", func() float64 { return level })
 	h := r.Histogram("wal", "flush_latency")
 	sm.Spawn("work", func(p *sim.Proc) {
 		for i := 0; i < 100; i++ {
 			p.Sleep(100 * sim.Millisecond)
-			ctr.Add(int64(i % 7))
+			commits += float64(i % 7)
 			level = float64(i%10) / 10
 			h.Observe(sim.Duration(i+1) * sim.Microsecond)
 		}

@@ -231,9 +231,6 @@ func TestRecordingKeepsOneTxnPerTransaction(t *testing.T) {
 		if all := m.All(); len(all) != 3 || all[0] != a || all[1] != b || all[2] != c {
 			t.Fatalf("All() = %v", all)
 		}
-		if m.ByID(a.ID()) != a || m.ByID(b.ID()) != b || m.ByID(c.ID()) != c {
-			t.Fatal("ByID does not return the handles Begin handed out")
-		}
 		if act := m.Active(); len(act) != 2 || act[0] != b.ID() || act[1] != c.ID() {
 			t.Fatalf("Active() = %v, want the two open transactions", act)
 		}
