@@ -15,9 +15,11 @@
 //     noise from shared CI runners);
 //   - ns/op, B/op and allocs/op are machine-sensitive and only gated
 //     when -wall is passed;
-//   - a metric is higher-better when its name contains "speedup" or
-//     "gain" or ends in "_x", lower-better when it contains "sim_ms" or
-//     "mpki"; everything else defaults to lower-better;
+//   - a metric whose name contains "sim_ms" is a time and lower-better
+//     whatever else it is called (time_to_goodput_sim_ms); otherwise it
+//     is higher-better when its name contains "speedup", "gain",
+//     "survival", "goodput" or "frac", or ends in "_x"; everything else
+//     defaults to lower-better;
 //   - a relative regression beyond -threshold (default 10%) fails.
 //
 // The first run (no previous snapshot) just seeds the baseline.
@@ -124,8 +126,15 @@ func previous(dir string) (*snapshot, error) {
 }
 
 func higherBetter(metric string) bool {
-	return strings.Contains(metric, "speedup") || strings.Contains(metric, "gain") ||
-		strings.HasSuffix(metric, "_x")
+	if strings.Contains(metric, "sim_ms") {
+		return false
+	}
+	for _, s := range []string{"speedup", "gain", "survival", "goodput", "frac"} {
+		if strings.Contains(metric, s) {
+			return true
+		}
+	}
+	return strings.HasSuffix(metric, "_x")
 }
 
 func gated(metric string, wall bool) bool {

@@ -68,7 +68,6 @@ func (c *cli) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.emitFmt, "emit", "", "also write structured records: json (JSONL) or csv")
 	fs.StringVar(&c.emitOut, "o", "", "structured-output path (default dbsense-out.jsonl or .csv)")
 	fs.IntVar(&env.TraceQuery, "trace", 14, "TPC-H query number for the trace experiment")
-	fs.BoolVar(&opt.RowExec, "rowexec", false, "force row-at-a-time execution (default: vectorized batches)")
 	fs.Float64Var(&env.Rate, "rate", 16, "serve/chaos: mean connection arrivals per second")
 	fs.BoolVar(&env.Storm, "storm", false, "serve: drive a 6x arrival burst through the middle of the window")
 	fs.StringVar(&env.Schedule, "schedule", "", "chaos: restrict the matrix to cells using one named fault schedule")

@@ -42,35 +42,35 @@ const benchRows = 20_000
 
 // runBench executes the plan once and returns the simulated elapsed
 // time, which is deterministic across runs and machines.
-func runBench(te *testEnv, root *Node) (simNs float64, outRows int) {
+func runBench(te *testEnv, engine engineFn, root *Node) (simNs float64, outRows int) {
 	var rows []Row
 	var done, start = te.sm.Now(), te.sm.Now()
 	te.sm.Spawn("q", func(p *sim.Proc) {
-		rows, _ = Run(p, te.env, root)
+		rows, _ = engine(p, te.env, root)
 		done = te.sm.Now()
 	})
 	te.sm.Run(start + sim.Time(3600*sim.Second))
 	return float64(done - start), len(rows)
 }
 
-// BenchmarkExecEngines compares row-at-a-time and batch execution on the
-// same plan. ns/op and B/op are wall-clock (machine-dependent); sim_ms
-// is the simulated query latency and is fully deterministic.
+// BenchmarkExecEngines compares the row-at-a-time oracle and the batch
+// engine on the same plan. ns/op and B/op are wall-clock
+// (machine-dependent); sim_ms is the simulated query latency and is
+// fully deterministic.
 func BenchmarkExecEngines(b *testing.B) {
 	for _, eng := range []struct {
 		name string
-		vec  bool
-	}{{"row", false}, {"vec", true}} {
+		run  engineFn
+	}{{"row", runRowEngine}, {"vec", Run}} {
 		b.Run(eng.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var simMs float64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				te := newTestEnv(4)
-				te.env.Vectorized = eng.vec
 				root := benchPlan(benchTable(te, benchRows))
 				b.StartTimer()
-				ns, n := runBench(te, root)
+				ns, n := runBench(te, eng.run, root)
 				if n == 0 {
 					b.Fatal("no output rows")
 				}
@@ -85,15 +85,14 @@ func BenchmarkExecEngines(b *testing.B) {
 // alloc_reduction_x (deterministic, gated in CI) and vec_speedup_wall
 // (wall-clock, informational only).
 func BenchmarkVectorizedSpeedup(b *testing.B) {
-	measure := func(vec bool) (wallNs float64, allocs uint64) {
+	measure := func(engine engineFn) (wallNs float64, allocs uint64) {
 		te := newTestEnv(4)
-		te.env.Vectorized = vec
 		root := benchPlan(benchTable(te, benchRows))
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		t0 := time.Now()
-		if _, n := runBench(te, root); n == 0 {
+		if _, n := runBench(te, engine, root); n == 0 {
 			b.Fatal("no output rows")
 		}
 		wallNs = float64(time.Since(t0))
@@ -102,8 +101,8 @@ func BenchmarkVectorizedSpeedup(b *testing.B) {
 	}
 	var speedup, allocRatio float64
 	for i := 0; i < b.N; i++ {
-		rowWall, rowAllocs := measure(false)
-		vecWall, vecAllocs := measure(true)
+		rowWall, rowAllocs := measure(runRowEngine)
+		vecWall, vecAllocs := measure(Run)
 		speedup = rowWall / vecWall
 		allocRatio = float64(rowAllocs) / float64(vecAllocs)
 	}

@@ -65,11 +65,11 @@ type Env struct {
 	// checks it once per node, so untraced queries pay nothing.
 	Trace *trace.Trace
 
-	// Vectorized selects the batch-at-a-time column-vector engine.
-	// Results are row-identical to the row engine; only the charging
-	// granularity (and the executor's own allocation behaviour) differ.
-	// The zero value runs the row engine, so exec-level tests exercise
-	// the row path unless they opt in.
+	// Vectorized is read by nothing: Run has one engine, the batch
+	// engine. The field survives only because bench/probes.go sets it
+	// and bench/ may not change outside a benchmark PR; that file is its
+	// only writer, and the next benchmark PR deletes that line and this
+	// field together.
 	Vectorized bool
 
 	killed bool  // deadline expired mid-execution

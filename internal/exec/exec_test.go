@@ -75,11 +75,19 @@ func (te *testEnv) custTable() *storage.Table {
 	return t
 }
 
+// engineFn is the shape Run and the runRowEngine oracle share.
+type engineFn func(p *sim.Proc, env *Env, root *Node) ([]Row, QueryStats)
+
+// run executes the plan on the engine that ships.
 func (te *testEnv) run(root *Node) ([]Row, QueryStats) {
+	return te.runOn(Run, root)
+}
+
+func (te *testEnv) runOn(engine engineFn, root *Node) ([]Row, QueryStats) {
 	var rows []Row
 	var st QueryStats
 	te.sm.Spawn("q", func(p *sim.Proc) {
-		rows, st = Run(p, te.env, root)
+		rows, st = engine(p, te.env, root)
 	})
 	te.sm.Run(te.sm.Now() + sim.Time(3600*sim.Second))
 	return rows, st

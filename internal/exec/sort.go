@@ -2,74 +2,8 @@ package exec
 
 import (
 	"container/heap"
-	"math"
 	"sort"
-
-	"repro/internal/access"
-	"repro/internal/sim"
 )
-
-func lessByKeys(a, b Row, keys []SortKey) bool {
-	for _, k := range keys {
-		av, bv := a[k.Col], b[k.Col]
-		if av == bv {
-			continue
-		}
-		if k.Desc {
-			return av > bv
-		}
-		return av < bv
-	}
-	return false
-}
-
-// runSort sorts the child's output. Parallel stages sort chunks; the
-// coordinator merges. Input larger than the grant spills sort runs to
-// tempdb.
-func runSort(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []Row) []Row {
-	weight := n.Left.Weight
-	if weight < 1 {
-		weight = 1
-	}
-	needBytes := int64(len(in)) * weight * tupleBytes(env, n.Left)
-	overflow := env.Grant.Reserve(needBytes)
-	defer env.Grant.Release(needBytes - overflow)
-	if overflow > 0 {
-		// External sort: spilled runs are written and re-read once.
-		spill(p, env, n, st, overflow, 0)
-	}
-
-	parts := stageDop(env, n)
-	chunks := chunkRows(in, parts)
-	env.parallel(p, parts, func(ctx *access.Ctx, part int) {
-		rows := chunks[part]
-		if len(rows) == 0 {
-			return
-		}
-		sort.SliceStable(rows, func(i, j int) bool { return lessByKeys(rows[i], rows[j], n.Keys) })
-		w := float64(int64(len(rows)) * weight)
-		ctx.CPU(w * ctx.Cost.SortIPR * math.Log2(w+2))
-		region := env.M.ReserveRegion(needBytes/int64(parts) + 1)
-		ctx.TouchSeq(region, needBytes/int64(parts), true, 8)
-	})
-
-	// Coordinator merge of sorted chunks.
-	ctx := env.newCtx(p, env.home())
-	out := mergeSorted(chunks, n.Keys)
-	if parts > 1 {
-		ctx.CPU(float64(int64(len(out))*weight) * ctx.Cost.SortIPR)
-	}
-	ctx.Flush()
-	return out
-}
-
-// mergeSorted merges per-chunk sorted runs with a k-way heap merge.
-// Ties across chunks break toward the lower chunk index, which is the
-// order a stable serial sort of the concatenated input produces (chunks
-// are contiguous input slices).
-func mergeSorted(chunks [][]Row, keys []SortKey) []Row {
-	return kwayMerge(chunks, func(a, b Row) bool { return lessByKeys(a, b, keys) })
-}
 
 // mergeHead is one chunk's read position inside the merge heap.
 type mergeHead struct {
@@ -212,29 +146,4 @@ func topKIdx(n, limit int, less func(i, j int32) bool) []int32 {
 	}
 	sort.Slice(idx, func(a, b int) bool { return before(idx[a], idx[b]) })
 	return idx
-}
-
-// runTop returns the first Limit rows of the input's stable order by the
-// sort keys, selected against a bounded heap (O(n log limit), cheaper
-// than a full sort) so the executed work matches the charged cost
-// w·SortIPR·log2(limit+2).
-func runTop(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []Row) []Row {
-	weight := n.Left.Weight
-	if weight < 1 {
-		weight = 1
-	}
-	ctx := env.newCtx(p, env.home())
-	limit := n.Limit
-	if limit <= 0 || limit > len(in) {
-		limit = len(in)
-	}
-	idx := topKIdx(len(in), limit, func(i, j int32) bool { return lessByKeys(in[i], in[j], n.Keys) })
-	out := make([]Row, len(idx))
-	for i, ix := range idx {
-		out[i] = in[ix]
-	}
-	w := float64(int64(len(in)) * weight)
-	ctx.CPU(w * ctx.Cost.SortIPR * math.Log2(float64(limit)+2))
-	ctx.Flush()
-	return out
 }

@@ -177,8 +177,8 @@ func batchesToRows(bs []*Batch) []Row {
 	return out
 }
 
-// hashCols hashes key columns at one physical row; must match hashRow so
-// both engines partition rows identically.
+// hashCols hashes key columns at one physical row; must match hashRow,
+// which the test-only row engine partitions by.
 func hashCols(cols [][]int64, keys []int, phys int32) uint64 {
 	h := uint64(0xcbf29ce484222325)
 	for _, c := range keys {
@@ -190,7 +190,7 @@ func hashCols(cols [][]int64, keys []int, phys int32) uint64 {
 }
 
 // partitionBatches hash-partitions batches by key columns, preserving
-// input order within each partition — the order partitionRows produces.
+// input order within each partition.
 func partitionBatches(bs []*Batch, keys []int, parts, size int) [][]*Batch {
 	if parts <= 1 {
 		return [][]*Batch{bs}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/access"
@@ -231,26 +232,36 @@ func diffCases() []diffCase {
 	return cases
 }
 
-// TestVectorizedMatchesRowEngine is the row-vs-batch differential gate:
-// every operator kind, join type, and aggregate kind (plus empty inputs,
-// min/max sentinels, and spill paths) must produce identical rows in
-// identical order at DOP 1 and DOP 4.
+// TestVectorizedMatchesRowEngine is the differential gate: Run against
+// the runRowEngine oracle. Every operator kind, join type, and aggregate
+// kind (plus empty inputs, min/max sentinels, and spill paths) must
+// produce identical rows in identical order at DOP 1 and DOP 4, and a
+// NodeKind no case plans fails the test, so a new operator cannot ship
+// uncompared.
 func TestVectorizedMatchesRowEngine(t *testing.T) {
+	compared := map[NodeKind]bool{}
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		compared[n.Kind] = true
+		for _, c := range n.Inputs() {
+			walk(c)
+		}
+	}
 	for _, c := range diffCases() {
 		c := c
+		walk(c.build(newTestEnv(1))) // outside t.Run, so a -run filter cannot empty the census
 		for _, cores := range []int{1, 4} {
 			cores := cores
 			t.Run(fmt.Sprintf("%s/dop%d", c.name, cores), func(t *testing.T) {
-				runCase := func(vec bool) ([]Row, QueryStats) {
+				runCase := func(engine engineFn) ([]Row, QueryStats) {
 					te := newTestEnv(cores)
 					if c.grant != 0 {
 						te.env.Grant = &Grant{Bytes: c.grant}
 					}
-					te.env.Vectorized = vec
-					return te.run(c.build(te))
+					return te.runOn(engine, c.build(te))
 				}
-				rowOut, rowSt := runCase(false)
-				vecOut, vecSt := runCase(true)
+				rowOut, rowSt := runCase(runRowEngine)
+				vecOut, vecSt := runCase(Run)
 				if len(rowOut) == 0 && len(vecOut) == 0 {
 					// nil vs empty: both engines emitted no rows.
 				} else if !reflect.DeepEqual(rowOut, vecOut) {
@@ -270,6 +281,11 @@ func TestVectorizedMatchesRowEngine(t *testing.T) {
 					t.Fatalf("vectorized run reported no batches")
 				}
 			})
+		}
+	}
+	for k := NodeKind(0); !strings.HasPrefix(k.String(), "Op("); k++ {
+		if !compared[k] {
+			t.Errorf("%v has no differential case: nothing compares it against the row engine", k)
 		}
 	}
 }
@@ -345,18 +361,18 @@ func TestTopKIdxMatchesStableSortPrefix(t *testing.T) {
 // allocate.
 func TestAggTableInlineKeyAllocs(t *testing.T) {
 	at := newAggTable([]int{0, 1}, []AggSpec{{Kind: AggSum, Col: 2}, {Kind: AggCount}})
-	rows := make([]Row, 64)
-	for i := range rows {
-		rows[i] = Row{int64(i % 4), int64(i % 3), int64(i)}
+	const n = 64
+	cols := [][]int64{make([]int64, n), make([]int64, n), make([]int64, n)}
+	for i := 0; i < n; i++ {
+		cols[0][i], cols[1][i], cols[2][i] = int64(i%4), int64(i%3), int64(i)
 	}
 	// Materialize every group first, then measure steady-state lookups.
-	for _, r := range rows {
-		accumulate(at.entRow(r).state, at.aggs, r, 1)
+	for i := int32(0); i < n; i++ {
+		accumulateCols(at.entCols(cols, i).state, at.aggs, cols, i, 1)
 	}
-	i := 0
+	i := int32(0)
 	avg := testing.AllocsPerRun(1000, func() {
-		r := rows[i%len(rows)]
-		accumulate(at.entRow(r).state, at.aggs, r, 1)
+		accumulateCols(at.entCols(cols, i%n).state, at.aggs, cols, i%n, 1)
 		i++
 	})
 	if avg != 0 {
@@ -392,11 +408,9 @@ func TestDecodeRangeMatchesDecode(t *testing.T) {
 	}
 }
 
-// TestVectorizedTraceRecordsBatches checks spans carry batch counts under
-// the batch engine.
+// TestVectorizedTraceRecordsBatches checks spans carry batch counts.
 func TestVectorizedTraceRecordsBatches(t *testing.T) {
 	te := newTestEnv(2)
-	te.env.Vectorized = true
 	stmt := &metrics.Counters{}
 	te.env.Trace = trace.New("q", stmt)
 	tab := te.ordersTable()
@@ -445,13 +459,11 @@ func TestBatchBuilderBoundaries(t *testing.T) {
 	}
 }
 
-// TestVectorizedSerialParallelIdentical mirrors the row engine's
-// determinism guarantee: the batch engine emits identical rows at any
-// DOP.
+// TestVectorizedSerialParallelIdentical is the determinism guarantee:
+// the engine emits identical rows at any DOP.
 func TestVectorizedSerialParallelIdentical(t *testing.T) {
 	run := func(cores int) []Row {
 		te := newTestEnv(cores)
-		te.env.Vectorized = true
 		orders := te.ordersTable()
 		cust := te.custTable()
 		join := &Node{

@@ -9,23 +9,24 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the batch-at-a-time engine: operators consume and produce
-// column-vector batches (vec.go) instead of materialized []Row. Both
-// engines share the cost model and produce row-identical output in the
-// same order; the batch engine charges CPU, buffer-pool pages, metadata
-// touches and deadline checks per batch instead of per partition, and
-// avoids the row engine's per-row allocations. Operator-region LLC
-// touches (TouchSeq/TouchRandom) stay at partition granularity — the
-// cache model samples coarse streaming touches, so both engines issue
-// the same touch pattern (see access.ScanCursor).
+// This file is the executor: operators consume and produce
+// column-vector batches (vec.go) instead of materialized []Row, and
+// charge CPU, buffer-pool pages, metadata touches and deadline checks
+// per batch. Operator-region LLC touches (TouchSeq/TouchRandom) stay at
+// partition granularity — the cache model samples coarse streaming
+// touches (see access.ScanCursor). The row-at-a-time engine this
+// replaced lives in rowengine_test.go as the differential oracle: same
+// cost model, row-identical output in the same order.
 //
-// NL index join is row-bridged: its row-at-a-time body runs unchanged
-// between batch conversions, which keeps output identity trivially and
-// costs one materialization at the operator boundary (where the row
-// engine materializes anyway).
+// Index nested-loop join walks rows by design: one index probe per
+// outer row is the operator, so its body (runNLIndexJoin) runs between
+// a batchesToRows and a rowsToBatches, one materialization at the
+// operator boundary.
 
-// runNodeVec mirrors runNode for the batch engine; spans additionally
-// record the emitted batch count.
+// runNodeVec dispatches one plan node, opening a trace span around it
+// when the query is being traced; the span records rows and emitted
+// batches. Only the coordinator proc walks the plan tree, so span
+// nesting follows call nesting exactly.
 func runNodeVec(p *sim.Proc, env *Env, n *Node, st *QueryStats) []*Batch {
 	if env.expired(p.Now()) {
 		return nil
@@ -325,9 +326,11 @@ func vecProject(p *sim.Proc, env *Env, n *Node, in []*Batch) []*Batch {
 	return bb.finish()
 }
 
-// vecHashAgg is the batch twin of runHashAgg: partition-local aggTables
-// fed straight from column vectors, merged and emitted in sorted group
-// order by the shared finalizer.
+// vecHashAgg aggregates the child's output. Parallel stages compute
+// partition-local aggTables fed straight from column vectors; the
+// coordinator merges them and emits groups in sorted group order.
+// Aggregate inputs are weighted by the child's nominal weight so
+// SUM/COUNT reflect nominal cardinalities.
 func vecHashAgg(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []*Batch) []*Batch {
 	parts := stageDop(env, n)
 	size := batchSize(env)
@@ -395,9 +398,11 @@ func keysEqualColsAt(acols [][]int64, ak []int, ai int32, bcols [][]int64, bk []
 	return true
 }
 
-// vecHashJoin is the batch twin of runHashJoin: the build side stays
-// columnar in the hash table; inner matches are gathered column-wise
-// into probe++build output batches.
+// vecHashJoin builds partitioned hash tables over the build (left)
+// side, which stays columnar, and probes with the right side; inner
+// matches are gathered column-wise into probe++build output batches.
+// Exceeding the memory grant spills partitions to tempdb (charged as
+// write+read of the spilled nominal bytes).
 func vecHashJoin(p *sim.Proc, env *Env, n *Node, st *QueryStats, build, probe []*Batch) []*Batch {
 	size := batchSize(env)
 	rowBytes := tupleBytes(env, n.Left)
@@ -504,8 +509,9 @@ func vecHashJoin(p *sim.Proc, env *Env, n *Node, st *QueryStats, build, probe []
 
 // vecSort sorts a permutation over the compacted input instead of
 // swapping rows: chunks of the permutation are stable-sorted in
-// parallel, then k-way merged with the shared chunk-index tie-break, so
-// the output order matches the row engine for any DOP.
+// parallel, then k-way merged with the chunk-index tie-break, so the
+// output is the stable sort of the input at any DOP. Input larger than
+// the grant spills sort runs to tempdb.
 func vecSort(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []*Batch) []*Batch {
 	weight := n.Left.Weight
 	if weight < 1 {

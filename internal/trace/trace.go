@@ -26,7 +26,7 @@ type Span struct {
 	EstRows  float64 // optimizer's nominal output-cardinality estimate
 	ActRows  int64   // actual rows emitted
 	NomRows  int64   // nominal rows represented (ActRows * Weight)
-	Batches  int64   // column batches emitted (vectorized engine; 0 under row execution)
+	Batches  int64   // column batches emitted
 
 	Start, End sim.Time
 

@@ -22,7 +22,6 @@ for s in none partition flaky degrade reset-storm split-burst; do db run chaos -
 db serve && db serve -storm
 db run qstats -emit csv -o qstats.csv -metrics-out metrics.prom -profile prof
 db run replication -emit json -o repl.jsonl
-db run trace -rowexec
 "$out/bin/bench" -reps 1 -traced -json bench.json >/dev/null
 "$out/bin/bench" -probes >/dev/null
 "$out/bin/simstat" >/dev/null && "$out/bin/simstat" -series repl.jsonl >/dev/null
