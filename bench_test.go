@@ -13,6 +13,8 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/iodev"
+	"repro/internal/metrics"
 	"repro/internal/repl"
 	"repro/internal/sim"
 	"repro/internal/workload/tpch"
@@ -45,23 +47,21 @@ func BenchmarkTable2(b *testing.B) {
 // (Figure 2 a, d, g, j).
 func BenchmarkFig2Cores(b *testing.B) {
 	opt := benchOpts()
-	steps := []int{2, 16, 32}
+	steps := []float64{2, 16, 32}
 	for _, w := range []harness.Workload{harness.WTpch, harness.WTpce, harness.WAsdb, harness.WHtap} {
 		w := w
 		b.Run(string(w), func(b *testing.B) {
-			sfs := harness.PaperSFs(w)
-			use := []int{sfs[0], sfs[len(sfs)-1]}
+			cells := harness.PaperCells(w)
+			use := []harness.Cell{cells[0], cells[len(cells)-1]}
 			for i := 0; i < b.N; i++ {
-				res := harness.Fig2Cores(w, use, steps, opt)
-				for sf, c := range res.PerfBySF {
-					lo, _ := c.At(2)
-					hi, _ := c.At(16)
-					full, _ := c.At(32)
+				g := harness.SweepAxis(harness.AxisCores, steps, use, opt)
+				for c, cell := range g.Cells {
+					lo, hi, full := g.Results[c][0].Throughput, g.Results[c][1].Throughput, g.Results[c][2].Throughput
 					if lo > 0 {
-						b.ReportMetric(hi/lo, fmt.Sprintf("sf%d_speedup_2to16c", sf))
+						b.ReportMetric(hi/lo, fmt.Sprintf("sf%d_speedup_2to16c", cell.SF))
 					}
 					if full > 0 {
-						b.ReportMetric(hi/full, fmt.Sprintf("sf%d_16c_over_32c", sf))
+						b.ReportMetric(hi/full, fmt.Sprintf("sf%d_16c_over_32c", cell.SF))
 					}
 				}
 			}
@@ -72,26 +72,20 @@ func BenchmarkFig2Cores(b *testing.B) {
 // BenchmarkFig2LLC sweeps CAT allocations (Figure 2 b/c, e/f, h/i, k/l).
 func BenchmarkFig2LLC(b *testing.B) {
 	opt := benchOpts()
-	steps := []int{2, 10, 40}
+	steps := []float64{2, 10, 40}
 	for _, w := range []harness.Workload{harness.WTpch, harness.WTpce, harness.WAsdb, harness.WHtap} {
 		w := w
 		b.Run(string(w), func(b *testing.B) {
-			sfs := harness.PaperSFs(w)
-			use := []int{sfs[len(sfs)/2]}
+			cells := harness.PaperCells(w)
+			use := []harness.Cell{cells[len(cells)/2]}
 			for i := 0; i < b.N; i++ {
-				res := harness.Fig2LLC(w, use, steps, opt)
-				for sf, c := range res.PerfBySF {
-					small, _ := c.At(2)
-					full, _ := c.At(40)
-					if small > 0 {
-						b.ReportMetric(full/small, fmt.Sprintf("sf%d_speedup_2to40MB", sf))
-					}
-					m := res.MPKIBySF[sf]
-					m2, _ := m.At(2)
-					m40, _ := m.At(40)
-					if m40 > 0 {
-						b.ReportMetric(m2/m40, fmt.Sprintf("sf%d_mpki_ratio", sf))
-					}
+				g := harness.SweepAxis(harness.AxisLLC, steps, use, opt)
+				small, full, sf := g.Results[0][0], g.Results[0][2], g.Cells[0].SF
+				if small.Throughput > 0 {
+					b.ReportMetric(full.Throughput/small.Throughput, fmt.Sprintf("sf%d_speedup_2to40MB", sf))
+				}
+				if full.MPKI > 0 {
+					b.ReportMetric(small.MPKI/full.MPKI, fmt.Sprintf("sf%d_mpki_ratio", sf))
 				}
 			}
 		})
@@ -113,12 +107,11 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkTable4 derives sufficient LLC capacities from LLC sweeps.
 func BenchmarkTable4(b *testing.B) {
 	opt := benchOpts()
-	steps := []int{2, 8, 16, 40}
+	steps := []float64{2, 8, 16, 40}
 	for i := 0; i < b.N; i++ {
-		var all []harness.Fig2LLCResult
+		var all []harness.Grid
 		for _, w := range []harness.Workload{harness.WAsdb, harness.WTpch} {
-			sfs := harness.PaperSFs(w)
-			all = append(all, harness.Fig2LLC(w, []int{sfs[0]}, steps, opt))
+			all = append(all, harness.SweepAxis(harness.AxisLLC, steps, harness.PaperCells(w)[:1], opt))
 		}
 		t := harness.Table4(all)
 		if len(t.Rows) == 0 {
@@ -132,8 +125,12 @@ func BenchmarkTable4(b *testing.B) {
 func BenchmarkFig3(b *testing.B) {
 	opt := benchOpts()
 	for i := 0; i < b.N; i++ {
-		res := harness.Fig3(harness.WTpch, 100, opt)
-		last := res.CoreDriven[len(res.CoreDriven)-1]
+		cell := []harness.Cell{{Workload: harness.WTpch, SF: 100}}
+		cores := harness.SweepAxis(harness.AxisCores, []float64{2, 4, 8, 16, 32}, cell, opt)
+		// The figure's cache-driven half: regenerated so ns/op stays the cost
+		// of the whole figure; the gated metrics read the core-driven half.
+		harness.SweepAxis(harness.AxisLLC, []float64{2, 6, 12, 20, 40}, cell, opt)
+		last := cores.Results[0][4]
 		b.ReportMetric(last.DRAMMBps, "tpch_dram_MBps_at_32c")
 		b.ReportMetric(last.SSDReadMBps, "tpch_ssdread_MBps_at_32c")
 	}
@@ -143,11 +140,12 @@ func BenchmarkFig3(b *testing.B) {
 func BenchmarkFig4(b *testing.B) {
 	opt := benchOpts()
 	for i := 0; i < b.N; i++ {
-		res := harness.Fig4(harness.WTpch, 300, opt)
-		b.ReportMetric(res.SSDRead.Percentile(90), "tpch300_ssdread_p90_MBps")
-		b.ReportMetric(res.DRAM.Percentile(90), "tpch300_dram_p90_MBps")
-		res2 := harness.Fig4(harness.WAsdb, 6000, opt)
-		b.ReportMetric(res2.SSDWrite.Percentile(90), "asdb6000_ssdwrite_p90_MBps")
+		p90 := func(series []float64) float64 { return metrics.NewDistribution(series).Percentile(90) }
+		tpch300 := harness.RunTPCH(300, opt, harness.Knobs{})
+		b.ReportMetric(p90(tpch300.ReadBWSeries), "tpch300_ssdread_p90_MBps")
+		b.ReportMetric(p90(tpch300.DRAMBWSeries), "tpch300_dram_p90_MBps")
+		asdb6000 := harness.RunASDB(6000, opt, harness.Knobs{})
+		b.ReportMetric(p90(asdb6000.WriteBWSeries), "asdb6000_ssdwrite_p90_MBps")
 	}
 }
 
@@ -156,7 +154,7 @@ func BenchmarkFig5(b *testing.B) {
 	opt := benchOpts()
 	steps := []float64{100, 800, 2500}
 	for i := 0; i < b.N; i++ {
-		c := harness.Fig5(opt, steps)
+		c := harness.SweepAxis(harness.AxisReadBW, steps, []harness.Cell{{Workload: harness.WTpch, SF: 300}}, opt).Curve(0, harness.Throughput, "")
 		lo, _ := c.At(100)
 		hi, _ := c.At(2500)
 		if lo > 0 {
@@ -173,7 +171,8 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig5Write(b *testing.B) {
 	opt := benchOpts()
 	for i := 0; i < b.N; i++ {
-		c := harness.Fig5Write(opt)
+		steps := []float64{50, 100, iodev.PaperSSD().WriteMBps}
+		c := harness.SweepAxis(harness.AxisWriteBW, steps, []harness.Cell{{Workload: harness.WAsdb, SF: 2000}}, opt).Curve(0, harness.Throughput, "")
 		at50, _ := c.At(50)
 		at100, _ := c.At(100)
 		full := c.Last().Y
@@ -225,11 +224,11 @@ func BenchmarkFig7(b *testing.B) {
 func BenchmarkFig8(b *testing.B) {
 	opt := benchOpts()
 	for i := 0; i < b.N; i++ {
-		res := harness.Fig8(opt, []float64{0.25, 0.05, 0.02})
+		ts := harness.Fig8(opt, []float64{0.25, 0.05, 0.02})
 		degraded := 0
 		var q18 float64
 		for q := 1; q <= tpch.NumQueries; q++ {
-			s := res.Speedup(q, 0.02)
+			s := float64(ts[0][q]) / float64(ts[2][q]) // t(25%)/t(2%)
 			if s > 0 && s < 0.9 {
 				degraded++
 			}
@@ -355,7 +354,7 @@ func BenchmarkSelfProfile(b *testing.B) {
 // sub-benchmarks is the wall-clock speedup of the parallel executor
 // (results are bit-identical either way — see harness.Sweep).
 func BenchmarkSweepParallelism(b *testing.B) {
-	steps := []int{1, 2, 4, 8, 16, 32}
+	steps := []float64{1, 2, 4, 8, 16, 32}
 	pars := []int{1}
 	if n := runtime.NumCPU(); n > 1 {
 		pars = append(pars, n)
@@ -366,8 +365,8 @@ func BenchmarkSweepParallelism(b *testing.B) {
 			opt := benchOpts()
 			opt.Parallel = par
 			for i := 0; i < b.N; i++ {
-				res := harness.Fig2Cores(harness.WTpch, []int{10, 100}, steps, opt)
-				if len(res.PerfBySF) != 2 {
+				cells := []harness.Cell{{Workload: harness.WTpch, SF: 10}, {Workload: harness.WTpch, SF: 100}}
+				if g := harness.SweepAxis(harness.AxisCores, steps, cells, opt); len(g.Results) != 2 {
 					b.Fatal("missing curves")
 				}
 			}
@@ -380,11 +379,8 @@ func BenchmarkSweepParallelism(b *testing.B) {
 func BenchmarkAblationSMT(b *testing.B) {
 	opt := benchOpts()
 	for i := 0; i < b.N; i++ {
-		res := harness.Fig2Cores(harness.WTpch, []int{10}, []int{16, 32}, opt)
-		c := res.PerfBySF[10]
-		at16, _ := c.At(16)
-		at32, _ := c.At(32)
-		b.ReportMetric(at16/at32, "ht_detriment_16c_over_32c")
+		g := harness.SweepAxis(harness.AxisCores, []float64{16, 32}, []harness.Cell{{Workload: harness.WTpch, SF: 10}}, opt)
+		b.ReportMetric(g.Results[0][0].Throughput/g.Results[0][1].Throughput, "ht_detriment_16c_over_32c")
 	}
 }
 
@@ -393,11 +389,8 @@ func BenchmarkAblationSMT(b *testing.B) {
 func BenchmarkAblationMetadata(b *testing.B) {
 	opt := benchOpts()
 	for i := 0; i < b.N; i++ {
-		base := harness.Fig2LLC(harness.WAsdb, []int{2000}, []int{2, 40}, opt)
-		c := base.PerfBySF[2000]
-		lo, _ := c.At(2)
-		hi, _ := c.At(40)
-		b.ReportMetric(hi/lo, "asdb_llc_sensitivity_with_meta")
+		g := harness.SweepAxis(harness.AxisLLC, []float64{2, 40}, []harness.Cell{{Workload: harness.WAsdb, SF: 2000}}, opt)
+		b.ReportMetric(g.Results[0][1].Throughput/g.Results[0][0].Throughput, "asdb_llc_sensitivity_with_meta")
 	}
 }
 

@@ -62,7 +62,7 @@ func (c *cli) register(fs *flag.FlagSet) {
 	fs.Float64Var(&c.warmup, "warmup", 2, "warmup in simulated seconds")
 	fs.Int64Var(&opt.Seed, "seed", 1, "simulation seed")
 	fs.StringVar((*string)(&env.Workload), "workload", "", "restrict "+strings.Join(workloadRows(), ", ")+" to one workload (tpch|tpce|asdb|htap)")
-	fs.BoolVar(&env.Quick, "quick", false, "reduced sweeps and scale factors for a fast pass")
+	fs.BoolVar(&env.Quick, "quick", false, "reduced sweeps and scale factors for a fast pass; also -density 120 -measure 2 -warmup 1 unless given")
 	fs.IntVar(&opt.Parallel, "parallel", runtime.NumCPU(), "worker threads for experiment sweeps (results are identical at any setting)")
 	fs.BoolVar(&c.progress, "progress", true, "report per-point sweep progress on stderr")
 	fs.StringVar(&c.emitFmt, "emit", "", "also write structured records: json (JSONL) or csv")
@@ -106,11 +106,26 @@ func (c *cli) finishOptions(stderr io.Writer) {
 			}
 		}
 	}
-	if c.env.Quick {
-		o.Density = 120
-		o.Measure = sim.DurationOf(2)
-		o.Warmup = sim.DurationOf(1)
-		o.Users = 32
+}
+
+// applyQuick gives -quick its smaller run: 32 users, and density 120,
+// a 2 s window and 1 s warmup for whichever of those flags the command
+// line did not set itself.
+func (c *cli) applyQuick(fs *flag.FlagSet) {
+	if !c.env.Quick {
+		return
+	}
+	c.env.Opt.Users = 32
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if !set["density"] {
+		c.env.Opt.Density = 120
+	}
+	if !set["measure"] {
+		c.measure = 2
+	}
+	if !set["warmup"] {
+		c.warmup = 1
 	}
 }
 
@@ -322,6 +337,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return 2
 	}
+	c.applyQuick(fs)
 	if args[0] == "list" {
 		if len(pos) != 0 {
 			return usage(stderr)

@@ -141,6 +141,32 @@ func TestRunAllIsTheInAllRowsInTableOrder(t *testing.T) {
 	}
 }
 
+// -quick supplies density, window and warmup only where the command line
+// did not: an explicit flag beside it wins.
+func TestQuickKeepsExplicitFlags(t *testing.T) {
+	withTable(t, []harness.Experiment{{Name: "a", Desc: "stub", Run: func(e *harness.Env) error {
+		fmt.Fprintf(e.Out, "warmup=%gs users=%d\n", e.Opt.Warmup.Seconds(), e.Opt.Users)
+		return nil
+	}}})
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"run", "a", "-quick"}, "== a (density=120, measure=2s) ==\nwarmup=1s users=32\n\n"},
+		{[]string{"run", "a", "-quick", "-density", "7"}, "== a (density=7, measure=2s) ==\nwarmup=1s users=32\n\n"},
+		{[]string{"run", "-measure", "5", "-warmup", "0.5", "a", "-quick"}, "== a (density=120, measure=5s) ==\nwarmup=0.5s users=32\n\n"},
+		{[]string{"run", "a", "-density", "7"}, "== a (density=7, measure=8s) ==\nwarmup=2s users=0\n\n"},
+	} {
+		code, stdout, stderr := dbsense(tc.args...)
+		if code != 0 {
+			t.Fatalf("%v: exit code = %d, stderr %q", tc.args, code, stderr)
+		}
+		if stdout != tc.want {
+			t.Errorf("%v: stdout = %q, want %q", tc.args, stdout, tc.want)
+		}
+	}
+}
+
 // A failing cell must exit 1 only after every sink is complete: the CSV
 // here is far below csv.Writer's 4 KB buffer, so it reaches the file
 // only if the emitter is closed on the error path.

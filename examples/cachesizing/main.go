@@ -20,24 +20,20 @@ func main() {
 	opt.Warmup = 1 * sim.Second
 	opt.Users = 32
 
-	steps := []int{2, 8, 16, 40}
-	tenants := []struct {
-		w  harness.Workload
-		sf int
-	}{
-		{harness.WAsdb, 2000},
-		{harness.WTpce, 5000},
-		{harness.WTpch, 100},
+	steps := []float64{2, 8, 16, 40}
+	tenants := []harness.Cell{
+		{Workload: harness.WAsdb, SF: 2000},
+		{Workload: harness.WTpce, SF: 5000},
+		{Workload: harness.WTpch, SF: 100},
 	}
 
-	var results []harness.Fig2LLCResult
+	var results []harness.Grid
 	totalNeed90 := 0.0
 	for _, tn := range tenants {
-		fmt.Printf("sweeping LLC for %s SF %d...\n", tn.w, tn.sf)
-		res := harness.Fig2LLC(tn.w, []int{tn.sf}, steps, opt)
-		results = append(results, res)
-		c := res.PerfBySF[tn.sf]
-		x90, _ := c.SufficientCapacity(0.90)
+		fmt.Printf("sweeping LLC for %s SF %d...\n", tn.Workload, tn.SF)
+		g := harness.SweepAxis(harness.AxisLLC, steps, []harness.Cell{tn}, opt)
+		results = append(results, g)
+		x90, _ := g.Curve(0, harness.Throughput, "").SufficientCapacity(0.90)
 		totalNeed90 += x90
 	}
 

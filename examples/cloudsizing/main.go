@@ -24,7 +24,8 @@ func main() {
 
 	tiers := []float64{100, 400, 800, 1600, 2500}
 	fmt.Println("measuring TPC-H SF 300 under read-bandwidth tiers...")
-	curve := harness.Fig5(opt, tiers)
+	tpch300 := []harness.Cell{{Workload: harness.WTpch, SF: 300}}
+	curve := harness.SweepAxis(harness.AxisReadBW, tiers, tpch300, opt).Curve(0, harness.Throughput, "")
 	lin := curve.LinearReference()
 
 	t := core.Table{Headers: []string{"tier MB/s", "measured QPS", "linear-model QPS"}}

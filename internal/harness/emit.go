@@ -160,13 +160,6 @@ func EmitCurve(e *Emitter, experiment, workload string, sf int, metric, knob, un
 	}
 }
 
-// EmitFamily exports a curve family (one curve per scale factor).
-func EmitFamily(e *Emitter, experiment, workload, metric, knob, unit string, fam CurveFamily) {
-	for _, sf := range sortedSFs(fam) {
-		EmitCurve(e, experiment, workload, sf, metric, knob, unit, fam[sf])
-	}
-}
-
 // EmitTable exports a rendered table one table_row record per row, with
 // cells packed into Text as "header=cell; ...".
 func EmitTable(e *Emitter, experiment, name string, t core.Table) {

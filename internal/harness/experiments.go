@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/iodev"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload/tpch"
@@ -33,106 +34,107 @@ func PaperSFs(w Workload) []int {
 
 // CoreSteps is the paper's core-allocation sweep: socket 0's physical
 // cores, then socket 1's, then all second hyperthreads.
-var CoreSteps = []int{1, 2, 4, 8, 12, 16, 32}
+var CoreSteps = []float64{1, 2, 4, 8, 12, 16, 32}
 
 // LLCSteps is the paper's CAT sweep in MB (2 MB granularity; a subset of
 // the 20 steps keeps sweeps affordable — pass your own for finer grids).
-var LLCSteps = []int{2, 4, 6, 8, 10, 12, 16, 20, 28, 40}
+var LLCSteps = []float64{2, 4, 6, 8, 10, 12, 16, 20, 28, 40}
 
-// Fig2CoresResult holds one workload's core-sensitivity curves.
-type Fig2CoresResult struct {
-	Workload Workload
-	PerfBySF map[int]core.Curve // throughput vs logical cores
+// Axis is one resource the paper allocates while pinning the rest: the
+// knob's name in emitted records and how a step value lands in Knobs.
+type Axis struct {
+	Knob string
+	Set  func(k *Knobs, v float64)
 }
 
-// Fig2Cores reproduces Figure 2 (a, d, g, j): throughput versus number
-// of logical cores with the full 40 MB LLC.
-func Fig2Cores(w Workload, sfs []int, steps []int, opt Options) Fig2CoresResult {
-	if steps == nil {
-		steps = CoreSteps
+// The four swept resources: cpuset cores and CAT megabytes (Figures 2 and
+// 3), blkio read and write limits in MB/s (Figure 5). AxisWriteBW's top
+// step, the device's own write bandwidth, leaves blkio unlimited.
+var (
+	AxisCores   = Axis{"cores", func(k *Knobs, v float64) { k.Cores = int(v) }}
+	AxisLLC     = Axis{"llc_mb", func(k *Knobs, v float64) { k.LLCMB = int(v) }}
+	AxisReadBW  = Axis{"read_limit_mbps", func(k *Knobs, v float64) { k.ReadLimitMBps = v }}
+	AxisWriteBW = Axis{"write_limit_mbps", func(k *Knobs, v float64) {
+		if v < iodev.PaperSSD().WriteMBps {
+			k.WriteLimitMBps = v
+		}
+	}}
+)
+
+// Metric reads one plotted quantity off a point's Result.
+type Metric func(Result) float64
+
+// Throughput is queries/s (DSS) or transactions/s (OLTP).
+func Throughput(r Result) float64 { return r.Throughput }
+
+// MPKI is LLC misses per thousand instructions.
+func MPKI(r Result) float64 { return r.MPKI }
+
+// Cell is one swept database: a workload at a scale factor.
+type Cell struct {
+	Workload Workload
+	SF       int
+}
+
+// PaperCells returns w at each of the paper's scale factors.
+func PaperCells(w Workload) []Cell {
+	var cells []Cell
+	for _, sf := range PaperSFs(w) {
+		cells = append(cells, Cell{w, sf})
 	}
-	var pts []Point
-	for _, sf := range sfs {
-		for _, n := range steps {
-			pts = append(pts, Point{Workload: w, SF: sf, Knobs: Knobs{Cores: n}})
+	return cells
+}
+
+// Grid is one sweep's measurements: Results[c][s] is Cells[c] with Axis
+// set to Steps[s] and every other resource at its full allocation.
+type Grid struct {
+	Axis    Axis
+	Steps   []float64
+	Cells   []Cell
+	Results [][]Result
+}
+
+// SweepAxis is the paper's method — vary one resource, pin the rest —
+// as one RunPoints call over every (cell, step).
+func SweepAxis(axis Axis, steps []float64, cells []Cell, opt Options) Grid {
+	pts := make([]Point, 0, len(cells)*len(steps))
+	for _, c := range cells {
+		for _, v := range steps {
+			p := Point{Workload: c.Workload, SF: c.SF}
+			axis.Set(&p.Knobs, v)
+			pts = append(pts, p)
 		}
 	}
 	rs := RunPoints(pts, opt)
-	out := Fig2CoresResult{Workload: w, PerfBySF: map[int]core.Curve{}}
-	i := 0
-	for _, sf := range sfs {
-		c := core.Curve{Name: fmt.Sprintf("%s-sf%d", w, sf)}
-		for _, n := range steps {
-			c.Add(float64(n), rs[i].Throughput)
-			i++
-		}
-		out.PerfBySF[sf] = c
+	g := Grid{Axis: axis, Steps: steps, Cells: cells}
+	for c := range cells {
+		g.Results = append(g.Results, rs[c*len(steps):(c+1)*len(steps)])
 	}
-	return out
+	return g
 }
 
-// Fig2LLCResult holds LLC-sensitivity curves: performance and MPKI.
-type Fig2LLCResult struct {
-	Workload Workload
-	PerfBySF map[int]core.Curve // throughput vs LLC MB (b, e, h, k)
-	MPKIBySF map[int]core.Curve // MPKI vs LLC MB (c, f, i, l)
+// Curve is metric m of cell c along the axis, named "<w>-sf<SF><suffix>".
+func (g Grid) Curve(c int, m Metric, suffix string) core.Curve {
+	cv := core.Curve{Name: fmt.Sprintf("%s-sf%d%s", g.Cells[c].Workload, g.Cells[c].SF, suffix)}
+	for s, x := range g.Steps {
+		cv.Add(x, m(g.Results[c][s]))
+	}
+	return cv
 }
 
-// Fig2LLC reproduces Figure 2 (b/c, e/f, h/i, k/l): throughput and cache
-// MPKI versus LLC allocation with all 32 cores.
-func Fig2LLC(w Workload, sfs []int, steps []int, opt Options) Fig2LLCResult {
-	if steps == nil {
-		steps = LLCSteps
-	}
-	var pts []Point
-	for _, sf := range sfs {
-		for _, mb := range steps {
-			pts = append(pts, Point{Workload: w, SF: sf, Knobs: Knobs{LLCMB: mb}})
-		}
-	}
-	rs := RunPoints(pts, opt)
-	out := Fig2LLCResult{Workload: w, PerfBySF: map[int]core.Curve{}, MPKIBySF: map[int]core.Curve{}}
-	i := 0
-	for _, sf := range sfs {
-		perf := core.Curve{Name: fmt.Sprintf("%s-sf%d", w, sf)}
-		mpki := core.Curve{Name: fmt.Sprintf("%s-sf%d-mpki", w, sf)}
-		for _, mb := range steps {
-			perf.Add(float64(mb), rs[i].Throughput)
-			mpki.Add(float64(mb), rs[i].MPKI)
-			i++
-		}
-		out.PerfBySF[sf] = perf
-		out.MPKIBySF[sf] = mpki
-	}
-	return out
-}
-
-// Table4 derives the sufficient-LLC-capacity table from Fig2LLC results.
-func Table4(results []Fig2LLCResult) core.Table {
+// Table4 derives the sufficient-LLC-capacity table from AxisLLC grids.
+func Table4(grids []Grid) core.Table {
 	t := core.Table{Headers: []string{"Workload", "SF", "Perf>=90%", "Perf>=95%"}}
-	for _, res := range results {
-		for _, sf := range sortedKeys(res.PerfBySF) {
-			c := res.PerfBySF[sf]
-			x90, _ := c.SufficientCapacity(0.90)
-			x95, _ := c.SufficientCapacity(0.95)
-			t.AddRow(string(res.Workload), fmt.Sprint(sf),
+	for _, g := range grids {
+		for c, cell := range g.Cells {
+			perf := g.Curve(c, Throughput, "")
+			x90, _ := perf.SufficientCapacity(0.90)
+			x95, _ := perf.SufficientCapacity(0.95)
+			t.AddRow(string(cell.Workload), fmt.Sprint(cell.SF),
 				fmt.Sprintf("%.0f MB", x90), fmt.Sprintf("%.0f MB", x95))
 		}
 	}
 	return t
-}
-
-func sortedKeys(m map[int]core.Curve) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
 }
 
 // Table3Result is the TPC-E wait-ratio comparison across scale factors.
@@ -145,14 +147,7 @@ type Table3Result struct {
 // Table3 reproduces the lock/latch wait-time ratios between TPC-E scale
 // factors (paper: SF 15000 vs SF 5000).
 func Table3(smallSF, largeSF int, opt Options) Table3Result {
-	waits := Sweep(opt.Parallel, 2, func(i int) Result {
-		sf := smallSF
-		if i == 1 {
-			sf = largeSF
-		}
-		r, _ := TPCEWaits(sf, opt, Knobs{})
-		return r
-	}, opt.Progress)
+	waits := RunPoints([]Point{{Workload: WTpce, SF: smallSF}, {Workload: WTpce, SF: largeSF}}, opt)
 	rs, rl := waits[0], waits[1]
 	classes := []metrics.WaitClass{
 		metrics.WaitLock, metrics.WaitLatch, metrics.WaitPageLatch, metrics.WaitPageIOLatch,
@@ -171,113 +166,44 @@ func Table3(smallSF, largeSF int, opt Options) Table3Result {
 	return res
 }
 
-// Fig3Result pairs throughput with average bandwidths for the two trends
-// the paper separates: performance driven by cores (bandwidth rises) and
-// by cache (DRAM bandwidth falls).
-type Fig3Result struct {
-	CoreDriven  []BandwidthPoint
-	CacheDriven []BandwidthPoint
-}
-
-// BandwidthPoint is one (throughput, bandwidth) observation.
-type BandwidthPoint struct {
-	Knob         float64
-	Throughput   float64
-	SSDReadMBps  float64
-	SSDWriteMBps float64
-	DRAMMBps     float64
-}
-
-// Fig3 reproduces the average-bandwidth-versus-performance study for one
-// workload and scale factor.
-func Fig3(w Workload, sf int, opt Options) Fig3Result {
-	coreSteps := []int{2, 4, 8, 16, 32}
-	cacheSteps := []int{2, 6, 12, 20, 40}
-	var pts []Point
-	for _, n := range coreSteps {
-		pts = append(pts, Point{Workload: w, SF: sf, Knobs: Knobs{Cores: n}})
-	}
-	for _, mb := range cacheSteps {
-		pts = append(pts, Point{Workload: w, SF: sf, Knobs: Knobs{LLCMB: mb}})
-	}
-	rs := RunPoints(pts, opt)
-	var out Fig3Result
-	for i, n := range coreSteps {
-		out.CoreDriven = append(out.CoreDriven, bandwidthPoint(float64(n), rs[i]))
-	}
-	for i, mb := range cacheSteps {
-		out.CacheDriven = append(out.CacheDriven, bandwidthPoint(float64(mb), rs[len(coreSteps)+i]))
-	}
-	return out
-}
-
-func bandwidthPoint(knob float64, r Result) BandwidthPoint {
-	return BandwidthPoint{
-		Knob: knob, Throughput: r.Throughput,
-		SSDReadMBps: r.SSDReadMBps, SSDWriteMBps: r.SSDWriteMBps, DRAMMBps: r.DRAMMBps,
-	}
-}
-
-// Fig4Result holds bandwidth distributions at full allocations.
-type Fig4Result struct {
-	Workload Workload
-	SF       int
-	SSDRead  metrics.Distribution
-	SSDWrite metrics.Distribution
-	DRAM     metrics.Distribution
-}
-
-// Fig4 reproduces the bandwidth CDFs with full core and LLC allocations.
-func Fig4(w Workload, sf int, opt Options) Fig4Result {
-	r := runPoint(w, sf, opt, Knobs{})
-	return Fig4Result{
-		Workload: w, SF: sf,
-		SSDRead:  metrics.NewDistribution(r.ReadBWSeries),
-		SSDWrite: metrics.NewDistribution(r.WriteBWSeries),
-		DRAM:     metrics.NewDistribution(r.DRAMBWSeries),
-	}
-}
-
-// Fig5Steps is the read-bandwidth-limit sweep in MB/s.
-var Fig5Steps = []float64{100, 200, 400, 600, 800, 1000, 1500, 2500}
-
-// Fig5 reproduces the TPC-H SF 300 QPS response to SSD read-bandwidth
-// limits, returning the measured curve (its LinearReference gives the
-// dashed line, and AllocationForTarget the provisioning comparison).
-func Fig5(opt Options, steps []float64) core.Curve {
-	if steps == nil {
-		steps = Fig5Steps
-	}
-	rs := Sweep(opt.Parallel, len(steps), func(i int) Result {
-		return RunTPCH(300, opt, Knobs{ReadLimitMBps: steps[i]})
-	}, opt.Progress)
-	c := core.Curve{Name: "tpch-sf300-readbw"}
-	for i, mbps := range steps {
-		c.Add(mbps, rs[i].Throughput)
-	}
-	return c
-}
-
-// Fig5Write reproduces the ASDB SF 2000 write-bandwidth-limit result
-// (paper: -6% at 100 MB/s, -44% at 50 MB/s).
-func Fig5Write(opt Options) core.Curve {
-	steps := []float64{50, 100, 0}
-	rs := Sweep(opt.Parallel, len(steps), func(i int) Result {
-		return RunASDB(2000, opt, Knobs{WriteLimitMBps: steps[i]})
-	}, opt.Progress)
-	c := core.Curve{Name: "asdb-sf2000-writebw"}
-	for i, mbps := range steps {
-		x := mbps
-		if x == 0 {
-			x = 1200 // device limit
-		}
-		c.Add(x, rs[i].Throughput)
-	}
-	return c
-}
-
 // DOPSteps is the MAXDOP sweep of Figure 6.
 var DOPSteps = []int{1, 2, 4, 8, 16, 32}
+
+// GrantSteps are Figure 8's query-memory-grant settings (fractions); the
+// first is the default grant the others are compared against.
+var GrantSteps = []float64{0.25, 0.15, 0.05, 0.02}
+
+// QueryTimings is the single-stream method of Figures 6 and 8: under each
+// knob setting, one fresh TPC-H server runs all 22 queries once each, in
+// an order drawn from that setting's seed, at the setting's MAXDOP and
+// grant. It returns query -> elapsed per setting. Each setting builds its
+// own dataset and server, so settings fan out across workers.
+func QueryTimings(sf int, opt Options, settings []Knobs, seeds []int64) []map[int]sim.Duration {
+	return Sweep(opt.Parallel, len(settings), func(i int) map[int]sim.Duration {
+		k := settings[i]
+		elapsed := map[int]sim.Duration{}
+		d := tpch.Build(tpchConfig(sf, opt))
+		srv := warmServer(d.DB, opt, k)
+		srv.Start()
+		g := sim.NewRNG(seeds[i])
+		for _, qi := range g.Perm(tpch.NumQueries) {
+			q := qi + 1
+			elapsed[q] = tpch.QueryTiming(srv, d, q, k.MaxDOP, k.GrantPct, g)
+		}
+		srv.Stop()
+		srv.Sim.Run(srv.Sim.Now() + sim.Time(60*sim.Second))
+		return elapsed
+	}, opt.Progress)
+}
+
+// speedup is base/t, the presentation of Figures 6 and 8 (0 when the
+// setting was not measured).
+func speedup(base, t sim.Duration) float64 {
+	if t == 0 {
+		return 0
+	}
+	return float64(base) / float64(t)
+}
 
 // Fig6Result holds per-query elapsed times by MAXDOP for one SF.
 type Fig6Result struct {
@@ -285,52 +211,39 @@ type Fig6Result struct {
 	Elapsed map[int]map[int]sim.Duration // query -> dop -> elapsed
 }
 
-// Speedup returns the Figure 6 metric: time(maxdop=32)/time(dop) —
-// i.e., speedup of the baseline relative to the limited setting is
-// inverted so bars >1 mean dop beats 32... The paper plots relative
-// speedup with MAXDOP=32 as baseline: speedup(dop) = t(dop=32)/t(dop).
+// Speedup is the Figure 6 metric, t(dop=32)/t(dop): MAXDOP 32 is the
+// baseline, so a value below 1 means the limited setting is slower.
 func (f Fig6Result) Speedup(query, dop int) float64 {
-	base := f.Elapsed[query][32]
-	t := f.Elapsed[query][dop]
-	if t == 0 {
-		return 0
-	}
-	return float64(base) / float64(t)
+	return speedup(f.Elapsed[query][32], f.Elapsed[query][dop])
 }
 
 // Fig6 reproduces the per-query MAXDOP sensitivity: a single stream, the
 // number of cores limited to MAXDOP, one measurement per (query, dop).
 func Fig6(sf int, opt Options, dops []int) Fig6Result {
-	if dops == nil {
-		dops = DOPSteps
+	settings, seeds := make([]Knobs, len(dops)), make([]int64, len(dops))
+	for i, dop := range dops {
+		settings[i], seeds[i] = Knobs{Cores: dop, MaxDOP: dop}, opt.Seed+int64(dop)
 	}
-	// Each DOP setting is one independent point: it builds its own
-	// dataset and server, so points fan out across workers.
-	perDop := Sweep(opt.Parallel, len(dops), func(di int) map[int]sim.Duration {
-		dop := dops[di]
-		elapsed := map[int]sim.Duration{}
-		d := tpch.Build(tpchConfig(sf, opt))
-		srv := warmServer(d.DB, opt, Knobs{Cores: dop, MaxDOP: dop})
-		srv.Start()
-		g := sim.NewRNG(opt.Seed + int64(dop))
-		for _, qi := range g.Perm(tpch.NumQueries) {
-			q := qi + 1
-			elapsed[q] = tpch.QueryTiming(srv, d, q, dop, 0, g)
-		}
-		srv.Stop()
-		srv.Sim.Run(srv.Sim.Now() + sim.Time(60*sim.Second))
-		return elapsed
-	}, opt.Progress)
 	out := Fig6Result{SF: sf, Elapsed: map[int]map[int]sim.Duration{}}
 	for q := 1; q <= tpch.NumQueries; q++ {
 		out.Elapsed[q] = map[int]sim.Duration{}
 	}
-	for di, dop := range dops {
-		for q, t := range perDop[di] {
-			out.Elapsed[q][dop] = t
+	for i, elapsed := range QueryTimings(sf, opt, settings, seeds) {
+		for q, t := range elapsed {
+			out.Elapsed[q][dops[i]] = t
 		}
 	}
 	return out
+}
+
+// Fig8 reproduces the query-memory-grant sensitivity on TPC-H SF 100:
+// query -> elapsed per grant fraction, in grants order.
+func Fig8(opt Options, grants []float64) []map[int]sim.Duration {
+	settings, seeds := make([]Knobs, len(grants)), make([]int64, len(grants))
+	for i, grant := range grants {
+		settings[i], seeds[i] = Knobs{GrantPct: grant}, opt.Seed
+	}
+	return QueryTimings(100, opt, settings, seeds)
 }
 
 // Fig7Result carries the rendered Q20 plans.
@@ -360,58 +273,6 @@ func Fig7(sf int, opt Options) Fig7Result {
 		SerialShape:  serial.Shape(),
 		ParShape:     par.Shape(),
 	}
-}
-
-// GrantSteps are Figure 8's query-memory-grant settings (fractions).
-var GrantSteps = []float64{0.25, 0.15, 0.05, 0.02}
-
-// Fig8Result holds per-query elapsed times by grant fraction.
-type Fig8Result struct {
-	SF      int
-	Elapsed map[int]map[float64]sim.Duration // query -> grantPct -> time
-}
-
-// Speedup returns t(grant=0.25)/t(grant) per the paper's presentation
-// (values < 1 mean the smaller grant slowed the query down).
-func (f Fig8Result) Speedup(query int, grant float64) float64 {
-	base := f.Elapsed[query][0.25]
-	t := f.Elapsed[query][grant]
-	if t == 0 {
-		return 0
-	}
-	return float64(base) / float64(t)
-}
-
-// Fig8 reproduces the query-memory-grant sensitivity on TPC-H SF 100.
-func Fig8(opt Options, grants []float64) Fig8Result {
-	if grants == nil {
-		grants = GrantSteps
-	}
-	perGrant := Sweep(opt.Parallel, len(grants), func(gi int) map[int]sim.Duration {
-		grant := grants[gi]
-		elapsed := map[int]sim.Duration{}
-		d := tpch.Build(tpchConfig(100, opt))
-		srv := warmServer(d.DB, opt, Knobs{GrantPct: grant})
-		srv.Start()
-		g := sim.NewRNG(opt.Seed)
-		for _, qi := range g.Perm(tpch.NumQueries) {
-			q := qi + 1
-			elapsed[q] = tpch.QueryTiming(srv, d, q, 0, grant, g)
-		}
-		srv.Stop()
-		srv.Sim.Run(srv.Sim.Now() + sim.Time(60*sim.Second))
-		return elapsed
-	}, opt.Progress)
-	out := Fig8Result{SF: 100, Elapsed: map[int]map[float64]sim.Duration{}}
-	for q := 1; q <= tpch.NumQueries; q++ {
-		out.Elapsed[q] = map[float64]sim.Duration{}
-	}
-	for gi, grant := range grants {
-		for q, t := range perGrant[gi] {
-			out.Elapsed[q][grant] = t
-		}
-	}
-	return out
 }
 
 // Table2 regenerates the database-size table from the actual generated

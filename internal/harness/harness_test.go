@@ -35,18 +35,13 @@ func TestCoreSweepScales(t *testing.T) {
 
 func TestLLCSweepHelps(t *testing.T) {
 	opt := TestOptions()
-	res := Fig2LLC(WTpch, []int{2}, []int{2, 40}, opt)
-	perf := res.PerfBySF[2]
-	small, _ := perf.At(2)
-	full, _ := perf.At(40)
-	if full < small {
-		t.Fatalf("more cache slowed things down: 2MB=%f 40MB=%f", small, full)
+	g := SweepAxis(AxisLLC, []float64{2, 40}, []Cell{{WTpch, 2}}, opt)
+	small, full := g.Results[0][0], g.Results[0][1]
+	if full.Throughput < small.Throughput {
+		t.Fatalf("more cache slowed things down: 2MB=%f 40MB=%f", small.Throughput, full.Throughput)
 	}
-	mpki := res.MPKIBySF[2]
-	mSmall, _ := mpki.At(2)
-	mFull, _ := mpki.At(40)
-	if mFull > mSmall {
-		t.Fatalf("MPKI rose with more cache: 2MB=%f 40MB=%f", mSmall, mFull)
+	if full.MPKI > small.MPKI {
+		t.Fatalf("MPKI rose with more cache: 2MB=%f 40MB=%f", small.MPKI, full.MPKI)
 	}
 }
 

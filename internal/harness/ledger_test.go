@@ -1,0 +1,109 @@
+package harness
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+var updateLedger = flag.Bool("update", false, "rewrite testdata/ledger.txt from this build's output")
+
+const ledgerPath = "testdata/ledger.txt"
+
+// TestLedger is the identity ledger for the paper rows: every InAll row
+// plus table4 runs through Experiment.Execute at one tiny fixed config,
+// and sha256(stdout ‖ JSONL) must equal the digest committed in
+// testdata/ledger.txt. A byte-identical PR passes it untouched; a PR that
+// means to move a number regenerates the table (go test -run TestLedger
+// -update) and the diff is its declaration of what moved.
+//
+// It reaches the rows only through Execute and Env, so the file compiles
+// against any commit that has the experiment table.
+//
+// fig6 is left out: its cost is driven by nominal size, not density (22
+// queries at six DOPs at SF 10..300 is ~36 s at any density), and it stays
+// pinned by TestFig6SerialParallelIdentical and bench's tpch_power
+// cross-check.
+func TestLedger(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the ledger runs every paper row; skipped under -short")
+	}
+	opt := TestOptions()
+	opt.Density = 30
+	opt.Warmup = sim.Second / 2
+	opt.Measure = sim.Second
+	opt.Telemetry = true
+	opt.Parallel = 4
+
+	want := map[string]string{}
+	if !*updateLedger {
+		b, err := os.ReadFile(ledgerPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+			name, sum, _ := strings.Cut(line, " ")
+			want[name] = sum
+		}
+	}
+	var table strings.Builder
+	rows, ran := 0, 0 // ran < rows when -run selects some subtests only
+	for _, x := range Experiments {
+		if !(x.InAll || x.Name == "table4") || x.Name == "fig6" {
+			continue
+		}
+		rows++
+		t.Run(x.Name, func(t *testing.T) {
+			ran++
+			var stdout, jsonl bytes.Buffer
+			em, err := NewEmitter(&jsonl, "json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := &Env{Opt: opt, Quick: true, Out: &stdout, Emit: em, TraceQuery: 14}
+			if x.UsesWorkload {
+				env.Workload = WAsdb
+			}
+			if err := x.Execute(env); err != nil {
+				t.Fatal(err)
+			}
+			if err := em.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if stdout.Len() == 0 || jsonl.Len() == 0 {
+				t.Fatalf("%d stdout bytes, %d JSONL bytes: the digest would pin nothing", stdout.Len(), jsonl.Len())
+			}
+			h := sha256.New()
+			h.Write(stdout.Bytes())
+			h.Write(jsonl.Bytes())
+			got := fmt.Sprintf("%x", h.Sum(nil))
+			fmt.Fprintf(&table, "%s %s\n", x.Name, got)
+			if !*updateLedger && got != want[x.Name] {
+				t.Errorf("digest %s, ledger has %q: output moved (or the row is new); "+
+					"if intended, regenerate with -update and declare it", got, want[x.Name])
+			}
+			delete(want, x.Name)
+		})
+	}
+	if ran < rows {
+		return
+	}
+	if *updateLedger {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(ledgerPath, []byte(table.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	for name := range want {
+		t.Errorf("ledger lists %s, which no longer runs", name)
+	}
+}

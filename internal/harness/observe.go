@@ -61,20 +61,6 @@ func (t TraceResult) Render() string {
 	return s
 }
 
-// QStatsResult is the `dbsense qstats` experiment output: one measured
-// run of a workload with the server's cumulative query statistics.
-type QStatsResult struct {
-	Workload Workload
-	SF       int
-	Result   Result
-}
-
-// RunQStats measures one workload at its default knobs and returns the
-// query-stats snapshot alongside the usual point metrics.
-func RunQStats(w Workload, sf int, opt Options) QStatsResult {
-	return QStatsResult{Workload: w, SF: sf, Result: runPoint(w, sf, opt, Knobs{})}
-}
-
 // QueryStatsTable renders a query-stats snapshot as the paper-style
 // aligned table (the dm_exec_query_stats view).
 func QueryStatsTable(rows []metrics.QueryStatRow) core.Table {

@@ -69,8 +69,7 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 
 func TestRunQStatsCollectsTemplates(t *testing.T) {
 	opt := TestOptions()
-	res := RunQStats(WAsdb, 5, opt)
-	rows := res.Result.QueryStats
+	rows := RunASDB(5, opt, Knobs{}).QueryStats
 	if len(rows) == 0 {
 		t.Fatal("no query-stats rows collected")
 	}

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/core"
+	"repro/internal/iodev"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -65,7 +67,7 @@ func (x Experiment) Execute(env *Env) error {
 // Experiments is the experiment table, in `dbsense list` and `run all`
 // order. Adding an experiment is adding a row.
 var Experiments = []Experiment{
-	{Name: "table2", Desc: "peak throughput per workload at paper scale", InAll: true, Run: runTable2},
+	{Name: "table2", Desc: "database sizes: data and index GB per workload and scale factor", InAll: true, Run: runTable2},
 	{Name: "fig2cores", Desc: "throughput vs logical cores, per workload and SF", InAll: true, UsesWorkload: true, Run: runFig2Cores},
 	{Name: "fig2llc", Desc: "throughput and MPKI vs LLC size (also derives Table 4)", InAll: true, UsesWorkload: true, Run: runFig2LLC},
 	{Name: "table3", Desc: "wait-type ratios across scale factors", InAll: true, Run: runTable3},
@@ -136,37 +138,41 @@ func runTable2(e *Env) error {
 	return nil
 }
 
+// showFamily renders one Figure 2 panel — metric m of every cell along the
+// grid's axis — and emits each cell's curve.
+func showFamily(e *Env, experiment, title, label string, g Grid, m Metric, metric, unit, suffix string) {
+	e.write(RenderFamily(title, g, m, label))
+	for c, cell := range g.Cells {
+		EmitCurve(e.Emit, experiment, string(cell.Workload), cell.SF, metric, g.Axis.Knob, unit, g.Curve(c, m, suffix))
+	}
+}
+
 func runFig2Cores(e *Env) error {
-	steps := quickOr(e, []int{2, 8, 16, 32}, CoreSteps)
+	steps := quickOr(e, []float64{2, 8, 16, 32}, CoreSteps)
 	for _, w := range e.workloads() {
-		fam := CurveFamily(Fig2Cores(w, PaperSFs(w), steps, e.Opt).PerfBySF)
-		e.write(RenderFamily(fmt.Sprintf("Fig2 cores: %s (throughput vs logical cores)", w), fam, "cores"))
-		EmitFamily(e.Emit, "fig2cores", string(w), "throughput", "cores", "per_sec", fam)
+		g := SweepAxis(AxisCores, steps, PaperCells(w), e.Opt)
+		showFamily(e, "fig2cores", fmt.Sprintf("Fig2 cores: %s (throughput vs logical cores)", w), "cores", g, Throughput, "throughput", "per_sec", "")
 	}
 	return nil
 }
 
 // llcSweep runs the LLC sweep for every selected workload, handing each
-// workload's curves to show as they complete, and returns Table 4.
-func llcSweep(e *Env, show func(Fig2LLCResult)) core.Table {
-	steps := quickOr(e, []int{2, 8, 20, 40}, LLCSteps)
-	var all []Fig2LLCResult
+// workload's grid to show as it completes, and returns Table 4.
+func llcSweep(e *Env, show func(Workload, Grid)) core.Table {
+	steps := quickOr(e, []float64{2, 8, 20, 40}, LLCSteps)
+	var all []Grid
 	for _, w := range e.workloads() {
-		res := Fig2LLC(w, PaperSFs(w), steps, e.Opt)
-		all = append(all, res)
-		show(res)
+		g := SweepAxis(AxisLLC, steps, PaperCells(w), e.Opt)
+		all = append(all, g)
+		show(w, g)
 	}
 	return Table4(all)
 }
 
 func runFig2LLC(e *Env) error {
-	t4 := llcSweep(e, func(res Fig2LLCResult) {
-		w := string(res.Workload)
-		perf, mpki := CurveFamily(res.PerfBySF), CurveFamily(res.MPKIBySF)
-		e.write(RenderFamily(fmt.Sprintf("Fig2 LLC: %s (throughput vs MB)", w), perf, "MB"))
-		e.write(RenderFamily(fmt.Sprintf("Fig2 MPKI: %s (MPKI vs MB)", w), mpki, "MB"))
-		EmitFamily(e.Emit, "fig2llc", w, "throughput", "llc_mb", "per_sec", perf)
-		EmitFamily(e.Emit, "fig2llc", w, "mpki", "llc_mb", "mpki", mpki)
+	t4 := llcSweep(e, func(w Workload, g Grid) {
+		showFamily(e, "fig2llc", fmt.Sprintf("Fig2 LLC: %s (throughput vs MB)", w), "MB", g, Throughput, "throughput", "per_sec", "")
+		showFamily(e, "fig2llc", fmt.Sprintf("Fig2 MPKI: %s (MPKI vs MB)", w), "MB", g, MPKI, "mpki", "mpki", "-mpki")
 	})
 	e.printf("-- Table 4 (derived from the same sweep) --\n%s", t4.Render())
 	EmitTable(e.Emit, "fig2llc", "table4", t4)
@@ -174,7 +180,7 @@ func runFig2LLC(e *Env) error {
 }
 
 func runTable4(e *Env) error {
-	tb := llcSweep(e, func(Fig2LLCResult) {})
+	tb := llcSweep(e, func(Workload, Grid) {})
 	e.write(tb.Render())
 	EmitTable(e.Emit, "table4", "table4", tb)
 	return nil
@@ -193,60 +199,74 @@ func runTable3(e *Env) error {
 	return nil
 }
 
+// runFig3 pairs throughput with average bandwidths along the two trends
+// the paper separates: performance driven by cores (bandwidth rises) and
+// by cache (DRAM bandwidth falls).
 func runFig3(e *Env) error {
-	for _, pair := range []struct {
-		w  Workload
-		sf int
-	}{{WTpch, 100}, {WAsdb, 2000}} {
-		res := Fig3(pair.w, pair.sf, e.Opt)
+	for _, cell := range []Cell{{WTpch, 100}, {WAsdb, 2000}} {
 		t := core.Table{Headers: []string{"trend", "knob", "throughput", "SSD-R MB/s", "SSD-W MB/s", "DRAM MB/s"}}
-		for _, p := range res.CoreDriven {
-			t.AddRow("cores", core.F(p.Knob), core.F(p.Throughput), core.F(p.SSDReadMBps), core.F(p.SSDWriteMBps), core.F(p.DRAMMBps))
+		add := func(trend string, g Grid) {
+			for s, r := range g.Results[0] {
+				t.AddRow(trend, core.F(g.Steps[s]), core.F(r.Throughput), core.F(r.SSDReadMBps), core.F(r.SSDWriteMBps), core.F(r.DRAMMBps))
+			}
 		}
-		for _, p := range res.CacheDriven {
-			t.AddRow("LLC-MB", core.F(p.Knob), core.F(p.Throughput), core.F(p.SSDReadMBps), core.F(p.SSDWriteMBps), core.F(p.DRAMMBps))
-		}
-		e.printf("-- %s SF %d --\n%s", pair.w, pair.sf, t.Render())
-		EmitTable(e.Emit, "fig3", fmt.Sprintf("%s-sf%d", pair.w, pair.sf), t)
+		add("cores", SweepAxis(AxisCores, []float64{2, 4, 8, 16, 32}, []Cell{cell}, e.Opt))
+		add("LLC-MB", SweepAxis(AxisLLC, []float64{2, 6, 12, 20, 40}, []Cell{cell}, e.Opt))
+		e.printf("-- %s SF %d --\n%s", cell.Workload, cell.SF, t.Render())
+		EmitTable(e.Emit, "fig3", fmt.Sprintf("%s-sf%d", cell.Workload, cell.SF), t)
 	}
 	return nil
 }
 
+// workloadPoints is one full-allocation point per selected workload, at
+// the scale factor pick takes from the paper's list.
+func (e *Env) workloadPoints(pick func(sfs []int) int) []Point {
+	var pts []Point
+	for _, w := range e.workloads() {
+		pts = append(pts, Point{Workload: w, SF: pick(PaperSFs(w))})
+	}
+	return pts
+}
+
+// runFig4 reproduces the bandwidth CDFs with full core and LLC allocations.
 func runFig4(e *Env) error {
 	t := core.Table{Headers: []string{"workload", "SF", "metric", "p10", "p50", "p90", "p99", "mean"}}
-	ws := e.workloads()
-	results := Sweep(e.Opt.Parallel, len(ws), func(i int) Fig4Result {
-		sfs := PaperSFs(ws[i])
-		return Fig4(ws[i], sfs[len(sfs)-1], e.Opt)
-	}, e.Opt.Progress)
-	for _, res := range results {
-		w := string(res.Workload)
-		for _, row := range []struct {
-			name string
-			d    metrics.Distribution
-		}{{"SSD-read", res.SSDRead}, {"SSD-write", res.SSDWrite}, {"DRAM", res.DRAM}} {
-			t.AddRow(w, fmt.Sprint(res.SF), row.name,
-				core.F(row.d.Percentile(10)), core.F(row.d.Percentile(50)),
-				core.F(row.d.Percentile(90)), core.F(row.d.Percentile(99)), core.F(row.d.Mean()))
+	pts := e.workloadPoints(slices.Max[[]int])
+	for i, r := range RunPoints(pts, e.Opt) {
+		w, sf := string(pts[i].Workload), pts[i].SF
+		for _, bw := range []struct {
+			label, metric string
+			series        []float64
+		}{
+			{"SSD-read", "ssd_read_mbps", r.ReadBWSeries},
+			{"SSD-write", "ssd_write_mbps", r.WriteBWSeries},
+			{"DRAM", "dram_mbps", r.DRAMBWSeries},
+		} {
+			d := metrics.NewDistribution(bw.series)
+			t.AddRow(w, fmt.Sprint(sf), bw.label,
+				core.F(d.Percentile(10)), core.F(d.Percentile(50)),
+				core.F(d.Percentile(90)), core.F(d.Percentile(99)), core.F(d.Mean()))
+			EmitDistribution(e.Emit, "fig4", w, sf, bw.metric, "MB/s", d)
 		}
-		EmitDistribution(e.Emit, "fig4", w, res.SF, "ssd_read_mbps", "MB/s", res.SSDRead)
-		EmitDistribution(e.Emit, "fig4", w, res.SF, "ssd_write_mbps", "MB/s", res.SSDWrite)
-		EmitDistribution(e.Emit, "fig4", w, res.SF, "dram_mbps", "MB/s", res.DRAM)
 	}
 	e.write(t.Render())
 	return nil
 }
 
+// runFig5 reproduces the TPC-H SF 300 QPS response to SSD read-bandwidth
+// limits against the linear model a provisioner would assume.
 func runFig5(e *Env) error {
-	c := Fig5(e.Opt, quickOr(e, []float64{100, 400, 800, 2500}, Fig5Steps))
+	steps := quickOr(e, []float64{100, 400, 800, 2500}, []float64{100, 200, 400, 600, 800, 1000, 1500, 2500})
+	g := SweepAxis(AxisReadBW, steps, []Cell{{WTpch, 300}}, e.Opt)
+	c := g.Curve(0, Throughput, "-readbw")
 	lin := c.LinearReference()
 	t := core.Table{Headers: []string{"read limit MB/s", "QPS", "linear-model QPS"}}
 	for i, p := range c.Points {
 		t.AddRow(core.F(p.X), core.F(p.Y), core.F(lin.Points[i].Y))
 	}
 	e.write(t.Render())
-	EmitCurve(e.Emit, "fig5", "tpch", 300, "qps", "read_limit_mbps", "qps", c)
-	EmitCurve(e.Emit, "fig5", "tpch", 300, "qps_linear_model", "read_limit_mbps", "qps", lin)
+	EmitCurve(e.Emit, "fig5", "tpch", 300, "qps", g.Axis.Knob, "qps", c)
+	EmitCurve(e.Emit, "fig5", "tpch", 300, "qps_linear_model", g.Axis.Knob, "qps", lin)
 	target := c.Last().Y * 0.8
 	if actual, linear, ok := c.AllocationForTarget(target); ok {
 		e.printf("to reach %.3f QPS: actual needs %.0f MB/s; a linear model would provision %.0f MB/s (%.0f%% over)\n",
@@ -255,29 +275,43 @@ func runFig5(e *Env) error {
 	return nil
 }
 
+// runFig5Write reproduces the ASDB SF 2000 write-bandwidth-limit result
+// (paper: -6% at 100 MB/s, -44% at 50 MB/s).
 func runFig5Write(e *Env) error {
-	c := Fig5Write(e.Opt)
+	g := SweepAxis(AxisWriteBW, []float64{50, 100, iodev.PaperSSD().WriteMBps}, []Cell{{WAsdb, 2000}}, e.Opt)
+	c := g.Curve(0, Throughput, "-writebw")
 	base := c.Last().Y
 	t := core.Table{Headers: []string{"write limit MB/s", "TPS", "vs unlimited"}}
 	for _, p := range c.Points {
 		t.AddRow(core.F(p.X), core.F(p.Y), fmt.Sprintf("%+.0f%%", 100*(p.Y/base-1)))
 	}
 	e.write(t.Render())
-	EmitCurve(e.Emit, "fig5write", "asdb", 2000, "tps", "write_limit_mbps", "tps", c)
+	EmitCurve(e.Emit, "fig5write", "asdb", 2000, "tps", g.Axis.Knob, "tps", c)
 	return nil
 }
 
-func runFig6(e *Env) error {
-	for _, sf := range PaperSFs(WTpch) {
-		res := Fig6(sf, e.Opt, nil)
-		t := core.Table{Headers: []string{"query", "dop1", "dop2", "dop4", "dop8", "dop16", "dop32"}}
-		for q := 1; q <= tpch.NumQueries; q++ {
-			row := []string{fmt.Sprintf("Q%d", q)}
-			for _, dop := range DOPSteps {
-				row = append(row, core.F(res.Speedup(q, dop)))
-			}
-			t.AddRow(row...)
+// queryRows is the per-query table of Figures 6 and 8: one row per TPC-H
+// query, one cell per header after the first.
+func queryRows(headers []string, cell func(q, col int) float64) core.Table {
+	t := core.Table{Headers: headers}
+	for q := 1; q <= tpch.NumQueries; q++ {
+		row := []string{fmt.Sprintf("Q%d", q)}
+		for col := range headers[1:] {
+			row = append(row, core.F(cell(q, col)))
 		}
+		t.AddRow(row...)
+	}
+	return t
+}
+
+func runFig6(e *Env) error {
+	headers := []string{"query"}
+	for _, dop := range DOPSteps {
+		headers = append(headers, fmt.Sprintf("dop%d", dop))
+	}
+	for _, sf := range PaperSFs(WTpch) {
+		res := Fig6(sf, e.Opt, DOPSteps)
+		t := queryRows(headers, func(q, col int) float64 { return res.Speedup(q, DOPSteps[col]) })
 		e.printf("-- TPC-H SF %d: speedup relative to MAXDOP=32 --\n%s", sf, t.Render())
 		EmitTable(e.Emit, "fig6", fmt.Sprintf("sf%d", sf), t)
 	}
@@ -297,12 +331,12 @@ func runFig7(e *Env) error {
 }
 
 func runFig8(e *Env) error {
-	res := Fig8(e.Opt, nil)
-	t := core.Table{Headers: []string{"query", "M=15%", "M=5%", "M=2%"}}
-	for q := 1; q <= tpch.NumQueries; q++ {
-		t.AddRow(fmt.Sprintf("Q%d", q),
-			core.F(res.Speedup(q, 0.15)), core.F(res.Speedup(q, 0.05)), core.F(res.Speedup(q, 0.02)))
+	headers := []string{"query"}
+	for _, grant := range GrantSteps[1:] {
+		headers = append(headers, fmt.Sprintf("M=%.0f%%", 100*grant))
 	}
+	ts := Fig8(e.Opt, GrantSteps)
+	t := queryRows(headers, func(q, col int) float64 { return speedup(ts[0][q], ts[col+1][q]) })
 	e.printf("-- TPC-H SF 100: speedup vs default 25%% grant --\n%s", t.Render())
 	EmitTable(e.Emit, "fig8", "sf100", t)
 	return nil
@@ -320,18 +354,16 @@ func runTrace(e *Env) error {
 }
 
 func runQStats(e *Env) error {
-	ws := e.workloads()
-	results := Sweep(e.Opt.Parallel, len(ws), func(i int) QStatsResult {
-		return RunQStats(ws[i], PaperSFs(ws[i])[0], e.Opt)
-	}, e.Opt.Progress)
-	for _, res := range results {
-		t := QueryStatsTable(res.Result.QueryStats)
-		e.printf("-- query stats: %s SF %d --\n%s", res.Workload, res.SF, t.Render())
-		EmitResult(e.Emit, "qstats", string(res.Workload), res.SF, "", 0, res.Result)
-		e.prom(res.Result.Telemetry,
+	pts := e.workloadPoints(slices.Min[[]int])
+	for i, r := range RunPoints(pts, e.Opt) {
+		w, sf := string(pts[i].Workload), pts[i].SF
+		t := QueryStatsTable(r.QueryStats)
+		e.printf("-- query stats: %s SF %d --\n%s", w, sf, t.Render())
+		EmitResult(e.Emit, "qstats", w, sf, "", 0, r)
+		e.prom(r.Telemetry,
 			[2]string{"experiment", "qstats"},
-			[2]string{"workload", string(res.Workload)},
-			[2]string{"sf", fmt.Sprint(res.SF)})
+			[2]string{"workload", w},
+			[2]string{"sf", fmt.Sprint(sf)})
 	}
 	return nil
 }

@@ -376,13 +376,6 @@ func warmServer(db *engine.Database, opt Options, k Knobs) *engine.Server {
 // runPoint measures one workload at one scale factor and knob setting:
 // build, boot, drive through warmup, measure.
 func runPoint(w Workload, sf int, opt Options, k Knobs) Result {
-	r, _ := runPointServer(w, sf, opt, k)
-	return r
-}
-
-// runPointServer is runPoint that also returns the stopped server, for
-// callers that read more than the Result.
-func runPointServer(w Workload, sf int, opt Options, k Knobs) (Result, *engine.Server) {
 	row := workload(w)
 	if !row.extendWindow {
 		opt.MinQueries = 0
@@ -393,7 +386,7 @@ func runPointServer(w Workload, sf int, opt Options, k Knobs) (Result, *engine.S
 	d.drive(srv, row.drivers(opt), driverHorizon(opt))
 	r := measure(srv, opt)
 	row.throughput(&r)
-	return r, srv
+	return r
 }
 
 // RunTPCH measures TPC-H stream throughput (QPS) at one knob setting.
@@ -404,13 +397,6 @@ func RunTPCH(sf int, opt Options, k Knobs) Result {
 // RunTPCE measures TPC-E throughput (TPS) at one knob setting.
 func RunTPCE(customers int, opt Options, k Knobs) Result {
 	return runPoint(WTpce, customers, opt, k)
-}
-
-// TPCEWaits runs TPC-E and returns the full wait-class breakdown plus
-// per-object lock waits, for Table 3.
-func TPCEWaits(customers int, opt Options, k Knobs) (Result, map[int]int64) {
-	r, srv := runPointServer(WTpce, customers, opt, k)
-	return r, srv.Locks.WaitNsByObj
 }
 
 // RunASDB measures ASDB throughput (TPS) at one knob setting.

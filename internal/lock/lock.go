@@ -140,10 +140,6 @@ type Manager struct {
 
 	// Timeouts counts lock waits that expired.
 	Timeouts int64
-
-	// WaitNsByObj breaks lock wait time down per object (table), the
-	// DMV-style drill-down used to debug contention patterns.
-	WaitNsByObj map[int]int64
 }
 
 // DefaultLockTimeout is the victim timeout for blocked lock requests.
@@ -153,9 +149,8 @@ const DefaultLockTimeout = 50 * sim.Millisecond
 func NewManager(sm *sim.Sim, ctr *metrics.Counters) *Manager {
 	return &Manager{
 		sm: sm, ctr: ctr,
-		entries:     make(map[Key]*entry),
-		Timeout:     DefaultLockTimeout,
-		WaitNsByObj: make(map[int]int64),
+		entries: make(map[Key]*entry),
+		Timeout: DefaultLockTimeout,
 	}
 }
 
@@ -290,7 +285,6 @@ func (m *Manager) park(p *sim.Proc, key Key, e *entry, w *waiter) (sim.Duration,
 			}
 			wait := sim.Duration(p.Now() - start)
 			metrics.ChargeWait(p, m.ctr, metrics.WaitLock, wait)
-			m.WaitNsByObj[key.Obj] += int64(wait)
 			m.Timeouts++
 			m.promote(key, e)
 			return wait, false
@@ -298,7 +292,6 @@ func (m *Manager) park(p *sim.Proc, key Key, e *entry, w *waiter) (sim.Duration,
 	}
 	wait := sim.Duration(p.Now() - start)
 	metrics.ChargeWait(p, m.ctr, metrics.WaitLock, wait)
-	m.WaitNsByObj[key.Obj] += int64(wait)
 	e.mergeGrant(w.owner, w.mode)
 	return wait, true
 }

@@ -236,9 +236,8 @@ type refManager struct {
 
 	entries map[Key]*refEntry
 
-	Timeout     sim.Duration
-	Timeouts    int64
-	WaitNsByObj map[int]int64
+	Timeout  sim.Duration
+	Timeouts int64
 }
 
 type refWaiter struct {
@@ -257,9 +256,8 @@ type refEntry struct {
 func newRefManager(sm *sim.Sim, ctr *metrics.Counters) *refManager {
 	return &refManager{
 		sm: sm, ctr: ctr,
-		entries:     make(map[Key]*refEntry),
-		Timeout:     DefaultLockTimeout,
-		WaitNsByObj: make(map[int]int64),
+		entries: make(map[Key]*refEntry),
+		Timeout: DefaultLockTimeout,
 	}
 }
 
@@ -334,7 +332,6 @@ func (m *refManager) waitFor(p *sim.Proc, key Key, e *refEntry, w *refWaiter) (s
 			}
 			wait := sim.Duration(p.Now() - start)
 			metrics.ChargeWait(p, m.ctr, metrics.WaitLock, wait)
-			m.WaitNsByObj[key.Obj] += int64(wait)
 			m.Timeouts++
 			m.promote(key, e)
 			return wait, false
@@ -342,7 +339,6 @@ func (m *refManager) waitFor(p *sim.Proc, key Key, e *refEntry, w *refWaiter) (s
 	}
 	wait := sim.Duration(p.Now() - start)
 	metrics.ChargeWait(p, m.ctr, metrics.WaitLock, wait)
-	m.WaitNsByObj[key.Obj] += int64(wait)
 	e.mergeGrant(w.owner, w.mode)
 	return wait, true
 }
@@ -573,14 +569,6 @@ func TestPooledManagerMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d: Timeouts %d, reference %d", seed, got.Timeouts, ref.Timeouts)
 		}
 		sawTimeout = sawTimeout || ref.Timeouts > 0
-		if len(got.WaitNsByObj) != len(ref.WaitNsByObj) {
-			t.Fatalf("seed %d: WaitNsByObj %v, reference %v", seed, got.WaitNsByObj, ref.WaitNsByObj)
-		}
-		for obj, ns := range ref.WaitNsByObj {
-			if got.WaitNsByObj[obj] != ns {
-				t.Fatalf("seed %d: WaitNsByObj %v, reference %v", seed, got.WaitNsByObj, ref.WaitNsByObj)
-			}
-		}
 		if *haveCtr != *wantCtr {
 			t.Fatalf("seed %d: counters differ from the reference", seed)
 		}
