@@ -60,7 +60,7 @@ func (c *cli) register(fs *flag.FlagSet) {
 	fs.IntVar(&opt.Density, "density", 200, "scale-down density (generated rows per paper scale unit)")
 	fs.Float64Var(&c.measure, "measure", 8, "measurement window in simulated seconds")
 	fs.Float64Var(&c.warmup, "warmup", 2, "warmup in simulated seconds")
-	fs.Int64Var(&opt.Seed, "seed", 1, "simulation seed")
+	fs.Int64Var(&opt.Seed, "seed", 1, "simulation seed (nonzero)")
 	fs.StringVar((*string)(&env.Workload), "workload", "", "restrict "+strings.Join(workloadRows(), ", ")+" to one workload (tpch|tpce|asdb|htap)")
 	fs.BoolVar(&env.Quick, "quick", false, "reduced sweeps and scale factors for a fast pass; also -density 120 -measure 2 -warmup 1 unless given")
 	fs.IntVar(&opt.Parallel, "parallel", runtime.NumCPU(), "worker threads for experiment sweeps (results are identical at any setting)")
@@ -386,6 +386,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		{c.warmup >= 0, "-warmup", c.warmup, ">= 0"},
 		{c.env.Rate > 0, "-rate", c.env.Rate, "> 0"},
 		{c.env.Opt.Density >= 0, "-density", c.env.Opt.Density, ">= 0"},
+		// The engine runs seed 0 as seed 1; fault jitter and client backoff would draw from 0.
+		{c.env.Opt.Seed != 0, "-seed", c.env.Opt.Seed, "nonzero: 0 means the default seed, 1"},
 	} {
 		if !f.ok {
 			fmt.Fprintf(stderr, "%s %v out of range (want %s)\n", f.flag, f.val, f.want)

@@ -57,6 +57,7 @@ func TestUsageErrorsHaveNoSideEffects(t *testing.T) {
 		{"-rate 0", []string{"run", "serve", "-rate", "0"}, "-rate 0 out of range (want > 0)"},
 		{"-rate negative", []string{"serve", "-rate", "-5"}, "-rate -5 out of range (want > 0)"},
 		{"-density negative", []string{"run", "fig5write", "-density", "-1"}, "-density -1 out of range (want >= 0)"},
+		{"-seed 0", []string{"run", "replication", "-seed", "0"}, "-seed 0 out of range (want nonzero: 0 means the default seed, 1)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Every sink flag is set (right after the subcommand, so the

@@ -20,7 +20,7 @@ import (
 
 // Config sizes a server. Zero values take the paper's defaults.
 type Config struct {
-	Seed int64
+	Seed int64 // 0 = default seed 1
 
 	Machine hw.Spec
 	SSD     iodev.Spec

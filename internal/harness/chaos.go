@@ -192,51 +192,38 @@ func runChaosCell(sf int, opt Options, spec ChaosSpec, rate float64) ChaosPoint 
 			return out
 		}
 	}
-	acfg := asdbConfig(sf, opt)
-	d := asdb.Build(acfg)
-	srv := warmServer(d.DB, opt, Knobs{WriteLimitMBps: 50})
 	crashAt := opt.Warmup + opt.Measure/2
 	ro := engine.RecoveryOptions{MaxFlushBytes: 4 << 10}
 	if spec.Crash {
 		ro.Crash = fault.CrashPlan{Point: fault.CrashAtTime, At: crashAt}
 	}
-	srv.ArmRecovery(ro)
-
-	byDB := make(map[*engine.Database]*asdb.Dataset)
 	rcfg := repl.Config{
 		Mode: repl.ModeQuorum, Quorum: 1, Replicas: 2,
 		// Partitions must fail commits with a typed outcome, not wedge
 		// them: a short ack bound keeps the commit path live through the
 		// fault windows.
 		AckTimeout: 2 * sim.Second,
-		NewImage: func() *engine.Database {
-			dd := asdb.Build(acfg)
-			byDB[dd.DB] = dd
-			return dd.DB
-		},
 	}
-	cl := repl.New(srv, rcfg)
-	cf := serve.NewCluster(cl, d, func(db *engine.Database) *asdb.Dataset { return byDB[db] }, serve.Config{})
+	c := bootASDB(sf, opt, Knobs{}, &ro, &rcfg)
+	srv, cl := c.srv, c.cl
+	// Only the primary's device is throttled here; the failover cells boot
+	// under Knobs{WriteLimitMBps: 50}, which throttles the standbys too.
+	// Kept as it has always run (ROADMAP's ⚠ queue has the inconsistency).
+	srv.BlkIO.SetWriteLimit(50)
+	cf := serve.NewCluster(cl, c.d, func(db *engine.Database) *asdb.Dataset { return c.ds[db] }, serve.Config{})
 
 	if err := injectFaults(srv, &fault.Config{Schedule: sched}, fault.Targets{Repl: cl, Net: cf.Net, Crash: srv.Crash}); err != nil {
 		out.Err = err.Error()
 		return out
 	}
-	srv.Start()
-	cl.Start()
+	c.start()
 	if err := cf.Start(); err != nil {
 		out.Err = err.Error()
 		return out
 	}
 
-	horizon := opt.Warmup + opt.Measure
-	var storm *openloop.Storm
-	if spec.Storm {
-		storm = &openloop.Storm{At: opt.Warmup + opt.Measure/4, Dur: opt.Measure / 2, X: 6}
-	}
-	plan := openloop.Build(openloop.Config{
-		Rate: rate, Horizon: horizon, QueryFrac: 0.02, Storm: storm,
-	}, srv.Sim.RNG().Fork())
+	end := sim.Time(opt.Warmup + opt.Measure)
+	plan := offeredLoad(srv, opt, rate, spec.Storm)
 	ccfg := client.RConfig{
 		Endpoints:    cf.Endpoints(),
 		ReplyTimeout: 4 * sim.Second,
@@ -250,13 +237,7 @@ func runChaosCell(sf int, opt Options, spec ChaosSpec, rate float64) ChaosPoint 
 	var frep *repl.FailoverReport
 	var promoteErr, verifyErr error
 	if spec.Crash {
-		srv.Sim.Spawn("chaos-failover", func(p *sim.Proc) {
-			for !srv.Crashed() && p.Now() < sim.Time(horizon) {
-				p.Sleep(10 * sim.Millisecond)
-			}
-			if !srv.Crashed() {
-				return
-			}
+		c.onCrash("chaos-failover", end, func(p *sim.Proc) {
 			frep = cl.Failover(p)
 			// Verify replay purity before the promoted node accepts new
 			// writes (they would advance its log past the applied frontier).
@@ -265,19 +246,11 @@ func runChaosCell(sf int, opt Options, spec ChaosSpec, rate float64) ChaosPoint 
 		})
 	}
 
-	end := sim.Time(horizon)
 	srv.Sim.Run(end)
 	// Let in-flight retries, backoffs, and post-failover re-dials finish.
 	srv.Sim.Run(end + sim.Time(30*sim.Second))
-	var quiesceErr string
-	if !srv.Crashed() {
-		_, quiesceErr = quiesceAndCheck(srv, cl, srv.Sim.Now())
-		srv.Stop()
-	}
-	srv.Sim.Run(srv.Sim.Now() + sim.Time(600*sim.Second))
-	cf.Stop()
-	cl.Shutdown()
-	srv.Sim.Run(srv.Sim.Now() + sim.Time(10*sim.Second))
+	// The front ends stop with their engines, through the stop hooks.
+	quiesceErr := settle(srv, cl)
 
 	warm := sim.Time(opt.Warmup)
 	var okN int64

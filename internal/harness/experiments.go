@@ -190,8 +190,7 @@ func QueryTimings(sf int, opt Options, settings []Knobs, seeds []int64) []map[in
 			q := qi + 1
 			elapsed[q] = tpch.QueryTiming(srv, d, q, k.MaxDOP, k.GrantPct, g)
 		}
-		srv.Stop()
-		srv.Sim.Run(srv.Sim.Now() + sim.Time(60*sim.Second))
+		settle(srv, nil)
 		return elapsed
 	}, opt.Progress)
 }

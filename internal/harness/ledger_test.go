@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -16,12 +17,29 @@ var updateLedger = flag.Bool("update", false, "rewrite testdata/ledger.txt from 
 
 const ledgerPath = "testdata/ledger.txt"
 
-// TestLedger is the identity ledger for the paper rows: every InAll row
-// plus table4 runs through Experiment.Execute at one tiny fixed config,
-// and sha256(stdout ‖ JSONL) must equal the digest committed in
+// ledgerMustEmit is, per row, what the JSONL has to match for the digest
+// to pin the row's headline measurement rather than an empty sweep: the
+// fault walker injected something, a 2 % grant slowed some query, the
+// chaos matrix reported its safety metrics.
+var ledgerMustEmit = map[string][]string{
+	"fig4":       {`"record":"cdf_point"`},
+	"fig8":       {`M=2%=0\.`},
+	"serving":    {`"metric":"shed_rate"`},
+	"resilience": {`"faults_injected":[1-9]`},
+	"chaos":      {`"metric":"lost_acks"`, `"metric":"failover_ms"`},
+}
+
+// TestLedger is the identity ledger: every experiment row but fig6 runs
+// through Experiment.Execute at one tiny fixed config, and
+// sha256(stdout ‖ JSONL) must equal the digest committed in
 // testdata/ledger.txt. A byte-identical PR passes it untouched; a PR that
-// means to move a number regenerates the table (go test -run TestLedger
-// -update) and the diff is its declaration of what moved.
+// means to move a number regenerates the table (go test ./internal/harness
+// -run TestLedger -update, the package first) and the diff is its
+// declaration of what moved.
+//
+// Sweeps fan out over GOMAXPROCS workers, so `go test -run TestLedger
+// -cpu 1,4` checks the serial and the parallel pass against the same
+// digests.
 //
 // It reaches the rows only through Execute and Env, so the file compiles
 // against any commit that has the experiment table.
@@ -32,14 +50,14 @@ const ledgerPath = "testdata/ledger.txt"
 // cross-check.
 func TestLedger(t *testing.T) {
 	if testing.Short() {
-		t.Skip("the ledger runs every paper row; skipped under -short")
+		t.Skip("the ledger runs every row; skipped under -short")
 	}
 	opt := TestOptions()
 	opt.Density = 30
 	opt.Warmup = sim.Second / 2
 	opt.Measure = sim.Second
 	opt.Telemetry = true
-	opt.Parallel = 4
+	opt.Parallel = 0
 
 	want := map[string]string{}
 	if !*updateLedger {
@@ -55,7 +73,7 @@ func TestLedger(t *testing.T) {
 	var table strings.Builder
 	rows, ran := 0, 0 // ran < rows when -run selects some subtests only
 	for _, x := range Experiments {
-		if !(x.InAll || x.Name == "table4") || x.Name == "fig6" {
+		if x.Name == "fig6" {
 			continue
 		}
 		rows++
@@ -66,7 +84,7 @@ func TestLedger(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			env := &Env{Opt: opt, Quick: true, Out: &stdout, Emit: em, TraceQuery: 14}
+			env := &Env{Opt: opt, Quick: true, Out: &stdout, Emit: em, TraceQuery: 14, Rate: 16}
 			if x.UsesWorkload {
 				env.Workload = WAsdb
 			}
@@ -78,6 +96,11 @@ func TestLedger(t *testing.T) {
 			}
 			if stdout.Len() == 0 || jsonl.Len() == 0 {
 				t.Fatalf("%d stdout bytes, %d JSONL bytes: the digest would pin nothing", stdout.Len(), jsonl.Len())
+			}
+			for _, must := range ledgerMustEmit[x.Name] {
+				if !regexp.MustCompile(must).Match(jsonl.Bytes()) {
+					t.Errorf("no JSONL record matches %s: the digest would pin a vacuous run", must)
+				}
 			}
 			h := sha256.New()
 			h.Write(stdout.Bytes())

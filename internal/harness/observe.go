@@ -40,8 +40,7 @@ func TraceTPCH(sf, qn int, opt Options) TraceResult {
 	for hop := 0; hop < 10000 && !done; hop++ {
 		srv.Sim.Run(srv.Sim.Now() + sim.Time(60*sim.Second))
 	}
-	srv.Stop()
-	srv.Sim.Run(srv.Sim.Now() + sim.Time(60*sim.Second))
+	settle(srv, nil)
 	out := TraceResult{SF: sf, Query: qn, Elapsed: res.Elapsed, Trace: res.Trace, Stmt: res.Stmt}
 	if res.Err != nil {
 		out.Err = res.Err.Error()

@@ -44,21 +44,19 @@ func (r RecoveryRun) Idempotent() bool { return r.Digest == r.DigestRerun }
 // after success to demonstrate idempotence. ASDB is the write-heaviest
 // mix (40% updates/inserts/deletes), so it exercises every record type.
 func runRecovery(sf int, opt Options, k Knobs, ro engine.RecoveryOptions, rerun bool) RecoveryRun {
-	row := workload(WAsdb)
-	d := row.build(sf, opt)
-	srv := warmServer(d.db, opt, k)
-	srv.ArmRecovery(ro)
-	srv.Start()
+	c := bootASDB(sf, opt, k, &ro, nil)
+	c.start()
 	until := driverHorizon(opt)
-	d.drive(srv, row.drivers(opt), until)
-	srv.Sim.Run(until + sim.Time(600*sim.Second))
+	c.drive(opt, until)
+	srv := c.srv
+	srv.Sim.Run(until + sim.Time(drainWindow))
 
 	out := RecoveryRun{Crashed: srv.Crashed(), Commits: srv.Ctr.TxnCommits}
 	if !out.Crashed {
 		out.InvariantErr = "crash point never fired"
 		return out
 	}
-	drain := func() { srv.Sim.Run(srv.Sim.Now() + sim.Time(600*sim.Second)) }
+	drain := func() { srv.Sim.Run(srv.Sim.Now() + sim.Time(drainWindow)) }
 	rep := srv.Recover()
 	drain()
 	out.Passes = 1

@@ -10,7 +10,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/workload/asdb"
 	"repro/internal/workload/htap"
 	"repro/internal/workload/tpce"
 )
@@ -20,56 +19,6 @@ var ReplModes = []repl.Mode{repl.ModeAsync, repl.ModeQuorum, repl.ModeSync}
 
 // ReplReplicaCounts is the default replica-count axis.
 var ReplReplicaCounts = []int{1, 2}
-
-// buildReplicated boots a replicated ASDB topology: a primary armed for
-// typed-record logging (the replication stream) with rcfg.Replicas
-// standby machines on the same sim clock. The storage knobs apply to
-// every node — the paper's bandwidth throttle hits the replica WAL
-// devices the commit modes wait on, not just the primary. Fault
-// injection is wired here rather than in newServer so the replication
-// axes can target the cluster.
-func buildReplicated(sf int, opt Options, k Knobs, rcfg repl.Config, ro engine.RecoveryOptions) (*engine.Server, *repl.Cluster, *asdb.Dataset) {
-	acfg := asdbConfig(sf, opt)
-	d := asdb.Build(acfg)
-	kk := k
-	kk.Faults = nil // wired below, with the cluster as a target
-	srv := warmServer(d.DB, opt, kk)
-	srv.ArmRecovery(ro)
-	rcfg.NewImage = func() *engine.Database { return asdb.Build(acfg).DB }
-	cl := repl.New(srv, rcfg)
-	for _, s := range cl.Standbys {
-		if k.ReadLimitMBps > 0 {
-			s.Srv.BlkIO.SetReadLimit(k.ReadLimitMBps)
-		}
-		if k.WriteLimitMBps > 0 {
-			s.Srv.BlkIO.SetWriteLimit(k.WriteLimitMBps)
-		}
-	}
-	if err := injectFaults(srv, k.Faults, fault.Targets{Repl: cl}); err != nil {
-		panic(err) // as in newServer
-	}
-	srv.Start()
-	cl.Start()
-	return srv, cl, d
-}
-
-// quiesceAndCheck drains the replication pipeline after the drivers have
-// exited cleanly (every transaction ended: committed durable or aborted
-// and undone) and compares primary and standby state digests.
-func quiesceAndCheck(srv *engine.Server, cl *repl.Cluster, from sim.Time) (bool, string) {
-	deadline := from + sim.Time(600*sim.Second)
-	for t := from; t < deadline && !cl.Quiesced(); t += sim.Time(sim.Second) {
-		srv.Sim.Run(t + sim.Time(sim.Second))
-	}
-	quiesced := cl.Quiesced()
-	errStr := ""
-	if !quiesced {
-		errStr = "replication pipeline did not quiesce"
-	} else if err := cl.CheckDigests(); err != nil {
-		errStr = err.Error()
-	}
-	return quiesced, errStr
-}
 
 // ReplicationPoint is one (commit mode, storage bandwidth, replica
 // count) cell of the replication sweep.
@@ -118,44 +67,40 @@ func Replication(sf int, opt Options, modes []repl.Mode, bandwidths []float64, r
 	if replicas == nil {
 		replicas = ReplReplicaCounts
 	}
-	type cell struct {
+	type setting struct {
 		mode repl.Mode
 		bw   float64
 		n    int
 	}
-	var cells []cell
+	var settings []setting
 	for _, n := range replicas {
 		for _, bw := range bandwidths {
 			for _, m := range modes {
-				cells = append(cells, cell{m, bw, n})
+				settings = append(settings, setting{m, bw, n})
 			}
 		}
 	}
-	points := Sweep(opt.Parallel, len(cells), func(i int) ReplicationPoint {
-		c := cells[i]
-		k := Knobs{ReadLimitMBps: c.bw, WriteLimitMBps: c.bw}
+	points := Sweep(opt.Parallel, len(settings), func(i int) ReplicationPoint {
+		st := settings[i]
+		k := Knobs{ReadLimitMBps: st.bw, WriteLimitMBps: st.bw}
 		rcfg := repl.Config{
-			Mode: c.mode, Quorum: (c.n + 1) / 2, Replicas: c.n,
+			Mode: st.mode, Quorum: (st.n + 1) / 2, Replicas: st.n,
 			TraceCommits: opt.Telemetry,
 		}
-		srv, cl, d := buildReplicated(sf, opt, k, rcfg, engine.RecoveryOptions{})
+		c := bootASDB(sf, opt, k, &engine.RecoveryOptions{}, &rcfg)
+		c.start()
+		srv, cl := c.srv, c.cl
 		end := sim.Time(opt.Warmup + opt.Measure)
-		var st asdb.Stats
-		asdb.RunClients(srv, d, workload(WAsdb).drivers(opt), asdb.DefaultMix(), end, &st)
+		c.drive(opt, end)
 		srv.Sim.Run(sim.Time(opt.Warmup))
 		before := *srv.Ctr
 		srv.Sim.Run(end)
 		delta := srv.Ctr.Sub(before)
-		quiesced, errStr := quiesceAndCheck(srv, cl, end)
-		srv.Stop()
-		srv.Sim.Run(srv.Sim.Now() + sim.Time(600*sim.Second))
-		cl.Shutdown()
-		srv.Sim.Run(srv.Sim.Now() + sim.Time(10*sim.Second))
-		_ = quiesced
+		errStr := settle(srv, cl)
 
 		secs := opt.Measure.Seconds()
 		p := ReplicationPoint{
-			Mode: c.mode, Replicas: c.n, BandwidthMBps: c.bw,
+			Mode: st.mode, Replicas: st.n, BandwidthMBps: st.bw,
 			TPS:       float64(delta.TxnCommits) / secs,
 			MaxLagKB:  float64(cl.MaxLagBytes()) / 1024,
 			ShippedMB: float64(srv.Ctr.ReplShippedBytes) / 1e6,
@@ -240,21 +185,16 @@ func Failover(sf int, opt Options, modes []repl.Mode) FailoverResult {
 			Mode: mode, Quorum: 1, Replicas: 2,
 			ArchiveSegBytes: 32 << 10, SnapshotEvery: 2,
 		}
-		srv, cl, d := buildReplicated(sf, opt, Knobs{WriteLimitMBps: 50}, rcfg, ro)
+		c := bootASDB(sf, opt, Knobs{WriteLimitMBps: 50}, &ro, &rcfg)
+		c.start()
+		srv, cl := c.srv, c.cl
 		until := driverHorizon(opt)
-		var st asdb.Stats
-		asdb.RunClients(srv, d, workload(WAsdb).drivers(opt), asdb.DefaultMix(), until, &st)
+		c.drive(opt, until)
 
 		var frep *repl.FailoverReport
 		var prep *repl.PITRReport
 		var pitrErr error
-		srv.Sim.Spawn("failover-driver", func(p *sim.Proc) {
-			for !srv.Crashed() && p.Now() < until {
-				p.Sleep(10 * sim.Millisecond)
-			}
-			if !srv.Crashed() {
-				return
-			}
+		c.onCrash("failover-driver", until, func(p *sim.Proc) {
 			frep = cl.Failover(p)
 			if cl.Arch != nil {
 				// Restore to the commit nearest the middle of the archived
@@ -268,9 +208,8 @@ func Failover(sf int, opt Options, modes []repl.Mode) FailoverResult {
 				}
 			}
 		})
-		srv.Sim.Run(until + sim.Time(600*sim.Second))
-		cl.Shutdown()
-		srv.Sim.Run(srv.Sim.Now() + sim.Time(10*sim.Second))
+		srv.Sim.Run(until)
+		settle(srv, cl)
 
 		out.Commits = srv.Ctr.TxnCommits
 		if frep == nil {
@@ -342,9 +281,7 @@ type HTAPRoutedResult struct {
 func ReplicatedHTAP(customers int, opt Options, k Knobs, rcfg repl.Config) HTAPRoutedResult {
 	hcfg := htapConfig(customers, opt)
 	d := htap.Build(hcfg)
-	kk := k
-	kk.Faults = nil
-	srv := warmServer(d.DB, opt, kk)
+	srv := warmServer(d.DB, opt, k)
 	srv.ArmRecovery(engine.RecoveryOptions{})
 	byDB := make(map[*engine.Database]*tpce.Dataset)
 	rcfg.NewImage = func() *engine.Database {
@@ -357,8 +294,7 @@ func ReplicatedHTAP(customers int, opt Options, k Knobs, rcfg repl.Config) HTAPR
 	cl.Start()
 
 	end := sim.Time(opt.Warmup + opt.Measure)
-	var st tpce.Stats
-	tpce.RunUsers(srv, d, workload(WHtap).drivers(opt), tpce.DefaultMix(), end, &st)
+	tpce.RunUsers(srv, d, workload(WHtap).drivers(opt), tpce.DefaultMix(), end, new(tpce.Stats))
 	var passes, passesWarm int64
 	srv.Sim.Spawn("htap-analyst", func(p *sim.Proc) {
 		g := srv.Sim.RNG().Fork()
@@ -385,11 +321,7 @@ func ReplicatedHTAP(customers int, opt Options, k Knobs, rcfg repl.Config) HTAPR
 	replicaWarm := cl.RoutedReplica
 	srv.Sim.Run(end)
 	delta := srv.Ctr.Sub(before)
-	_, errStr := quiesceAndCheck(srv, cl, end)
-	srv.Stop()
-	srv.Sim.Run(srv.Sim.Now() + sim.Time(600*sim.Second))
-	cl.Shutdown()
-	srv.Sim.Run(srv.Sim.Now() + sim.Time(10*sim.Second))
+	errStr := settle(srv, cl)
 
 	secs := opt.Measure.Seconds()
 	out := HTAPRoutedResult{

@@ -45,9 +45,9 @@ type Options struct {
 	Density int
 	Warmup  sim.Duration
 	Measure sim.Duration
-	Users   int // OLTP users/clients override (0 = paper's counts)
-	Streams int // TPC-H concurrent streams (0 = paper's 3)
-	Seed    int64
+	Users   int   // OLTP users/clients override (0 = paper's counts)
+	Streams int   // TPC-H concurrent streams (0 = paper's 3)
+	Seed    int64 // 0 = default seed 1, but for the engine only: dbsense rejects it
 	// MinQueries extends the measurement window (in Measure-sized hops,
 	// up to 8) until at least this many queries complete — long-running
 	// analytical points would otherwise quantize QPS badly.
@@ -140,12 +140,8 @@ func newServer(opt Options, k Knobs) *engine.Server {
 	if k.LLCMB > 0 {
 		srv.M.SetCATMask(srv.M.CATMaskForMB(k.LLCMB))
 	}
-	if k.ReadLimitMBps > 0 {
-		srv.BlkIO.SetReadLimit(k.ReadLimitMBps)
-	}
-	if k.WriteLimitMBps > 0 {
-		srv.BlkIO.SetWriteLimit(k.WriteLimitMBps)
-	}
+	srv.BlkIO.SetReadLimit(k.ReadLimitMBps) // 0 = unlimited, as booted
+	srv.BlkIO.SetWriteLimit(k.WriteLimitMBps)
 	if err := injectFaults(srv, k.Faults, fault.Targets{}); err != nil {
 		panic(err) // Knobs are built by this package's cells, not parsed from input
 	}
@@ -211,8 +207,7 @@ func measure(srv *engine.Server, opt Options) Result {
 		prev.QueriesDone-before.QueriesDone < opt.MinQueries && hop < 8; hop++ {
 		runTo(at + sim.Time(opt.Measure))
 	}
-	srv.Stop()
-	srv.Sim.Run(at + sim.Time(600*sim.Second))
+	settle(srv, nil)
 
 	delta := prev.Sub(before)
 	secs := (sim.Duration(at) - opt.Warmup).Seconds()

@@ -2,13 +2,13 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/workload/asdb"
 	"repro/internal/workload/openloop"
 )
 
@@ -57,31 +57,29 @@ func pctMs(sorted []sim.Duration, q float64) float64 {
 	return float64(sorted[i]) / float64(sim.Millisecond)
 }
 
-// runServingPoint boots an isolated simulation — engine, front end,
-// transport, traffic plan — for one offered load.
-func runServingPoint(sf int, opt Options, k Knobs, rate float64, storm *openloop.Storm) ServingPoint {
-	d := asdb.Build(asdbConfig(sf, opt))
-	srv := warmServer(d.DB, opt, k)
-	srv.Start()
-	f := serve.New(srv, d, serve.Config{})
+// ServeOnce runs a single serving cell — an isolated simulation of engine,
+// front end, transport and traffic plan — at the given connection-arrival
+// rate, optionally with the storm burst. It is one point of the Serving
+// sweep and the `dbsense serve` entry point.
+func ServeOnce(sf int, opt Options, k Knobs, rate float64, storm bool) ServingPoint {
+	c := bootASDB(sf, opt, k, nil, nil)
+	c.start()
+	srv := c.srv
+	f := serve.New(srv, c.d, serve.Config{})
 	if err := f.Start(); err != nil {
 		panic(err) // address collision cannot happen on a fresh network
 	}
 
-	horizon := opt.Warmup + opt.Measure
-	plan := openloop.Build(openloop.Config{
-		Rate: rate, Horizon: horizon, QueryFrac: 0.02, Storm: storm,
-	}, srv.Sim.RNG().Fork())
+	plan := offeredLoad(srv, opt, rate, storm)
 	var st openloop.Stats
 	openloop.Run(srv.Sim, f.Net, f.Cfg.Addr, plan, &st)
 
-	end := sim.Time(horizon)
+	end := sim.Time(opt.Warmup + opt.Measure)
 	srv.Sim.Run(end)
 	// Let in-flight requests finish before stopping, so tail latencies
 	// near the window edge are observed rather than cut off.
 	srv.Sim.Run(end + sim.Time(10*sim.Second))
-	srv.Stop()
-	srv.Sim.Run(srv.Sim.Now() + sim.Time(600*sim.Second))
+	settle(srv, nil)
 
 	warm := sim.Time(opt.Warmup)
 	var served []sim.Duration
@@ -120,21 +118,6 @@ func runServingPoint(sf int, opt Options, k Knobs, rate float64, storm *openloop
 	return p
 }
 
-// ServeOnce runs a single serving cell at the given connection-arrival
-// rate, optionally with the storm burst — the `dbsense serve` entry
-// point.
-func ServeOnce(sf int, opt Options, k Knobs, rate float64, storm bool) ServingPoint {
-	var s *openloop.Storm
-	if storm {
-		s = &openloop.Storm{
-			At:  opt.Warmup + opt.Measure/4,
-			Dur: opt.Measure / 2,
-			X:   6,
-		}
-	}
-	return runServingPoint(sf, opt, k, rate, s)
-}
-
 // Serving sweeps offered load through saturation on the serving front
 // end and runs the storm cell. Nil rates takes ServingRates. Cells boot
 // isolated simulations: results are bit-identical at any opt.Parallel.
@@ -142,19 +125,11 @@ func Serving(sf int, opt Options, k Knobs, rates []float64) ServingResult {
 	if rates == nil {
 		rates = ServingRates
 	}
-	// The storm cell runs as one more sweep slot so it parallelizes with
-	// the grid.
-	n := len(rates) + 1
-	stormRate := rates[len(rates)/2]
-	points := Sweep(opt.Parallel, n, func(i int) ServingPoint {
-		if i < len(rates) {
-			return runServingPoint(sf, opt, k, rates[i], nil)
-		}
-		return runServingPoint(sf, opt, k, stormRate, &openloop.Storm{
-			At:  opt.Warmup + opt.Measure/4,
-			Dur: opt.Measure / 2,
-			X:   6,
-		})
+	// The storm cell runs at the mid-grid rate as one more sweep slot, so
+	// it parallelizes with the grid.
+	slots := append(slices.Clone(rates), rates[len(rates)/2])
+	points := Sweep(opt.Parallel, len(slots), func(i int) ServingPoint {
+		return ServeOnce(sf, opt, k, slots[i], i == len(rates))
 	}, opt.Progress)
 	return ServingResult{SF: sf, Points: points[:len(rates)], Storm: points[len(rates)]}
 }
