@@ -56,3 +56,20 @@ func BenchmarkMaskedMiss(b *testing.B) {
 	c.SetWayMask(0x3)
 	benchTouches(b, c, func() { c.Sequential(0, 200<<20, false) })
 }
+
+// BenchmarkHitOutsideMask: a 16 MB region made resident under the full
+// mask, re-read under a 2-way mask — hits in ways CAT no longer allocates.
+func BenchmarkHitOutsideMask(b *testing.B) {
+	c := New(PaperLLC())
+	c.Sequential(0, 16<<20, false)
+	c.SetWayMask(0x3)
+	benchTouches(b, c, func() { c.Sequential(0, 16<<20, false) })
+}
+
+// BenchmarkColdFill: flush, then refill all 20 MB — every access a miss
+// into an invalid way (the first-zero scan), the two table clears spread
+// over the 5120 fills that follow.
+func BenchmarkColdFill(b *testing.B) {
+	c := New(PaperLLC())
+	benchTouches(b, c, func() { c.Flush(); c.Sequential(0, 20<<20, false) })
+}

@@ -66,14 +66,26 @@ func (s Stats) MissRatio() float64 {
 // table is an empty cache:
 //
 //	tags[i] = sampled-line index + 1
-//	meta[i] = stamp<<1 | dirty
+//	meta[i] = stamp<<7 | way<<1 | dirty
 //
 // stamp is one counter for the whole cache, bumped on every access, so
-// the live stamps of a set are distinct and a larger one is more recent.
-// Replacement is therefore a plain arg-min over the allowed ways' meta
-// words: an invalid way's 0 is below every live stamp, and the strict
-// comparison keeps the first of several — the first invalid allowed way
-// in way order, else the least recently used one.
+// the live stamps of a set are distinct and a larger one is more recent;
+// way is the word's own position in its set (New's Ways <= 64 is what
+// fits it in bits 1-6, checkStamp what keeps stamp<<7 from wrapping).
+// Replacement is therefore a plain min over the allowed ways' meta words,
+// with no index carried beside it: distinct stamps order live words
+// whatever their low bits, so the minimum word is the least recently used
+// way and names it in bits 1-6 and its write-back in bit 0. An invalid
+// way's 0 is below every live word; a minimum of 0 (cold fill only) is
+// resolved by a first-zero scan — the first invalid allowed way in way
+// order.
+//
+// hint is a way predictor for the hit path: hint[idx&hintMask] is the way
+// sampled index idx was last found or filled in. It is only a guess —
+// access compares that way's full tag before believing it and otherwise
+// searches every way — so a stale or aliased entry costs one compare and
+// can neither fake a hit nor hide a resident line, and nothing that
+// changes contents or mask (Flush, SetWayMask) has to maintain it.
 type LLC struct {
 	cfg Config
 
@@ -90,9 +102,11 @@ type LLC struct {
 	allowed    []uint8 // the mask's ways in way order; nil when every way is allowed
 	allocBytes int64   // capacity the mask covers
 
-	tags  []uint64
-	meta  []uint64
-	stamp uint64
+	tags     []uint64
+	meta     []uint64
+	stamp    uint64
+	hint     []uint8
+	hintMask uint64
 
 	stats Stats
 }
@@ -126,6 +140,11 @@ func New(cfg Config) *LLC {
 		tags:        make([]uint64, simSets*cfg.Ways),
 		meta:        make([]uint64, simSets*cfg.Ways),
 	}
+	// Four slots per cache line, rounded up to a power of two: resident
+	// lines rarely share a slot.
+	hintLen := uint64(1) << uint(bits.Len64(uint64(4*simSets*cfg.Ways-1)))
+	c.hint = make([]uint8, hintLen)
+	c.hintMask = hintLen - 1
 	if c.ss&(c.ss-1) == 0 {
 		c.sampleShift = bits.TrailingZeros64(c.ss)
 	}
@@ -205,32 +224,73 @@ func (c *LLC) access(idx, dirty uint64) (miss, wb int64) {
 	meta := c.meta[lo:][:len(tags):len(tags)]
 	tag := idx + 1
 	c.stamp++
-	now := c.stamp << 1
-	// Lookup searches all ways: CAT does not restrict hits.
+	now := c.stamp << stampShift
+	// Lookup searches all ways: CAT does not restrict hits. The predicted
+	// way is tried first and believed only on a full tag match.
+	hint := &c.hint[idx&c.hintMask]
+	if w := int(*hint); w < len(tags) && tags[w] == tag {
+		meta[w] = now | meta[w]&lowBits | dirty
+		return 0, 0
+	}
 	for w, t := range tags {
 		if t == tag {
-			meta[w] = now | meta[w]&1 | dirty
+			meta[w] = now | meta[w]&lowBits | dirty
+			*hint = uint8(w)
 			return 0, 0
 		}
 	}
-	// Miss: fill into an allowed way, evicting LRU among allowed ways.
-	victim, oldest := 0, ^uint64(0)
+	// Miss: fill into an allowed way, evicting LRU among allowed ways —
+	// the minimum meta word, which carries its own way.
+	oldest := ^uint64(0)
 	if c.allowed == nil {
-		for w, m := range meta {
-			if m < oldest {
-				victim, oldest = w, m
-			}
+		// Two independent chains; an odd last way joins the first.
+		m1 := oldest
+		for w := 1; w < len(meta); w += 2 {
+			oldest = min(oldest, meta[w-1])
+			m1 = min(m1, meta[w])
 		}
+		if len(meta)&1 != 0 {
+			oldest = min(oldest, meta[len(meta)-1])
+		}
+		oldest = min(oldest, m1)
 	} else {
 		for _, w := range c.allowed {
-			if m := meta[w]; m < oldest {
-				victim, oldest = int(w), m
+			oldest = min(oldest, meta[w])
+		}
+	}
+	victim := int(oldest >> wayShift & wayMask)
+	if oldest == 0 {
+		// An allowed way is invalid (cold fill): take the first in way order.
+		for w, m := range meta {
+			if m == 0 && c.mask>>uint(w)&1 != 0 {
+				victim = w
+				break
 			}
 		}
 	}
 	tags[victim] = tag
-	meta[victim] = now | dirty
+	meta[victim] = now | uint64(victim)<<wayShift | dirty
+	*hint = uint8(victim)
 	return 1, int64(oldest & 1)
+}
+
+// The meta word's layout (see LLC): dirty in bit 0, the way in the six bits
+// from wayShift, the stamp from stampShift up.
+const (
+	wayShift   = 1
+	wayMask    = 1<<(stampShift-wayShift) - 1
+	stampShift = 7
+	lowBits    = 1<<stampShift - 1 // way and dirty: what a hit keeps
+)
+
+// checkStamp panics if a bulk touch starting now could carry stamp<<stampShift
+// past 64 bits — 2^57 simulated accesses, out of reach in practice, but a
+// wrapped stamp would silently corrupt every set's LRU order. No touch
+// simulates more than maxSimNonStreaming accesses.
+func (c *LLC) checkStamp() {
+	if c.stamp >= 1<<(64-stampShift)-maxSimNonStreaming {
+		panic(fmt.Sprintf("cache: LLC.stamp = %d, too close to its %d-bit limit", c.stamp, 64-stampShift))
+	}
 }
 
 // maxSimPerTouch bounds the number of line accesses one bulk touch
@@ -275,6 +335,7 @@ func (c *LLC) Sequential(base uint64, bytes int64, write bool) Stats {
 	if bytes <= 0 {
 		return Stats{}
 	}
+	c.checkStamp()
 	lines := (bytes + LineBytes - 1) / LineBytes
 	start := base / LineBytes
 	dirty := dirtyBit(write)
@@ -337,6 +398,7 @@ func (c *LLC) Random(base uint64, regionBytes int64, count int64, write bool, po
 	if count <= 0 || regionBytes <= 0 {
 		return Stats{}
 	}
+	c.checkStamp()
 	regionLines := regionBytes / LineBytes
 	if regionLines < 1 {
 		regionLines = 1

@@ -166,6 +166,14 @@ func TestSupersetMasksPreserveResidency(t *testing.T) {
 	}
 }
 
+// panicMsg runs f and returns what it panicked with, printed ("<nil>" if
+// it returned).
+func panicMsg(f func()) (msg string) {
+	defer func() { msg = fmt.Sprint(recover()) }()
+	f()
+	return
+}
+
 func TestNewRejectsUnrepresentableGeometry(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  Config
@@ -175,14 +183,9 @@ func TestNewRejectsUnrepresentableGeometry(t *testing.T) {
 		{Config{SizeBytes: 20 << 20, Ways: 65, SetSample: 64}, "Ways"},
 		{Config{SizeBytes: 0, Ways: 20, SetSample: 64}, "SizeBytes"},
 	} {
-		func() {
-			defer func() {
-				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.want) {
-					t.Errorf("New(%+v): panic %q, want one naming %s", tc.cfg, msg, tc.want)
-				}
-			}()
-			New(tc.cfg)
-		}()
+		if msg := panicMsg(func() { New(tc.cfg) }); !strings.Contains(msg, tc.want) {
+			t.Errorf("New(%+v): panic %q, want one naming %s", tc.cfg, msg, tc.want)
+		}
 	}
 	// Both ends of the way range are representable, full mask included.
 	for _, ways := range []int{1, 64} {
@@ -251,6 +254,116 @@ func TestReadHitKeepsLineDirty(t *testing.T) {
 	}
 }
 
+// touchLine reads the n-th line of set 0 and reports whether it missed.
+func touchLine(c *LLC, n int) bool {
+	return c.Sequential(setLine(c, n), LineBytes, false).Misses == 1
+}
+
+// lineTag is the tags entry of the n-th line of set 0.
+func lineTag(c *LLC, n int) uint64 {
+	return c.sampleIdx(setLine(c, n)/LineBytes) + 1
+}
+
+// The way predictor is a guess: a slot left pointing at a way that now
+// holds another line must not fake a hit, and a slot another line has
+// since taken over must not hide a line that is still resident.
+func TestStaleHintNeitherHitsNorHides(t *testing.T) {
+	c := testLLC(16)
+	// Lines of set 0 are simSets indices apart, so line `alias` is the
+	// first that shares line 0's hint slot.
+	alias := int((c.hintMask + 1) / c.simSets)
+	if alias <= c.cfg.Ways || setLine(c, alias)/LineBytes/c.ss&c.hintMask != 0 {
+		t.Fatalf("line %d does not alias line 0 in a %d-slot hint table", alias, c.hintMask+1)
+	}
+	touchLine(c, 0) // way 0
+	for n := 1; n < c.cfg.Ways; n++ {
+		touchLine(c, n)
+	}
+	touchLine(c, alias) // evicts line 0; the shared slot still says way 0
+	if c.tags[0] != lineTag(c, alias) {
+		t.Fatalf("way 0 holds tag %d, want line %d's", c.tags[0], alias)
+	}
+	if !touchLine(c, 0) {
+		t.Fatal("evicted line hit through its stale hint")
+	}
+	if c.tags[1] != lineTag(c, 0) { // refilled over line 1, the oldest
+		t.Fatalf("way 1 holds tag %d, want line 0's", c.tags[1])
+	}
+	// The two resident lines now fight over one slot: each access finds the
+	// slot naming the other's way and must still hit.
+	for i := 0; i < 3; i++ {
+		if touchLine(c, alias) || touchLine(c, 0) {
+			t.Fatalf("round %d: a resident line missed behind an aliased hint", i)
+		}
+	}
+}
+
+func TestHitOutsideMaskKeepsItsWay(t *testing.T) {
+	c := testLLC(16)
+	ways := c.cfg.Ways
+	for n := 0; n < ways; n++ {
+		touchLine(c, n) // line n in way n
+	}
+	c.SetWayMask(0x3)
+	if touchLine(c, 5) {
+		t.Fatal("line resident in way 5 missed under mask 0x3")
+	}
+	if c.tags[5] != lineTag(c, 5) {
+		t.Fatalf("way 5 holds tag %d after out-of-mask hits, want line 5's", c.tags[5])
+	}
+	// Age line 5 to the bottom again: the next full-mask fill must evict
+	// way 5, which it finds in the hit-updated meta word.
+	c.SetWayMask(^uint64(0))
+	for n := 0; n < ways; n++ {
+		if n != 5 && touchLine(c, n) {
+			t.Fatalf("line %d missed", n)
+		}
+	}
+	touchLine(c, ways)
+	if c.tags[5] != lineTag(c, ways) {
+		t.Fatalf("fill evicted another way than LRU way 5 (set 0: %v)", c.tags[:ways])
+	}
+}
+
+// The way field's top value: in a 64-way set the LRU way 63 is read back
+// from bits 1-6 of its meta word.
+func TestWay63IsEvictable(t *testing.T) {
+	c := New(Config{SizeBytes: 1 << 20, Ways: 64, SetSample: 1})
+	for n := 0; n < 64; n++ {
+		touchLine(c, n)
+	}
+	for n := 0; n < 63; n++ {
+		touchLine(c, n)
+	}
+	if !touchLine(c, 64) || c.tags[63] != lineTag(c, 64) {
+		t.Fatalf("fill did not evict LRU way 63 (set 0: %v)", c.tags[:64])
+	}
+}
+
+func TestStampHeadroomIsChecked(t *testing.T) {
+	const limit = 1<<(64-stampShift) - maxSimNonStreaming
+	// The last stamps a touch may start from still order a set.
+	c := testLLC(16)
+	ways := c.cfg.Ways
+	c.stamp = limit - uint64(ways) - 1
+	for n := 0; n <= ways; n++ {
+		touchLine(c, n)
+	}
+	if c.tags[0] != lineTag(c, ways) {
+		t.Errorf("near the stamp limit the fill did not evict LRU way 0 (set 0: %v)", c.tags[:ways])
+	}
+	// The counter is at the limit now, and every bulk touch refuses.
+	pos := sim.NewRNG(1).Float64
+	for name, touch := range map[string]func(){
+		"Sequential": func() { c.Sequential(0, LineBytes, false) },
+		"Random":     func() { c.Random(0, 1<<20, 1, false, pos) },
+	} {
+		if msg := panicMsg(touch); !strings.Contains(msg, "LLC.stamp") {
+			t.Errorf("%s at stamp %d: panic %q, want one naming LLC.stamp", name, c.stamp, msg)
+		}
+	}
+}
+
 func TestTouchesDoNotAllocate(t *testing.T) {
 	c := New(PaperLLC())
 	pos := sim.NewRNG(1).Float64
@@ -277,21 +390,33 @@ type llcModel interface {
 	Stats() Stats
 }
 
-// TestMatchesReference is the differential oracle for the flat layout:
-// any sequence of touches, mask changes, flushes and counter resets must
-// return, call for call, what the nested-slice implementation returns.
+// TestMatchesReference is the differential oracle for the flat layout, its
+// way predictor and its way-tagged stamps: any sequence of touches, mask
+// changes, flushes and counter resets must return, call for call, what the
+// nested-slice implementation returns.
 func TestMatchesReference(t *testing.T) {
 	geometries := []Config{
 		PaperLLC(),
 		{SizeBytes: 20 << 20, Ways: 20, SetSample: 1},
 		{SizeBytes: 20 << 20, Ways: 20, SetSample: 16},
 		{SizeBytes: 12 << 20, Ways: 12, SetSample: 3}, // 5461 sets: the division paths
+		{SizeBytes: 1 << 20, Ways: 1, SetSample: 4},   // single-way sets: the victim is the only word
+		{SizeBytes: 7 << 20, Ways: 7, SetSample: 16},  // odd way count: the min's tail
+		{SizeBytes: 4 << 20, Ways: 64, SetSample: 8},  // the way field's top value, 63
+		// 1024 lines behind a 4096-slot way predictor: touches span up to
+		// 8 MB, 32x the table, so every slot is shared by lines of many sets.
+		{SizeBytes: 64 << 10, Ways: 4, SetSample: 1},
 	}
 	for _, cfg := range geometries {
 		cfg := cfg
-		t.Run(fmt.Sprintf("%dMB_%dway_sample%d", cfg.SizeBytes>>20, cfg.Ways, cfg.SetSample), func(t *testing.T) {
+		name := fmt.Sprintf("%dMB_%dway_sample%d", cfg.SizeBytes>>20, cfg.Ways, cfg.SetSample)
+		if cfg.SizeBytes < 1<<20 {
+			name = fmt.Sprintf("%dKB_%dway_sample%d", cfg.SizeBytes>>10, cfg.Ways, cfg.SetSample)
+		}
+		t.Run(name, func(t *testing.T) {
 			f := func(seed int64) bool { return matchesReference(t, cfg, seed) }
-			if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+			// 12 seeds by default; -quickchecks N scales it (CI runs 1000).
+			if err := quick.Check(f, &quick.Config{MaxCountScale: 0.12}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -306,11 +431,12 @@ func matchesReference(t *testing.T, cfg Config, seed int64) bool {
 	models := [2]llcModel{New(cfg), newRefLLC(cfg)}
 	pos := [2]func() float64{sim.NewRNG(posSeed).Float64, sim.NewRNG(posSeed).Float64}
 
-	// Sizes are log-uniform from below one sampled line to 10x the cache;
+	// Sizes are log-uniform from below one sampled line to 10x the cache
+	// (8 MB for a cache smaller than that, so its way predictor aliases);
 	// bases revisit four regions so touches find each other's lines.
 	size := func() int64 {
-		max := 10 * cfg.SizeBytes
-		return 1 + g.Int64n(max>>uint(g.Intn(24)))
+		top := max(10*cfg.SizeBytes, 8<<20)
+		return 1 + g.Int64n(top>>uint(g.Intn(24)))
 	}
 	base := func() uint64 {
 		b := uint64(g.Intn(4)) << 32
