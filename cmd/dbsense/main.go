@@ -29,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -85,6 +86,14 @@ func workloadRows() []string {
 	}
 	return names
 }
+
+// maxWindow bounds -measure and -warmup in seconds. The simulated clock
+// counts int64 nanoseconds and the harness runs clients to warmup +
+// 10 × measure before it drains, so each gets a sixteenth of the range;
+// +Inf fails the same comparison.
+const maxWindow = float64(math.MaxInt64/16) / float64(sim.Second)
+
+var wantWindow = fmt.Sprintf("at most %.3g: the simulated clock is int64 ns", maxWindow)
 
 // finishOptions derives the Options fields that depend on more than one
 // flag.
@@ -382,9 +391,14 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		want string
 	}{
 		{c.env.TraceQuery >= 1 && c.env.TraceQuery <= tpch.NumQueries, "-trace", c.env.TraceQuery, fmt.Sprintf("1..%d", tpch.NumQueries)},
-		{c.measure > 0, "-measure", c.measure, "> 0"},
+		{c.measure > 0, "-measure", c.measure, "> 0"}, // NaN stops here, as for -warmup and -rate
+		{c.measure <= maxWindow, "-measure", c.measure, wantWindow},
 		{c.warmup >= 0, "-warmup", c.warmup, ">= 0"},
+		{c.warmup <= maxWindow, "-warmup", c.warmup, wantWindow},
 		{c.env.Rate > 0, "-rate", c.env.Rate, "> 0"},
+		// A mean arrival gap under the clock's 1 ns tick rounds to no gap
+		// at all, and the open-loop plan never reaches its horizon.
+		{c.env.Rate <= 1e9, "-rate", c.env.Rate, "at most 1e9: arrival gaps are whole nanoseconds"},
 		{c.env.Opt.Density >= 0, "-density", c.env.Opt.Density, ">= 0"},
 		// The engine runs seed 0 as seed 1; fault jitter and client backoff would draw from 0.
 		{c.env.Opt.Seed != 0, "-seed", c.env.Opt.Seed, "nonzero: 0 means the default seed, 1"},

@@ -53,9 +53,14 @@ func TestUsageErrorsHaveNoSideEffects(t *testing.T) {
 		{"-trace 0", []string{"run", "trace", "-trace", "0"}, "-trace 0 out of range (want 1..22)"},
 		{"-measure 0", []string{"run", "fig5write", "-measure", "0"}, "-measure 0 out of range (want > 0)"},
 		{"-measure NaN", []string{"run", "fig5write", "-measure", "NaN"}, "-measure NaN out of range (want > 0)"},
+		{"-measure +Inf", []string{"run", "fig5write", "-measure", "+Inf"}, "-measure +Inf out of range (want at most 5.76e+08"},
+		{"-measure past the clock", []string{"run", "fig5write", "-measure", "1e10"}, "-measure 1e+10 out of range (want at most 5.76e+08"},
+		{"-warmup +Inf", []string{"run", "fig5write", "-warmup", "+Inf"}, "-warmup +Inf out of range (want at most 5.76e+08"},
 		{"-warmup negative", []string{"run", "fig5write", "-warmup", "-1"}, "-warmup -1 out of range (want >= 0)"},
 		{"-rate 0", []string{"run", "serve", "-rate", "0"}, "-rate 0 out of range (want > 0)"},
 		{"-rate negative", []string{"serve", "-rate", "-5"}, "-rate -5 out of range (want > 0)"},
+		{"-rate +Inf", []string{"serve", "-rate", "+Inf"}, "-rate +Inf out of range (want at most 1e9"},
+		{"-rate NaN", []string{"serve", "-rate", "NaN"}, "-rate NaN out of range (want > 0)"},
 		{"-density negative", []string{"run", "fig5write", "-density", "-1"}, "-density -1 out of range (want >= 0)"},
 		{"-seed 0", []string{"run", "replication", "-seed", "0"}, "-seed 0 out of range (want nonzero: 0 means the default seed, 1)"},
 	} {

@@ -509,6 +509,59 @@ func matchesReference(t *testing.T, cfg Config, seed int64) bool {
 	return true
 }
 
+// TestMissesMonotoneInContiguousWays is the first model law (ROADMAP item
+// 2): LRU within a set has the stack-inclusion property, so from a cold
+// cache one trace misses under a k-way contiguous mask at least as often
+// as under a (k+1)-way one — touch by touch, hence in the scaled totals
+// too. It is exact only while both runs simulate the same accesses, so
+// every touch stays under maxSimPerTouch sampled lines: past it the
+// streaming cap, which compares the touch to the allocation, would sample
+// the two masks at different rates.
+func TestMissesMonotoneInContiguousWays(t *testing.T) {
+	const ways, maxTouch = 8, maxSimPerTouch * LineBytes / 2
+	for _, impl := range []struct {
+		name string
+		new  func(Config) llcModel
+	}{
+		{"LLC", func(cfg Config) llcModel { return New(cfg) }},
+		{"refLLC", func(cfg Config) llcModel { return newRefLLC(cfg) }},
+	} {
+		for sample := 1; sample <= 3; sample++ {
+			cfg := Config{SizeBytes: 256 << 10, Ways: ways, SetSample: sample}
+			t.Run(fmt.Sprintf("%s_sample%d", impl.name, sample), func(t *testing.T) {
+				f := func(seed int64) bool {
+					var prev int64
+					for k := ways; k >= 1; k-- {
+						m := impl.new(cfg)
+						m.SetWayMask(1<<uint(k) - 1)
+						g := sim.NewRNG(seed)
+						for step := 0; step < 40; step++ {
+							base := uint64(g.Intn(3))<<32 + uint64(g.Int64n(cfg.SizeBytes))
+							size := 1 + g.Int64n(maxTouch>>uint(g.Intn(12)))
+							if g.Bool(0.5) {
+								m.Sequential(base, size, g.Bool(0.3))
+							} else {
+								m.Random(base, size, 1+size/16, g.Bool(0.3), g.Float64)
+							}
+						}
+						misses := m.Stats().Misses
+						if misses < prev {
+							t.Errorf("seed %d: %d misses in %d ways, %d in %d", seed, misses, k, prev, k+1)
+							return false
+						}
+						prev = misses
+					}
+					return prev > 0
+				}
+				// 12 seeds by default, as TestMatchesReference.
+				if err := quick.Check(f, &quick.Config{MaxCountScale: 0.12}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
 // maskOf reads a model's normalised way mask.
 func maskOf(m llcModel) uint64 {
 	if c, ok := m.(*LLC); ok {

@@ -25,17 +25,9 @@ type Config struct {
 	Machine hw.Spec
 	SSD     iodev.Spec
 
-	// TotalMemoryBytes is the host memory (64 GB on the paper's box).
-	// SQL Server gets ~80% of it; of that, the buffer pool takes
-	// BufferFrac and the query workspace the rest.
-	TotalMemoryBytes int64
-	SQLMemFrac       float64
-	BufferFrac       float64
-
 	// Resource governor.
-	MaxDOP          int     // 0 = number of allowed cores
-	GrantFrac       float64 // per-query grant cap as a fraction of workspace
-	CostThresholdNs float64
+	MaxDOP    int     // 0 = number of allowed cores
+	GrantFrac float64 // per-query grant cap as a fraction of workspace
 
 	// StmtTimeout is the statement deadline (0 = none, the baseline).
 	// A statement that cannot finish by its deadline is killed with a
@@ -62,18 +54,22 @@ type Config struct {
 	Cost *access.CostModel
 }
 
+// The paper's box has 64 GB of host memory. SQL Server gets 80% of it;
+// of that, the buffer pool takes 82% and the query workspace the rest.
+// No experiment varies the split: the memory axis is Config.GrantFrac.
+const (
+	sqlMemBytes     = 64 << 30 * 80 / 100
+	bufferPoolBytes = sqlMemBytes * 82 / 100
+)
+
 // DefaultConfig returns the paper's testbed configuration.
 func DefaultConfig() Config {
 	return Config{
-		Seed:             1,
-		Machine:          hw.PaperSpec(),
-		SSD:              iodev.PaperSSD(),
-		TotalMemoryBytes: 64 << 30,
-		SQLMemFrac:       0.80,
-		BufferFrac:       0.82,
-		GrantFrac:        0.25,
-		CostThresholdNs:  6e8,
-		Cost:             access.DefaultCost(),
+		Seed:      1,
+		Machine:   hw.PaperSpec(),
+		SSD:       iodev.PaperSSD(),
+		GrantFrac: 0.25,
+		Cost:      access.DefaultCost(),
 	}
 }
 
@@ -142,21 +138,19 @@ func NewServerOn(sm *sim.Sim, cfg Config) *Server {
 	ctr := &metrics.Counters{}
 	m := hw.New(sm, cfg.Machine, ctr)
 	dev := iodev.New(cfg.SSD, ctr)
-	sqlMem := int64(float64(cfg.TotalMemoryBytes) * cfg.SQLMemFrac)
-	bufBytes := int64(float64(sqlMem) * cfg.BufferFrac)
 	s := &Server{
 		Cfg:        cfg,
 		Sim:        sm,
 		M:          m,
 		Dev:        dev,
-		BP:         buffer.New(sm, dev, ctr, bufBytes),
+		BP:         buffer.New(sm, dev, ctr, bufferPoolBytes),
 		Log:        wal.New(sm, dev, ctr),
 		Locks:      lock.NewManager(sm, ctr),
 		Ctr:        ctr,
 		QStats:     metrics.NewQueryStats(),
 		logLatch:   lock.NewNamedLatch("LOG_BUFFER", ctr),
 		allocLatch: make(map[int]*lock.NamedLatch),
-		workspace:  sqlMem - bufBytes,
+		workspace:  sqlMemBytes - bufferPoolBytes,
 	}
 	s.Txns = txn.NewManager(s.Locks, s.Log, ctr)
 	s.CPUs = cgroup.NewCPUSet(m)
@@ -183,20 +177,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.SSD.ReadMBps == 0 {
 		cfg.SSD = d.SSD
 	}
-	if cfg.TotalMemoryBytes == 0 {
-		cfg.TotalMemoryBytes = d.TotalMemoryBytes
-	}
-	if cfg.SQLMemFrac == 0 {
-		cfg.SQLMemFrac = d.SQLMemFrac
-	}
-	if cfg.BufferFrac == 0 {
-		cfg.BufferFrac = d.BufferFrac
-	}
 	if cfg.GrantFrac == 0 {
 		cfg.GrantFrac = d.GrantFrac
-	}
-	if cfg.CostThresholdNs == 0 {
-		cfg.CostThresholdNs = d.CostThresholdNs
 	}
 	if cfg.Cost == nil {
 		cfg.Cost = d.Cost
@@ -339,7 +321,6 @@ func (s *Server) Planner(dop int) *opt.Planner {
 		pl.DBBytes = s.DB.TotalBytes()
 	}
 	pl.Dop = dop
-	pl.CostThresholdNs = s.Cfg.CostThresholdNs
 	return pl
 }
 

@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/fault"
@@ -74,5 +77,60 @@ func TestSettleLeavesNothingRunning(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecoveryCellsLeaveNothingRunning holds the recovery cells to the
+// same end state: a crash-matrix cell (two Recover passes plus the
+// idempotence re-run, each of which restarts the log writer) and an MTTR
+// cell, with telemetry off and armed (a crash leaves the sampler running),
+// must end with no live proc and no goroutine the cell started.
+func TestRecoveryCellsLeaveNothingRunning(t *testing.T) {
+	opt := TestOptions()
+	opt.Density, opt.Warmup, opt.Measure = 30, sim.Second/2, sim.Second
+	at := opt.Warmup + opt.Measure
+	for _, tc := range []struct {
+		name  string
+		k     Knobs
+		ro    engine.RecoveryOptions
+		rerun bool
+	}{
+		{"crash-matrix", Knobs{WriteLimitMBps: 25}, engine.RecoveryOptions{
+			CkptInterval: 250 * sim.Millisecond, MaxFlushBytes: 256,
+			Crash: fault.CrashPlan{Point: fault.CrashDuringUndo, Nth: 1, At: at},
+		}, true},
+		{"mttr", Knobs{ReadLimitMBps: 50, WriteLimitMBps: 50}, engine.RecoveryOptions{
+			CkptInterval: 250 * sim.Millisecond, MaxFlushBytes: 4 << 10,
+			Crash: fault.CrashPlan{Point: fault.CrashAtTime, At: at},
+		}, false},
+	} {
+		for _, tel := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/telemetry=%v", tc.name, tel), func(t *testing.T) {
+				opt := opt
+				opt.Telemetry = tel
+				before := runtime.NumGoroutine()
+				c := bootASDB(1000, opt, tc.k, &tc.ro, nil)
+				run := c.runRecovery(opt, tc.rerun)
+				if run.InvariantErr != "" || !run.Report.Done || run.Report.Winners == 0 {
+					t.Fatalf("recovery did not verify: %+v", run)
+				}
+				if tc.rerun && run.Passes < 2 {
+					t.Fatalf("%d recovery passes, want the during-undo crash to force a second", run.Passes)
+				}
+				if n := c.srv.Sim.Live(); n != 0 {
+					t.Errorf("%d procs still live", n)
+				}
+				// A finished proc's goroutine exits just after its last
+				// handoff to the kernel; give the stragglers a moment.
+				leaked := runtime.NumGoroutine() - before
+				for deadline := time.Now().Add(2 * time.Second); leaked > 0 && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+					leaked = runtime.NumGoroutine() - before
+				}
+				if leaked > 0 {
+					t.Errorf("%d goroutines outlive the cell", leaked)
+				}
+			})
+		}
 	}
 }

@@ -37,26 +37,33 @@ type RecoveryRun struct {
 // state untouched.
 func (r RecoveryRun) Idempotent() bool { return r.Digest == r.DigestRerun }
 
-// runRecovery boots an ASDB server armed for crash recovery, drives the
-// CRUD mix into the configured crash, restarts with ARIES recovery
-// (re-entering recovery when a during-undo crash interrupts it), and
-// verifies the recovered image. With rerun set it recovers a second time
+// runRecovery drives a cell booted with a crash plan: the CRUD mix runs
+// into the configured crash, the server restarts with ARIES recovery
+// (re-entering recovery when a during-undo crash interrupts it), and the
+// recovered image is verified. With rerun set it recovers a second time
 // after success to demonstrate idempotence. ASDB is the write-heaviest
 // mix (40% updates/inserts/deletes), so it exercises every record type.
-func runRecovery(sf int, opt Options, k Knobs, ro engine.RecoveryOptions, rerun bool) RecoveryRun {
-	c := bootASDB(sf, opt, k, &ro, nil)
+func (c *cell) runRecovery(opt Options, rerun bool) RecoveryRun {
 	c.start()
 	until := driverHorizon(opt)
 	c.drive(opt, until)
 	srv := c.srv
 	srv.Sim.Run(until + sim.Time(drainWindow))
+	drain := func() { srv.Sim.Run(srv.Sim.Now() + sim.Time(drainWindow)) }
+	// Every Recover pass restarts the log writer, and a crash leaves an
+	// armed telemetry sampler running: once the last result is read, stop
+	// the server and let them unwind, or each outlives the cell parked,
+	// pinning its dataset.
+	defer func() {
+		srv.Stop()
+		drain()
+	}()
 
 	out := RecoveryRun{Crashed: srv.Crashed(), Commits: srv.Ctr.TxnCommits}
 	if !out.Crashed {
 		out.InvariantErr = "crash point never fired"
 		return out
 	}
-	drain := func() { srv.Sim.Run(srv.Sim.Now() + sim.Time(drainWindow)) }
 	rep := srv.Recover()
 	drain()
 	out.Passes = 1
@@ -141,7 +148,7 @@ func Recovery(sf int, opt Options, intervals []sim.Duration, bandwidths []float6
 			MaxFlushBytes: 4 << 10, // small batches leave partially flushed lumps: undo work
 			Crash:         fault.CrashPlan{Point: fault.CrashAtTime, At: crashAt},
 		}
-		return runRecovery(sf, opt, k, ro, false)
+		return bootASDB(sf, opt, k, &ro, nil).runRecovery(opt, false)
 	}, opt.Progress)
 	out := RecoveryResult{SF: sf}
 	for i, r := range runs {
@@ -236,7 +243,7 @@ func CrashMatrix(sf int, opt Options, plans []fault.CrashPlan) CrashMatrixResult
 			MaxFlushBytes: 256,
 			Crash:         plans[i],
 		}
-		return runRecovery(sf, opt, Knobs{WriteLimitMBps: 25}, ro, true)
+		return bootASDB(sf, opt, Knobs{WriteLimitMBps: 25}, &ro, nil).runRecovery(opt, true)
 	}, opt.Progress)
 	out := CrashMatrixResult{SF: sf}
 	for i, r := range runs {

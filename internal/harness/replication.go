@@ -294,7 +294,7 @@ func ReplicatedHTAP(customers int, opt Options, k Knobs, rcfg repl.Config) HTAPR
 	cl.Start()
 
 	end := sim.Time(opt.Warmup + opt.Measure)
-	tpce.RunUsers(srv, d, workload(WHtap).drivers(opt), tpce.DefaultMix(), end, new(tpce.Stats))
+	tpce.RunUsers(srv, d, workload(WHtap).drivers(opt), end, new(tpce.Stats))
 	var passes, passesWarm int64
 	srv.Sim.Spawn("htap-analyst", func(p *sim.Proc) {
 		g := srv.Sim.RNG().Fork()

@@ -294,7 +294,7 @@ func init() {
 					Seed:                    opt.Seed,
 				})
 				return dataset{d.DB, func(srv *engine.Server, n int, until sim.Time) {
-					tpce.RunUsers(srv, d, n, tpce.DefaultMix(), until, new(tpce.Stats))
+					tpce.RunUsers(srv, d, n, until, new(tpce.Stats))
 				}}
 			},
 			throughput: tps,

@@ -1,6 +1,9 @@
 package metrics
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestDistributionPercentiles(t *testing.T) {
 	d := NewDistribution([]float64{5, 1, 3, 2, 4})
@@ -37,5 +40,37 @@ func TestCountersSubAndWaits(t *testing.T) {
 	}
 	if WaitPageIOLatch.String() != "PAGEIOLATCH" || WaitLock.String() != "LOCK" {
 		t.Fatal("wait class names wrong")
+	}
+}
+
+// TestSubAndAddCoverEveryCounter fails the day a counter joins the struct
+// and not both hand-written field lists: with every field (each wait slot
+// included) set to a distinct value, subtracting zero and adding into zero
+// must both reproduce the whole struct.
+func TestSubAndAddCoverEveryCounter(t *testing.T) {
+	var a Counters
+	v := reflect.ValueOf(&a).Elem()
+	next := int64(0)
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int64:
+			next++
+			f.SetInt(next)
+		case reflect.Array:
+			for j := 0; j < f.Len(); j++ {
+				next++
+				f.Index(j).SetInt(next)
+			}
+		default:
+			t.Fatalf("Counters.%s is a %s: teach this test (and Sub, Add) about it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	if got := a.Sub(Counters{}); got != a {
+		t.Errorf("Sub drops a field:\n got %+v\nwant %+v", got, a)
+	}
+	var sum Counters
+	sum.Add(&a)
+	if sum != a {
+		t.Errorf("Add drops a field:\n got %+v\nwant %+v", sum, a)
 	}
 }

@@ -461,9 +461,6 @@ func (c *Cluster) runApplier(s *Standby) {
 				c.chargeApply(p, s, r)
 				s.apply.Apply(r)
 				s.appliedLSN = lsns[i]
-				if len(c.pendingTraces) > 0 {
-					c.traceApplied(s.idx, s.appliedLSN, p.Now())
-				}
 			}
 			s.Srv.Ctr.ReplAppliedTxns += s.apply.appliedTxns - txns0
 			metrics.ChargeWait(p, s.Srv.Ctr, metrics.WaitReplApply, sim.Duration(p.Now()-applyStart))

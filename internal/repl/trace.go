@@ -28,10 +28,9 @@ const maxCommitTraces = 64
 type standbyTimes struct {
 	shipped  sim.Time // delivery of the batch containing the commit LSN
 	durable  sim.Time // standby WAL flushed past the commit LSN (ack basis)
-	applied  sim.Time // standby image caught up past the commit LSN
 	applyEnd sim.Time // end of the applier iteration that covered it
 
-	hasShipped, hasDurable, hasApplied, hasApplyEnd bool
+	hasShipped, hasDurable, hasApplyEnd bool
 }
 
 // commitTrace is one traced commit's cross-node timeline.
@@ -60,7 +59,6 @@ func (c *Cluster) traceRegister(lsn int64, now sim.Time) *commitTrace {
 			st.durable, st.hasDurable = now, true
 		}
 		if s.appliedLSN >= lsn {
-			st.applied, st.hasApplied = now, true
 			st.applyEnd, st.hasApplyEnd = now, true
 		}
 	}
@@ -89,23 +87,13 @@ func (c *Cluster) traceDurable(idx int, flushedLSN int64, now sim.Time) {
 	}
 }
 
-// traceApplied marks traced commits now applied to standby idx's image.
-func (c *Cluster) traceApplied(idx int, appliedLSN int64, now sim.Time) {
-	for _, ct := range c.pendingTraces {
-		st := &ct.per[idx]
-		if !st.hasApplied && ct.lsn <= appliedLSN {
-			st.applied, st.hasApplied = now, true
-		}
-	}
-}
-
 // traceApplyEnd marks the end of an applier iteration on standby idx: the
 // instant the acknowledgement queue is woken, and the end of the apply
 // phase for every traced commit the iteration covered.
 func (c *Cluster) traceApplyEnd(idx int, appliedLSN int64, now sim.Time) {
 	for _, ct := range c.pendingTraces {
 		st := &ct.per[idx]
-		if st.hasApplied && !st.hasApplyEnd && ct.lsn <= appliedLSN {
+		if !st.hasApplyEnd && ct.lsn <= appliedLSN {
 			st.applyEnd, st.hasApplyEnd = now, true
 		}
 	}

@@ -117,33 +117,61 @@ func (d *Dataset) row(r []int64, id int64) []int64 {
 	return r
 }
 
-// Mix is the ASDB operation mix in percent.
-type Mix struct {
-	PointRead float64 // single-row select on a scaling table
-	RangeRead float64 // short range scan
-	JoinRead  float64 // point read joined to the fixed table
-	Update    float64 // single-row update
-	Insert    float64 // insert into the growing table
-	Delete    float64 // delete from the growing table
+// op is one row of the ASDB statement catalogue: the name the statement
+// goes by on the wire, in query stats and in Stats.ByType; its share of
+// the benchmark's CRUD balance in percent; run, the closed-loop client
+// method that draws the keys; and serve, which maps a served request's
+// one wire argument onto valid keys instead. Both end in the *At bodies
+// of serving.go.
+type op struct {
+	name   string
+	weight float64
+	run    func(*client) bool
+	serve  func(d *Dataset, sess *engine.Session, arg uint64) bool
 }
 
-// DefaultMix returns the CRUD balance of the benchmark.
+var ops = []op{
+	{"asdb.PointRead", 35, (*client).pointRead, func(d *Dataset, sess *engine.Session, arg uint64) bool {
+		return d.PointReadAt(sess, wireKey(d.Big, arg))
+	}},
+	{"asdb.RangeRead", 15, (*client).rangeRead, func(d *Dataset, sess *engine.Session, arg uint64) bool {
+		return d.RangeReadAt(sess, wireKey(d.Small, arg))
+	}},
+	{"asdb.JoinRead", 10, (*client).joinRead, func(d *Dataset, sess *engine.Session, arg uint64) bool {
+		return d.JoinReadAt(sess, wireKey(d.Fixed, arg), wireKey(d.Big, arg))
+	}},
+	{"asdb.Update", 20, (*client).update, func(d *Dataset, sess *engine.Session, arg uint64) bool {
+		return d.UpdateAt(sess, wireKey(d.Big, arg))
+	}},
+	{"asdb.Insert", 14, (*client).insert, func(d *Dataset, sess *engine.Session, _ uint64) bool {
+		return d.InsertRow(sess)
+	}},
+	{"asdb.Delete", 6, (*client).del, func(d *Dataset, sess *engine.Session, arg uint64) bool {
+		return d.DeleteAt(sess, wireKey(d.Growing, arg))
+	}},
+}
+
+// wireKey maps a wire argument onto a nominal row of t.
+func wireKey(t *storage.Table, arg uint64) int64 {
+	return int64(arg % uint64(t.NominalRows()))
+}
+
+// Mix is a weighted statement list: what RunClients draws from, and what
+// the open-loop generator reads statement names and weights off.
+type Mix []engine.Stmt[client]
+
+// DefaultMix returns the benchmark's CRUD balance: every catalogue
+// statement at its default weight, in catalogue order.
 func DefaultMix() Mix {
-	return Mix{
-		PointRead: 35,
-		RangeRead: 15,
-		JoinRead:  10,
-		Update:    20,
-		Insert:    14,
-		Delete:    6,
+	mix := make(Mix, len(ops))
+	for i, o := range ops {
+		mix[i] = engine.Stmt[client]{Name: o.name, Weight: o.weight, Run: o.run}
 	}
+	return mix
 }
 
-// Stats counts operations.
-type Stats struct {
-	ByType map[string]int
-	Total  int
-}
+// Stats counts operations by statement name.
+type Stats = engine.MixStats
 
 type client struct {
 	d    *Dataset
@@ -186,60 +214,10 @@ func (c *client) del() bool {
 // RunClients spawns the closed-loop client threads (the paper uses 128)
 // until the given simulated time or server stop.
 func RunClients(srv *engine.Server, d *Dataset, clients int, mix Mix, until sim.Time, st *Stats) {
-	if st.ByType == nil {
-		st.ByType = make(map[string]int)
-	}
-	type entry struct {
-		name  string
-		label string // query-stats template, "asdb.<name>"
-		w     float64
-		fn    func(*client) bool
-	}
-	entries := []entry{
-		{name: "PointRead", w: mix.PointRead, fn: (*client).pointRead},
-		{name: "RangeRead", w: mix.RangeRead, fn: (*client).rangeRead},
-		{name: "JoinRead", w: mix.JoinRead, fn: (*client).joinRead},
-		{name: "Update", w: mix.Update, fn: (*client).update},
-		{name: "Insert", w: mix.Insert, fn: (*client).insert},
-		{name: "Delete", w: mix.Delete, fn: (*client).del},
-	}
-	var totalW float64
-	for i := range entries {
-		entries[i].label = "asdb." + entries[i].name
-		totalW += entries[i].w
-	}
 	// One skew table for every client: a Zipf is immutable (Next takes the
 	// RNG) and building it draws no randomness.
 	zBig := sim.NewZipf(d.Big.NominalRows(), 0.6)
-	for i := 0; i < clients; i++ {
-		srv.Sim.Spawn("asdb-client", func(p *sim.Proc) {
-			c := &client{
-				d:    d,
-				sess: srv.Open(p).BindCtx(),
-				g:    srv.Sim.RNG().Fork(),
-				zBig: zBig,
-			}
-			defer c.sess.Close()
-			for !srv.Stopped() && p.Now() < until {
-				pick := c.g.Float64() * totalW
-				for _, e := range entries {
-					pick -= e.w
-					if pick <= 0 {
-						// Exec attaches per-attempt statement counters,
-						// folds the attempt into the server's query stats
-						// under e.label, and retries transient aborts under
-						// the session policy.
-						ok := c.sess.Exec(e.label, c.g, func() bool { return e.fn(c) })
-						// Without a retry policy, count every attempt as
-						// the pre-retry driver did (aborts included).
-						if ok || !c.sess.Retry.Enabled() {
-							st.ByType[e.name]++
-							st.Total++
-						}
-						break
-					}
-				}
-			}
-		})
-	}
+	engine.RunMix(srv, clients, mix, until, st, func(sess *engine.Session, g *sim.RNG) *client {
+		return &client{d: d, sess: sess, g: g, zBig: zBig}
+	})
 }

@@ -55,7 +55,7 @@ func TestMixRunsAllOps(t *testing.T) {
 	if st.Total < 50 {
 		t.Fatalf("only %d ops", st.Total)
 	}
-	for _, name := range []string{"PointRead", "Update", "Insert", "Delete"} {
+	for _, name := range []string{"asdb.PointRead", "asdb.Update", "asdb.Insert", "asdb.Delete"} {
 		if st.ByType[name] == 0 {
 			t.Fatalf("op %s never ran: %v", name, st.ByType)
 		}

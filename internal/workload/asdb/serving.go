@@ -73,21 +73,10 @@ func (d *Dataset) DeleteAt(sess *engine.Session, nid int64) bool {
 // wire argument onto a valid key for the target table. The bool pair is
 // (statement outcome, name known).
 func (d *Dataset) ExecOp(sess *engine.Session, name string, arg uint64) (bool, bool) {
-	switch name {
-	case "asdb.PointRead":
-		return d.PointReadAt(sess, int64(arg%uint64(d.Big.NominalRows()))), true
-	case "asdb.RangeRead":
-		return d.RangeReadAt(sess, int64(arg%uint64(d.Small.NominalRows()))), true
-	case "asdb.JoinRead":
-		fid := int64(arg % uint64(d.Fixed.NominalRows()))
-		nid := int64(arg % uint64(d.Big.NominalRows()))
-		return d.JoinReadAt(sess, fid, nid), true
-	case "asdb.Update":
-		return d.UpdateAt(sess, int64(arg%uint64(d.Big.NominalRows()))), true
-	case "asdb.Insert":
-		return d.InsertRow(sess), true
-	case "asdb.Delete":
-		return d.DeleteAt(sess, int64(arg%uint64(d.Growing.NominalRows()))), true
+	for i := range ops {
+		if ops[i].name == name {
+			return ops[i].serve(d, sess, arg), true
+		}
 	}
 	return false, false
 }
@@ -125,13 +114,4 @@ func (d *Dataset) QueryOp(name string, arg uint64) (*opt.LNode, bool) {
 		return nil, false
 	}
 	return d.SumBig(float64(arg%8+1) / 10), true
-}
-
-// OpNames lists the served OLTP statement names in mix order; the serving
-// workload generator picks from it with the closed-loop mix weights.
-func OpNames() []string {
-	return []string{
-		"asdb.PointRead", "asdb.RangeRead", "asdb.JoinRead",
-		"asdb.Update", "asdb.Insert", "asdb.Delete",
-	}
 }

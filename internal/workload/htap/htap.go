@@ -38,7 +38,7 @@ type Stats struct {
 // given simulated time. The caller advances the clock and computes TPS /
 // QPH from the engine counters.
 func Run(srv *engine.Server, d *tpce.Dataset, oltpUsers int, until sim.Time, st *Stats) {
-	tpce.RunUsers(srv, d, oltpUsers, tpce.DefaultMix(), until, &st.OLTP)
+	tpce.RunUsers(srv, d, oltpUsers, until, &st.OLTP)
 	srv.Sim.Spawn("htap-analyst", func(p *sim.Proc) {
 		sess := srv.Open(p)
 		defer sess.Close()

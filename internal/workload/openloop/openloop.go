@@ -88,13 +88,10 @@ func expDur(g *sim.RNG, mean float64) sim.Duration {
 func Build(cfg Config, g *sim.RNG) *Plan {
 	cfg = cfg.withDefaults()
 	pl := &Plan{Cfg: cfg}
-	names := asdb.OpNames()
 	mix := asdb.DefaultMix()
-	weights := []float64{mix.PointRead, mix.RangeRead, mix.JoinRead,
-		mix.Update, mix.Insert, mix.Delete}
 	var totalW float64
-	for _, w := range weights {
-		totalW += w
+	for _, s := range mix {
+		totalW += s.Weight
 	}
 	zKey := sim.NewZipf(1<<20, 0.6)
 
@@ -125,10 +122,10 @@ func Build(cfg Config, g *sim.RNG) *Plan {
 				req.Arg = uint64(g.Int64n(8))
 			} else {
 				pick := g.Float64() * totalW
-				for i, w := range weights {
-					pick -= w
+				for _, s := range mix {
+					pick -= s.Weight
 					if pick <= 0 {
-						req.Name = names[i]
+						req.Name = s.Name
 						break
 					}
 				}

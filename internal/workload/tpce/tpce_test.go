@@ -46,7 +46,7 @@ func TestMixRunsAndCommits(t *testing.T) {
 	srv, d := tinyServer(t, 500, false)
 	var st Stats
 	until := sim.Time(1 * sim.Second)
-	RunUsers(srv, d, 20, DefaultMix(), until, &st)
+	RunUsers(srv, d, 20, until, &st)
 	srv.Sim.Run(until)
 	srv.Stop()
 	srv.Sim.Run(until + sim.Time(300*sim.Second))
@@ -69,7 +69,7 @@ func TestMixRunsAndCommits(t *testing.T) {
 		t.Fatalf("lock waiter stuck for %v", w)
 	}
 	// All transaction types should have run.
-	for _, name := range []string{"TradeOrder", "TradeResult", "TradeStatus", "MarketWatch"} {
+	for _, name := range []string{"tpce.TradeOrder", "tpce.TradeResult", "tpce.TradeStatus", "tpce.MarketWatch"} {
 		if st.ByType[name] == 0 {
 			t.Fatalf("transaction type %s never ran (%v)", name, st.ByType)
 		}
@@ -81,7 +81,7 @@ func TestContentionDropsWithScale(t *testing.T) {
 		srv, d := tinyServer(t, customers, false)
 		var st Stats
 		until := sim.Time(1 * sim.Second)
-		RunUsers(srv, d, 30, DefaultMix(), until, &st)
+		RunUsers(srv, d, 30, until, &st)
 		srv.Sim.Run(until)
 		srv.Stop()
 		srv.Sim.Run(until + sim.Time(300*sim.Second))
