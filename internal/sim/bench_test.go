@@ -5,8 +5,8 @@ import "testing"
 // Kernel micro-benchmarks: the host cost of one event on each of the
 // dispatch paths, and of the event heap alone. One iteration is one event.
 
-// BenchmarkHandoff: two procs sleeping in step, so every event switches
-// goroutines.
+// BenchmarkHandoff: two procs sleeping in step, so every event hands
+// control from one proc's carrier to the other's.
 func BenchmarkHandoff(b *testing.B) {
 	s := New(1)
 	for i := 0; i < 2; i++ {
@@ -22,7 +22,7 @@ func BenchmarkHandoff(b *testing.B) {
 }
 
 // BenchmarkSelfResume: one sleeper, whose own wakeup is always the next
-// event — no goroutine switch.
+// event — no switch.
 func BenchmarkSelfResume(b *testing.B) {
 	s := New(1)
 	s.Spawn("alone", func(p *Proc) {
@@ -33,6 +33,19 @@ func BenchmarkSelfResume(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	s.Run(Time(b.N) * Time(Second))
+}
+
+// BenchmarkSpawn: one proc's lifetime — spawned, dispatched onto a carrier
+// from the free list, run to its return, its carrier put back. One
+// iteration is one proc, not one event.
+func BenchmarkSpawn(b *testing.B) {
+	s := New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		s.Spawn("once", func(*Proc) {})
+		s.Run(s.Now())
+	}
 }
 
 // BenchmarkSchedule: push one event and pop the earliest with 10 000

@@ -1,20 +1,24 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// Simulated entities ("procs") run as goroutines that execute in strict
-// lockstep: at any instant exactly one goroutine — a single proc, or the
-// caller of Run while no proc can run — is active. Procs advance simulated
-// time by blocking on kernel primitives (Sleep, WaitQueue, Resource). There
-// is no scheduler goroutine: the proc that blocks pops the earliest pending
-// event itself, advances the virtual clock, and hands control straight to
-// that event's proc — one goroutine switch per event, none when the event
-// is its own. Events leave the heap in the total order (time, schedule
-// sequence) whoever pops them, so because execution is serialized and all
-// randomness flows through the kernel's seeded RNG, a simulation with a
-// given seed and configuration reproduces identical results on every run.
+// Simulated entities ("procs") run as coroutines that execute in strict
+// lockstep: at any instant exactly one — a single proc, or Run's dispatch
+// loop — is active. Procs advance simulated time by blocking on kernel
+// primitives (Sleep, WaitQueue, Resource). The proc that blocks pops the
+// earliest pending event itself and advances the virtual clock; if the
+// event is its own it carries on without any switch, otherwise it yields
+// to Run, which resumes the event's proc — two coroutine switches per
+// hand-off, no scheduler, lock or channel. Events leave the heap in the
+// total order (time, schedule sequence) whoever pops them, so because
+// execution is serialized and all randomness flows through the kernel's
+// seeded RNG, a simulation with a given seed and configuration reproduces
+// identical results on every run.
 package sim
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
+	"sync"
 	"time"
 )
 
@@ -54,17 +58,16 @@ type Sim struct {
 	dead     int
 	sweepDue func(dead, queued int) bool // defaultSweepDue, except in tests
 
-	until Time          // horizon of the Run in progress
-	idle  chan struct{} // signalled when nothing more can run before until
-	cur   *Proc         // proc currently executing, nil outside Run
-	nlive int           // procs spawned and not yet finished
+	until Time  // horizon of the Run in progress
+	cur   *Proc // proc currently executing, nil outside Run
+	nlive int   // procs spawned and not yet finished
 
 	// Self-profile of the Run in progress, flushed to ProfLoop/ProfProc
 	// when it returns so that an event costs no atomic operation.
 	prof      bool          // Profiling() as sampled when Run began
 	mark      time.Time     // host time of the last phase boundary
 	loopWall  time.Duration // dispatch: yield entry to next's return
-	procWall  time.Duration // everything else, goroutine switch included
+	procWall  time.Duration // everything else, coroutine switches included
 	delivered int64         // events delivered
 }
 
@@ -72,7 +75,6 @@ type Sim struct {
 func New(seed int64) *Sim {
 	return &Sim{
 		rng:      NewRNG(seed),
-		idle:     make(chan struct{}),
 		sweepDue: defaultSweepDue,
 	}
 }
@@ -204,11 +206,12 @@ func (s *Sim) sweep() {
 	s.dead = 0
 }
 
-// next is the kernel's one dispatch step, run by whichever goroutine is
-// giving up control. It discards wakeups of finished procs and stale
-// wakeups, then pops the earliest event, advances the clock and makes its
-// proc current. It returns nil, leaving the event queued, when the heap is
-// empty or the earliest event lies past the Run horizon.
+// next is the kernel's one dispatch step, run by the proc giving up control
+// (or by Run, for the first event of the call). It discards wakeups of
+// finished procs and stale wakeups, then pops the earliest event, advances
+// the clock and makes its proc current. It returns nil, leaving the event
+// queued, when the heap is empty or the earliest event lies past the Run
+// horizon.
 func (s *Sim) next() *Proc {
 	var p *Proc
 	for len(s.events) > 0 {
@@ -254,27 +257,97 @@ func (s *Sim) yield() *Proc {
 	return s.next()
 }
 
-// switchTo wakes the goroutine that runs next: p's, or Run's caller when
-// next found nothing to run.
-func (s *Sim) switchTo(p *Proc) {
-	if p == nil {
-		s.idle <- struct{}{}
-	} else {
-		p.resume <- struct{}{}
+// A carrier is the coroutine a proc runs on: an iter.Pull whose sequence
+// runs one proc's body from its first dispatch to its return, yields, and
+// then runs whichever proc Run hands it next. Only Run resumes a carrier;
+// a proc yields its carrier back to Run when it parks on another proc's
+// event, and when it finishes.
+type carrier struct {
+	resume func() (struct{}, bool) // iter.Pull's next: run p until it yields
+	yield  func(struct{}) bool     // back to Run; valid inside the carrier
+	p      *Proc                   // proc to run, set by Run before the first resume
+}
+
+func newCarrier() *carrier {
+	c := new(carrier)
+	c.resume, _ = iter.Pull(c.body) // never stopped: idle carriers live as long as the process
+	return c
+}
+
+func (c *carrier) body(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.p.run()
+		c.p = nil
+		yield(struct{}{}) // always true: nothing calls iter.Pull's stop
 	}
 }
 
+// carriers is the process-wide LIFO free list of carriers whose proc has
+// finished. iter.Pull allocates about ten objects, so a carrier outlives
+// its proc. The list is shared rather than per Sim because a workload
+// that boots a fresh Sim per run and spawns its clients at once would
+// otherwise call iter.Pull per proc; it sits behind a mutex because
+// parallel sweeps run Sims on several goroutines. (A sync.Pool would drop
+// carriers at GC and strand their parked goroutines.)
+var carriers struct {
+	mu   sync.Mutex
+	free []*carrier
+}
+
+func getCarrier() *carrier {
+	carriers.mu.Lock()
+	defer carriers.mu.Unlock()
+	n := len(carriers.free)
+	if n == 0 {
+		return newCarrier()
+	}
+	c := carriers.free[n-1]
+	carriers.free[n-1] = nil
+	carriers.free = carriers.free[:n-1]
+	return c
+}
+
+// putCarrier returns a carrier that has yielded after its proc finished.
+// Only Run may call it: from inside the carrier, another goroutine could
+// take and resume it before it had yielded.
+func putCarrier(c *carrier) {
+	carriers.mu.Lock()
+	carriers.free = append(carriers.free, c)
+	carriers.mu.Unlock()
+}
+
 // Proc is a simulated process. All Proc methods must be called from the
-// proc's own goroutine while it is the active entity.
+// proc's own body while it is the active entity.
 type Proc struct {
-	sim    *Sim
-	name   string
-	resume chan struct{}
-	epoch  uint64 // increments on every resume; stale wakeups are dropped
-	done   bool
-	key    int64 // wait key of the WaitKey in progress (see WakeUpTo)
-	fail   error // errno-style sticky failure slot (see SetFail)
-	attr   any   // opaque per-proc attribution slot (see SetAttr)
+	sim   *Sim
+	name  string
+	fn    func(*Proc) // the body; nil once it has returned
+	car   *carrier    // from first dispatch until the body returns
+	epoch uint64      // increments on every resume; stale wakeups are dropped
+	done  bool
+	key   int64 // wait key of the WaitKey in progress (see WakeUpTo)
+	fail  error // errno-style sticky failure slot (see SetFail)
+	attr  any   // opaque per-proc attribution slot (see SetAttr)
+}
+
+// run is the proc's whole life on its carrier: the body, then the
+// dispatch of the event after its last. A panic in the body is raised
+// again naming the proc, with the proc's own stack, which iter.Pull would
+// otherwise drop when it carries the panic over to Run. A Goexit (t.Fatal
+// in a proc) is not a panic: recover returns nil and it propagates, and
+// iter.Pull makes Run's caller Goexit too.
+func (p *Proc) run() {
+	defer func() {
+		if v := recover(); v != nil {
+			panic(fmt.Sprintf("sim: proc %q panicked: %v\n\n%s", p.name, v, debug.Stack()))
+		}
+	}()
+	p.fn(p)
+	p.fn = nil
+	p.done = true
+	p.sim.nlive--
+	p.sim.yield()
 }
 
 // SetAttr attaches an opaque attribution value to the proc. Higher layers
@@ -325,30 +398,23 @@ func (p *Proc) RNG() *RNG { return p.sim.rng }
 // simulated time (it is scheduled as an event, so it begins once the
 // events already queued for now have run).
 func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{sim: s, name: name, resume: make(chan struct{})}
+	p := &Proc{sim: s, name: name, fn: fn}
 	s.nlive++
-	go func() {
-		<-p.resume // wait to be scheduled for the first time
-		fn(p)
-		p.done = true
-		s.nlive--
-		s.switchTo(s.yield())
-	}()
 	s.schedule(s.now, p)
 	return p
 }
 
 // park gives up control and blocks until one of the proc's wakeups is
 // delivered. When that wakeup is the very next event there is nobody to
-// switch to and park returns without a channel operation.
+// switch to and park returns at once; otherwise it yields its carrier to
+// Run, which resumes whichever proc next made current.
 func (p *Proc) park() {
 	s := p.sim
 	if s.cur != p {
 		panic(fmt.Sprintf("sim: proc %q parked while not active", p.name))
 	}
-	if q := s.yield(); q != p {
-		s.switchTo(q)
-		<-p.resume
+	if s.yield() != p {
+		p.car.yield(struct{}{})
 	}
 }
 
@@ -369,22 +435,35 @@ func (p *Proc) Yield() {
 }
 
 // Run executes events until no events remain or the clock would pass until.
-// It returns the time at which it stopped. The calling goroutine delivers
-// only the first event; from then on each proc that parks or finishes
-// dispatches the next one itself, and Run's caller sleeps until one of them
-// finds nothing left to run before until. Procs that are still blocked on
-// wait queues stay parked; long-running simulations should arrange a
-// cooperative shutdown (broadcast a stop flag and WakeAll their queues) so
-// procs unwind cleanly rather than leaking goroutines.
+// It returns the time at which it stopped. Run is the dispatcher: it
+// resumes the carrier of the current proc until that proc yields, and then
+// the proc the yielder made current, until one of them finds nothing left
+// to run before until. A proc's panic or Goexit leaves Run the same way,
+// and its carrier, finished, never returns to the free list. Procs that
+// are still blocked on wait queues stay parked; long-running simulations
+// should arrange a cooperative shutdown (broadcast a stop flag and WakeAll
+// their queues) so procs unwind cleanly rather than leaking their
+// carriers. Run must not be called from one of s's own procs.
 func (s *Sim) Run(until Time) Time {
+	if s.cur != nil {
+		panic(fmt.Sprintf("sim: Run called from inside proc %q", s.cur.name))
+	}
 	start := s.now
 	s.until = until
 	if s.prof = Profiling(); s.prof {
 		s.mark = time.Now()
 	}
-	if p := s.next(); p != nil {
-		p.resume <- struct{}{}
-		<-s.idle
+	for p := s.next(); p != nil; p = s.cur {
+		c := p.car
+		if c == nil {
+			c = getCarrier()
+			c.p, p.car = p, c
+		}
+		c.resume()
+		if p.done {
+			p.car = nil
+			putCarrier(c)
+		}
 	}
 	if s.now < until {
 		s.now = until

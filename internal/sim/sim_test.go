@@ -6,7 +6,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -502,6 +505,139 @@ func TestParkOutsideRunPanics(t *testing.T) {
 		}
 	}()
 	parked.Sleep(Millisecond)
+}
+
+func TestRunFromInsideAProcPanics(t *testing.T) {
+	s := New(1)
+	var msg any
+	s.Spawn("nester", func(p *Proc) {
+		defer func() { msg = recover() }()
+		s.Run(Time(Second))
+	})
+	s.Run(Time(Second))
+	if !strings.Contains(fmt.Sprint(msg), `Run called from inside proc "nester"`) {
+		t.Fatalf("nested Run: recovered %v", msg)
+	}
+	if s.Live() != 0 {
+		t.Fatalf("%d procs still live", s.Live())
+	}
+}
+
+// detonate is the helper whose frame a proc's panic report must keep.
+func detonate() { panic("boom") }
+
+func TestProcPanicNamesTheProcAndWhereItPanicked(t *testing.T) {
+	s := New(1)
+	s.Spawn("bystander", func(p *Proc) { p.Sleep(Second) })
+	s.Spawn("bomber", func(p *Proc) {
+		p.Sleep(Millisecond)
+		detonate()
+	})
+	var msg string
+	func() {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		s.Run(Time(Second))
+	}()
+	for _, want := range []string{`sim: proc "bomber" panicked: boom`, "sim.detonate"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic from Run does not contain %q:\n%s", want, msg)
+		}
+	}
+}
+
+func TestGoexitInAProcLeavesRunViaGoexit(t *testing.T) {
+	how := make(chan string, 1)
+	go func() {
+		returned := false
+		defer func() {
+			switch {
+			case recover() != nil:
+				how <- "panic"
+			case returned:
+				how <- "return"
+			default:
+				how <- "Goexit"
+			}
+		}()
+		s := New(1)
+		s.Spawn("quitter", func(p *Proc) {
+			p.Sleep(Millisecond)
+			runtime.Goexit() // what t.Fatal does
+		})
+		s.Run(Time(Second))
+		returned = true
+	}()
+	if got := <-how; got != "Goexit" {
+		t.Fatalf("Run's caller left by %s after its proc called Goexit", got)
+	}
+}
+
+func TestFinishedProcsHandTheirCarriersOn(t *testing.T) {
+	const n = 64 // live at once, so a round needs n carriers
+	round := func(s *Sim) {
+		for i := 0; i < n; i++ {
+			s.Spawn("short", func(p *Proc) { p.Sleep(Microsecond) })
+		}
+		s.Run(s.Now() + Time(Millisecond))
+		if s.Live() != 0 {
+			t.Fatalf("%d procs still live", s.Live())
+		}
+	}
+	round(New(1))
+	before := runtime.NumGoroutine()
+	s := New(2)
+	round(s)
+	// Below zero is an earlier test's goroutine still exiting.
+	if d := runtime.NumGoroutine() - before; d > 0 {
+		t.Errorf("a second round of %d procs started %d goroutines, want 0", n, d)
+	}
+	lifetime := func() {
+		s.Spawn("once", func(p *Proc) { p.Sleep(Microsecond) })
+		s.Run(s.Now() + Time(Millisecond))
+	}
+	if avg := testing.AllocsPerRun(100, lifetime); avg != 1 {
+		t.Errorf("%v allocs per proc spawned and run to its return, want 1 (the Proc)", avg)
+	}
+}
+
+// churn runs parents that keep spawning short-lived children, so carriers
+// go back to the free list and out again all through the run, and returns
+// the children's finishing times.
+func churn(seed int64) []Time {
+	s := New(seed)
+	var out []Time
+	for i := 0; i < 8; i++ {
+		s.Spawn("parent", func(p *Proc) {
+			for j := 0; j < 20; j++ {
+				s.Spawn("child", func(c *Proc) {
+					c.Sleep(Duration(c.RNG().Int64n(int64(Millisecond))))
+					out = append(out, c.Now())
+				})
+				p.Sleep(Duration(p.RNG().Int64n(int64(Millisecond))))
+			}
+		})
+	}
+	s.Run(Time(Second))
+	return out
+}
+
+func TestSimsOnSeveralGoroutinesShareTheFreeList(t *testing.T) {
+	want := churn(1)
+	const workers, runs = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < runs; i++ {
+				if got := churn(1); !reflect.DeepEqual(got, want) {
+					t.Errorf("worker %d run %d: trace differs from the serial run", w, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // pingPong spawns two procs that sleep in step until *stop, so that every
