@@ -18,7 +18,7 @@ import (
 // and no live proc. A crashed primary must not be cleanly stopped (a later
 // Crash after Recover has to land), and the failover driver must never run
 // when no crash fired. Telemetry stays off: Crash does not stop the
-// registry's sampler, which then outlives the cell (ROADMAP item 4).
+// registry's sampler, which then outlives the cell (ROADMAP item 6).
 func TestSettleLeavesNothingRunning(t *testing.T) {
 	opt := TestOptions()
 	opt.Density, opt.Warmup, opt.Measure = 30, sim.Second/2, sim.Second

@@ -18,20 +18,42 @@ var updateLedger = flag.Bool("update", false, "rewrite testdata/ledger.txt from 
 const ledgerPath = "testdata/ledger.txt"
 
 // ledgerMustEmit is, per row, what the JSONL has to match for the digest
-// to pin the row's headline measurement rather than an empty sweep: the
-// fault walker injected something, a 2 % grant slowed some query, the
-// chaos matrix reported its safety metrics.
+// to pin the row's headline measurement rather than an empty sweep: MAXDOP
+// 1 slowed some SF 300 query, a 2 % grant slowed some query, the fault
+// walker injected something, the chaos matrix reported its safety metrics.
 var ledgerMustEmit = map[string][]string{
 	"fig4":       {`"record":"cdf_point"`},
+	"fig6":       {`sf300","text":"query=Q[0-9]+; dop1=0\.`},
 	"fig8":       {`M=2%=0\.`},
 	"serving":    {`"metric":"shed_rate"`},
 	"resilience": {`"faults_injected":[1-9]`},
 	"chaos":      {`"metric":"lost_acks"`, `"metric":"failover_ms"`},
 }
 
-// TestLedger is the identity ledger: every experiment row but fig6 runs
-// through Experiment.Execute at one tiny fixed config, and
-// sha256(stdout ‖ JSONL) must equal the digest committed in
+// ledgerFig6 stands in for fig6's Run: the full row's cost follows nominal
+// size, not density (22 queries at six DOPs at SF 10..300 is ~28 s at any
+// density), so the ledger renders it the way runFig6 does on a reduced
+// grid, SF 10 and SF 300 at MAXDOP 1, 8 and 32. It copies runFig6 rather
+// than parameterising it so that this file still drops onto earlier
+// commits.
+func ledgerFig6(e *Env) error {
+	dops := []int{1, 8, 32}
+	headers := []string{"query"}
+	for _, dop := range dops {
+		headers = append(headers, fmt.Sprintf("dop%d", dop))
+	}
+	for _, sf := range []int{10, 300} {
+		res := Fig6(sf, e.Opt, dops)
+		t := queryRows(headers, func(q, col int) float64 { return res.Speedup(q, dops[col]) })
+		e.printf("-- TPC-H SF %d: speedup relative to MAXDOP=32 --\n%s", sf, t.Render())
+		EmitTable(e.Emit, "fig6", fmt.Sprintf("sf%d", sf), t)
+	}
+	return nil
+}
+
+// TestLedger is the identity ledger: every experiment row runs through
+// Experiment.Execute at one tiny fixed config (fig6 with ledgerFig6 as its
+// Run), and sha256(stdout ‖ JSONL) must equal the digest committed in
 // testdata/ledger.txt. A byte-identical PR passes it untouched; a PR that
 // means to move a number regenerates the table (go test ./internal/harness
 // -run TestLedger -update, the package first) and the diff is its
@@ -41,13 +63,9 @@ var ledgerMustEmit = map[string][]string{
 // -cpu 1,4` checks the serial and the parallel pass against the same
 // digests.
 //
-// It reaches the rows only through Execute and Env, so the file compiles
-// against any commit that has the experiment table.
-//
-// fig6 is left out: its cost is driven by nominal size, not density (22
-// queries at six DOPs at SF 10..300 is ~36 s at any density), and it stays
-// pinned by TestFig6SerialParallelIdentical and bench's tpch_power
-// cross-check.
+// It reaches the rows only through Execute and Env (and fig6 through Fig6
+// and its renderers), so the file compiles against any commit that has the
+// experiment table.
 func TestLedger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the ledger runs every row; skipped under -short")
@@ -74,7 +92,7 @@ func TestLedger(t *testing.T) {
 	rows, ran := 0, 0 // ran < rows when -run selects some subtests only
 	for _, x := range Experiments {
 		if x.Name == "fig6" {
-			continue
+			x.Run = ledgerFig6
 		}
 		rows++
 		t.Run(x.Name, func(t *testing.T) {
