@@ -29,7 +29,7 @@ func main() {
 	htap.Run(srv, d, 99, until, &st)
 	srv.Sim.Run(until)
 	srv.Stop()
-	srv.Sim.Run(until + sim.Time(600*sim.Second))
+	srv.Sim.Run(sim.Forever)
 
 	secs := until.Seconds()
 	fmt.Printf("\nOLTP component: %8.0f transactions/s (99 users)\n", float64(srv.Ctr.TxnCommits)/secs)

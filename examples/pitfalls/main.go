@@ -57,8 +57,9 @@ func main() {
 		defer sess.Close()
 		tCol = sess.Query(mk(true), engine.QueryOptions{}).Elapsed
 		tRow = sess.Query(mk(false), engine.QueryOptions{}).Elapsed
+		p.Sim().Halt()
 	})
-	srv.Sim.Run(srv.Sim.Now() + sim.Time(3600*sim.Second))
+	srv.Sim.Run(sim.Forever)
 	fmt.Printf("  columnstore scan: %8.3f s\n", tCol.Seconds())
 	fmt.Printf("  row-store scan:   %8.3f s  (%.1fx slower)\n",
 		tRow.Seconds(), float64(tRow)/float64(tCol))

@@ -77,28 +77,18 @@ func (s *Server) ArmRecovery(opt RecoveryOptions) {
 
 // Crash fails the server at the current simulated instant: the log
 // freezes (an in-flight flush batch is lost when the crash lands
-// mid-flush), background services stop, and parked waiters are woken to
-// observe the failure. Callers then drain the simulation and call
-// Recover. A crash after a clean Stop is ignored, but a crash while
-// recovery is in flight (the server is stopped yet not cleanly) is not:
-// that is the during-undo crash point.
+// mid-flush), background services stop — the telemetry registry with a
+// last sample at the crash instant — and parked waiters are woken to
+// observe the failure. A crash after a clean Stop is ignored, but a crash
+// while recovery is in flight (the server is stopped yet not cleanly) is
+// not: that is the during-undo crash point.
 func (s *Server) Crash() {
 	if s.crashed || s.cleanStop {
 		return
 	}
 	s.crashed = true
 	s.Ctr.Crashes++
-	wasStopped := s.stopped
-	s.stopped = true
-	s.Log.Crash()
-	s.BP.Stop()
-	if !wasStopped {
-		// Stop hooks run once; a crash during recovery already ran them.
-		for _, fn := range s.stopHooks {
-			fn()
-		}
-	}
-	s.grantQ.WakeAll(s.Sim)
+	s.stopServices(s.Log.Crash)
 }
 
 // Crashed reports whether the server took a crash.
@@ -127,10 +117,11 @@ type RecoveryReport struct {
 // checkpoint), redo (page reads for every durable record past the
 // durable page image), and undo (loser rollback with CLR writes),
 // charging all I/O to the simulated device so recovery time responds to
-// storage bandwidth and the blkio throttle. The caller must drain the
-// simulation first and run it again afterwards; Report.Done flips when
-// the pass finishes. Recover is idempotent: a second pass finds every
-// loser already ended and performs no new undo.
+// storage bandwidth and the blkio throttle. The caller runs the crashed
+// simulation until no event is left before Recover and again after it
+// (Run(sim.Forever)); Report.Done flips when the pass finishes. Recover is
+// idempotent: a second pass finds every loser already ended and performs
+// no new undo.
 func (s *Server) Recover() *RecoveryReport {
 	if !s.armed {
 		panic("engine: Recover on a server without ArmRecovery")

@@ -197,13 +197,22 @@ func (s *Server) Start() {
 // Stop flags shutdown: background services exit at their next wakeup and
 // workload drivers should consult Stopped.
 func (s *Server) Stop() {
-	s.stopped = true
 	s.cleanStop = true
-	s.Log.Stop()
+	s.stopServices(s.Log.Stop)
+}
+
+// stopServices is the shutdown Stop and Crash share, but for how the log
+// stops. Telemetry takes its last sample now; stop hooks run only once.
+func (s *Server) stopServices(stopLog func()) {
+	wasStopped := s.stopped
+	s.stopped = true
+	stopLog()
 	s.BP.Stop()
 	s.Tel.Stop(s.Sim.Now())
-	for _, fn := range s.stopHooks {
-		fn()
+	if !wasStopped {
+		for _, fn := range s.stopHooks {
+			fn()
+		}
 	}
 	s.grantQ.WakeAll(s.Sim) // let parked grant waiters observe shutdown
 }

@@ -414,8 +414,9 @@ func (in *Injector) walk(procName string, act axisAction, next func(now sim.Time
 	})
 }
 
-// sleep sleeps for d in bounded hops so the proc notices Stop promptly
-// (the post-Stop drain window is finite). It reports false once stopped.
+// sleep sleeps for d in hops of at most 5 s, checking for Stop between
+// them, so a stopped injector clears its axis and exits within a hop
+// rather than at the end of a long event. It reports false once stopped.
 func (in *Injector) sleep(p *sim.Proc, d sim.Duration) bool {
 	const hop = 5 * sim.Second
 	for d > 0 {

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+
 	"repro/internal/engine"
 	"repro/internal/repl"
 	"repro/internal/sim"
@@ -8,15 +10,14 @@ import (
 	"repro/internal/workload/openloop"
 )
 
-// drainWindow is how long a stopped simulation runs on so that every
-// driver, background service and in-flight I/O observes the stop and
-// unwinds.
-const drainWindow = 600 * sim.Second
+// maxWait bounds a wait for an event that may never come: the replication
+// pipeline quiescing, a recovery cell's crash point firing.
+const maxWait = 600 * sim.Second
 
 // cell is a booted ASDB simulation: the primary with its dataset and,
 // when replicated, the cluster and each standby image's dataset view. Its
 // life is boot, start, drive, settle (DESIGN.md §7); a recovery cell ends
-// in Recover instead of settle and shares only drainWindow.
+// in Recover instead of settle.
 type cell struct {
 	srv *engine.Server
 	d   *asdb.Dataset
@@ -87,13 +88,14 @@ func (c *cell) onCrash(name string, deadline sim.Time, fn func(p *sim.Proc)) {
 // pipeline has drained and every standby's state digest equals the
 // primary's (the verdict; "" when they do or there is nothing to compare).
 // A crashed primary is left as it fell: a clean stop would turn a later
-// Crash or Recover into a no-op. The simulation then runs through
-// drainWindow, and the standbys shut down last.
+// Crash or Recover into a no-op. The simulation then runs until no event
+// is left, and again after the standbys shut down. A proc still live then
+// is parked for good on a wakeup nothing will send, so settle panics.
 func settle(srv *engine.Server, cl *repl.Cluster) string {
 	sm, verdict := srv.Sim, ""
 	if !srv.Crashed() {
 		if cl != nil {
-			for deadline := sm.Now() + sim.Time(drainWindow); !cl.Quiesced() && sm.Now() < deadline; {
+			for deadline := sm.Now() + sim.Time(maxWait); !cl.Quiesced() && sm.Now() < deadline; {
 				sm.Run(sm.Now() + sim.Time(sim.Second))
 			}
 			if !cl.Quiesced() {
@@ -104,10 +106,13 @@ func settle(srv *engine.Server, cl *repl.Cluster) string {
 		}
 		srv.Stop()
 	}
-	sm.Run(sm.Now() + sim.Time(drainWindow))
+	sm.Run(sim.Forever)
 	if cl != nil {
 		cl.Shutdown()
-		sm.Run(sm.Now() + sim.Time(10*sim.Second))
+		sm.Run(sim.Forever)
+	}
+	if n := sm.Live(); n != 0 {
+		panic(fmt.Sprintf("harness: %d procs still live after settle", n))
 	}
 	return verdict
 }

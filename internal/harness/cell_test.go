@@ -17,11 +17,12 @@ import (
 // failed over. Each must settle with an empty verdict, every node stopped
 // and no live proc. A crashed primary must not be cleanly stopped (a later
 // Crash after Recover has to land), and the failover driver must never run
-// when no crash fired. Telemetry stays off: Crash does not stop the
-// registry's sampler, which then outlives the cell (ROADMAP item 6).
+// when no crash fired. Telemetry is on, so a crashed primary's sampler has
+// to stop with it.
 func TestSettleLeavesNothingRunning(t *testing.T) {
 	opt := TestOptions()
 	opt.Density, opt.Warmup, opt.Measure = 30, sim.Second/2, sim.Second
+	opt.Telemetry = true
 	end := sim.Time(opt.Warmup + opt.Measure)
 	rcfg := repl.Config{Mode: repl.ModeQuorum, Quorum: 1, Replicas: 2}
 	crash := engine.RecoveryOptions{Crash: fault.CrashPlan{Point: fault.CrashAtTime, At: opt.Warmup + opt.Measure/2}}
@@ -69,7 +70,7 @@ func TestSettleLeavesNothingRunning(t *testing.T) {
 			}
 			if tc.crash {
 				c.srv.Recover()
-				c.srv.Sim.Run(c.srv.Sim.Now() + sim.Time(drainWindow))
+				c.srv.Sim.Run(sim.Forever)
 				c.srv.Crash()
 				if c.srv.Ctr.Crashes != 2 {
 					t.Errorf("%d crashes recorded, want 2: settle cleanly stopped a crashed primary", c.srv.Ctr.Crashes)
@@ -82,8 +83,8 @@ func TestSettleLeavesNothingRunning(t *testing.T) {
 // TestRecoveryCellsLeaveNothingRunning holds the recovery cells to the
 // same end state: a crash-matrix cell (two Recover passes plus the
 // idempotence re-run, each of which restarts the log writer) and an MTTR
-// cell, with telemetry off and armed (a crash leaves the sampler running),
-// must end with no live proc and no goroutine the cell started. Procs run
+// cell, with telemetry off and armed (a crash stops the sampler), must end
+// with no live proc and no goroutine the cell started. Procs run
 // on carriers from the kernel's process-wide free list, which park idle
 // by design, so the same cell runs once first to fill it: a proc the
 // second run leaks keeps its carrier, and the run after it needs a new one.

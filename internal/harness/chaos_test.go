@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -103,6 +104,48 @@ func TestChaosSerialParallelIdentical(t *testing.T) {
 	}
 	if len(serial) == 0 {
 		t.Fatal("empty emission")
+	}
+}
+
+// TestChaosCrashSeriesEndAtTheCrash: Crash stops the primary's telemetry
+// registry, so a crash cell's emitted series cover the run up to the crash
+// and none of the teardown after it.
+func TestChaosCrashSeriesEndAtTheCrash(t *testing.T) {
+	opt := chaosOpts()
+	opt.Telemetry = true
+	r := Chaos(1, opt, []ChaosSpec{{Name: "crash", Schedule: "none", Crash: true}}, 8)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	e, err := NewEmitter(&b, "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	EmitChaos(e, r)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	crashAt := (opt.Warmup + opt.Measure/2).Seconds()
+	warm, end := opt.Warmup.Seconds(), (opt.Warmup + opt.Measure).Seconds()
+	inWindow := 0
+	for _, line := range bytes.Split(bytes.TrimSpace(b.Bytes()), []byte("\n")) {
+		var rec Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Record != "series" {
+			continue
+		}
+		if rec.X > crashAt {
+			t.Fatalf("series %s has a point at %g s, after the crash at %g s", rec.Metric, rec.X, crashAt)
+		}
+		if rec.X >= warm && rec.X <= end {
+			inWindow++
+		}
+	}
+	if inWindow == 0 {
+		t.Fatalf("no series point in the measure window [%g, %g] s", warm, end)
 	}
 }
 

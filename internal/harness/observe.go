@@ -30,16 +30,13 @@ func TraceTPCH(sf, qn int, opt Options) TraceResult {
 	srv.Start()
 	g := sim.NewRNG(opt.Seed)
 	var res engine.QueryResult
-	done := false
 	srv.Sim.Spawn("trace-query", func(p *sim.Proc) {
 		sess := srv.Open(p)
 		defer sess.Close()
 		res = sess.Query(d.Query(qn, g), engine.QueryOptions{})
-		done = true
+		p.Sim().Halt()
 	})
-	for hop := 0; hop < 10000 && !done; hop++ {
-		srv.Sim.Run(srv.Sim.Now() + sim.Time(60*sim.Second))
-	}
+	srv.Sim.Run(sim.Forever)
 	settle(srv, nil)
 	out := TraceResult{SF: sf, Query: qn, Elapsed: res.Elapsed, Trace: res.Trace, Stmt: res.Stmt}
 	if res.Err != nil {

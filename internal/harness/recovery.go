@@ -47,16 +47,14 @@ func (c *cell) runRecovery(opt Options, rerun bool) RecoveryRun {
 	c.start()
 	until := driverHorizon(opt)
 	c.drive(opt, until)
-	srv := c.srv
-	srv.Sim.Run(until + sim.Time(drainWindow))
-	drain := func() { srv.Sim.Run(srv.Sim.Now() + sim.Time(drainWindow)) }
-	// Every Recover pass restarts the log writer, and a crash leaves an
-	// armed telemetry sampler running: once the last result is read, stop
-	// the server and let them unwind, or each outlives the cell parked,
-	// pinning its dataset.
+	srv, sm := c.srv, c.srv.Sim
+	sm.Run(until + sim.Time(maxWait))
+	// Every Recover pass restarts the log writer: once the last result is
+	// read, stop the server and let it unwind, or it outlives the cell
+	// parked, pinning its dataset.
 	defer func() {
 		srv.Stop()
-		drain()
+		sm.Run(sim.Forever)
 	}()
 
 	out := RecoveryRun{Crashed: srv.Crashed(), Commits: srv.Ctr.TxnCommits}
@@ -65,11 +63,11 @@ func (c *cell) runRecovery(opt Options, rerun bool) RecoveryRun {
 		return out
 	}
 	rep := srv.Recover()
-	drain()
+	sm.Run(sim.Forever)
 	out.Passes = 1
 	for rep.Interrupted && out.Passes < 4 {
 		rep = srv.Recover()
-		drain()
+		sm.Run(sim.Forever)
 		out.Passes++
 	}
 	out.Report = *rep
@@ -84,7 +82,7 @@ func (c *cell) runRecovery(opt Options, rerun bool) RecoveryRun {
 	out.DigestRerun = out.Digest
 	if rerun {
 		srv.Recover()
-		drain()
+		sm.Run(sim.Forever)
 		out.DigestRerun = srv.StateDigest()
 		if err := srv.CheckRecoveryInvariants(); err != nil && out.InvariantErr == "" {
 			out.InvariantErr = "after re-recovery: " + err.Error()

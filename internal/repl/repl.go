@@ -277,7 +277,7 @@ func (c *Cluster) Start() {
 }
 
 // Shutdown stops the standby servers. Call after the primary has stopped
-// and the pipeline has drained (Quiesced, or the sim drain window).
+// and the pipeline has drained (Quiesced, or run until no event is left).
 func (c *Cluster) Shutdown() {
 	for _, s := range c.Standbys {
 		s.Srv.Stop()

@@ -17,6 +17,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"math"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -35,6 +36,9 @@ const (
 	Millisecond          = 1000 * Microsecond
 	Second               = 1000 * Millisecond
 )
+
+// Forever is the horizon of a Run that goes on until no event is left.
+const Forever Time = math.MaxInt64
 
 // Seconds reports t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
@@ -58,7 +62,7 @@ type Sim struct {
 	dead     int
 	sweepDue func(dead, queued int) bool // defaultSweepDue, except in tests
 
-	until Time  // horizon of the Run in progress
+	until Time  // horizon of the Run in progress; Halt pulls it in to now
 	cur   *Proc // proc currently executing, nil outside Run
 	nlive int   // procs spawned and not yet finished
 
@@ -434,16 +438,16 @@ func (p *Proc) Yield() {
 	p.park()
 }
 
-// Run executes events until no events remain or the clock would pass until.
-// It returns the time at which it stopped. Run is the dispatcher: it
-// resumes the carrier of the current proc until that proc yields, and then
-// the proc the yielder made current, until one of them finds nothing left
-// to run before until. A proc's panic or Goexit leaves Run the same way,
-// and its carrier, finished, never returns to the free list. Procs that
-// are still blocked on wait queues stay parked; long-running simulations
-// should arrange a cooperative shutdown (broadcast a stop flag and WakeAll
-// their queues) so procs unwind cleanly rather than leaking their
-// carriers. Run must not be called from one of s's own procs.
+// Run executes events until none remains, the clock would pass until, or
+// a proc calls Halt. It returns the time at which it stopped: a finite
+// until, unless halted; otherwise the time of the last event run. Run is
+// the dispatcher: it resumes the carrier of the current proc until that
+// proc yields, and then the proc the yielder made current, until one of
+// them finds nothing left to run before until. A proc's panic or Goexit
+// leaves Run the same way, and its carrier, finished, never returns to the
+// free list. A parked proc keeps its carrier until woken: a simulation
+// ends by stopping its services and running Forever until no event is
+// left. Run must not be called from one of s's own procs.
 func (s *Sim) Run(until Time) Time {
 	if s.cur != nil {
 		panic(fmt.Sprintf("sim: Run called from inside proc %q", s.cur.name))
@@ -465,8 +469,8 @@ func (s *Sim) Run(until Time) Time {
 			putCarrier(c)
 		}
 	}
-	if s.now < until {
-		s.now = until
+	if s.now < s.until && s.until != Forever {
+		s.now = s.until
 	}
 	if s.prof {
 		ProfLoop.Add(s.loopWall, 1)
@@ -476,6 +480,10 @@ func (s *Sim) Run(until Time) Time {
 	}
 	return s.now
 }
+
+// Halt, called from a proc, ends the Run in progress once the events due
+// now have run, leaving the clock at now. The next Run carries on.
+func (s *Sim) Halt() { s.until = s.now }
 
 // Live returns the number of spawned procs that have not finished.
 func (s *Sim) Live() int { return s.nlive }

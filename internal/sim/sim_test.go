@@ -70,6 +70,58 @@ func TestRunStopsAtDeadline(t *testing.T) {
 	}
 }
 
+func TestRunForeverStopsAtTheLastEvent(t *testing.T) {
+	s := New(1)
+	if end := s.Run(Forever); end != 0 || s.Now() != 0 {
+		t.Fatalf("empty heap: Run(Forever) = %d, now %d, want 0", end, s.Now())
+	}
+	s.Spawn("a", func(p *Proc) { p.Sleep(3 * Second) })
+	s.Spawn("b", func(p *Proc) { p.Sleep(7 * Millisecond) })
+	if end := s.Run(Forever); end != Time(3*Second) || s.Now() != end || s.Live() != 0 {
+		t.Fatalf("Run(Forever) = %d, now %d, live %d; want the last event, 3 s, and none live", end, s.Now(), s.Live())
+	}
+	if end := s.Run(Forever); end != Time(3*Second) {
+		t.Fatalf("Run(Forever) on the emptied heap = %d, want Now() = 3 s", end)
+	}
+}
+
+func TestHaltEndsRunAfterTheCurrentInstant(t *testing.T) {
+	s := New(1)
+	var ran []string
+	s.Spawn("halter", func(p *Proc) {
+		p.Sleep(Second)
+		p.Sim().Halt()
+		ran = append(ran, "halter")
+	})
+	s.Spawn("same-instant", func(p *Proc) {
+		p.Sleep(Second)
+		ran = append(ran, "same-instant")
+	})
+	s.Spawn("later", func(p *Proc) {
+		p.Sleep(Second + Nanosecond)
+		ran = append(ran, "later")
+	})
+	if end := s.Run(Forever); end != Time(Second) || s.Now() != Time(Second) {
+		t.Fatalf("halted Run(Forever) = %d, now %d, want 1 s", end, s.Now())
+	}
+	if want := []string{"halter", "same-instant"}; !reflect.DeepEqual(ran, want) {
+		t.Fatalf("ran %v before the halt took effect, want %v", ran, want)
+	}
+	// A finite Run after a halted one resumes, and still ends at its horizon.
+	if end := s.Run(Time(5 * Second)); end != Time(5*Second) || len(ran) != 3 || s.Live() != 0 {
+		t.Fatalf("Run(5 s) after Halt = %d, ran %v, live %d", end, ran, s.Live())
+	}
+	// Halt within a finite Run keeps the clock at the halt, not the horizon.
+	s.Spawn("halter2", func(p *Proc) {
+		p.Sleep(Second)
+		p.Sim().Halt()
+	})
+	s.Spawn("after", func(p *Proc) { p.Sleep(2 * Second) })
+	if end := s.Run(Time(100 * Second)); end != Time(6*Second) || s.Live() != 1 {
+		t.Fatalf("halted Run(100 s) = %d, live %d, want 6 s and the sleeper parked", end, s.Live())
+	}
+}
+
 func TestWaitQueueWakeOneIsFIFO(t *testing.T) {
 	s := New(1)
 	var q WaitQueue

@@ -44,18 +44,15 @@ func RunStreams(srv *engine.Server, d *Dataset, streams int, until sim.Time, don
 // (Section 7 / Section 8 single-stream experiments).
 func QueryTiming(srv *engine.Server, d *Dataset, qn, maxdop int, grantPct float64, g *sim.RNG) sim.Duration {
 	var elapsed sim.Duration
-	done := false
 	srv.Sim.Spawn("tpch-single", func(p *sim.Proc) {
 		sess := srv.Open(p)
 		defer sess.Close()
 		res := sess.Query(d.Query(qn, g), engine.QueryOptions{MaxDOP: maxdop, GrantPct: grantPct})
 		elapsed = res.Elapsed
-		done = true
+		// Background procs (sampler, checkpointer) generate events forever:
+		// the query's end is the end of the Run.
+		p.Sim().Halt()
 	})
-	// Advance in bounded hops: background procs (sampler, checkpointer)
-	// generate events forever, so an unbounded Run would never return.
-	for hop := 0; hop < 10000 && !done; hop++ {
-		srv.Sim.Run(srv.Sim.Now() + sim.Time(60*sim.Second))
-	}
+	srv.Sim.Run(sim.Forever)
 	return elapsed
 }
