@@ -44,46 +44,25 @@ func (o Outcome) String() string {
 	return "outcome(?)"
 }
 
-// RConfig tunes the resilient client.
-type RConfig struct {
-	// Endpoints is the failover-aware dial list: on shutdown/failover
-	// replies or dial failures the client rotates to the next address, so
-	// it finds the promoted standby after repl.Failover.
-	Endpoints []string
+// The resilient client's policy.
+const (
+	maxAttempts = 6 // attempts per logical request, incl. the first
 
-	MaxAttempts int // attempts per logical request, incl. the first (default 4)
-
-	// BreakerThreshold consecutive breaker-keyed failures (CodeOverloaded,
+	// breakerThreshold consecutive breaker-keyed failures (CodeOverloaded,
 	// CodeShutdown, resets, dial failures) open the circuit for
-	// BreakerCooldown; while open, requests fail fast without dialing.
-	BreakerThreshold int          // default 8
-	BreakerCooldown  sim.Duration // default 1s
+	// breakerCooldown; while open, requests fail fast without dialing.
+	breakerThreshold = 8
+	breakerCooldown  = sim.Second
 
-	// ReplyTimeout bounds each reply wait (lossy links would otherwise
-	// hang a blocking Recv forever). 0 waits indefinitely.
-	ReplyTimeout sim.Duration
+	// replyTimeout bounds each reply wait (lossy links would otherwise
+	// hang a blocking Recv forever).
+	replyTimeout = 4 * sim.Second
 
-	// HedgeAfter, when > 0, arms bounded hedged retries for idempotent
-	// reads: a query with no reply after HedgeAfter is reissued on a
-	// second connection and the first reply wins. Writes never hedge.
-	HedgeAfter sim.Duration
-}
-
-func (c RConfig) withDefaults() RConfig {
-	if len(c.Endpoints) == 0 {
-		c.Endpoints = []string{"db"}
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 4
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 8
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = sim.Second
-	}
-	return c
-}
+	// hedgeAfter bounds hedged retries for idempotent reads: a query with
+	// no reply after hedgeAfter is reissued on a second connection and the
+	// first reply wins. Writes never hedge.
+	hedgeAfter = 500 * sim.Millisecond
+)
 
 // Metrics is the shared accounting for every resilient client in one
 // run (the sim is single-threaded, so plain fields suffice).
@@ -92,7 +71,7 @@ type Metrics struct {
 	DialFails   int64 // failed dial attempts (refused/partitioned/no listener)
 	Reconnects  int64 // dials after the first on a client
 	Retries     int64 // request attempts after the first (safe retries only)
-	Timeouts    int64 // reply waits that hit ReplyTimeout
+	Timeouts    int64 // reply waits that hit replyTimeout
 	Resets      int64 // typed ErrPeerReset observations
 	BackoffNs   int64 // total backoff slept
 	BreakerOpen int64 // breaker open transitions
@@ -140,11 +119,15 @@ type AckKey struct {
 // overload/shutdown/reset streaks, bounded hedged retries for
 // idempotent reads, and a failover-aware endpoint list.
 type Resilient struct {
-	Cfg  RConfig
 	Nw   *net.Network
 	M    *Metrics
 	G    *sim.RNG // backoff-jitter stream (required)
 	Name string
+
+	// Endpoints is the failover-aware dial list: on shutdown/failover
+	// replies or dial failures the client rotates to the next address, so
+	// it finds the promoted standby after repl.Failover.
+	Endpoints []string
 
 	// OnAck, when set, observes every acknowledged exec (chaos harness
 	// safety checker hookup).
@@ -158,17 +141,18 @@ type Resilient struct {
 	openTill sim.Time
 }
 
-// NewResilient builds a client; nothing dials until the first request.
-func NewResilient(nw *net.Network, cfg RConfig, m *Metrics, g *sim.RNG, name string) *Resilient {
-	return &Resilient{Cfg: cfg.withDefaults(), Nw: nw, M: m, G: g, Name: name}
+// NewResilient builds a client over the dial list endpoints; nothing
+// dials until the first request.
+func NewResilient(nw *net.Network, endpoints []string, m *Metrics, g *sim.RNG, name string) *Resilient {
+	return &Resilient{Endpoints: endpoints, Nw: nw, M: m, G: g, Name: name}
 }
 
 // Endpoint returns the address the client currently favors.
-func (r *Resilient) Endpoint() string { return r.Cfg.Endpoints[r.ep] }
+func (r *Resilient) Endpoint() string { return r.Endpoints[r.ep] }
 
 func (r *Resilient) rotate() {
-	if len(r.Cfg.Endpoints) > 1 {
-		r.ep = (r.ep + 1) % len(r.Cfg.Endpoints)
+	if len(r.Endpoints) > 1 {
+		r.ep = (r.ep + 1) % len(r.Endpoints)
 		r.M.Rotations++
 	}
 }
@@ -176,12 +160,12 @@ func (r *Resilient) rotate() {
 // noteBad records one breaker-keyed failure.
 func (r *Resilient) noteBad(p *sim.Proc) {
 	r.streak++
-	if r.streak >= r.Cfg.BreakerThreshold {
+	if r.streak >= breakerThreshold {
 		if !r.open {
 			r.open = true
 			r.M.BreakerOpen++
 		}
-		r.openTill = p.Now() + sim.Time(r.Cfg.BreakerCooldown)
+		r.openTill = p.Now() + sim.Time(breakerCooldown)
 	}
 }
 
@@ -284,7 +268,7 @@ func retryableCode(code proto.Code) bool {
 // reports Unknown (without retrying) when the transport dies
 // mid-request.
 func (r *Resilient) Exec(p *sim.Proc, name string, arg uint64) (Reply, Outcome) {
-	for attempt := 0; attempt < r.Cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			r.M.Retries++
 			r.backoff(p, attempt)
@@ -305,7 +289,7 @@ func (r *Resilient) Exec(p *sim.Proc, name string, arg uint64) (Reply, Outcome) 
 			r.M.Ambiguous++
 			return Reply{}, OutcomeUnknown
 		}
-		rep, err := c.await(p, id, r.Cfg.ReplyTimeout)
+		rep, err := c.await(p, id, replyTimeout)
 		if err != nil {
 			r.transportFail(p, err)
 			r.M.Ambiguous++
@@ -335,11 +319,11 @@ func (r *Resilient) Exec(p *sim.Proc, name string, arg uint64) (Reply, Outcome) 
 }
 
 // Query runs one idempotent read with retries on any failure and
-// optional hedging. A non-nil error means no server reply was obtained
+// hedging. A non-nil error means no server reply was obtained
 // within the attempt budget.
 func (r *Resilient) Query(p *sim.Proc, name string, arg uint64) (Reply, error) {
 	lastErr := error(ErrUnavailable)
-	for attempt := 0; attempt < r.Cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			r.M.Retries++
 			r.backoff(p, attempt)
@@ -404,17 +388,7 @@ func (r *Resilient) queryOnce(p *sim.Proc, name string, arg uint64) (Reply, erro
 		r.transportFail(p, err)
 		return Reply{}, err
 	}
-	// Reply wait budget: the configured timeout, or effectively unbounded.
-	budget := r.Cfg.ReplyTimeout
-	if r.Cfg.HedgeAfter <= 0 || (budget > 0 && budget <= r.Cfg.HedgeAfter) {
-		rep, err := c.await(p, id, budget)
-		if err != nil {
-			r.transportFail(p, err)
-			return Reply{}, err
-		}
-		return rep, nil
-	}
-	rep, err := c.await(p, id, r.Cfg.HedgeAfter)
+	rep, err := c.await(p, id, hedgeAfter)
 	if err == nil {
 		return rep, nil
 	}
@@ -426,10 +400,7 @@ func (r *Resilient) queryOnce(p *sim.Proc, name string, arg uint64) (Reply, erro
 	// while the main proc opens a second connection and reissues; the
 	// first reply wins and both connections are then abandoned.
 	r.M.HedgesSent++
-	rem := budget - r.Cfg.HedgeAfter
-	if budget <= 0 {
-		rem = 10 * r.Cfg.HedgeAfter
-	}
+	const rem = replyTimeout - hedgeAfter
 	sm := r.Nw.Sm
 	box := &hedgeBox{winner: -1, legs: 1}
 	r.conn = nil // both legs are single-use from here

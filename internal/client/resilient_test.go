@@ -98,7 +98,7 @@ func (fs *fakeSrv) serveConn(p *sim.Proc, c *net.Conn) {
 
 func TestExecRetriesShedWritesExactlyOnceEffect(t *testing.T) {
 	sm := sim.New(1)
-	nw := net.New(sm, net.Config{LinkMBps: 100, Latency: 100 * sim.Microsecond})
+	nw := net.New(sm, net.Config{})
 	fs := &fakeSrv{onExec: func(n int) (bool, proto.Code, bool) {
 		// Shed twice (retry-safe: guaranteed not executed), then accept.
 		if n <= 2 {
@@ -110,7 +110,7 @@ func TestExecRetriesShedWritesExactlyOnceEffect(t *testing.T) {
 	var m Metrics
 	var out Outcome
 	sm.Spawn("client", func(p *sim.Proc) {
-		r := NewResilient(nw, RConfig{Endpoints: []string{"db"}}, &m, sim.NewRNG(7), "t")
+		r := NewResilient(nw, []string{"db"}, &m, sim.NewRNG(7), "t")
 		defer r.Close()
 		_, out = r.Exec(p, "asdb.Update", 1)
 	})
@@ -128,7 +128,7 @@ func TestExecRetriesShedWritesExactlyOnceEffect(t *testing.T) {
 
 func TestExecAmbiguousIsNeverResent(t *testing.T) {
 	sm := sim.New(1)
-	nw := net.New(sm, net.Config{LinkMBps: 100, Latency: 100 * sim.Microsecond})
+	nw := net.New(sm, net.Config{})
 	fs := &fakeSrv{onExec: func(n int) (bool, proto.Code, bool) {
 		return false, proto.Code(0), true // hang up mid-request, every time
 	}}
@@ -136,7 +136,7 @@ func TestExecAmbiguousIsNeverResent(t *testing.T) {
 	var m Metrics
 	var out Outcome
 	sm.Spawn("client", func(p *sim.Proc) {
-		r := NewResilient(nw, RConfig{Endpoints: []string{"db"}, MaxAttempts: 6}, &m, sim.NewRNG(7), "t")
+		r := NewResilient(nw, []string{"db"}, &m, sim.NewRNG(7), "t")
 		defer r.Close()
 		_, out = r.Exec(p, "asdb.Update", 1)
 	})
@@ -156,18 +156,15 @@ func TestExecAmbiguousIsNeverResent(t *testing.T) {
 
 func TestWritesNeverHedge(t *testing.T) {
 	sm := sim.New(1)
-	nw := net.New(sm, net.Config{LinkMBps: 100, Latency: 100 * sim.Microsecond})
-	// The exec reply is far slower than HedgeAfter: a hedging write would
+	nw := net.New(sm, net.Config{})
+	// The exec reply is far slower than hedgeAfter: a hedging write would
 	// show up as a second exec frame at the server.
-	fs := &fakeSrv{execDelay: 200 * sim.Millisecond}
+	fs := &fakeSrv{execDelay: 2 * hedgeAfter}
 	fs.listen(t, sm, nw, "db")
 	var m Metrics
 	var out Outcome
 	sm.Spawn("client", func(p *sim.Proc) {
-		r := NewResilient(nw, RConfig{
-			Endpoints:  []string{"db"},
-			HedgeAfter: 10 * sim.Millisecond,
-		}, &m, sim.NewRNG(7), "t")
+		r := NewResilient(nw, []string{"db"}, &m, sim.NewRNG(7), "t")
 		defer r.Close()
 		_, out = r.Exec(p, "asdb.Update", 1)
 	})
@@ -185,10 +182,10 @@ func TestWritesNeverHedge(t *testing.T) {
 
 func TestHedgedReadWinsWithoutDoubleCountingAnswers(t *testing.T) {
 	sm := sim.New(1)
-	nw := net.New(sm, net.Config{LinkMBps: 100, Latency: 100 * sim.Microsecond})
+	nw := net.New(sm, net.Config{})
 	fs := &fakeSrv{onQuery: func(n int) sim.Duration {
 		if n == 1 {
-			return 500 * sim.Millisecond // first leg is slow
+			return 2 * hedgeAfter // first leg is slow
 		}
 		return 0 // hedge leg answers immediately
 	}}
@@ -197,10 +194,7 @@ func TestHedgedReadWinsWithoutDoubleCountingAnswers(t *testing.T) {
 	var rep Reply
 	var qerr error
 	sm.Spawn("client", func(p *sim.Proc) {
-		r := NewResilient(nw, RConfig{
-			Endpoints:  []string{"db"},
-			HedgeAfter: 50 * sim.Millisecond,
-		}, &m, sim.NewRNG(7), "t")
+		r := NewResilient(nw, []string{"db"}, &m, sim.NewRNG(7), "t")
 		defer r.Close()
 		rep, qerr = r.Query(p, "asdb.SumBig", 2)
 	})
@@ -222,7 +216,7 @@ func TestHedgedReadWinsWithoutDoubleCountingAnswers(t *testing.T) {
 
 func TestFailoverReplyRotatesToPromotedEndpoint(t *testing.T) {
 	sm := sim.New(1)
-	nw := net.New(sm, net.Config{LinkMBps: 100, Latency: 100 * sim.Microsecond})
+	nw := net.New(sm, net.Config{})
 	dying := &fakeSrv{onExec: func(n int) (bool, proto.Code, bool) {
 		return false, proto.CodeFailover, false
 	}}
@@ -233,7 +227,7 @@ func TestFailoverReplyRotatesToPromotedEndpoint(t *testing.T) {
 	var out Outcome
 	var final string
 	sm.Spawn("client", func(p *sim.Proc) {
-		r := NewResilient(nw, RConfig{Endpoints: []string{"db", "db1"}}, &m, sim.NewRNG(7), "t")
+		r := NewResilient(nw, []string{"db", "db1"}, &m, sim.NewRNG(7), "t")
 		defer r.Close()
 		_, out = r.Exec(p, "asdb.Update", 1)
 		final = r.Endpoint()
@@ -253,27 +247,25 @@ func TestFailoverReplyRotatesToPromotedEndpoint(t *testing.T) {
 func TestBreakerOpensFailsFastThenRecovers(t *testing.T) {
 	sm := sim.New(1)
 	// No listener at all: every dial fails and feeds the breaker.
-	nw := net.New(sm, net.Config{LinkMBps: 100, Latency: 100 * sim.Microsecond})
+	nw := net.New(sm, net.Config{})
 	var m Metrics
 	fs := &fakeSrv{}
 	var before error
 	var after Reply
 	var aerr error
 	sm.Spawn("client", func(p *sim.Proc) {
-		r := NewResilient(nw, RConfig{
-			Endpoints:        []string{"db"},
-			MaxAttempts:      4,
-			BreakerThreshold: 3,
-			BreakerCooldown:  500 * sim.Millisecond,
-		}, &m, sim.NewRNG(7), "t")
+		r := NewResilient(nw, []string{"db"}, &m, sim.NewRNG(7), "t")
 		defer r.Close()
+		// One query's attempts stay under breakerThreshold; the second's
+		// dial failures open the breaker.
+		r.Query(p, "asdb.SumBig", 0)
 		_, before = r.Query(p, "asdb.SumBig", 0)
 		if m.BreakerOpen == 0 {
 			t.Error("breaker never opened across repeated dial failures")
 		}
 		// Server comes up; after the cooldown the half-open probe succeeds.
 		fs.listen(t, sm, nw, "db")
-		p.Sleep(sim.Second)
+		p.Sleep(2 * breakerCooldown)
 		after, aerr = r.Query(p, "asdb.SumBig", 0)
 	})
 	sm.Run(sim.Time(60 * sim.Second))

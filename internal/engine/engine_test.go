@@ -105,7 +105,7 @@ func TestServerAnalyticalQuery(t *testing.T) {
 	}
 	var res QueryResult
 	s.Sim.Spawn("analyst", func(p *sim.Proc) {
-		res = s.runQuery(p, q, 0, 0, s.Cfg.StmtTimeout)
+		res = s.runQuery(p, q, 0, 0)
 	})
 	s.Sim.Run(sim.Time(60 * sim.Second))
 	s.Stop()
@@ -174,7 +174,7 @@ func TestWorkspaceSemaphoreQueuesGrants(t *testing.T) {
 	done := 0
 	for i := 0; i < 3; i++ {
 		s.Sim.Spawn("q", func(p *sim.Proc) {
-			s.runQuery(p, mkQuery(), 0, 0.75, s.Cfg.StmtTimeout)
+			s.runQuery(p, mkQuery(), 0, 0.75)
 			done++
 		})
 	}
@@ -211,7 +211,7 @@ func TestHugeGrantClampedAndCompletes(t *testing.T) {
 	s.workspace = 1 << 20
 	done := false
 	s.Sim.Spawn("q", func(p *sim.Proc) {
-		s.runQuery(p, q, 0, 4.0, s.Cfg.StmtTimeout)
+		s.runQuery(p, q, 0, 4.0)
 		done = true
 	})
 	s.Sim.Run(sim.Time(600 * sim.Second))
@@ -231,10 +231,10 @@ func TestGrantWaiterAbandonedOnStopDoesNotCharge(t *testing.T) {
 	holder := int64(-1)
 	waiter := int64(-1)
 	s.Sim.Spawn("holder", func(p *sim.Proc) {
-		holder = s.acquireWorkspace(p, 1<<20) // takes the whole workspace
+		holder, _ = s.acquireWorkspace(p, 1<<20, sim.Forever) // takes the whole workspace
 	})
 	s.Sim.Spawn("waiter", func(p *sim.Proc) {
-		waiter = s.acquireWorkspace(p, 1<<19) // must park
+		waiter, _ = s.acquireWorkspace(p, 1<<19, sim.Forever) // must park
 	})
 	s.Sim.Run(sim.Time(1 * sim.Second))
 	if holder != 1<<20 {
@@ -277,12 +277,12 @@ func TestRunQueryCanceledAtShutdown(t *testing.T) {
 	s.Start()
 	s.workspace = 1 << 20
 	s.Sim.Spawn("holder", func(p *sim.Proc) {
-		s.acquireWorkspace(p, 1<<20) // takes the whole workspace, never releases
+		s.acquireWorkspace(p, 1<<20, sim.Forever) // takes the whole workspace, never releases
 	})
 	var res QueryResult
 	returned := false
 	s.Sim.Spawn("q", func(p *sim.Proc) {
-		res = s.runQuery(p, bigGrantQuery(db), 0, 0.75, s.Cfg.StmtTimeout)
+		res = s.runQuery(p, bigGrantQuery(db), 0, 0.75)
 		returned = true
 	})
 	s.Sim.Run(sim.Time(sim.Second))
@@ -322,13 +322,13 @@ func TestDeadlineDegradesGrantThenSucceeds(t *testing.T) {
 	// degraded plan's grant is satisfied and the query completes.
 	s.workspace = 1 << 20
 	s.Sim.Spawn("holder", func(p *sim.Proc) {
-		got := s.acquireWorkspace(p, 1<<20)
+		got, _ := s.acquireWorkspace(p, 1<<20, sim.Forever)
 		p.Sleep(3 * sim.Second)
 		s.releaseWorkspace(got)
 	})
 	var res QueryResult
 	s.Sim.Spawn("q", func(p *sim.Proc) {
-		res = s.runQuery(p, bigGrantQuery(db), 0, 0.75, s.Cfg.StmtTimeout)
+		res = s.runQuery(p, bigGrantQuery(db), 0, 0.75)
 	})
 	s.Sim.Run(sim.Time(60 * sim.Second))
 	if res.Err != nil {
@@ -352,11 +352,11 @@ func TestDeadlineKillsStarvedGrant(t *testing.T) {
 	s.Start()
 	s.workspace = 1 << 20
 	s.Sim.Spawn("holder", func(p *sim.Proc) {
-		s.acquireWorkspace(p, 1<<20)
+		s.acquireWorkspace(p, 1<<20, sim.Forever)
 	})
 	var res QueryResult
 	s.Sim.Spawn("q", func(p *sim.Proc) {
-		res = s.runQuery(p, bigGrantQuery(db), 0, 0.75, s.Cfg.StmtTimeout)
+		res = s.runQuery(p, bigGrantQuery(db), 0, 0.75)
 	})
 	s.Sim.Run(sim.Time(60 * sim.Second))
 	if res.Err == nil || res.Err.Kind != ErrDeadline {
@@ -388,7 +388,7 @@ func TestDeadlineKillsExecution(t *testing.T) {
 	s.Start()
 	var res QueryResult
 	s.Sim.Spawn("q", func(p *sim.Proc) {
-		res = s.runQuery(p, bigGrantQuery(db), 0, 0, s.Cfg.StmtTimeout)
+		res = s.runQuery(p, bigGrantQuery(db), 0, 0)
 	})
 	s.Sim.Run(sim.Time(60 * sim.Second))
 	if res.Err == nil || res.Err.Kind != ErrDeadline {
@@ -427,7 +427,7 @@ func TestFaultReserveStarvesAndReleasesGrants(t *testing.T) {
 	s.SetFaultReserve(1 << 20) // whole workspace reserved away
 	granted := int64(-1)
 	s.Sim.Spawn("q", func(p *sim.Proc) {
-		granted = s.acquireWorkspace(p, 1<<19)
+		granted, _ = s.acquireWorkspace(p, 1<<19, sim.Forever)
 	})
 	s.Sim.Run(sim.Time(sim.Second))
 	if granted != -1 {

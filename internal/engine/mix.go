@@ -47,11 +47,11 @@ func RunMix[U any](srv *Server, n int, stmts []Stmt[U], until sim.Time, st *MixS
 						// Exec attaches per-attempt statement counters,
 						// folds the attempt into the server's query stats
 						// under s.Name, and retries transient aborts under
-						// the session policy.
+						// Config.Retry.
 						ok := sess.Exec(s.Name, g, func() bool { return s.Run(u) })
-						// Without a retry policy, count every attempt as
-						// the pre-retry driver did (aborts included).
-						if ok || !sess.Retry.Enabled() {
+						// Without retries, count every attempt as the
+						// pre-retry driver did (aborts included).
+						if ok || !srv.Cfg.Retry {
 							st.ByType[s.Name]++
 							st.Total++
 						}

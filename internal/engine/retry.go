@@ -2,44 +2,22 @@ package engine
 
 import "repro/internal/sim"
 
-// RetryPolicy bounds driver-level retries of failed statements and
-// transactions: exponential backoff with full jitter, all on the sim
-// clock so retry timing is deterministic. The zero value disables
-// retries, keeping baseline (fault-free) runs identical to builds
-// without a retry path.
-type RetryPolicy struct {
-	MaxAttempts int          // total attempts including the first (0 = no retry)
-	Base        sim.Duration // backoff before the first retry
-	Max         sim.Duration // backoff cap (0 = uncapped)
-}
+// Driver-level retries of failed statements and transactions
+// (Config.Retry): up to retryAttempts attempts including the first, with
+// exponential backoff from retryBase to a retryMax cap, all on the sim
+// clock so retry timing is deterministic.
+const (
+	retryAttempts = 4
+	retryBase     = sim.Millisecond
+	retryMax      = 100 * sim.Millisecond
+)
 
-// DefaultRetryPolicy returns the resilience sweep's policy: up to four
-// attempts, 1 ms initial backoff doubling to a 100 ms cap.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, Base: sim.Millisecond, Max: 100 * sim.Millisecond}
-}
-
-// Enabled reports whether the policy retries at all.
-func (r RetryPolicy) Enabled() bool { return r.MaxAttempts > 1 }
-
-// Sleep blocks p for the backoff preceding retry number attempt (1 = the
-// first retry). The delay doubles per attempt up to Max, then a uniform
-// jitter in [d/2, d] spreads retriers so they do not stampede in sync.
-func (r RetryPolicy) Sleep(p *sim.Proc, g *sim.RNG, attempt int) {
-	d := r.Base
-	if d <= 0 {
-		d = sim.Millisecond
-	}
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if r.Max > 0 && d >= r.Max {
-			d = r.Max
-			break
-		}
-	}
-	if r.Max > 0 && d > r.Max {
-		d = r.Max
-	}
+// backoff blocks p for the backoff preceding retry number attempt (1 = the
+// first retry). The delay doubles per attempt up to retryMax, then a
+// uniform jitter in [d/2, d] spreads retriers so they do not stampede in
+// sync.
+func backoff(p *sim.Proc, g *sim.RNG, attempt int) {
+	d := min(retryBase<<(attempt-1), retryMax)
 	half := d / 2
 	p.Sleep(half + sim.Duration(g.Int64n(int64(half)+1)))
 }

@@ -22,9 +22,6 @@ import (
 type Config struct {
 	Seed int64 // 0 = default seed 1
 
-	Machine hw.Spec
-	SSD     iodev.Spec
-
 	// Resource governor.
 	MaxDOP    int     // 0 = number of allowed cores
 	GrantFrac float64 // per-query grant cap as a fraction of workspace
@@ -36,9 +33,9 @@ type Config struct {
 	// (graceful degradation) before being killed.
 	StmtTimeout sim.Duration
 
-	// Retry is the driver-visible retry policy. The zero value disables
-	// retries; drivers consult it via Cfg.Retry.
-	Retry RetryPolicy
+	// Retry arms bounded driver-level retries of failed statements and
+	// transactions (retry.go). Off (the baseline) runs each once.
+	Retry bool
 
 	// Trace enables per-operator span tracing on analytical queries.
 	// Off (the default) costs nothing; QueryResult.Trace is then nil.
@@ -50,8 +47,6 @@ type Config struct {
 	// nothing and leaves every hot-path handle nil, so runs are
 	// bit-identical to a build without telemetry at all.
 	Telemetry bool
-
-	Cost *access.CostModel
 }
 
 // The paper's box has 64 GB of host memory. SQL Server gets 80% of it;
@@ -62,20 +57,17 @@ const (
 	bufferPoolBytes = sqlMemBytes * 82 / 100
 )
 
-// DefaultConfig returns the paper's testbed configuration.
+// DefaultConfig returns the paper's testbed configuration. The machine
+// (hw.PaperSpec), the SSD (iodev.PaperSSD) and the cost model
+// (access.DefaultCost) are the paper's and no experiment varies them.
 func DefaultConfig() Config {
-	return Config{
-		Seed:      1,
-		Machine:   hw.PaperSpec(),
-		SSD:       iodev.PaperSSD(),
-		GrantFrac: 0.25,
-		Cost:      access.DefaultCost(),
-	}
+	return Config{Seed: 1, GrantFrac: 0.25}
 }
 
 // Server is one running database server inside one simulation.
 type Server struct {
-	Cfg Config
+	Cfg  Config
+	Cost *access.CostModel // access.DefaultCost
 
 	Sim   *sim.Sim
 	M     *hw.Machine
@@ -136,10 +128,11 @@ func NewServer(cfg Config) *Server {
 func NewServerOn(sm *sim.Sim, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctr := &metrics.Counters{}
-	m := hw.New(sm, cfg.Machine, ctr)
-	dev := iodev.New(cfg.SSD, ctr)
+	m := hw.New(sm, hw.PaperSpec(), ctr)
+	dev := iodev.New(iodev.PaperSSD(), ctr)
 	s := &Server{
 		Cfg:        cfg,
+		Cost:       access.DefaultCost(),
 		Sim:        sm,
 		M:          m,
 		Dev:        dev,
@@ -156,7 +149,7 @@ func NewServerOn(sm *sim.Sim, cfg Config) *Server {
 	s.CPUs = cgroup.NewCPUSet(m)
 	s.BlkIO = cgroup.NewBlkIO(dev)
 	s.tempBase = m.ReserveRegion(8 << 30)
-	s.metaBase = m.ReserveRegion(cfg.Cost.MetaBytes + (1 << 20))
+	s.metaBase = m.ReserveRegion(s.Cost.MetaBytes + (1 << 20))
 	if cfg.Telemetry {
 		s.Tel = telemetry.NewRegistry()
 		s.registerTelemetry()
@@ -171,17 +164,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Seed == 0 {
 		cfg.Seed = d.Seed
 	}
-	if cfg.Machine.Sockets == 0 {
-		cfg.Machine = d.Machine
-	}
-	if cfg.SSD.ReadMBps == 0 {
-		cfg.SSD = d.SSD
-	}
 	if cfg.GrantFrac == 0 {
 		cfg.GrantFrac = d.GrantFrac
-	}
-	if cfg.Cost == nil {
-		cfg.Cost = d.Cost
 	}
 	return cfg
 }
@@ -299,7 +283,7 @@ func (s *Server) NewCtx(p *sim.Proc) *access.Ctx {
 		M:        s.M,
 		BP:       s.BP,
 		Ctr:      s.Ctr,
-		Cost:     s.Cfg.Cost,
+		Cost:     s.Cost,
 		RNG:      s.Sim.RNG().Fork(),
 		MetaBase: s.metaBase,
 	}
@@ -322,7 +306,7 @@ func (s *Server) EffectiveDop(maxdopHint int) int {
 
 // Planner builds an optimizer bound to current server state.
 func (s *Server) Planner(dop int) *opt.Planner {
-	pl := opt.NewPlanner(s.Cfg.Cost)
+	pl := opt.NewPlanner(s.Cost)
 	pl.WorkspaceBytes = s.workspace
 	pl.GrantFrac = s.Cfg.GrantFrac
 	pl.BufferBytes = s.BP.CapacityPages() * 8192
@@ -334,36 +318,23 @@ func (s *Server) Planner(dop int) *opt.Planner {
 }
 
 // acquireWorkspace blocks until bytes of query workspace are available
-// (RESOURCE_SEMAPHORE). Requests larger than the whole workspace are
-// clamped — they could otherwise never be satisfied and the session
-// would wait forever. It returns the bytes actually reserved: 0 when
-// the wait was abandoned because the server stopped, in which case
-// nothing was charged and nothing must be released.
-func (s *Server) acquireWorkspace(p *sim.Proc, bytes int64) int64 {
+// (RESOURCE_SEMAPHORE) or, unless limit is sim.Forever, until limit
+// passes: then it returns (0, true) so the caller can degrade or kill the
+// statement instead of queueing forever. Requests larger than the whole
+// workspace are clamped — they could otherwise never be satisfied. It
+// returns the bytes actually reserved: 0 when the wait timed out or was
+// abandoned because the server stopped, in which case nothing was charged
+// and nothing must be released.
+func (s *Server) acquireWorkspace(p *sim.Proc, bytes int64, limit sim.Time) (granted int64, timedOut bool) {
 	if bytes > s.workspace {
 		bytes = s.workspace
 	}
 	start := p.Now()
 	for s.workspaceUse+bytes > s.workspace-s.faultReserve && !s.stopped {
-		s.grantQ.Wait(p)
-	}
-	metrics.ChargeWait(p, s.Ctr, metrics.WaitResourceSem, sim.Duration(p.Now()-start))
-	if s.workspaceUse+bytes > s.workspace-s.faultReserve {
-		return 0 // woken by Stop, not by capacity
-	}
-	s.workspaceUse += bytes
-	return bytes
-}
-
-// acquireWorkspaceUntil is acquireWorkspace with a give-up time: when the
-// grant is still unavailable at limit it returns (0, true) so the caller
-// can degrade or kill the statement instead of queueing forever.
-func (s *Server) acquireWorkspaceUntil(p *sim.Proc, bytes int64, limit sim.Time) (granted int64, timedOut bool) {
-	if bytes > s.workspace {
-		bytes = s.workspace
-	}
-	start := p.Now()
-	for s.workspaceUse+bytes > s.workspace-s.faultReserve && !s.stopped {
+		if limit == sim.Forever {
+			s.grantQ.Wait(p) // no give-up time, so no timer event
+			continue
+		}
 		rem := sim.Duration(limit - p.Now())
 		if rem <= 0 {
 			timedOut = true
@@ -372,11 +343,8 @@ func (s *Server) acquireWorkspaceUntil(p *sim.Proc, bytes int64, limit sim.Time)
 		s.grantQ.WaitTimeout(p, rem)
 	}
 	metrics.ChargeWait(p, s.Ctr, metrics.WaitResourceSem, sim.Duration(p.Now()-start))
-	if timedOut {
-		return 0, true
-	}
-	if s.workspaceUse+bytes > s.workspace-s.faultReserve {
-		return 0, false // woken by Stop
+	if timedOut || s.workspaceUse+bytes > s.workspace-s.faultReserve {
+		return 0, timedOut // timed out, or woken by Stop rather than by capacity
 	}
 	s.workspaceUse += bytes
 	return bytes, false
@@ -410,19 +378,18 @@ type QueryResult struct {
 // the execution core behind Session.Query, which is the public surface.
 // maxdopHint mirrors the MAXDOP query hint (0 = server setting); grantPct
 // overrides the per-query grant cap when > 0 (the paper's Section 8
-// query-memory-limit knob); timeout is the statement deadline (sessions
-// pass their own, defaulted from Cfg.StmtTimeout).
+// query-memory-limit knob).
 //
-// With a timeout set, the statement runs under a deadline: a query
+// With Cfg.StmtTimeout set, the statement runs under a deadline: a query
 // still waiting for its memory grant halfway to the deadline is
 // re-planned at half the DOP and a quarter of the grant (degrading
 // gracefully under sustained pressure instead of queueing forever); one
 // that cannot start or finish by the deadline fails with ErrDeadline.
-func (s *Server) runQuery(p *sim.Proc, q *opt.LNode, maxdopHint int, grantPct float64, timeout sim.Duration) (res QueryResult) {
+func (s *Server) runQuery(p *sim.Proc, q *opt.LNode, maxdopHint int, grantPct float64) (res QueryResult) {
 	start := p.Now()
 	var deadline sim.Time
-	if timeout > 0 {
-		deadline = start + sim.Time(timeout)
+	if s.Cfg.StmtTimeout > 0 {
+		deadline = start + sim.Time(s.Cfg.StmtTimeout)
 	}
 	dop := s.EffectiveDop(maxdopHint)
 	pl := s.Planner(dop)
@@ -464,47 +431,43 @@ func (s *Server) runQuery(p *sim.Proc, q *opt.LNode, maxdopHint int, grantPct fl
 	}
 	var granted int64
 	if info.GrantBytes > 0 {
-		if deadline == 0 {
-			granted = s.acquireWorkspace(p, info.GrantBytes)
-			if granted == 0 {
-				// Woken by Stop with no capacity: executing anyway would run
-				// an unreserved-memory query during shutdown.
-				s.Ctr.QueriesCanceled++
-				return fail(ErrCanceled, "grant")
+		// With a deadline, wait at most half of it for the full grant.
+		limit := sim.Forever
+		if deadline != 0 {
+			limit = start + (deadline-start)/2
+		}
+		var timedOut bool
+		granted, timedOut = s.acquireWorkspace(p, info.GrantBytes, limit)
+		if timedOut {
+			// Degrade: re-plan at half the DOP and a quarter of the
+			// grant, then wait out the rest of the deadline.
+			s.Ctr.DegradedPlans++
+			stmt.DegradedPlans++
+			degraded = true
+			if dop = info.Dop / 2; dop < 1 {
+				dop = 1
 			}
-		} else {
-			// Wait at most half the remaining deadline for the full grant.
-			var timedOut bool
-			granted, timedOut = s.acquireWorkspaceUntil(p, info.GrantBytes, start+(deadline-start)/2)
-			if timedOut {
-				// Degrade: re-plan at half the DOP and a quarter of the
-				// grant, then wait out the rest of the deadline.
-				s.Ctr.DegradedPlans++
-				stmt.DegradedPlans++
-				degraded = true
-				if dop = info.Dop / 2; dop < 1 {
-					dop = 1
-				}
-				pl = s.Planner(dop)
-				gf := s.Cfg.GrantFrac
-				if grantPct > 0 {
-					gf = grantPct
-				}
-				pl.GrantFrac = gf / 4
-				plan, info = pl.Plan(q)
-				if info.GrantBytes > 0 {
-					granted, timedOut = s.acquireWorkspaceUntil(p, info.GrantBytes, deadline)
-					if timedOut {
-						s.Ctr.DeadlineKills++
-						s.Ctr.QueriesFailed++
-						return fail(ErrDeadline, "grant")
-					}
+			pl = s.Planner(dop)
+			gf := s.Cfg.GrantFrac
+			if grantPct > 0 {
+				gf = grantPct
+			}
+			pl.GrantFrac = gf / 4
+			plan, info = pl.Plan(q)
+			if info.GrantBytes > 0 {
+				granted, timedOut = s.acquireWorkspace(p, info.GrantBytes, deadline)
+				if timedOut {
+					s.Ctr.DeadlineKills++
+					s.Ctr.QueriesFailed++
+					return fail(ErrDeadline, "grant")
 				}
 			}
-			if info.GrantBytes > 0 && granted == 0 {
-				s.Ctr.QueriesCanceled++
-				return fail(ErrCanceled, "grant")
-			}
+		}
+		if info.GrantBytes > 0 && granted == 0 {
+			// Woken by Stop with no capacity: executing anyway would run
+			// an unreserved-memory query during shutdown.
+			s.Ctr.QueriesCanceled++
+			return fail(ErrCanceled, "grant")
 		}
 		if granted > 0 {
 			defer s.releaseWorkspace(granted)
@@ -512,7 +475,7 @@ func (s *Server) runQuery(p *sim.Proc, q *opt.LNode, maxdopHint int, grantPct fl
 	}
 	env := &exec.Env{
 		Sim: s.Sim, M: s.M, BP: s.BP, Dev: s.Dev, Ctr: s.Ctr,
-		Cost: s.Cfg.Cost, RNG: s.Sim.RNG().Fork(),
+		Cost: s.Cost, RNG: s.Sim.RNG().Fork(),
 		Cores: s.CPUs.Allowed(), Dop: info.Dop,
 		Grant:      &exec.Grant{Bytes: info.GrantBytes},
 		TempRegion: s.tempBase,

@@ -16,10 +16,9 @@ import (
 // connection — an in-process workload driver or a network front-end
 // handler — issuing transactional statements (Begin/Read/Update/.../
 // Commit, or whole transactions via Exec) and analytical queries
-// (Query) on its proc. The session carries the connection-scoped
-// context that used to live in every driver: the retry policy, the
-// statement deadline, and the attribution hookup that charges waits and
-// I/O to the running statement.
+// (Query) on its proc. The session carries the attribution hookup that
+// charges waits and I/O to the running statement; retries and the
+// statement deadline follow the server's Config.
 //
 // Transport-agnostic by construction: the harness drivers and the
 // internal/serve network workers go through exactly this surface, so a
@@ -29,15 +28,6 @@ type Session struct {
 	S   *Server
 	P   *sim.Proc
 	Ctx *access.Ctx // OLTP execution context; nil until BindCtx
-
-	// Retry is the session's statement/transaction retry policy,
-	// initialized from Config.Retry at Open.
-	Retry RetryPolicy
-
-	// Timeout is the statement deadline applied to analytical queries,
-	// initialized from Config.StmtTimeout at Open (0 = none). A session
-	// may tighten or loosen it without affecting other connections.
-	Timeout sim.Duration
 
 	// LastCommitLSN is the WAL end-byte LSN of the session's most recent
 	// durably acknowledged commit — 0 until one commits, and always 0
@@ -68,7 +58,7 @@ type Session struct {
 func (s *Server) Open(p *sim.Proc) *Session {
 	s.sessOpened++
 	s.sessActive++
-	return &Session{S: s, P: p, Retry: s.Cfg.Retry, Timeout: s.Cfg.StmtTimeout}
+	return &Session{S: s, P: p}
 }
 
 // BindCtx binds the session's OLTP execution context — what a connected
@@ -100,25 +90,24 @@ type QueryOptions struct {
 	// Section 8 query-memory-limit knob).
 	GrantPct float64
 	// G supplies the backoff-jitter stream for bounded retries of
-	// retryable failures under the session's Retry policy. nil runs the
-	// statement exactly once (how single-shot experiments pin timing).
+	// retryable failures under Config.Retry. nil runs the statement
+	// exactly once (how single-shot experiments pin timing).
 	G *sim.RNG
 }
 
 // Query optimizes and executes a logical query on the session proc,
-// retrying retryable failures with backoff when o.G is set and the
-// session's Retry policy is enabled. Shutdown cancellation is terminal.
+// retrying retryable failures with backoff when o.G is set and
+// Config.Retry is on. Shutdown cancellation is terminal.
 func (sess *Session) Query(q *opt.LNode, o QueryOptions) QueryResult {
 	s, p := sess.S, sess.P
-	res := s.runQuery(p, q, o.MaxDOP, o.GrantPct, sess.Timeout)
-	if res.Err != nil && o.G != nil && sess.Retry.Enabled() {
-		pol := sess.Retry
-		for attempt := 1; attempt < pol.MaxAttempts &&
+	res := s.runQuery(p, q, o.MaxDOP, o.GrantPct)
+	if res.Err != nil && o.G != nil && s.Cfg.Retry {
+		for attempt := 1; attempt < retryAttempts &&
 			res.Err != nil && res.Err.Retryable() && !s.Stopped(); attempt++ {
 			s.Ctr.QueryRetries++
 			s.QStats.AddRetry(q.Label)
-			pol.Sleep(p, o.G, attempt)
-			res = s.runQuery(p, q, o.MaxDOP, o.GrantPct, sess.Timeout)
+			backoff(p, o.G, attempt)
+			res = s.runQuery(p, q, o.MaxDOP, o.GrantPct)
 		}
 	}
 	return res
@@ -128,11 +117,10 @@ func (sess *Session) Query(q *opt.LNode, o QueryOptions) QueryResult {
 // session's counter set is zeroed and attached for the duration so waits,
 // buffer traffic and I/O attribute to it, the attempt is folded into the
 // server's per-template query statistics under label, and transient aborts
-// (victim, IO) are retried with backoff under the session's Retry
-// policy using g for jitter. It reports whether the transaction
-// ultimately committed; the caller can distinguish "failed with retries
-// disabled" via sess.Retry.Enabled(). Exec calls on one session do not
-// nest: fn must not call Exec on the session it runs under.
+// (victim, IO) are retried with backoff under Config.Retry using g for
+// jitter. It reports whether the transaction ultimately committed. Exec
+// calls on one session do not nest: fn must not call Exec on the session
+// it runs under.
 func (sess *Session) Exec(label string, g *sim.RNG, fn func() bool) bool {
 	s, p := sess.S, sess.P
 	run := func() bool {
@@ -151,17 +139,16 @@ func (sess *Session) Exec(label string, g *sim.RNG, fn func() bool) bool {
 		return ok
 	}
 	ok := run()
-	pol := sess.Retry
-	if !ok && pol.Enabled() {
+	if !ok && s.Cfg.Retry {
 		// Bounded retry with backoff for transient aborts (victim, IO);
 		// shutdown and not-durable commits are terminal.
-		for attempt := 1; attempt < pol.MaxAttempts && !s.Stopped(); attempt++ {
+		for attempt := 1; attempt < retryAttempts && !s.Stopped(); attempt++ {
 			if qe := sess.TakeErr(); qe != nil && !qe.Retryable() {
 				break
 			}
 			s.Ctr.TxnRetries++
 			s.QStats.AddRetry(label)
-			pol.Sleep(p, g, attempt)
+			backoff(p, g, attempt)
 			if ok = run(); ok {
 				break
 			}

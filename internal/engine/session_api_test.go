@@ -55,7 +55,7 @@ func runOnFreshServer(t *testing.T, fn func(s *Server, p *sim.Proc) QueryResult)
 // same-seed server.
 func TestSessionQueryMatchesDirectRunQuery(t *testing.T) {
 	direct, dctr := runOnFreshServer(t, func(s *Server, p *sim.Proc) QueryResult {
-		return s.runQuery(p, analyticalQ(s.DB), 0, 0, s.Cfg.StmtTimeout)
+		return s.runQuery(p, analyticalQ(s.DB), 0, 0)
 	})
 	viaSess, sctr := runOnFreshServer(t, func(s *Server, p *sim.Proc) QueryResult {
 		sess := s.Open(p)
@@ -80,7 +80,7 @@ func TestSessionQueryMatchesDirectRunQuery(t *testing.T) {
 // grant hints, the QueryTiming path.
 func TestSessionQueryHintsMatchDirect(t *testing.T) {
 	direct, dctr := runOnFreshServer(t, func(s *Server, p *sim.Proc) QueryResult {
-		return s.runQuery(p, analyticalQ(s.DB), 2, 0.1, s.Cfg.StmtTimeout)
+		return s.runQuery(p, analyticalQ(s.DB), 2, 0.1)
 	})
 	viaSess, sctr := runOnFreshServer(t, func(s *Server, p *sim.Proc) QueryResult {
 		sess := s.Open(p)

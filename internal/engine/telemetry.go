@@ -57,7 +57,7 @@ func (s *Server) registerTelemetry() {
 
 	// LLC: per-socket MPKI against the socket's current COS (way-mask)
 	// width — the CAT sensitivity surface.
-	for i := 0; i < s.Cfg.Machine.Sockets; i++ {
+	for i := 0; i < s.M.Spec.Sockets; i++ {
 		sock := i
 		r.Gauge("cache", fmt.Sprintf("llc%d_mpki", sock), "mpki", func() float64 {
 			if s.Ctr.Instructions == 0 {

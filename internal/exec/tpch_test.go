@@ -26,11 +26,11 @@ func TestVectorizedDoesNotPerturbResults(t *testing.T) {
 		plan, info := srv.ExplainQuery(d.Query(qn, sim.NewRNG(13)), 0)
 		env := &exec.Env{
 			Sim: srv.Sim, M: srv.M, BP: srv.BP, Dev: srv.Dev, Ctr: srv.Ctr,
-			Cost: srv.Cfg.Cost, RNG: srv.Sim.RNG().Fork(),
+			Cost: srv.Cost, RNG: srv.Sim.RNG().Fork(),
 			Cores: srv.CPUs.Allowed(), Dop: info.Dop,
 			Grant:      &exec.Grant{Bytes: info.GrantBytes},
 			TempRegion: srv.M.ReserveRegion(8 << 30),
-			MetaBase:   srv.M.ReserveRegion(srv.Cfg.Cost.MetaBytes + 1<<20),
+			MetaBase:   srv.M.ReserveRegion(srv.Cost.MetaBytes + 1<<20),
 		}
 		var rows []exec.Row
 		srv.Sim.Spawn("q", func(p *sim.Proc) {

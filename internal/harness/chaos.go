@@ -224,14 +224,8 @@ func runChaosCell(sf int, opt Options, spec ChaosSpec, rate float64) ChaosPoint 
 
 	end := sim.Time(opt.Warmup + opt.Measure)
 	plan := offeredLoad(srv, opt, rate, spec.Storm)
-	ccfg := client.RConfig{
-		Endpoints:    cf.Endpoints(),
-		ReplyTimeout: 4 * sim.Second,
-		HedgeAfter:   500 * sim.Millisecond,
-		MaxAttempts:  6,
-	}
 	var st openloop.RStats
-	openloop.RunResilient(srv.Sim, cf.Net, ccfg, plan, &st, srv.Sim.RNG().Fork())
+	openloop.RunResilient(srv.Sim, cf.Net, cf.Endpoints(), plan, &st, srv.Sim.RNG().Fork())
 	st.M.Register(srv.Tel)
 
 	var frep *repl.FailoverReport

@@ -181,10 +181,7 @@ func Failover(sf int, opt Options, modes []repl.Mode) FailoverResult {
 			MaxFlushBytes: 4 << 10,
 			Crash:         fault.CrashPlan{Point: fault.CrashAtTime, At: crashAt},
 		}
-		rcfg := repl.Config{
-			Mode: mode, Quorum: 1, Replicas: 2,
-			ArchiveSegBytes: 32 << 10, SnapshotEvery: 2,
-		}
+		rcfg := repl.Config{Mode: mode, Quorum: 1, Replicas: 2, Archive: true}
 		c := bootASDB(sf, opt, Knobs{WriteLimitMBps: 50}, &ro, &rcfg)
 		c.start()
 		srv, cl := c.srv, c.cl

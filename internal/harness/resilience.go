@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/sim"
 )
@@ -46,7 +45,7 @@ func resilienceKnobs(opt Options, intensity float64) Knobs {
 	return Knobs{
 		Faults:      &fc,
 		StmtTimeout: 30 * sim.Second,
-		Retry:       engine.DefaultRetryPolicy(),
+		Retry:       true,
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/sim"
 )
@@ -34,7 +33,7 @@ func TestFaultedRunDeterminism(t *testing.T) {
 		return Knobs{
 			Faults:      &fc,
 			StmtTimeout: 30 * sim.Second,
-			Retry:       engine.DefaultRetryPolicy(),
+			Retry:       true,
 		}
 	}
 	a := RunASDB(2, opt, knobs())

@@ -29,9 +29,9 @@ type Knobs struct {
 
 	// Resilience knobs (the fault-injection experiments). All zero values
 	// leave a point identical to a baseline run.
-	Faults      *fault.Config      // fault injection (nil or disabled = none)
-	StmtTimeout sim.Duration       // statement deadline (0 = none)
-	Retry       engine.RetryPolicy // driver retry policy (zero = disabled)
+	Faults      *fault.Config // fault injection (nil or disabled = none)
+	StmtTimeout sim.Duration  // statement deadline (0 = none)
+	Retry       bool          // driver retries (engine.Config.Retry)
 
 	// Trace enables per-operator query tracing (engine.Config.Trace).
 	Trace bool

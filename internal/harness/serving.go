@@ -14,8 +14,8 @@ import (
 
 // ServingRates is the default offered-load grid (connection arrivals per
 // second; each connection issues ~8 requests). The grid was calibrated
-// once against the default front end (8 workers over the ASDB catalog)
-// so it spans comfortable load through well past saturation.
+// once against the front end (serve.Workers workers over the ASDB
+// catalog) so it spans comfortable load through well past saturation.
 var ServingRates = []float64{2, 4, 8, 16, 32, 64}
 
 // ServingPoint is one offered-load cell of the serving sweep.
@@ -194,7 +194,7 @@ func EmitServeOnce(e *Emitter, sf int, p ServingPoint) {
 
 // String renders the sweep as an aligned table.
 func (r ServingResult) String() string {
-	s := fmt.Sprintf("serving asdb sf=%d (open-loop offered load; 8 workers, degrade-then-shed admission)\n", r.SF)
+	s := fmt.Sprintf("serving asdb sf=%d (open-loop offered load; %d workers, degrade-then-shed admission)\n", r.SF, serve.Workers)
 	s += fmt.Sprintf("%9s %9s %9s %8s %8s %8s %9s %7s %8s %8s\n",
 		"offered", "goodput", "p50-ms", "p99-ms", "p999-ms", "shed%", "refused", "dropped", "degraded", "conns")
 	row := func(p ServingPoint) string {

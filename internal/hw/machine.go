@@ -24,8 +24,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Spec describes a machine. The zero value is not usable; start from
-// PaperSpec and override fields for ablations.
+// Spec describes a machine: the model's parameter table. The zero value
+// is not usable; every server runs PaperSpec.
 type Spec struct {
 	Sockets       int
 	PhysPerSocket int

@@ -39,7 +39,7 @@ func pairUp(t *testing.T, sm *sim.Sim, nw *Network) (client, server *Conn) {
 
 func TestPartitionParksSendsUntilHeal(t *testing.T) {
 	sm := sim.New(1)
-	nw := New(sm, Config{LinkMBps: 100, Latency: 100 * sim.Microsecond})
+	nw := New(sm, Config{})
 	client, server := pairUp(t, sm, nw)
 
 	nw.SetPartition(PartitionBoth)
@@ -79,7 +79,7 @@ func TestPartitionParksSendsUntilHeal(t *testing.T) {
 
 func TestAsymmetricPartitionBlocksOneDirection(t *testing.T) {
 	sm := sim.New(1)
-	nw := New(sm, Config{LinkMBps: 100, Latency: 100 * sim.Microsecond})
+	nw := New(sm, Config{})
 	client, server := pairUp(t, sm, nw)
 
 	// Client->server cut: the server can still talk to the client.
@@ -114,7 +114,7 @@ func TestAsymmetricPartitionBlocksOneDirection(t *testing.T) {
 
 func TestDialPartitionedTyped(t *testing.T) {
 	sm := sim.New(1)
-	nw := New(sm, Config{LinkMBps: 100, Latency: 100 * sim.Microsecond})
+	nw := New(sm, Config{})
 	if _, err := nw.Listen("db"); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestDialPartitionedTyped(t *testing.T) {
 
 func TestFrameLossDropsSeededFraction(t *testing.T) {
 	sm := sim.New(1)
-	nw := New(sm, Config{LinkMBps: 100, Latency: 10 * sim.Microsecond, FaultSeed: 7})
+	nw := New(sm, Config{FaultSeed: 7})
 	client, server := pairUp(t, sm, nw)
 	nw.SetLossProb(0.5)
 	const n = 200
@@ -167,7 +167,7 @@ func TestFrameLossDropsSeededFraction(t *testing.T) {
 func TestDegradeSlowsTransfer(t *testing.T) {
 	run := func(factor float64) sim.Time {
 		sm := sim.New(1)
-		nw := New(sm, Config{LinkMBps: 10, Latency: 100 * sim.Microsecond})
+		nw := New(sm, Config{})
 		client, server := pairUp(t, sm, nw)
 		if factor > 1 {
 			nw.SetDegrade(factor)
@@ -198,7 +198,7 @@ func TestDegradeSlowsTransfer(t *testing.T) {
 
 func TestResetDeliversBufferedFramesThenTypedError(t *testing.T) {
 	sm := sim.New(1)
-	nw := New(sm, Config{LinkMBps: 100, Latency: 10 * sim.Microsecond})
+	nw := New(sm, Config{})
 	client, server := pairUp(t, sm, nw)
 
 	var got []byte
@@ -234,7 +234,7 @@ func TestResetDeliversBufferedFramesThenTypedError(t *testing.T) {
 
 func TestResetConnsOldestFirstFraction(t *testing.T) {
 	sm := sim.New(1)
-	nw := New(sm, Config{LinkMBps: 100, Latency: 10 * sim.Microsecond})
+	nw := New(sm, Config{})
 	l, err := nw.Listen("db")
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestResetConnsOldestFirstFraction(t *testing.T) {
 
 func TestRecvTimeoutTypedAndLeavesConnUsable(t *testing.T) {
 	sm := sim.New(1)
-	nw := New(sm, Config{LinkMBps: 100, Latency: 10 * sim.Microsecond})
+	nw := New(sm, Config{})
 	client, server := pairUp(t, sm, nw)
 	var terr error
 	var late []byte
@@ -302,7 +302,7 @@ func TestChaosOffDrawsNoFaultRandomness(t *testing.T) {
 	// A network with fault machinery armed but no fault applied must not
 	// consume its fault RNG: byte-identity of chaos-off runs depends on it.
 	sm := sim.New(1)
-	nw := New(sm, Config{LinkMBps: 100, Latency: 10 * sim.Microsecond, FaultSeed: 3})
+	nw := New(sm, Config{FaultSeed: 3})
 	client, server := pairUp(t, sm, nw)
 	before := nw.faultRNG.Float64()
 	sm.Spawn("traffic", func(p *sim.Proc) {

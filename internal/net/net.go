@@ -67,26 +67,17 @@ func (m PartitionMode) String() string {
 	return "invalid"
 }
 
-// Config sizes the simulated transport.
+// Config seeds the transport's link-fault model.
 type Config struct {
-	LinkMBps      float64      // per-direction NIC bandwidth (default 1000)
-	Latency       sim.Duration // one-way frame latency (default 100µs)
-	AcceptBacklog int          // pending-connection bound per listener (default 64)
-	FaultSeed     int64        // seeds the private per-frame loss RNG
+	FaultSeed int64 // seeds the private per-frame loss RNG
 }
 
-func (c Config) withDefaults() Config {
-	if c.LinkMBps <= 0 {
-		c.LinkMBps = 1000
-	}
-	if c.Latency <= 0 {
-		c.Latency = 100 * sim.Microsecond
-	}
-	if c.AcceptBacklog <= 0 {
-		c.AcceptBacklog = 64
-	}
-	return c
-}
+// The segment's fixed shape.
+const (
+	linkMBps      = 1000                  // per-direction NIC bandwidth
+	latency       = 100 * sim.Microsecond // one-way frame latency
+	acceptBacklog = 64                    // pending-connection bound per listener
+)
 
 // FaultCounters is the transport's cumulative fault accounting.
 type FaultCounters struct {
@@ -100,8 +91,7 @@ type FaultCounters struct {
 // Network is one simulated network segment: clients dial listeners by
 // address through a shared pair of directional links.
 type Network struct {
-	Sm  *sim.Sim
-	Cfg Config
+	Sm *sim.Sim
 
 	ingress *sim.FluidServer // client → server direction
 	egress  *sim.FluidServer // server → client direction
@@ -126,12 +116,10 @@ type Network struct {
 
 // New builds a network on the simulation.
 func New(sm *sim.Sim, cfg Config) *Network {
-	cfg = cfg.withDefaults()
 	return &Network{
 		Sm:        sm,
-		Cfg:       cfg,
-		ingress:   sim.NewFluidServer(cfg.LinkMBps * 1e6),
-		egress:    sim.NewFluidServer(cfg.LinkMBps * 1e6),
+		ingress:   sim.NewFluidServer(linkMBps * 1e6),
+		egress:    sim.NewFluidServer(linkMBps * 1e6),
 		listeners: make(map[string]*Listener),
 		degrade:   1,
 		faultRNG:  sim.NewRNG(cfg.FaultSeed ^ 0x6e6574), // "net"; no draws unless loss armed
@@ -142,9 +130,9 @@ func New(sm *sim.Sim, cfg Config) *Network {
 // lat is the effective one-way latency under the current degrade factor.
 func (n *Network) lat() sim.Duration {
 	if n.degrade == 1 {
-		return n.Cfg.Latency
+		return latency
 	}
-	return sim.Duration(float64(n.Cfg.Latency) * n.degrade)
+	return sim.Duration(float64(latency) * n.degrade)
 }
 
 // blockedDir reports whether frames travelling in the given direction
@@ -199,8 +187,8 @@ func (n *Network) SetDegrade(factor float64) {
 		n.Flt.DegradeEvents++
 	}
 	n.degrade = factor
-	n.ingress.SetRate(n.Cfg.LinkMBps * 1e6 / factor)
-	n.egress.SetRate(n.Cfg.LinkMBps * 1e6 / factor)
+	n.ingress.SetRate(linkMBps * 1e6 / factor)
+	n.egress.SetRate(linkMBps * 1e6 / factor)
 }
 
 // ResetConns resets a fraction of the live connections mid-stream (both
@@ -272,7 +260,7 @@ func (n *Network) Dial(p *sim.Proc, addr string) (*Conn, error) {
 		p.Sleep(n.lat()) // RST back
 		return nil, ErrNoListener
 	}
-	if len(l.backlog) >= n.Cfg.AcceptBacklog {
+	if len(l.backlog) >= acceptBacklog {
 		n.Refused++
 		l.Refused++
 		p.Sleep(n.lat()) // RST back

@@ -9,7 +9,7 @@ import (
 
 func TestDialSendRecvRoundTrip(t *testing.T) {
 	sm := sim.New(1)
-	nw := New(sm, Config{LinkMBps: 100, Latency: 100 * sim.Microsecond})
+	nw := New(sm, Config{})
 	l, err := nw.Listen("db")
 	if err != nil {
 		t.Fatal(err)
@@ -80,10 +80,10 @@ func TestDialNoListener(t *testing.T) {
 
 func TestDialRefusedWhenBacklogFull(t *testing.T) {
 	sm := sim.New(1)
-	nw := New(sm, Config{AcceptBacklog: 2})
+	nw := New(sm, Config{})
 	l, _ := nw.Listen("db")
 	refused := 0
-	for i := 0; i < 4; i++ {
+	for i := 0; i < acceptBacklog+2; i++ {
 		sm.Spawn("client", func(p *sim.Proc) {
 			// Nobody accepts, so dials beyond the backlog bound are refused.
 			if _, err := nw.Dial(p, "db"); errors.Is(err, ErrRefused) {
@@ -95,7 +95,7 @@ func TestDialRefusedWhenBacklogFull(t *testing.T) {
 	if refused != 2 || nw.Refused != 2 || l.Refused != 2 {
 		t.Fatalf("refused = %d, nw.Refused = %d, l.Refused = %d", refused, nw.Refused, l.Refused)
 	}
-	if l.Depth() != 2 {
+	if l.Depth() != acceptBacklog {
 		t.Fatalf("backlog depth = %d", l.Depth())
 	}
 }

@@ -125,7 +125,6 @@ type PlanInfo struct {
 	Dop        int
 	EstCostNs  float64
 	GrantBytes int64
-	MemNeedNs  int64 // reserved; kept for symmetry
 	MemNeed    int64
 	Shape      string
 }

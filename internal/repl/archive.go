@@ -38,7 +38,7 @@ type Snapshot struct {
 }
 
 // Archiver continuously archives the primary's durable WAL into sealed
-// segments and takes a snapshot every Config.SnapshotEvery seals. It
+// segments and takes a snapshot every snapshotEvery seals. It
 // maintains its own shadow dataset image (a pure applyState) purely so
 // snapshots can be captured at any boundary without touching the
 // primary's or any standby's image.
@@ -86,7 +86,7 @@ func (a *Archiver) archive(r *wal.Record) {
 	// predecessor's end LSN, and splitting such a run across a segment —
 	// or snapshotting inside it — would strand the trailing records on
 	// the wrong side of the boundary during replay.
-	if a.cur != nil && a.cur.Bytes >= a.c.Cfg.ArchiveSegBytes && r.LSN > a.cur.To {
+	if a.cur != nil && a.cur.Bytes >= archiveSegBytes && r.LSN > a.cur.To {
 		a.seal()
 	}
 	if a.cur == nil {
@@ -106,7 +106,7 @@ func (a *Archiver) seal() {
 	a.c.Primary.Ctr.ArchivedBytes += a.cur.Bytes
 	a.cur = nil
 	a.seals++
-	if a.seals%a.c.Cfg.SnapshotEvery == 0 {
+	if a.seals%snapshotEvery == 0 {
 		a.snapshot()
 	}
 }

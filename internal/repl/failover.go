@@ -74,12 +74,7 @@ func (c *Cluster) Failover(p *sim.Proc) *FailoverReport {
 		p.Sleep(sim.Millisecond)
 	}
 	replayEnd := p.Now()
-	best := 0
-	for i, s := range c.Standbys {
-		if s.appliedLSN > c.Standbys[best].appliedLSN {
-			best = i
-		}
-	}
+	best := c.mostCaughtUp()
 	s := c.Standbys[best]
 	// In-flight transactions die with the primary: their updates were
 	// pending (never applied), so dropping them is the undo.

@@ -62,6 +62,7 @@ var ErrNoAck = errors.New("repl: commit acknowledgement timeout")
 // Fixed cluster parameters.
 const (
 	linkLatency = 200 * sim.Microsecond // one-way link latency
+	linkMBps    = 1000                  // per-link shipping bandwidth
 	// stalenessBytes bounds how far (in WAL bytes) a standby may trail
 	// the primary and still serve routed reads.
 	stalenessBytes = 4 << 20
@@ -69,6 +70,10 @@ const (
 	// failDetect is the failure-detection delay charged before promotion
 	// begins on a primary crash.
 	failDetect = 500 * sim.Millisecond
+	// archiveSegBytes seals archive segments at this size; snapshotEvery
+	// takes an incremental snapshot every that many sealed segments.
+	archiveSegBytes = 32 << 10
+	snapshotEvery   = 2
 )
 
 // Config sizes a cluster. Zero values take defaults.
@@ -77,7 +82,6 @@ type Config struct {
 	Quorum   int // acks required in ModeQuorum (clamped to [1, Replicas])
 	Replicas int // number of standbys (default 1)
 
-	LinkMBps   float64      // per-link shipping bandwidth (default 1000)
 	AckTimeout sim.Duration // bound on sync/quorum commit waits (default 10s)
 
 	// TraceCommits records cross-node span trees for the first commits
@@ -86,11 +90,9 @@ type Config struct {
 	// to a build without tracing.
 	TraceCommits bool
 
-	// ArchiveSegBytes seals archive segments at this size; 0 disables
-	// archiving (and PITR). SnapshotEvery takes an incremental snapshot
-	// every that many sealed segments (default 4).
-	ArchiveSegBytes int64
-	SnapshotEvery   int
+	// Archive arms WAL archiving with incremental snapshots, and with
+	// them point-in-time recovery (archive.go).
+	Archive bool
 
 	// NewImage builds an identical copy of the primary's dataset —
 	// the same Build call with the same parameters, which yields the same
@@ -110,22 +112,10 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Quorum > cfg.Replicas {
 		cfg.Quorum = cfg.Replicas
 	}
-	if cfg.LinkMBps <= 0 {
-		cfg.LinkMBps = 1000
-	}
 	if cfg.AckTimeout <= 0 {
 		cfg.AckTimeout = 10 * sim.Second
 	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 4
-	}
 	return cfg
-}
-
-// LagSample is one replica-lag measurement.
-type LagSample struct {
-	At    sim.Time
-	Bytes int64 // primary flushed LSN - standby applied LSN
 }
 
 // Standby is one replica: a full engine.Server (own device, buffer pool,
@@ -151,7 +141,7 @@ type Standby struct {
 	shipperDone bool
 	applierDone bool
 
-	LagSamples []LagSample
+	maxLag int64 // largest apply lag the lag tracker sampled, in WAL bytes
 }
 
 // shipment is one delivered batch tagged with the primary-stream
@@ -178,7 +168,7 @@ type Cluster struct {
 	Cfg     Config
 
 	Standbys []*Standby
-	Arch     *Archiver // nil unless Cfg.ArchiveSegBytes > 0
+	Arch     *Archiver // nil unless Cfg.Archive
 
 	sm *sim.Sim
 
@@ -236,13 +226,13 @@ func New(primary *engine.Server, cfg Config) *Cluster {
 			DB:     img,
 			c:      c,
 			idx:    i,
-			link:   sim.NewFluidServer(cfg.LinkMBps * 1e6),
+			link:   sim.NewFluidServer(linkMBps * 1e6),
 			reader: primary.Log.NewStreamReader(),
 			apply:  newApplyState(img),
 		}
 		c.Standbys = append(c.Standbys, s)
 	}
-	if cfg.ArchiveSegBytes > 0 {
+	if cfg.Archive {
 		c.Arch = newArchiver(c)
 	}
 	return c
@@ -321,18 +311,30 @@ func (c *Cluster) CheckDigests() error {
 // of WAL, else the primary. Returns -1 for the primary, otherwise a
 // standby index.
 func (c *Cluster) RouteRead() int {
-	best, bestApplied := -1, int64(-1)
-	for i, s := range c.Standbys {
-		if s.appliedLSN > bestApplied {
-			best, bestApplied = i, s.appliedLSN
-		}
-	}
-	if best >= 0 && c.Primary.Log.FlushedLSN()-bestApplied <= stalenessBytes {
+	if best := c.mostCaughtUp(); best >= 0 && c.lag(c.Standbys[best]) <= stalenessBytes {
 		c.RoutedReplica++
 		return best
 	}
 	c.RoutedPrimary++
 	return -1
+}
+
+// mostCaughtUp returns the index of the standby with the highest applied
+// LSN (the first on a tie), or -1 with no standbys.
+func (c *Cluster) mostCaughtUp() int {
+	best := -1
+	for i, s := range c.Standbys {
+		if best < 0 || s.appliedLSN > c.Standbys[best].appliedLSN {
+			best = i
+		}
+	}
+	return best
+}
+
+// lag returns s's apply lag behind the primary's durable LSN in WAL
+// bytes, floored at 0.
+func (c *Cluster) lag(s *Standby) int64 {
+	return max(c.Primary.Log.FlushedLSN()-s.appliedLSN, 0)
 }
 
 // runShipper spawns the per-standby shipping proc: it cursors the
@@ -488,7 +490,7 @@ func (c *Cluster) chargeApply(p *sim.Proc, s *Standby, r *wal.Record) {
 	if f == nil {
 		return
 	}
-	s.Srv.BP.Probe(p, f, r.Page.Page, true, s.Srv.Cfg.Cost.RowOverheadNs)
+	s.Srv.BP.Probe(p, f, r.Page.Page, true, s.Srv.Cost.RowOverheadNs)
 }
 
 // Reconnect re-ships the stream to a standby after its WAL crashed and
@@ -587,11 +589,7 @@ func (c *Cluster) registerTelemetry() {
 	for i, s := range c.Standbys {
 		s := s
 		r.Gauge("repl", fmt.Sprintf("standby%d_lag_bytes", i), "B", func() float64 {
-			lag := c.Primary.Log.FlushedLSN() - s.appliedLSN
-			if lag < 0 {
-				lag = 0
-			}
-			return float64(lag)
+			return float64(c.lag(s))
 		})
 		r.CounterFunc("repl", fmt.Sprintf("standby%d_applied_txns", i), "ops", func() float64 {
 			return float64(s.Srv.Ctr.ReplAppliedTxns)
@@ -600,7 +598,7 @@ func (c *Cluster) registerTelemetry() {
 }
 
 // runLagTracker spawns the lag-tracking proc: every lagInterval it
-// records each standby's apply lag in WAL bytes.
+// samples each standby's apply lag in WAL bytes into its running max.
 func (c *Cluster) runLagTracker() {
 	c.sm.Spawn("repl-lag", func(p *sim.Proc) {
 		for !c.stopped {
@@ -608,13 +606,8 @@ func (c *Cluster) runLagTracker() {
 			if c.stopped {
 				return
 			}
-			flushed := c.Primary.Log.FlushedLSN()
 			for _, s := range c.Standbys {
-				lag := flushed - s.appliedLSN
-				if lag < 0 {
-					lag = 0
-				}
-				s.LagSamples = append(s.LagSamples, LagSample{At: p.Now(), Bytes: lag})
+				s.maxLag = max(s.maxLag, c.lag(s))
 			}
 		}
 	})
@@ -622,15 +615,11 @@ func (c *Cluster) runLagTracker() {
 
 // MaxLagBytes returns the largest lag ever sampled on any standby.
 func (c *Cluster) MaxLagBytes() int64 {
-	var max int64
+	var m int64
 	for _, s := range c.Standbys {
-		for _, l := range s.LagSamples {
-			if l.Bytes > max {
-				max = l.Bytes
-			}
-		}
+		m = max(m, s.maxLag)
 	}
-	return max
+	return m
 }
 
 // AckedLSNs returns the commit LSNs acknowledged to clients under
@@ -645,20 +634,11 @@ func (c *Cluster) LinkDown() bool { return c.linkDown }
 // BestLagBytes returns the most-caught-up standby's current apply lag
 // in WAL bytes (0 with no standbys).
 func (c *Cluster) BestLagBytes() int64 {
-	var bestApplied int64 = -1
-	for _, s := range c.Standbys {
-		if s.appliedLSN > bestApplied {
-			bestApplied = s.appliedLSN
-		}
-	}
-	if bestApplied < 0 {
+	best := c.mostCaughtUp()
+	if best < 0 {
 		return 0
 	}
-	lag := c.Primary.Log.FlushedLSN() - bestApplied
-	if lag < 0 {
-		return 0
-	}
-	return lag
+	return c.lag(c.Standbys[best])
 }
 
 // SetLinkDown implements fault.ReplTarget: partition (true) or heal

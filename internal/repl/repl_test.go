@@ -157,10 +157,7 @@ func TestPartitionUnackedCommits(t *testing.T) {
 // destroyed segment inside the replay range surfaces ErrArchiveGap.
 func TestFailoverAndPITR(t *testing.T) {
 	tp := build(5,
-		repl.Config{
-			Mode: repl.ModeQuorum, Quorum: 1, Replicas: 2,
-			ArchiveSegBytes: 32 << 10, SnapshotEvery: 2,
-		},
+		repl.Config{Mode: repl.ModeQuorum, Quorum: 1, Replicas: 2, Archive: true},
 		engine.RecoveryOptions{
 			MaxFlushBytes: 4 << 10,
 			Crash:         fault.CrashPlan{Point: fault.CrashAtTime, At: 1500 * sim.Millisecond},

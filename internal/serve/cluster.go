@@ -44,13 +44,10 @@ type ClusterFrontend struct {
 // view (the same schema bound to a different image).
 func NewCluster(cl *repl.Cluster, primaryDS *asdb.Dataset, dsOf func(*engine.Database) *asdb.Dataset, cfg Config) *ClusterFrontend {
 	cfg = cfg.withDefaults()
-	nw := net.New(cl.Primary.Sim, cfg.Net)
+	nw := net.New(cl.Primary.Sim, net.Config{})
 	cf := &ClusterFrontend{Cl: cl, Cfg: cfg, Net: nw, DSOf: dsOf}
-	fe := NewOn(nw, cl.Primary, primaryDS, cfg)
-	fe.OnExecOK = cf.recordAck(0)
-	fe.Router = cf
-	fe.ReplUnhealthy = cf.unhealthy
-	cf.FE = fe
+	cf.FE = NewOn(nw, cl.Primary, primaryDS, cfg)
+	cf.FE.cluster = cf
 	return cf
 }
 
@@ -72,12 +69,6 @@ func (cf *ClusterFrontend) Frontend() *Frontend {
 	return cf.FE
 }
 
-func (cf *ClusterFrontend) recordAck(epoch int) func(pair, req uint64, lsn int64) {
-	return func(pair, req uint64, lsn int64) {
-		cf.Acks = append(cf.Acks, Ack{Epoch: epoch, Pair: pair, Req: req, LSN: lsn})
-	}
-}
-
 // staleLagBytes is the apply lag (in WAL bytes) past which a standby
 // counts as unhealthy; it equals the bound repl.Cluster.RouteRead routes
 // reads within.
@@ -85,15 +76,17 @@ const staleLagBytes = 4 << 20
 
 // unhealthy reports a degraded replication plane: a partitioned link,
 // or every standby lagging past staleLagBytes. The front end halves its
-// degrade threshold while true.
+// degrade threshold while true. After promotion the cluster is a single
+// node again, with no replication plane to be unhealthy.
 func (cf *ClusterFrontend) unhealthy() bool {
-	return cf.Cl.LinkDown() || cf.Cl.BestLagBytes() > staleLagBytes
+	return cf.Epoch == 0 && (cf.Cl.LinkDown() || cf.Cl.BestLagBytes() > staleLagBytes)
 }
 
-// RouteQuery implements QueryRouter: degraded analytical reads go to
-// the most caught-up standby when it is inside the staleness bound.
-// After promotion the cluster is a single node again — no routing.
-func (cf *ClusterFrontend) RouteQuery() (*engine.Server, *asdb.Dataset) {
+// routeQuery offers a node for a degraded analytical read: the most
+// caught-up standby when it is inside the staleness bound, else nil (run
+// the query locally). After promotion the cluster is a single node again
+// — no routing.
+func (cf *ClusterFrontend) routeQuery() (*engine.Server, *asdb.Dataset) {
 	if cf.Epoch > 0 {
 		return nil, nil
 	}
@@ -116,7 +109,7 @@ func (cf *ClusterFrontend) Promote() error {
 	cfg := cf.Cfg
 	cfg.Addr = cf.Endpoints()[1]
 	fe := NewOn(cf.Net, s.Srv, cf.DSOf(s.DB), cfg)
-	fe.OnExecOK = cf.recordAck(1)
+	fe.cluster, fe.epoch = cf, 1
 	cf.PFE = fe
 	cf.Epoch = 1
 	return fe.Start()

@@ -11,7 +11,7 @@ import (
 	"repro/internal/workload/asdb"
 )
 
-func bootCluster(t *testing.T, cfg Config, rcfg repl.Config) (*engine.Server, *repl.Cluster, *ClusterFrontend) {
+func bootCluster(t *testing.T, rcfg repl.Config) (*engine.Server, *repl.Cluster, *ClusterFrontend) {
 	t.Helper()
 	ecfg := engine.DefaultConfig()
 	ecfg.Seed = 1
@@ -29,7 +29,7 @@ func bootCluster(t *testing.T, cfg Config, rcfg repl.Config) (*engine.Server, *r
 		return dd.DB
 	}
 	cl := repl.New(srv, rcfg)
-	cf := NewCluster(cl, d, func(db *engine.Database) *asdb.Dataset { return byDB[db] }, cfg)
+	cf := NewCluster(cl, d, func(db *engine.Database) *asdb.Dataset { return byDB[db] }, Config{})
 	srv.Start()
 	cl.Start()
 	if err := cf.Start(); err != nil {
@@ -44,8 +44,7 @@ func bootCluster(t *testing.T, cfg Config, rcfg repl.Config) (*engine.Server, *r
 // refusals, and after Failover+Promote a client reaches the promoted
 // standby at its failover endpoint and its acks carry epoch 1.
 func TestClusterFailoverServesAtPromotedAddr(t *testing.T) {
-	srv, cl, cf := bootCluster(t, Config{},
-		repl.Config{Mode: repl.ModeQuorum, Quorum: 1, Replicas: 2})
+	srv, cl, cf := bootCluster(t, repl.Config{Mode: repl.ModeQuorum, Quorum: 1, Replicas: 2})
 	var preOK, postOK client.Reply
 	var deadCode proto.Code
 	srv.Sim.Spawn("driver", func(p *sim.Proc) {
@@ -119,11 +118,10 @@ func TestClusterFailoverServesAtPromotedAddr(t *testing.T) {
 // reads admitted past DegradeDepth are routed to a caught-up standby at
 // full resources instead of running degraded on the primary.
 func TestClusterRoutesDegradedReadsToReplica(t *testing.T) {
-	srv, cl, cf := bootCluster(t,
-		Config{Workers: 1, RunQueue: 16, DegradeDepth: 1},
-		repl.Config{Mode: repl.ModeAsync, Replicas: 1})
+	srv, cl, cf := bootCluster(t, repl.Config{Mode: repl.ModeAsync, Replicas: 1})
+	const dashboards = Workers + DegradeDepth + 6
 	ok := 0
-	for i := 0; i < 6; i++ {
+	for i := 0; i < dashboards; i++ {
 		srv.Sim.Spawn("dash", func(p *sim.Proc) {
 			c, err := client.Dial(p, cf.Net, cf.Cfg.Addr, "dash")
 			if err != nil {
@@ -136,8 +134,8 @@ func TestClusterRoutesDegradedReadsToReplica(t *testing.T) {
 		})
 	}
 	srv.Sim.Run(sim.Time(300 * sim.Second))
-	if ok != 6 {
-		t.Fatalf("ok = %d of 6, ctr=%+v", ok, cf.FE.Ctr)
+	if ok != dashboards {
+		t.Fatalf("ok = %d of %d, ctr=%+v", ok, dashboards, cf.FE.Ctr)
 	}
 	if cf.FE.Ctr.Routed == 0 {
 		t.Fatalf("no degraded reads routed to the replica: ctr=%+v", cf.FE.Ctr)
@@ -152,13 +150,11 @@ func TestClusterRoutesDegradedReadsToReplica(t *testing.T) {
 // that passes clean admission when healthy runs degraded when not.
 func TestReplUnhealthyTightensAdmission(t *testing.T) {
 	run := func(linkDown bool) int64 {
-		srv, cl, cf := bootCluster(t,
-			Config{Workers: 1, RunQueue: 32, DegradeDepth: 8},
-			repl.Config{Mode: repl.ModeAsync, Replicas: 1})
+		srv, cl, cf := bootCluster(t, repl.Config{Mode: repl.ModeAsync, Replicas: 1})
 		if linkDown {
 			cl.SetLinkDown(true)
 		}
-		for i := 0; i < 8; i++ {
+		for i := 0; i < Workers+DegradeDepth*3/4; i++ {
 			srv.Sim.Spawn("dash", func(p *sim.Proc) {
 				c, err := client.Dial(p, cf.Net, cf.Cfg.Addr, "dash")
 				if err != nil {
@@ -182,5 +178,50 @@ func TestReplUnhealthyTightensAdmission(t *testing.T) {
 	}
 	if unhealthy == 0 {
 		t.Fatal("link-down cluster never tightened admission posture")
+	}
+}
+
+// TestPromotedFrontendIgnoresReplHealth pins the promoted front end's
+// posture: after failover the cluster is a single node, so a replication
+// link left down neither halves its degrade threshold nor routes its
+// reads — the query depth that passes clean admission on a healthy
+// cluster passes clean on the promoted node too.
+func TestPromotedFrontendIgnoresReplHealth(t *testing.T) {
+	srv, cl, cf := bootCluster(t, repl.Config{Mode: repl.ModeAsync, Replicas: 1})
+	const queries = Workers + DegradeDepth*3/4
+	ok := 0
+	srv.Sim.Spawn("failover", func(p *sim.Proc) {
+		srv.Crash()
+		if err := cl.VerifyFailover(cl.Failover(p)); err != nil {
+			t.Errorf("verify failover: %v", err)
+		}
+		cl.SetLinkDown(true)
+		if err := cf.Promote(); err != nil {
+			t.Errorf("promote: %v", err)
+			return
+		}
+		for i := 0; i < queries; i++ {
+			srv.Sim.Spawn("dash", func(p *sim.Proc) {
+				c, err := client.Dial(p, cf.Net, cf.Endpoints()[1], "dash")
+				if err != nil {
+					return
+				}
+				if rep, err := c.Query(p, "asdb.SumBig", 1); err == nil && rep.OK {
+					ok++
+				}
+				c.Close(p)
+			})
+		}
+	})
+	srv.Sim.Run(sim.Time(300 * sim.Second))
+	cf.Stop()
+	cl.Shutdown()
+	srv.Sim.Run(srv.Sim.Now() + sim.Time(60*sim.Second))
+
+	if ok != queries {
+		t.Fatalf("ok = %d of %d, ctr=%+v", ok, queries, cf.PFE.Ctr)
+	}
+	if cf.PFE.Ctr.Degraded != 0 || cf.PFE.Ctr.Routed != 0 {
+		t.Fatalf("promoted front end took replication health into account: ctr=%+v", cf.PFE.Ctr)
 	}
 }

@@ -31,30 +31,24 @@ import (
 	"repro/internal/workload/asdb"
 )
 
-// Config sizes the front end.
+// Config places the front end.
 type Config struct {
-	Addr         string // listen address on the simulated network (default "db")
-	Workers      int    // worker sessions executing requests (default 8)
-	RunQueue     int    // admitted-request bound; past it requests are shed (default 4×Workers)
-	DegradeDepth int    // queue depth past which queries run degraded (default 2×Workers)
-	Net          net.Config
+	Addr string // listen address on the simulated network (default "db")
 }
 
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = "db"
 	}
-	if c.Workers <= 0 {
-		c.Workers = 8
-	}
-	if c.RunQueue <= 0 {
-		c.RunQueue = 4 * c.Workers
-	}
-	if c.DegradeDepth <= 0 {
-		c.DegradeDepth = 2 * c.Workers
-	}
 	return c
 }
+
+// The front end's fixed shape.
+const (
+	Workers      = 8           // worker sessions executing requests
+	RunQueue     = 4 * Workers // admitted-request bound; past it requests are shed
+	DegradeDepth = 2 * Workers // queue depth past which queries run degraded
+)
 
 // request is one admitted statement waiting for a worker.
 type request struct {
@@ -78,14 +72,6 @@ type Counters struct {
 	Routed     int64 // degraded queries shed to a read replica
 }
 
-// QueryRouter offers an alternate node for analytical reads under
-// degraded posture — the cluster front end routes to the most
-// caught-up read replica within a staleness bound. Returning nil runs
-// the query locally.
-type QueryRouter interface {
-	RouteQuery() (*engine.Server, *asdb.Dataset)
-}
-
 // Frontend serves the ASDB statement catalog over the simulated network.
 type Frontend struct {
 	Srv *engine.Server
@@ -94,20 +80,11 @@ type Frontend struct {
 	Net *net.Network
 	Ctr Counters
 
-	// OnExecOK, when set, observes every acknowledged exec before its
-	// reply is sent: the transport pair id, the request id, and the
-	// commit's WAL LSN — the server-side half of the acked-commit
-	// safety checker's join.
-	OnExecOK func(pair, req uint64, lsn int64)
-
-	// Router, when set, may shed degraded-posture analytical reads to a
-	// read replica (cluster front end).
-	Router QueryRouter
-
-	// ReplUnhealthy, when set and returning true, halves the degrade
-	// threshold: a cluster whose replication plane is partitioned or
-	// lagging degrades earlier, preserving headroom for the commit path.
-	ReplUnhealthy func() bool
+	// cluster is the cluster front end this one serves an epoch of (nil
+	// on a single node): acked execs go to its ack log under epoch, and
+	// its replication health shapes admission and read routing.
+	cluster *ClusterFrontend
+	epoch   int
 
 	ln      *net.Listener
 	runq    []*request
@@ -119,7 +96,7 @@ type Frontend struct {
 // New builds a front end for srv serving d's catalog on its own private
 // network segment. Call Start before running the simulation.
 func New(srv *engine.Server, d *asdb.Dataset, cfg Config) *Frontend {
-	return NewOn(net.New(srv.Sim, cfg.withDefaults().Net), srv, d, cfg)
+	return NewOn(net.New(srv.Sim, net.Config{}), srv, d, cfg)
 }
 
 // NewOn builds a front end on an existing network segment, so several
@@ -145,7 +122,7 @@ func (f *Frontend) Start() error {
 	f.ln = ln
 	// Workers fork their session contexts here, in spawn order, so the
 	// engine's RNG stream stays deterministic regardless of traffic.
-	for i := 0; i < f.Cfg.Workers; i++ {
+	for i := 0; i < Workers; i++ {
 		f.Srv.Sim.Spawn("serve-worker", f.worker)
 	}
 	f.Srv.Sim.Spawn("serve-accept", f.acceptLoop)
@@ -286,13 +263,13 @@ func (f *Frontend) admit(p *sim.Proc, c *net.Conn, fr proto.Frame, req proto.Req
 		c.Send(p, proto.EncodeError(fr.ID, code, msg))
 		return
 	}
-	if len(f.runq) >= f.Cfg.RunQueue {
+	if len(f.runq) >= RunQueue {
 		f.Ctr.Shed++
 		c.Send(p, proto.EncodeError(fr.ID, proto.CodeOverloaded, "run queue full"))
 		return
 	}
-	degradeAt := f.Cfg.DegradeDepth
-	if f.ReplUnhealthy != nil && f.ReplUnhealthy() {
+	degradeAt := DegradeDepth
+	if f.cluster != nil && f.cluster.unhealthy() {
 		// Unhealthy replication: degrade earlier to preserve headroom.
 		degradeAt /= 2
 	}
@@ -304,7 +281,7 @@ func (f *Frontend) admit(p *sim.Proc, c *net.Conn, fr proto.Frame, req proto.Req
 }
 
 // workerState is one worker's session set: its primary session plus
-// lazily-opened query-only sessions on any replica the Router sends
+// lazily-opened query-only sessions on any replica the cluster routes
 // reads to (opened without BindCtx — queries draw no session RNG).
 type workerState struct {
 	sess   *engine.Session
@@ -368,8 +345,10 @@ func (f *Frontend) execute(p *sim.Proc, ws *workerState, r *request) {
 			reply = proto.EncodeError(r.id, proto.CodeBadRequest, "unknown statement "+r.req.Name)
 		case ok:
 			f.Ctr.Served++
-			if f.OnExecOK != nil {
-				f.OnExecOK(r.conn.Pair(), r.id, sess.LastCommitLSN)
+			if cf := f.cluster; cf != nil {
+				// The server-side half of the acked-commit safety
+				// checker's join, recorded before the reply is sent.
+				cf.Acks = append(cf.Acks, Ack{Epoch: f.epoch, Pair: r.conn.Pair(), Req: r.id, LSN: sess.LastCommitLSN})
 			}
 			reply = proto.EncodeResult(r.id, proto.Result{Rows: 1})
 		default:
@@ -377,8 +356,8 @@ func (f *Frontend) execute(p *sim.Proc, ws *workerState, r *request) {
 		}
 	case proto.KQuery:
 		qsrv, qd, qsess := f.Srv, f.D, sess
-		if r.degraded && f.Router != nil {
-			if tsrv, td := f.Router.RouteQuery(); tsrv != nil {
+		if r.degraded && f.cluster != nil {
+			if tsrv, td := f.cluster.routeQuery(); tsrv != nil {
 				// Shed the analytical read to a caught-up replica at
 				// full resources rather than running degraded locally.
 				f.Ctr.Routed++

@@ -10,7 +10,7 @@ import (
 	"repro/internal/workload/asdb"
 )
 
-func boot(t *testing.T, cfg Config) (*engine.Server, *Frontend) {
+func boot(t *testing.T) (*engine.Server, *Frontend) {
 	t.Helper()
 	ecfg := engine.DefaultConfig()
 	ecfg.Seed = 1
@@ -19,7 +19,7 @@ func boot(t *testing.T, cfg Config) (*engine.Server, *Frontend) {
 	srv.AttachDB(d.DB)
 	srv.WarmBufferPool()
 	srv.Start()
-	f := New(srv, d, cfg)
+	f := New(srv, d, Config{})
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func boot(t *testing.T, cfg Config) (*engine.Server, *Frontend) {
 }
 
 func TestServeRoundTrip(t *testing.T) {
-	srv, f := boot(t, Config{Workers: 2})
+	srv, f := boot(t)
 	var exec, query client.Reply
 	srv.Sim.Spawn("client", func(p *sim.Proc) {
 		cl, err := client.Dial(p, f.Net, "db", "test")
@@ -58,7 +58,7 @@ func TestServeRoundTrip(t *testing.T) {
 }
 
 func TestUnknownStatementRejected(t *testing.T) {
-	srv, f := boot(t, Config{Workers: 1})
+	srv, f := boot(t)
 	var rep client.Reply
 	srv.Sim.Spawn("client", func(p *sim.Proc) {
 		cl, err := client.Dial(p, f.Net, "db", "test")
@@ -80,13 +80,13 @@ func TestUnknownStatementRejected(t *testing.T) {
 	srv.Sim.Run(srv.Sim.Now() + sim.Time(60*sim.Second))
 }
 
-// TestOverloadShedsPastRunQueue pins admission control: with one worker
-// and a tiny run queue, a burst of concurrent requests is shed with
-// CodeOverloaded instead of queueing without bound.
+// TestOverloadShedsPastRunQueue pins admission control: a burst of
+// concurrent requests past what the workers and the run queue hold is
+// shed with CodeOverloaded instead of queueing without bound.
 func TestOverloadShedsPastRunQueue(t *testing.T) {
-	srv, f := boot(t, Config{Workers: 1, RunQueue: 2, DegradeDepth: 2})
+	srv, f := boot(t)
 	shed, served := 0, 0
-	for i := 0; i < 16; i++ {
+	for i := 0; i < Workers+RunQueue+16; i++ {
 		srv.Sim.Spawn("client", func(p *sim.Proc) {
 			cl, err := client.Dial(p, f.Net, "db", "burst")
 			if err != nil {
@@ -121,9 +121,10 @@ func TestOverloadShedsPastRunQueue(t *testing.T) {
 // past DegradeDepth run degraded (half DOP, quarter grant) but still
 // succeed.
 func TestDegradeBeforeShed(t *testing.T) {
-	srv, f := boot(t, Config{Workers: 1, RunQueue: 16, DegradeDepth: 1})
+	srv, f := boot(t)
+	const dashboards = Workers + DegradeDepth + 6
 	ok := 0
-	for i := 0; i < 6; i++ {
+	for i := 0; i < dashboards; i++ {
 		srv.Sim.Spawn("client", func(p *sim.Proc) {
 			cl, err := client.Dial(p, f.Net, "db", "dash")
 			if err != nil {
@@ -137,8 +138,8 @@ func TestDegradeBeforeShed(t *testing.T) {
 		})
 	}
 	srv.Sim.Run(sim.Time(300 * sim.Second))
-	if ok != 6 {
-		t.Fatalf("ok = %d of 6, ctr=%+v", ok, f.Ctr)
+	if ok != dashboards {
+		t.Fatalf("ok = %d of %d, ctr=%+v", ok, dashboards, f.Ctr)
 	}
 	if f.Ctr.Degraded == 0 {
 		t.Fatalf("no degraded queries: ctr=%+v", f.Ctr)
@@ -152,7 +153,7 @@ func TestDegradeBeforeShed(t *testing.T) {
 // server stops must be answered with CodeShutdown (not abandoned), every
 // client loop must terminate, and the queue must drain to zero.
 func TestStopUnderStorm(t *testing.T) {
-	srv, f := boot(t, Config{Workers: 1, RunQueue: 64, DegradeDepth: 64})
+	srv, f := boot(t)
 	const clients = 24
 	done := 0
 	sawShutdown := 0
@@ -205,7 +206,7 @@ func TestStopUnderStorm(t *testing.T) {
 // TestStopIsIdempotent guards the double-stop path (engine Stop hook plus
 // an explicit front-end Stop).
 func TestStopIsIdempotent(t *testing.T) {
-	srv, f := boot(t, Config{})
+	srv, f := boot(t)
 	srv.Sim.Run(sim.Time(sim.Second))
 	f.Stop()
 	srv.Stop() // runs f.Stop again via the stop hook

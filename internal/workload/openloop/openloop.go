@@ -32,20 +32,16 @@ type Storm struct {
 type Config struct {
 	Rate      float64      // mean connection arrivals per second
 	Horizon   sim.Duration // generate arrivals in [0, Horizon)
-	Think     sim.Duration // mean think time between requests (default 50ms)
 	QueryFrac float64      // fraction of requests that are analytical (default 0)
 	Storm     *Storm       // optional burst window
 }
 
-// reqPerConn is the mean requests per connection (geometric, min 1).
-const reqPerConn = 8.0
-
-func (c Config) withDefaults() Config {
-	if c.Think <= 0 {
-		c.Think = 50 * sim.Millisecond
-	}
-	return c
-}
+// Every connection issues a geometric number of requests with mean
+// reqPerConn (min 1), separated by exponential think times of mean think.
+const (
+	reqPerConn = 8.0
+	think      = 50 * sim.Millisecond
+)
 
 // Req is one planned request.
 type Req struct {
@@ -86,7 +82,6 @@ func expDur(g *sim.RNG, mean float64) sim.Duration {
 // clients use (over a fixed large domain; the server maps them onto
 // table cardinalities).
 func Build(cfg Config, g *sim.RNG) *Plan {
-	cfg = cfg.withDefaults()
 	pl := &Plan{Cfg: cfg}
 	mix := asdb.DefaultMix()
 	var totalW float64
@@ -115,7 +110,7 @@ func Build(cfg Config, g *sim.RNG) *Plan {
 			nreq++
 		}
 		for r := 0; r < nreq; r++ {
-			req := Req{Think: expDur(g, cfg.Think.Seconds())}
+			req := Req{Think: expDur(g, think.Seconds())}
 			if g.Float64() < cfg.QueryFrac {
 				req.Query = true
 				req.Name = "asdb.SumBig"
@@ -177,14 +172,14 @@ type RStats struct {
 
 // RunResilient replays the plan through resilient clients: unlike Run,
 // a connection survives resets, partitions, and failover — the client
-// reconnects, rotates endpoints, and keeps issuing its script. Each
-// connection's backoff-jitter stream forks from g in plan order.
-func RunResilient(sm *sim.Sim, nw *net.Network, rcfg client.RConfig, pl *Plan, st *RStats, g *sim.RNG) {
+// reconnects, rotates through endpoints, and keeps issuing its script.
+// Each connection's backoff-jitter stream forks from g in plan order.
+func RunResilient(sm *sim.Sim, nw *net.Network, endpoints []string, pl *Plan, st *RStats, g *sim.RNG) {
 	for i := range pl.Conns {
 		cp := &pl.Conns[i]
 		jg := g.Fork()
 		sm.Spawn("resilient-conn", func(p *sim.Proc) {
-			r := client.NewResilient(nw, rcfg, &st.M, jg, "chaos")
+			r := client.NewResilient(nw, endpoints, &st.M, jg, "chaos")
 			r.OnAck = func(k client.AckKey) { st.Acks = append(st.Acks, k) }
 			defer r.Close()
 			if wait := cp.At - p.Now(); wait > 0 {
