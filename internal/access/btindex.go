@@ -235,7 +235,6 @@ func (ix *BTIndex) ChargeLeafRange(ctx *Ctx, nid, count int64) {
 	if count <= 0 {
 		return
 	}
-	per := ix.geom.LeafEntriesPerPage()
 	first := ix.leafPage(nid)
 	last := ix.leafPage(nid + count - 1)
 	file := ix.File
@@ -245,5 +244,4 @@ func (ix *BTIndex) ChargeLeafRange(ctx *Ctx, nid, count int64) {
 	ctx.BP.Scan(ctx.P, file, first, last-first+1, 32)
 	ctx.TouchSeq(file.PageAddr(first), (last-first+1)*storage.PageBytes, false, 6)
 	ctx.CPU(float64(count) * ctx.Cost.RowScanIPR * 0.6)
-	_ = per
 }

@@ -87,6 +87,7 @@ func (n *node) findGT(k Key) int {
 type Tree struct {
 	root *node
 	size int
+	max  Key // the greatest key inserted (nil while empty)
 }
 
 // New creates an empty tree.
@@ -97,26 +98,44 @@ func New() *Tree {
 // Len returns the number of entries.
 func (t *Tree) Len() int { return t.size }
 
-// Insert adds (k, v); duplicate keys are kept.
+// Insert adds (k, v); duplicate keys are kept. A key greater than every
+// key in the tree — an index built over ascending row IDs, an insert at
+// the end of a clustered key — takes the rightmost descent without a
+// search; the tree it leaves is the one the general path would.
 func (t *Tree) Insert(k Key, v int64) {
+	appending := t.size == 0 || Compare(k, t.max) > 0
 	if len(t.root.keys) == maxKeys {
 		old := t.root
 		t.root = &node{children: []*node{old}}
-		t.root.splitChild(0)
+		t.root.splitChild(0, appending)
 	}
-	t.root.insertNonFull(k, v)
+	if appending {
+		t.root.appendMax(k, v)
+		t.max = k
+	} else {
+		t.root.insertNonFull(k, v)
+	}
 	t.size++
 }
 
-func (n *node) splitChild(i int) {
+// splitChild splits the full child i around its median. filling says the
+// new right sibling will fill up with appends, so it is allocated at its
+// final capacity; otherwise it gets just what it holds.
+func (n *node) splitChild(i int, filling bool) {
 	child := n.children[i]
 	mid := minDegree - 1
-	right := &node{
-		keys: append([]Key(nil), child.keys[mid+1:]...),
-		vals: append([]int64(nil), child.vals[mid+1:]...),
+	right := &node{}
+	if filling {
+		right.keys = make([]Key, 0, maxKeys)
+		right.vals = make([]int64, 0, maxKeys)
+		if !child.leaf() {
+			right.children = make([]*node, 0, maxKeys+1)
+		}
 	}
+	right.keys = append(right.keys, child.keys[mid+1:]...)
+	right.vals = append(right.vals, child.vals[mid+1:]...)
 	if !child.leaf() {
-		right.children = append([]*node(nil), child.children[mid+1:]...)
+		right.children = append(right.children, child.children[mid+1:]...)
 	}
 	upKey, upVal := child.keys[mid], child.vals[mid]
 	child.keys = child.keys[:mid]
@@ -147,12 +166,28 @@ func (n *node) insertNonFull(k Key, v int64) {
 		return
 	}
 	if len(n.children[i].keys) == maxKeys {
-		n.splitChild(i)
+		n.splitChild(i, false)
 		if Compare(k, n.keys[i]) > 0 {
 			i++
 		}
 	}
 	n.children[i].insertNonFull(k, v)
+}
+
+// appendMax inserts k, greater than every key below n, on the descent
+// insertNonFull would take: findGT lands past the last key at every
+// level, and k is greater than a split's median too.
+func (n *node) appendMax(k Key, v int64) {
+	for !n.leaf() {
+		i := len(n.keys)
+		if len(n.children[i].keys) == maxKeys {
+			n.splitChild(i, true)
+			i++
+		}
+		n = n.children[i]
+	}
+	n.keys = append(n.keys, k)
+	n.vals = append(n.vals, v)
 }
 
 // Get returns the value of the first entry exactly equal to k.

@@ -44,12 +44,13 @@ type fileState struct {
 	nDirty     int64 // set bits in dirty: lets a checkpoint round skip clean files
 }
 
+// grow extends the three bitsets to cover pageNo. It may reallocate them,
+// so callers grow before taking a bitset to set bits in.
 func (fs *fileState) grow(pageNo int64) {
-	words := int(pageNo/64) + 1
-	for len(fs.resident) < words {
-		fs.resident = append(fs.resident, 0)
-		fs.referenced = append(fs.referenced, 0)
-		fs.dirty = append(fs.dirty, 0)
+	if n := int(pageNo/64) + 1 - len(fs.resident); n > 0 {
+		fs.resident = append(fs.resident, make([]uint64, n)...)
+		fs.referenced = append(fs.referenced, make([]uint64, n)...)
+		fs.dirty = append(fs.dirty, make([]uint64, n)...)
 	}
 }
 
@@ -61,13 +62,21 @@ func (fs *fileState) bit(bits []uint64, pageNo int64) bool {
 	return bits[w]&(1<<uint(pageNo%64)) != 0
 }
 
-func (fs *fileState) set(bits []uint64, pageNo int64, v bool) {
-	fs.grow(pageNo)
-	w := pageNo / 64
-	if v {
-		bits[w] |= 1 << uint(pageNo%64)
-	} else {
-		bits[w] &^= 1 << uint(pageNo%64)
+// set sets pageNo's bit in bits, one of fs's bitsets. The caller must
+// already have grown fs to cover pageNo: a grow here could reallocate
+// the bitset and the write would land in the caller's stale copy.
+func (fs *fileState) set(bits []uint64, pageNo int64) {
+	bits[pageNo/64] |= 1 << uint(pageNo%64)
+}
+
+// setRange sets bits [from, to) of a bitset already grown to cover them,
+// a word at a time.
+func setRange(bits []uint64, from, to int64) {
+	for from < to {
+		off := uint(from % 64)
+		n := min(to-from, 64-int64(off))
+		bits[from/64] |= ^uint64(0) >> (64 - uint(n)) << off
+		from += n
 	}
 }
 
@@ -279,14 +288,14 @@ func (p *Pool) Probe(proc *sim.Proc, f *storage.File, pageNo int64, write bool, 
 			return false
 		}
 		p.makeRoom(1)
-		fs.set(fs.resident, pageNo, true)
+		fs.set(fs.resident, pageNo)
 		fs.nResident++
 		p.resident++
 	}
-	fs.set(fs.referenced, pageNo, true)
+	fs.set(fs.referenced, pageNo)
 	if write {
 		if !fs.bit(fs.dirty, pageNo) {
-			fs.set(fs.dirty, pageNo, true)
+			fs.set(fs.dirty, pageNo)
 			fs.nDirty++
 		}
 		if p.armed {
@@ -326,7 +335,7 @@ func (p *Pool) Scan(proc *sim.Proc, f *storage.File, startPage, nPages, readahea
 	for page < end {
 		// Collect the next run of missing pages (up to readahead).
 		for page < end && fs.bit(fs.resident, page) {
-			fs.set(fs.referenced, page, true)
+			fs.set(fs.referenced, page)
 			p.ctr.BufferHits++
 			hitTotal++
 			page++
@@ -358,10 +367,8 @@ func (p *Pool) Scan(proc *sim.Proc, f *storage.File, startPage, nPages, readahea
 			return missTotal
 		}
 		p.makeRoom(run)
-		for q := runStart; q < runStart+run; q++ {
-			fs.set(fs.resident, q, true)
-			fs.set(fs.referenced, q, true)
-		}
+		setRange(fs.resident, runStart, page)
+		setRange(fs.referenced, runStart, page)
 		fs.nResident += run
 		p.resident += run
 	}
@@ -623,15 +630,22 @@ func (p *Pool) DurablePageLSN(file int, page int64) int64 {
 }
 
 // WarmFile marks an entire file resident (up to pool capacity), modelling
-// a post-load warm cache. Pages beyond capacity stay cold.
+// a post-load warm cache. Pages beyond capacity stay cold: when capacity
+// runs out, the lowest-numbered cold pages are the ones warmed.
 func (p *Pool) WarmFile(f *storage.File) {
 	fs := p.state(f)
 	fs.grow(f.Pages + 63)
-	for pg := int64(0); pg < f.Pages && p.resident < p.capacityPages; pg++ {
-		if !fs.bit(fs.resident, pg) {
-			fs.set(fs.resident, pg, true)
-			fs.nResident++
-			p.resident++
+	for w := int64(0); w*64 < f.Pages && p.resident < p.capacityPages; w++ {
+		add := ^fs.resident[w]
+		if tail := f.Pages - w*64; tail < 64 {
+			add &= 1<<uint(tail) - 1
 		}
+		n := int64(bits.OnesCount64(add))
+		for room := p.capacityPages - p.resident; n > room; n-- {
+			add &^= 1 << uint(63-bits.LeadingZeros64(add))
+		}
+		fs.resident[w] |= add
+		fs.nResident += n
+		p.resident += n
 	}
 }

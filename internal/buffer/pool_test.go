@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -360,5 +361,111 @@ func TestDirtyCountTracksBitmapProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Probe and Scan past a file's registered extent grow its bitsets first;
+// the bits they set must land in the grown bitsets, not in a stale copy.
+func TestAccessPastExtentLands(t *testing.T) {
+	s, p, _ := setup(100 << 20)
+	f := file(1, 10) // registered bitsets cover 128 pages
+	p.Register(f)
+	s.Spawn("w", func(proc *sim.Proc) {
+		p.Probe(proc, f, 5000, true, 0)
+		p.Scan(proc, f, 9000, 100, 16)
+	})
+	s.Run(sim.Time(10 * sim.Second))
+	fs := p.byID[1]
+	for _, pg := range []int64{5000, 9000, 9063, 9064, 9099} {
+		if !fs.bit(fs.resident, pg) || !fs.bit(fs.referenced, pg) {
+			t.Errorf("page %d: resident %v referenced %v, want both", pg, fs.bit(fs.resident, pg), fs.bit(fs.referenced, pg))
+		}
+	}
+	if !fs.bit(fs.dirty, 5000) || fs.nDirty != 1 {
+		t.Errorf("probed write: dirty %v, nDirty %d", fs.bit(fs.dirty, 5000), fs.nDirty)
+	}
+	if fs.bit(fs.resident, 9100) || fs.nResident != 101 || p.ResidentPages() != 101 {
+		t.Errorf("page 9100 resident %v, nResident %d, pool resident %d; want false, 101, 101",
+			fs.bit(fs.resident, 9100), fs.nResident, p.ResidentPages())
+	}
+}
+
+// refWarmFile is WarmFile's former page-at-a-time loop, the reference
+// for the word-at-a-time one.
+func refWarmFile(p *Pool, f *storage.File) {
+	fs := p.state(f)
+	fs.grow(f.Pages + 63)
+	for pg := int64(0); pg < f.Pages && p.resident < p.capacityPages; pg++ {
+		if !fs.bit(fs.resident, pg) {
+			fs.set(fs.resident, pg)
+			fs.nResident++
+			p.resident++
+		}
+	}
+}
+
+// Warming file after file must leave exactly the reference loop's pool:
+// extents off a word boundary, pages already resident, capacity running
+// out mid-word, and capacity full before a file starts.
+func TestWarmFileMatchesPageLoop(t *testing.T) {
+	var midWord, full int
+	for seed := int64(1); seed <= 300; seed++ {
+		g := sim.NewRNG(seed)
+		var pools [2]*Pool
+		capBytes := (64 + g.Int64n(400)) * storage.PageBytes
+		for i := range pools {
+			_, pools[i], _ = setup(capBytes)
+		}
+		nFiles := 1 + g.Intn(4)
+		for id := 1; id <= nFiles; id++ {
+			pages := g.Int64n(300)
+			hot := g.Float64()
+			for _, p := range pools {
+				p.Register(file(id, pages))
+			}
+			for pg := int64(0); pg < pages; pg++ {
+				if !g.Bool(hot) {
+					continue
+				}
+				for _, p := range pools {
+					if fs := p.byID[id]; p.resident < p.capacityPages && !fs.bit(fs.resident, pg) {
+						fs.set(fs.resident, pg)
+						fs.nResident++
+						p.resident++
+					}
+				}
+			}
+		}
+		for id := 1; id <= nFiles; id++ {
+			got, ref := pools[0], pools[1]
+			if got.resident == got.capacityPages {
+				full++
+			}
+			gfs, rfs := got.byID[id], ref.byID[id]
+			before := slices.Clone(rfs.resident)
+			got.WarmFile(gfs.file)
+			refWarmFile(ref, rfs.file)
+			// Capacity ran out mid-word if the word holding the first page
+			// left cold also gained pages.
+			for pg := int64(0); pg < rfs.file.Pages; pg++ {
+				if !rfs.bit(rfs.resident, pg) {
+					if w := pg / 64; rfs.resident[w] != before[w] {
+						midWord++
+					}
+					break
+				}
+			}
+			if !slices.Equal(gfs.resident, rfs.resident) || !slices.Equal(gfs.referenced, rfs.referenced) ||
+				!slices.Equal(gfs.dirty, rfs.dirty) {
+				t.Fatalf("seed %d file %d (%d pages): resident %x, reference %x", seed, id, rfs.file.Pages, gfs.resident, rfs.resident)
+			}
+			if gfs.nResident != rfs.nResident || got.resident != ref.resident {
+				t.Fatalf("seed %d file %d: nResident %d pool %d, reference %d pool %d",
+					seed, id, gfs.nResident, got.resident, rfs.nResident, ref.resident)
+			}
+		}
+	}
+	if midWord == 0 || full == 0 {
+		t.Fatalf("%d warms ran out of capacity mid-word, %d started full: the cases must both occur", midWord, full)
 	}
 }

@@ -151,9 +151,9 @@ func Encode(vals []int64) *Segment {
 	if len(vals) == 0 {
 		return &Segment{}
 	}
+	uniq := make(map[int64]int64, min(len(vals), 4097)) // the loop stops adding at 4097
 	min, max := vals[0], vals[0]
 	runs := 1
-	uniq := make(map[int64]int64)
 	for i, v := range vals {
 		if v < min {
 			min = v

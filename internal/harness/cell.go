@@ -32,6 +32,7 @@ type cell struct {
 // bandwidth throttle hits the replica WAL devices the commit modes wait
 // on, not just the primary.
 func bootASDB(sf int, opt Options, k Knobs, ro *engine.RecoveryOptions, rcfg *repl.Config) *cell {
+	defer setupTimer()()
 	acfg := asdbConfig(sf, opt)
 	c := &cell{d: asdb.Build(acfg)}
 	c.srv = warmServer(c.d.DB, opt, k)

@@ -134,3 +134,32 @@ func TestRecoveryCellsLeaveNothingRunning(t *testing.T) {
 		}
 	}
 }
+
+// With the self-profile on, every boot — runPoint's and bootASDB's —
+// adds one entry and its host wall to the setup phase; with it off,
+// boots leave the phase alone.
+func TestBootIsProfiledAsSetup(t *testing.T) {
+	opt := TestOptions()
+	opt.Density, opt.Warmup, opt.Measure = 30, sim.Second/2, sim.Second/2
+	setup := func() (wallNs, calls int64) {
+		for _, st := range sim.ProfSnapshot() {
+			if st.Name == sim.ProfSetup.Name {
+				return st.WallNs, st.Calls
+			}
+		}
+		t.Fatal("no setup phase in the self-profile")
+		return
+	}
+	w0, c0 := setup()
+	bootASDB(1000, opt, Knobs{}, nil, nil)
+	if w, c := setup(); w != w0 || c != c0 {
+		t.Fatalf("profiling off: setup moved %d ns, %d entries", w-w0, c-c0)
+	}
+	sim.EnableProfiling()
+	defer sim.DisableProfiling()
+	bootASDB(1000, opt, Knobs{}, nil, nil)
+	RunASDB(1000, opt, Knobs{})
+	if w, c := setup(); w <= w0 || c != c0+2 {
+		t.Fatalf("profiling on: setup moved %d ns, %d entries; want > 0 ns, 2 entries", w-w0, c-c0)
+	}
+}

@@ -7,6 +7,8 @@
 package harness
 
 import (
+	"time"
+
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/metrics"
@@ -368,6 +370,17 @@ func warmServer(db *engine.Database, opt Options, k Knobs) *engine.Server {
 	return srv
 }
 
+// setupTimer starts timing a cell's boot for the self-profile's setup
+// phase; calling the returned func stops it. With profiling off it does
+// nothing.
+func setupTimer() (stop func()) {
+	if !sim.Profiling() {
+		return func() {}
+	}
+	t0 := time.Now()
+	return func() { sim.ProfSetup.Add(time.Since(t0), 1) }
+}
+
 // runPoint measures one workload at one scale factor and knob setting:
 // build, boot, drive through warmup, measure.
 func runPoint(w Workload, sf int, opt Options, k Knobs) Result {
@@ -375,8 +388,10 @@ func runPoint(w Workload, sf int, opt Options, k Knobs) Result {
 	if !row.extendWindow {
 		opt.MinQueries = 0
 	}
+	booted := setupTimer()
 	d := row.build(sf, opt)
 	srv := warmServer(d.db, opt, k)
+	booted()
 	srv.Start()
 	d.drive(srv, row.drivers(opt), driverHorizon(opt))
 	r := measure(srv, opt)

@@ -10,7 +10,7 @@ import (
 
 // Self-profiling: host wall-clock phase timers around the simulator's own
 // hot paths (event-loop dispatch, process execution, hardware charging,
-// cache simulation). The counters are process-global and atomic so
+// cache simulation) and around booting a harness cell. The counters are process-global and atomic so
 // parallel sweeps aggregate into one report; they are written only when
 // profiling is enabled and are never read by simulation code, so they
 // cannot perturb simulated results — wall time flows out, never in.
@@ -51,6 +51,7 @@ var (
 	ProfHWExec = &ProfPhase{Name: "hw.exec"}   // scheduler bookkeeping in Machine.Exec (excl. parked time)
 	ProfCharge = &ProfPhase{Name: "hw.charge"} // miss charging: DRAM/QPI fluid reservations
 	ProfCache  = &ProfPhase{Name: "cache.llc"} // LLC set-sampled access simulation
+	ProfSetup  = &ProfPhase{Name: "setup"}     // booting a harness cell: dataset build, AttachDB, WarmBufferPool (and repl.New); entries = cells booted
 )
 
 // profSimNs accumulates simulated time elapsed while profiling, the
@@ -83,7 +84,7 @@ func (s ProfStat) WallPerSimMs() float64 {
 // ProfSnapshot returns every phase's totals, sorted by name.
 func ProfSnapshot() []ProfStat {
 	simNs := profSimNs.Load()
-	phases := []*ProfPhase{ProfLoop, ProfProc, ProfHWExec, ProfCharge, ProfCache}
+	phases := []*ProfPhase{ProfLoop, ProfProc, ProfHWExec, ProfCharge, ProfCache, ProfSetup}
 	out := make([]ProfStat, 0, len(phases))
 	for _, ph := range phases {
 		out = append(out, ProfStat{Name: ph.Name, WallNs: ph.wallNs.Load(), Calls: ph.calls.Load(), SimNs: simNs})

@@ -40,12 +40,17 @@ type Schema struct {
 	Name string
 	Cols []Column
 
-	byName map[string]int
+	byName   map[string]int
+	rowWidth int64
 }
+
+// rowOverhead is the fixed per-row overhead: row header and slot-array
+// entry.
+const rowOverhead = 9
 
 // NewSchema builds a schema, validating column names are unique.
 func NewSchema(name string, cols ...Column) *Schema {
-	s := &Schema{Name: name, Cols: cols, byName: make(map[string]int, len(cols))}
+	s := &Schema{Name: name, Cols: cols, byName: make(map[string]int, len(cols)), rowWidth: rowOverhead}
 	for i, c := range cols {
 		if _, dup := s.byName[c.Name]; dup {
 			panic(fmt.Sprintf("storage: duplicate column %q in %q", c.Name, name))
@@ -54,6 +59,7 @@ func NewSchema(name string, cols ...Column) *Schema {
 			panic(fmt.Sprintf("storage: column %q.%q has no width", name, c.Name))
 		}
 		s.byName[c.Name] = i
+		s.rowWidth += int64(c.Width)
 	}
 	return s
 }
@@ -69,15 +75,8 @@ func (s *Schema) Col(name string) int {
 }
 
 // RowWidth returns the nominal stored row width in bytes, including the
-// fixed per-row overhead (row header and slot-array entry).
-func (s *Schema) RowWidth() int64 {
-	const rowOverhead = 9
-	w := int64(rowOverhead)
-	for _, c := range s.Cols {
-		w += int64(c.Width)
-	}
-	return w
-}
+// fixed per-row overhead.
+func (s *Schema) RowWidth() int64 { return s.rowWidth }
 
 // NCols returns the number of columns.
 func (s *Schema) NCols() int { return len(s.Cols) }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -63,6 +64,32 @@ func TestTableNominalGeometry(t *testing.T) {
 	}
 	if got := tb.NominalDataBytes(); got != wantPages*PageBytes {
 		t.Fatalf("nominal bytes = %d", got)
+	}
+}
+
+// A reserved load regrows no column and loads what an unreserved one does.
+func TestReserveLoadsWithoutRegrowing(t *testing.T) {
+	plain, reserved := NewTable(1, demoSchema(), 100), NewTable(1, demoSchema(), 100)
+	reserved.Reserve(101) // AllocsPerRun calls the load once more than asked
+	row := make([]int64, 4)
+	i := int64(0)
+	if avg := testing.AllocsPerRun(100, func() {
+		row[0], row[1], row[2] = i, i*10, i
+		reserved.AppendLoad(row)
+		i++
+	}); avg != 0 {
+		t.Fatalf("%v allocs per reserved row", avg)
+	}
+	for i := int64(0); i < 101; i++ {
+		plain.AppendLoad([]int64{i, i * 10, i, 0})
+	}
+	if reserved.ActualRows() != 101 || reserved.Data.Pages != plain.Data.Pages {
+		t.Fatalf("reserved: %d rows, %d pages; unreserved: %d pages", reserved.ActualRows(), reserved.Data.Pages, plain.Data.Pages)
+	}
+	for c := 0; c < 4; c++ {
+		if !slices.Equal(reserved.Col(c), plain.Col(c)) {
+			t.Fatalf("column %d differs from the unreserved load", c)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // PageBytes is the database page size (SQL Server uses 8 KB pages).
 const PageBytes = 8192
@@ -66,6 +69,14 @@ func NewTable(id int, schema *Schema, k int64) *Table {
 
 // Pool returns the string pool for a string column (nil otherwise).
 func (t *Table) Pool(col int) *StrPool { return t.pools[col] }
+
+// Reserve sizes every column for n more AppendLoad rows, so a load loop
+// of known length fills its columns without regrowing them.
+func (t *Table) Reserve(n int64) {
+	for i, c := range t.cols {
+		t.cols[i] = slices.Grow(c, int(n))
+	}
+}
 
 // AppendLoad bulk-loads one actual row (standing for K nominal rows) and
 // returns its actual row ID. Used by data generators.

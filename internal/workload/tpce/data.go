@@ -14,6 +14,7 @@ package tpce
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/access"
 	"repro/internal/engine"
@@ -92,7 +93,7 @@ func Build(cfg Config) *Dataset {
 	nTradeActual := nCust * int64(cfg.ActualTradesPerCustomer)
 
 	d.buildFixedSide(db, nCust, nAcct, nBrok, nSec)
-	d.buildTradeSide(db, nTradeActual, nAcct, nSec, nBrok)
+	d.buildTradeSide(db, nTradeActual, nAcct, nSec)
 
 	if cfg.WithCSI {
 		d.TradeCSI = db.AddCSI(d.Trade)
@@ -110,8 +111,11 @@ func (d *Dataset) buildFixedSide(db *engine.Database, nCust, nAcct, nBrok, nSec 
 		storage.Column{Name: "c_area", Type: storage.TInt, Width: 60},
 	), 1)
 	cn := d.Customer.Pool(2)
+	var name []byte
+	d.Customer.Reserve(nCust)
 	for i := int64(0); i < nCust; i++ {
-		d.Customer.AppendLoad([]int64{i, i * 7, cn.Code(fmt.Sprintf("Cust#%08d", i)), d.rng.Int64n(3) + 1, d.rng.Int64n(20000), i % 1000})
+		name = padInt(append(name[:0], "Cust#"...), i, 8)
+		d.Customer.AppendLoad([]int64{i, i * 7, cn.Code(string(name)), d.rng.Int64n(3) + 1, d.rng.Int64n(20000), i % 1000})
 	}
 	d.PKCustomer = db.AddBTIndex("pk_customer", d.Customer, []string{"c_id"}, true, true)
 
@@ -123,8 +127,10 @@ func (d *Dataset) buildFixedSide(db *engine.Database, nCust, nAcct, nBrok, nSec 
 		storage.Column{Name: "ca_name", Type: storage.TStr, Width: 50},
 	), 1)
 	an := d.Account.Pool(4)
+	d.Account.Reserve(nAcct)
 	for i := int64(0); i < nAcct; i++ {
-		d.Account.AppendLoad([]int64{i, i / accountsPerCustomer, i % nBrok, 100000 + d.rng.Int64n(10000000), an.Code(fmt.Sprintf("Acct#%08d", i))})
+		name = padInt(append(name[:0], "Acct#"...), i, 8)
+		d.Account.AppendLoad([]int64{i, i / accountsPerCustomer, i % nBrok, 100000 + d.rng.Int64n(10000000), an.Code(string(name))})
 	}
 	d.PKAccount = db.AddBTIndex("pk_account", d.Account, []string{"ca_id"}, true, true)
 
@@ -135,8 +141,10 @@ func (d *Dataset) buildFixedSide(db *engine.Database, nCust, nAcct, nBrok, nSec 
 		storage.Column{Name: "b_comm_total", Type: storage.TDecimal, Width: 12},
 	), 1)
 	bn := d.Broker.Pool(1)
+	d.Broker.Reserve(nBrok)
 	for i := int64(0); i < nBrok; i++ {
-		d.Broker.AppendLoad([]int64{i, bn.Code(fmt.Sprintf("Broker#%04d", i)), 0, 0})
+		name = padInt(append(name[:0], "Broker#"...), i, 4)
+		d.Broker.AppendLoad([]int64{i, bn.Code(string(name)), 0, 0})
 	}
 	d.PKBroker = db.AddBTIndex("pk_broker", d.Broker, []string{"b_id"}, true, true)
 
@@ -146,8 +154,10 @@ func (d *Dataset) buildFixedSide(db *engine.Database, nCust, nAcct, nBrok, nSec 
 		storage.Column{Name: "co_sector", Type: storage.TInt, Width: 2},
 	), 1)
 	con := d.Company.Pool(1)
+	d.Company.Reserve(nSec)
 	for i := int64(0); i < nSec; i++ {
-		d.Company.AppendLoad([]int64{i, con.Code(fmt.Sprintf("Company#%06d", i)), i % 12})
+		name = padInt(append(name[:0], "Company#"...), i, 6)
+		d.Company.AppendLoad([]int64{i, con.Code(string(name)), i % 12})
 	}
 	d.PKCompany = db.AddBTIndex("pk_company", d.Company, []string{"co_id"}, true, true)
 
@@ -158,8 +168,10 @@ func (d *Dataset) buildFixedSide(db *engine.Database, nCust, nAcct, nBrok, nSec 
 		storage.Column{Name: "s_num_out", Type: storage.TInt, Width: 8},
 	), 1)
 	sn := d.Security.Pool(2)
+	d.Security.Reserve(nSec)
 	for i := int64(0); i < nSec; i++ {
-		d.Security.AppendLoad([]int64{i, i, sn.Code(fmt.Sprintf("Sec#%06d", i)), 1000000 + d.rng.Int64n(1e9)})
+		name = padInt(append(name[:0], "Sec#"...), i, 6)
+		d.Security.AppendLoad([]int64{i, i, sn.Code(string(name)), 1000000 + d.rng.Int64n(1e9)})
 	}
 	d.PKSecurity = db.AddBTIndex("pk_security", d.Security, []string{"s_symb"}, true, true)
 
@@ -168,6 +180,7 @@ func (d *Dataset) buildFixedSide(db *engine.Database, nCust, nAcct, nBrok, nSec 
 		storage.Column{Name: "lt_price", Type: storage.TDecimal, Width: 8},
 		storage.Column{Name: "lt_vol", Type: storage.TInt, Width: 8},
 	), 1)
+	d.LastTrade.Reserve(nSec)
 	for i := int64(0); i < nSec; i++ {
 		d.LastTrade.AppendLoad([]int64{i, 2000 + d.rng.Int64n(10000), 0})
 	}
@@ -181,6 +194,7 @@ func (d *Dataset) buildFixedSide(db *engine.Database, nCust, nAcct, nBrok, nSec 
 	), 1)
 	// Five years of daily history per security would dominate memory at
 	// K=1; generate a 25-day window (costing uses nominal geometry).
+	d.DailyMarket.Reserve(nSec * 25)
 	for i := int64(0); i < nSec; i++ {
 		for day := int64(0); day < 25; day++ {
 			d.DailyMarket.AppendLoad([]int64{i, day, 2000 + d.rng.Int64n(10000), d.rng.Int64n(1e7)})
@@ -194,6 +208,7 @@ func (d *Dataset) buildFixedSide(db *engine.Database, nCust, nAcct, nBrok, nSec 
 		storage.Column{Name: "hs_qty", Type: storage.TInt, Width: 8},
 	), 1)
 	nSecL := nSec
+	d.HoldingSummary.Reserve(nAcct * 2)
 	for i := int64(0); i < nAcct; i++ {
 		// Two summary positions per account on average.
 		for j := int64(0); j < 2; j++ {
@@ -203,7 +218,7 @@ func (d *Dataset) buildFixedSide(db *engine.Database, nCust, nAcct, nBrok, nSec 
 	d.PKHoldSum = db.AddBTIndex("pk_holding_summary", d.HoldingSummary, []string{"hs_ca_id", "hs_s_symb"}, true, true)
 }
 
-func (d *Dataset) buildTradeSide(db *engine.Database, nTrade, nAcct, nSec, nBrok int64) {
+func (d *Dataset) buildTradeSide(db *engine.Database, nTrade, nAcct, nSec int64) {
 	d.Trade = db.AddTable(storage.NewSchema("trade",
 		storage.Column{Name: "t_id", Type: storage.TInt, Width: 8},
 		storage.Column{Name: "t_dts", Type: storage.TDate, Width: 8},
@@ -220,6 +235,7 @@ func (d *Dataset) buildTradeSide(db *engine.Database, nTrade, nAcct, nSec, nBrok
 	), d.KTrade)
 	en := d.Trade.Pool(8)
 	execName := en.Code("exec")
+	d.Trade.Reserve(nTrade)
 	for i := int64(0); i < nTrade; i++ {
 		price := 2000 + d.rng.Int64n(10000)
 		// Keys and timestamps live at nominal scale (i * K) so that
@@ -238,6 +254,7 @@ func (d *Dataset) buildTradeSide(db *engine.Database, nTrade, nAcct, nSec, nBrok
 		storage.Column{Name: "th_dts", Type: storage.TDate, Width: 8},
 		storage.Column{Name: "th_st", Type: storage.TInt, Width: 4},
 	), d.KTrade)
+	d.TradeHistory.Reserve(nTrade * 2)
 	for i := int64(0); i < nTrade*2; i++ {
 		d.TradeHistory.AppendLoad([]int64{i / 2, i / 2, i % 2})
 	}
@@ -249,6 +266,7 @@ func (d *Dataset) buildTradeSide(db *engine.Database, nTrade, nAcct, nSec, nBrok
 		storage.Column{Name: "se_amt", Type: storage.TDecimal, Width: 8},
 		storage.Column{Name: "se_due", Type: storage.TDate, Width: 4},
 	), d.KTrade)
+	d.Settlement.Reserve(nTrade)
 	for i := int64(0); i < nTrade; i++ {
 		d.Settlement.AppendLoad([]int64{i, 1, d.rng.Int64n(1000000), i % 3650})
 	}
@@ -262,6 +280,7 @@ func (d *Dataset) buildTradeSide(db *engine.Database, nTrade, nAcct, nSec, nBrok
 	), d.KTrade)
 	ctn := d.CashTx.Pool(3)
 	ctName := ctn.Code("cash settlement")
+	d.CashTx.Reserve(nTrade)
 	for i := int64(0); i < nTrade; i++ {
 		d.CashTx.AppendLoad([]int64{i, i, d.rng.Int64n(1000000), ctName})
 	}
@@ -282,13 +301,23 @@ func (d *Dataset) buildTradeSide(db *engine.Database, nTrade, nAcct, nSec, nBrok
 	if nHold < 16 {
 		nHold = 16
 	}
+	d.Holding.Reserve(nHold)
 	for i := int64(0); i < nHold; i++ {
 		d.Holding.AppendLoad([]int64{i, i % nAcct, d.rng.Int64n(nSec), 2000 + d.rng.Int64n(10000), (d.rng.Int64n(8) + 1) * 100})
 	}
 	d.IXHolding = db.AddBTIndex("ix_holding_acct", d.Holding, []string{"h_ca_id"}, false, false)
 	db.AddBTIndex("pk_holding", d.Holding, []string{"h_t_id"}, true, true)
+}
 
-	_ = nBrok
+// padInt appends i (>= 0) to buf zero-padded to width digits: the bytes
+// fmt's %0*d verb gives, without formatting through an interface.
+func padInt(buf []byte, i int64, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], i, 10)
+	for ; width > len(d); width-- {
+		buf = append(buf, '0')
+	}
+	return append(buf, d...)
 }
 
 // NSec returns the number of securities.

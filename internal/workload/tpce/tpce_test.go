@@ -1,6 +1,7 @@
 package tpce
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/engine"
@@ -16,6 +17,19 @@ func tinyServer(t *testing.T, customers int, withCSI bool) (*engine.Server, *Dat
 	srv.WarmBufferPool()
 	srv.Start()
 	return srv, d
+}
+
+// The builder's names must be the bytes fmt's %0*d gave, so every string
+// pool assigns the codes it did.
+func TestPadIntMatchesSprintf(t *testing.T) {
+	for _, width := range []int{4, 6, 8} {
+		for _, i := range []int64{0, 7, 42, 999, 1000, 9999, 10000, 123456, 99999999, 123456789, 1 << 62} {
+			want := fmt.Sprintf("Cust#%0*d", width, i)
+			if got := string(padInt([]byte("Cust#"), i, width)); got != want {
+				t.Errorf("padInt(%d, %d) = %q, want %q", i, width, got, want)
+			}
+		}
+	}
 }
 
 func TestDatasetScaling(t *testing.T) {

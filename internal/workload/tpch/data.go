@@ -159,6 +159,7 @@ func (d *Dataset) buildRegionNation(db *engine.Database) {
 		storage.Column{Name: "r_name", Type: storage.TStr, Width: 25},
 	), 1)
 	rp := d.R.Pool(1)
+	d.R.Reserve(int64(len(regions)))
 	for i, r := range regions {
 		d.R.AppendLoad([]int64{int64(i), rp.Code(r)})
 	}
@@ -168,6 +169,7 @@ func (d *Dataset) buildRegionNation(db *engine.Database) {
 		storage.Column{Name: "n_regionkey", Type: storage.TInt, Width: 4},
 	), 1)
 	np := d.N.Pool(1)
+	d.N.Reserve(int64(len(nations)))
 	for i, n := range nations {
 		d.N.AppendLoad([]int64{int64(i), np.Code(n), nationRegion[i]})
 	}
@@ -189,6 +191,7 @@ func (d *Dataset) buildSupplier(db *engine.Database, n int64) {
 		storage.Column{Name: "s_comment", Type: storage.TStr, Width: 101},
 	), d.K)
 	name, addr, phone, com := d.S.Pool(1), d.S.Pool(2), d.S.Pool(4), d.S.Pool(6)
+	d.S.Reserve(n)
 	for i := int64(0); i < n; i++ {
 		d.S.AppendLoad([]int64{
 			i,
@@ -214,6 +217,7 @@ func (d *Dataset) buildPart(db *engine.Database, n int64) {
 		storage.Column{Name: "p_retailprice", Type: storage.TDecimal, Width: 8},
 	), d.K)
 	name, mfgr, brand, typ, cont := d.P.Pool(1), d.P.Pool(2), d.P.Pool(3), d.P.Pool(4), d.P.Pool(6)
+	d.P.Reserve(n)
 	for i := int64(0); i < n; i++ {
 		c1 := colors[d.rng.Intn(len(colors))]
 		c2 := colors[d.rng.Intn(len(colors))]
@@ -241,6 +245,7 @@ func (d *Dataset) buildPartsupp(db *engine.Database, n, nPart, nSupp int64) {
 		storage.Column{Name: "ps_availqty", Type: storage.TInt, Width: 4},
 		storage.Column{Name: "ps_supplycost", Type: storage.TDecimal, Width: 8},
 	), d.K)
+	d.PS.Reserve(n)
 	for i := int64(0); i < n; i++ {
 		d.PS.AppendLoad([]int64{
 			i % nPart,
@@ -263,6 +268,7 @@ func (d *Dataset) buildCustomer(db *engine.Database, n int64) {
 		storage.Column{Name: "c_comment", Type: storage.TStr, Width: 117},
 	), d.K)
 	name, addr, phone, seg, com := d.C.Pool(1), d.C.Pool(2), d.C.Pool(4), d.C.Pool(6), d.C.Pool(7)
+	d.C.Reserve(n)
 	for i := int64(0); i < n; i++ {
 		nat := d.rng.Int64n(25)
 		d.C.AppendLoad([]int64{
@@ -290,6 +296,7 @@ func (d *Dataset) buildOrders(db *engine.Database, n, nCust int64) {
 		storage.Column{Name: "o_comment", Type: storage.TStr, Width: 79},
 	), d.K)
 	prio, com := d.O.Pool(5), d.O.Pool(7)
+	d.O.Reserve(n)
 	for i := int64(0); i < n; i++ {
 		// A third of customers place no orders (spec); skew to the rest.
 		cust := d.rng.Int64n(nCust*2/3+1) * 3 / 2
@@ -329,6 +336,7 @@ func (d *Dataset) buildLineitem(db *engine.Database, n, nOrd, nPart, nSupp int64
 	), d.K)
 	instr, mode := d.L.Pool(13), d.L.Pool(14)
 	orderDates := d.O.Col(4)
+	d.L.Reserve(n)
 	for i := int64(0); i < n; i++ {
 		ord := i % nOrd // ~4 lines per order, clustered by order
 		odate := orderDates[ord]
