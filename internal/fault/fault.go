@@ -210,15 +210,12 @@ func (in *Injector) buildActions() map[string]axisAction {
 		devFault := iodev.NewFault(in.devRNG)
 		in.t.Dev.SetFault(devFault)
 		acts["io-stall"] = axisAction{
-			apply: func(m float64) { devFault.ReadStallNs, devFault.WriteStallNs = m, m },
-			clear: func() { devFault.ReadStallNs, devFault.WriteStallNs = 0, 0 },
+			apply: func(m float64) { devFault.StallNs = m },
+			clear: func() { devFault.StallNs = 0 },
 		}
 		acts["io-error"] = axisAction{
-			apply: func(m float64) {
-				devFault.ReadErrProb, devFault.WriteErrProb = m, m
-				devFault.RetryNs = 1e6 // driver retry penalty per failed attempt
-			},
-			clear: func() { devFault.ReadErrProb, devFault.WriteErrProb, devFault.RetryNs = 0, 0, 0 },
+			apply: func(m float64) { devFault.ErrProb = m },
+			clear: func() { devFault.ErrProb = 0 },
 		}
 	}
 	if in.t.Log != nil {

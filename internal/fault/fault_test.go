@@ -79,7 +79,7 @@ func TestInjectorStopsCleanly(t *testing.T) {
 	if f == nil {
 		t.Fatal("no device fault state installed")
 	}
-	if f.ReadStallNs != 0 || f.WriteStallNs != 0 || f.ReadErrProb != 0 || f.WriteErrProb != 0 {
+	if f.StallNs != 0 || f.ErrProb != 0 {
 		t.Fatalf("fault left active after stop: %+v", f)
 	}
 }

@@ -107,8 +107,8 @@ func TestScheduledEventsFireInOrderAndClear(t *testing.T) {
 				t.Errorf("at %v: no fault state", at)
 				return
 			}
-			if f.ReadStallNs != want {
-				t.Errorf("at %v: ReadStallNs = %g, want %g", at, f.ReadStallNs, want)
+			if f.StallNs != want {
+				t.Errorf("at %v: StallNs = %g, want %g", at, f.StallNs, want)
 			}
 		})
 	}
@@ -119,7 +119,7 @@ func TestScheduledEventsFireInOrderAndClear(t *testing.T) {
 	if ctr.FaultsInjected != 2 {
 		t.Fatalf("FaultsInjected = %d, want 2", ctr.FaultsInjected)
 	}
-	if f := dev.FaultState(); f.ReadStallNs != 0 {
+	if f := dev.FaultState(); f.StallNs != 0 {
 		t.Fatalf("stall left active after schedule drained: %+v", f)
 	}
 }
@@ -147,7 +147,7 @@ func TestScheduleArmedButUnfiredInjectsNothing(t *testing.T) {
 	if ctr.FaultsInjected != 0 {
 		t.Fatalf("FaultsInjected = %d before any scheduled event", ctr.FaultsInjected)
 	}
-	if f := dev.FaultState(); f != nil && (f.ReadStallNs != 0 || f.ReadErrProb != 0) {
+	if f := dev.FaultState(); f != nil && (f.StallNs != 0 || f.ErrProb != 0) {
 		t.Fatalf("armed schedule perturbed the device: %+v", f)
 	}
 	if total == 0 {

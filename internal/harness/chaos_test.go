@@ -87,10 +87,7 @@ func TestChaosSerialParallelIdentical(t *testing.T) {
 		opt.Parallel = parallel
 		opt.Telemetry = true
 		var b bytes.Buffer
-		e, err := NewEmitter(&b, "json")
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := NewEmitter(&b)
 		EmitChaos(e, Chaos(1, opt, specs, 8))
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
@@ -118,10 +115,7 @@ func TestChaosCrashSeriesEndAtTheCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b bytes.Buffer
-	e, err := NewEmitter(&b, "json")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewEmitter(&b)
 	EmitChaos(e, r)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)

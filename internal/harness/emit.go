@@ -1,12 +1,10 @@
 package harness
 
 import (
-	"encoding/csv"
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -25,8 +23,8 @@ const SchemaVersion = 2
 // Record is one exported observation. Every figure, table, time series,
 // wait breakdown, query-stat row, and trace span flattens into this one
 // schema, so downstream tooling parses a single shape regardless of the
-// experiment. Unused fields are omitted (JSON) or empty (CSV). The field
-// set is stable: additions append, nothing is renamed.
+// experiment. Unused fields are omitted. The field set is stable:
+// additions append, nothing is renamed.
 type Record struct {
 	Record     string             `json:"record"`             // row type: point, curve_point, table_row, cdf_point, series_point, wait, query_stat, span
 	Experiment string             `json:"experiment"`         // experiment id (fig2cores, table3, qstats, ...)
@@ -42,41 +40,23 @@ type Record struct {
 	Fields     map[string]float64 `json:"fields,omitempty"`   // named sub-values (query-stat and span details)
 
 	// SchemaVersion is stamped by Emit on every record (never set it at a
-	// call site); appended last so older columns keep their positions.
+	// call site).
 	SchemaVersion int `json:"schema_version"`
 }
 
-// csvHeader is the fixed CSV column order; Fields flattens into the last
-// column as "k=v;k=v" sorted by key.
-var csvHeader = []string{
-	"record", "experiment", "workload", "sf", "metric", "name",
-	"knob", "x", "value", "unit", "text", "fields", "schema_version",
-}
-
-// Emitter writes Records as JSON Lines or CSV. Output is deterministic:
-// JSON uses struct field order and sorted map keys, CSV a fixed column
-// set, and no record carries wall-clock state — the same experiment at
-// the same seed emits byte-identical output.
+// Emitter writes Records as JSON Lines. Output is deterministic: fields
+// in struct order, map keys sorted, and no record carries wall-clock
+// state — the same experiment at the same seed emits byte-identical
+// output.
 type Emitter struct {
-	format string // "json" or "csv"
-	w      io.Writer
-	cw     *csv.Writer
-	err    error
+	w   *bufio.Writer
+	err error
 }
 
-// NewEmitter creates an emitter for format "json" (JSONL) or "csv"
-// (fixed-column, header row first).
-func NewEmitter(w io.Writer, format string) (*Emitter, error) {
-	e := &Emitter{format: format, w: w}
-	switch format {
-	case "json":
-	case "csv":
-		e.cw = csv.NewWriter(w)
-		e.err = e.cw.Write(csvHeader)
-	default:
-		return nil, fmt.Errorf("harness: unknown emit format %q (want json or csv)", format)
-	}
-	return e, nil
+// NewEmitter creates an emitter writing JSONL to w through a buffer that
+// Close flushes.
+func NewEmitter(w io.Writer) *Emitter {
+	return &Emitter{w: bufio.NewWriter(w)}
 }
 
 // Emit writes one record. A nil emitter discards, so call sites need no
@@ -86,22 +66,13 @@ func (e *Emitter) Emit(r Record) {
 		return
 	}
 	r.SchemaVersion = SchemaVersion
-	switch e.format {
-	case "json":
-		b, err := json.Marshal(r)
-		if err != nil {
-			e.err = err
-			return
-		}
-		b = append(b, '\n')
-		_, e.err = e.w.Write(b)
-	case "csv":
-		e.err = e.cw.Write([]string{
-			r.Record, r.Experiment, r.Workload, itoa(r.SF), r.Metric, r.Name,
-			r.Knob, ftoa(r.X), ftoa(r.Value), r.Unit, r.Text, flattenFields(r.Fields),
-			strconv.Itoa(r.SchemaVersion),
-		})
+	b, err := json.Marshal(r)
+	if err != nil {
+		e.err = err
+		return
 	}
+	b = append(b, '\n')
+	_, e.err = e.w.Write(b)
 }
 
 // Close flushes buffered output and returns the first error seen.
@@ -109,45 +80,10 @@ func (e *Emitter) Close() error {
 	if e == nil {
 		return nil
 	}
-	if e.cw != nil {
-		e.cw.Flush()
-		if e.err == nil {
-			e.err = e.cw.Error()
-		}
+	if e.err == nil {
+		e.err = e.w.Flush()
 	}
 	return e.err
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return ""
-	}
-	return strconv.Itoa(v)
-}
-
-// ftoa formats floats with 'g' at full precision so values round-trip
-// and identical runs produce identical bytes.
-func ftoa(v float64) string {
-	if v == 0 {
-		return ""
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-func flattenFields(m map[string]float64) string {
-	if len(m) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k + "=" + strconv.FormatFloat(m[k], 'g', -1, 64)
-	}
-	return strings.Join(parts, ";")
 }
 
 // EmitCurve exports a response curve as curve_point records.

@@ -13,10 +13,7 @@ import (
 func TestEmitterJSONDeterministicAndParsable(t *testing.T) {
 	emitOnce := func() string {
 		var b bytes.Buffer
-		e, err := NewEmitter(&b, "json")
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := NewEmitter(&b)
 		e.Emit(Record{Record: "point", Experiment: "x", Fields: map[string]float64{"b": 2, "a": 1}})
 		var waits [metrics.NumWaitClasses]int64
 		waits[metrics.WaitLock] = 1e6
@@ -68,41 +65,8 @@ func TestEmitterJSONDeterministicAndParsable(t *testing.T) {
 	}
 }
 
-func TestEmitterCSVFixedColumns(t *testing.T) {
-	var b bytes.Buffer
-	e, err := NewEmitter(&b, "csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Emit(Record{
-		Record: "curve_point", Experiment: "fig5", Workload: "tpch", SF: 100,
-		Metric: "throughput", Name: "measured", Knob: "read_limit_mbps",
-		X: 200, Value: 1.5, Unit: "qps", Fields: map[string]float64{"z": 1, "a": 2},
-	})
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d, want header + 1 row", len(lines))
-	}
-	if lines[0] != strings.Join(csvHeader, ",") {
-		t.Fatalf("header = %q", lines[0])
-	}
-	cols := strings.Split(lines[1], ",")
-	if len(cols) != len(csvHeader) {
-		t.Fatalf("columns = %d, want %d", len(cols), len(csvHeader))
-	}
-	if cols[11] != "a=2;z=1" {
-		t.Fatalf("fields column = %q, want sorted k=v pairs", cols[11])
-	}
-}
-
-func TestEmitterNilSafeAndUnknownFormat(t *testing.T) {
-	if _, err := NewEmitter(&bytes.Buffer{}, "xml"); err == nil {
-		t.Fatal("unknown format should error")
-	}
-	// A nil emitter discards everywhere, so experiment code needs no guards.
+// A nil emitter discards everywhere, so experiment code needs no guards.
+func TestEmitterNilSafe(t *testing.T) {
 	var e *Emitter
 	e.Emit(Record{Record: "point"})
 	EmitResult(e, "x", "tpch", 1, "", 0, Result{})
@@ -117,10 +81,7 @@ func TestEmitterNilSafeAndUnknownFormat(t *testing.T) {
 
 func TestEmitTableAndDistribution(t *testing.T) {
 	var b bytes.Buffer
-	e, err := NewEmitter(&b, "json")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewEmitter(&b)
 	tab := core.Table{Headers: []string{"h1", "h2"}}
 	tab.AddRow("a", "b")
 	EmitTable(e, "x", "mytable", tab)

@@ -98,10 +98,7 @@ func TestLedger(t *testing.T) {
 		t.Run(x.Name, func(t *testing.T) {
 			ran++
 			var stdout, jsonl bytes.Buffer
-			em, err := NewEmitter(&jsonl, "json")
-			if err != nil {
-				t.Fatal(err)
-			}
+			em := NewEmitter(&jsonl)
 			env := &Env{Opt: opt, Quick: true, Out: &stdout, Emit: em, TraceQuery: 14, Rate: 16}
 			if x.UsesWorkload {
 				env.Workload = WAsdb

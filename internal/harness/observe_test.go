@@ -41,10 +41,7 @@ func TestTraceTPCHCapturesSpans(t *testing.T) {
 	}
 
 	var b bytes.Buffer
-	e, err := NewEmitter(&b, "json")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewEmitter(&b)
 	EmitTrace(e, "trace", "tpch", 1, res.Trace)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)

@@ -29,10 +29,7 @@ func runASDBRecording(sf int, opt Options, k Knobs) Result {
 func emitResultJSONL(t *testing.T, r Result) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	e, err := NewEmitter(&b, "json")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewEmitter(&b)
 	EmitResult(e, "recovery_det", "asdb", 100, "", 0, r)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)

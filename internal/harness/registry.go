@@ -10,7 +10,6 @@ import (
 	"repro/internal/iodev"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/workload/tpch"
 )
 
@@ -24,9 +23,6 @@ type Env struct {
 
 	Out  io.Writer // rendered tables
 	Emit *Emitter  // structured records (nil discards)
-	// Prom, when non-nil, queues a telemetry snapshot for Prometheus
-	// exposition, labelled with its experiment cell.
-	Prom func(snap *telemetry.Snapshot, labels ...[2]string)
 
 	TraceQuery int     // -trace: TPC-H query number for the trace experiment
 	Rate       float64 // -rate: serve/chaos connection arrivals per second
@@ -97,12 +93,6 @@ func (e *Env) printf(format string, args ...any) {
 
 func (e *Env) write(s string) {
 	io.WriteString(e.Out, s)
-}
-
-func (e *Env) prom(snap *telemetry.Snapshot, labels ...[2]string) {
-	if e.Prom != nil && snap != nil {
-		e.Prom(snap, labels...)
-	}
 }
 
 // workloads is the set a UsesWorkload row sweeps: the -workload
@@ -360,10 +350,6 @@ func runQStats(e *Env) error {
 		t := QueryStatsTable(r.QueryStats)
 		e.printf("-- query stats: %s SF %d --\n%s", w, sf, t.Render())
 		EmitResult(e.Emit, "qstats", w, sf, "", 0, r)
-		e.prom(r.Telemetry,
-			[2]string{"experiment", "qstats"},
-			[2]string{"workload", w},
-			[2]string{"sf", fmt.Sprint(sf)})
 	}
 	return nil
 }
@@ -372,14 +358,6 @@ func runServing(e *Env) error {
 	res := Serving(e.asdbSF(), e.Opt, Knobs{}, nil)
 	e.write(res.String())
 	EmitServing(e.Emit, res)
-	for _, p := range res.Points {
-		e.prom(p.Telemetry,
-			[2]string{"experiment", "serving"},
-			[2]string{"offered_rps", fmt.Sprintf("%g", p.OfferedRPS)})
-	}
-	e.prom(res.Storm.Telemetry,
-		[2]string{"experiment", "serving"},
-		[2]string{"offered_rps", "storm"})
 	return nil
 }
 
@@ -388,13 +366,6 @@ func runReplication(e *Env) error {
 	res := Replication(e.asdbSF(), e.Opt, nil, quickOr(e, []float64{200}, nil), quickOr(e, []int{1}, nil))
 	e.write(res.String())
 	EmitReplication(e.Emit, res)
-	for _, p := range res.Points {
-		e.prom(p.Telemetry,
-			[2]string{"experiment", "replication"},
-			[2]string{"mode", p.Mode.String()},
-			[2]string{"replicas", fmt.Sprint(p.Replicas)},
-			[2]string{"bw_mbps", fmt.Sprintf("%.0f", p.BandwidthMBps)})
-	}
 	return res.Err()
 }
 
@@ -451,11 +422,6 @@ func runChaos(e *Env) error {
 	res := Chaos(e.asdbSF(), e.Opt, specs, e.Rate)
 	e.write(res.String())
 	EmitChaos(e.Emit, res)
-	for _, p := range res.Points {
-		e.prom(p.Telemetry,
-			[2]string{"experiment", "chaos"},
-			[2]string{"cell", p.Spec.Name})
-	}
 	return res.Err()
 }
 
@@ -472,8 +438,5 @@ func runServeCell(e *Env) error {
 	e.printf("shed %.1f%% (%d), degraded %d, refused %d, dropped %d, conns %d\n",
 		100*pt.ShedRate, pt.Shed, pt.Degraded, pt.Refused, pt.Dropped, pt.Accepted)
 	EmitServeOnce(e.Emit, sf, pt)
-	e.prom(pt.Telemetry,
-		[2]string{"experiment", "serve"},
-		[2]string{"rate", fmt.Sprintf("%g", e.Rate)})
 	return nil
 }

@@ -66,10 +66,7 @@ func TestServingSerialParallelIdentical(t *testing.T) {
 		opt.Parallel = parallel
 		opt.Telemetry = true
 		var b bytes.Buffer
-		e, err := NewEmitter(&b, "json")
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := NewEmitter(&b)
 		EmitServing(e, Serving(2000, opt, Knobs{}, []float64{4, 16, 64}))
 		if err := e.Close(); err != nil {
 			t.Fatal(err)

@@ -24,20 +24,23 @@ var ErrTransient = errors.New("iodev: transient device error")
 // Fault is fault-injection state installed on a device by a fault
 // injector (package fault). Fields are toggled by the injector while a
 // fault event is active and zeroed between events; a nil *Fault on the
-// device is the (default) fast path with no per-request overhead.
+// device is the (default) fast path with no per-request overhead. Reads
+// and writes are hit alike.
 type Fault struct {
-	ReadStallNs  float64 // extra latency added to every read while active
-	WriteStallNs float64 // extra latency added to every write while active
-	ReadErrProb  float64 // per-read transient failure probability
-	WriteErrProb float64 // per-write transient failure probability
-	RetryNs      float64 // device/driver retry penalty per failed attempt
+	StallNs float64 // extra latency added to every request while active
+	ErrProb float64 // per-request transient failure probability
 
 	rng *sim.RNG
 }
 
-// maxErrProb caps failure probabilities so retry loops terminate quickly;
-// a fault injector asking for certainty still leaves retries a way out.
-const maxErrProb = 0.9
+const (
+	// maxErrProb caps failure probabilities so retry loops terminate
+	// quickly; a fault injector asking for certainty still leaves retries
+	// a way out.
+	maxErrProb = 0.9
+	// retryNs is the device/driver retry penalty per failed attempt.
+	retryNs = 1e6
+)
 
 // NewFault creates fault state drawing from the given deterministic RNG.
 func NewFault(rng *sim.RNG) *Fault {
@@ -45,18 +48,19 @@ func NewFault(rng *sim.RNG) *Fault {
 }
 
 // apply charges the fault's stall to p and reports whether this request
-// fails transiently. It is called once per device request attempt.
-func (f *Fault) apply(p *sim.Proc, stallNs, errProb float64, ctr *metrics.Counters) bool {
-	if stallNs > 0 {
-		p.Sleep(sim.Duration(stallNs))
-	}
-	if errProb > maxErrProb {
-		errProb = maxErrProb
+// fails transiently. It is called once per device request attempt. The
+// failure draw uses the probability in force when the attempt began; the
+// retry penalty is charged only if the probability is still nonzero once
+// the stall is over.
+func (f *Fault) apply(p *sim.Proc, ctr *metrics.Counters) bool {
+	errProb := min(f.ErrProb, maxErrProb)
+	if f.StallNs > 0 {
+		p.Sleep(sim.Duration(f.StallNs))
 	}
 	if errProb > 0 && f.rng.Bool(errProb) {
 		ctr.FaultIOErrors++
-		if f.RetryNs > 0 {
-			p.Sleep(sim.Duration(f.RetryNs))
+		if f.ErrProb > 0 {
+			p.Sleep(retryNs)
 		}
 		return true
 	}
@@ -112,51 +116,66 @@ func (t *Throttle) reserve(now sim.Time, bytes int64) sim.Duration {
 	return t.server.Reserve(now, float64(bytes))
 }
 
+// channel is one transfer direction of a device.
+type channel struct {
+	fluid    *sim.FluidServer
+	throttle *Throttle // nil = unlimited
+	// throttleWaitNs is the cumulative ns by which a request's throttle
+	// reservation exceeded the device's own service delay — the stall
+	// attributable purely to the cgroup-style limit rather than device
+	// saturation.
+	throttleWaitNs int64
+	latNs          float64 // fixed per-request latency
+	write          bool    // which SSD counters a request bumps
+}
+
+// count adds one request of the given size to ctr's counters for this
+// direction.
+func (c *channel) count(ctr *metrics.Counters, bytes int64) {
+	if c.write {
+		ctr.SSDWriteBytes += bytes
+		ctr.SSDWriteOps++
+		return
+	}
+	ctr.SSDReadBytes += bytes
+	ctr.SSDReadOps++
+}
+
 // Device is a simulated NVMe drive bound to one simulation.
 type Device struct {
 	Spec Spec
 	Ctr  *metrics.Counters
 
-	readCh  *sim.FluidServer
-	writeCh *sim.FluidServer
-
-	readThrottle  *Throttle
-	writeThrottle *Throttle
-
-	// Cumulative ns by which a request's throttle reservation exceeded
-	// the device's own service delay — the stall attributable purely to
-	// the cgroup-style limit rather than device saturation.
-	readThrottleWaitNs  int64
-	writeThrottleWaitNs int64
+	read, write channel
 
 	fault *Fault
 }
 
 // ThrottleWaitNs returns the cumulative read/write throttle-induced wait.
 func (d *Device) ThrottleWaitNs() (read, write int64) {
-	return d.readThrottleWaitNs, d.writeThrottleWaitNs
+	return d.read.throttleWaitNs, d.write.throttleWaitNs
 }
 
 // Backlog returns how far into the future each channel is committed at
 // now — the fluid model's instantaneous queue depth, in pending time.
 func (d *Device) Backlog(now sim.Time) (read, write sim.Duration) {
-	return d.readCh.Backlog(now), d.writeCh.Backlog(now)
+	return d.read.fluid.Backlog(now), d.write.fluid.Backlog(now)
 }
 
 // New creates a device.
 func New(spec Spec, ctr *metrics.Counters) *Device {
 	return &Device{
-		Spec:    spec,
-		Ctr:     ctr,
-		readCh:  sim.NewFluidServer(spec.ReadMBps * 1e6),
-		writeCh: sim.NewFluidServer(spec.WriteMBps * 1e6),
+		Spec:  spec,
+		Ctr:   ctr,
+		read:  channel{fluid: sim.NewFluidServer(spec.ReadMBps * 1e6), latNs: spec.ReadLatNs},
+		write: channel{fluid: sim.NewFluidServer(spec.WriteMBps * 1e6), latNs: spec.WriteLatNs, write: true},
 	}
 }
 
 // SetThrottles installs cgroup-style read/write limits (nil = none).
 func (d *Device) SetThrottles(read, write *Throttle) {
-	d.readThrottle = read
-	d.writeThrottle = write
+	d.read.throttle = read
+	d.write.throttle = write
 }
 
 // SetFault installs fault-injection state (nil = no faults).
@@ -184,33 +203,37 @@ func (d *Device) Read(p *sim.Proc, bytes int64) sim.Duration {
 // fails the request. Callers that can propagate errors (the buffer pool)
 // use this and own the retry policy; fire-and-forget callers use Read.
 func (d *Device) ReadErr(p *sim.Proc, bytes int64) (sim.Duration, error) {
+	return d.attempt(p, &d.read, bytes)
+}
+
+// attempt performs one request attempt on channel c: throttle, queue,
+// transfer and latency, then any installed fault.
+func (d *Device) attempt(p *sim.Proc, c *channel, bytes int64) (sim.Duration, error) {
 	if bytes <= 0 {
 		return 0, nil
 	}
 	start := p.Now()
-	tDelay := d.readThrottle.reserve(p.Now(), bytes)
+	tDelay := c.throttle.reserve(p.Now(), bytes)
 	var devDone sim.Duration
 	for remaining := bytes; remaining > 0; {
 		chunk := remaining
 		if d.Spec.MaxRequestB > 0 && chunk > d.Spec.MaxRequestB {
 			chunk = d.Spec.MaxRequestB
 		}
-		devDone = d.readCh.Reserve(p.Now(), float64(chunk))
+		devDone = c.fluid.Reserve(p.Now(), float64(chunk))
 		remaining -= chunk
 	}
 	delay := devDone
 	if tDelay > delay {
 		delay = tDelay
-		d.readThrottleWaitNs += int64(tDelay - devDone)
+		c.throttleWaitNs += int64(tDelay - devDone)
 	}
-	p.Sleep(delay + sim.Duration(d.Spec.ReadLatNs))
-	d.Ctr.SSDReadBytes += bytes
-	d.Ctr.SSDReadOps++
+	p.Sleep(delay + sim.Duration(c.latNs))
+	c.count(d.Ctr, bytes)
 	if s := metrics.StmtOf(p); s != nil {
-		s.SSDReadBytes += bytes
-		s.SSDReadOps++
+		c.count(s, bytes)
 	}
-	if f := d.fault; f != nil && f.apply(p, f.ReadStallNs, f.ReadErrProb, d.Ctr) {
+	if f := d.fault; f != nil && f.apply(p, d.Ctr) {
 		return sim.Duration(p.Now() - start), ErrTransient
 	}
 	return sim.Duration(p.Now() - start), nil
@@ -225,12 +248,9 @@ func (d *Device) WriteAsync(now sim.Time, bytes int64) {
 	if bytes <= 0 {
 		return
 	}
-	if d.writeThrottle != nil {
-		d.writeThrottle.server.Reserve(now, float64(bytes))
-	}
-	d.writeCh.Reserve(now, float64(bytes))
-	d.Ctr.SSDWriteBytes += bytes
-	d.Ctr.SSDWriteOps++
+	d.write.throttle.reserve(now, bytes)
+	d.write.fluid.Reserve(now, float64(bytes))
+	d.write.count(d.Ctr, bytes)
 }
 
 // Write blocks p for the duration of a write and returns the time spent.
@@ -248,34 +268,5 @@ func (d *Device) Write(p *sim.Proc, bytes int64) sim.Duration {
 // WriteErr performs one write attempt, returning ErrTransient when the
 // installed fault fails the request.
 func (d *Device) WriteErr(p *sim.Proc, bytes int64) (sim.Duration, error) {
-	if bytes <= 0 {
-		return 0, nil
-	}
-	start := p.Now()
-	tDelay := d.writeThrottle.reserve(p.Now(), bytes)
-	var devDone sim.Duration
-	for remaining := bytes; remaining > 0; {
-		chunk := remaining
-		if d.Spec.MaxRequestB > 0 && chunk > d.Spec.MaxRequestB {
-			chunk = d.Spec.MaxRequestB
-		}
-		devDone = d.writeCh.Reserve(p.Now(), float64(chunk))
-		remaining -= chunk
-	}
-	delay := devDone
-	if tDelay > delay {
-		delay = tDelay
-		d.writeThrottleWaitNs += int64(tDelay - devDone)
-	}
-	p.Sleep(delay + sim.Duration(d.Spec.WriteLatNs))
-	d.Ctr.SSDWriteBytes += bytes
-	d.Ctr.SSDWriteOps++
-	if s := metrics.StmtOf(p); s != nil {
-		s.SSDWriteBytes += bytes
-		s.SSDWriteOps++
-	}
-	if f := d.fault; f != nil && f.apply(p, f.WriteStallNs, f.WriteErrProb, d.Ctr) {
-		return sim.Duration(p.Now() - start), ErrTransient
-	}
-	return sim.Duration(p.Now() - start), nil
+	return d.attempt(p, &d.write, bytes)
 }

@@ -122,7 +122,7 @@ func TestFaultStallSlowsRequests(t *testing.T) {
 	s.Spawn("r", func(p *sim.Proc) {
 		clean = d.Read(p, 1<<20)
 		f := NewFault(sim.NewRNG(5))
-		f.ReadStallNs = 5e6
+		f.StallNs = 5e6
 		d.SetFault(f)
 		stalled = d.Read(p, 1<<20)
 	})
@@ -137,8 +137,7 @@ func TestFaultErrorsAbsorbedByRead(t *testing.T) {
 	ctr := &metrics.Counters{}
 	d := New(PaperSSD(), ctr)
 	f := NewFault(sim.NewRNG(5))
-	f.ReadErrProb = 1 // capped internally below 1 so retries terminate
-	f.RetryNs = 1e4
+	f.ErrProb = 1 // capped internally below 1 so retries terminate
 	d.SetFault(f)
 	sawErr := false
 	s.Spawn("r", func(p *sim.Proc) {

@@ -627,18 +627,13 @@ func (c *Cluster) MaxLagBytes() int64 {
 // chaos harness audits client-observed acks against.
 func (c *Cluster) AckedLSNs() []int64 { return c.ackedLSNs }
 
-// LinkDown reports whether the replication links are currently
-// partitioned — the serving layer's replication-health posture input.
-func (c *Cluster) LinkDown() bool { return c.linkDown }
-
-// BestLagBytes returns the most-caught-up standby's current apply lag
-// in WAL bytes (0 with no standbys).
-func (c *Cluster) BestLagBytes() int64 {
+// Unhealthy reports a degraded replication plane — the serving layer's
+// replication-health posture input: the links are partitioned, or every
+// standby trails the primary past stalenessBytes, the bound RouteRead
+// routes reads within.
+func (c *Cluster) Unhealthy() bool {
 	best := c.mostCaughtUp()
-	if best < 0 {
-		return 0
-	}
-	return c.lag(c.Standbys[best])
+	return c.linkDown || (best >= 0 && c.lag(c.Standbys[best]) > stalenessBytes)
 }
 
 // SetLinkDown implements fault.ReplTarget: partition (true) or heal

@@ -69,17 +69,12 @@ func (cf *ClusterFrontend) Frontend() *Frontend {
 	return cf.FE
 }
 
-// staleLagBytes is the apply lag (in WAL bytes) past which a standby
-// counts as unhealthy; it equals the bound repl.Cluster.RouteRead routes
-// reads within.
-const staleLagBytes = 4 << 20
-
-// unhealthy reports a degraded replication plane: a partitioned link,
-// or every standby lagging past staleLagBytes. The front end halves its
-// degrade threshold while true. After promotion the cluster is a single
-// node again, with no replication plane to be unhealthy.
+// unhealthy reports a degraded replication plane (repl.Cluster.Unhealthy).
+// The front end halves its degrade threshold while true. After promotion
+// the cluster is a single node again, with no replication plane to be
+// unhealthy.
 func (cf *ClusterFrontend) unhealthy() bool {
-	return cf.Epoch == 0 && (cf.Cl.LinkDown() || cf.Cl.BestLagBytes() > staleLagBytes)
+	return cf.Epoch == 0 && cf.Cl.Unhealthy()
 }
 
 // routeQuery offers a node for a degraded analytical read: the most

@@ -2,9 +2,8 @@
 // registry of counters, gauges, and log2 histograms sampled on the
 // simulated clock into ring-buffered time series. It is the single home
 // for the percentile math shared by the per-template query statistics
-// (metrics.QueryStats) and the harness CDF reports, and it is the
-// substrate both exporters (harness.Emitter series records, Prometheus
-// text exposition) read from.
+// (metrics.QueryStats) and the harness CDF reports, and it is what the
+// exporter (harness.Emitter series records) reads from.
 //
 // Everything here follows the engine's zero-cost-when-off discipline:
 // all hot-path mutators are nil-receiver safe and allocation-free, so a

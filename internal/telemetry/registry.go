@@ -1,16 +1,12 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/sim"
 )
 
-// Metric kinds, as reported in snapshots and the text exposition.
+// Metric kinds, as reported in snapshots.
 const (
 	KindCounter = "counter" // monotone total; sampled as per-interval delta
 	KindGauge   = "gauge"   // instantaneous level; sampled as-is
@@ -58,9 +54,6 @@ type metric struct {
 }
 
 func (m *metric) push(pt Point) {
-	if cap(m.buf) == 0 {
-		return
-	}
 	if m.n < cap(m.buf) {
 		m.buf = append(m.buf, pt)
 		m.n++
@@ -115,19 +108,22 @@ func (m *metric) total() float64 {
 	return 0
 }
 
+const (
+	// sampleInterval is the sampling period on the simulated clock: the
+	// paper's counter-collection cadence.
+	sampleInterval = sim.Second
+	// ringCap bounds each series' retained samples; older samples are
+	// overwritten ring-buffer style.
+	ringCap = 512
+)
+
 // Registry holds every registered series for one simulation and samples
-// them at a fixed simulated interval from a dedicated sampler process.
+// them every sampleInterval from a dedicated sampler process.
 // One registry belongs to one simulation, so access is serialized by the
 // simulation kernel and needs no locking. A nil *Registry is inert:
 // every registration method returns nil/no-ops, which is how the
 // telemetry-off configuration is expressed.
 type Registry struct {
-	// Interval is the sampling period on the simulated clock.
-	Interval sim.Duration
-	// RingCap bounds each series' retained samples; older samples are
-	// overwritten ring-buffer style.
-	RingCap int
-
 	metrics []*metric
 	byName  map[string]bool
 
@@ -135,11 +131,9 @@ type Registry struct {
 	stopped bool
 }
 
-// NewRegistry creates a registry sampling at 1 simulated second (the
-// paper's counter-collection cadence), retaining up to 512 samples per
-// series.
+// NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{Interval: sim.Second, RingCap: 512, byName: make(map[string]bool)}
+	return &Registry{byName: make(map[string]bool)}
 }
 
 func (r *Registry) register(m *metric) {
@@ -148,7 +142,7 @@ func (r *Registry) register(m *metric) {
 		panic("telemetry: duplicate series " + key)
 	}
 	r.byName[key] = true
-	m.buf = make([]Point, 0, r.RingCap)
+	m.buf = make([]Point, 0, ringCap)
 	r.metrics = append(r.metrics, m)
 }
 
@@ -192,7 +186,7 @@ func (r *Registry) Start(sm *sim.Sim) {
 	}
 	sm.Spawn("telemetry-sampler", func(p *sim.Proc) {
 		for !r.stopped {
-			p.Sleep(r.Interval)
+			p.Sleep(sampleInterval)
 			if r.stopped {
 				return
 			}
@@ -283,76 +277,4 @@ func (s *Snapshot) Subsystems() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// promName converts "buffer"+"hit_ratio" to dbsense_buffer_hit_ratio.
-func promName(subsystem, name string) string {
-	s := "dbsense_" + subsystem + "_" + name
-	s = strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
-	return s
-}
-
-func promLabels(labels [][2]string) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, kv := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", kv[0], kv[1])
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// WriteProm writes the snapshot in Prometheus text exposition format.
-// Counters export their cumulative total, gauges their last level, and
-// histograms a count/sum pair plus interpolated p50/p95/p99 quantile
-// samples. The extra labels (experiment, cell, ...) are attached to
-// every sample so multiple sweep cells can share one output file.
-func (s *Snapshot) WriteProm(w io.Writer, labels ...[2]string) error {
-	if s == nil {
-		return nil
-	}
-	ls := promLabels(labels)
-	for _, sd := range s.Series {
-		pn := promName(sd.Subsystem, sd.Name)
-		switch sd.Kind {
-		case KindHist:
-			if _, err := fmt.Fprintf(w, "# TYPE %s summary\n", pn); err != nil {
-				return err
-			}
-			h := sd.Hist
-			for _, q := range []float64{0.5, 0.95, 0.99} {
-				ql := append(append([][2]string{}, labels...), [2]string{"quantile", promFloat(q)})
-				if _, err := fmt.Fprintf(w, "%s%s %s\n", pn, promLabels(ql), promFloat(h.Quantile(q))); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum%s %d\n%s_count%s %d\n", pn, ls, h.SumNs, pn, ls, h.N); err != nil {
-				return err
-			}
-		case KindCounter:
-			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s_total%s %s\n", pn, pn, ls, promFloat(sd.Total)); err != nil {
-				return err
-			}
-		default:
-			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s%s %s\n", pn, pn, ls, promFloat(sd.Total)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

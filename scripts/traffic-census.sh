@@ -20,8 +20,8 @@ for e in serving replication recovery failover chaos; do db run "$e"; done
 for w in tpch tpce asdb htap; do db run resilience -workload "$w"; done
 for s in none partition flaky degrade reset-storm split-burst; do db run chaos -schedule "$s"; done
 db serve && db serve -storm
-db run qstats -emit csv -o qstats.csv -metrics-out metrics.prom -profile prof
-db run replication -emit json -o repl.jsonl
+db run qstats -o qstats.jsonl -profile prof
+db run replication -o repl.jsonl
 "$out/bin/bench" -reps 1 -traced -json bench.json >/dev/null
 "$out/bin/bench" -probes >/dev/null
 "$out/bin/simstat" >/dev/null && "$out/bin/simstat" -series repl.jsonl >/dev/null
