@@ -143,6 +143,21 @@ func TestBTIndexLookupAllPrefix(t *testing.T) {
 	}
 }
 
+// InsertActual builds its key on the stack: the tree copies it, so only
+// the tree's own node growth allocates, and that is under one per insert.
+func TestBTIndexInsertActualAllocatesNothing(t *testing.T) {
+	f := newFixture()
+	tb := f.table(1, 1000)
+	ix := NewBTIndex(54, "ix_v", tb, []int{1}, false, false) // (v, row ID) keys
+	r := int64(0)
+	if avg := testing.AllocsPerRun(200, func() { ix.InsertActual(r % 1000); r++ }); avg != 0 {
+		t.Fatalf("InsertActual: %v allocs per insert, want 0", avg)
+	}
+	if ix.Tree.Len() != 1000+201 { // AllocsPerRun adds a warm-up call
+		t.Fatalf("tree holds %d entries, want 1201", ix.Tree.Len())
+	}
+}
+
 func TestBTIndexGeometryGrowsWithTable(t *testing.T) {
 	f := newFixture()
 	tb := f.table(1000, 100)

@@ -18,8 +18,11 @@ type BTIndex struct {
 	Tree *btree.Tree
 	File *storage.File // internal levels (clustered) or whole index (NC)
 
-	geom     btree.Geom
-	internal int64 // internal page count within File
+	geom      btree.Geom
+	internal  int64 // internal page count within File
+	levels    int64 // internal levels a probe traverses, at least 1
+	leafPer   int64 // nominal leaf entries per page
+	leafPages int64 // nominal leaf pages
 }
 
 // NewBTIndex creates an index over the table's current contents.
@@ -42,23 +45,21 @@ func NewBTIndex(id int, name string, t *storage.Table, keyCols []int, unique, cl
 		File:      &storage.File{ID: id, Name: name},
 	}
 	ix.refreshGeom(keyWidth, rowRef)
-	// The build's keys are carved from one backing array (the tree
-	// retains them all anyway) instead of one allocation per row.
-	n := t.ActualRows()
-	w := len(ix.KeyCols)
-	if !ix.Unique {
-		w++
-	}
-	keys := make([]int64, n*int64(w))
-	for r := int64(0); r < n; r++ {
-		ix.Tree.Insert(ix.appendKey(keys[:0:w], r), r)
-		keys = keys[w:]
+	// The tree copies each key, so one scratch key serves the whole build.
+	key := make(btree.Key, 0, len(keyCols)+1)
+	for r := int64(0); r < t.ActualRows(); r++ {
+		ix.Tree.Insert(ix.appendKey(key[:0], r), r)
 	}
 	return ix
 }
 
+// refreshGeom sets the nominal geometry and the figures every probe
+// charges from it, so a probe computes no logarithm.
 func (ix *BTIndex) refreshGeom(keyWidth, rowRef int64) {
 	ix.geom = btree.Geom{KeyWidth: keyWidth, RowRefWidth: rowRef, NominalRows: ix.Table.NominalRows()}
+	ix.levels = max(ix.geom.Height()-1, 1)
+	ix.leafPer = ix.geom.LeafEntriesPerPage()
+	ix.leafPages = ix.geom.LeafPages()
 	if ix.Clustered {
 		// Leaf level is the table's data file; this file holds only the
 		// internal levels.
@@ -84,12 +85,8 @@ func (ix *BTIndex) Geom() btree.Geom { return ix.geom }
 // tree for nonclustered ones.
 func (ix *BTIndex) NominalBytes() int64 { return ix.File.Bytes() }
 
-// keyOf builds the tree key for an actual row, appending the row ID for
-// non-unique indexes so keys are distinct.
-func (ix *BTIndex) keyOf(rowID int64) btree.Key {
-	return ix.appendKey(make(btree.Key, 0, len(ix.KeyCols)+1), rowID)
-}
-
+// appendKey appends the tree key for an actual row to k, with the row ID
+// last for non-unique indexes so keys are distinct.
 func (ix *BTIndex) appendKey(k btree.Key, rowID int64) btree.Key {
 	for _, c := range ix.KeyCols {
 		k = append(k, ix.Table.Get(rowID, c))
@@ -106,12 +103,7 @@ func (ix *BTIndex) leafPage(nid int64) int64 {
 	if ix.Clustered {
 		return ix.Table.PageOfNominal(nid)
 	}
-	leaf := nid / ix.geom.LeafEntriesPerPage()
-	max := ix.geom.LeafPages()
-	if leaf >= max {
-		leaf = max - 1
-	}
-	return ix.internal + leaf
+	return ix.internal + min(nid/ix.leafPer, ix.leafPages-1)
 }
 
 // chargeTraverse charges the internal-level traversal: (height-1) random
@@ -119,13 +111,9 @@ func (ix *BTIndex) leafPage(nid int64) int64 {
 // instructions. Internal pages are assumed buffer-resident (they are tiny
 // relative to the pool and pinned hot in practice).
 func (ix *BTIndex) chargeTraverse(ctx *Ctx) {
-	levels := ix.geom.Height() - 1
-	if levels < 1 {
-		levels = 1
-	}
-	ctx.TouchRandom(ix.File.Region, ix.internal*storage.PageBytes, levels*3, false, 1.5)
+	ctx.TouchRandom(ix.File.Region, ix.internal*storage.PageBytes, ix.levels*3, false, 1.5)
 	ctx.TouchMeta(20) // lock/latch/schema structures per seek
-	ctx.CPU(ctx.Cost.SeekInstr + float64(levels)*ctx.Cost.LevelInstr)
+	ctx.CPU(ctx.Cost.SeekInstr + float64(ix.levels)*ctx.Cost.LevelInstr)
 }
 
 // Probe performs a costed point lookup: traverse internal levels, latch
@@ -183,9 +171,10 @@ func (ix *BTIndex) MaintPage(nid int64) (int, int64) {
 }
 
 // InsertActual adds an actual row to the functional tree (after the table
-// materialized it).
+// materialized it). The key is built on the stack: the tree copies it.
 func (ix *BTIndex) InsertActual(rowID int64) {
-	ix.Tree.Insert(ix.keyOf(rowID), rowID)
+	var buf [8]int64
+	ix.Tree.Insert(ix.appendKey(buf[:0], rowID), rowID)
 }
 
 // LookupAll returns the actual row IDs of every entry whose key begins

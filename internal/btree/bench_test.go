@@ -7,8 +7,8 @@ import (
 )
 
 // B-tree micro-benchmarks: the host cost of one insert or one seek on
-// the functional tree. Keys are carved from one backing array, as an
-// index build carves them, so allocations are the tree's own.
+// the functional tree. Keys are carved from one backing array, so
+// allocations are the tree's own.
 
 var sink int64
 
@@ -53,18 +53,27 @@ func BenchmarkInsertRandom(b *testing.B) {
 	}
 }
 
-// BenchmarkSeek: one point seek into a three-level tree of 100 000 keys.
-func BenchmarkSeek(b *testing.B) {
+// BenchmarkSeek: one point seek into a three-level tree of 100 000
+// one-word keys, a unique single-column index.
+func BenchmarkSeek(b *testing.B) { benchSeek(b, 1) }
+
+// BenchmarkSeekWide: the same seeks into (value, row ID) keys, a
+// non-unique index, searched by the value alone.
+func BenchmarkSeekWide(b *testing.B) { benchSeek(b, 2) }
+
+func benchSeek(b *testing.B, w int) {
 	const n = 100_000
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(i) * 7 % n
-	}
 	tr := New()
-	for i, k := range keys(vals) {
-		tr.Insert(k, int64(i))
+	key := make(Key, w)
+	for i := int64(0); i < n; i++ {
+		key[0] = i * 7 % n
+		for j := 1; j < w; j++ {
+			key[j] = i
+		}
+		tr.Insert(key, i)
 	}
-	key := Key{0}
+	key = key[:1]
+	key[0] = 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

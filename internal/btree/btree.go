@@ -1,8 +1,9 @@
 // Package btree implements an in-memory B-tree over composite int64 keys,
 // used for the engine's row-store indexes (clustered and nonclustered).
-// Duplicate keys are permitted; callers that need uniqueness append the
-// row ID as a final key component. Entries are never removed: the engine
-// deletes a row by ghosting it in the table.
+// Every key in one tree has the same number of components, fixed by its
+// first Insert. Duplicate keys are permitted; callers that need uniqueness
+// append the row ID as a final key component. Entries are never removed:
+// the engine deletes a row by ghosting it in the table.
 //
 // The tree provides the functional behaviour (point and range lookups in
 // key order); the *cost* of probing a paper-scale index is derived from
@@ -10,7 +11,11 @@
 // key widths and the nominal row count.
 package btree
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Key is a composite key. Comparison is lexicographic.
 type Key []int64
@@ -47,20 +52,45 @@ const minDegree = 32
 
 const maxKeys = 2*minDegree - 1
 
+// A node stores its keys back to back in one array: every key in a tree
+// is w words wide (the tree's width, fixed by its first Insert), and key i
+// is keys[i*w : i*w+w]. A search compares contiguous words instead of
+// loading a separately allocated key per comparison.
 type node struct {
-	keys     []Key
+	keys     []int64
 	vals     []int64
 	children []*node // nil for leaves
 }
 
 func (n *node) leaf() bool { return n.children == nil }
 
-// findGE returns the index of the first key >= k.
-func (n *node) findGE(k Key) int {
-	lo, hi := 0, len(n.keys)
+// len returns the number of entries in n.
+func (n *node) len() int { return len(n.vals) }
+
+// key returns entry i's key, capped so an append cannot reach entry i+1.
+func (n *node) key(i, w int) Key { return n.keys[i*w : i*w+w : i*w+w] }
+
+// findGE returns the index of the first key >= k. A point seek into a
+// unique single-column index (95 % of htap_mixed's seeks) compares one
+// word per key without calling Compare.
+func (n *node) findGE(k Key, w int) int {
+	if w == 1 && len(k) == 1 {
+		keys, x := n.keys, k[0]
+		lo, hi := 0, len(keys)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if keys[mid] < x {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
+	lo, hi := 0, n.len()
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if Compare(n.keys[mid], k) < 0 {
+		mid := int(uint(lo+hi) >> 1)
+		if Compare(n.key(mid, w), k) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -70,11 +100,11 @@ func (n *node) findGE(k Key) int {
 }
 
 // findGT returns the index of the first key > k.
-func (n *node) findGT(k Key) int {
-	lo, hi := 0, len(n.keys)
+func (n *node) findGT(k Key, w int) int {
+	lo, hi := 0, n.len()
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if Compare(n.keys[mid], k) <= 0 {
+		mid := int(uint(lo+hi) >> 1)
+		if Compare(n.key(mid, w), k) <= 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -87,7 +117,8 @@ func (n *node) findGT(k Key) int {
 type Tree struct {
 	root *node
 	size int
-	max  Key // the greatest key inserted (nil while empty)
+	w    int // words per key, fixed by the first Insert
+	max  Key // a copy of the greatest key inserted (nil while empty)
 }
 
 // New creates an empty tree.
@@ -98,22 +129,29 @@ func New() *Tree {
 // Len returns the number of entries.
 func (t *Tree) Len() int { return t.size }
 
-// Insert adds (k, v); duplicate keys are kept. A key greater than every
+// Insert adds (k, v); duplicate keys are kept. The first Insert fixes the
+// tree's key width, and a key of any other width panics. The tree keeps a
+// copy of k, so the caller may reuse its buffer. A key greater than every
 // key in the tree — an index built over ascending row IDs, an insert at
 // the end of a clustered key — takes the rightmost descent without a
 // search; the tree it leaves is the one the general path would.
 func (t *Tree) Insert(k Key, v int64) {
+	if t.size == 0 {
+		t.w = len(k)
+	} else if len(k) != t.w {
+		panic(fmt.Sprintf("btree: Insert of a %d-word key into a tree of %d-word keys", len(k), t.w))
+	}
 	appending := t.size == 0 || Compare(k, t.max) > 0
-	if len(t.root.keys) == maxKeys {
+	if t.root.len() == maxKeys {
 		old := t.root
 		t.root = &node{children: []*node{old}}
-		t.root.splitChild(0, appending)
+		t.root.splitChild(0, t.w, appending)
 	}
 	if appending {
-		t.root.appendMax(k, v)
-		t.max = k
+		t.root.appendMax(k, v, t.w)
+		t.max = append(t.max[:0], k...)
 	} else {
-		t.root.insertNonFull(k, v)
+		t.root.insertNonFull(k, v, t.w)
 	}
 	t.size++
 }
@@ -121,72 +159,61 @@ func (t *Tree) Insert(k Key, v int64) {
 // splitChild splits the full child i around its median. filling says the
 // new right sibling will fill up with appends, so it is allocated at its
 // final capacity; otherwise it gets just what it holds.
-func (n *node) splitChild(i int, filling bool) {
+func (n *node) splitChild(i, w int, filling bool) {
 	child := n.children[i]
 	mid := minDegree - 1
 	right := &node{}
 	if filling {
-		right.keys = make([]Key, 0, maxKeys)
+		right.keys = make([]int64, 0, maxKeys*w)
 		right.vals = make([]int64, 0, maxKeys)
 		if !child.leaf() {
 			right.children = make([]*node, 0, maxKeys+1)
 		}
 	}
-	right.keys = append(right.keys, child.keys[mid+1:]...)
+	right.keys = append(right.keys, child.keys[(mid+1)*w:]...)
 	right.vals = append(right.vals, child.vals[mid+1:]...)
 	if !child.leaf() {
 		right.children = append(right.children, child.children[mid+1:]...)
 	}
-	upKey, upVal := child.keys[mid], child.vals[mid]
-	child.keys = child.keys[:mid]
+	n.keys = slices.Insert(n.keys, i*w, child.key(mid, w)...)
+	n.vals = slices.Insert(n.vals, i, child.vals[mid])
+	n.children = slices.Insert(n.children, i+1, right)
+	child.keys = child.keys[:mid*w]
 	child.vals = child.vals[:mid]
 	if !child.leaf() {
 		child.children = child.children[:mid+1]
 	}
-	n.keys = append(n.keys, nil)
-	copy(n.keys[i+1:], n.keys[i:])
-	n.keys[i] = upKey
-	n.vals = append(n.vals, 0)
-	copy(n.vals[i+1:], n.vals[i:])
-	n.vals[i] = upVal
-	n.children = append(n.children, nil)
-	copy(n.children[i+2:], n.children[i+1:])
-	n.children[i+1] = right
 }
 
-func (n *node) insertNonFull(k Key, v int64) {
-	i := n.findGT(k)
-	if n.leaf() {
-		n.keys = append(n.keys, nil)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = k
-		n.vals = append(n.vals, 0)
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = v
-		return
-	}
-	if len(n.children[i].keys) == maxKeys {
-		n.splitChild(i, false)
-		if Compare(k, n.keys[i]) > 0 {
-			i++
+func (n *node) insertNonFull(k Key, v int64, w int) {
+	for !n.leaf() {
+		i := n.findGT(k, w)
+		if n.children[i].len() == maxKeys {
+			n.splitChild(i, w, false)
+			if Compare(k, n.key(i, w)) > 0 {
+				i++
+			}
 		}
+		n = n.children[i]
 	}
-	n.children[i].insertNonFull(k, v)
+	i := n.findGT(k, w)
+	n.keys = slices.Insert(n.keys, i*w, k...)
+	n.vals = slices.Insert(n.vals, i, v)
 }
 
 // appendMax inserts k, greater than every key below n, on the descent
 // insertNonFull would take: findGT lands past the last key at every
 // level, and k is greater than a split's median too.
-func (n *node) appendMax(k Key, v int64) {
+func (n *node) appendMax(k Key, v int64, w int) {
 	for !n.leaf() {
-		i := len(n.keys)
-		if len(n.children[i].keys) == maxKeys {
-			n.splitChild(i, true)
+		i := n.len()
+		if n.children[i].len() == maxKeys {
+			n.splitChild(i, w, true)
 			i++
 		}
 		n = n.children[i]
 	}
-	n.keys = append(n.keys, k)
+	n.keys = append(n.keys, k...)
 	n.vals = append(n.vals, v)
 }
 
@@ -215,6 +242,7 @@ const maxHeight = 8
 type Iter struct {
 	stack [maxHeight]iterFrame
 	depth int
+	w     int // the tree's key width
 }
 
 func (it *Iter) push(n *node, idx int) {
@@ -234,12 +262,13 @@ func (it *Iter) pushLeftmost(n *node) {
 	it.normalize()
 }
 
-// Seek returns an iterator positioned at the first entry >= k.
+// Seek returns an iterator positioned at the first entry >= k. k may be a
+// prefix of the tree's keys.
 func (t *Tree) Seek(k Key) Iter {
-	var it Iter
+	it := Iter{w: t.w}
 	n := t.root
 	for {
-		i := n.findGE(k)
+		i := n.findGE(k, t.w)
 		it.push(n, i)
 		if n.leaf() {
 			break
@@ -252,7 +281,7 @@ func (t *Tree) Seek(k Key) Iter {
 
 // Min returns an iterator at the smallest entry.
 func (t *Tree) Min() Iter {
-	var it Iter
+	it := Iter{w: t.w}
 	it.pushLeftmost(t.root)
 	return it
 }
@@ -262,7 +291,7 @@ func (t *Tree) Min() Iter {
 func (it *Iter) normalize() {
 	for it.depth > 0 {
 		top := &it.stack[it.depth-1]
-		if top.idx < len(top.n.keys) {
+		if top.idx < top.n.len() {
 			return
 		}
 		it.depth--
@@ -272,8 +301,9 @@ func (it *Iter) normalize() {
 // Valid reports whether the iterator addresses an entry.
 func (it *Iter) Valid() bool { return it.depth > 0 }
 
-// Key returns the current key; only valid iterators may be dereferenced.
-func (it *Iter) Key() Key { top := &it.stack[it.depth-1]; return top.n.keys[top.idx] }
+// Key returns the current key, a view into the tree that the caller must
+// not modify; only valid iterators may be dereferenced.
+func (it *Iter) Key() Key { top := &it.stack[it.depth-1]; return top.n.key(top.idx, it.w) }
 
 // Value returns the current value.
 func (it *Iter) Value() int64 { top := &it.stack[it.depth-1]; return top.n.vals[top.idx] }

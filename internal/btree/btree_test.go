@@ -1,7 +1,9 @@
 package btree
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -127,6 +129,44 @@ func TestSeekAllocatesNothing(t *testing.T) {
 	})
 	if avg != 0 || sum == 0 {
 		t.Errorf("Seek + 100 Next: %v allocs (sum %d), want 0", avg, sum)
+	}
+}
+
+func TestInsertPanicsOnOtherWidth(t *testing.T) {
+	tr := New()
+	tr.Insert(Key{1, 2}, 0)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "1-word") || !strings.Contains(msg, "2-word") {
+			t.Fatalf("Insert of a 1-word key into a 2-word tree: panic %q, want both widths named", msg)
+		}
+	}()
+	tr.Insert(Key{3}, 1)
+}
+
+// Insert keeps a copy of its key: one buffer rewritten for every insert,
+// down both the append path and the searching path, leaves the tree
+// holding what was inserted.
+func TestInsertCopiesKey(t *testing.T) {
+	tr := New()
+	buf := make(Key, 2)
+	var want []Key
+	for i := int64(0); i < 2000; i++ {
+		buf[0], buf[1] = i%700, i // i%700 falls back below the greatest key
+		tr.Insert(buf, i)
+		want = append(want, Key{buf[0], buf[1]})
+	}
+	buf[0], buf[1] = -1, -1
+	slices.SortFunc(want, func(a, b Key) int { return Compare(a, b) })
+	it := tr.Min()
+	for _, k := range want {
+		if !it.Valid() || Compare(it.Key(), k) != 0 {
+			t.Fatalf("iteration reached %v, want %v", it.Key(), k)
+		}
+		it.Next()
+	}
+	if it.Valid() {
+		t.Fatalf("iteration past the %d inserted keys", len(want))
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 func TestEncodeRoundTripProperty(t *testing.T) {
 	f := func(vals []int64) bool {
 		s := Encode(vals)
-		got := s.Decode(nil)
+		got := s.DecodeRange(0, s.N, nil)
 		if len(got) != len(vals) {
 			return false
 		}
@@ -88,7 +88,7 @@ func TestZoneMaps(t *testing.T) {
 		t.Fatalf("zone map: min=%d max=%d n=%d", s.MinVal, s.MaxVal, s.N)
 	}
 	empty := Encode(nil)
-	if empty.N != 0 || len(empty.Decode(nil)) != 0 {
+	if empty.N != 0 || len(empty.DecodeRange(0, empty.N, nil)) != 0 {
 		t.Fatal("empty segment wrong")
 	}
 }
@@ -115,7 +115,8 @@ func TestIndexBuildAndScan(t *testing.T) {
 	// Decoding all segments of column 0 reproduces the column.
 	var got []int64
 	for sg := 0; sg < ix.Segments(); sg++ {
-		got = append(got, ix.Segment(0, sg).Decode(nil)...)
+		s := ix.Segment(0, sg)
+		got = append(got, s.DecodeRange(0, s.N, nil)...)
 	}
 	want := tb.Col(0)
 	if len(got) != len(want) {

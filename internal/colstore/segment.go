@@ -76,38 +76,8 @@ func packInts(vals []int64, min int64, width uint) []uint64 {
 	return out
 }
 
-// unpackInts reverses packInts.
-func unpackInts(packed []uint64, n int, min int64, width uint, dst []int64) []int64 {
-	if cap(dst) < n {
-		dst = make([]int64, n)
-	}
-	dst = dst[:n]
-	if width == 0 {
-		for i := range dst {
-			dst[i] = min
-		}
-		return dst
-	}
-	mask := uint64(1)<<width - 1
-	if width == 64 {
-		mask = ^uint64(0)
-	}
-	bitPos := uint(0)
-	for i := 0; i < n; i++ {
-		w := bitPos / 64
-		off := bitPos % 64
-		u := packed[w] >> off
-		if off+width > 64 {
-			u |= packed[w+1] << (64 - off)
-		}
-		dst[i] = min + int64(u&mask)
-		bitPos += width
-	}
-	return dst
-}
-
-// unpackIntsRange unpacks logical rows [lo,hi) without decoding the
-// prefix: the bit cursor starts at lo*width.
+// unpackIntsRange reverses packInts for logical rows [lo,hi) without
+// decoding the prefix: the bit cursor starts at lo*width.
 func unpackIntsRange(packed []uint64, lo, hi int, min int64, width uint, dst []int64) []int64 {
 	n := hi - lo
 	if cap(dst) < n {
@@ -221,41 +191,9 @@ func Encode(vals []int64) *Segment {
 	return s
 }
 
-// Decode decompresses the segment into dst (reusing capacity) and returns
-// the value slice.
-func (s *Segment) Decode(dst []int64) []int64 {
-	switch s.Enc {
-	case EncRLE:
-		if cap(dst) < s.N {
-			dst = make([]int64, s.N)
-		}
-		dst = dst[:s.N]
-		pos := 0
-		for i, v := range s.runVals {
-			for c := int32(0); c < s.runCounts[i]; c++ {
-				dst[pos] = v
-				pos++
-			}
-		}
-		return dst
-	case EncDict:
-		codes := unpackInts(s.packed, s.N, 0, s.bitWidth, nil)
-		if cap(dst) < s.N {
-			dst = make([]int64, s.N)
-		}
-		dst = dst[:s.N]
-		for i, c := range codes {
-			dst[i] = s.dict[c]
-		}
-		return dst
-	default:
-		return unpackInts(s.packed, s.N, s.MinVal, s.bitWidth, dst)
-	}
-}
-
 // DecodeRange decompresses rows [lo,hi) into dst (reusing capacity) and
-// returns the value slice — the batch-at-a-time decode path, equal to
-// Decode(nil)[lo:hi] for every encoding.
+// returns the value slice — the batch-at-a-time decode path.
+// DecodeRange(0, s.N, nil) decodes the whole segment.
 func (s *Segment) DecodeRange(lo, hi int, dst []int64) []int64 {
 	if lo < 0 {
 		lo = 0

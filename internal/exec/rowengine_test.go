@@ -172,7 +172,8 @@ func runColScan(p *sim.Proc, env *Env, n *Node) []Row {
 		decoded := map[int][]int64{}
 		for _, cp := range colPoss {
 			csi.ChargeSegmentScan(ctx, cp, seg, n.NPred)
-			decoded[cp] = ix.Segment(cp, seg).Decode(nil)
+			s := ix.Segment(cp, seg)
+			decoded[cp] = s.DecodeRange(0, s.N, nil)
 		}
 		nrows := ix.Segment(countPos, seg).N
 		var out []Row
