@@ -83,7 +83,7 @@ func runNLIndexJoin(p *sim.Proc, env *Env, n *Node, st *QueryStats, outer []Row)
 			if len(matches) > 0 {
 				nid = matches[0] * t.K
 			} else {
-				nid = int64(hashRow(or, n.OuterKeys) % uint64(maxI64(t.NominalRows(), 1)))
+				nid = int64(hashRow(or, n.OuterKeys) % uint64(max(t.NominalRows(), 1)))
 			}
 			ix.Probe(ctx, key, nid, false)
 			matched := len(matches) > 0
@@ -134,11 +134,4 @@ func chunkRows(rows []Row, parts int) [][]Row {
 		out[i] = rows[lo:hi]
 	}
 	return out
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -221,7 +221,7 @@ func runColScan(p *sim.Proc, env *Env, n *Node) []Row {
 
 func runFilter(p *sim.Proc, env *Env, n *Node, in []Row) []Row {
 	ctx := env.newCtx(p, env.home())
-	ctx.CPU(float64(int64(len(in))*n.Weight) * ctx.Cost.PredIPR * float64(maxInt(n.NPred, 1)))
+	ctx.CPU(float64(int64(len(in))*n.Weight) * ctx.Cost.PredIPR * float64(max(n.NPred, 1)))
 	ctx.Flush()
 	var out []Row
 	for _, r := range in {

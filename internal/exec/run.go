@@ -56,10 +56,3 @@ func flatten(parts [][]Row) []Row {
 	}
 	return out
 }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

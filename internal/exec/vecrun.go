@@ -270,7 +270,7 @@ func vecFilter(p *sim.Proc, env *Env, n *Node, in []*Batch) []*Batch {
 	out := make([]*Batch, 0, len(in))
 	var scratch Row
 	for _, b := range in {
-		ctx.CPU(float64(int64(b.Rows())*n.Weight) * ctx.Cost.PredIPR * float64(maxInt(n.NPred, 1)))
+		ctx.CPU(float64(int64(b.Rows())*n.Weight) * ctx.Cost.PredIPR * float64(max(n.NPred, 1)))
 		if n.Pred == nil {
 			out = append(out, b)
 			continue

@@ -355,7 +355,7 @@ func runQStats(e *Env) error {
 }
 
 func runServing(e *Env) error {
-	res := Serving(e.asdbSF(), e.Opt, Knobs{}, nil)
+	res := Serving(e.asdbSF(), e.Opt, nil)
 	e.write(res.String())
 	EmitServing(e.Emit, res)
 	return nil

@@ -10,8 +10,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/workload/htap"
-	"repro/internal/workload/tpce"
 )
 
 // ReplModes is the default commit-mode axis of the replication sweep.
@@ -255,80 +253,4 @@ func (r FailoverResult) Err() error {
 		}
 	}
 	return nil
-}
-
-// HTAPRoutedResult measures the hybrid workload with its analytical half
-// routed to read replicas under a staleness bound.
-type HTAPRoutedResult struct {
-	OLTPTps     float64
-	DSSQps      float64
-	ReplicaFrac float64 // fraction of analytical queries served by standbys
-	MaxLagKB    float64
-	Err         string
-}
-
-// ReplicatedHTAP runs the paper's hybrid workload on a replicated
-// topology: the 99-user transactional component on the primary, the
-// analytical user routed per query to the most caught-up standby when
-// its apply lag fits the staleness bound (falling back to the primary
-// when replicas trail too far). Standby images carry the updatable
-// columnstore, so routed analytical scans exercise the replica's own
-// buffer pool and device, and the cell verifies digest equality at
-// quiesce — the columnstore delta replay path included.
-func ReplicatedHTAP(customers int, opt Options, k Knobs, rcfg repl.Config) HTAPRoutedResult {
-	hcfg := htapConfig(customers, opt)
-	d := htap.Build(hcfg)
-	srv := warmServer(d.DB, opt, k)
-	srv.ArmRecovery(engine.RecoveryOptions{})
-	byDB := make(map[*engine.Database]*tpce.Dataset)
-	rcfg.NewImage = func() *engine.Database {
-		dd := htap.Build(hcfg)
-		byDB[dd.DB] = dd
-		return dd.DB
-	}
-	cl := repl.New(srv, rcfg)
-	srv.Start()
-	cl.Start()
-
-	end := sim.Time(opt.Warmup + opt.Measure)
-	tpce.RunUsers(srv, d, workload(WHtap).drivers(opt), end, new(tpce.Stats))
-	var passes, passesWarm int64
-	srv.Sim.Spawn("htap-analyst", func(p *sim.Proc) {
-		g := srv.Sim.RNG().Fork()
-		for qn := 0; !srv.Stopped() && p.Now() < end; qn++ {
-			tsrv, td := srv, d
-			if node := cl.RouteRead(); node >= 0 {
-				s := cl.Standbys[node]
-				tsrv, td = s.Srv, byDB[s.DB]
-			}
-			// The read may route to a standby: open the session on
-			// whichever server serves it (opening is free — no RNG draw).
-			sess := tsrv.Open(p)
-			res := sess.Query(td.AnalyticalQuery(qn, g), engine.QueryOptions{})
-			sess.Close()
-			if res.Err == nil {
-				passes++
-			}
-		}
-	})
-	srv.Sim.Run(sim.Time(opt.Warmup))
-	before := *srv.Ctr
-	passesWarm = passes
-	routedWarm := cl.RoutedReplica + cl.RoutedPrimary
-	replicaWarm := cl.RoutedReplica
-	srv.Sim.Run(end)
-	delta := srv.Ctr.Sub(before)
-	errStr := settle(srv, cl)
-
-	secs := opt.Measure.Seconds()
-	out := HTAPRoutedResult{
-		OLTPTps:  float64(delta.TxnCommits) / secs,
-		DSSQps:   float64(passes-passesWarm) / secs,
-		MaxLagKB: float64(cl.MaxLagBytes()) / 1024,
-		Err:      errStr,
-	}
-	if routed := (cl.RoutedReplica + cl.RoutedPrimary) - routedWarm; routed > 0 {
-		out.ReplicaFrac = float64(cl.RoutedReplica-replicaWarm) / float64(routed)
-	}
-	return out
 }

@@ -80,20 +80,3 @@ func TestFailoverSweepInvariants(t *testing.T) {
 		}
 	}
 }
-
-// TestReplicatedHTAPRoutesReads runs the hybrid workload with analytical
-// routing to standbys and verifies digests plus a nonzero routed share.
-func TestReplicatedHTAPRoutesReads(t *testing.T) {
-	opt := TestOptions()
-	opt.Users = 8
-	r := ReplicatedHTAP(40, opt, Knobs{}, repl.Config{Mode: repl.ModeAsync, Replicas: 1})
-	if r.Err != "" {
-		t.Fatal(r.Err)
-	}
-	if r.OLTPTps <= 0 || r.DSSQps <= 0 {
-		t.Fatalf("dead workload: oltp %.1f tps, dss %.2f qps", r.OLTPTps, r.DSSQps)
-	}
-	if r.ReplicaFrac <= 0 {
-		t.Fatal("no analytical queries were routed to the standby")
-	}
-}

@@ -119,9 +119,10 @@ func ServeOnce(sf int, opt Options, k Knobs, rate float64, storm bool) ServingPo
 }
 
 // Serving sweeps offered load through saturation on the serving front
-// end and runs the storm cell. Nil rates takes ServingRates. Cells boot
-// isolated simulations: results are bit-identical at any opt.Parallel.
-func Serving(sf int, opt Options, k Knobs, rates []float64) ServingResult {
+// end at the default knobs and runs the storm cell. Nil rates takes
+// ServingRates. Cells boot isolated simulations: results are
+// bit-identical at any opt.Parallel.
+func Serving(sf int, opt Options, rates []float64) ServingResult {
 	if rates == nil {
 		rates = ServingRates
 	}
@@ -129,7 +130,7 @@ func Serving(sf int, opt Options, k Knobs, rates []float64) ServingResult {
 	// it parallelizes with the grid.
 	slots := append(slices.Clone(rates), rates[len(rates)/2])
 	points := Sweep(opt.Parallel, len(slots), func(i int) ServingPoint {
-		return ServeOnce(sf, opt, k, slots[i], i == len(rates))
+		return ServeOnce(sf, opt, Knobs{}, slots[i], i == len(rates))
 	}, opt.Progress)
 	return ServingResult{SF: sf, Points: points[:len(rates)], Storm: points[len(rates)]}
 }

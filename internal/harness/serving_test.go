@@ -18,7 +18,7 @@ func servingOpts() Options {
 // and past saturation admission control sheds instead of letting the
 // served tail collapse.
 func TestServingSweepShedsPastSaturation(t *testing.T) {
-	r := Serving(2000, servingOpts(), Knobs{}, nil)
+	r := Serving(2000, servingOpts(), nil)
 	if len(r.Points) != len(ServingRates) {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -67,7 +67,7 @@ func TestServingSerialParallelIdentical(t *testing.T) {
 		opt.Telemetry = true
 		var b bytes.Buffer
 		e := NewEmitter(&b)
-		EmitServing(e, Serving(2000, opt, Knobs{}, []float64{4, 16, 64}))
+		EmitServing(e, Serving(2000, opt, []float64{4, 16, 64}))
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestServingSerialParallelIdentical(t *testing.T) {
 // middle tier is reachable: under the storm cell's burst, some analytical
 // requests run in degraded posture.
 func TestServingDegradedEngagesUnderStorm(t *testing.T) {
-	r := Serving(2000, servingOpts(), Knobs{}, []float64{16, 64})
+	r := Serving(2000, servingOpts(), []float64{16, 64})
 	total := r.Storm.Degraded
 	for _, p := range r.Points {
 		total += p.Degraded

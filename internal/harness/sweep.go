@@ -46,13 +46,6 @@ func Sweep[T any](parallel, n int, fn func(i int) T, progress Progress) []T {
 		progress(done, n, time.Since(start))
 		mu.Unlock()
 	}
-	if parallel == 1 {
-		for i := 0; i < n; i++ {
-			out[i] = fn(i)
-			report()
-		}
-		return out
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < parallel; w++ {

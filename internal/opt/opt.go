@@ -239,7 +239,7 @@ func (pl *Planner) planScan(q *LNode, dop int) planned {
 		sel = q.Stats.SelOfRanges(q.PredRanges)
 		if q.Sel > 0 && q.Sel < 1 {
 			// Residual non-range predicates keep their hinted factor.
-			extra := q.Sel / maxF(sel, 1e-9)
+			extra := q.Sel / max(sel, 1e-9)
 			if extra < 1 {
 				sel *= extra
 			}
@@ -335,7 +335,7 @@ func (pl *Planner) planJoin(q *LNode, dop int) planned {
 			Parallel: hashNode.Parallel, Name: "reorder",
 		}
 	}
-	hashMem := maxI64(maxI64(left.memNeed, right.memNeed), buildBytes)
+	hashMem := max(max(left.memNeed, right.memNeed), buildBytes)
 
 	best := planned{node: hashRoot, rows: outRows, weight: outWeight,
 		rowBytes: outBytes, costNs: hashCost, memNeed: hashMem}
@@ -460,7 +460,7 @@ func (pl *Planner) planAgg(q *LNode, dop int) planned {
 	hashCost := child.costNs + child.rows*pl.Cost.AggIPR*cpiNs/float64(dop) +
 		float64(2*hashSpill)*seqReadNsPerByte
 	return planned{node: hashNode, rows: groups, weight: w, rowBytes: rowBytes,
-		costNs: hashCost, memNeed: maxI64(child.memNeed, memNeed)}
+		costNs: hashCost, memNeed: max(child.memNeed, memNeed)}
 }
 
 func (pl *Planner) planSort(q *LNode, dop int) planned {
@@ -482,7 +482,7 @@ func (pl *Planner) planSort(q *LNode, dop int) planned {
 	n := math.Max(child.rows, 2)
 	cost := child.costNs + child.rows*pl.Cost.SortIPR*math.Log2(n)*cpiNs/float64(dop)
 	return planned{node: node, rows: child.rows, weight: child.weight,
-		rowBytes: child.rowBytes, costNs: cost, memNeed: maxI64(child.memNeed, memNeed)}
+		rowBytes: child.rowBytes, costNs: cost, memNeed: max(child.memNeed, memNeed)}
 }
 
 func (pl *Planner) planFilter(q *LNode, dop int) planned {
@@ -494,16 +494,9 @@ func (pl *Planner) planFilter(q *LNode, dop int) planned {
 		EstRows: rows, Weight: child.weight, RowBytes: child.rowBytes,
 		Parallel: dop > 1, Name: q.Name,
 	}
-	cost := child.costNs + child.rows*float64(maxIntOpt(q.NPred, 1))*pl.Cost.PredIPR*cpiNs/float64(dop)
+	cost := child.costNs + child.rows*float64(max(q.NPred, 1))*pl.Cost.PredIPR*cpiNs/float64(dop)
 	return planned{node: node, rows: rows, weight: child.weight,
 		rowBytes: child.rowBytes, costNs: cost, memNeed: child.memNeed}
-}
-
-func maxIntOpt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func (pl *Planner) planProject(q *LNode, dop int) planned {
@@ -516,18 +509,4 @@ func (pl *Planner) planProject(q *LNode, dop int) planned {
 	}
 	return planned{node: node, rows: child.rows, weight: child.weight,
 		rowBytes: rowBytes, costNs: child.costNs, memNeed: child.memNeed}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

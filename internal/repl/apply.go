@@ -30,7 +30,6 @@ type applyState struct {
 	db      *engine.Database
 	tables  map[int]*storage.Table
 	indexes map[int][]*access.BTIndex // by table ID
-	csis    map[int]*access.CSI       // by table ID
 	files   map[int]*storage.File     // by file ID, for page-charge remap
 
 	// pending holds update ops whose transaction has not yet committed.
@@ -60,7 +59,6 @@ func newApplyState(db *engine.Database) *applyState {
 		db:      db,
 		tables:  make(map[int]*storage.Table),
 		indexes: make(map[int][]*access.BTIndex),
-		csis:    make(map[int]*access.CSI),
 		files:   make(map[int]*storage.File),
 		pending: make(map[int64][]wal.Op),
 		cellSeq: make(map[cellKey]int64),
@@ -68,10 +66,6 @@ func newApplyState(db *engine.Database) *applyState {
 	for _, t := range db.Tables {
 		a.tables[t.ID] = t
 		a.files[t.Data.ID] = t.Data
-		if csi := db.CSIOf(t); csi != nil {
-			a.csis[t.ID] = csi
-			a.files[csi.Ix.File.ID] = csi.Ix.File
-		}
 	}
 	for _, ix := range db.BTrees {
 		a.indexes[ix.Table.ID] = append(a.indexes[ix.Table.ID], ix)
@@ -132,9 +126,9 @@ func (a *applyState) applyOp(op wal.Op) {
 
 // applyGhost reproduces a rolled-back insert: the nominal append stands
 // with its live count immediately retracted, and — when the primary got
-// as far as index maintenance before aborting — the index and
-// columnstore entries stand too (rollback does not remove them; they
-// await ghost cleanup exactly as on the primary).
+// as far as index maintenance before aborting — the index entries stand
+// too (rollback does not remove them; they await ghost cleanup exactly as
+// on the primary).
 func (a *applyState) applyGhost(op wal.Op) {
 	t := a.tables[op.T.ID]
 	if t == nil || op.Kind != wal.OpInsert {
@@ -146,16 +140,10 @@ func (a *applyState) applyGhost(op wal.Op) {
 }
 
 func (a *applyState) maintainIndexes(t *storage.Table, op wal.Op) {
-	if !op.Indexed {
+	if !op.Indexed || !op.Materialized {
 		return
 	}
-	if op.Materialized {
-		for _, ix := range a.indexes[t.ID] {
-			ix.InsertActual(op.Row)
-		}
-	}
-	if csi := a.csis[t.ID]; csi != nil {
-		csi.Ix.AppendDelta(op.Img)
-		csi.Ix.CompressDelta()
+	for _, ix := range a.indexes[t.ID] {
+		ix.InsertActual(op.Row)
 	}
 }

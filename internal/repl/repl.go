@@ -191,15 +191,13 @@ type Cluster struct {
 	// ackHist, when the primary's telemetry registry is armed, observes
 	// each acknowledged sync/quorum commit's end-to-end wait.
 	ackHist *telemetry.Hist
-
-	// Read-routing tallies (RouteRead).
-	RoutedReplica int64
-	RoutedPrimary int64
 }
 
 // New builds a cluster around an armed primary. The standbys' dataset
 // images come from cfg.NewImage; each standby inherits the primary's
-// server config (minus replication fields) on the shared sim clock.
+// server config (minus replication fields) on the shared sim clock. The
+// primary's database must carry no columnstore index: the apply path
+// redoes table rows and B-tree entries only.
 func New(primary *engine.Server, cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	if !primary.Log.Recording {
@@ -207,6 +205,9 @@ func New(primary *engine.Server, cfg Config) *Cluster {
 	}
 	if cfg.NewImage == nil {
 		panic("repl: Config.NewImage is required")
+	}
+	if len(primary.DB.CSIs) > 0 {
+		panic("repl: the apply path does not replay columnstore indexes")
 	}
 	c := &Cluster{Primary: primary, Cfg: cfg, sm: primary.Sim, promoted: -1}
 	scfg := primary.Cfg
@@ -312,10 +313,8 @@ func (c *Cluster) CheckDigests() error {
 // standby index.
 func (c *Cluster) RouteRead() int {
 	if best := c.mostCaughtUp(); best >= 0 && c.lag(c.Standbys[best]) <= stalenessBytes {
-		c.RoutedReplica++
 		return best
 	}
-	c.RoutedPrimary++
 	return -1
 }
 

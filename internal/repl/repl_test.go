@@ -6,10 +6,13 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/repl"
 	"repro/internal/sim"
+	"repro/internal/wal"
 	"repro/internal/workload/asdb"
+	"repro/internal/workload/htap"
 )
 
 type topo struct {
@@ -295,11 +298,70 @@ func TestRouteRead(t *testing.T) {
 	if node := tp.cl.RouteRead(); node >= 0 {
 		t.Fatal("lagging standby accepted a zero-staleness read")
 	}
-	if tp.cl.RoutedReplica == 0 || tp.cl.RoutedPrimary == 0 {
-		t.Fatalf("routing tallies not maintained: replica %d primary %d",
-			tp.cl.RoutedReplica, tp.cl.RoutedPrimary)
-	}
 	tp.cl.SetLinkDown(false)
 	tp.quiesce(t)
 	tp.shutdown()
+}
+
+// TestAbortResidueReplays makes an insert a lock victim after its nominal
+// append: one transaction holds the X lock on the growing table's next
+// row ID past the lock timeout, so the insert that claims that ID aborts
+// inside its lock wait and its ghost rides the abort record's residue.
+// The standby must reproduce the ghost; without it the standby's nominal
+// high-water mark trails the primary's and the digests differ.
+func TestAbortResidueReplays(t *testing.T) {
+	tp := build(17,
+		repl.Config{Mode: repl.ModeAsync, Replicas: 1},
+		engine.RecoveryOptions{MaxFlushBytes: 4 << 10})
+	hold := 2 * lock.DefaultLockTimeout
+	tp.srv.Sim.Spawn("holder", func(p *sim.Proc) {
+		tx := tp.srv.Txns.Begin()
+		if !tx.Lock(p, lock.Key{Obj: tp.d.Growing.ID, Row: tp.d.Growing.NominalRows()}, lock.X) {
+			t.Error("holder could not take the row lock")
+		}
+		p.Sleep(hold)
+		tx.Abort()
+	})
+	inserted := true
+	tp.srv.Sim.Spawn("inserter", func(p *sim.Proc) {
+		p.Sleep(sim.Millisecond)
+		sess := tp.srv.Open(p).BindCtx()
+		inserted = tp.d.InsertRow(sess)
+		sess.Close()
+	})
+	tp.srv.Sim.Run(sim.Time(2 * hold))
+	if inserted {
+		t.Fatal("the insert committed past a held row lock")
+	}
+	residue := 0
+	for _, r := range tp.srv.Log.Records() {
+		if r.Type == wal.RecAbort {
+			residue += len(r.Residue)
+		}
+	}
+	if residue == 0 {
+		t.Fatal("the victim insert left no abort residue")
+	}
+	tp.runWorkload(8, sim.Time(sim.Second))
+	tp.quiesce(t)
+	if err := tp.cl.CheckDigests(); err != nil {
+		t.Fatal(err)
+	}
+	tp.shutdown()
+}
+
+// TestNewRejectsColumnstore checks that replication refuses a database
+// with a columnstore index, which its apply path does not replay.
+func TestNewRejectsColumnstore(t *testing.T) {
+	hcfg := htap.Config{Customers: 10, ActualTradesPerCustomer: 2, Seed: 1}
+	d := htap.Build(hcfg)
+	srv := engine.NewServer(engine.DefaultConfig())
+	srv.AttachDB(d.DB)
+	srv.ArmRecovery(engine.RecoveryOptions{})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("repl.New accepted a database with a columnstore index")
+		}
+	}()
+	repl.New(srv, repl.Config{NewImage: func() *engine.Database { return htap.Build(hcfg).DB }})
 }
