@@ -14,9 +14,11 @@
 // ordered, composable list of named-axis events that reproduces a
 // specific scenario ("partition the segment during a connection storm,
 // then reset every connection") from one config — or, for the six
-// Poisson axes (the resilience sweep's background noise), events drawn
-// lazily from the axis's private stream. The replication, network and
-// crash axes are reachable through a Schedule only.
+// Poisson axes (the resilience sweep's background noise, one fixed table
+// scaled by Intensity), events drawn lazily from the axis's private
+// stream. The replication and network axes are reachable through a
+// Schedule only. A primary crash is not an axis: it is the engine's
+// CrashPlan.
 //
 // The injector draws from its own RNG seeded independently of the
 // simulation's, so enabling faults never perturbs the workload's random
@@ -36,34 +38,17 @@ import (
 	"repro/internal/wal"
 )
 
-// Axis configures one class of fault event. Events arrive as a Poisson
-// process at Rate events per simulated second (scaled by the config's
-// Intensity) and last an exponentially distributed duration with mean
-// DurNs. Magnitude is the axis-specific severity while an event is
-// active. A zero Rate disables the axis.
-type Axis struct {
-	Rate      float64 // mean events per simulated second (before Intensity)
-	DurNs     float64 // mean event duration in nanoseconds
-	Magnitude float64 // axis-specific severity (see Config field docs)
-}
-
-// Config selects which fault axes run and how hard.
+// Config selects how hard the Poisson axes run and which events a
+// schedule scripts.
 type Config struct {
 	// Seed seeds the injector's private RNG. Runs with equal seeds and
 	// configs produce identical fault timelines.
 	Seed int64
 
-	// Intensity is a master multiplier on every axis's Rate: the x-axis
-	// of a resilience sweep. Zero (or negative) disables all Poisson
-	// injection (a non-empty Schedule still runs).
+	// Intensity is a master multiplier on every Poisson axis's rate: the
+	// x-axis of a resilience sweep. Zero (or negative) disables all
+	// Poisson injection (a non-empty Schedule still runs).
 	Intensity float64
-
-	IOStall      Axis // Magnitude: extra ns added to every device request
-	IOError      Axis // Magnitude: per-request transient failure probability
-	WALSlow      Axis // Magnitude: extra ns charged to every log flush
-	BufferSpike  Axis // Magnitude: fraction of buffer capacity stolen (0..1)
-	GrantStarve  Axis // Magnitude: fraction of workspace reserved away (0..1)
-	CpusetShrink Axis // Magnitude: fraction of allowed cores removed (0..1)
 
 	// Schedule is a scripted fault timeline layered over (or instead of)
 	// the Poisson axes: ordered events on named axes, validated up front
@@ -72,57 +57,35 @@ type Config struct {
 	Schedule Schedule
 }
 
-// DefaultConfig returns the standard fault mix used by the resilience
-// sweep at Intensity 1: a few transient events per second, each lasting
-// hundreds of milliseconds — the cadence of noisy-neighbour interference
-// rather than hard failures.
-func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed:         seed,
-		Intensity:    1,
-		IOStall:      Axis{Rate: 0.5, DurNs: 200e6, Magnitude: 2e6},
-		IOError:      Axis{Rate: 0.3, DurNs: 100e6, Magnitude: 0.3},
-		WALSlow:      Axis{Rate: 0.3, DurNs: 300e6, Magnitude: 500e3},
-		BufferSpike:  Axis{Rate: 0.2, DurNs: 500e6, Magnitude: 0.5},
-		GrantStarve:  Axis{Rate: 0.2, DurNs: 500e6, Magnitude: 0.6},
-		CpusetShrink: Axis{Rate: 0.1, DurNs: 1e9, Magnitude: 0.5},
-	}
+// poissonAxis is one class of background fault event. Events arrive as
+// a Poisson process at rate events per simulated second (scaled by the
+// config's Intensity) and last an exponentially distributed duration
+// with mean durNs. magnitude is the axis-specific severity while an
+// event is active.
+type poissonAxis struct {
+	name      string
+	rate      float64
+	durNs     float64
+	magnitude float64
 }
 
-// axes returns every Poisson axis with its canonical name, in the fixed
-// injector order: the order the axis procs spawn in and the index of
-// each axis's private RNG stream.
-func (c *Config) axes() [6]struct {
-	name string
-	ax   Axis
-} {
-	return [6]struct {
-		name string
-		ax   Axis
-	}{
-		{"io-stall", c.IOStall},
-		{"io-error", c.IOError},
-		{"wal-slow", c.WALSlow},
-		{"buffer-spike", c.BufferSpike},
-		{"grant-starve", c.GrantStarve},
-		{"cpuset-shrink", c.CpusetShrink},
-	}
+// poissonAxes is the resilience sweep's fault mix at Intensity 1, in the
+// fixed injector order (the order the axis procs spawn in and the index
+// of each axis's private RNG stream): a few transient events per second,
+// each lasting hundreds of milliseconds — the cadence of noisy-neighbour
+// interference rather than hard failures.
+var poissonAxes = [6]poissonAxis{
+	{"io-stall", 0.5, 200e6, 2e6},     // extra ns added to every device request
+	{"io-error", 0.3, 100e6, 0.3},     // per-request transient failure probability
+	{"wal-slow", 0.3, 300e6, 500e3},   // extra ns charged to every log flush
+	{"buffer-spike", 0.2, 500e6, 0.5}, // fraction of buffer capacity stolen
+	{"grant-starve", 0.2, 500e6, 0.6}, // fraction of workspace reserved away
+	{"cpuset-shrink", 0.1, 1e9, 0.5},  // fraction of allowed cores removed
 }
 
 // Enabled reports whether this config injects anything at all.
 func (c Config) Enabled() bool {
-	if len(c.Schedule) > 0 {
-		return true
-	}
-	if c.Intensity <= 0 {
-		return false
-	}
-	for _, a := range c.axes() {
-		if a.ax.Rate > 0 {
-			return true
-		}
-	}
-	return false
+	return len(c.Schedule) > 0 || c.Intensity > 0
 }
 
 // GrantTarget is the slice of the engine server the grant-starvation axis
@@ -162,7 +125,6 @@ type Targets struct {
 	Grants GrantTarget
 	Repl   ReplTarget
 	Net    *net.Network
-	Crash  func() // scripted "crash" events (schedule only)
 	Ctr    *metrics.Counters
 }
 
@@ -174,9 +136,10 @@ type axisAction struct {
 
 // Injector drives the fault timeline for one simulation run.
 type Injector struct {
-	sm  *sim.Sim
-	cfg Config
-	t   Targets
+	sm   *sim.Sim
+	cfg  Config
+	t    Targets
+	axes [6]poissonAxis // this injector's copy of poissonAxes
 
 	// One forked stream per axis, plus one for the device fault state's
 	// per-request draws. Forked unconditionally in a fixed order so that
@@ -189,7 +152,7 @@ type Injector struct {
 
 // New creates an injector. Nothing runs until Start.
 func New(sm *sim.Sim, cfg Config, t Targets) *Injector {
-	in := &Injector{sm: sm, cfg: cfg, t: t}
+	in := &Injector{sm: sm, cfg: cfg, t: t, axes: poissonAxes}
 	root := sim.NewRNG(cfg.Seed)
 	for i := range in.axisRNG {
 		in.axisRNG[i] = root.Fork()
@@ -307,9 +270,6 @@ func (in *Injector) buildActions() map[string]axisAction {
 			clear: func() {},
 		}
 	}
-	if in.t.Crash != nil {
-		acts["crash"] = axisAction{apply: func(float64) { in.t.Crash() }, clear: func() {}}
-	}
 	return acts
 }
 
@@ -338,18 +298,18 @@ func (in *Injector) Start() {
 // sim's determinism). An axis with no entry in acts — its target is
 // absent — has nothing to act on and is skipped.
 func (in *Injector) spawnWalkers(acts map[string]axisAction) {
-	for i, a := range in.cfg.axes() {
-		act, ok := acts[a.name]
-		rate := a.ax.Rate * in.cfg.Intensity
+	for i, ax := range in.axes {
+		act, ok := acts[ax.name]
+		rate := ax.rate * in.cfg.Intensity
 		if !ok || rate <= 0 {
 			continue
 		}
 		// Exponential gaps between events, exponential event durations,
 		// both from the axis's private stream, gap first.
-		ax, rng, meanGapNs := a.ax, in.axisRNG[i], 1e9/rate
-		in.walk("fault-"+a.name, act, func(now sim.Time) (Event, bool) {
+		rng, meanGapNs := in.axisRNG[i], 1e9/rate
+		in.walk("fault-"+ax.name, act, func(now sim.Time) (Event, bool) {
 			at := sim.Duration(now) + sim.Duration(rng.Exp(meanGapNs))
-			return Event{At: at, Dur: sim.Duration(rng.Exp(ax.DurNs)), Magnitude: ax.Magnitude}, true
+			return Event{At: at, Dur: sim.Duration(rng.Exp(ax.durNs)), Magnitude: ax.magnitude}, true
 		})
 	}
 	byAxis := map[string]Schedule{}

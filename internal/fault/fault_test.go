@@ -17,8 +17,7 @@ func TestDisabledConfigInjectsNothing(t *testing.T) {
 	sm := sim.New(1)
 	ctr := &metrics.Counters{}
 	tg, dev := devTargets(sm, ctr)
-	cfg := DefaultConfig(7)
-	cfg.Intensity = 0
+	cfg := Config{Seed: 7}
 	if cfg.Enabled() {
 		t.Fatal("intensity 0 should disable the config")
 	}
@@ -37,8 +36,7 @@ func TestInjectorTimelineDeterministic(t *testing.T) {
 		sm := sim.New(1)
 		ctr := &metrics.Counters{}
 		tg, dev := devTargets(sm, ctr)
-		cfg := DefaultConfig(7)
-		cfg.Intensity = 8
+		cfg := Config{Seed: 7, Intensity: 8}
 		in := New(sm, cfg, tg)
 		in.Start()
 		var total sim.Duration
@@ -66,8 +64,7 @@ func TestInjectorStopsCleanly(t *testing.T) {
 	sm := sim.New(1)
 	ctr := &metrics.Counters{}
 	tg, dev := devTargets(sm, ctr)
-	cfg := DefaultConfig(3)
-	cfg.Intensity = 16
+	cfg := Config{Seed: 3, Intensity: 16}
 	in := New(sm, cfg, tg)
 	in.Start()
 	sm.Run(sim.Time(10 * sim.Second))

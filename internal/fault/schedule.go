@@ -9,7 +9,7 @@ import (
 
 // Event is one scripted fault: at simulated time At (relative to run
 // start) the named axis applies with Magnitude; after Dur it clears.
-// Dur 0 fires one-shot axes (conn-reset, archive-loss, crash) or
+// Dur 0 fires one-shot axes (conn-reset, archive-loss) or
 // applies-and-clears a stateful axis instantaneously.
 type Event struct {
 	At        sim.Duration
@@ -25,12 +25,12 @@ type Event struct {
 type Schedule []Event
 
 // AxisNames lists every axis name a schedule entry may reference, in
-// canonical order. "crash" is schedule-only (it fires Targets.Crash).
+// canonical order.
 func AxisNames() []string {
 	return []string{
 		"io-stall", "io-error", "wal-slow", "buffer-spike", "grant-starve",
 		"cpuset-shrink", "repl-link-stall", "replica-slow", "archive-loss",
-		"net-partition", "net-loss", "net-degrade", "conn-reset", "crash",
+		"net-partition", "net-loss", "net-degrade", "conn-reset",
 	}
 }
 
@@ -43,21 +43,10 @@ func knownAxis(name string) bool {
 	return false
 }
 
-// Validate checks the config before any side effect: negative rates,
-// durations, or magnitudes on any Poisson axis; unknown axis names,
-// negative times, or overlapping same-axis events in the schedule.
+// Validate checks the schedule before any side effect: unknown axis
+// names, negative times, durations or magnitudes, or overlapping
+// same-axis events.
 func (c Config) Validate() error {
-	for _, a := range c.axes() {
-		if a.ax.Rate < 0 {
-			return fmt.Errorf("fault: axis %s: negative rate %g", a.name, a.ax.Rate)
-		}
-		if a.ax.DurNs < 0 {
-			return fmt.Errorf("fault: axis %s: negative duration %g", a.name, a.ax.DurNs)
-		}
-		if a.ax.Magnitude < 0 {
-			return fmt.Errorf("fault: axis %s: negative magnitude %g", a.name, a.ax.Magnitude)
-		}
-	}
 	byAxis := map[string][]Event{}
 	for i, ev := range c.Schedule {
 		if !knownAxis(ev.Axis) {

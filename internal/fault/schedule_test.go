@@ -53,9 +53,6 @@ func TestValidateRejectsMalformedConfigs(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"negative-rate", Config{IOStall: Axis{Rate: -1}}, "negative rate"},
-		{"negative-axis-dur", Config{WALSlow: Axis{DurNs: -5}}, "negative duration"},
-		{"negative-axis-mag", Config{BufferSpike: Axis{Magnitude: -0.1}}, "negative magnitude"},
 		{"unknown-axis", Config{Schedule: Schedule{{Axis: "gremlins"}}}, "unknown axis"},
 		{"negative-at", Config{Schedule: Schedule{{Axis: "net-loss", At: -sim.Second}}}, "negative start"},
 		{"negative-dur", Config{Schedule: Schedule{{Axis: "net-loss", Dur: -sim.Second}}}, "negative duration"},

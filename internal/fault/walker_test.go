@@ -15,31 +15,19 @@ import (
 // (refStartSchedule), bodies verbatim — kept as the oracle for
 // TestWalkerMatchesReference.
 func (in *Injector) refSpawn(acts map[string]axisAction) {
-	spawn := []struct {
-		name string
-		ax   Axis
-		rng  *sim.RNG
-	}{
-		{"io-stall", in.cfg.IOStall, in.axisRNG[0]},
-		{"io-error", in.cfg.IOError, in.axisRNG[1]},
-		{"wal-slow", in.cfg.WALSlow, in.axisRNG[2]},
-		{"buffer-spike", in.cfg.BufferSpike, in.axisRNG[3]},
-		{"grant-starve", in.cfg.GrantStarve, in.axisRNG[4]},
-		{"cpuset-shrink", in.cfg.CpusetShrink, in.axisRNG[5]},
-	}
-	for _, a := range spawn {
-		act, ok := acts[a.name]
+	for i, ax := range in.axes {
+		act, ok := acts[ax.name]
 		if !ok {
 			continue
 		}
-		mag := a.ax.Magnitude
-		in.refAxis(a.name, a.ax, a.rng, func() { act.apply(mag) }, act.clear)
+		mag := ax.magnitude
+		in.refAxis(ax.name, ax, in.axisRNG[i], func() { act.apply(mag) }, act.clear)
 	}
 	in.refStartSchedule(acts)
 }
 
-func (in *Injector) refAxis(name string, ax Axis, rng *sim.RNG, apply, clear func()) {
-	rate := ax.Rate * in.cfg.Intensity
+func (in *Injector) refAxis(name string, ax poissonAxis, rng *sim.RNG, apply, clear func()) {
+	rate := ax.rate * in.cfg.Intensity
 	if rate <= 0 {
 		return
 	}
@@ -51,7 +39,7 @@ func (in *Injector) refAxis(name string, ax Axis, rng *sim.RNG, apply, clear fun
 			}
 			in.t.Ctr.FaultsInjected++
 			apply()
-			ok := in.sleep(p, sim.Duration(rng.Exp(ax.DurNs)))
+			ok := in.sleep(p, sim.Duration(rng.Exp(ax.durNs)))
 			clear()
 			if !ok {
 				return
@@ -119,11 +107,13 @@ type faultStep struct {
 
 // traceRun runs cfg on a fresh simulation with a recording action on
 // every axis, stops the injector at stopAt and drains, and returns what
-// the walkers did, in the order they did it.
+// the walkers did, in the order they did it. Grant-starve and
+// cpuset-shrink events are long, so the early stops land inside some.
 func traceRun(spawn func(*Injector, map[string]axisAction), cfg Config, stopAt sim.Time) ([]faultStep, int64) {
 	sm := sim.New(1)
 	ctr := &metrics.Counters{}
 	in := New(sm, cfg, Targets{Ctr: ctr})
+	in.axes[4].durNs, in.axes[5].durNs = 4e9, 12e9
 	var steps []faultStep
 	acts := map[string]axisAction{}
 	for _, name := range AxisNames() {
@@ -144,7 +134,7 @@ func traceRun(spawn func(*Injector, map[string]axisAction), cfg Config, stopAt s
 // a nanosecond after the previous one ends.
 func randomSchedule(g *sim.RNG) Schedule {
 	var s Schedule
-	for _, axis := range []string{"io-stall", "net-partition", "conn-reset", "repl-link-stall", "crash"} {
+	for _, axis := range []string{"io-stall", "net-partition", "conn-reset", "repl-link-stall", "archive-loss"} {
 		var at sim.Duration
 		if g.Bool(0.7) {
 			at = sim.Duration(g.Int64n(int64(2 * sim.Second)))
@@ -179,10 +169,7 @@ func TestWalkerMatchesReference(t *testing.T) {
 		for _, intensity := range []float64{0, 0.5, 4, 32} {
 			for _, scripted := range []bool{false, true} {
 				for _, stopAt := range []sim.Time{sim.Time(2500 * sim.Millisecond), sim.Time(9 * sim.Second), sim.Time(40 * sim.Second)} {
-					cfg := DefaultConfig(seed)
-					cfg.Intensity = intensity
-					// Long events, so the early stops land inside some.
-					cfg.GrantStarve.DurNs, cfg.CpusetShrink.DurNs = 4e9, 12e9
+					cfg := Config{Seed: seed, Intensity: intensity}
 					if scripted {
 						cfg.Schedule = randomSchedule(sim.NewRNG(seed))
 						if err := cfg.Validate(); err != nil {

@@ -212,7 +212,7 @@ func runChaosCell(sf int, opt Options, spec ChaosSpec, rate float64) ChaosPoint 
 	srv.BlkIO.SetWriteLimit(50)
 	cf := serve.NewCluster(cl, c.d, func(db *engine.Database) *asdb.Dataset { return c.ds[db] }, serve.Config{})
 
-	if err := injectFaults(srv, &fault.Config{Schedule: sched}, fault.Targets{Repl: cl, Net: cf.Net, Crash: srv.Crash}); err != nil {
+	if err := injectFaults(srv, &fault.Config{Schedule: sched}, fault.Targets{Repl: cl, Net: cf.Net}); err != nil {
 		out.Err = err.Error()
 		return out
 	}

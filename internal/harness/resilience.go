@@ -40,10 +40,8 @@ type ResilienceResult struct {
 // policy, so retention isolates the impact of the faults themselves
 // rather than of the recovery machinery.
 func resilienceKnobs(opt Options, intensity float64) Knobs {
-	fc := fault.DefaultConfig(opt.Seed)
-	fc.Intensity = intensity
 	return Knobs{
-		Faults:      &fc,
+		Faults:      &fault.Config{Seed: opt.Seed, Intensity: intensity},
 		StmtTimeout: 30 * sim.Second,
 		Retry:       true,
 	}

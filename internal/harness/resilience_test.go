@@ -14,8 +14,7 @@ import (
 // one that never mentions faults at all.
 func TestFaultFreeKnobsMatchBaseline(t *testing.T) {
 	opt := TestOptions()
-	fc := fault.DefaultConfig(opt.Seed)
-	fc.Intensity = 0 // disabled: the injector must not even start
+	fc := fault.Config{Seed: opt.Seed} // intensity 0: the injector must not even start
 	a := RunASDB(2, opt, Knobs{})
 	b := RunASDB(2, opt, Knobs{Faults: &fc})
 	if !reflect.DeepEqual(a, b) {
@@ -28,10 +27,8 @@ func TestFaultFreeKnobsMatchBaseline(t *testing.T) {
 func TestFaultedRunDeterminism(t *testing.T) {
 	opt := TestOptions()
 	knobs := func() Knobs {
-		fc := fault.DefaultConfig(opt.Seed)
-		fc.Intensity = 4
 		return Knobs{
-			Faults:      &fc,
+			Faults:      &fault.Config{Seed: opt.Seed, Intensity: 4},
 			StmtTimeout: 30 * sim.Second,
 			Retry:       true,
 		}

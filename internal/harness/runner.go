@@ -152,7 +152,7 @@ func newServer(opt Options, k Knobs) *engine.Server {
 
 // injectFaults validates cfg and, when it injects anything, starts an
 // injector that stops with srv. The targets every cell shares come from
-// srv; extra carries the ones only some cells have (Repl, Net, Crash).
+// srv; extra carries the ones only some cells have (Repl, Net).
 func injectFaults(srv *engine.Server, cfg *fault.Config, extra fault.Targets) error {
 	if cfg == nil {
 		return nil

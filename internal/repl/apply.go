@@ -75,8 +75,8 @@ func newApplyState(db *engine.Database) *applyState {
 }
 
 // Apply interprets one record. Records must arrive in LSN order; the
-// caller is responsible for not replaying a record twice (appliers gate
-// on the standby WAL's appended LSN, PITR replays a clean range).
+// caller is responsible for not replaying a record twice (appliers take
+// each shipped record once, PITR replays a clean range).
 func (a *applyState) Apply(rec *wal.Record) {
 	switch rec.Type {
 	case wal.RecUpdate:
@@ -137,6 +137,18 @@ func (a *applyState) applyGhost(op wal.Op) {
 	t.InsertNominalReplay(op.Img, op.Materialized, op.Row)
 	t.DeleteNominal()
 	a.maintainIndexes(t, op)
+}
+
+// replayDigest is the verifiers' ground truth: the digest of img after a
+// pure replay of every appended record in recs with LSN <= through.
+func replayDigest(img *engine.Database, recs []*wal.Record, through int64) uint64 {
+	a := newApplyState(img)
+	for _, r := range recs {
+		if r.LSN > 0 && r.LSN <= through {
+			a.Apply(r)
+		}
+	}
+	return engine.DigestDB(img)
 }
 
 func (a *applyState) maintainIndexes(t *storage.Table, op wal.Op) {

@@ -69,7 +69,7 @@ func newArchiver(c *Cluster) *Archiver {
 func (a *Archiver) run() {
 	a.c.sm.Spawn("repl-archive", func(p *sim.Proc) {
 		for {
-			batch, _, ok := a.reader.NextBatch(p)
+			batch, ok := a.reader.NextBatch(p)
 			for _, r := range batch {
 				a.archive(r)
 			}
@@ -199,13 +199,7 @@ func (a *Archiver) VerifyPITR(rep *PITRReport) error {
 	if rep.LandedLSN != rep.TargetLSN {
 		return fmt.Errorf("repl: pitr landed at LSN %d, requested %d", rep.LandedLSN, rep.TargetLSN)
 	}
-	shadow := newApplyState(a.c.Cfg.NewImage())
-	for _, r := range a.c.Primary.Log.Records() {
-		if r.LSN > 0 && r.LSN <= rep.TargetLSN {
-			shadow.Apply(r)
-		}
-	}
-	if want := engine.DigestDB(shadow.db); rep.Digest != want {
+	if want := replayDigest(a.c.Cfg.NewImage(), a.c.Primary.Log.Records(), rep.TargetLSN); rep.Digest != want {
 		return fmt.Errorf("repl: pitr digest %016x != replay of primary log through LSN %d (%016x)",
 			rep.Digest, rep.TargetLSN, want)
 	}

@@ -31,7 +31,7 @@ func BenchmarkApplyBatch(b *testing.B) {
 	}
 	c.sm.Spawn("feeder", func(p *sim.Proc) {
 		for pos := 0; pos < b.N; pos += batch {
-			s.inbox = append(s.inbox, shipment{pos: pos, recs: recs})
+			s.inbox = append(s.inbox, recs...)
 			s.inboxQ.WakeAll(c.sm)
 			c.ackQ.Wait(p) // the applier's wake once the batch is applied
 		}

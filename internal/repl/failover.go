@@ -146,13 +146,7 @@ func (c *Cluster) VerifyFailover(rep *FailoverReport) error {
 	if flushed := s.Srv.Log.FlushedLSN(); s.appliedLSN != flushed {
 		return fmt.Errorf("repl: promoted standby applied LSN %d != its durable LSN %d", s.appliedLSN, flushed)
 	}
-	shadow := newApplyState(c.Cfg.NewImage())
-	for _, r := range s.Srv.Log.Records() {
-		if r.LSN > 0 && r.LSN <= s.Srv.Log.FlushedLSN() {
-			shadow.Apply(r)
-		}
-	}
-	want := engine.DigestDB(shadow.db)
+	want := replayDigest(c.Cfg.NewImage(), s.Srv.Log.Records(), s.Srv.Log.FlushedLSN())
 	if got := engine.DigestDB(s.DB); got != want {
 		return fmt.Errorf("repl: promoted image digest %016x != pure replay of its durable log %016x", got, want)
 	}

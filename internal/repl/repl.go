@@ -132,7 +132,7 @@ type Standby struct {
 
 	reader *wal.StreamReader // over the primary's log
 
-	inbox  []shipment // shipped, not yet appended/applied
+	inbox  []*wal.Record // shipped, not yet appended/applied
 	inboxQ sim.WaitQueue
 
 	apply      *applyState
@@ -142,16 +142,6 @@ type Standby struct {
 	applierDone bool
 
 	maxLag int64 // largest apply lag the lag tracker sampled, in WAL bytes
-}
-
-// shipment is one delivered batch tagged with the primary-stream
-// position of its first record. The standby log is a strict positional
-// prefix of the primary's record stream, so positions — not LSNs, which
-// zero-byte records share with their predecessors — are what the
-// applier dedupes re-shipped batches by.
-type shipment struct {
-	pos  int
-	recs []*wal.Record
 }
 
 // AppliedLSN returns the highest LSN applied to the standby's image.
@@ -349,7 +339,7 @@ func (c *Cluster) runShipper(s *Standby) {
 			s.inboxQ.WakeAll(c.sm)
 		}()
 		for {
-			batch, pos, ok := s.reader.NextBatch(p)
+			batch, ok := s.reader.NextBatch(p)
 			if !ok {
 				return
 			}
@@ -367,7 +357,7 @@ func (c *Cluster) runShipper(s *Standby) {
 			p.Sleep(linkLatency)
 			c.Primary.Ctr.ReplShippedBatches++
 			c.Primary.Ctr.ReplShippedBytes += bytes
-			s.inbox = append(s.inbox, shipment{pos: pos, recs: batch})
+			s.inbox = append(s.inbox, batch...)
 			if len(c.pendingTraces) > 0 {
 				c.traceShipped(s.idx, batch[len(batch)-1].LSN, p.Now())
 			}
@@ -381,9 +371,7 @@ func (c *Cluster) runShipper(s *Standby) {
 // for them to be durable on the standby's device, then redo committed
 // transactions against the standby image, charging page I/O through the
 // standby's buffer pool. Only the durable prefix is ever applied, so
-// apply state always matches the standby's crash-surviving log; records
-// already present (LSN <= the standby's appended LSN) are dropped, which
-// makes a re-shipped batch after reconnect idempotent.
+// apply state always matches the standby's log.
 func (c *Cluster) runApplier(s *Standby) {
 	c.sm.Spawn(fmt.Sprintf("repl-apply-%d", s.idx), func(p *sim.Proc) {
 		defer func() {
@@ -392,11 +380,10 @@ func (c *Cluster) runApplier(s *Standby) {
 		}()
 		// Record copies are carved from slabs: the standby log keeps the
 		// pointers for good, so a full slab is left behind, never reused.
-		// copies and lsns are scratch; both are dead before the next batch.
+		// copies is scratch, dead before the next batch.
 		var (
 			slab   []wal.Record
 			copies []*wal.Record
-			lsns   []int64
 		)
 		for {
 			for len(s.inbox) == 0 && !s.shipperDone {
@@ -405,63 +392,29 @@ func (c *Cluster) runApplier(s *Standby) {
 			if len(s.inbox) == 0 {
 				return
 			}
-			batch := s.inbox
-			s.inbox = nil
-			// The standby log must stay an exact positional prefix of the
-			// primary stream: accept exactly the records at the next
-			// expected positions. Earlier positions are duplicates
-			// (re-shipped after a reconnect raced in-flight deliveries);
-			// later ones are a gap — records lost to a standby crash that
-			// the reconnecting shipper will re-ship.
-			next := len(s.Srv.Log.Records())
 			copies = copies[:0]
-			for _, sh := range batch {
-				for i, r := range sh.recs {
-					q := sh.pos + i
-					if q < next {
-						continue
-					}
-					if q > next {
-						break
-					}
-					if len(slab) == cap(slab) {
-						slab = make([]wal.Record, 0, 256)
-					}
-					slab = append(slab, *r) // AppendBatch assigns LSNs in place; never mutate the primary's record
-					copies = append(copies, &slab[len(slab)-1])
-					next++
+			for _, r := range s.inbox {
+				if len(slab) == cap(slab) {
+					slab = make([]wal.Record, 0, 256)
 				}
+				slab = append(slab, *r) // AppendBatch assigns LSNs in place; never mutate the primary's record
+				copies = append(copies, &slab[len(slab)-1])
 			}
-			if len(copies) == 0 {
-				continue
-			}
+			s.inbox = s.inbox[:0]
 			end := s.Srv.Log.AppendBatch(copies)
-			// Capture the assigned LSNs now: a standby crash zeroes the
-			// LSNs of truncated records in place, and the durability check
-			// below must keep seeing the original positions. FlushedLSN is
-			// monotone (a crash freezes it, truncation rewinds only the
-			// append position), so lsns[i] <= flushed is a stable predicate
-			// even if the log crashes while this loop is parked in page I/O.
-			lsns = lsns[:0]
-			for _, r := range copies {
-				lsns = append(lsns, r.LSN)
-			}
-			_, err := s.Srv.Log.WaitDurable(p, end)
+			s.Srv.Log.WaitDurable(p, end)
 			if len(c.pendingTraces) > 0 {
 				c.traceDurable(s.idx, s.Srv.Log.FlushedLSN(), p.Now())
 			}
 			applyStart := p.Now()
 			txns0 := s.apply.appliedTxns
-			for i, r := range copies {
-				if lsns[i] > s.Srv.Log.FlushedLSN() {
-					// Lost to a standby crash before flushing; the
-					// reconnecting shipper re-ships from the standby's
-					// retained prefix.
-					break
+			for _, r := range copies {
+				if r.LSN > s.Srv.Log.FlushedLSN() {
+					break // Shutdown stopped the standby log before it flushed
 				}
 				c.chargeApply(p, s, r)
 				s.apply.Apply(r)
-				s.appliedLSN = lsns[i]
+				s.appliedLSN = r.LSN
 			}
 			s.Srv.Ctr.ReplAppliedTxns += s.apply.appliedTxns - txns0
 			metrics.ChargeWait(p, s.Srv.Ctr, metrics.WaitReplApply, sim.Duration(p.Now()-applyStart))
@@ -473,7 +426,6 @@ func (c *Cluster) runApplier(s *Standby) {
 				c.traceApplyEnd(s.idx, s.appliedLSN, p.Now())
 			}
 			c.ackQ.WakeAll(c.sm)
-			_ = err // a stopped/crashed standby log: keep draining; reconnect or shutdown decides
 		}
 	})
 }
@@ -490,39 +442,6 @@ func (c *Cluster) chargeApply(p *sim.Proc, s *Standby, r *wal.Record) {
 		return
 	}
 	s.Srv.BP.Probe(p, f, r.Page.Page, true, s.Srv.Cost.RowOverheadNs)
-}
-
-// Reconnect re-ships the stream to a standby after its WAL crashed and
-// truncated: the shipper's cursor seeks back to the standby's retained
-// record count (the standby log is a positional prefix of the primary
-// stream), so everything the standby durably holds is skipped and
-// everything it lost is re-shipped. The standby's log must have been
-// Restarted. Safe against in-flight deliveries: the applier accepts
-// records strictly by next expected position.
-func (s *Standby) Reconnect() {
-	s.reader.SeekPos(len(s.Srv.Log.Records()))
-	s.c.linkQ.WakeAll(s.c.sm)
-	s.c.Primary.Log.WakeStream()
-}
-
-// CrashRestart runs the full standby-crash protocol: crash the standby's
-// WAL, truncate it to the durable prefix (losing the partially flushed
-// tail), restart the log writer, and reconnect the shipper. It returns
-// the number of records lost to the truncation.
-//
-// The yield between the crash and the restart is load-bearing: Crash
-// wakes the applier parked in WaitDurable, but the wake is a scheduled
-// event — restarting in the same event slice would clear the stop flag
-// before the applier re-checks it, leaving it waiting on a flush target
-// the truncation rewound away (and which only the applier's own future
-// appends could recreate).
-func (s *Standby) CrashRestart(p *sim.Proc) int {
-	s.Srv.Log.Crash()
-	lost := s.Srv.Log.TruncateAtFlushed()
-	p.Yield() // let waiters parked on the standby log observe the crash
-	s.Srv.Log.Restart()
-	s.Reconnect()
-	return lost
 }
 
 // commitWait is the txn.Manager hook for sync/quorum modes: it holds the

@@ -70,7 +70,8 @@ func (tp *topo) shutdown() {
 
 // TestDigestEqualityAllModes checks the core replication invariant: at
 // quiesce, every standby's in-memory dataset image is FNV-identical to
-// the primary's, under every commit mode.
+// the primary's, and every standby's log is the primary's record stream
+// record for record, under every commit mode.
 func TestDigestEqualityAllModes(t *testing.T) {
 	for _, mode := range []repl.Mode{repl.ModeAsync, repl.ModeQuorum, repl.ModeSync} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -81,6 +82,26 @@ func TestDigestEqualityAllModes(t *testing.T) {
 			tp.quiesce(t)
 			if err := tp.cl.CheckDigests(); err != nil {
 				t.Fatal(err)
+			}
+			prim := tp.srv.Log.Records()
+			for i, s := range tp.cl.Standbys {
+				recs := s.Srv.Log.Records()
+				if len(recs) > len(prim) {
+					t.Fatalf("standby %d log has %d records, primary %d", i, len(recs), len(prim))
+				}
+				for j, r := range recs {
+					if p := prim[j]; r.Type != p.Type || r.LSN != p.LSN || r.Txn != p.Txn {
+						t.Fatalf("standby %d log diverges from the primary at record %d: %v@%d txn %d vs %v@%d txn %d",
+							i, j, r.Type, r.LSN, r.Txn, p.Type, p.LSN, p.Txn)
+					}
+				}
+				// A zero-byte record appended after the flush that covered
+				// its LSN (a checkpoint's end record) ships with the next flush.
+				for _, p := range prim[len(recs):] {
+					if p.Bytes != 0 {
+						t.Fatalf("standby %d log ends at record %d; primary %v@%d never arrived", i, len(recs), p.Type, p.LSN)
+					}
+				}
 			}
 			if tp.srv.Ctr.ReplShippedBatches == 0 {
 				t.Fatal("nothing shipped")
@@ -230,55 +251,6 @@ func TestFailoverAndPITR(t *testing.T) {
 	}
 	tp.cl.Shutdown()
 	tp.srv.Sim.Run(tp.srv.Sim.Now() + sim.Time(2*sim.Second))
-}
-
-// TestStandbyCrashReship crashes a standby's log at a flush boundary
-// that straddles a commit lump (a guaranteed partially durable batch),
-// truncates it, restarts, and reconnects. The re-shipped stream must be
-// applied idempotently: the standby log stays a strict positional
-// prefix of the primary's and the images converge. This is the
-// crash-at-flush-boundary redo-idempotency case on a replica.
-func TestStandbyCrashReship(t *testing.T) {
-	tp := build(11,
-		repl.Config{Mode: repl.ModeAsync, Replicas: 1},
-		engine.RecoveryOptions{MaxFlushBytes: 4 << 10})
-	sb := tp.cl.Standbys[0]
-	crashed := false
-	lost := 0
-	tp.srv.Sim.Spawn("standby-crasher", func(p *sim.Proc) {
-		p.Sleep(500 * sim.Millisecond)
-		for p.Now() < sim.Time(1800*sim.Millisecond) {
-			if sb.Srv.Log.BoundaryStraddlesCommit() {
-				lost = sb.CrashRestart(p)
-				crashed = true
-				return
-			}
-			p.Sleep(sim.Millisecond)
-		}
-	})
-	tp.runWorkload(16, sim.Time(2*sim.Second))
-	if !crashed {
-		t.Fatal("no flush boundary ever straddled a commit on the standby")
-	}
-	if lost == 0 {
-		t.Fatal("standby crash lost no records — not a partial batch")
-	}
-	tp.quiesce(t)
-	if err := tp.cl.CheckDigests(); err != nil {
-		t.Fatalf("standby diverged after crash + re-ship: %v", err)
-	}
-	prim := tp.srv.Log.Records()
-	recs := sb.Srv.Log.Records()
-	if len(recs) == 0 || len(recs) > len(prim) {
-		t.Fatalf("standby log has %d records, primary %d", len(recs), len(prim))
-	}
-	for i, r := range recs {
-		if r.Type != prim[i].Type || r.LSN != prim[i].LSN || r.Txn != prim[i].Txn {
-			t.Fatalf("standby log diverges from primary stream at position %d: %v@%d txn %d vs %v@%d txn %d",
-				i, r.Type, r.LSN, r.Txn, prim[i].Type, prim[i].LSN, prim[i].Txn)
-		}
-	}
-	tp.shutdown()
 }
 
 // TestRouteRead checks staleness-bounded read routing: a caught-up

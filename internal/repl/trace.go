@@ -45,8 +45,7 @@ type commitTrace struct {
 }
 
 // traceRegister opens a trace for a commit entering commitWait. Standbys
-// already past the LSN (possible after a reconnect re-ship) get
-// zero-length phases anchored at start.
+// already past the LSN get zero-length phases anchored at start.
 func (c *Cluster) traceRegister(lsn int64, now sim.Time) *commitTrace {
 	if !c.Cfg.TraceCommits || len(c.pendingTraces)+len(c.commitTraces) >= maxCommitTraces {
 		return nil

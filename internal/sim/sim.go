@@ -431,13 +431,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.park()
 }
 
-// Yield reschedules the proc at the current time, letting same-time events
-// that were scheduled earlier run first.
-func (p *Proc) Yield() {
-	p.sim.schedule(p.sim.now, p)
-	p.park()
-}
-
 // Run executes events until none remains, the clock would pass until, or
 // a proc calls Halt. It returns the time at which it stopped: a finite
 // until, unless halted; otherwise the time of the last event run. Run is

@@ -415,15 +415,15 @@ func spawnTraceScenario(s *Sim) *[]resumeRec {
 			}
 		})
 	}
-	spawn("yielder", func(p *Proc, rec func(string)) {
+	spawn("sleep0", func(p *Proc, rec func(string)) {
 		for i := 0; i < 3; i++ {
-			p.Yield()
-			rec("yielded")
+			p.Sleep(0)
+			rec("slept 0")
 		}
 		p.Sleep(3 * Millisecond) // lands on the instant sleep3 and sleep3b wake
 		rec("slept")
-		p.Yield()
-		rec("yielded late")
+		p.Sleep(0)
+		rec("slept 0 late")
 	})
 	var never, early, all WaitQueue
 	spawn("timeout", func(p *Proc, rec func(string)) {

@@ -234,10 +234,8 @@ func (l *Log) NextSeq() int64 {
 // boundary can land mid-record; the durable image ends at the last
 // complete record and the torn bytes past it are discarded — as real
 // WALs drop a torn tail record at restart — so both the append position
-// and the flushed LSN rewind to that record's end. (Replication re-ship
-// depends on this: records re-appended after the truncation land at
-// byte-identical LSNs to the primary's.) It returns the number of
-// records lost.
+// and the flushed LSN rewind to that record's end. It returns the number
+// of records lost.
 func (l *Log) TruncateAtFlushed() int {
 	if !l.Recording {
 		l.appendedLSN = l.flushedLSN

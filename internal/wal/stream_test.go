@@ -9,7 +9,7 @@ import (
 // TestStreamVisibilityIsDurability checks the stream's visibility rule:
 // a record is delivered iff its end-byte LSN is flushed, zero-byte
 // records enter with their predecessor, and delivery preserves append
-// order and stream positions exactly.
+// order exactly.
 func TestStreamVisibilityIsDurability(t *testing.T) {
 	s, l, _ := setup()
 	l.Recording = true
@@ -18,10 +18,7 @@ func TestStreamVisibilityIsDurability(t *testing.T) {
 	done := false
 	s.Spawn("reader", func(p *sim.Proc) {
 		for {
-			batch, pos, ok := rd.NextBatch(p)
-			if len(batch) > 0 && pos != len(got) {
-				t.Errorf("batch at stream pos %d, expected %d", pos, len(got))
-			}
+			batch, ok := rd.NextBatch(p)
 			for _, r := range batch {
 				if r.LSN > l.FlushedLSN() {
 					t.Errorf("record LSN %d visible with flushed LSN %d", r.LSN, l.FlushedLSN())
@@ -78,7 +75,7 @@ func TestStreamStopMidBatchDeterministic(t *testing.T) {
 		done := false
 		s.Spawn("reader", func(p *sim.Proc) {
 			for {
-				batch, _, ok := rd.NextBatch(p)
+				batch, ok := rd.NextBatch(p)
 				for _, r := range batch {
 					visible = append(visible, r.LSN)
 				}
@@ -136,53 +133,6 @@ func TestStreamStopMidBatchDeterministic(t *testing.T) {
 	for i := range vis {
 		if vis[i] != vis2[i] {
 			t.Fatalf("visible LSN %d differs across identical runs: %d vs %d", i, vis[i], vis2[i])
-		}
-	}
-}
-
-// TestStreamSeekPosReplays checks the reconnect primitive: rewinding a
-// parked reader with SeekPos and waking it via WakeStream re-delivers
-// the durable tail from exactly that position.
-func TestStreamSeekPosReplays(t *testing.T) {
-	s, l, _ := setup()
-	l.Recording = true
-	rd := l.NewStreamReader()
-	var got []*Record
-	s.Spawn("reader", func(p *sim.Proc) {
-		for {
-			batch, _, ok := rd.NextBatch(p)
-			got = append(got, batch...)
-			if !ok {
-				return
-			}
-		}
-	})
-	const txns = 5
-	s.Spawn("appender", func(p *sim.Proc) {
-		for i := 0; i < txns; i++ {
-			end := l.AppendBatch([]*Record{
-				{Type: RecUpdate, Txn: int64(i + 1), Bytes: 400},
-				{Type: RecCommit, Txn: int64(i + 1), Bytes: 96},
-			})
-			l.WaitDurable(p, end)
-		}
-		p.Sleep(sim.Millisecond) // reader drains all 10 records and parks
-		if len(got) != 2*txns {
-			t.Errorf("reader drained %d records before rewind, expected %d", len(got), 2*txns)
-		}
-		rd.SeekPos(3)
-		l.WakeStream() // no new flush is coming: the wake must come from here
-		p.Sleep(sim.Millisecond)
-		l.Stop()
-	})
-	s.Run(sim.Time(10 * sim.Second))
-	want := 2*txns + (2*txns - 3)
-	if len(got) != want {
-		t.Fatalf("reader got %d records after rewind, expected %d", len(got), want)
-	}
-	for i := 0; i < 2*txns-3; i++ {
-		if got[2*txns+i] != l.Records()[3+i] {
-			t.Fatalf("replayed record %d is not log record %d", 2*txns+i, 3+i)
 		}
 	}
 }
