@@ -128,7 +128,6 @@ func (s *Server) Recover() *RecoveryReport {
 	}
 	rep := &RecoveryReport{}
 	rep.LostRecords = s.Log.TruncateAtFlushed()
-	s.Ctr.CrashLostRecords += int64(rep.LostRecords)
 	flushed := s.Log.FlushedLSN()
 	rep.CrashLSN = flushed
 	s.crashed = false
@@ -181,7 +180,6 @@ func (s *Server) Recover() *RecoveryReport {
 			// UndoNext skips what is already undone).
 			if t.UndoneOps() < len(t.Ops()) {
 				rep.LostTxns++
-				s.Ctr.CrashLostTxns++
 			}
 			volatile = append(volatile, t)
 			continue
@@ -234,12 +232,6 @@ func (s *Server) Recover() *RecoveryReport {
 		start := p.Now()
 		finish := func() {
 			rep.Elapsed = sim.Duration(p.Now() - start)
-			s.Ctr.Recoveries++
-			s.Ctr.RecoveryElapsedNs += int64(rep.Elapsed)
-			s.Ctr.RecoveryRedoPages += rep.RedoPages
-			s.Ctr.RecoveryRedoRecords += rep.RedoRecords
-			s.Ctr.RecoveryUndoRecords += rep.UndoRecords
-			s.Ctr.RecoveryCLRs += rep.CLRs
 			metrics.ChargeWait(p, s.Ctr, metrics.WaitRecovery, rep.Elapsed)
 			p.SetAttr(prev)
 			s.QStats.Record("recovery", metrics.Exec{Elapsed: rep.Elapsed, Failed: rep.Interrupted, Stmt: stmt})

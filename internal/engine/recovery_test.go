@@ -90,18 +90,8 @@ func TestCrashRecoveryRoundTrip(t *testing.T) {
 		t.Fatalf("invariants after re-recovery: %v", err)
 	}
 
-	// Recovery work surfaces in the counters, the wait attribution, and
-	// the per-query statistics.
-	if s.Ctr.Recoveries != 2 {
-		t.Fatalf("Recoveries = %d", s.Ctr.Recoveries)
-	}
-	if s.Ctr.RecoveryRedoPages != rep.RedoPages+rep2.RedoPages {
-		t.Fatalf("RecoveryRedoPages = %d, reports say %d + %d",
-			s.Ctr.RecoveryRedoPages, rep.RedoPages, rep2.RedoPages)
-	}
-	if s.Ctr.RecoveryElapsedNs == 0 {
-		t.Fatal("RecoveryElapsedNs not counted")
-	}
+	// Recovery work surfaces in the wait attribution and the per-query
+	// statistics.
 	if s.Ctr.WaitNs[metrics.WaitRecovery] == 0 {
 		t.Fatal("no WaitRecovery time attributed")
 	}

@@ -109,10 +109,6 @@ type ReplTarget interface {
 	// SetReplicaFlushPenalty charges extra ns to every standby WAL flush
 	// (0 clears it) — the slow-replica degradation mode.
 	SetReplicaFlushPenalty(ns float64)
-	// DropOldestArchiveSegment destroys one archived WAL segment,
-	// reporting whether one existed — the archive-loss axis PITR must
-	// detect as a gap.
-	DropOldestArchiveSegment() bool
 }
 
 // Targets are the subsystems the injector acts on. Nil targets disable
@@ -221,30 +217,12 @@ func (in *Injector) buildActions() map[string]axisAction {
 	}
 	if in.t.Repl != nil {
 		acts["repl-link-stall"] = axisAction{
-			apply: func(float64) {
-				in.t.Ctr.ReplLinkStalls++
-				in.t.Repl.SetLinkDown(true)
-			},
+			apply: func(float64) { in.t.Repl.SetLinkDown(true) },
 			clear: func() { in.t.Repl.SetLinkDown(false) },
 		}
 		acts["replica-slow"] = axisAction{
 			apply: func(m float64) { in.t.Repl.SetReplicaFlushPenalty(m) },
 			clear: func() { in.t.Repl.SetReplicaFlushPenalty(0) },
-		}
-		acts["archive-loss"] = axisAction{
-			apply: func(m float64) {
-				drop := int(m)
-				if drop < 1 {
-					drop = 1
-				}
-				for i := 0; i < drop; i++ {
-					if !in.t.Repl.DropOldestArchiveSegment() {
-						break
-					}
-					in.t.Ctr.ArchiveSegmentsLost++
-				}
-			},
-			clear: func() {},
 		}
 	}
 	if in.t.Net != nil {

@@ -9,8 +9,8 @@ import (
 
 // Event is one scripted fault: at simulated time At (relative to run
 // start) the named axis applies with Magnitude; after Dur it clears.
-// Dur 0 fires one-shot axes (conn-reset, archive-loss) or
-// applies-and-clears a stateful axis instantaneously.
+// Dur 0 fires a one-shot axis (conn-reset) or applies-and-clears a
+// stateful axis instantaneously.
 type Event struct {
 	At        sim.Duration
 	Dur       sim.Duration
@@ -29,7 +29,7 @@ type Schedule []Event
 func AxisNames() []string {
 	return []string{
 		"io-stall", "io-error", "wal-slow", "buffer-spike", "grant-starve",
-		"cpuset-shrink", "repl-link-stall", "replica-slow", "archive-loss",
+		"cpuset-shrink", "repl-link-stall", "replica-slow",
 		"net-partition", "net-loss", "net-degrade", "conn-reset",
 	}
 }

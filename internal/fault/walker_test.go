@@ -134,7 +134,7 @@ func traceRun(spawn func(*Injector, map[string]axisAction), cfg Config, stopAt s
 // a nanosecond after the previous one ends.
 func randomSchedule(g *sim.RNG) Schedule {
 	var s Schedule
-	for _, axis := range []string{"io-stall", "net-partition", "conn-reset", "repl-link-stall", "archive-loss"} {
+	for _, axis := range []string{"io-stall", "net-partition", "conn-reset", "repl-link-stall", "replica-slow"} {
 		var at sim.Duration
 		if g.Bool(0.7) {
 			at = sim.Duration(g.Int64n(int64(2 * sim.Second)))

@@ -164,7 +164,7 @@ type FailoverResult struct {
 // invariants: the promoted image equals a pure replay of its durable
 // log (committed-durable preserved, uncommitted undone) and no
 // acknowledged commit is lost. The same run archives WAL segments and
-// incremental snapshots; after promotion a point-in-time restore to a
+// marks snapshots; after promotion a point-in-time restore to a
 // mid-run commit LSN is verified against an independent replay of the
 // primary's durable log prefix. modes nil uses ReplModes.
 func Failover(sf int, opt Options, modes []repl.Mode) FailoverResult {

@@ -103,27 +103,13 @@ type Counters struct {
 	CpusetFallbacks int64 // core picks that fell back to core 0 (empty cpuset)
 
 	// Crash-recovery counters (ARIES-style restart).
-	Crashes             int64 // simulated crashes taken
-	Recoveries          int64 // recovery passes completed
-	RecoveryRedoPages   int64 // distinct pages read back during redo
-	RecoveryRedoRecords int64 // durable records scanned in the redo pass
-	RecoveryUndoRecords int64 // loser records undone during undo
-	RecoveryCLRs        int64 // compensation records written by recovery
-	RecoveryElapsedNs   int64 // simulated time spent in recovery passes
-	CommitsNotDurable   int64 // commits that lost durability to stop/crash
-	CrashLostTxns       int64 // in-flight txns wiped by a crash (no durable trace)
-	CrashLostRecords    int64 // appended-but-unflushed records lost at crash
+	Crashes int64 // simulated crashes taken
 
-	// Replication / archiving counters.
-	ReplShippedBatches  int64 // record batches shipped primary -> standby
-	ReplShippedBytes    int64 // WAL bytes shipped over replication links
-	ReplAppliedTxns     int64 // committed transactions applied on standbys
-	ReplUnackedCommits  int64 // durable commits whose replica ack never arrived
-	ReplLinkStalls      int64 // replication-link stall/partition fault events
-	ArchivedSegments    int64 // WAL segments sealed into the archive
-	ArchivedBytes       int64 // WAL bytes archived
-	ArchiveSegmentsLost int64 // archived segments destroyed by fault injection
-	PITRRestores        int64 // point-in-time restores completed
+	// Replication counters.
+	ReplShippedBatches int64 // record batches shipped primary -> standby
+	ReplShippedBytes   int64 // WAL bytes shipped over replication links
+	ReplAppliedTxns    int64 // committed transactions applied on standbys
+	ReplUnackedCommits int64 // durable commits whose replica ack never arrived
 
 	WaitNs [NumWaitClasses]int64
 }
@@ -167,26 +153,12 @@ func (c Counters) Sub(o Counters) Counters {
 		QueriesCanceled: c.QueriesCanceled - o.QueriesCanceled,
 		CpusetFallbacks: c.CpusetFallbacks - o.CpusetFallbacks,
 
-		Crashes:             c.Crashes - o.Crashes,
-		Recoveries:          c.Recoveries - o.Recoveries,
-		RecoveryRedoPages:   c.RecoveryRedoPages - o.RecoveryRedoPages,
-		RecoveryRedoRecords: c.RecoveryRedoRecords - o.RecoveryRedoRecords,
-		RecoveryUndoRecords: c.RecoveryUndoRecords - o.RecoveryUndoRecords,
-		RecoveryCLRs:        c.RecoveryCLRs - o.RecoveryCLRs,
-		RecoveryElapsedNs:   c.RecoveryElapsedNs - o.RecoveryElapsedNs,
-		CommitsNotDurable:   c.CommitsNotDurable - o.CommitsNotDurable,
-		CrashLostTxns:       c.CrashLostTxns - o.CrashLostTxns,
-		CrashLostRecords:    c.CrashLostRecords - o.CrashLostRecords,
+		Crashes: c.Crashes - o.Crashes,
 
-		ReplShippedBatches:  c.ReplShippedBatches - o.ReplShippedBatches,
-		ReplShippedBytes:    c.ReplShippedBytes - o.ReplShippedBytes,
-		ReplAppliedTxns:     c.ReplAppliedTxns - o.ReplAppliedTxns,
-		ReplUnackedCommits:  c.ReplUnackedCommits - o.ReplUnackedCommits,
-		ReplLinkStalls:      c.ReplLinkStalls - o.ReplLinkStalls,
-		ArchivedSegments:    c.ArchivedSegments - o.ArchivedSegments,
-		ArchivedBytes:       c.ArchivedBytes - o.ArchivedBytes,
-		ArchiveSegmentsLost: c.ArchiveSegmentsLost - o.ArchiveSegmentsLost,
-		PITRRestores:        c.PITRRestores - o.PITRRestores,
+		ReplShippedBatches: c.ReplShippedBatches - o.ReplShippedBatches,
+		ReplShippedBytes:   c.ReplShippedBytes - o.ReplShippedBytes,
+		ReplAppliedTxns:    c.ReplAppliedTxns - o.ReplAppliedTxns,
+		ReplUnackedCommits: c.ReplUnackedCommits - o.ReplUnackedCommits,
 	}
 	for i := range d.WaitNs {
 		d.WaitNs[i] = c.WaitNs[i] - o.WaitNs[i]
@@ -226,24 +198,10 @@ func (c *Counters) Add(o *Counters) {
 	c.QueriesCanceled += o.QueriesCanceled
 	c.CpusetFallbacks += o.CpusetFallbacks
 	c.Crashes += o.Crashes
-	c.Recoveries += o.Recoveries
-	c.RecoveryRedoPages += o.RecoveryRedoPages
-	c.RecoveryRedoRecords += o.RecoveryRedoRecords
-	c.RecoveryUndoRecords += o.RecoveryUndoRecords
-	c.RecoveryCLRs += o.RecoveryCLRs
-	c.RecoveryElapsedNs += o.RecoveryElapsedNs
-	c.CommitsNotDurable += o.CommitsNotDurable
-	c.CrashLostTxns += o.CrashLostTxns
-	c.CrashLostRecords += o.CrashLostRecords
 	c.ReplShippedBatches += o.ReplShippedBatches
 	c.ReplShippedBytes += o.ReplShippedBytes
 	c.ReplAppliedTxns += o.ReplAppliedTxns
 	c.ReplUnackedCommits += o.ReplUnackedCommits
-	c.ReplLinkStalls += o.ReplLinkStalls
-	c.ArchivedSegments += o.ArchivedSegments
-	c.ArchivedBytes += o.ArchivedBytes
-	c.ArchiveSegmentsLost += o.ArchiveSegmentsLost
-	c.PITRRestores += o.PITRRestores
 	for i := range c.WaitNs {
 		c.WaitNs[i] += o.WaitNs[i]
 	}

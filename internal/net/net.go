@@ -39,10 +39,6 @@ var (
 	ErrTimeout        = errors.New("net: receive timeout")
 )
 
-// ErrRefused is the pre-fault-model name for ErrBacklogFull, kept so
-// errors.Is and existing call sites keep working.
-var ErrRefused = ErrBacklogFull
-
 // PartitionMode selects which direction of the segment is cut.
 type PartitionMode int
 

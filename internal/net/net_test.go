@@ -86,7 +86,7 @@ func TestDialRefusedWhenBacklogFull(t *testing.T) {
 	for i := 0; i < acceptBacklog+2; i++ {
 		sm.Spawn("client", func(p *sim.Proc) {
 			// Nobody accepts, so dials beyond the backlog bound are refused.
-			if _, err := nw.Dial(p, "db"); errors.Is(err, ErrRefused) {
+			if _, err := nw.Dial(p, "db"); errors.Is(err, ErrBacklogFull) {
 				refused++
 			}
 		})

@@ -24,8 +24,8 @@ import (
 // last-writer-in-write-order state regardless of commit interleaving.
 //
 // The state is pure — no sim time, no I/O. Standby appliers charge
-// device and buffer-pool costs separately (Cluster.chargeApply); the
-// archiver's shadow image and PITR replay use it bare.
+// device and buffer-pool costs separately (Cluster.chargeApply); PITR
+// replay and its verifier use it bare.
 type applyState struct {
 	db      *engine.Database
 	tables  map[int]*storage.Table

@@ -1,20 +1,13 @@
 package repl
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/engine"
 	"repro/internal/iodev"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/internal/wal"
 )
-
-// ErrArchiveGap is returned by RecoverTo when a segment needed for the
-// requested target was destroyed (the archive-loss fault axis) and no
-// later snapshot covers the hole.
-var ErrArchiveGap = errors.New("repl: archived WAL segment missing for requested recovery target")
 
 // Segment is one archived run of the primary's durable record stream,
 // covering LSNs in (From, To].
@@ -22,44 +15,24 @@ type Segment struct {
 	From, To int64
 	Bytes    int64
 	Records  []*wal.Record
-	Sealed   bool
-	Dropped  bool // destroyed by the archive-loss fault axis
-}
-
-// Snapshot is an incremental backup: a deep image of every table plus
-// the in-flight (update-logged but uncommitted) transaction state at a
-// record boundary, so PITR replays only the archive tail past it.
-type Snapshot struct {
-	LSN     int64
-	Bytes   int64
-	images  map[int]*storage.TableImage
-	pending map[int64][]wal.Op
-	cellSeq map[cellKey]int64 // per-cell write watermark at the snapshot
 }
 
 // Archiver continuously archives the primary's durable WAL into sealed
-// segments and takes a snapshot every snapshotEvery seals. It
-// maintains its own shadow dataset image (a pure applyState) purely so
-// snapshots can be captured at any boundary without touching the
-// primary's or any standby's image.
+// segments. Every snapshotEvery-th sealed segment's To LSN is a
+// snapshot: an incremental backup whose content is, by construction,
+// the pure replay of the archive through that LSN, so RecoverTo rebuilds
+// it rather than the archiver keeping a copy.
 type Archiver struct {
 	c      *Cluster
 	reader *wal.StreamReader
-	shadow *applyState
 
-	segs    []*Segment
-	snaps   []*Snapshot
+	segs    []*Segment // sealed, in LSN order
 	cur     *Segment
 	lastLSN int64 // archive horizon: highest archived record LSN
-	seals   int
 }
 
 func newArchiver(c *Cluster) *Archiver {
-	return &Archiver{
-		c:      c,
-		reader: c.Primary.Log.NewStreamReader(),
-		shadow: newApplyState(c.Cfg.NewImage()),
-	}
+	return &Archiver{c: c, reader: c.Primary.Log.NewStreamReader()}
 }
 
 // run spawns the archiving proc. It consumes no simulated resources —
@@ -87,7 +60,8 @@ func (a *Archiver) archive(r *wal.Record) {
 	// or snapshotting inside it — would strand the trailing records on
 	// the wrong side of the boundary during replay.
 	if a.cur != nil && a.cur.Bytes >= archiveSegBytes && r.LSN > a.cur.To {
-		a.seal()
+		a.segs = append(a.segs, a.cur)
+		a.cur = nil
 	}
 	if a.cur == nil {
 		a.cur = &Segment{From: a.lastLSN, To: a.lastLSN}
@@ -96,61 +70,10 @@ func (a *Archiver) archive(r *wal.Record) {
 	a.cur.Bytes += r.Bytes
 	a.cur.To = r.LSN
 	a.lastLSN = r.LSN
-	a.shadow.Apply(r)
-}
-
-func (a *Archiver) seal() {
-	a.cur.Sealed = true
-	a.segs = append(a.segs, a.cur)
-	a.c.Primary.Ctr.ArchivedSegments++
-	a.c.Primary.Ctr.ArchivedBytes += a.cur.Bytes
-	a.cur = nil
-	a.seals++
-	if a.seals%snapshotEvery == 0 {
-		a.snapshot()
-	}
-}
-
-// snapshot captures the shadow image and in-flight transaction state at
-// the current archive horizon.
-func (a *Archiver) snapshot() {
-	s := &Snapshot{
-		LSN:     a.lastLSN,
-		images:  make(map[int]*storage.TableImage),
-		pending: make(map[int64][]wal.Op),
-		cellSeq: make(map[cellKey]int64, len(a.shadow.cellSeq)),
-	}
-	for k, v := range a.shadow.cellSeq {
-		s.cellSeq[k] = v
-	}
-	for _, t := range a.shadow.db.Tables {
-		img := t.CaptureImage()
-		s.images[t.ID] = img
-		for _, c := range img.Cols {
-			s.Bytes += int64(len(c)) * 8
-		}
-	}
-	for id, ops := range a.shadow.pending {
-		s.pending[id] = append([]wal.Op(nil), ops...)
-	}
-	a.snaps = append(a.snaps, s)
 }
 
 // Horizon returns the highest archived LSN (the latest valid PITR target).
 func (a *Archiver) Horizon() int64 { return a.lastLSN }
-
-// dropOldest destroys the oldest surviving sealed segment (the
-// archive-loss fault axis), reporting whether one existed.
-func (a *Archiver) dropOldest() bool {
-	for _, s := range a.segs {
-		if s.Sealed && !s.Dropped {
-			s.Dropped = true
-			s.Records = nil
-			return true
-		}
-	}
-	return false
-}
 
 // PITRReport describes one point-in-time restore.
 type PITRReport struct {
@@ -208,14 +131,11 @@ func (a *Archiver) VerifyPITR(rep *PITRReport) error {
 
 // RecoverTo restores a fresh dataset image to the requested LSN: load
 // the latest snapshot at or before it, then replay archived records
-// through the target. Restore I/O (snapshot pages plus segment bytes)
-// is charged to dev when p and dev are non-nil — the restore target
-// machine's device. Returns the restored database for inspection.
-//
-// The target must lie within the archive horizon; a destroyed segment
-// inside the replay range fails with ErrArchiveGap (a snapshot past the
-// hole narrows the replay range and can mask it, which is exactly the
-// retention interplay the archive-loss axis probes).
+// through the target. Loading the snapshot replays the archive through
+// its LSN uncharged and reads the rebuilt image back; restore I/O (that
+// image plus the tail's segment bytes) is charged to dev when p and dev
+// are non-nil — the restore target machine's device. Returns the
+// restored database for inspection.
 func (a *Archiver) RecoverTo(p *sim.Proc, dev *iodev.Device, lsn int64) (*engine.Database, *PITRReport, error) {
 	if lsn > a.lastLSN {
 		return nil, nil, fmt.Errorf("repl: recovery target LSN %d beyond archive horizon %d", lsn, a.lastLSN)
@@ -227,42 +147,36 @@ func (a *Archiver) RecoverTo(p *sim.Proc, dev *iodev.Device, lsn int64) (*engine
 	db := a.c.Cfg.NewImage()
 	state := newApplyState(db)
 	rep := &PITRReport{TargetLSN: lsn}
-	for _, s := range a.snaps {
-		if s.LSN <= lsn && s.LSN > rep.SnapLSN {
-			rep.SnapLSN = s.LSN
-			rep.LandedLSN = s.LSN
-		}
+	for i := snapshotEvery - 1; i < len(a.segs) && a.segs[i].To <= lsn; i += snapshotEvery {
+		rep.SnapLSN = a.segs[i].To
 	}
+	var snapTxns int64
 	if rep.SnapLSN > 0 {
-		var snap *Snapshot
-		for _, s := range a.snaps {
-			if s.LSN == rep.SnapLSN {
-				snap = s
+		for _, seg := range a.segs {
+			if seg.To > rep.SnapLSN {
+				break
+			}
+			for _, r := range seg.Records {
+				state.Apply(r)
 			}
 		}
-		for _, t := range db.Tables {
-			if img := snap.images[t.ID]; img != nil {
-				t.RestoreImage(img)
-			}
-		}
-		for id, ops := range snap.pending {
-			state.pending[id] = append([]wal.Op(nil), ops...)
-		}
-		for k, v := range snap.cellSeq {
-			state.cellSeq[k] = v
-		}
+		snapTxns = state.appliedTxns
+		rep.LandedLSN = rep.SnapLSN
 		if p != nil && dev != nil {
-			dev.Read(p, snap.Bytes)
+			var bytes int64
+			for _, t := range db.Tables {
+				bytes += int64(t.NCols()) * t.ActualRows() * 8
+			}
+			dev.Read(p, bytes)
 		}
 	}
-	segs := append(append([]*Segment(nil), a.segs...), nil)
-	segs[len(segs)-1] = a.cur
+	segs := a.segs
+	if a.cur != nil {
+		segs = append(segs[:len(segs):len(segs)], a.cur)
+	}
 	for _, seg := range segs {
-		if seg == nil || seg.To <= rep.SnapLSN || seg.From >= lsn {
+		if seg.To <= rep.SnapLSN || seg.From >= lsn {
 			continue
-		}
-		if seg.Dropped {
-			return nil, nil, fmt.Errorf("%w: segment (%d, %d]", ErrArchiveGap, seg.From, seg.To)
 		}
 		rep.Segments++
 		if p != nil && dev != nil {
@@ -277,11 +191,10 @@ func (a *Archiver) RecoverTo(p *sim.Proc, dev *iodev.Device, lsn int64) (*engine
 			rep.LandedLSN = r.LSN
 		}
 	}
-	rep.Txns = state.appliedTxns
+	rep.Txns = state.appliedTxns - snapTxns
 	rep.Digest = engine.DigestDB(db)
 	if p != nil {
 		rep.Elapsed = sim.Duration(p.Now() - start)
 	}
-	a.c.Primary.Ctr.PITRRestores++
 	return db, rep, nil
 }

@@ -5,8 +5,8 @@
 // cross-node acknowledgement path (sync / quorum(k) / async) through the
 // simulated replication links and replica WAL devices — the commit-path
 // placement question *OLTP on Hardware Islands* raises, run against the
-// paper's storage-bandwidth throttles. WAL archiving, incremental
-// snapshots, and point-in-time recovery layer on top (archive.go), and
+// paper's storage-bandwidth throttles. WAL archiving, snapshot
+// marks, and point-in-time recovery layer on top (archive.go), and
 // failover promotes the most caught-up standby with a measured RTO
 // (failover.go).
 //
@@ -70,8 +70,8 @@ const (
 	// failDetect is the failure-detection delay charged before promotion
 	// begins on a primary crash.
 	failDetect = 500 * sim.Millisecond
-	// archiveSegBytes seals archive segments at this size; snapshotEvery
-	// takes an incremental snapshot every that many sealed segments.
+	// archiveSegBytes seals archive segments at this size; the end LSN of
+	// every snapshotEvery-th sealed segment is a snapshot.
 	archiveSegBytes = 32 << 10
 	snapshotEvery   = 2
 )
@@ -90,15 +90,15 @@ type Config struct {
 	// to a build without tracing.
 	TraceCommits bool
 
-	// Archive arms WAL archiving with incremental snapshots, and with
-	// them point-in-time recovery (archive.go).
+	// Archive arms WAL archiving with snapshot marks, and with them
+	// point-in-time recovery (archive.go).
 	Archive bool
 
 	// NewImage builds an identical copy of the primary's dataset —
 	// the same Build call with the same parameters, which yields the same
 	// table/index file IDs (the catalog allocates them deterministically).
-	// Called once per standby, once for the archiver's shadow image, and
-	// once per PITR restore.
+	// Called once per standby, and once per PITR restore and per check of
+	// one against a pure replay.
 	NewImage func() *engine.Database
 }
 
@@ -571,13 +571,4 @@ func (c *Cluster) SetReplicaFlushPenalty(ns float64) {
 	for _, s := range c.Standbys {
 		s.Srv.Log.SetFlushPenalty(ns)
 	}
-}
-
-// DropOldestArchiveSegment implements fault.ReplTarget: destroy the
-// oldest surviving archived segment, reporting whether one existed.
-func (c *Cluster) DropOldestArchiveSegment() bool {
-	if c.Arch == nil {
-		return false
-	}
-	return c.Arch.dropOldest()
 }

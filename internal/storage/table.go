@@ -202,39 +202,6 @@ func (t *Table) InsertNominalReplay(row []int64, materialize bool, at int64) int
 	return nid
 }
 
-// TableImage is a deep snapshot of a table's mutable state, sufficient
-// to restore the table to the snapshot instant (incremental-backup
-// payload for point-in-time recovery). String pools are append-only and
-// never mutated by the logged operations, so they are not captured.
-type TableImage struct {
-	NominalRows int64
-	LiveNominal int64
-	Cols        [][]int64
-}
-
-// CaptureImage deep-copies the table's mutable state.
-func (t *Table) CaptureImage() *TableImage {
-	img := &TableImage{
-		NominalRows: t.nominalRows,
-		LiveNominal: t.liveNominal,
-		Cols:        make([][]int64, len(t.cols)),
-	}
-	for i, c := range t.cols {
-		img.Cols[i] = append([]int64(nil), c...)
-	}
-	return img
-}
-
-// RestoreImage overwrites the table's mutable state from a snapshot.
-func (t *Table) RestoreImage(img *TableImage) {
-	t.nominalRows = img.NominalRows
-	t.liveNominal = img.LiveNominal
-	for i := range t.cols {
-		t.cols[i] = append(t.cols[i][:0:0], img.Cols[i]...)
-	}
-	t.refreshPages()
-}
-
 // DeleteNominal removes one nominal row. Space is not reclaimed (the page
 // extent is a high-water mark, as with ghost records awaiting cleanup).
 func (t *Table) DeleteNominal() {

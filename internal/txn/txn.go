@@ -190,7 +190,6 @@ func (t *Txn) Commit(p *sim.Proc) bool {
 	if err != nil {
 		// The log is gone: the transaction is a loser and counts as an
 		// abort (recovery will roll it back).
-		t.m.Ctr.CommitsNotDurable++
 		t.m.Ctr.TxnAborts++
 		return false
 	}
