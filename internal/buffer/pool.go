@@ -111,12 +111,11 @@ type Pool struct {
 	// modification time — the log record for the write joins the stream
 	// at commit, so these are conservative lower bounds); durable is the
 	// LSN the on-device page image reflects, advanced at writeback.
-	armed      bool
-	log        *wal.Log
-	activeTxns func() []int64
-	dirtyRec   map[pageKey]int64 // recLSN per dirty page
-	dirtyLast  map[pageKey]int64 // pageLSN per dirty page
-	durable    map[pageKey]int64 // LSN of the durable page image
+	armed     bool
+	log       *wal.Log
+	dirtyRec  map[pageKey]int64 // recLSN per dirty page
+	dirtyLast map[pageKey]int64 // pageLSN per dirty page
+	durable   map[pageKey]int64 // LSN of the durable page image
 
 	// Telemetry counters, always maintained (plain adds on paths that
 	// already mutate pool state, so they cannot perturb simulation).
@@ -457,9 +456,10 @@ func (p *Pool) makeRoom(n int64) {
 // back in 1 MB chunks using blocking writes, so it self-paces against the
 // device and any blkio write throttle — competing with log flushes
 // exactly as a real checkpoint does. With recovery armed each round is a
-// fuzzy checkpoint: a CKPT_BEGIN record, a dirty-page-table and
-// active-transaction-table snapshot, WAL-before-data writeback, and a
-// CKPT_END record carrying the snapshot.
+// fuzzy checkpoint: a CKPT_BEGIN record, a dirty-page-table snapshot,
+// WAL-before-data writeback, and a CKPT_END record carrying the snapshot.
+// No active-transaction table is logged: restart classifies losers from
+// the transaction manager's history.
 func (p *Pool) StartCheckpointer() {
 	p.sm.Spawn("checkpoint", func(proc *sim.Proc) {
 		for !p.stopped {
@@ -478,13 +478,9 @@ func (p *Pool) StartCheckpointer() {
 func (p *Pool) checkpoint(proc *sim.Proc) {
 	const chunkPages = 128 // 1 MB
 	var dpt []wal.PageRecLSN
-	var att []int64
 	if p.armed {
 		p.log.AppendBatch([]*wal.Record{{Type: wal.RecCkptBegin}})
 		dpt = p.snapshotDPT()
-		if p.activeTxns != nil {
-			att = p.activeTxns()
-		}
 	}
 	// Pages whose dirty bit was cleared this round but whose chunk has
 	// not been written yet (armed bookkeeping).
@@ -554,7 +550,7 @@ func (p *Pool) checkpoint(proc *sim.Proc) {
 		}
 	}
 	if p.armed {
-		p.log.AppendBatch([]*wal.Record{{Type: wal.RecCkptEnd, DPT: dpt, ATT: att}})
+		p.log.AppendBatch([]*wal.Record{{Type: wal.RecCkptEnd, DPT: dpt}})
 	}
 	p.ckptRounds++
 }
@@ -580,12 +576,10 @@ func (p *Pool) Stop() {
 
 // ArmRecovery switches the pool into crash-recovery mode: per-page
 // recLSN/pageLSN tracking, WAL-before-data on writeback and eviction,
-// and fuzzy-checkpoint records through the log. activeTxns supplies the
-// active-transaction table captured by each checkpoint.
-func (p *Pool) ArmRecovery(log *wal.Log, activeTxns func() []int64) {
+// and fuzzy-checkpoint records through the log.
+func (p *Pool) ArmRecovery(log *wal.Log) {
 	p.armed = true
 	p.log = log
-	p.activeTxns = activeTxns
 	p.dirtyRec = make(map[pageKey]int64)
 	p.dirtyLast = make(map[pageKey]int64)
 	p.durable = make(map[pageKey]int64)

@@ -262,7 +262,7 @@ func TestFuzzyCheckpointTracksRecLSN(t *testing.T) {
 	l := wal.New(s, dev, ctr)
 	l.Recording = true
 	l.Start()
-	p.ArmRecovery(l, func() []int64 { return nil })
+	p.ArmRecovery(l)
 	p.CheckpointInterval = 100 * sim.Millisecond
 	p.StartCheckpointer()
 	s.Spawn("w", func(proc *sim.Proc) {

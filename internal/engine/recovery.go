@@ -41,7 +41,7 @@ func (s *Server) ArmRecovery(opt RecoveryOptions) {
 	if opt.MaxFlushBytes > 0 {
 		s.Log.MaxFlushBytes = opt.MaxFlushBytes
 	}
-	s.BP.ArmRecovery(s.Log, s.Txns.Active)
+	s.BP.ArmRecovery(s.Log)
 	if opt.CkptInterval > 0 {
 		s.BP.CheckpointInterval = opt.CkptInterval
 	}

@@ -45,7 +45,8 @@ type Session struct {
 
 	// Per-session scratch, reused from one statement to the next (see
 	// DESIGN.md, "Object lifetimes on the OLTP path").
-	tx  txn.Txn   // Begin's transaction when recording is off
+	tx  txn.Txn   // Begin's storage, reused outside recording
+	cur *txn.Txn  // Begin's last transaction, the next Begin's prev
 	rw  RowWriter // Update's writer, valid inside its callback
 	ids []int64   // ReadRange's result, valid until the next statement
 	row []int64   // RowBuf's buffer, valid until the Insert it feeds returns
@@ -175,9 +176,16 @@ func (sess *Session) TakeErr() *QueryError {
 
 // Begin starts a transaction. A session runs one transaction at a time
 // and, outside crash-recovery recording, hands out the same Txn each
-// time: the handle is valid until Commit or Abort returns.
+// time: the handle is valid until Commit or Abort returns. Under
+// recording each transaction gets its own Txn, which inherits the last
+// one's held-lock list (txn.Manager.BeginIn).
 func (sess *Session) Begin() *txn.Txn {
-	return sess.S.Txns.BeginIn(&sess.tx)
+	prev := sess.cur
+	if prev == nil {
+		prev = &sess.tx
+	}
+	sess.cur = sess.S.Txns.BeginIn(prev)
+	return sess.cur
 }
 
 // Commit charges commit processing, flushes pending work, and commits

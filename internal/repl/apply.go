@@ -9,9 +9,14 @@ import (
 
 // applyState redoes a primary's typed record stream against an identical
 // local dataset image. It is the committed-prefix interpretation of the
-// ARIES log: update records accumulate per-transaction, a commit record
-// applies them, an abort record applies only the transaction's ghost
-// residue.
+// ARIES log: update records accumulate, a commit record applies them, an
+// abort record applies only the transaction's ghost residue.
+//
+// One transaction's updates are in flight at a time. A transaction's
+// records enter the log as one contiguous batch (Txn.Commit's, or the
+// abort's CLR batch), so a record of another transaction arriving while
+// updates are pending means a crash cut the pending transaction's batch
+// short: it can never commit, and its updates are dropped.
 //
 // Commit-LSN order is NOT always the per-cell write order: the engine
 // locks by nominal row ID while the down-scaled tables alias many
@@ -32,8 +37,10 @@ type applyState struct {
 	indexes map[int][]*access.BTIndex // by table ID
 	files   map[int]*storage.File     // by file ID, for page-charge remap
 
-	// pending holds update ops whose transaction has not yet committed.
-	pending map[int64][]wal.Op
+	// curOps holds the updates of transaction curTxn, which has not yet
+	// committed; the buffer is reused from one transaction to the next.
+	curTxn int64
+	curOps []wal.Op
 
 	// cellSeq is the per-cell write watermark: the highest Op.Seq applied
 	// to each (table, row, col). Older writes arriving later (commit-order
@@ -60,7 +67,6 @@ func newApplyState(db *engine.Database) *applyState {
 		tables:  make(map[int]*storage.Table),
 		indexes: make(map[int][]*access.BTIndex),
 		files:   make(map[int]*storage.File),
-		pending: make(map[int64][]wal.Op),
 		cellSeq: make(map[cellKey]int64),
 	}
 	for _, t := range db.Tables {
@@ -80,26 +86,39 @@ func newApplyState(db *engine.Database) *applyState {
 func (a *applyState) Apply(rec *wal.Record) {
 	switch rec.Type {
 	case wal.RecUpdate:
-		a.pending[rec.Txn] = append(a.pending[rec.Txn], rec.Ops...)
-	case wal.RecCommit:
-		for _, op := range a.pending[rec.Txn] {
-			a.applyOp(op)
+		if rec.Txn != a.curTxn {
+			a.dropPending()
+			a.curTxn = rec.Txn
 		}
-		delete(a.pending, rec.Txn)
+		a.curOps = append(a.curOps, rec.Ops...)
+	case wal.RecCommit:
+		if rec.Txn == a.curTxn {
+			for _, op := range a.curOps {
+				a.applyOp(op)
+			}
+		}
+		a.dropPending()
 		a.appliedTxns++
 	case wal.RecAbort:
 		// The transaction's forward work never applied here (its updates
-		// are still pending), so there is nothing to undo — but rolled-back
-		// inserts leave ghosts on the primary (high-water bumps, surviving
-		// materialized rows, index entries), which the residue reproduces.
+		// never entered the log), so there is nothing to undo — but
+		// rolled-back inserts leave ghosts on the primary (high-water
+		// bumps, surviving materialized rows, index entries), which the
+		// residue reproduces.
 		for _, op := range rec.Residue {
 			a.applyGhost(op)
 		}
-		delete(a.pending, rec.Txn)
+		a.dropPending()
 	default:
 		// Begin records carry no state; CLRs compensate forward records
 		// this applier never applied; checkpoints are primary-local.
 	}
+}
+
+// dropPending discards the in-flight transaction's updates unapplied.
+func (a *applyState) dropPending() {
+	a.curTxn = 0
+	a.curOps = a.curOps[:0]
 }
 
 // applyOp redoes one committed logical modification.

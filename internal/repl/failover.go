@@ -76,9 +76,9 @@ func (c *Cluster) Failover(p *sim.Proc) *FailoverReport {
 	replayEnd := p.Now()
 	best := c.mostCaughtUp()
 	s := c.Standbys[best]
-	// In-flight transactions die with the primary: their updates were
+	// The in-flight transaction dies with the primary: its updates were
 	// pending (never applied), so dropping them is the undo.
-	s.apply.pending = make(map[int64][]wal.Op)
+	s.apply.dropPending()
 	c.promoted = best
 
 	rep := &FailoverReport{

@@ -120,8 +120,9 @@ func (cfg Config) withDefaults() Config {
 
 // Standby is one replica: a full engine.Server (own device, buffer pool,
 // WAL) whose log holds an exact byte-for-byte prefix of the primary's
-// LSN space — records are re-appended with their original byte sizes, so
-// standby LSNs equal primary LSNs and lag is a byte subtraction.
+// LSN space — the primary's own record objects, re-appended with their
+// original byte sizes, so standby LSNs equal primary LSNs and lag is a
+// byte subtraction.
 type Standby struct {
 	Srv *engine.Server
 	DB  *engine.Database
@@ -367,24 +368,21 @@ func (c *Cluster) runShipper(s *Standby) {
 }
 
 // runApplier spawns the per-standby apply proc: append shipped records
-// to the standby's own WAL (same byte sizes, hence the same LSNs), wait
-// for them to be durable on the standby's device, then redo committed
-// transactions against the standby image, charging page I/O through the
-// standby's buffer pool. Only the durable prefix is ever applied, so
-// apply state always matches the standby's log.
+// to the standby's own WAL as the primary's own objects
+// (wal.Log.AppendShipped), wait for them to be durable on the standby's
+// device, then redo committed transactions against the standby image,
+// charging page I/O through the standby's buffer pool. Only the durable
+// prefix is ever applied, so apply state always matches the standby's
+// log.
 func (c *Cluster) runApplier(s *Standby) {
 	c.sm.Spawn(fmt.Sprintf("repl-apply-%d", s.idx), func(p *sim.Proc) {
 		defer func() {
 			s.applierDone = true
 			c.ackQ.WakeAll(c.sm)
 		}()
-		// Record copies are carved from slabs: the standby log keeps the
-		// pointers for good, so a full slab is left behind, never reused.
-		// copies is scratch, dead before the next batch.
-		var (
-			slab   []wal.Record
-			copies []*wal.Record
-		)
+		// batch and s.inbox swap backing arrays: the shipper keeps
+		// appending to the inbox while this batch waits to be durable.
+		var batch []*wal.Record
 		for {
 			for len(s.inbox) == 0 && !s.shipperDone {
 				s.inboxQ.Wait(p)
@@ -392,23 +390,15 @@ func (c *Cluster) runApplier(s *Standby) {
 			if len(s.inbox) == 0 {
 				return
 			}
-			copies = copies[:0]
-			for _, r := range s.inbox {
-				if len(slab) == cap(slab) {
-					slab = make([]wal.Record, 0, 256)
-				}
-				slab = append(slab, *r) // AppendBatch assigns LSNs in place; never mutate the primary's record
-				copies = append(copies, &slab[len(slab)-1])
-			}
-			s.inbox = s.inbox[:0]
-			end := s.Srv.Log.AppendBatch(copies)
+			batch, s.inbox = s.inbox, batch[:0]
+			end := s.Srv.Log.AppendShipped(batch)
 			s.Srv.Log.WaitDurable(p, end)
 			if len(c.pendingTraces) > 0 {
 				c.traceDurable(s.idx, s.Srv.Log.FlushedLSN(), p.Now())
 			}
 			applyStart := p.Now()
 			txns0 := s.apply.appliedTxns
-			for _, r := range copies {
+			for _, r := range batch {
 				if r.LSN > s.Srv.Log.FlushedLSN() {
 					break // Shutdown stopped the standby log before it flushed
 				}

@@ -70,8 +70,8 @@ func (tp *topo) shutdown() {
 
 // TestDigestEqualityAllModes checks the core replication invariant: at
 // quiesce, every standby's in-memory dataset image is FNV-identical to
-// the primary's, and every standby's log is the primary's record stream
-// record for record, under every commit mode.
+// the primary's, and every standby's log holds the primary's durable
+// record objects themselves, in order, under every commit mode.
 func TestDigestEqualityAllModes(t *testing.T) {
 	for _, mode := range []repl.Mode{repl.ModeAsync, repl.ModeQuorum, repl.ModeSync} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -90,9 +90,9 @@ func TestDigestEqualityAllModes(t *testing.T) {
 					t.Fatalf("standby %d log has %d records, primary %d", i, len(recs), len(prim))
 				}
 				for j, r := range recs {
-					if p := prim[j]; r.Type != p.Type || r.LSN != p.LSN || r.Txn != p.Txn {
-						t.Fatalf("standby %d log diverges from the primary at record %d: %v@%d txn %d vs %v@%d txn %d",
-							i, j, r.Type, r.LSN, r.Txn, p.Type, p.LSN, p.Txn)
+					if p := prim[j]; r != p {
+						t.Fatalf("standby %d log diverges from the primary at record %d: %p %v@%d txn %d vs %p %v@%d txn %d",
+							i, j, r, r.Type, r.LSN, r.Txn, p, p.Type, p.LSN, p.Txn)
 					}
 				}
 				// A zero-byte record appended after the flush that covered

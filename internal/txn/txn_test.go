@@ -231,14 +231,58 @@ func TestRecordingKeepsOneTxnPerTransaction(t *testing.T) {
 		if all := m.All(); len(all) != 3 || all[0] != a || all[1] != b || all[2] != c {
 			t.Fatalf("All() = %v", all)
 		}
-		if act := m.Active(); len(act) != 2 || act[0] != b.ID() || act[1] != c.ID() {
-			t.Fatalf("Active() = %v, want the two open transactions", act)
-		}
 		if a.CommitRec() == nil || a.CommitRec().LSN == 0 {
 			t.Fatal("committed transaction lost its commit record")
 		}
 		b.Abort()
 		c.Abort()
+	})
+	s.Run(sim.Time(sim.Second))
+	l.Stop()
+	s.Run(sim.Time(2 * sim.Second))
+}
+
+// Under Recording every transaction gets its own Txn, but a new one takes
+// over the held-lock list of the ended one it is begun in, while the
+// ended one keeps its records in the history. One dropped without being
+// ended keeps its locks and its list.
+func TestRecordingBeginInTakesHeldList(t *testing.T) {
+	s, m, _, l := setup()
+	l.Recording = true
+	keys := []lock.Key{{Obj: 1, Row: 1}, {Obj: 1, Row: 2}, {Obj: 2, Row: 3}}
+	s.Spawn("t", func(p *sim.Proc) {
+		a := m.Begin()
+		for _, k := range keys {
+			a.Lock(p, k, lock.X)
+		}
+		a.LogOp(200, wal.PageID{File: 1, Page: 1}, []wal.Op{{Kind: wal.OpSet, Row: 1}})
+		if !a.Commit(p) {
+			t.Fatal("commit failed")
+		}
+		arr := a.held[:1]
+
+		b := m.BeginIn(a)
+		if b == a || !b.Active() || len(b.held) != 0 || cap(b.held) < len(keys) || &b.held[:1][0] != &arr[0] {
+			t.Fatalf("BeginIn(a) = %p active %v, %d held of cap %d: want a fresh Txn on a's held array",
+				b, b.Active(), len(b.held), cap(b.held))
+		}
+		if a.held != nil {
+			t.Fatal("the ended Txn still holds the list it handed on")
+		}
+		if all := m.All(); len(all) != 2 || all[0] != a || all[1] != b {
+			t.Fatalf("All() = %v", all)
+		}
+		if len(a.Recs()) != 1 || a.CommitRec() == nil || a.CommitRec().LSN == 0 {
+			t.Fatal("the ended Txn lost its records")
+		}
+
+		b.Lock(p, keys[0], lock.X)
+		c := m.BeginIn(b)
+		if c == b || !b.Active() || len(b.held) != 1 || cap(c.held) != 0 || !m.Locks.Held(b.ID(), keys[0]) {
+			t.Fatal("BeginIn took the list of a transaction that had not ended")
+		}
+		c.Abort()
+		b.Abort()
 	})
 	s.Run(sim.Time(sim.Second))
 	l.Stop()

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/storage"
@@ -35,7 +36,7 @@ const (
 	RecAbort                    // transaction fully rolled back (end record)
 	RecCLR                      // compensation log record for one undone update
 	RecCkptBegin                // fuzzy checkpoint begin
-	RecCkptEnd                  // fuzzy checkpoint end: carries DPT + ATT
+	RecCkptEnd                  // fuzzy checkpoint end: carries the DPT
 )
 
 // String returns the ARIES-style record-type name.
@@ -156,14 +157,13 @@ type Record struct {
 
 	// Fuzzy-checkpoint payload (RecCkptEnd only).
 	DPT []PageRecLSN
-	ATT []int64
 }
 
 // AppendBatch appends a batch of records as one lump, advancing the LSN
 // space by the batch's total byte size — identical to a plain
 // Append(total) — and, when Recording, assigning each record its
 // end-byte LSN and retaining it in the simulated log image. It returns
-// the batch's end LSN.
+// the batch's end LSN. The log keeps the records, not the slice.
 func (l *Log) AppendBatch(recs []*Record) int64 {
 	var total int64
 	for _, r := range recs {
@@ -177,6 +177,32 @@ func (l *Log) AppendBatch(recs []*Record) int64 {
 			r.LSN = pos
 			l.records = append(l.records, r)
 		}
+	}
+	return end
+}
+
+// AppendShipped appends another log's records to this one — a standby
+// re-logging its primary's durable stream. The LSN space advances exactly
+// as AppendBatch would (same byte sizes, same order), so each record's
+// position here equals the LSN it already carries: AppendShipped checks
+// that, before appending anything, and panics naming both values on a
+// mismatch; it never writes a record. The records are shared, not
+// copied. That is safe because nothing writes a shipped record again:
+// the stream ships only durable records, so TruncateAtFlushed never
+// zeroes one; AddAbortResidue writes a record only before it is flushed;
+// a standby never crashes, so its own log is never truncated; and the
+// WAL archive already keeps the same pointers.
+func (l *Log) AppendShipped(recs []*Record) int64 {
+	pos := l.appendedLSN
+	for _, r := range recs {
+		pos += r.Bytes
+		if r.LSN != pos {
+			panic(fmt.Sprintf("wal: shipped %v record carries LSN %d, appended at %d", r.Type, r.LSN, pos))
+		}
+	}
+	end := l.Append(pos - l.appendedLSN)
+	if l.Recording {
+		l.records = append(l.records, recs...)
 	}
 	return end
 }

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/iodev"
@@ -208,5 +210,66 @@ func TestZeroByteRecordsShareLSN(t *testing.T) {
 	}
 	if l.AppendedLSN() != lsn {
 		t.Fatalf("appended = %d, want %d", l.AppendedLSN(), lsn)
+	}
+}
+
+// A standby re-logs its primary's records as they are: AppendShipped
+// keeps the very pointers, at the LSNs they already carry, and a record
+// whose LSN disagrees with the position it lands at panics naming both
+// values — without the check writing the record's LSN, and without the
+// rejected batch moving the log.
+func TestAppendShippedSharesAndChecksLSN(t *testing.T) {
+	_, primary := rawLog()
+	primary.Recording = true
+	primary.AppendBatch([]*Record{
+		{Type: RecBegin, Txn: 1},
+		{Type: RecUpdate, Txn: 1, Bytes: 400},
+		{Type: RecCommit, Txn: 1, Bytes: RecHeaderBytes},
+	})
+	primary.AppendBatch([]*Record{{Type: RecCLR, Txn: 2, Bytes: 100}, {Type: RecAbort, Txn: 2}})
+	want := primary.Records()
+	lsns := make([]int64, len(want))
+	for i, r := range want {
+		lsns[i] = r.LSN
+	}
+
+	_, standby := rawLog()
+	standby.Recording = true
+	if end := standby.AppendShipped(want[:3]); end != want[2].LSN {
+		t.Fatalf("first shipped batch ends at %d, want %d", end, want[2].LSN)
+	}
+	if end := standby.AppendShipped(want[3:]); end != primary.AppendedLSN() {
+		t.Fatalf("second shipped batch ends at %d, want %d", end, primary.AppendedLSN())
+	}
+	got := standby.Records()
+	if len(got) != len(want) {
+		t.Fatalf("standby holds %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] || got[i].LSN != lsns[i] {
+			t.Fatalf("record %d: standby %p LSN %d, primary %p LSN %d", i, got[i], got[i].LSN, want[i], lsns[i])
+		}
+	}
+
+	// The rejected batch's first record is in place; its second is not.
+	appended := standby.AppendedLSN()
+	good := &Record{Type: RecBegin, Txn: 3, Bytes: 100, LSN: appended + 100}
+	stray := &Record{Type: RecCommit, Txn: 3, Bytes: RecHeaderBytes, LSN: 7}
+	at := appended + 100 + RecHeaderBytes
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "LSN 7") || !strings.Contains(msg, fmt.Sprint(at)) {
+				t.Fatalf("panic %q does not name LSN 7 and position %d", msg, at)
+			}
+		}()
+		standby.AppendShipped([]*Record{good, stray})
+	}()
+	if stray.LSN != 7 {
+		t.Fatalf("a rejected record's LSN became %d", stray.LSN)
+	}
+	if standby.AppendedLSN() != appended || len(standby.Records()) != len(want) {
+		t.Fatalf("a rejected batch moved the log to LSN %d with %d records, want %d with %d",
+			standby.AppendedLSN(), len(standby.Records()), appended, len(want))
 	}
 }

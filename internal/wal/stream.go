@@ -13,9 +13,8 @@ import (
 //
 // Readers single-thread within one reader (one shipper proc per
 // reader); multiple independent readers over the same log are fine.
-// Returned record pointers are shared with the log image — callers that
-// re-append them elsewhere (a standby log) must shallow-copy first,
-// because AppendBatch assigns LSNs in place.
+// Returned record pointers are shared with the log image; a standby
+// re-logs them as they are (AppendShipped says why that is safe).
 type StreamReader struct {
 	l   *Log
 	pos int // index into l.records of the next unread record
