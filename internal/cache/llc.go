@@ -51,14 +51,6 @@ func (s *Stats) Add(o Stats) {
 	s.Writebacks += o.Writebacks
 }
 
-// MissRatio returns the fraction of accesses that missed, or 0 if none.
-func (s Stats) MissRatio() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // LLC is one socket's simulated last-level cache.
 //
 // Storage is two flat tables of simSets × Ways words, a set's ways
@@ -190,9 +182,6 @@ func (c *LLC) Flush() {
 
 // Stats returns the scaled counters accumulated so far.
 func (c *LLC) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the counters without disturbing cache contents.
-func (c *LLC) ResetStats() { c.stats = Stats{} }
 
 // sampleIdx returns line / SetSample: the sampled index of the line's
 // sampling representative (the nearest lower line ≡ 0 mod SetSample).

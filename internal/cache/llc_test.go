@@ -9,6 +9,17 @@ import (
 	"repro/internal/sim"
 )
 
+// MissRatio returns the fraction of accesses that missed, or 0 if none.
+func (s Stats) MissRatio() float64 {
+	if s.Accesses == 0 {
+		return 0
+	}
+	return float64(s.Misses) / float64(s.Accesses)
+}
+
+// ResetStats zeroes the counters without disturbing cache contents.
+func (c *LLC) ResetStats() { c.stats = Stats{} }
+
 func testLLC(sample int) *LLC {
 	return New(Config{SizeBytes: 20 << 20, Ways: 20, SetSample: sample})
 }

@@ -135,9 +135,10 @@ func TestRecoveryCellsLeaveNothingRunning(t *testing.T) {
 	}
 }
 
-// With the self-profile on, every boot — runPoint's and bootASDB's —
-// adds one entry and its host wall to the setup phase; with it off,
-// boots leave the phase alone.
+// With the self-profile on, every boot — runPoint's, bootASDB's and the
+// single-stream TPC-H cells' (QueryTimings, TraceTPCH) — adds one entry
+// and its host wall to the setup phase; with it off, boots leave the
+// phase alone.
 func TestBootIsProfiledAsSetup(t *testing.T) {
 	opt := TestOptions()
 	opt.Density, opt.Warmup, opt.Measure = 30, sim.Second/2, sim.Second/2
@@ -159,7 +160,9 @@ func TestBootIsProfiledAsSetup(t *testing.T) {
 	defer sim.DisableProfiling()
 	bootASDB(1000, opt, Knobs{}, nil, nil)
 	RunASDB(1000, opt, Knobs{})
-	if w, c := setup(); w <= w0 || c != c0+2 {
-		t.Fatalf("profiling on: setup moved %d ns, %d entries; want > 0 ns, 2 entries", w-w0, c-c0)
+	QueryTimings(1, opt, []Knobs{{}}, []int64{opt.Seed})
+	TraceTPCH(1, 6, opt)
+	if w, c := setup(); w <= w0 || c != c0+4 {
+		t.Fatalf("profiling on: setup moved %d ns, %d entries; want > 0 ns, 4 entries", w-w0, c-c0)
 	}
 }

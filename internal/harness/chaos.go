@@ -58,16 +58,9 @@ type ChaosPoint struct {
 	OfferedRPS float64
 	GoodputRPS float64 // acked/OK replies per second over the measure window
 
-	Acked       int64 // execs acknowledged at the client boundary
-	Unknown     int64 // execs with ambiguous outcome (never retried)
-	NotExecuted int64
-	Retries     int64
-	Reconnects  int64
-	Rotations   int64
-	Resets      int64
-	DialFails   int64
-	Hedges      int64
-	BreakerOpen int64
+	Acked   int64          // execs acknowledged at the client boundary
+	Unknown int64          // execs with ambiguous outcome (never retried)
+	Client  client.Metrics // the resilient clients' shared accounting
 
 	LostAcks   int64   // client-acked commits missing from the surviving log (must be 0)
 	FailoverMs float64 // RTO when the cell crashed (0 otherwise)
@@ -257,14 +250,7 @@ func runChaosCell(sf int, opt Options, spec ChaosSpec, rate float64) ChaosPoint 
 	out.GoodputRPS = float64(okN) / opt.Measure.Seconds()
 	out.Acked = st.Acked
 	out.Unknown = st.Unknown
-	out.NotExecuted = st.NotExecuted
-	out.Retries = st.M.Retries
-	out.Reconnects = st.M.Reconnects
-	out.Rotations = st.M.Rotations
-	out.Resets = st.M.Resets
-	out.DialFails = st.M.DialFails
-	out.Hedges = st.M.HedgesSent
-	out.BreakerOpen = st.M.BreakerOpen
+	out.Client = st.M
 	out.Telemetry = srv.Tel.Snapshot()
 
 	// Liveness: first acked request after the last disruption clears.
@@ -307,17 +293,10 @@ func runChaosCell(sf int, opt Options, spec ChaosSpec, rate float64) ChaosPoint 
 	return out
 }
 
-// Chaos runs the seeded chaos matrix. Nil specs takes ChaosSpecs();
-// rate <= 0 offers the serving sweep's mid-grid connection rate. Cells
-// boot isolated simulations: results are bit-identical at any
-// opt.Parallel.
+// Chaos runs the seeded chaos matrix at rate connection arrivals per
+// second. Cells boot isolated simulations: results are bit-identical at
+// any opt.Parallel.
 func Chaos(sf int, opt Options, specs []ChaosSpec, rate float64) ChaosResult {
-	if specs == nil {
-		specs = ChaosSpecs()
-	}
-	if rate <= 0 {
-		rate = ServingRates[len(ServingRates)/2]
-	}
 	points := Sweep(opt.Parallel, len(specs), func(i int) ChaosPoint {
 		return runChaosCell(sf, opt, specs[i], rate)
 	}, opt.Progress)
@@ -337,9 +316,9 @@ func EmitChaos(e *Emitter, r ChaosResult) {
 		point("goodput", p.GoodputRPS, "rps")
 		point("acked_execs", float64(p.Acked), "requests")
 		point("ambiguous_execs", float64(p.Unknown), "requests")
-		point("client_retries", float64(p.Retries), "requests")
-		point("reconnects", float64(p.Reconnects), "conns")
-		point("resets", float64(p.Resets), "conns")
+		point("client_retries", float64(p.Client.Retries), "requests")
+		point("reconnects", float64(p.Client.Reconnects), "conns")
+		point("resets", float64(p.Client.Resets), "conns")
 		point("lost_acks", float64(p.LostAcks), "commits")
 		point("failover_ms", p.FailoverMs, "ms")
 		point("recovery_ms", p.RecoveryMs, "ms")
@@ -355,8 +334,8 @@ func (r ChaosResult) String() string {
 		"cell", "offered", "goodput", "acked", "ambig", "retries", "reconn", "resets", "lost", "rto-ms", "recov-ms", "err")
 	for _, p := range r.Points {
 		s += fmt.Sprintf("%-18s %8.1f %8.1f %7d %6d %7d %7d %6d %5d %9.1f %9.1f %s\n",
-			p.Spec.Name, p.OfferedRPS, p.GoodputRPS, p.Acked, p.Unknown, p.Retries,
-			p.Reconnects, p.Resets, p.LostAcks, p.FailoverMs, p.RecoveryMs, p.Err)
+			p.Spec.Name, p.OfferedRPS, p.GoodputRPS, p.Acked, p.Unknown, p.Client.Retries,
+			p.Client.Reconnects, p.Client.Resets, p.LostAcks, p.FailoverMs, p.RecoveryMs, p.Err)
 	}
 	return s
 }

@@ -21,7 +21,7 @@ func chaosOpts() Options {
 // lost acks, no double effects), crash cells actually fail over, and
 // goodput recovers after the last disruption clears.
 func TestChaosMatrixSafetyInvariants(t *testing.T) {
-	r := Chaos(1, chaosOpts(), nil, 8)
+	r := Chaos(1, chaosOpts(), ChaosSpecs(), 8)
 	if err := r.Err(); err != nil {
 		t.Fatalf("%v\n%s", err, r)
 	}
@@ -49,8 +49,8 @@ func TestChaosMatrixSafetyInvariants(t *testing.T) {
 	// exercising the resilience machinery.
 	var retries, reconnects int64
 	for _, p := range r.Points {
-		retries += p.Retries
-		reconnects += p.Reconnects
+		retries += p.Client.Retries
+		reconnects += p.Client.Reconnects
 	}
 	if retries == 0 || reconnects == 0 {
 		t.Fatalf("matrix too quiet: %d retries, %d reconnects\n%s", retries, reconnects, r)

@@ -298,26 +298,29 @@ func EmitTrace(e *Emitter, experiment, workload string, sf int, tr *trace.Trace)
 	walk(tr.Root, 0)
 }
 
-// EmitResilience exports a retention curve, one point record per
-// intensity step with the robustness counters as fields.
-func EmitResilience(e *Emitter, r ResilienceResult) {
-	for _, p := range r.Points {
-		e.Emit(Record{
-			Record: "point", Experiment: "resilience", Workload: string(r.Workload), SF: r.SF,
-			Knob: "fault_intensity", X: p.Intensity,
-			Fields: map[string]float64{
-				"throughput":      p.Throughput,
-				"retention":       p.Retention,
-				"faults_injected": float64(p.FaultsInjected),
-				"fault_io_errors": float64(p.FaultIOErrors),
-				"io_retries":      float64(p.IORetries),
-				"txn_retries":     float64(p.TxnRetries),
-				"query_retries":   float64(p.QueryRetries),
-				"deadline_kills":  float64(p.DeadlineKills),
-				"degraded_plans":  float64(p.DegradedPlans),
-				"failed":          float64(p.DegradedFailed),
-			},
-		})
+// EmitResilience exports a faultAxis grid, one point record per (cell,
+// intensity step) with the robustness counters as fields.
+func EmitResilience(e *Emitter, g Grid) {
+	for c, cell := range g.Cells {
+		for s, r := range g.Results[c] {
+			d := r.Delta
+			e.Emit(Record{
+				Record: "point", Experiment: "resilience", Workload: string(cell.Workload), SF: cell.SF,
+				Knob: g.Axis.Knob, X: g.Steps[s],
+				Fields: map[string]float64{
+					"throughput":      r.Throughput,
+					"retention":       retention(g, c, s),
+					"faults_injected": float64(d.FaultsInjected),
+					"fault_io_errors": float64(d.FaultIOErrors),
+					"io_retries":      float64(d.IORetries),
+					"txn_retries":     float64(d.TxnRetries),
+					"query_retries":   float64(d.QueryRetries),
+					"deadline_kills":  float64(d.DeadlineKills),
+					"degraded_plans":  float64(d.DegradedPlans),
+					"failed":          float64(d.QueriesFailed + d.QueriesCanceled),
+				},
+			})
+		}
 	}
 }
 
@@ -328,23 +331,24 @@ func EmitRecovery(e *Emitter, r RecoveryResult) {
 	for _, p := range r.Points {
 		name := fmt.Sprintf("bw%.0fMBps", p.BandwidthMBps)
 		x := p.CkptInterval.Seconds() * 1e3
+		rep := p.Run.Report
 		e.Emit(Record{
 			Record: "curve_point", Experiment: "recovery", Workload: "asdb", SF: r.SF,
 			Metric: "mttr_ms", Name: name, Knob: "ckpt_interval_ms", X: x,
-			Value: p.MTTRMs, Unit: "ms",
+			Value: p.Run.MTTRMs(), Unit: "ms",
 		})
 		e.Emit(Record{
 			Record: "point", Experiment: "recovery", Workload: "asdb", SF: r.SF,
 			Name: name, Knob: "ckpt_interval_ms", X: x,
 			Fields: map[string]float64{
-				"mttr_ms":        p.MTTRMs,
-				"log_scanned_kb": p.LogScannedKB,
-				"redo_pages":     float64(p.RedoPages),
-				"undo_records":   float64(p.UndoRecords),
-				"clrs":           float64(p.CLRs),
-				"winners":        float64(p.Winners),
-				"losers":         float64(p.Losers),
-				"lost_txns":      float64(p.LostTxns),
+				"mttr_ms":        p.Run.MTTRMs(),
+				"log_scanned_kb": float64(rep.LogScanned) / 1024,
+				"redo_pages":     float64(rep.RedoPages),
+				"undo_records":   float64(rep.UndoRecords),
+				"clrs":           float64(rep.CLRs),
+				"winners":        float64(rep.Winners),
+				"losers":         float64(rep.Losers),
+				"lost_txns":      float64(rep.LostTxns),
 			},
 		})
 	}
@@ -372,7 +376,7 @@ func EmitCrashMatrix(e *Emitter, r CrashMatrixResult) {
 				"redo_pages":   float64(rep.RedoPages),
 				"undo_records": float64(rep.UndoRecords),
 				"clrs":         float64(rep.CLRs),
-				"mttr_ms":      rep.Elapsed.Seconds() * 1e3,
+				"mttr_ms":      c.Run.MTTRMs(),
 				"passes":       float64(c.Run.Passes),
 				"idempotent":   idem,
 			},

@@ -182,8 +182,10 @@ func QueryTimings(sf int, opt Options, settings []Knobs, seeds []int64) []map[in
 	return Sweep(opt.Parallel, len(settings), func(i int) map[int]sim.Duration {
 		k := settings[i]
 		elapsed := map[int]sim.Duration{}
+		booted := setupTimer()
 		d := tpch.Build(tpchConfig(sf, opt))
 		srv := warmServer(d.DB, opt, k)
+		booted()
 		srv.Start()
 		g := sim.NewRNG(seeds[i])
 		for _, qi := range g.Perm(tpch.NumQueries) {
@@ -257,9 +259,11 @@ type Fig7Result struct {
 // Fig7 reproduces the Q20 plan-shape comparison: the same query explained
 // at MAXDOP 1 and MAXDOP 32.
 func Fig7(sf int, opt Options) Fig7Result {
+	booted := setupTimer()
 	d := tpch.Build(tpchConfig(sf, opt))
 	srv := newServer(opt, Knobs{})
 	srv.AttachDB(d.DB)
+	booted()
 	g := sim.NewRNG(opt.Seed)
 	q := d.Query(20, g)
 	serial, _ := srv.ExplainQuery(q, 1)

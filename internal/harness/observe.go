@@ -25,8 +25,10 @@ type TraceResult struct {
 // TraceTPCH runs one TPC-H query with tracing on and returns its
 // EXPLAIN-ANALYZE material (the `dbsense trace` experiment).
 func TraceTPCH(sf, qn int, opt Options) TraceResult {
+	booted := setupTimer()
 	d := tpch.Build(tpchConfig(sf, opt))
 	srv := warmServer(d.DB, opt, Knobs{Trace: true})
+	booted()
 	srv.Start()
 	g := sim.NewRNG(opt.Seed)
 	var res engine.QueryResult

@@ -37,6 +37,10 @@ type RecoveryRun struct {
 // state untouched.
 func (r RecoveryRun) Idempotent() bool { return r.Digest == r.DigestRerun }
 
+// MTTRMs is the final pass's recovery elapsed, the mean-time-to-recover
+// sample, in milliseconds.
+func (r RecoveryRun) MTTRMs() float64 { return r.Report.Elapsed.Seconds() * 1e3 }
+
 // runRecovery drives a cell booted with a crash plan: the CRUD mix runs
 // into the configured crash, the server restarts with ARIES recovery
 // (re-entering recovery when a during-undo crash interrupts it), and the
@@ -92,20 +96,11 @@ func (c *cell) runRecovery(opt Options, rerun bool) RecoveryRun {
 }
 
 // RecoveryPoint is one (storage bandwidth, checkpoint interval) cell of
-// the MTTR sweep.
+// the MTTR sweep and the recovery it ran.
 type RecoveryPoint struct {
 	BandwidthMBps float64
 	CkptInterval  sim.Duration
-
-	MTTRMs       float64 // recovery elapsed, the mean-time-to-recover sample
-	LogScannedKB float64
-	RedoPages    int64
-	UndoRecords  int64
-	CLRs         int64
-	Winners      int
-	Losers       int
-	LostTxns     int
-	Err          string
+	Run           RecoveryRun
 }
 
 // RecoveryResult is the MTTR response surface: one curve of MTTR versus
@@ -117,55 +112,30 @@ type RecoveryResult struct {
 
 // Recovery sweeps crash recovery across checkpoint intervals and storage
 // bandwidths: every cell runs the same workload to the same timed crash,
-// so MTTR differences isolate the knobs. intervals nil uses
-// RecoveryCkptIntervals, bandwidths nil RecoveryBandwidths. Cells boot
-// isolated simulations, so results are bit-identical at any opt.Parallel.
+// so MTTR differences isolate the knobs. Cells boot isolated
+// simulations, so results are bit-identical at any opt.Parallel.
 func Recovery(sf int, opt Options, intervals []sim.Duration, bandwidths []float64) RecoveryResult {
-	if intervals == nil {
-		intervals = RecoveryCkptIntervals
-	}
-	if bandwidths == nil {
-		bandwidths = RecoveryBandwidths
-	}
-	type cell struct {
-		bw float64
-		iv sim.Duration
-	}
-	var cells []cell
+	var points []RecoveryPoint
 	for _, bw := range bandwidths {
 		for _, iv := range intervals {
-			cells = append(cells, cell{bw, iv})
+			points = append(points, RecoveryPoint{BandwidthMBps: bw, CkptInterval: iv})
 		}
 	}
 	crashAt := opt.Warmup + opt.Measure
-	runs := Sweep(opt.Parallel, len(cells), func(i int) RecoveryRun {
-		c := cells[i]
-		k := Knobs{ReadLimitMBps: c.bw, WriteLimitMBps: c.bw}
+	runs := Sweep(opt.Parallel, len(points), func(i int) RecoveryRun {
+		p := points[i]
+		k := Knobs{ReadLimitMBps: p.BandwidthMBps, WriteLimitMBps: p.BandwidthMBps}
 		ro := engine.RecoveryOptions{
-			CkptInterval:  c.iv,
+			CkptInterval:  p.CkptInterval,
 			MaxFlushBytes: 4 << 10, // small batches leave partially flushed lumps: undo work
 			Crash:         fault.CrashPlan{Point: fault.CrashAtTime, At: crashAt},
 		}
 		return bootASDB(sf, opt, k, &ro, nil).runRecovery(opt, false)
 	}, opt.Progress)
-	out := RecoveryResult{SF: sf}
 	for i, r := range runs {
-		p := RecoveryPoint{
-			BandwidthMBps: cells[i].bw,
-			CkptInterval:  cells[i].iv,
-			MTTRMs:        r.Report.Elapsed.Seconds() * 1e3,
-			LogScannedKB:  float64(r.Report.LogScanned) / 1024,
-			RedoPages:     r.Report.RedoPages,
-			UndoRecords:   r.Report.UndoRecords,
-			CLRs:          r.Report.CLRs,
-			Winners:       r.Report.Winners,
-			Losers:        r.Report.Losers,
-			LostTxns:      r.Report.LostTxns,
-			Err:           r.InvariantErr,
-		}
-		out.Points = append(out.Points, p)
+		points[i].Run = r
 	}
-	return out
+	return RecoveryResult{SF: sf, Points: points}
 }
 
 // String renders the MTTR surface as an aligned table.
@@ -175,9 +145,10 @@ func (r RecoveryResult) String() string {
 		"bw-MB/s", "ckpt-ms", "mttr-ms", "log-KB", "redo-pg", "undo", "clrs",
 		"winners", "losers", "lost-txn", "err")
 	for _, p := range r.Points {
+		rep := p.Run.Report
 		s += fmt.Sprintf("%8.0f %8.0f %9.2f %9.1f %8d %8d %6d %7d %7d %8d %s\n",
-			p.BandwidthMBps, p.CkptInterval.Seconds()*1e3, p.MTTRMs, p.LogScannedKB,
-			p.RedoPages, p.UndoRecords, p.CLRs, p.Winners, p.Losers, p.LostTxns, p.Err)
+			p.BandwidthMBps, p.CkptInterval.Seconds()*1e3, p.Run.MTTRMs(), float64(rep.LogScanned)/1024,
+			rep.RedoPages, rep.UndoRecords, rep.CLRs, rep.Winners, rep.Losers, rep.LostTxns, p.Run.InvariantErr)
 	}
 	return s
 }
@@ -185,8 +156,8 @@ func (r RecoveryResult) String() string {
 // Err returns the first cell error, nil when every cell verified.
 func (r RecoveryResult) Err() error {
 	for _, p := range r.Points {
-		if p.Err != "" {
-			return fmt.Errorf("recovery bw=%.0f ckpt=%v: %s", p.BandwidthMBps, p.CkptInterval, p.Err)
+		if p.Run.InvariantErr != "" {
+			return fmt.Errorf("recovery bw=%.0f ckpt=%v: %s", p.BandwidthMBps, p.CkptInterval, p.Run.InvariantErr)
 		}
 	}
 	return nil
@@ -224,12 +195,9 @@ func CrashMatrixPlans(opt Options) []fault.CrashPlan {
 // CrashMatrix runs the seeded crash-point grid: each cell crashes the
 // workload at its plan's point, recovers (twice when the plan crashes
 // recovery itself), checks the recovery invariants, and re-recovers to
-// verify idempotence. plans nil uses CrashMatrixPlans(opt). Checkpoints
-// run every 500 ms so mid-checkpoint plans fire within short windows.
+// verify idempotence. Checkpoints run every 250 ms so mid-checkpoint
+// plans fire within short windows.
 func CrashMatrix(sf int, opt Options, plans []fault.CrashPlan) CrashMatrixResult {
-	if plans == nil {
-		plans = CrashMatrixPlans(opt)
-	}
 	runs := Sweep(opt.Parallel, len(plans), func(i int) RecoveryRun {
 		// A flush cap smaller than one commit lump (~0.5 KB here) puts the
 		// durable boundary inside a lump most of the time, so the crash

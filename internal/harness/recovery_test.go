@@ -72,10 +72,10 @@ func TestRecoverySweepDeterministicAcrossParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range serial.Points {
-		if p.MTTRMs <= 0 {
+		if p.Run.MTTRMs() <= 0 {
 			t.Fatalf("cell bw=%v ckpt=%v has no recovery time", p.BandwidthMBps, p.CkptInterval)
 		}
-		if p.Winners == 0 {
+		if p.Run.Report.Winners == 0 {
 			t.Fatalf("cell bw=%v ckpt=%v classified no winners", p.BandwidthMBps, p.CkptInterval)
 		}
 	}

@@ -355,37 +355,30 @@ func runQStats(e *Env) error {
 }
 
 func runServing(e *Env) error {
-	res := Serving(e.asdbSF(), e.Opt, nil)
+	res := Serving(e.asdbSF(), e.Opt, ServingRates)
 	e.write(res.String())
 	EmitServing(e.Emit, res)
 	return nil
 }
 
 func runReplication(e *Env) error {
-	// Nil axes take the harness defaults.
-	res := Replication(e.asdbSF(), e.Opt, nil, quickOr(e, []float64{200}, nil), quickOr(e, []int{1}, nil))
+	res := Replication(e.asdbSF(), e.Opt, ReplModes, quickOr(e, []float64{200}, RecoveryBandwidths), quickOr(e, []int{1}, ReplReplicaCounts))
 	e.write(res.String())
 	EmitReplication(e.Emit, res)
 	return res.Err()
 }
 
 // runResilience sweeps TPC-H and TPC-E by default, or a single
-// -workload override at its smallest paper scale factor.
+// -workload override at its smallest paper scale factor, along the
+// fault-intensity axis.
 func runResilience(e *Env) error {
-	type pair struct {
-		w  Workload
-		sf int
-	}
-	pairs := []pair{{WTpch, 100}, {WTpce, quickOr(e, 2000, 5000)}}
+	cells := []Cell{{WTpch, 100}, {WTpce, quickOr(e, 2000, 5000)}}
 	if e.Workload != "" {
-		pairs = []pair{{e.Workload, PaperSFs(e.Workload)[0]}}
+		cells = []Cell{{e.Workload, PaperSFs(e.Workload)[0]}}
 	}
-	steps := quickOr(e, []float64{0, 1, 4}, FaultSteps)
-	for _, p := range pairs {
-		res := Resilience(p.w, p.sf, e.Opt, steps)
-		e.write(res.String())
-		EmitResilience(e.Emit, res)
-	}
+	g := SweepAxis(faultAxis(e.Opt.Seed), quickOr(e, []float64{0, 1, 4}, FaultSteps), cells, e.Opt)
+	e.write(RenderResilience(g))
+	EmitResilience(e.Emit, g)
 	return nil
 }
 
@@ -394,30 +387,26 @@ func runResilience(e *Env) error {
 // emitted.
 func runRecoveryExp(e *Env) error {
 	sf := e.asdbSF()
-	res := Recovery(sf, e.Opt, quickOr(e, []sim.Duration{500 * sim.Millisecond, 2 * sim.Second}, RecoveryCkptIntervals), nil)
+	res := Recovery(sf, e.Opt, quickOr(e, []sim.Duration{500 * sim.Millisecond, 2 * sim.Second}, RecoveryCkptIntervals), RecoveryBandwidths)
 	e.write(res.String())
 	EmitRecovery(e.Emit, res)
-	m := CrashMatrix(sf, e.Opt, nil)
+	m := CrashMatrix(sf, e.Opt, CrashMatrixPlans(e.Opt))
 	e.write(m.String())
 	EmitCrashMatrix(e.Emit, m)
 	return errors.Join(res.Err(), m.Err())
 }
 
 func runFailover(e *Env) error {
-	res := Failover(e.asdbSF(), e.Opt, nil)
+	res := Failover(e.asdbSF(), e.Opt, ReplModes)
 	e.write(res.String())
 	EmitFailover(e.Emit, res)
 	return res.Err()
 }
 
 func runChaos(e *Env) error {
-	var specs []ChaosSpec // nil runs the full matrix
+	specs := ChaosSpecs()
 	if e.Schedule != "" {
-		for _, sp := range ChaosSpecs() {
-			if sp.Schedule == e.Schedule {
-				specs = append(specs, sp)
-			}
-		}
+		specs = slices.DeleteFunc(specs, func(sp ChaosSpec) bool { return sp.Schedule != e.Schedule })
 	}
 	res := Chaos(e.asdbSF(), e.Opt, specs, e.Rate)
 	e.write(res.String())

@@ -51,20 +51,9 @@ type ReplicationResult struct {
 // bandwidths, and replica counts: the commit path crosses the simulated
 // link and the replica WAL devices, so sync/quorum latency responds to
 // the same storage throttle the paper's sensitivity sweeps use. Every
-// cell verifies primary/standby digest equality at quiesce. Nil axes
-// take the defaults (ReplModes, RecoveryBandwidths, ReplReplicaCounts).
-// Cells boot isolated simulations: results are bit-identical at any
-// opt.Parallel.
+// cell verifies primary/standby digest equality at quiesce. Cells boot
+// isolated simulations: results are bit-identical at any opt.Parallel.
 func Replication(sf int, opt Options, modes []repl.Mode, bandwidths []float64, replicas []int) ReplicationResult {
-	if modes == nil {
-		modes = ReplModes
-	}
-	if bandwidths == nil {
-		bandwidths = RecoveryBandwidths
-	}
-	if replicas == nil {
-		replicas = ReplReplicaCounts
-	}
 	type setting struct {
 		mode repl.Mode
 		bw   float64
@@ -166,11 +155,8 @@ type FailoverResult struct {
 // acknowledged commit is lost. The same run archives WAL segments and
 // marks snapshots; after promotion a point-in-time restore to a
 // mid-run commit LSN is verified against an independent replay of the
-// primary's durable log prefix. modes nil uses ReplModes.
+// primary's durable log prefix.
 func Failover(sf int, opt Options, modes []repl.Mode) FailoverResult {
-	if modes == nil {
-		modes = ReplModes
-	}
 	crashAt := opt.Warmup + opt.Measure
 	cells := Sweep(opt.Parallel, len(modes), func(i int) FailoverCell {
 		mode := modes[i]

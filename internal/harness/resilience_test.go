@@ -48,24 +48,24 @@ func TestFaultedRunDeterminism(t *testing.T) {
 
 func TestResilienceSweepEndToEnd(t *testing.T) {
 	opt := TestOptions()
-	res := Resilience(WTpce, 200, opt, []float64{0, 2})
-	if len(res.Points) != 2 {
-		t.Fatalf("points = %d", len(res.Points))
+	g := SweepAxis(faultAxis(opt.Seed), []float64{0, 2}, []Cell{{WTpce, 200}}, opt)
+	if len(g.Results[0]) != 2 {
+		t.Fatalf("points = %d", len(g.Results[0]))
 	}
-	p0, p1 := res.Points[0], res.Points[1]
-	if p0.Retention != 1 {
-		t.Fatalf("anchor retention = %f, want 1", p0.Retention)
+	p0, p1 := g.Results[0][0], g.Results[0][1]
+	if r := retention(g, 0, 0); r != 1 {
+		t.Fatalf("anchor retention = %f, want 1", r)
 	}
-	if p0.FaultsInjected != 0 {
-		t.Fatalf("anchor injected %d faults", p0.FaultsInjected)
+	if p0.Delta.FaultsInjected != 0 {
+		t.Fatalf("anchor injected %d faults", p0.Delta.FaultsInjected)
 	}
-	if p1.FaultsInjected == 0 {
+	if p1.Delta.FaultsInjected == 0 {
 		t.Fatal("intensity 2 injected no faults")
 	}
 	if p1.Throughput <= 0 {
 		t.Fatalf("throughput = %f under faults", p1.Throughput)
 	}
-	out := res.String()
+	out := RenderResilience(g)
 	for _, col := range []string{"intensity", "retain%", "txn-rtry", "dl-kill"} {
 		if !strings.Contains(out, col) {
 			t.Fatalf("rendered table missing %q:\n%s", col, out)

@@ -119,13 +119,9 @@ func ServeOnce(sf int, opt Options, k Knobs, rate float64, storm bool) ServingPo
 }
 
 // Serving sweeps offered load through saturation on the serving front
-// end at the default knobs and runs the storm cell. Nil rates takes
-// ServingRates. Cells boot isolated simulations: results are
-// bit-identical at any opt.Parallel.
+// end at the default knobs and runs the storm cell. Cells boot isolated
+// simulations: results are bit-identical at any opt.Parallel.
 func Serving(sf int, opt Options, rates []float64) ServingResult {
-	if rates == nil {
-		rates = ServingRates
-	}
 	// The storm cell runs at the mid-grid rate as one more sweep slot, so
 	// it parallelizes with the grid.
 	slots := append(slices.Clone(rates), rates[len(rates)/2])

@@ -18,7 +18,7 @@ func servingOpts() Options {
 // and past saturation admission control sheds instead of letting the
 // served tail collapse.
 func TestServingSweepShedsPastSaturation(t *testing.T) {
-	r := Serving(2000, servingOpts(), nil)
+	r := Serving(2000, servingOpts(), ServingRates)
 	if len(r.Points) != len(ServingRates) {
 		t.Fatalf("points = %d", len(r.Points))
 	}

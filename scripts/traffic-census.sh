@@ -27,7 +27,7 @@ db run qstats -o qstats.jsonl -profile prof
 db run replication -o repl.jsonl
 "$out/bin/bench" -reps 1 -traced -json bench.json >/dev/null
 "$out/bin/bench" -probes >/dev/null
-"$out/bin/simstat" >/dev/null && "$out/bin/simstat" -series repl.jsonl >/dev/null
+"$out/bin/simstat" -series repl.jsonl >/dev/null
 "$out/bin/dbgen" >/dev/null && "$out/bin/dbgen" -detail >/dev/null
 for x in cachesizing cloudsizing htapmix maxdopadvisor pitfalls quickstart; do "$out/bin/$x" >/dev/null; done
 go tool covdata func -i="$out/cov" | awk '$1 ~ /^repro\/internal\// && $NF == "0.0%"' | tee "$out/zero.txt"
