@@ -295,8 +295,7 @@ func (l *Listener) Accept(p *sim.Proc) (*Conn, error) {
 	if len(l.backlog) == 0 {
 		return nil, ErrListenerClosed
 	}
-	c := l.backlog[0]
-	l.backlog = l.backlog[1:]
+	c := popFront(&l.backlog)
 	l.Accepted++
 	return c, nil
 }
@@ -423,14 +422,25 @@ func (c *Conn) RecvTimeout(p *sim.Proc, d sim.Duration) ([]byte, error) {
 
 func (c *Conn) recvTail() ([]byte, error) {
 	if len(c.inbox) > 0 {
-		f := c.inbox[0]
-		c.inbox = c.inbox[1:]
-		return f, nil
+		return popFront(&c.inbox), nil
 	}
 	if c.failed != nil {
 		return nil, c.failed
 	}
 	return nil, ErrClosed
+}
+
+// popFront removes and returns the head of *q, keeping order and
+// capacity, so the next append reuses the backing array. The vacated tail
+// slot is cleared so the array does not pin what was popped.
+func popFront[T any](q *[]T) T {
+	s := *q
+	head := s[0]
+	n := copy(s, s[1:])
+	var zero T
+	s[n] = zero
+	*q = s[:n]
+	return head
 }
 
 // Close tears down both endpoints and wakes blocked receivers; buffered

@@ -181,3 +181,84 @@ func TestDeliverIsInstant(t *testing.T) {
 		t.Fatalf("delivered at %v, want exactly 10ms", at)
 	}
 }
+
+// TestWarmEchoRoundTripAllocatesNothing pins the transport's steady
+// state: once a connection has carried its first frame, a round trip
+// through an echo server allocates nothing, because a popped inbox keeps
+// its capacity for the next delivery.
+func TestWarmEchoRoundTripAllocatesNothing(t *testing.T) {
+	sm, nw := echoPair()
+	var kick sim.WaitQueue
+	stop := false
+	sm.Spawn("caller", func(p *sim.Proc) {
+		c, err := nw.Dial(p, "echo")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer c.Close()
+		frame := make([]byte, 64)
+		for {
+			kick.Wait(p)
+			if stop {
+				return
+			}
+			if err := c.Send(p, frame); err != nil {
+				t.Error(err)
+			}
+			if _, err := c.Recv(p); err != nil {
+				t.Error(err)
+			}
+			sm.Halt()
+		}
+	})
+	sm.Run(sim.Forever) // dial; the caller parks on kick
+	roundTrip := func() {
+		kick.WakeOne(sm)
+		sm.Run(sim.Forever)
+	}
+	roundTrip() // the connection's first frame
+	if n := testing.AllocsPerRun(100, roundTrip); n != 0 {
+		t.Errorf("%v allocations per warm round trip, want 0", n)
+	}
+	stop = true
+	kick.WakeOne(sm)
+	sm.Run(sim.Forever)
+	if sm.Live() != 0 {
+		t.Fatalf("%d procs still live", sm.Live())
+	}
+}
+
+// TestDrainedInboxKeepsCapacity pins the inbox pop: draining queued
+// frames keeps the backing array for the next delivery and clears every
+// vacated slot, so it does not pin a frame already received.
+func TestDrainedInboxKeepsCapacity(t *testing.T) {
+	sm := sim.New(1)
+	nw := New(sm, Config{})
+	l, _ := nw.Listen("db")
+	var server, client *Conn
+	sm.Spawn("server", func(p *sim.Proc) { server, _ = l.Accept(p) })
+	sm.Spawn("client", func(p *sim.Proc) { client, _ = nw.Dial(p, "db") })
+	sm.Run(sim.Forever)
+	const frames = 10
+	for i := 0; i < frames; i++ {
+		server.Deliver([]byte{byte(i)})
+	}
+	full := cap(client.inbox)
+	sm.Spawn("drain", func(p *sim.Proc) {
+		for i := 0; i < frames; i++ {
+			if f, err := client.Recv(p); err != nil || f[0] != byte(i) {
+				t.Errorf("frame %d: got %v, err %v", i, f, err)
+			}
+		}
+	})
+	sm.Run(sim.Forever)
+	if len(client.inbox) != 0 || cap(client.inbox) != full {
+		t.Fatalf("drained inbox: len %d cap %d, want 0 and %d", len(client.inbox), cap(client.inbox), full)
+	}
+	for i, f := range client.inbox[:full] {
+		if f != nil {
+			t.Errorf("vacated slot %d still holds %v", i, f)
+		}
+	}
+}

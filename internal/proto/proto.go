@@ -14,13 +14,19 @@
 //	u64 id       // request id, echoed on the reply; 0 for handshake
 //	... payload  // kind-specific, see the payload types below
 //
-// All integers are little-endian. Strings are u16-length-prefixed.
+// All integers are little-endian. Strings are u16-length-prefixed, so an
+// encoder refuses (panics on) a string longer than 65 535 bytes.
+//
+// Every encoder returns a frame that is one exact-size allocation
+// (len == cap): the header and payload are written into the same buffer,
+// and a caller's append cannot write into a frame already sent.
 package proto
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Magic identifies the protocol in the Hello frame; Version must match
@@ -124,14 +130,20 @@ type Frame struct {
 	Payload []byte
 }
 
+// header returns a frame's length prefix, kind and id in a buffer with
+// room for exactly payloadLen more bytes: the encoder appends the payload
+// and the frame ends with len == cap.
+func header(kind Kind, id uint64, payloadLen int) []byte {
+	buf := make([]byte, headerBytes, headerBytes+payloadLen)
+	binary.LittleEndian.PutUint32(buf, uint32(1+8+payloadLen))
+	buf[4] = uint8(kind)
+	binary.LittleEndian.PutUint64(buf[5:], id)
+	return buf
+}
+
 // Encode serializes the frame.
 func Encode(f Frame) []byte {
-	buf := make([]byte, headerBytes+len(f.Payload))
-	binary.LittleEndian.PutUint32(buf, uint32(1+8+len(f.Payload)))
-	buf[4] = uint8(f.Kind)
-	binary.LittleEndian.PutUint64(buf[5:], f.ID)
-	copy(buf[headerBytes:], f.Payload)
-	return buf
+	return append(header(f.Kind, f.ID, len(f.Payload)), f.Payload...)
 }
 
 // Decode parses one frame from the front of buf, returning the frame and
@@ -172,11 +184,10 @@ type Hello struct {
 
 // EncodeHello builds the KHello frame.
 func EncodeHello(h Hello) []byte {
-	p := make([]byte, 0, 8+len(h.Client))
+	p := header(KHello, 0, 4+2+2+len(h.Client))
 	p = binary.LittleEndian.AppendUint32(p, h.Magic)
 	p = binary.LittleEndian.AppendUint16(p, h.Version)
-	p = appendString(p, h.Client)
-	return Encode(Frame{Kind: KHello, Payload: p})
+	return appendString(p, h.Client)
 }
 
 // DecodeHello parses a KHello payload and validates magic/version,
@@ -211,10 +222,9 @@ type Request struct {
 
 // EncodeRequest builds a KExec or KQuery frame.
 func EncodeRequest(kind Kind, id uint64, r Request) []byte {
-	p := make([]byte, 0, 10+len(r.Name))
+	p := header(kind, id, 8+2+len(r.Name))
 	p = binary.LittleEndian.AppendUint64(p, r.Arg)
-	p = appendString(p, r.Name)
-	return Encode(Frame{Kind: kind, ID: id, Payload: p})
+	return appendString(p, r.Name)
 }
 
 // DecodeRequest parses a KExec/KQuery payload.
@@ -235,8 +245,7 @@ type Result struct {
 
 // EncodeResult builds the KResult frame for request id.
 func EncodeResult(id uint64, r Result) []byte {
-	p := binary.LittleEndian.AppendUint64(nil, r.Rows)
-	return Encode(Frame{Kind: KResult, ID: id, Payload: p})
+	return binary.LittleEndian.AppendUint64(header(KResult, id, 8), r.Rows)
 }
 
 // DecodeResult parses a KResult payload.
@@ -249,10 +258,9 @@ func DecodeResult(payload []byte) (Result, error) {
 
 // EncodeError builds the KError frame for request id.
 func EncodeError(id uint64, code Code, msg string) []byte {
-	p := make([]byte, 0, 4+len(msg))
+	p := header(KError, id, 2+2+len(msg))
 	p = binary.LittleEndian.AppendUint16(p, uint16(code))
-	p = appendString(p, msg)
-	return Encode(Frame{Kind: KError, ID: id, Payload: p})
+	return appendString(p, msg)
 }
 
 // DecodeError parses a KError payload.
@@ -266,12 +274,17 @@ func DecodeError(payload []byte) (Code, string, error) {
 }
 
 // EncodeHelloAck builds the handshake acceptance.
-func EncodeHelloAck() []byte { return Encode(Frame{Kind: KHelloAck}) }
+func EncodeHelloAck() []byte { return header(KHelloAck, 0, 0) }
 
 // EncodeGoodbye builds the orderly-close frame.
-func EncodeGoodbye() []byte { return Encode(Frame{Kind: KGoodbye}) }
+func EncodeGoodbye() []byte { return header(KGoodbye, 0, 0) }
 
+// appendString appends s behind its u16 length. A longer string would
+// encode a frame that decodes to a silent prefix of it, so it panics.
 func appendString(p []byte, s string) []byte {
+	if len(s) > math.MaxUint16 {
+		panic(fmt.Sprintf("proto: %d-byte string exceeds the u16 length prefix", len(s)))
+	}
 	p = binary.LittleEndian.AppendUint16(p, uint16(len(s)))
 	return append(p, s...)
 }

@@ -3,6 +3,9 @@ package proto
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -172,6 +175,93 @@ func FuzzDecode(f *testing.F) {
 			_, _ = DecodeResult(fr.Payload)
 			_, _, _ = DecodeError(fr.Payload)
 			_, _ = DecodeHello(fr.Payload)
+		}
+	})
+}
+
+// sink keeps AllocsPerRun's frames on the heap, as a sent frame is.
+var sink []byte
+
+// TestEncodersAllocateOneExactFrame pins the single-buffer encoders: each
+// frame is one allocation, and its len equals its cap, so an append by a
+// holder of the frame copies instead of writing into a frame already sent.
+func TestEncodersAllocateOneExactFrame(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		enc  func() []byte
+	}{
+		{"EncodeRequest", func() []byte {
+			return EncodeRequest(KExec, 12, Request{Name: "asdb.PointRead", Arg: 99})
+		}},
+		{"EncodeResult", func() []byte { return EncodeResult(12, Result{Rows: 451}) }},
+		{"EncodeError", func() []byte { return EncodeError(12, CodeOverloaded, "run queue full") }},
+		{"EncodeHello", func() []byte {
+			return EncodeHello(Hello{Magic: Magic, Version: Version, Client: "openloop"})
+		}},
+		{"EncodeHelloAck", EncodeHelloAck},
+		{"EncodeGoodbye", EncodeGoodbye},
+	} {
+		if n := testing.AllocsPerRun(100, func() { sink = tc.enc() }); n != 1 {
+			t.Errorf("%s: %v allocations per frame, want 1", tc.name, n)
+		}
+		f := tc.enc()
+		if len(f) != cap(f) {
+			t.Errorf("%s: len %d, cap %d: the frame has spare capacity", tc.name, len(f), cap(f))
+		}
+		if _, n, err := Decode(f); err != nil || n != len(f) {
+			t.Errorf("%s: decode consumed %d of %d bytes, err %v", tc.name, n, len(f), err)
+		}
+	}
+}
+
+// TestEncodersRefuseLongStrings pins the u16 string length: a longer
+// string would encode a frame that decodes to a silent prefix of it.
+func TestEncodersRefuseLongStrings(t *testing.T) {
+	long := string(bytes.Repeat([]byte{'x'}, 70_000))
+	for name, enc := range map[string]func(){
+		"EncodeRequest": func() { EncodeRequest(KExec, 1, Request{Name: long}) },
+		"EncodeError":   func() { EncodeError(1, CodeExecFailed, long) },
+		"EncodeHello":   func() { EncodeHello(Hello{Magic: Magic, Version: Version, Client: long}) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "70000") {
+					t.Errorf("%s: recovered %v, want a panic naming the 70000-byte length", name, r)
+				}
+			}()
+			enc()
+		}()
+	}
+	// The longest string the prefix can carry still round-trips.
+	longest := long[:math.MaxUint16]
+	f, _, err := Decode(EncodeError(1, CodeExecFailed, longest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, msg, err := DecodeError(f.Payload); err != nil || msg != longest {
+		t.Fatalf("65535-byte message: %d bytes back, err %v", len(msg), err)
+	}
+}
+
+// FuzzRequestRoundTrip pins the single-buffer encoder's layout against
+// the decoder: any request with a name the u16 prefix can carry comes
+// back unchanged from exactly the bytes encoded.
+func FuzzRequestRoundTrip(f *testing.F) {
+	f.Add("asdb.PointRead", uint64(99))
+	f.Add("", uint64(0))
+	f.Add("asdb.SumBig", uint64(1)<<63)
+	f.Fuzz(func(t *testing.T, name string, arg uint64) {
+		if len(name) > math.MaxUint16 {
+			t.Skip("longer than the u16 length prefix")
+		}
+		frame := EncodeRequest(KQuery, arg^1, Request{Name: name, Arg: arg})
+		fr, n, err := Decode(frame)
+		if err != nil || n != len(frame) {
+			t.Fatalf("decode consumed %d of %d bytes, err %v", n, len(frame), err)
+		}
+		r, err := DecodeRequest(fr.Payload)
+		if err != nil || fr.Kind != KQuery || fr.ID != arg^1 || r.Name != name || r.Arg != arg {
+			t.Fatalf("got %v id %d %+v, err %v; want query id %d {%q %d}", fr.Kind, fr.ID, r, err, arg^1, name, arg)
 		}
 	})
 }

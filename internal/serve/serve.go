@@ -87,7 +87,7 @@ type Frontend struct {
 	epoch   int
 
 	ln      *net.Listener
-	runq    []*request
+	runq    []request
 	workq   sim.WaitQueue
 	conns   map[*net.Conn]struct{}
 	stopped bool
@@ -273,7 +273,7 @@ func (f *Frontend) admit(p *sim.Proc, c *net.Conn, fr proto.Frame, req proto.Req
 		// Unhealthy replication: degrade earlier to preserve headroom.
 		degradeAt /= 2
 	}
-	f.runq = append(f.runq, &request{
+	f.runq = append(f.runq, request{
 		conn: c, kind: fr.Kind, id: fr.ID, req: req,
 		degraded: len(f.runq) >= degradeAt,
 	})
@@ -315,8 +315,12 @@ func (f *Frontend) worker(p *sim.Proc) {
 		if f.stopped || f.Srv.Stopped() {
 			return
 		}
+		// Pop by copy, clearing the vacated slot: the queue keeps its
+		// capacity and does not pin the popped request's connection.
 		r := f.runq[0]
-		f.runq = f.runq[1:]
+		n := copy(f.runq, f.runq[1:])
+		f.runq[n] = request{}
+		f.runq = f.runq[:n]
 		f.execute(p, ws, r)
 	}
 }
@@ -333,7 +337,7 @@ func (f *Frontend) failCode(id uint64, msg string) []byte {
 	return proto.EncodeError(id, proto.CodeExecFailed, msg)
 }
 
-func (f *Frontend) execute(p *sim.Proc, ws *workerState, r *request) {
+func (f *Frontend) execute(p *sim.Proc, ws *workerState, r request) {
 	sess := ws.sess
 	var reply []byte
 	switch r.kind {

@@ -213,3 +213,95 @@ func TestStopIsIdempotent(t *testing.T) {
 	f.Stop()
 	srv.Sim.Run(srv.Sim.Now() + sim.Time(60*sim.Second))
 }
+
+// TestWarmExecRoundTripAllocations pins the serving wire path's steady
+// state: on an established connection, an Exec round trip allocates the
+// request frame, the statement name DecodeRequest copies out of it, and
+// the reply frame — no queue on the way regrows and no request is boxed.
+func TestWarmExecRoundTripAllocations(t *testing.T) {
+	srv, f := boot(t)
+	sm := srv.Sim
+	var kick sim.WaitQueue
+	stop := false
+	sm.Spawn("caller", func(p *sim.Proc) {
+		cl, err := client.Dial(p, f.Net, "db", "allocs")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer cl.Close(p)
+		sm.Halt()
+		for key := uint64(0); ; key++ {
+			kick.Wait(p)
+			if stop {
+				return
+			}
+			if rep, err := cl.Exec(p, "asdb.PointRead", key*7919); err != nil || !rep.OK {
+				t.Errorf("exec: reply %+v, err %v", rep, err)
+			}
+			sm.Halt()
+		}
+	})
+	sm.Run(sim.Forever) // boot and dial; the caller parks on kick
+	roundTrip := func() {
+		kick.WakeOne(sm)
+		sm.Run(sim.Forever)
+	}
+	roundTrip() // the connection's first request
+	if n := testing.AllocsPerRun(200, roundTrip); n > 3 {
+		t.Errorf("%v allocations per warm Exec round trip, want at most 3", n)
+	}
+	stop = true
+	kick.WakeOne(sm)
+	sm.Run(sm.Now() + sim.Time(sim.Second))
+	srv.Stop()
+	sm.Run(sm.Now() + sim.Time(60*sim.Second))
+}
+
+// TestStopAnswersEveryQueuedRequest pins Stop's drain of the run queue:
+// each request still queued when the server stops gets a CodeShutdown
+// reply carrying its own id, and nothing else does.
+func TestStopAnswersEveryQueuedRequest(t *testing.T) {
+	srv, f := boot(t)
+	sm := srv.Sim
+	const clients = Workers + 8
+	type outcome struct {
+		pair uint64
+		rep  client.Reply
+		err  error
+	}
+	var out [clients]outcome
+	for i := range out {
+		sm.Spawn("client", func(p *sim.Proc) {
+			cl, err := client.Dial(p, f.Net, "db", "queued")
+			if err != nil {
+				out[i].err = err
+				return
+			}
+			out[i].pair = cl.Pair()
+			out[i].rep, out[i].err = cl.Exec(p, "asdb.Update", uint64(i))
+			cl.Close(p)
+		})
+	}
+	for f.QueueDepth() < 4 && sm.Now() < sim.Time(sim.Second) {
+		sm.Run(sm.Now() + sim.Time(10*sim.Microsecond))
+	}
+	queued := make(map[uint64]bool)
+	for _, r := range f.runq {
+		queued[r.conn.Pair()] = true
+	}
+	if len(queued) < 4 {
+		t.Fatalf("only %d requests queued before Stop", len(queued))
+	}
+	srv.Stop()
+	sm.Run(sm.Now() + sim.Time(60*sim.Second))
+	if int(f.Ctr.Shutdown) != len(queued) {
+		t.Errorf("%d CodeShutdown replies, %d requests queued at Stop", f.Ctr.Shutdown, len(queued))
+	}
+	for i, o := range out {
+		gotShutdown := o.err == nil && o.rep.Code == proto.CodeShutdown
+		if gotShutdown != queued[o.pair] {
+			t.Errorf("client %d (queued %v): reply %+v, err %v", i, queued[o.pair], o.rep, o.err)
+		}
+	}
+}

@@ -13,6 +13,8 @@
 package openloop
 
 import (
+	"slices"
+
 	"repro/internal/client"
 	"repro/internal/net"
 	"repro/internal/proto"
@@ -158,16 +160,11 @@ type Stats struct {
 // outcomes at the client boundary, the client-side ack log, and the
 // shared resilience metrics.
 type RStats struct {
-	Sent        int64
-	Acked       int64 // execs acknowledged OK
-	Failed      int64 // execs the server ran and failed
-	NotExecuted int64 // execs that exhausted retries without executing
-	Unknown     int64 // execs whose outcome is ambiguous (never retried)
-	QueryOK     int64
-	QueryFailed int64
-	Samples     []Sample
-	Acks        []client.AckKey // client-observed acks, in ack order
-	M           client.Metrics
+	Acked   int64 // execs acknowledged OK
+	Unknown int64 // execs whose outcome is ambiguous (never retried)
+	Samples []Sample
+	Acks    []client.AckKey // client-observed acks, in ack order
+	M       client.Metrics
 }
 
 // RunResilient replays the plan through resilient clients: unlike Run,
@@ -190,18 +187,12 @@ func RunResilient(sm *sim.Sim, nw *net.Network, endpoints []string, pl *Plan, st
 					p.Sleep(rq.Think)
 				}
 				t0 := p.Now()
-				st.Sent++
 				if rq.Query {
 					rep, err := r.Query(p, rq.Name, rq.Arg)
 					ok := err == nil && rep.OK
 					st.Samples = append(st.Samples, Sample{
 						At: p.Now(), Lat: sim.Duration(p.Now() - t0), OK: ok, Code: rep.Code,
 					})
-					if ok {
-						st.QueryOK++
-					} else {
-						st.QueryFailed++
-					}
 					continue
 				}
 				rep, out := r.Exec(p, rq.Name, rq.Arg)
@@ -212,10 +203,6 @@ func RunResilient(sm *sim.Sim, nw *net.Network, endpoints []string, pl *Plan, st
 				switch out {
 				case client.OutcomeAcked:
 					st.Acked++
-				case client.OutcomeFailed:
-					st.Failed++
-				case client.OutcomeNotExecuted:
-					st.NotExecuted++
 				case client.OutcomeUnknown:
 					st.Unknown++
 				}
@@ -229,6 +216,7 @@ func RunResilient(sm *sim.Sim, nw *net.Network, endpoints []string, pl *Plan, st
 // record latency samples. Run returns immediately; the caller advances
 // the simulated clock.
 func Run(sm *sim.Sim, nw *net.Network, addr string, pl *Plan, st *Stats) {
+	st.Samples = slices.Grow(st.Samples, pl.NReq) // at most one sample per planned request
 	for i := range pl.Conns {
 		cp := &pl.Conns[i]
 		sm.Spawn("openloop-conn", func(p *sim.Proc) {
