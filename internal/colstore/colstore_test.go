@@ -194,3 +194,42 @@ func TestSegmentNominalBytes(t *testing.T) {
 		t.Fatalf("column compressed %d >= raw %d", total, rawCol)
 	}
 }
+
+// TestDecodeRangeReusesDst holds DecodeRange to its contract for every
+// encoding: a dst with room for the range is filled in place, so the
+// result aliases it and the call allocates nothing.
+func TestDecodeRangeReusesDst(t *testing.T) {
+	packed := make([]int64, 600)
+	rle := make([]int64, 600)
+	dict := make([]int64, 600)
+	for i := range packed {
+		packed[i] = int64(i)*12345 + 7
+		rle[i] = int64(i / 100)
+		dict[i] = int64(i%3) * 1e12
+	}
+	for _, c := range []struct {
+		want Encoding
+		vals []int64
+	}{{EncPacked, packed}, {EncRLE, rle}, {EncDict, dict}} {
+		s := Encode(c.vals)
+		if s.Enc != c.want {
+			t.Fatalf("%v column encoded as %v", c.want, s.Enc)
+		}
+		dst := make([]int64, 0, 256)
+		var out []int64
+		allocs := testing.AllocsPerRun(100, func() {
+			out = s.DecodeRange(123, 379, dst)
+		})
+		if allocs != 0 {
+			t.Errorf("%v: DecodeRange allocates %.1f per call into a roomy dst, want 0", s.Enc, allocs)
+		}
+		if &out[0] != &dst[:1][0] {
+			t.Errorf("%v: DecodeRange result does not alias dst", s.Enc)
+		}
+		for i, v := range out {
+			if v != c.vals[123+i] {
+				t.Fatalf("%v: row %d = %d, want %d", s.Enc, 123+i, v, c.vals[123+i])
+			}
+		}
+	}
+}

@@ -236,12 +236,9 @@ func (s *Segment) DecodeRange(lo, hi int, dst []int64) []int64 {
 		}
 		return dst
 	case EncDict:
-		codes := unpackIntsRange(s.packed, lo, hi, 0, s.bitWidth, nil)
-		if cap(dst) < n {
-			dst = make([]int64, n)
-		}
-		dst = dst[:n]
-		for i, c := range codes {
+		// Unpack the codes into dst, then map each through dict in place.
+		dst = unpackIntsRange(s.packed, lo, hi, 0, s.bitWidth, dst)
+		for i, c := range dst {
 			dst[i] = s.dict[c]
 		}
 		return dst

@@ -41,6 +41,10 @@ func batchSize(env *Env) int {
 	return 1024
 }
 
+// batchStartRows is the capacity a batch starts at when its writer cannot
+// say how many rows are coming; it doubles in place up to batchSize.
+const batchStartRows = 32
+
 // batchRowCount sums live rows across batches.
 func batchRowCount(bs []*Batch) int {
 	total := 0
@@ -59,32 +63,71 @@ func batchWidth(bs []*Batch) int {
 	return bs[0].Width()
 }
 
-// batchBuilder accumulates rows into compact fixed-size batches.
+// batchBuilder accumulates rows into compact fixed-size batches. A batch
+// is sealed only at size rows or at finish, wherever its capacity
+// started. Its columns are cut from one slab: exactly the rows still
+// expected when the writer said how many it would append, otherwise
+// batchStartRows doubling up to size in the builder's first batch and
+// size in every later one.
 type batchBuilder struct {
 	width, size int
+	expect      int // rows the writer will append; 0 = unknown
 	cur         *Batch
+	capRows     int // capacity of cur's columns, in rows
 	done        []*Batch
 	rows        int // total rows appended
 }
 
-func newBatchBuilder(width, size int) *batchBuilder {
+// newBatchBuilder returns a builder of width-column batches of size rows
+// for a writer that will append expect rows (0 when it cannot know). A
+// wrong expect costs only regrowth: rows and boundaries are the same.
+func newBatchBuilder(width, size, expect int) *batchBuilder {
 	if size < 1 {
 		size = 1
 	}
-	return &batchBuilder{width: width, size: size}
+	return &batchBuilder{width: width, size: size, expect: expect}
 }
 
-// ensure returns the current batch with room for at least one more row.
-func (bb *batchBuilder) ensure() *Batch {
+// reserve claims up to k rows of the current batch, as many as fit
+// before size, for the caller to fill in place: it returns the batch,
+// the first claimed physical row and the number claimed (≥ 1 for k ≥ 1).
+// A full batch is sealed and the next started; a batch too small for
+// the claim at least doubles.
+func (bb *batchBuilder) reserve(k int) (*Batch, int, int) {
 	if bb.cur == nil || bb.cur.n == bb.size {
 		bb.seal()
-		cols := make([][]int64, bb.width)
-		for i := range cols {
-			cols[i] = make([]int64, bb.size)
+		// Past the rows expected, or with none, a batch starts where the
+		// last one ended: batchStartRows first, size once one has filled.
+		c := max(batchStartRows, bb.capRows)
+		if left := bb.expect - bb.rows; left > 0 {
+			c = left
 		}
-		bb.cur = &Batch{Cols: cols}
+		bb.cur = &Batch{Cols: make([][]int64, bb.width)}
+		bb.grow(min(c, bb.size))
 	}
-	return bb.cur
+	b := bb.cur
+	k = min(k, bb.size-b.n)
+	if need := b.n + k; need > bb.capRows {
+		bb.grow(min(max(2*bb.capRows, need), bb.size))
+	}
+	i := b.n
+	b.n += k
+	bb.rows += k
+	return b, i, k
+}
+
+// grow moves the current batch's rows into a fresh slab of c rows per
+// column. Each column is a 3-index slice of the slab, so an append to a
+// sealed column reallocates instead of writing into its neighbour.
+func (bb *batchBuilder) grow(c int) {
+	b := bb.cur
+	slab := make([]int64, bb.width*c)
+	for i := range b.Cols {
+		col := slab[i*c : (i+1)*c : (i+1)*c]
+		copy(col, b.Cols[i][:b.n])
+		b.Cols[i] = col
+	}
+	bb.capRows = c
 }
 
 // seal closes the in-progress batch, trimming columns to the fill level.
@@ -101,10 +144,7 @@ func (bb *batchBuilder) seal() {
 // room returns the write target for one new row: the batch and the
 // physical index the caller fills every column at.
 func (bb *batchBuilder) room() (*Batch, int) {
-	b := bb.ensure()
-	i := b.n
-	b.n++
-	bb.rows++
+	b, i, _ := bb.reserve(1)
 	return b, i
 }
 
@@ -120,16 +160,10 @@ func (bb *batchBuilder) appendBatchRow(src *Batch, phys int32) {
 // src[c][r] — the scan fast path that never materializes rows.
 func (bb *batchBuilder) appendSrcRange(src [][]int64, lo, hi int) {
 	for lo < hi {
-		b := bb.ensure()
-		run := bb.size - b.n
-		if run > hi-lo {
-			run = hi - lo
-		}
+		b, i, run := bb.reserve(hi - lo)
 		for c := range b.Cols {
-			copy(b.Cols[c][b.n:b.n+run], src[c][lo:lo+run])
+			copy(b.Cols[c][i:i+run], src[c][lo:lo+run])
 		}
-		b.n += run
-		bb.rows += run
 		lo += run
 	}
 }
@@ -146,7 +180,7 @@ func rowsToBatches(rows []Row, size int) []*Batch {
 	if len(rows) == 0 {
 		return nil
 	}
-	bb := newBatchBuilder(len(rows[0]), size)
+	bb := newBatchBuilder(len(rows[0]), size, len(rows))
 	for _, r := range rows {
 		dst, i := bb.room()
 		for c := range dst.Cols {
@@ -190,21 +224,28 @@ func hashCols(cols [][]int64, keys []int, phys int32) uint64 {
 }
 
 // partitionBatches hash-partitions batches by key columns, preserving
-// input order within each partition.
+// input order within each partition. A counting pass sizes each
+// partition's builder to exactly the rows it will receive.
 func partitionBatches(bs []*Batch, keys []int, parts, size int) [][]*Batch {
 	if parts <= 1 {
 		return [][]*Batch{bs}
 	}
+	partOf := func(b *Batch, ph int32) int { return int(hashCols(b.Cols, keys, ph) % uint64(parts)) }
+	counts := make([]int, parts)
+	for _, b := range bs {
+		for i := 0; i < b.Rows(); i++ {
+			counts[partOf(b, b.phys(i))]++
+		}
+	}
 	width := batchWidth(bs)
 	builders := make([]*batchBuilder, parts)
 	for i := range builders {
-		builders[i] = newBatchBuilder(width, size)
+		builders[i] = newBatchBuilder(width, size, counts[i])
 	}
 	for _, b := range bs {
 		for i := 0; i < b.Rows(); i++ {
 			ph := b.phys(i)
-			pt := int(hashCols(b.Cols, keys, ph) % uint64(parts))
-			builders[pt].appendBatchRow(b, ph)
+			builders[partOf(b, ph)].appendBatchRow(b, ph)
 		}
 	}
 	out := make([][]*Batch, parts)
@@ -228,8 +269,9 @@ func flattenBatches(parts [][]*Batch) []*Batch {
 	return out
 }
 
-// colset is a single compacted columnar buffer; sort and top compact
-// their input into one to permute it by index.
+// colset is a single compacted columnar buffer, its columns cut from one
+// slab; sort and top compact their input into one to permute it by
+// index, and a hash-join build partition is one.
 type colset struct {
 	cols [][]int64
 	n    int
@@ -240,8 +282,9 @@ func concatBatches(bs []*Batch) *colset {
 	total := batchRowCount(bs)
 	width := batchWidth(bs)
 	cs := &colset{cols: make([][]int64, width), n: total}
+	slab := make([]int64, width*total)
 	for c := range cs.cols {
-		cs.cols[c] = make([]int64, total)
+		cs.cols[c] = slab[c*total : (c+1)*total : (c+1)*total]
 	}
 	pos := 0
 	for _, b := range bs {
@@ -264,7 +307,7 @@ func concatBatches(bs []*Batch) *colset {
 
 // gather emits the colset's rows in perm order as compact batches.
 func (cs *colset) gather(perm []int32, size int) []*Batch {
-	bb := newBatchBuilder(len(cs.cols), size)
+	bb := newBatchBuilder(len(cs.cols), size, len(perm))
 	for _, ph := range perm {
 		dst, i := bb.room()
 		for c := range dst.Cols {

@@ -433,7 +433,7 @@ func TestVectorizedTraceRecordsBatches(t *testing.T) {
 // TestBatchBuilderBoundaries exercises builder sealing across batch
 // boundaries, zero-width batches, and range appends.
 func TestBatchBuilderBoundaries(t *testing.T) {
-	bb := newBatchBuilder(2, 4)
+	bb := newBatchBuilder(2, 4, 0)
 	src := [][]int64{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, {10, 11, 12, 13, 14, 15, 16, 17, 18, 19}}
 	bb.appendSrcRange(src, 0, 3)
 	bb.appendSrcRange(src, 3, 10)
@@ -448,7 +448,7 @@ func TestBatchBuilderBoundaries(t *testing.T) {
 		}
 	}
 	// Zero-width rows round-trip through builders (COUNT(*) shapes).
-	zb := newBatchBuilder(0, 4)
+	zb := newBatchBuilder(0, 4, 0)
 	for i := 0; i < 6; i++ {
 		zb.room()
 	}

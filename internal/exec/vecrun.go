@@ -102,11 +102,13 @@ func vecRowScan(p *sim.Proc, env *Env, n *Node) []*Batch {
 			return
 		}
 		cur := n.Heap.NewScanCursor(n.NPred)
-		bb := newBatchBuilder(len(n.Proj), size)
+		expect := int(hi - lo) // a predicate-free scan emits its whole range
 		var buf Row
 		if n.Pred != nil {
 			buf = make(Row, t.NCols())
+			expect = 0
 		}
+		bb := newBatchBuilder(len(n.Proj), size, expect)
 		for blo := lo; blo < hi; blo += int64(size) {
 			if env.expired(ctx.P.Now()) {
 				break
@@ -141,8 +143,9 @@ func vecRowScan(p *sim.Proc, env *Env, n *Node) []*Batch {
 }
 
 // vecColScan decodes each needed column segment in batch-sized row
-// ranges (colstore.DecodeRange) into reused scratch vectors; the
-// predicate-free path bulk-copies decoded ranges into output batches.
+// ranges (colstore.DecodeRange). The predicate-free path decodes each
+// range straight into its output batch, which is sized to the segment;
+// a predicate is evaluated over reused scratch vectors.
 func vecColScan(p *sim.Proc, env *Env, n *Node) []*Batch {
 	csi := n.CSI
 	ix := csi.Ix
@@ -187,13 +190,15 @@ func vecColScan(p *sim.Proc, env *Env, n *Node) []*Batch {
 		for i, cp := range colPoss {
 			curs[i] = csi.NewSegScanCursor(cp, seg, n.NPred)
 		}
-		dec := make(map[int][]int64, len(colPoss)) // decoded vectors by column position
-		bb := newBatchBuilder(len(n.Proj), size)
-		src := make([][]int64, len(n.Proj))
+		expect := nrows // a predicate-free scan emits the whole segment
 		var row Row
+		var dec map[int][]int64 // decoded vectors by column position
 		if n.Pred != nil {
 			row = make(Row, ix.Table.NCols())
+			dec = make(map[int][]int64, len(colPoss))
+			expect = 0
 		}
+		bb := newBatchBuilder(len(n.Proj), size, expect)
 		for lo := 0; lo < nrows; lo += size {
 			if env.expired(ctx.P.Now()) {
 				break
@@ -202,16 +207,21 @@ func vecColScan(p *sim.Proc, env *Env, n *Node) []*Batch {
 			if hi > nrows {
 				hi = nrows
 			}
-			for i, cp := range colPoss {
+			for i := range colPoss {
 				curs[i].ChargeRows(ctx, lo, hi)
-				dec[cp] = ix.Segment(cp, seg).DecodeRange(lo, hi, dec[cp])
 			}
 			if n.Pred == nil {
-				for i, tc := range n.Proj {
-					src[i] = dec[colOfPos[tc]]
+				for r := lo; r < hi; {
+					b, i, k := bb.reserve(hi - r)
+					for c, tc := range n.Proj {
+						ix.Segment(colOfPos[tc], seg).DecodeRange(r, r+k, b.Cols[c][i:i+k])
+					}
+					r += k
 				}
-				bb.appendSrcRange(src, 0, hi-lo)
 				continue
+			}
+			for _, cp := range colPoss {
+				dec[cp] = ix.Segment(cp, seg).DecodeRange(lo, hi, dec[cp])
 			}
 			for r := 0; r < hi-lo; r++ {
 				// Materialize only the needed columns into a sparse row.
@@ -240,7 +250,7 @@ func vecColScan(p *sim.Proc, env *Env, n *Node) []*Batch {
 		ctx := env.newCtx(p, env.home())
 		csi.ChargeDeltaScan(ctx)
 		ctx.Flush()
-		bb := newBatchBuilder(len(n.Proj), size)
+		bb := newBatchBuilder(len(n.Proj), size, 0)
 		row := make(Row, ix.Table.NCols())
 		for _, dr := range ix.DeltaRows() {
 			for i := range row {
@@ -304,7 +314,7 @@ func vecFilter(p *sim.Proc, env *Env, n *Node, in []*Batch) []*Batch {
 // vecProject evaluates scalar expressions into fresh output batches.
 func vecProject(p *sim.Proc, env *Env, n *Node, in []*Batch) []*Batch {
 	ctx := env.newCtx(p, env.home())
-	bb := newBatchBuilder(len(n.Exprs), batchSize(env))
+	bb := newBatchBuilder(len(n.Exprs), batchSize(env), batchRowCount(in))
 	var scratch Row
 	for _, b := range in {
 		ctx.CPU(float64(int64(b.Rows())*n.Weight) * float64(len(n.Exprs)) * 2)
@@ -381,11 +391,41 @@ func vecHashAgg(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []*Batch) []*
 	return rowsToBatches(out, size)
 }
 
-// vecJoinTable is one partition's hash table over columnar build rows.
+// vecJoinTable is one partition's hash table over columnar build rows:
+// the rows compacted into one colset, head mapping a key hash to its
+// first row and next chaining each row to the following one of the same
+// hash (-1 ends a chain).
 type vecJoinTable struct {
-	cols    [][]int64
-	buckets map[uint64][]int32
-	rows    int32
+	*colset
+	head map[uint64]int32
+	next []int32
+}
+
+// newVecJoinTable builds the table over one build partition. The chains
+// are linked from the last row to the first, so walking one from head
+// visits its rows in insertion order.
+func newVecJoinTable(bs []*Batch, keys []int) *vecJoinTable {
+	jt := &vecJoinTable{colset: concatBatches(bs)}
+	jt.head = make(map[uint64]int32, jt.n)
+	jt.next = make([]int32, jt.n)
+	for r := int32(jt.n) - 1; r >= 0; r-- {
+		h := hashCols(jt.cols, keys, r)
+		nx, ok := jt.head[h]
+		if !ok {
+			nx = -1
+		}
+		jt.next[r] = nx
+		jt.head[h] = r
+	}
+	return jt
+}
+
+// first returns the first build row whose key hash is h, or -1.
+func (jt *vecJoinTable) first(h uint64) int32 {
+	if r, ok := jt.head[h]; ok {
+		return r
+	}
+	return -1
 }
 
 // keysEqualColsAt compares key columns of two columnar rows.
@@ -420,21 +460,8 @@ func vecHashJoin(p *sim.Proc, env *Env, n *Node, st *QueryStats, build, probe []
 	tables := make([]*vecJoinTable, parts)
 	buildParts := partitionBatches(build, n.BuildKeys, parts, size)
 	env.parallel(p, parts, func(ctx *access.Ctx, part int) {
-		jt := &vecJoinTable{cols: make([][]int64, buildW), buckets: make(map[uint64][]int32)}
-		var nrows int64
-		for _, b := range buildParts[part] {
-			for i := 0; i < b.Rows(); i++ {
-				ph := b.phys(i)
-				h := hashCols(b.Cols, n.BuildKeys, ph)
-				jt.buckets[h] = append(jt.buckets[h], jt.rows)
-				for c := range jt.cols {
-					jt.cols[c] = append(jt.cols[c], b.Cols[c][ph])
-				}
-				jt.rows++
-			}
-			nrows += int64(b.Rows())
-		}
-		w := nrows * n.Left.Weight
+		jt := newVecJoinTable(buildParts[part], n.BuildKeys)
+		w := int64(jt.n) * n.Left.Weight
 		ctx.CPU(float64(w) * ctx.Cost.HashBuildIPR)
 		share := needBytes / int64(parts)
 		if share < 1 {
@@ -467,13 +494,13 @@ func vecHashJoin(p *sim.Proc, env *Env, n *Node, st *QueryStats, build, probe []
 			share = 1
 		}
 		ctx.TouchRandom(region+uint64(part)*uint64(share), share, w, false, 4)
-		bb := newBatchBuilder(outW, size)
+		bb := newBatchBuilder(outW, size, 0)
 		for _, b := range probeParts[part] {
 			for i := 0; i < b.Rows(); i++ {
 				ph := b.phys(i)
 				h := hashCols(b.Cols, n.ProbeKeys, ph)
 				matched := false
-				for _, bi := range jt.buckets[h] {
+				for bi := jt.first(h); bi >= 0; bi = jt.next[bi] {
 					if !keysEqualColsAt(jt.cols, n.BuildKeys, bi, b.Cols, n.ProbeKeys, ph) {
 						continue
 					}
