@@ -178,7 +178,7 @@ func (s *Server) Recover() *RecoveryReport {
 			// Volatile loser (includes in-flight aborts whose CLR lump was
 			// truncated: their memory image is already reverted, and
 			// UndoNext skips what is already undone).
-			if t.UndoneOps() < len(t.Ops()) {
+			if t.UndoneOps() < t.NumOps() {
 				rep.LostTxns++
 			}
 			volatile = append(volatile, t)
@@ -343,17 +343,19 @@ func (s *Server) CheckRecoveryInvariants() error {
 	for _, t := range s.Txns.All() {
 		cr := t.CommitRec()
 		winner := cr != nil && cr.LSN > 0 && cr.LSN <= flushed && committed[t.ID()]
-		if !winner && t.UndoneOps() < len(t.Ops()) {
+		if !winner && t.UndoneOps() < t.NumOps() {
 			undoneShort++
 		}
-		for _, op := range t.Ops() {
-			all = append(all, opRef{op: op, winner: winner})
-			if winner {
-				switch op.Kind {
-				case wal.OpInsert:
-					liveDelta[op.T]++
-				case wal.OpDelete:
-					liveDelta[op.T]--
+		for _, r := range t.Recs() {
+			for _, op := range r.Ops {
+				all = append(all, opRef{op: op, winner: winner})
+				if winner {
+					switch op.Kind {
+					case wal.OpInsert:
+						liveDelta[op.T]++
+					case wal.OpDelete:
+						liveDelta[op.T]--
+					}
 				}
 			}
 		}

@@ -18,9 +18,15 @@ func benchTxns(b *testing.B, recording bool) {
 		b.StopTimer()
 		s, m, _, l := setup()
 		l.Recording = recording
+		// Each transaction is begun in the previous one, as Session.Begin
+		// does: under recording the new Txn takes over the held-lock list.
 		var own Txn
+		prev := &own
 		stop := false
-		commits := txnLoop(s, &stop, func() *Txn { return m.BeginIn(&own) })
+		commits := txnLoop(s, &stop, func() *Txn {
+			prev = m.BeginIn(prev)
+			return prev
+		})
 		chunk := min(b.N-done, 10_000)
 		b.StartTimer()
 		for *commits < chunk {
@@ -38,6 +44,6 @@ func benchTxns(b *testing.B, recording bool) {
 // reused and nothing is allocated.
 func BenchmarkTxn(b *testing.B) { benchTxns(b, false) }
 
-// BenchmarkTxnRecording: recording on — every transaction is a retained
-// object with typed log records.
+// BenchmarkTxnRecording: recording on — every transaction is retained,
+// its Txn and typed log records cut from the Manager's slabs.
 func BenchmarkTxnRecording(b *testing.B) { benchTxns(b, true) }

@@ -4,6 +4,8 @@
 package txn
 
 import (
+	"slices"
+
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -33,9 +35,51 @@ type Manager struct {
 	// can replay the full op history.
 	all []*Txn
 
-	// batch is Commit's record batch under Recording, reused from one
-	// commit to the next: AppendBatch keeps the records, not the slice.
+	// batch is Commit's and Abort's record batch under Recording, reused
+	// from one transaction to the next: AppendBatch keeps the records, not
+	// the slice.
 	batch []*wal.Record
+
+	// Under Recording a transaction's Txn, its log records and the first
+	// slots of its record list are cut from these slabs: the history
+	// (all, the log image, the archive) keeps every one of them until the
+	// cell ends, so a chunk lives no longer than its elements would.
+	txns     slab[Txn]
+	recs     slab[wal.Record]
+	recLists slab[*wal.Record]
+}
+
+// slabLen is the number of elements in one slab chunk.
+const slabLen = 256
+
+// slab hands out elements of a chunk of slabLen, allocating the next
+// chunk only when one is used up.
+type slab[T any] struct {
+	chunk []T
+}
+
+// one returns the next zero element.
+func (s *slab[T]) one() *T {
+	return &s.window(1)[:1][0]
+}
+
+// window returns an empty slice over the next n zero elements (n <=
+// slabLen). Its capacity stops at n, so a list that outgrows its window
+// reallocates privately instead of writing into its neighbour's.
+func (s *slab[T]) window(n int) []T {
+	if len(s.chunk) < n {
+		s.chunk = make([]T, slabLen)
+	}
+	w := s.chunk[0:0:n]
+	s.chunk = s.chunk[n:]
+	return w
+}
+
+// record returns a slab copy of r.
+func (m *Manager) record(r wal.Record) *wal.Record {
+	p := m.recs.one()
+	*p = r
+	return p
 }
 
 // NewManager creates a transaction manager.
@@ -57,17 +101,22 @@ func (m *Manager) Begin() *Txn { return m.BeginIn(nil) }
 // valid until Commit or Abort returns — and the held-lock list keeps its
 // capacity from one transaction to the next. A nil t gets a new Txn, and
 // so does every call while Recording, because the history retains each
-// transaction; the new Txn still takes over an ended t's held-lock list,
-// and t keeps its records in All().
+// transaction (that Txn is cut from the Manager's slab); the new Txn
+// still takes over an ended t's held-lock list, and t keeps its records
+// in All().
 func (m *Manager) BeginIn(t *Txn) *Txn {
 	m.nextID++
 	// t's transaction, if it was dropped without being ended, keeps its
 	// locks and its list as it would have in a Txn of its own.
 	reusable := t != nil && (t.m == nil || t.done)
 	if m.Recording() {
-		n := &Txn{m: m, id: m.nextID}
+		n := m.txns.one()
+		*n = Txn{m: m, id: m.nextID}
 		if reusable {
 			n.held, t.held = t.held[:0], nil
+		}
+		if len(m.all) == cap(m.all) {
+			m.all = slices.Grow(m.all, max(len(m.all), 1)) // double
 		}
 		m.all = append(m.all, n)
 		return n
@@ -87,9 +136,10 @@ type Txn struct {
 	logBytes int64
 	done     bool
 
-	// Recovery bookkeeping (Recording only).
+	// Recovery bookkeeping (Recording only). The records' ops, in
+	// statement order, are the transaction's ops in execution order.
 	recs      []*wal.Record // forward update records, in statement order
-	ops       []wal.Op      // flattened logical ops, in execution order
+	nops      int           // ops across recs
 	undone    int           // ops reverted in memory, counted from the tail
 	commitRec *wal.Record   // the commit record once appended
 	abortRec  *wal.Record   // the abort end record once appended
@@ -129,7 +179,9 @@ func (t *Txn) LogWrite(bytes int64) {
 // LogOp registers one modification: bytes of log records, the page the
 // record covers, and the logical ops needed to undo it. Ops are applied
 // by the caller before registration; here they only gain their global
-// sequence numbers and join the transaction's undo chain.
+// sequence numbers and join the transaction's undo chain. The record
+// keeps ops itself, not a copy, so the caller must not modify the slice
+// after the call.
 func (t *Txn) LogOp(bytes int64, page wal.PageID, ops []wal.Op) {
 	t.logBytes += bytes
 	if !t.m.Recording() {
@@ -138,8 +190,11 @@ func (t *Txn) LogOp(bytes int64, page wal.PageID, ops []wal.Op) {
 	for i := range ops {
 		ops[i].Seq = t.m.Log.NextSeq()
 	}
-	t.recs = append(t.recs, &wal.Record{Type: wal.RecUpdate, Txn: t.id, Bytes: bytes, Page: page, Ops: ops})
-	t.ops = append(t.ops, ops...)
+	if t.recs == nil {
+		t.recs = t.m.recLists.window(4)
+	}
+	t.recs = append(t.recs, t.m.record(wal.Record{Type: wal.RecUpdate, Txn: t.id, Bytes: bytes, Page: page, Ops: ops}))
+	t.nops += len(ops)
 }
 
 // Commit makes the transaction durable (waiting on the group commit) and
@@ -153,9 +208,9 @@ func (t *Txn) Commit(p *sim.Proc) bool {
 	t.done = true
 	var err error
 	if t.m.Recording() {
-		recs := append(t.m.batch[:0], &wal.Record{Type: wal.RecBegin, Txn: t.id})
+		recs := append(t.m.batch[:0], t.m.record(wal.Record{Type: wal.RecBegin, Txn: t.id}))
 		recs = append(recs, t.recs...)
-		t.commitRec = &wal.Record{Type: wal.RecCommit, Txn: t.id, Bytes: wal.RecHeaderBytes}
+		t.commitRec = t.m.record(wal.Record{Type: wal.RecCommit, Txn: t.id, Bytes: wal.RecHeaderBytes})
 		recs = append(recs, t.commitRec)
 		lsn := t.m.Log.AppendBatch(recs) // logBytes + header: same byte count as the untyped path
 		t.m.batch = recs
@@ -213,10 +268,10 @@ func (t *Txn) Abort() {
 				break
 			}
 		}
-		clrs := make([]*wal.Record, 0, len(t.recs)+1)
+		clrs := t.m.batch[:0]
 		for i := len(t.recs) - 1; i >= 0; i-- {
 			f := t.recs[i]
-			clrs = append(clrs, &wal.Record{Type: wal.RecCLR, Txn: t.id, Bytes: f.Bytes, Page: f.Page})
+			clrs = append(clrs, t.m.record(wal.Record{Type: wal.RecCLR, Txn: t.id, Bytes: f.Bytes, Page: f.Page}))
 		}
 		// The abort end record carries the insert residue: rolled-back
 		// inserts leave the nominal high-water mark bumped (and possibly a
@@ -224,14 +279,17 @@ func (t *Txn) Abort() {
 		// shipped stream via this record — the forward records never enter
 		// the log (they are buffered until commit).
 		var residue []wal.Op
-		for _, op := range t.ops {
-			if op.Kind == wal.OpInsert {
-				residue = append(residue, op)
+		for _, r := range t.recs {
+			for _, op := range r.Ops {
+				if op.Kind == wal.OpInsert {
+					residue = append(residue, op)
+				}
 			}
 		}
-		t.abortRec = &wal.Record{Type: wal.RecAbort, Txn: t.id, Residue: residue}
+		t.abortRec = t.m.record(wal.Record{Type: wal.RecAbort, Txn: t.id, Residue: residue})
 		clrs = append(clrs, t.abortRec)
 		t.m.Log.AppendBatch(clrs)
+		t.m.batch = clrs
 	} else {
 		t.m.Log.Append(t.logBytes)
 	}
@@ -242,8 +300,9 @@ func (t *Txn) Abort() {
 // Recs returns the transaction's forward update records (Recording only).
 func (t *Txn) Recs() []*wal.Record { return t.recs }
 
-// Ops returns the transaction's logical ops in execution order.
-func (t *Txn) Ops() []wal.Op { return t.ops }
+// NumOps returns the number of logical ops the transaction registered
+// (Recording only).
+func (t *Txn) NumOps() int { return t.nops }
 
 // CommitRec returns the commit record, nil if the transaction never
 // reached Commit.
@@ -264,13 +323,18 @@ func (t *Txn) AddAbortResidue(op wal.Op) {
 // UndoneOps returns how many ops have been reverted (from the tail).
 func (t *Txn) UndoneOps() int { return t.undone }
 
-// PeekUndo returns the op UndoNext would revert, without reverting it.
+// PeekUndo returns the op UndoNext would revert, without reverting it:
+// the undone-th op from the tail, found by walking the records backwards.
 func (t *Txn) PeekUndo() (wal.Op, bool) {
-	i := len(t.ops) - 1 - t.undone
-	if i < 0 {
-		return wal.Op{}, false
+	k := t.undone
+	for i := len(t.recs) - 1; i >= 0; i-- {
+		ops := t.recs[i].Ops
+		if k < len(ops) {
+			return ops[len(ops)-1-k], true
+		}
+		k -= len(ops)
 	}
-	return t.ops[i], true
+	return wal.Op{}, false
 }
 
 // UndoNext reverts the most recent not-yet-undone op against the
@@ -278,13 +342,12 @@ func (t *Txn) PeekUndo() (wal.Op, bool) {
 // fully undone. Ops are only ever reverted from the tail backwards, so
 // repeated recoveries cannot double-revert.
 func (t *Txn) UndoNext() (wal.Op, bool) {
-	i := len(t.ops) - 1 - t.undone
-	if i < 0 {
-		return wal.Op{}, false
+	op, ok := t.PeekUndo()
+	if ok {
+		op.Undo()
+		t.undone++
 	}
-	t.ops[i].Undo()
-	t.undone++
-	return t.ops[i], true
+	return op, ok
 }
 
 func (t *Txn) releaseAll() {

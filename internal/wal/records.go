@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/storage"
@@ -171,6 +172,7 @@ func (l *Log) AppendBatch(recs []*Record) int64 {
 	}
 	end := l.Append(total)
 	if l.Recording {
+		l.reserve(len(recs))
 		pos := end - total
 		for _, r := range recs {
 			pos += r.Bytes
@@ -202,9 +204,19 @@ func (l *Log) AppendShipped(recs []*Record) int64 {
 	}
 	end := l.Append(pos - l.appendedLSN)
 	if l.Recording {
+		l.reserve(len(recs))
 		l.records = append(l.records, recs...)
 	}
 	return end
+}
+
+// reserve makes room for n more records in the log image, doubling its
+// capacity when it is full: append alone grows a slice this large by
+// about a quarter at a time, and the image is the run's largest slice.
+func (l *Log) reserve(n int) {
+	if len(l.records)+n > cap(l.records) {
+		l.records = slices.Grow(l.records, max(n, len(l.records)))
+	}
 }
 
 // Records returns the in-memory log image (records appended so far,

@@ -48,12 +48,14 @@ func (r *StreamReader) NextBatch(p *sim.Proc) ([]*Record, bool) {
 }
 
 // durableTail slices out unread records whose end byte is flushed and
-// advances the cursor past them.
+// advances the cursor past them. The slice is capped at its length: the
+// image's spare capacity belongs to the log's next append, not to a
+// consumer that appends to its batch.
 func (r *StreamReader) durableTail() []*Record {
 	recs := r.l.records
 	start := r.pos
 	for r.pos < len(recs) && recs[r.pos].LSN <= r.l.flushedLSN {
 		r.pos++
 	}
-	return recs[start:r.pos]
+	return recs[start:r.pos:r.pos]
 }

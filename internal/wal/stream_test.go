@@ -136,3 +136,51 @@ func TestStreamStopMidBatchDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamBatchDoesNotAliasTheImage: a batch NextBatch returns ends at
+// its length, so a consumer that appends to it reallocates instead of
+// writing into the log image's spare capacity, where the log's next
+// append would overwrite it.
+func TestStreamBatchDoesNotAliasTheImage(t *testing.T) {
+	s, l, _ := setup()
+	l.Recording = true
+	rd := l.NewStreamReader()
+	sentinel := &Record{Type: RecCLR, Txn: -1}
+	s.Spawn("t", func(p *sim.Proc) {
+		var end int64
+		for id := int64(1); id <= 3; id++ {
+			end = l.AppendBatch([]*Record{{Type: RecUpdate, Txn: id, Bytes: 100}})
+		}
+		if recs := l.Records(); len(recs) == cap(recs) {
+			t.Errorf("image has %d records at cap %d: no spare capacity to alias", len(recs), cap(recs))
+		}
+		if _, err := l.WaitDurable(p, end); err != nil {
+			t.Error(err)
+		}
+		batch, _ := rd.NextBatch(p)
+		if len(batch) != 3 {
+			t.Errorf("first batch has %d records, want 3", len(batch))
+		}
+		image := append([]*Record(nil), l.Records()...)
+		batch = append(batch, sentinel)
+
+		end = l.AppendBatch([]*Record{{Type: RecUpdate, Txn: 4, Bytes: 100}})
+		if _, err := l.WaitDurable(p, end); err != nil {
+			t.Error(err)
+		}
+		if batch[len(batch)-1] != sentinel {
+			t.Error("the log's append overwrote the record a consumer appended to its batch")
+		}
+		recs := l.Records()
+		if len(recs) != 4 || recs[3].Txn != 4 {
+			t.Fatalf("image has %d records after the fourth append", len(recs))
+		}
+		for i, r := range image {
+			if recs[i] != r {
+				t.Errorf("image record %d changed", i)
+			}
+		}
+		l.Stop()
+	})
+	s.Run(sim.Time(sim.Second))
+}
