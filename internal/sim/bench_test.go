@@ -48,8 +48,31 @@ func BenchmarkSpawn(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedule: push one event and pop the earliest with 10 000
-// pending, the heap cost inside every event above.
+// BenchmarkWakeOne: two procs alternately WakeOne each other through two
+// WaitQueues, so every event is due now and takes the ready FIFO, never
+// the heap.
+func BenchmarkWakeOne(b *testing.B) {
+	s := New(1)
+	var q [2]WaitQueue
+	for i := 0; i < 2; i++ {
+		s.Spawn("waker", func(p *Proc) {
+			for n := 0; n < b.N/2; n++ {
+				q[1-i].WakeOne(s)
+				q[i].Wait(p)
+			}
+			q[1-i].WakeOne(s)
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run(Forever)
+	if s.Live() != 0 {
+		b.Fatalf("%d procs still live", s.Live())
+	}
+}
+
+// BenchmarkSchedule: push one future event and pop the earliest with
+// 10 000 pending, the heap cost inside every timed event above.
 func BenchmarkSchedule(b *testing.B) {
 	s := New(1)
 	g := NewRNG(1)

@@ -46,7 +46,7 @@ func (ph *ProfPhase) Add(wall time.Duration, calls int64) {
 
 // The simulator's profiled phases.
 var (
-	ProfLoop   = &ProfPhase{Name: "sim.loop"}  // event dispatch in the yielding proc (heap ops, stale-wakeup filtering); entries = Run calls
+	ProfLoop   = &ProfPhase{Name: "sim.loop"}  // event dispatch in the yielding proc (ready-FIFO and heap ops, stale-wakeup filtering); entries = Run calls
 	ProfProc   = &ProfPhase{Name: "sim.proc"}  // process execution from dispatch to the next park, the coroutine switches through Run included; entries = events delivered
 	ProfHWExec = &ProfPhase{Name: "hw.exec"}   // scheduler bookkeeping in Machine.Exec (excl. parked time)
 	ProfCharge = &ProfPhase{Name: "hw.charge"} // miss charging: DRAM/QPI fluid reservations

@@ -3,15 +3,17 @@
 // Simulated entities ("procs") run as coroutines that execute in strict
 // lockstep: at any instant exactly one — a single proc, or Run's dispatch
 // loop — is active. Procs advance simulated time by blocking on kernel
-// primitives (Sleep, WaitQueue, Resource). The proc that blocks pops the
+// primitives (Sleep, WaitQueue, Resource). The proc that blocks takes the
 // earliest pending event itself and advances the virtual clock; if the
 // event is its own it carries on without any switch, otherwise it yields
 // to Run, which resumes the event's proc — two coroutine switches per
-// hand-off, no scheduler, lock or channel. Events leave the heap in the
-// total order (time, schedule sequence) whoever pops them, so because
-// execution is serialized and all randomness flows through the kernel's
-// seeded RNG, a simulation with a given seed and configuration reproduces
-// identical results on every run.
+// hand-off, no scheduler, lock or channel. Pending events sit in two
+// queues: wakeups due at the current instant in a FIFO, later ones in a
+// heap. Between them they leave in one total order (time, schedule
+// sequence) whoever takes them, so because execution is serialized and
+// all randomness flows through the kernel's seeded RNG, a simulation with
+// a given seed and configuration reproduces identical results on every
+// run.
 package sim
 
 import (
@@ -53,12 +55,15 @@ func DurationOf(seconds float64) Duration { return Duration(seconds * float64(Se
 type Sim struct {
 	now    Time
 	seq    uint64
-	events []event // 4-ary min-heap ordered by event.before
+	events []event // wakeups due after now: 4-ary min-heap ordered by event.before
+	ready  []event // wakeups due now, in seq order from ready[rhead] (see pushReady)
+	rhead  int
 	rng    *RNG
 
-	// dead counts the stale events known to sit in the heap: timeout
-	// wakeups whose wait was woken first (see noteDead). It is a lower
-	// bound — next discards a stale top whether it was counted or not.
+	// dead counts the stale events known to sit in either queue: timeout
+	// wakeups whose wait was woken first, or wakes a timeout beat to the
+	// same instant (see noteDead). It is a lower bound — next discards a
+	// stale event whether it was counted or not.
 	dead     int
 	sweepDue func(dead, queued int) bool // defaultSweepDue, except in tests
 
@@ -90,10 +95,9 @@ func (s *Sim) Now() Time { return s.now }
 func (s *Sim) RNG() *RNG { return s.rng }
 
 type event struct {
-	at    Time
-	seq   uint64
-	p     *Proc
-	epoch uint64 // wakeup is valid only if the proc has not resumed since
+	at  Time
+	seq uint64
+	p   *Proc
 }
 
 // before is the kernel's total event order: time, then schedule sequence.
@@ -102,16 +106,42 @@ func (e *event) before(o *event) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
-// stale reports whether the wakeup must not fire: its proc has finished,
-// or has resumed (and possibly parked elsewhere) since it was scheduled.
-func (e *event) stale() bool { return e.p.done || e.epoch != e.p.epoch }
+// stale reports whether the wakeup must not fire: it was scheduled before
+// its proc's last resume (the proc may have parked elsewhere since), or
+// its proc has finished.
+func (e *event) stale() bool { return e.seq <= e.p.woke }
 
+// schedule queues a wakeup of p at at, or at now if at is not later: a
+// wakeup due now goes to the ready FIFO and never touches the heap.
 func (s *Sim) schedule(at Time, p *Proc) {
-	if at < s.now {
-		at = s.now
-	}
 	s.seq++
-	s.push(event{at: at, seq: s.seq, p: p, epoch: p.epoch})
+	if at <= s.now {
+		s.pushReady(event{at: s.now, seq: s.seq, p: p})
+		return
+	}
+	s.push(event{at: at, seq: s.seq, p: p})
+}
+
+// pushReady appends e to the ready FIFO. When the slice is full and its
+// head has moved, the pending events are copied to the front instead of
+// growing it, and the vacated tail is cleared so it pins no proc: the
+// capacity stays at the peak pending count, and a warm run allocates
+// nothing.
+func (s *Sim) pushReady(e event) {
+	if len(s.ready) == cap(s.ready) && s.rhead > 0 {
+		n := copy(s.ready, s.ready[s.rhead:])
+		clear(s.ready[n:])
+		s.ready, s.rhead = s.ready[:n], 0
+	}
+	s.ready = append(s.ready, e)
+}
+
+// popReady removes the ready head, s.ready[s.rhead].
+func (s *Sim) popReady() {
+	s.ready[s.rhead] = event{} // drop the *Proc, as pop does
+	if s.rhead++; s.rhead == len(s.ready) {
+		s.ready, s.rhead = s.ready[:0], 0
+	}
 }
 
 // push and pop keep s.events a 4-ary min-heap (children of i are
@@ -174,57 +204,83 @@ func (s *Sim) siftDown(i int, e event) {
 	h[i] = e
 }
 
-// defaultSweepDue is the sweep policy: dead events outnumber the rest of a
-// heap that is big enough for the O(n) pass to pay. Between sweeps at most
-// half of a heap of 64 or more is dead, so the heap holds at most twice its
-// peak of live wakeups plus 64, however long the run.
+// defaultSweepDue is the sweep policy: dead events outnumber the rest of
+// the queues, which are big enough for the O(n) pass to pay. Between
+// sweeps at most half of 64 or more queued events are dead, so the queues
+// hold at most twice their peak of live wakeups plus 64, however long the
+// run.
 func defaultSweepDue(dead, queued int) bool { return queued >= 64 && 2*dead > queued }
 
 // noteDead records that one queued event has just gone stale and will
-// never fire, and sweeps the heap once such events dominate it.
+// never fire, and sweeps both queues once such events dominate them.
 func (s *Sim) noteDead() {
 	s.dead++
-	if s.sweepDue(s.dead, len(s.events)) {
+	if s.sweepDue(s.dead, s.queued()) {
 		s.sweep()
 	}
 }
 
-// sweep removes every stale event and rebuilds the heap from the rest.
-// Live events keep their (at, seq) and the order is total, so they pop in
-// the sequence they would have without the sweep.
+// queued returns the number of events in both queues.
+func (s *Sim) queued() int { return len(s.events) + len(s.ready) - s.rhead }
+
+// sweep removes every stale event from both queues and rebuilds the heap
+// from the rest. Live events keep their (at, seq) and the order is total,
+// so they are dispatched in the sequence they would have been without the
+// sweep.
 func (s *Sim) sweep() {
-	h := s.events
-	live := h[:0]
-	for i := range h {
-		if !h[i].stale() {
-			live = append(live, h[i])
-		}
-	}
-	clear(h[len(live):]) // drop the *Procs, as pop does
-	s.events = live
-	if n := len(live); n > 1 {
+	s.events = keepLive(s.events, 0)
+	if n := len(s.events); n > 1 {
 		for i := (n - 2) / 4; i >= 0; i-- { // from the last parent up
-			s.siftDown(i, live[i])
+			s.siftDown(i, s.events[i])
 		}
 	}
+	s.ready, s.rhead = keepLive(s.ready, s.rhead), 0
 	s.dead = 0
 }
 
+// keepLive moves the live events of q[from:] to the front of q, in order,
+// and clears the rest of q so that it pins no proc.
+func keepLive(q []event, from int) []event {
+	live := q[:0]
+	for i := from; i < len(q); i++ {
+		if !q[i].stale() {
+			live = append(live, q[i])
+		}
+	}
+	clear(q[len(live):])
+	return live
+}
+
 // next is the kernel's one dispatch step, run by the proc giving up control
-// (or by Run, for the first event of the call). It discards wakeups of
-// finished procs and stale wakeups, then pops the earliest event, advances
-// the clock and makes its proc current. It returns nil, leaving the event
-// queued, when the heap is empty or the earliest event lies past the Run
-// horizon.
+// (or by Run, for the first event of the call). It discards stale wakeups,
+// then takes the earliest event, advances the clock and makes its proc
+// current. It returns nil, leaving the event queued, when no event is left
+// or the earliest lies past the Run horizon.
+//
+// The earliest event is the heap top when that is due now, otherwise the
+// ready head, otherwise the heap top at a later time, and that is exactly
+// the (at, seq) order: a heap event due now was scheduled before the clock
+// reached now, so its seq is below that of every ready event, which was
+// scheduled at now; ready events are appended in seq order; and while the
+// ready FIFO is not empty the clock cannot advance, so every ready event
+// is due now.
 func (s *Sim) next() *Proc {
 	var p *Proc
-	for len(s.events) > 0 {
-		ev := &s.events[0]
+	for {
+		var ev *event
+		fromHeap := len(s.events) > 0 && (s.events[0].at <= s.now || len(s.ready) == 0)
+		if fromHeap {
+			ev = &s.events[0]
+		} else if len(s.ready) > 0 {
+			ev = &s.ready[s.rhead]
+		} else {
+			break
+		}
 		if ev.stale() {
 			// Its proc resumed on another wakeup: this is the queue wake a
 			// timeout beat to the same instant, or a dead timeout that no
 			// sweep came for. Stale wakeups must not fire.
-			s.pop()
+			s.take(fromHeap)
 			if s.dead > 0 {
 				s.dead--
 			}
@@ -234,7 +290,8 @@ func (s *Sim) next() *Proc {
 			p = ev.p
 			s.now = ev.at
 			p.epoch++
-			s.pop()
+			p.woke = s.seq
+			s.take(fromHeap)
 		}
 		break
 	}
@@ -248,6 +305,16 @@ func (s *Sim) next() *Proc {
 		}
 	}
 	return p
+}
+
+// take removes the event next has just looked at: the heap top or the
+// ready head.
+func (s *Sim) take(fromHeap bool) {
+	if fromHeap {
+		s.pop()
+	} else {
+		s.popReady()
+	}
 }
 
 // yield is next as called by a proc that parks or finishes: it first
@@ -328,11 +395,11 @@ type Proc struct {
 	name  string
 	fn    func(*Proc) // the body; nil once it has returned
 	car   *carrier    // from first dispatch until the body returns
-	epoch uint64      // increments on every resume; stale wakeups are dropped
-	done  bool
-	key   int64 // wait key of the WaitKey in progress (see WakeUpTo)
-	fail  error // errno-style sticky failure slot (see SetFail)
-	attr  any   // opaque per-proc attribution slot (see SetAttr)
+	woke  uint64      // s.seq at the last resume, ^0 once finished: earlier wakeups are stale
+	epoch uint64      // resumes so far (see Resumes)
+	key   int64       // wait key of the WaitKey in progress (see WakeUpTo)
+	fail  error       // errno-style sticky failure slot (see SetFail)
+	attr  any         // opaque per-proc attribution slot (see SetAttr)
 }
 
 // run is the proc's whole life on its carrier: the body, then the
@@ -349,7 +416,7 @@ func (p *Proc) run() {
 	}()
 	p.fn(p)
 	p.fn = nil
-	p.done = true
+	p.woke = ^uint64(0)
 	p.sim.nlive--
 	p.sim.yield()
 }
@@ -401,10 +468,17 @@ func (p *Proc) RNG() *RNG { return p.sim.rng }
 // Spawn creates a new proc that runs fn. The proc starts at the current
 // simulated time (it is scheduled as an event, so it begins once the
 // events already queued for now have run).
-func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc {
+func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc { return s.SpawnAt(s.now, name, fn) }
+
+// SpawnAt creates a new proc that runs fn from simulated time at, or from
+// now if at is not later. Its first dispatch is an event scheduled by the
+// call, so the proc counts as live at once but takes a carrier only when
+// it starts: a proc that waits for its start time costs its Proc and one
+// queued event.
+func (s *Sim) SpawnAt(at Time, name string, fn func(*Proc)) *Proc {
 	p := &Proc{sim: s, name: name, fn: fn}
 	s.nlive++
-	s.schedule(s.now, p)
+	s.schedule(at, p)
 	return p
 }
 
@@ -457,7 +531,7 @@ func (s *Sim) Run(until Time) Time {
 			c.p, p.car = p, c
 		}
 		c.resume()
-		if p.done {
+		if p.fn == nil { // finished
 			p.car = nil
 			putCarrier(c)
 		}
@@ -503,8 +577,9 @@ func (q *WaitQueue) Wait(p *Proc) {
 // A woken wait leaves its timeout wakeup in the event heap, stale, and
 // a loop that re-arms a long timeout every time it is woken would grow the
 // heap by one such event per iteration until the clock reached them. So
-// the kernel counts them and sweeps the heap when they dominate it
-// (defaultSweepDue): the heap stays within twice its live wakeups plus 64.
+// the kernel counts them and sweeps both queues when they dominate them
+// (defaultSweepDue): the queues stay within twice their live wakeups plus
+// 64.
 func (q *WaitQueue) WaitTimeout(p *Proc, d Duration) (timedOut bool) {
 	if d <= 0 {
 		d = 1
@@ -513,7 +588,8 @@ func (q *WaitQueue) WaitTimeout(p *Proc, d Duration) (timedOut bool) {
 	q.procs = append(q.procs, p)
 	p.park()
 	// Either the timeout fired (p still queued) or a wake dequeued p
-	// first; the loser's event is dropped by the epoch check.
+	// first; the loser's event was scheduled before this resume, so it is
+	// stale and will be dropped.
 	for i, qp := range q.procs {
 		if qp == p {
 			q.remove(i)

@@ -877,12 +877,14 @@ func timeoutHerd(s *Sim, n int, stop *bool, onTick func()) *int64 {
 	return wakes
 }
 
-// staleQueued counts the stale events in the heap, which s.dead tracks.
+// staleQueued counts the stale events in both queues, which s.dead tracks.
 func staleQueued(s *Sim) int {
 	n := 0
-	for i := range s.events {
-		if s.events[i].stale() {
-			n++
+	for _, q := range [][]event{s.events, s.ready[s.rhead:]} {
+		for i := range q {
+			if q[i].stale() {
+				n++
+			}
 		}
 	}
 	return n
@@ -897,7 +899,7 @@ func TestWokenTimeoutsDoNotPileUpInTheHeap(t *testing.T) {
 	stop := false
 	peak := 0
 	wakes := timeoutHerd(s, procs, &stop, func() {
-		if n := len(s.events); n > peak {
+		if n := s.queued(); n > peak {
 			peak = n
 		}
 	})
@@ -906,7 +908,7 @@ func TestWokenTimeoutsDoNotPileUpInTheHeap(t *testing.T) {
 		window()
 	}
 	if bound := 2*live + 64; peak > bound {
-		t.Errorf("event heap peaked at %d entries after %d woken timeouts, want at most %d", peak, *wakes, bound)
+		t.Errorf("event queues peaked at %d entries after %d woken timeouts, want at most %d", peak, *wakes, bound)
 	}
 	if got := staleQueued(s); s.dead != got {
 		t.Errorf("dead = %d with %d stale events queued", s.dead, got)
@@ -920,8 +922,8 @@ func TestWokenTimeoutsDoNotPileUpInTheHeap(t *testing.T) {
 		t.Fatalf("%d procs still live", s.Live())
 	}
 	s.sweep()
-	if len(s.events) != 0 || s.dead != 0 {
-		t.Errorf("after the last proc left and a sweep: %d events, dead = %d", len(s.events), s.dead)
+	if len(s.events) != 0 || len(s.ready) != 0 || s.dead != 0 {
+		t.Errorf("after the last proc left and a sweep: %d events, %d ready, dead = %d", len(s.events), len(s.ready), s.dead)
 	}
 }
 
@@ -941,8 +943,8 @@ func TestDeadCountIsClampedAtZero(t *testing.T) {
 	if woke != Time(10*Millisecond) || s.Live() != 0 {
 		t.Fatalf("woke at %d, %d procs live", woke, s.Live())
 	}
-	if s.dead != 0 || len(s.events) != 0 {
-		t.Errorf("dead = %d, %d events queued, want 0 and 0", s.dead, len(s.events))
+	if s.dead != 0 || len(s.events) != 0 || len(s.ready) != 0 {
+		t.Errorf("dead = %d, %d events and %d ready queued, want 0, 0 and 0", s.dead, len(s.events), len(s.ready))
 	}
 }
 
@@ -1033,7 +1035,7 @@ func TestSweepIsInvisibleToTheSimulationProperty(t *testing.T) {
 		}
 		records, miscounted := 0, false
 		trace := spawnSweepMix(s, seed, func() {
-			if records++; records%16 != 0 { // staleQueued walks the heap
+			if records++; records%16 != 0 { // staleQueued walks both queues
 				return
 			}
 			if got := staleQueued(s); s.dead != got && !miscounted {

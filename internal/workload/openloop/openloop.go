@@ -172,16 +172,14 @@ type RStats struct {
 // reconnects, rotates through endpoints, and keeps issuing its script.
 // Each connection's backoff-jitter stream forks from g in plan order.
 func RunResilient(sm *sim.Sim, nw *net.Network, endpoints []string, pl *Plan, st *RStats, g *sim.RNG) {
+	st.Samples = slices.Grow(st.Samples, pl.NReq) // one sample per planned request
 	for i := range pl.Conns {
 		cp := &pl.Conns[i]
 		jg := g.Fork()
-		sm.Spawn("resilient-conn", func(p *sim.Proc) {
+		sm.SpawnAt(cp.At, "resilient-conn", func(p *sim.Proc) {
 			r := client.NewResilient(nw, endpoints, &st.M, jg, "chaos")
 			r.OnAck = func(k client.AckKey) { st.Acks = append(st.Acks, k) }
 			defer r.Close()
-			if wait := cp.At - p.Now(); wait > 0 {
-				p.Sleep(sim.Duration(wait))
-			}
 			for _, rq := range cp.Reqs {
 				if rq.Think > 0 {
 					p.Sleep(rq.Think)
@@ -211,18 +209,15 @@ func RunResilient(sm *sim.Sim, nw *net.Network, endpoints []string, pl *Plan, st
 	}
 }
 
-// Run spawns one proc per planned connection against addr on nw. The
-// procs sleep to their arrival times, replay their request scripts, and
-// record latency samples. Run returns immediately; the caller advances
-// the simulated clock.
+// Run spawns one proc per planned connection against addr on nw. Each
+// proc starts at its arrival time, replays its request script, and records
+// latency samples. Run returns immediately; the caller advances the
+// simulated clock.
 func Run(sm *sim.Sim, nw *net.Network, addr string, pl *Plan, st *Stats) {
 	st.Samples = slices.Grow(st.Samples, pl.NReq) // at most one sample per planned request
 	for i := range pl.Conns {
 		cp := &pl.Conns[i]
-		sm.Spawn("openloop-conn", func(p *sim.Proc) {
-			if wait := cp.At - p.Now(); wait > 0 {
-				p.Sleep(sim.Duration(wait))
-			}
+		sm.SpawnAt(cp.At, "openloop-conn", func(p *sim.Proc) {
 			cl, err := client.Dial(p, nw, addr, "openloop")
 			if err != nil {
 				st.Refused++
