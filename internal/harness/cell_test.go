@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -164,5 +165,24 @@ func TestBootIsProfiledAsSetup(t *testing.T) {
 	TraceTPCH(1, 6, opt)
 	if w, c := setup(); w <= w0 || c != c0+4 {
 		t.Fatalf("profiling on: setup moved %d ns, %d entries; want > 0 ns, 4 entries", w-w0, c-c0)
+	}
+}
+
+// The self-profile reads the host clock and nothing else: an ASDB cell
+// and a TPC-H cell give the same Result with it armed as without.
+func TestProfilingMovesNoResult(t *testing.T) {
+	opt := TestOptions()
+	opt.Density, opt.Warmup, opt.Measure = 30, sim.Second/2, sim.Second/2
+	cells := func() []Result {
+		return []Result{RunASDB(1000, opt, Knobs{}), runPoint(WTpch, 1, opt, Knobs{})}
+	}
+	want := cells()
+	if want[0].Throughput == 0 || want[1].Throughput == 0 {
+		t.Fatalf("a cell measured nothing: %+v", want)
+	}
+	sim.EnableProfiling()
+	defer sim.DisableProfiling()
+	if got := cells(); !reflect.DeepEqual(got, want) {
+		t.Errorf("profiled results differ:\n%+v\nwant\n%+v", got, want)
 	}
 }

@@ -17,7 +17,6 @@ package hw
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/metrics"
@@ -238,14 +237,8 @@ func (m *Machine) Exec(p *sim.Proc, coreID int, instr int64, stallNs float64) {
 	wait := core.slot.Acquire(p)
 	metrics.ChargeWait(p, m.Ctr, metrics.WaitCPU, wait)
 
-	// Self-profile the scheduler bookkeeping on both sides of the burst
-	// sleep; parked time (slot wait, the burst itself) is never counted,
-	// so the phase measures pure simulator overhead.
-	prof := sim.Profiling()
-	var t0 time.Time
-	if prof {
-		t0 = time.Now()
-	}
+	// hw.exec times the bookkeeping on both sides of the burst, never parked time.
+	mark := m.sm.ProfStart(sim.ProfHWExec)
 
 	siblingBusy := m.physBusy[core.Phys] > 0
 	m.physBusy[core.Phys]++
@@ -276,22 +269,16 @@ func (m *Machine) Exec(p *sim.Proc, coreID int, instr int64, stallNs float64) {
 		s.Cycles += cycles
 	}
 
-	if prof {
-		sim.ProfHWExec.Add(time.Since(t0), 1)
-	}
+	m.sm.ProfStop(sim.ProfHWExec, mark)
 	p.Sleep(dur)
-	if prof {
-		t0 = time.Now()
-	}
+	mark = mark.Restart()
 
 	m.physBusy[core.Phys]--
 	if m.physBusy[core.Phys] == 0 {
 		m.socketActive[core.Socket]--
 	}
 	core.slot.Release(p.Sim())
-	if prof {
-		sim.ProfHWExec.Add(time.Since(t0), 0)
-	}
+	m.sm.ProfStop(sim.ProfHWExec, mark)
 }
 
 // RunQueueDepth returns the number of procs parked waiting for any
@@ -323,10 +310,7 @@ func (m *Machine) LogicalCores() int { return len(m.cores) }
 // in-flight misses): sequential scans sustain high MLP, dependent pointer
 // chases ~1.
 func (m *Machine) chargeMisses(socket int, st cache.Stats, mlp float64) float64 {
-	if sim.Profiling() {
-		t0 := time.Now()
-		defer func() { sim.ProfCharge.Add(time.Since(t0), 1) }()
-	}
+	mark := m.sm.ProfStart(sim.ProfCharge)
 	if mlp < 1 {
 		mlp = 1
 	}
@@ -363,6 +347,7 @@ func (m *Machine) chargeMisses(socket int, st cache.Stats, mlp float64) float64 
 	}
 
 	lat := m.Spec.LLCMissNs + m.remoteFrac*m.Spec.RemoteExtraNs
+	m.sm.ProfStop(sim.ProfCharge, mark)
 	return float64(st.Misses)*lat/mlp + queueNs
 }
 
@@ -370,22 +355,10 @@ func (m *Machine) chargeMisses(socket int, st cache.Stats, mlp float64) float64 
 // socket's LLC, returning the stall time in ns to fold into Exec.
 func (m *Machine) TouchSeq(coreID int, base uint64, bytes int64, write bool, mlp float64) float64 {
 	core := m.cores[coreID]
-	st := m.timedAccess(core.Socket, func(l *cache.LLC) cache.Stats {
-		return l.Sequential(base, bytes, write)
-	})
+	mark := m.sm.ProfStart(sim.ProfCache)
+	st := m.llcs[core.Socket].Sequential(base, bytes, write)
+	m.sm.ProfStop(sim.ProfCache, mark)
 	return m.chargeMisses(core.Socket, st, mlp)
-}
-
-// timedAccess runs one LLC access batch, accruing its wall time to the
-// cache.llc self-profile phase when profiling is armed.
-func (m *Machine) timedAccess(socket int, fn func(*cache.LLC) cache.Stats) cache.Stats {
-	if !sim.Profiling() {
-		return fn(m.llcs[socket])
-	}
-	t0 := time.Now()
-	st := fn(m.llcs[socket])
-	sim.ProfCache.Add(time.Since(t0), 1)
-	return st
 }
 
 // TouchRandom charges count randomly-positioned accesses over a region.
@@ -393,9 +366,9 @@ func (m *Machine) timedAccess(socket int, fn func(*cache.LLC) cache.Stats) cache
 // or a Zipf-backed function for skewed access.
 func (m *Machine) TouchRandom(coreID int, base uint64, regionBytes, count int64, write bool, mlp float64, posFn func() float64) float64 {
 	core := m.cores[coreID]
-	st := m.timedAccess(core.Socket, func(l *cache.LLC) cache.Stats {
-		return l.Random(base, regionBytes, count, write, posFn)
-	})
+	mark := m.sm.ProfStart(sim.ProfCache)
+	st := m.llcs[core.Socket].Random(base, regionBytes, count, write, posFn)
+	m.sm.ProfStop(sim.ProfCache, mark)
 	return m.chargeMisses(core.Socket, st, mlp)
 }
 

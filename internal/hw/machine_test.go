@@ -237,3 +237,45 @@ func TestInstructionCounterAndMPKI(t *testing.T) {
 		t.Fatalf("MPKI = %f, want > 0", mpki)
 	}
 }
+
+// profCalls returns the self-profile's entries and wall per phase.
+func profCalls() map[string][2]int64 {
+	out := map[string][2]int64{}
+	for _, st := range sim.ProfSnapshot() {
+		out[st.Name] = [2]int64{st.Calls, st.WallNs}
+	}
+	return out
+}
+
+// The per-call phases are timed on a sample of their entries, but every
+// entry is counted, across the flush at the end of each Run too.
+func TestProfiledPhasesCountEveryEntry(t *testing.T) {
+	const k = 150 // not a multiple of the sampling period
+	s, m, _ := newMachine()
+	base := m.ReserveRegion(1 << 30)
+	done := 0
+	s.Spawn("w", func(p *sim.Proc) {
+		for ; done < k; done++ {
+			stall := m.TouchSeq(0, base+uint64(done)<<12, 4096, false, 8)
+			stall += m.TouchRandom(0, base, 1<<30, 4, false, 1, p.RNG().Float64)
+			m.Exec(p, 0, 1000, stall)
+		}
+	})
+	sim.EnableProfiling()
+	defer sim.DisableProfiling()
+	before := profCalls()
+	s.Run(sim.Time(50 * sim.Microsecond))
+	if done == 0 || done == k {
+		t.Fatalf("%d of %d calls in the first Run, want the flush to split them", done, k)
+	}
+	s.Run(sim.Forever)
+	after := profCalls()
+	for name, want := range map[string]int64{"hw.exec": k, "hw.charge": 2 * k, "cache.llc": 2 * k} {
+		if got := after[name][0] - before[name][0]; got != want {
+			t.Errorf("%s: %d entries, want %d", name, got, want)
+		}
+		if wall := after[name][1] - before[name][1]; wall <= 0 {
+			t.Errorf("%s: wall %d ns, want > 0", name, wall)
+		}
+	}
+}

@@ -22,7 +22,6 @@ import (
 	"math"
 	"runtime/debug"
 	"sync"
-	"time"
 )
 
 // Time is an absolute simulated time in nanoseconds since simulation start.
@@ -71,13 +70,8 @@ type Sim struct {
 	cur   *Proc // proc currently executing, nil outside Run
 	nlive int   // procs spawned and not yet finished
 
-	// Self-profile of the Run in progress, flushed to ProfLoop/ProfProc
-	// when it returns so that an event costs no atomic operation.
-	prof      bool          // Profiling() as sampled when Run began
-	mark      time.Time     // host time of the last phase boundary
-	loopWall  time.Duration // dispatch: yield entry to next's return
-	procWall  time.Duration // everything else, coroutine switches included
-	delivered int64         // events delivered
+	prof  bool                    // Profiling() as sampled when Run began
+	tally [len(perCall)]profTally // per-call phases' self-profile, flushed when Run returns (prof.go)
 }
 
 // New creates a simulation whose RNG is seeded with seed.
@@ -265,6 +259,7 @@ func keepLive(q []event, from int) []event {
 // ready FIFO is not empty the clock cannot advance, so every ready event
 // is due now.
 func (s *Sim) next() *Proc {
+	mark := s.ProfStart(ProfLoop)
 	var p *Proc
 	for {
 		var ev *event
@@ -296,14 +291,7 @@ func (s *Sim) next() *Proc {
 		break
 	}
 	s.cur = p
-	if s.prof {
-		t := time.Now()
-		s.loopWall += t.Sub(s.mark)
-		s.mark = t
-		if p != nil {
-			s.delivered++
-		}
-	}
+	s.ProfStop(ProfLoop, mark)
 	return p
 }
 
@@ -315,17 +303,6 @@ func (s *Sim) take(fromHeap bool) {
 	} else {
 		s.popReady()
 	}
-}
-
-// yield is next as called by a proc that parks or finishes: it first
-// closes the proc's sim.proc phase.
-func (s *Sim) yield() *Proc {
-	if s.prof {
-		t := time.Now()
-		s.procWall += t.Sub(s.mark)
-		s.mark = t
-	}
-	return s.next()
 }
 
 // A carrier is the coroutine a proc runs on: an iter.Pull whose sequence
@@ -418,7 +395,7 @@ func (p *Proc) run() {
 	p.fn = nil
 	p.woke = ^uint64(0)
 	p.sim.nlive--
-	p.sim.yield()
+	p.sim.next()
 }
 
 // SetAttr attaches an opaque attribution value to the proc. Higher layers
@@ -491,7 +468,7 @@ func (p *Proc) park() {
 	if s.cur != p {
 		panic(fmt.Sprintf("sim: proc %q parked while not active", p.name))
 	}
-	if s.yield() != p {
+	if s.next() != p {
 		p.car.yield(struct{}{})
 	}
 }
@@ -519,10 +496,9 @@ func (s *Sim) Run(until Time) Time {
 	if s.cur != nil {
 		panic(fmt.Sprintf("sim: Run called from inside proc %q", s.cur.name))
 	}
-	start := s.now
-	s.until = until
-	if s.prof = Profiling(); s.prof {
-		s.mark = time.Now()
+	start, t0 := s.now, ProfMark(0)
+	if s.until, s.prof = until, Profiling(); s.prof {
+		t0 = profNow()
 	}
 	for p := s.next(); p != nil; p = s.cur {
 		c := p.car
@@ -540,10 +516,7 @@ func (s *Sim) Run(until Time) Time {
 		s.now = s.until
 	}
 	if s.prof {
-		ProfLoop.Add(s.loopWall, 1)
-		ProfProc.Add(s.procWall, s.delivered)
-		profAddSim(Duration(s.now - start))
-		s.loopWall, s.procWall, s.delivered = 0, 0, 0
+		s.profFlush(t0, start)
 	}
 	return s.now
 }
