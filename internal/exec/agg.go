@@ -1,8 +1,9 @@
 package exec
 
 import (
+	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 )
 
 // aggWidth returns the state slots an aggregate needs.
@@ -16,7 +17,7 @@ func aggWidth(k AggKind) int {
 type groupEnt struct {
 	key   Row
 	state []int64
-	seen  bool
+	part  int // the parallel stage's partition the group's rows hash to
 }
 
 // maxInlineGroupCols is the widest group-by the fixed-width array key
@@ -27,26 +28,16 @@ const maxInlineGroupCols = 4
 // zeros. Comparable, so it indexes a map without allocating per row.
 type inlineKey [maxInlineGroupCols]int64
 
-// encodeKey builds a map key from group columns (the fallback for
-// group-bys wider than maxInlineGroupCols; allocates per call).
-func encodeKey(r Row, groups []int) string {
-	b := make([]byte, 0, len(groups)*8)
-	for _, c := range groups {
-		v := uint64(r[c])
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-	}
-	return string(b)
-}
-
 // aggTable is a group hash table keeping entries in insertion order.
-// Narrow group-bys use a fixed-width array key, so looking up an
-// existing group allocates nothing.
+// Narrow group-bys use a fixed-width array key and wide ones a byte
+// string encoded into buf, so looking up an existing group allocates
+// nothing.
 type aggTable struct {
 	groups []int
 	aggs   []AggSpec
 	inline map[inlineKey]int32
 	wide   map[string]int32
+	buf    []byte
 	ents   []*groupEnt
 }
 
@@ -60,14 +51,6 @@ func newAggTable(groups []int, aggs []AggSpec) *aggTable {
 	return t
 }
 
-// len is nil-safe: a partition skipped by the deadline leaves a nil table.
-func (t *aggTable) len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.ents)
-}
-
 // entCols returns the group entry of one columnar row, creating it on
 // first sight: group values come from cols[groups[i]][phys].
 func (t *aggTable) entCols(cols [][]int64, phys int32) *groupEnt {
@@ -79,62 +62,51 @@ func (t *aggTable) entCols(cols [][]int64, phys int32) *groupEnt {
 		if ix, ok := t.inline[k]; ok {
 			return t.ents[ix]
 		}
-		key := make(Row, len(t.groups))
-		for i, c := range t.groups {
-			key[i] = cols[c][phys]
-		}
-		g := &groupEnt{key: key, state: newAggState(t.aggs)}
 		t.inline[k] = int32(len(t.ents))
-		t.ents = append(t.ents, g)
-		return g
+	} else {
+		t.buf = t.buf[:0]
+		for _, c := range t.groups {
+			t.buf = binary.LittleEndian.AppendUint64(t.buf, uint64(cols[c][phys]))
+		}
+		if ix, ok := t.wide[string(t.buf)]; ok {
+			return t.ents[ix]
+		}
+		t.wide[string(t.buf)] = int32(len(t.ents))
 	}
 	key := make(Row, len(t.groups))
 	for i, c := range t.groups {
 		key[i] = cols[c][phys]
 	}
-	return t.adopt(&groupEnt{key: key, state: newAggState(t.aggs)})
-}
-
-// adopt folds g (whose key is an already-projected group row) into the
-// table: absorbed into an existing entry, or inserted as-is. Returns the
-// table's entry for g's key.
-func (t *aggTable) adopt(g *groupEnt) *groupEnt {
-	if t.inline != nil {
-		var k inlineKey
-		copy(k[:], g.key)
-		if ix, ok := t.inline[k]; ok {
-			d := t.ents[ix]
-			mergeState(d.state, g.state, t.aggs)
-			return d
-		}
-		t.inline[k] = int32(len(t.ents))
-		t.ents = append(t.ents, g)
-		return g
-	}
-	k := encodeKey(g.key, seqInts(len(g.key)))
-	if ix, ok := t.wide[k]; ok {
-		d := t.ents[ix]
-		mergeState(d.state, g.state, t.aggs)
-		return d
-	}
-	t.wide[k] = int32(len(t.ents))
+	g := &groupEnt{key: key, state: newAggState(t.aggs)}
 	t.ents = append(t.ents, g)
 	return g
 }
 
-func seqInts(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
+// aggregate is the hash aggregate's host pass: one group table over in,
+// filled in input order. Each group is tagged with the partition a
+// parts-way parallel stage hashes its rows to (0 when parts <= 1), and
+// rows[p] and groups[p] count the rows and groups of partition p — what
+// partition p charges. Partitions are cut by group hash, so no group
+// spans two of them.
+func aggregate(in []*Batch, n *Node, parts int, weight int64) (at *aggTable, rows, groups []int64) {
+	at = newAggTable(n.Groups, n.Aggs)
+	rows, groups = make([]int64, parts), make([]int64, parts)
+	for _, b := range in {
+		for i := 0; i < b.Rows(); i++ {
+			ph := b.phys(i)
+			known := len(at.ents)
+			g := at.entCols(b.Cols, ph)
+			if len(at.ents) > known {
+				if parts > 1 {
+					g.part = int(hashCols(b.Cols, n.Groups, ph) % uint64(parts))
+				}
+				groups[g.part]++
+			}
+			rows[g.part]++
+			accumulateCols(g.state, n.Aggs, b.Cols, ph, weight)
+		}
 	}
-	return out
-}
-
-// adoptAll merges a partition-local table into t.
-func (t *aggTable) adoptAll(src *aggTable) {
-	for _, g := range src.ents {
-		t.adopt(g)
-	}
+	return at, rows, groups
 }
 
 func newAggState(aggs []AggSpec) []int64 {
@@ -181,28 +153,6 @@ func accumulateCols(st []int64, aggs []AggSpec, cols [][]int64, phys int32, weig
 	}
 }
 
-func mergeState(dst, src []int64, aggs []AggSpec) {
-	i := 0
-	for _, a := range aggs {
-		switch a.Kind {
-		case AggSum, AggCount:
-			dst[i] += src[i]
-		case AggMin:
-			if src[i] < dst[i] {
-				dst[i] = src[i]
-			}
-		case AggMax:
-			if src[i] > dst[i] {
-				dst[i] = src[i]
-			}
-		case AggAvg:
-			dst[i] += src[i]
-			dst[i+1] += src[i+1]
-		}
-		i += aggWidth(a.Kind)
-	}
-}
-
 func finalize(key Row, st []int64, aggs []AggSpec) Row {
 	out := make(Row, 0, len(key)+len(aggs))
 	out = append(out, key...)
@@ -230,31 +180,18 @@ func finalize(key Row, st []int64, aggs []AggSpec) Row {
 	return out
 }
 
-// finalizeAggTables merges partition-local tables, emits finalized
-// groups in deterministic (sorted) group order, and handles the scalar
-// aggregate over an empty input (one zero row).
-func finalizeAggTables(partials []*aggTable, groups []int, aggs []AggSpec) []Row {
-	merged := newAggTable(groups, aggs)
-	for _, t := range partials {
-		if t != nil {
-			merged.adoptAll(t)
-		}
-	}
-	if len(groups) == 0 && merged.len() == 0 {
+// finalizeGroups emits finalized groups in group-key order (the keys are
+// distinct, so the order is total), and the scalar aggregate over an
+// empty input as one zero row.
+func finalizeGroups(ents []*groupEnt, groups []int, aggs []AggSpec) []Row {
+	if len(groups) == 0 && len(ents) == 0 {
 		return []Row{finalize(nil, newAggState(aggs), aggs)}
 	}
-	out := make([]Row, 0, merged.len())
-	for _, g := range merged.ents {
-		out = append(out, finalize(g.key, g.state, aggs))
+	out := make([]Row, len(ents))
+	for i, g := range ents {
+		out[i] = finalize(g.key, g.state, aggs)
 	}
 	ng := len(groups)
-	sort.Slice(out, func(i, j int) bool {
-		for c := 0; c < ng; c++ {
-			if out[i][c] != out[j][c] {
-				return out[i][c] < out[j][c]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(out, func(a, b Row) int { return slices.Compare(a[:ng], b[:ng]) })
 	return out
 }

@@ -112,8 +112,9 @@ func BenchmarkVectorizedSpeedup(b *testing.B) {
 }
 
 // BenchmarkPartitionBatches is the exchange the vectorized engine runs
-// before every parallel hash stage: 4 096 rows of 5 columns into 32
-// partitions, the MAXDOP 32 shape where most partitions get few rows.
+// before both stages of a parallel hash join: 4 096 rows of 5 columns
+// into 32 partitions, the MAXDOP 32 shape where most partitions get few
+// rows.
 func BenchmarkPartitionBatches(b *testing.B) {
 	rows := make([]Row, 4096)
 	for i := range rows {
@@ -160,6 +161,75 @@ func BenchmarkHashJoinBuildProbe(b *testing.B) {
 		b.StartTimer()
 		if _, n := runBench(te, Run, root); n != benchRows {
 			b.Fatalf("join rows = %d, want %d", n, benchRows)
+		}
+	}
+}
+
+// benchGroups builds a (g0..g4, amount) table of rows rows whose group
+// columns take 1 000 distinct combinations: g0 alone is 1 000-valued,
+// and (g1, g2, g3) with g4 a function of them spell the same groups.
+func benchGroups(te *testEnv, rows int64) *storage.Table {
+	cols := make([]storage.Column, 0, 6)
+	for _, name := range []string{"g0", "g1", "g2", "g3", "g4", "amount"} {
+		cols = append(cols, storage.Column{Name: name, Type: storage.TInt, Width: 8})
+	}
+	t := storage.NewTable(3, storage.NewSchema("bench_groups", cols...), 1)
+	for i := int64(0); i < rows; i++ {
+		k := (i * 7919) % 1000
+		t.AppendLoad([]int64{k, k % 10, k / 10 % 10, k / 100, k % 7, i % 1000})
+	}
+	t.Data.Region = te.env.M.ReserveRegion(t.NominalDataBytes())
+	te.env.BP.Register(t.Data)
+	return t
+}
+
+// BenchmarkHashAgg runs a parallel scan → hash aggregate at DOP 4 over
+// 100 000 rows into 1 000 groups, keyed by one column (the inline key)
+// and by five (the encoded wide key).
+func BenchmarkHashAgg(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		groups []int
+	}{{"inline", []int{0}}, {"wide5", []int{0, 1, 2, 3, 4}}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				te := newTestEnv(4)
+				tab := benchGroups(te, 100_000)
+				root := &Node{
+					Kind:   KHashAgg,
+					Left:   scanNode(tab, []int{0, 1, 2, 3, 4, 5}, nil, 0, true),
+					Groups: c.groups,
+					Aggs:   []AggSpec{{Kind: AggSum, Col: 5}, {Kind: AggCount}, {Kind: AggMax, Col: 5}},
+					Weight: tab.K, Parallel: true,
+				}
+				b.StartTimer()
+				if _, n := runBench(te, Run, root); n != 1000 {
+					b.Fatalf("groups = %d, want 1000", n)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSort runs a parallel scan → sort at DOP 4 over 100 000 rows
+// on two keys with many ties (10 × 1 000 distinct pairs).
+func BenchmarkSort(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		te := newTestEnv(4)
+		tab := benchGroups(te, 100_000)
+		root := &Node{
+			Kind:   KSort,
+			Left:   scanNode(tab, []int{1, 5, 0}, nil, 0, true),
+			Keys:   []SortKey{{Col: 0}, {Col: 1, Desc: true}},
+			Weight: tab.K, Parallel: true,
+		}
+		b.StartTimer()
+		if _, n := runBench(te, Run, root); n != 100_000 {
+			b.Fatalf("rows = %d, want 100000", n)
 		}
 	}
 }

@@ -363,6 +363,18 @@ func partitionRows(rows []Row, keys []int, parts int) [][]Row {
 	return out
 }
 
+// encodeKey builds a map key from group columns (the fallback for
+// group-bys wider than maxInlineGroupCols; allocates per call).
+func encodeKey(r Row, groups []int) string {
+	b := make([]byte, 0, len(groups)*8)
+	for _, c := range groups {
+		v := uint64(r[c])
+		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
+			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+	}
+	return string(b)
+}
+
 // entRow returns row r's group entry, creating it on first sight.
 func (t *aggTable) entRow(r Row) *groupEnt {
 	if t.inline != nil {
@@ -413,10 +425,10 @@ func accumulate(st []int64, aggs []AggSpec, r Row, weight int64) {
 }
 
 // runHashAgg aggregates the child's output. Parallel stages compute
-// partition-local partial aggregates; the coordinator merges and emits
-// groups in deterministic (sorted) group order. Aggregate inputs are
-// weighted by the child's nominal weight so SUM/COUNT reflect nominal
-// cardinalities.
+// partition-local partial aggregates; the coordinator concatenates them
+// and emits groups in deterministic (sorted) group order. Aggregate
+// inputs are weighted by the child's nominal weight so SUM/COUNT reflect
+// nominal cardinalities.
 func runHashAgg(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []Row) []Row {
 	parts := stageDop(env, n)
 	weight := n.Left.Weight
@@ -437,7 +449,7 @@ func runHashAgg(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []Row) []Row 
 		// The group table's nominal footprint: groups are dimension-level
 		// entities, so their nominal count scales with the group count,
 		// not the input weight.
-		groupBytes := int64(at.len()) * tupleBytes(env, n.Left)
+		groupBytes := int64(len(at.ents)) * tupleBytes(env, n.Left)
 		if groupBytes > 0 {
 			region := env.M.ReserveRegion(groupBytes)
 			ctx.TouchRandom(region, groupBytes, w, true, 4)
@@ -445,10 +457,15 @@ func runHashAgg(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []Row) []Row 
 		partials[part] = at
 	})
 
-	// Grant accounting on the merged table.
+	// Grant accounting on the groups of every partition that ran; the
+	// partitions are cut by group hash, so their groups are disjoint.
 	var totalGroups int64
+	var ents []*groupEnt
 	for _, at := range partials {
-		totalGroups += int64(at.len())
+		if at != nil {
+			totalGroups += int64(len(at.ents))
+			ents = append(ents, at.ents...)
+		}
 	}
 	needBytes := totalGroups * tupleBytes(env, n.Left)
 	overflow := env.Grant.Reserve(needBytes)
@@ -458,7 +475,7 @@ func runHashAgg(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []Row) []Row 
 	}
 
 	ctx := env.newCtx(p, env.home())
-	out := finalizeAggTables(partials, n.Groups, n.Aggs)
+	out := finalizeGroups(ents, n.Groups, n.Aggs)
 	ctx.CPU(float64(totalGroups) * ctx.Cost.AggIPR)
 	ctx.Flush()
 	return out
@@ -478,9 +495,10 @@ func lessByKeys(a, b Row, keys []SortKey) bool {
 	return false
 }
 
-// runSort sorts the child's output. Parallel stages sort chunks; the
-// coordinator merges. Input larger than the grant spills sort runs to
-// tempdb.
+// runSort sorts the child's output. Parallel stages charge the sort of
+// their chunks and the coordinator their merge; one stable sort of the
+// input gives the order the merged chunks have. Input larger than the
+// grant spills sort runs to tempdb.
 func runSort(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []Row) []Row {
 	weight := n.Left.Weight
 	if weight < 1 {
@@ -501,29 +519,19 @@ func runSort(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []Row) []Row {
 		if len(rows) == 0 {
 			return
 		}
-		sort.SliceStable(rows, func(i, j int) bool { return lessByKeys(rows[i], rows[j], n.Keys) })
 		w := float64(int64(len(rows)) * weight)
 		ctx.CPU(w * ctx.Cost.SortIPR * math.Log2(w+2))
 		region := env.M.ReserveRegion(needBytes/int64(parts) + 1)
 		ctx.TouchSeq(region, needBytes/int64(parts), true, 8)
 	})
 
-	// Coordinator merge of sorted chunks.
 	ctx := env.newCtx(p, env.home())
-	out := mergeSorted(chunks, n.Keys)
+	sort.SliceStable(in, func(i, j int) bool { return lessByKeys(in[i], in[j], n.Keys) })
 	if parts > 1 {
-		ctx.CPU(float64(int64(len(out))*weight) * ctx.Cost.SortIPR)
+		ctx.CPU(float64(int64(len(in))*weight) * ctx.Cost.SortIPR)
 	}
 	ctx.Flush()
-	return out
-}
-
-// mergeSorted merges per-chunk sorted runs with a k-way heap merge.
-// Ties across chunks break toward the lower chunk index, which is the
-// order a stable serial sort of the concatenated input produces (chunks
-// are contiguous input slices).
-func mergeSorted(chunks [][]Row, keys []SortKey) []Row {
-	return kwayMerge(chunks, func(a, b Row) bool { return lessByKeys(a, b, keys) })
+	return in
 }
 
 // runTop returns the first Limit rows of the input's stable order by the

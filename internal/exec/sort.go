@@ -5,85 +5,6 @@ import (
 	"sort"
 )
 
-// mergeHead is one chunk's read position inside the merge heap.
-type mergeHead struct {
-	chunk int
-	pos   int
-}
-
-// mergeHeap is a container/heap k-way merge state over sorted chunks:
-// the root is the smallest head element, with equal keys resolved by the
-// lower chunk index so the merge is deterministic for any DOP.
-type mergeHeap[T any] struct {
-	heads  []mergeHead
-	chunks [][]T
-	less   func(a, b T) bool
-}
-
-func (h *mergeHeap[T]) Len() int { return len(h.heads) }
-
-func (h *mergeHeap[T]) Less(i, j int) bool {
-	a, b := h.heads[i], h.heads[j]
-	av, bv := h.chunks[a.chunk][a.pos], h.chunks[b.chunk][b.pos]
-	if h.less(av, bv) {
-		return true
-	}
-	if h.less(bv, av) {
-		return false
-	}
-	return a.chunk < b.chunk
-}
-
-func (h *mergeHeap[T]) Swap(i, j int) { h.heads[i], h.heads[j] = h.heads[j], h.heads[i] }
-
-func (h *mergeHeap[T]) Push(x any) { h.heads = append(h.heads, x.(mergeHead)) }
-
-func (h *mergeHeap[T]) Pop() any {
-	old := h.heads
-	x := old[len(old)-1]
-	h.heads = old[:len(old)-1]
-	return x
-}
-
-// kwayMerge merges k sorted chunks in O(n log k). A single non-empty
-// chunk is returned as-is (the serial fast path).
-func kwayMerge[T any](chunks [][]T, less func(a, b T) bool) []T {
-	total, nonEmpty, last := 0, 0, -1
-	for i, c := range chunks {
-		total += len(c)
-		if len(c) > 0 {
-			nonEmpty++
-			last = i
-		}
-	}
-	if nonEmpty == 0 {
-		return make([]T, 0)
-	}
-	if nonEmpty == 1 {
-		return chunks[last]
-	}
-	h := &mergeHeap[T]{chunks: chunks, less: less}
-	for i, c := range chunks {
-		if len(c) > 0 {
-			h.heads = append(h.heads, mergeHead{chunk: i})
-		}
-	}
-	heap.Init(h)
-	out := make([]T, 0, total)
-	for h.Len() > 0 {
-		hd := h.heads[0]
-		out = append(out, chunks[hd.chunk][hd.pos])
-		hd.pos++
-		if hd.pos < len(chunks[hd.chunk]) {
-			h.heads[0] = hd
-			heap.Fix(h, 0)
-		} else {
-			heap.Pop(h)
-		}
-	}
-	return out
-}
-
 // topHeap is a bounded max-heap of candidate indices under a total
 // order: the root is the worst retained candidate, so a better incoming
 // element replaces it in O(log limit).

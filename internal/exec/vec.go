@@ -223,9 +223,10 @@ func hashCols(cols [][]int64, keys []int, phys int32) uint64 {
 	return h
 }
 
-// partitionBatches hash-partitions batches by key columns, preserving
-// input order within each partition. A counting pass sizes each
-// partition's builder to exactly the rows it will receive.
+// partitionBatches is the hash join's exchange: it hash-partitions
+// batches by key columns, preserving input order within each partition.
+// A counting pass sizes each partition's builder to exactly the rows it
+// will receive.
 func partitionBatches(bs []*Batch, keys []int, parts, size int) [][]*Batch {
 	if parts <= 1 {
 		return [][]*Batch{bs}
@@ -317,17 +318,23 @@ func (cs *colset) gather(perm []int32, size int) []*Batch {
 	return bb.finish()
 }
 
-// lessKeysAt compares two physical rows of a colset by sort keys.
-func lessKeysAt(cols [][]int64, keys []SortKey, a, b int32) bool {
+// compareKeysAt orders two physical rows of a colset by sort keys:
+// negative when a sorts first, positive when b does, 0 on equal keys.
+func compareKeysAt(cols [][]int64, keys []SortKey, a, b int32) int {
 	for _, k := range keys {
 		av, bv := cols[k.Col][a], cols[k.Col][b]
 		if av == bv {
 			continue
 		}
-		if k.Desc {
-			return av > bv
+		if (av < bv) != k.Desc {
+			return -1
 		}
-		return av < bv
+		return 1
 	}
-	return false
+	return 0
+}
+
+// lessKeysAt reports whether physical row a sorts before row b.
+func lessKeysAt(cols [][]int64, keys []SortKey, a, b int32) bool {
+	return compareKeysAt(cols, keys, a, b) < 0
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/access"
 	"repro/internal/colstore"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -297,32 +298,6 @@ func sampleRows(rows []Row) []Row {
 	return rows
 }
 
-// TestKWayMergeEqualKeysDeterministic pins the merge tie-break rule:
-// equal keys drain lower-index chunks first, reproducing the stable
-// order a serial sort of the concatenated input gives.
-func TestKWayMergeEqualKeysDeterministic(t *testing.T) {
-	chunks := [][]Row{
-		{{1, 10}, {1, 11}, {3, 12}},
-		{{1, 20}, {2, 21}},
-		{},
-		{{1, 30}, {3, 31}},
-	}
-	got := mergeSorted(chunks, []SortKey{{Col: 0}})
-	want := []Row{{1, 10}, {1, 11}, {1, 20}, {1, 30}, {2, 21}, {3, 12}, {3, 31}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merge order:\ngot  %v\nwant %v", got, want)
-	}
-	// And it must agree with a stable sort of the concatenation.
-	var all []Row
-	for _, c := range chunks {
-		all = append(all, c...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i][0] < all[j][0] })
-	if !reflect.DeepEqual(got, all) {
-		t.Fatalf("merge disagrees with stable sort:\ngot  %v\nwant %v", got, all)
-	}
-}
-
 // TestTopKIdxMatchesStableSortPrefix checks the bounded heap against the
 // definition runTop implements: the first limit rows of the input's
 // stable sort.
@@ -485,4 +460,240 @@ func TestVectorizedSerialParallelIdentical(t *testing.T) {
 	if !reflect.DeepEqual(serial, par) {
 		t.Fatalf("serial/parallel rows differ: %d vs %d", len(serial), len(par))
 	}
+}
+
+// TestAggTableWideKeyAllocs: a group-by wider than the inline key looks
+// its group up by the encoded key first, so a row of an existing group
+// allocates nothing.
+func TestAggTableWideKeyAllocs(t *testing.T) {
+	groups := []int{0, 1, 0, 1, 0}
+	at := newAggTable(groups, []AggSpec{{Kind: AggSum, Col: 2}, {Kind: AggCount}})
+	const n = 64
+	cols := [][]int64{make([]int64, n), make([]int64, n), make([]int64, n)}
+	for i := 0; i < n; i++ {
+		cols[0][i], cols[1][i], cols[2][i] = int64(i%4), int64(i%3), int64(i)
+	}
+	for i := int32(0); i < n; i++ {
+		accumulateCols(at.entCols(cols, i).state, at.aggs, cols, i, 1)
+	}
+	if len(at.ents) != 12 {
+		t.Fatalf("%d groups, want 12", len(at.ents))
+	}
+	i := int32(0)
+	avg := testing.AllocsPerRun(1000, func() {
+		accumulateCols(at.entCols(cols, i%n).state, at.aggs, cols, i%n, 1)
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("aggTable wide path allocates %.2f per row, want 0", avg)
+	}
+}
+
+// TestAggregatePartitionAccounting pins what the parallel hash
+// aggregate's charges rest on: aggregate's rows[p] and groups[p] are the
+// rows and distinct group keys partitionBatches puts in partition p, and
+// every group's part is the partition all of its rows go to, so no group
+// spans two partitions.
+func TestAggregatePartitionAccounting(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	input := func(nrows int) []*Batch {
+		rows := make([]Row, nrows)
+		for i := range rows {
+			r := make(Row, 6)
+			for c := range r {
+				r[c] = int64(rng.Intn(3)) // heavy key repetition
+			}
+			rows[i] = r
+		}
+		in := rowsToBatches(rows, 64)
+		if len(in) > 1 {
+			// A filtered batch: live rows come through a selection vector.
+			in[1].Sel = []int32{1, 2, 5, 8, 13, 21, 34, 55}
+		}
+		return in
+	}
+	aggs := []AggSpec{{Kind: AggSum, Col: 5}, {Kind: AggCount}, {Kind: AggMax, Col: 4}}
+	for _, c := range []struct {
+		name   string
+		groups []int
+		rows   int
+	}{
+		{"scalar", nil, 300},
+		{"inline-1", []int{2}, 500},
+		{"inline-4", []int{3, 0, 2, 1}, 500},
+		{"wide-5", []int{0, 1, 2, 3, 4}, 500},
+		{"empty", []int{0, 1}, 0},
+	} {
+		in := input(c.rows)
+		n := &Node{Groups: c.groups, Aggs: aggs}
+		for _, parts := range []int{1, 2, 3, 4, 8} {
+			at, rows, groups := aggregate(in, n, parts, 3)
+			ref := partitionBatches(in, c.groups, parts, 64)
+			var sumGroups int64
+			for p := 0; p < parts; p++ {
+				distinct := map[string]bool{}
+				for _, b := range ref[p] {
+					for i := 0; i < b.Rows(); i++ {
+						ph := b.phys(i)
+						known := len(at.ents)
+						if g := at.entCols(b.Cols, ph); g.part != p || len(at.ents) != known {
+							t.Fatalf("%s/%d: a row of partition %d has group %v in partition %d (new %v)",
+								c.name, parts, p, g.key, g.part, len(at.ents) != known)
+						}
+						key := make(Row, len(c.groups))
+						for k, col := range c.groups {
+							key[k] = b.Cols[col][ph]
+						}
+						distinct[fmt.Sprint(key)] = true
+					}
+				}
+				if rows[p] != int64(batchRowCount(ref[p])) {
+					t.Fatalf("%s/%d: rows[%d] = %d, partitionBatches gives %d", c.name, parts, p, rows[p], batchRowCount(ref[p]))
+				}
+				if groups[p] != int64(len(distinct)) {
+					t.Fatalf("%s/%d: groups[%d] = %d, partitionBatches gives %d", c.name, parts, p, groups[p], len(distinct))
+				}
+				sumGroups += groups[p]
+			}
+			if sumGroups != int64(len(at.ents)) {
+				t.Fatalf("%s/%d: partitions hold %d groups, the table %d", c.name, parts, sumGroups, len(at.ents))
+			}
+		}
+	}
+}
+
+// TestHashAggDeadlineSkipsPartitions: when the deadline passes while one
+// worker of a parallel aggregate waits for its core, the partition it
+// never ran adds no groups, neither to the output nor to the grant, as
+// in the oracle, where a skipped partition leaves no table.
+func TestHashAggDeadlineSkipsPartitions(t *testing.T) {
+	rows := make([]Row, 400)
+	for i := range rows {
+		rows[i] = Row{int64(i % 40), int64(i)}
+	}
+	n := &Node{
+		Kind: KHashAgg, Left: &Node{Weight: 1}, Groups: []int{0},
+		Aggs: []AggSpec{{Kind: AggSum, Col: 1}, {Kind: AggCount}}, Weight: 1, Parallel: true,
+	}
+	run := func(agg func(p *sim.Proc, env *Env, st *QueryStats) int) (int, QueryStats) {
+		te := newTestEnv(4)
+		te.env.Grant = &Grant{Bytes: 1} // the spill volume tells the groups reserved
+		var groups int
+		var st QueryStats
+		te.sm.Spawn("hog", func(p *sim.Proc) { te.env.M.Exec(p, 0, 0, 5e6) }) // core 0 busy for 5 ms
+		te.sm.Spawn("q", func(p *sim.Proc) {
+			te.env.Deadline = p.Now() + sim.Time(sim.Millisecond)
+			groups = agg(p, te.env, &st)
+		})
+		te.sm.Run(te.sm.Now() + sim.Time(3600*sim.Second))
+		return groups, st
+	}
+	got, st := run(func(p *sim.Proc, env *Env, st *QueryStats) int {
+		return batchRowCount(vecHashAgg(p, env, n, st, rowsToBatches(rows, 64)))
+	})
+	want, wantSt := run(func(p *sim.Proc, env *Env, st *QueryStats) int {
+		return len(runHashAgg(p, env, n, st, rows))
+	})
+	if got != want || st.SpillBytes != wantSt.SpillBytes {
+		t.Fatalf("groups %d, spilled %d B; oracle %d, %d B", got, st.SpillBytes, want, wantSt.SpillBytes)
+	}
+	if got == 0 || got == 40 {
+		t.Fatalf("%d of 40 groups: the deadline did not cut the stage short", got)
+	}
+}
+
+// FuzzAggSortMatchesOracle decodes a small table with many ties, a
+// group-by of 0-5 columns, 1-3 sort keys with mixed directions, a DOP of
+// 1-8 and an unlimited or a spilling grant from the input, and runs scan → HashAgg (every aggregate kind)
+// → Sort and scan → Sort. Run must return the rows runRowEngine does,
+// and the rows Run returns at DOP 1.
+func FuzzAggSortMatchesOracle(f *testing.F) {
+	f.Add([]byte{2, 0x15, 4, 0, 0x53, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 200, 201, 77})
+	f.Add([]byte{5, 0x3a, 7, 1, 0xc8, 255, 254, 1, 1, 1, 0, 128, 64, 32, 16, 8, 4, 2})
+	f.Add([]byte{0, 0x02, 3, 0, 0x01, 9, 9, 9, 9})
+	f.Add([]byte{3, 0x27, 1, 1, 0x7f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		ngroups := int(data[0] % 6)
+		nkeys, desc := 1+int(data[1]%3), data[1]>>2
+		dop := 1 + int(data[2]%8)
+		grant := int64(0)
+		if data[3]&1 != 0 {
+			grant = 256 // all but the smallest inputs spill
+		}
+		vals := data[5:]
+		if len(vals) > 300 {
+			vals = vals[:300]
+		}
+		// (id, k0..k4, v): k columns take 2-3 values, so keys tie often.
+		table := func(te *testEnv) *storage.Table {
+			cols := []storage.Column{{Name: "id", Type: storage.TInt, Width: 8}}
+			for c := 0; c < 5; c++ {
+				cols = append(cols, storage.Column{Name: fmt.Sprintf("k%d", c), Type: storage.TInt, Width: 8})
+			}
+			cols = append(cols, storage.Column{Name: "v", Type: storage.TInt, Width: 8})
+			tab := storage.NewTable(1, storage.NewSchema("fuzz", cols...), 3)
+			for i, b := range vals {
+				r := []int64{int64(i)}
+				for c := 0; c < 5; c++ {
+					r = append(r, int64(b>>c)%int64(2+c%2))
+				}
+				tab.AppendLoad(append(r, int64(b)-100))
+			}
+			tab.Data.Region = te.env.M.ReserveRegion(tab.NominalDataBytes() + 1)
+			te.env.BP.Register(tab.Data)
+			return tab
+		}
+		sortKeys := func(width int) []SortKey {
+			keys := make([]SortKey, nkeys)
+			for i := range keys {
+				keys[i] = SortKey{Col: int(data[4]>>(3*i)) % width, Desc: desc>>i&1 != 0}
+			}
+			return keys
+		}
+		groups := []int{1, 2, 3, 4, 5}[:ngroups]
+		aggs := []AggSpec{
+			{Kind: AggSum, Col: 6}, {Kind: AggCount}, {Kind: AggMin, Col: 6},
+			{Kind: AggMax, Col: 6}, {Kind: AggAvg, Col: 6},
+		}
+		plans := []struct {
+			name string
+			plan func(tab *storage.Table) *Node
+		}{
+			{"agg-sort", func(tab *storage.Table) *Node {
+				agg := &Node{
+					Kind: KHashAgg, Left: scanNode(tab, []int{0, 1, 2, 3, 4, 5, 6}, nil, 0, true),
+					Groups: groups, Aggs: aggs, Weight: tab.K, Parallel: true,
+				}
+				return &Node{Kind: KSort, Left: agg, Keys: sortKeys(ngroups + len(aggs)), Weight: 1, Parallel: true}
+			}},
+			{"sort", func(tab *storage.Table) *Node {
+				scan := scanNode(tab, []int{0, 1, 2, 3, 4, 5, 6}, nil, 0, true)
+				return &Node{Kind: KSort, Left: scan, Keys: sortKeys(7), Weight: tab.K, Parallel: true}
+			}},
+		}
+		for _, pl := range plans {
+			run := func(engine engineFn, cores int) ([]Row, QueryStats) {
+				te := newTestEnv(cores)
+				if grant != 0 {
+					te.env.Grant = &Grant{Bytes: grant}
+				}
+				return te.runOn(engine, pl.plan(table(te)))
+			}
+			got, st := run(Run, dop)
+			want, wantSt := run(runRowEngine, dop)
+			serial, _ := run(Run, 1)
+			if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s at DOP %d: Run %v, oracle %v", pl.name, dop, got, want)
+			}
+			if st.OutRows != wantSt.OutRows || st.Spills != wantSt.Spills || st.SpillBytes != wantSt.SpillBytes {
+				t.Fatalf("%s at DOP %d: Run stats %+v, oracle %+v", pl.name, dop, st, wantSt)
+			}
+			if len(got)+len(serial) > 0 && !reflect.DeepEqual(got, serial) {
+				t.Fatalf("%s: DOP %d gives %v, DOP 1 %v", pl.name, dop, got, serial)
+			}
+		}
+	})
 }

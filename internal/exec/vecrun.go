@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/access"
@@ -336,47 +337,34 @@ func vecProject(p *sim.Proc, env *Env, n *Node, in []*Batch) []*Batch {
 	return bb.finish()
 }
 
-// vecHashAgg aggregates the child's output. Parallel stages compute
-// partition-local aggTables fed straight from column vectors; the
-// coordinator merges them and emits groups in sorted group order.
+// vecHashAgg aggregates the child's output in one host pass
+// (aggregate); the parallel stage only charges each partition its rows
+// and groups, and the coordinator emits groups in sorted group order.
 // Aggregate inputs are weighted by the child's nominal weight so
 // SUM/COUNT reflect nominal cardinalities.
 func vecHashAgg(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []*Batch) []*Batch {
 	parts := stageDop(env, n)
-	size := batchSize(env)
 	weight := n.Left.Weight
 	if weight < 1 {
 		weight = 1
 	}
 
-	inParts := partitionBatches(in, n.Groups, parts, size)
-	partials := make([]*aggTable, parts)
+	at, rows, groups := aggregate(in, n, parts, weight)
+	ran := make([]bool, parts)
 	env.parallel(p, parts, func(ctx *access.Ctx, part int) {
-		at := newAggTable(n.Groups, n.Aggs)
-		var nrows int64
-		for _, b := range inParts[part] {
-			for i := 0; i < b.Rows(); i++ {
-				ph := b.phys(i)
-				accumulateCols(at.entCols(b.Cols, ph).state, n.Aggs, b.Cols, ph, weight)
-			}
-			nrows += int64(b.Rows())
-		}
-		w := nrows * weight
+		w := rows[part] * weight
 		ctx.CPU(float64(w) * ctx.Cost.AggIPR)
-		groupBytes := int64(at.len()) * tupleBytes(env, n.Left)
+		groupBytes := groups[part] * tupleBytes(env, n.Left)
 		if groupBytes > 0 {
 			region := env.M.ReserveRegion(groupBytes)
 			ctx.TouchRandom(region, groupBytes, w, true, 4)
 		}
-		partials[part] = at
+		ran[part] = true
 	})
 
-	var totalGroups int64
-	for _, at := range partials {
-		if at != nil {
-			totalGroups += int64(at.len())
-		}
-	}
+	// A partition the deadline skipped adds no charge and no groups.
+	ents := slices.DeleteFunc(at.ents, func(g *groupEnt) bool { return !ran[g.part] })
+	totalGroups := int64(len(ents))
 	needBytes := totalGroups * tupleBytes(env, n.Left)
 	overflow := env.Grant.Reserve(needBytes)
 	defer env.Grant.Release(needBytes - overflow)
@@ -385,10 +373,10 @@ func vecHashAgg(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []*Batch) []*
 	}
 
 	ctx := env.newCtx(p, env.home())
-	out := finalizeAggTables(partials, n.Groups, n.Aggs)
+	out := finalizeGroups(ents, n.Groups, n.Aggs)
 	ctx.CPU(float64(totalGroups) * ctx.Cost.AggIPR)
 	ctx.Flush()
-	return rowsToBatches(out, size)
+	return rowsToBatches(out, batchSize(env))
 }
 
 // vecJoinTable is one partition's hash table over columnar build rows:
@@ -535,10 +523,11 @@ func vecHashJoin(p *sim.Proc, env *Env, n *Node, st *QueryStats, build, probe []
 }
 
 // vecSort sorts a permutation over the compacted input instead of
-// swapping rows: chunks of the permutation are stable-sorted in
-// parallel, then k-way merged with the chunk-index tie-break, so the
-// output is the stable sort of the input at any DOP. Input larger than
-// the grant spills sort runs to tempdb.
+// swapping rows. The parallel stage charges each worker the sort of its
+// contiguous chunk and the coordinator the merge of the chunks; one
+// stable sort of the permutation gives the order they reach, the stable
+// sort of the input at any DOP. Input larger than the grant spills sort
+// runs to tempdb.
 func vecSort(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []*Batch) []*Batch {
 	weight := n.Left.Weight
 	if weight < 1 {
@@ -555,39 +544,27 @@ func vecSort(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []*Batch) []*Bat
 
 	parts := stageDop(env, n)
 	chunk := (total + parts - 1) / parts
-	perm := make([]int32, total)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	permChunks := make([][]int32, parts)
-	for i := 0; i < parts; i++ {
-		lo, hi := i*chunk, (i+1)*chunk
-		if lo > total {
-			lo = total
-		}
-		if hi > total {
-			hi = total
-		}
-		permChunks[i] = perm[lo:hi]
-	}
 	env.parallel(p, parts, func(ctx *access.Ctx, part int) {
-		seg := permChunks[part]
-		if len(seg) == 0 {
+		rows := min(chunk, total-part*chunk)
+		if rows <= 0 {
 			return
 		}
-		sort.SliceStable(seg, func(i, j int) bool { return lessKeysAt(cs.cols, n.Keys, seg[i], seg[j]) })
-		w := float64(int64(len(seg)) * weight)
+		w := float64(int64(rows) * weight)
 		ctx.CPU(w * ctx.Cost.SortIPR * math.Log2(w+2))
 		region := env.M.ReserveRegion(needBytes/int64(parts) + 1)
 		ctx.TouchSeq(region, needBytes/int64(parts), true, 8)
 	})
-	merged := kwayMerge(permChunks, func(a, b int32) bool { return lessKeysAt(cs.cols, n.Keys, a, b) })
+	perm := make([]int32, total)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortStableFunc(perm, func(a, b int32) int { return compareKeysAt(cs.cols, n.Keys, a, b) })
 	ctx := env.newCtx(p, env.home())
 	if parts > 1 {
-		ctx.CPU(float64(int64(len(merged))*weight) * ctx.Cost.SortIPR)
+		ctx.CPU(float64(int64(total)*weight) * ctx.Cost.SortIPR)
 	}
 	ctx.Flush()
-	return cs.gather(merged, batchSize(env))
+	return cs.gather(perm, batchSize(env))
 }
 
 // vecTop selects the limit smallest permutation indices with the shared
