@@ -233,3 +233,34 @@ func BenchmarkSort(b *testing.B) {
 		}
 	}
 }
+
+// TestSortResultRowsFromOneSlab pins BenchmarkSort's allocations: Run's
+// 100 000 result rows are cut from one slab, so the whole query allocates
+// fewer than 1 000 objects (one per row before). An append to one row
+// must not reach the next.
+func TestSortResultRowsFromOneSlab(t *testing.T) {
+	te := newTestEnv(4)
+	tab := benchGroups(te, 100_000)
+	root := &Node{
+		Kind:   KSort,
+		Left:   scanNode(tab, []int{1, 5, 0}, nil, 0, true),
+		Keys:   []SortKey{{Col: 0}, {Col: 1, Desc: true}},
+		Weight: tab.K, Parallel: true,
+	}
+	var rows []Row
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	te.sm.Spawn("q", func(p *sim.Proc) { rows, _ = Run(p, te.env, root) })
+	te.sm.Run(te.sm.Now() + sim.Time(3600*sim.Second))
+	runtime.ReadMemStats(&after)
+	if len(rows) != 100_000 {
+		t.Fatalf("rows = %d, want 100000", len(rows))
+	}
+	if n := after.Mallocs - before.Mallocs; n >= 1000 {
+		t.Errorf("sort of 100 000 rows made %d allocations, want < 1000", n)
+	}
+	next := rows[1][0]
+	if grown := append(rows[0], -1); len(grown) != 4 || rows[1][0] != next {
+		t.Fatalf("append to row 0 overwrote row 1: %v, %v", grown, rows[1])
+	}
+}

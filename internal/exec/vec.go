@@ -191,17 +191,22 @@ func rowsToBatches(rows []Row, size int) []*Batch {
 }
 
 // batchesToRows materializes batches as rows; the bridge out of the
-// batch engine (and the final result conversion).
+// batch engine (and the final result conversion). Every row is a 3-index
+// slice of one slab, so an append to a row reallocates it rather than
+// overwriting the next one.
 func batchesToRows(bs []*Batch) []Row {
 	total := batchRowCount(bs)
 	if total == 0 {
 		return nil
 	}
+	w := len(bs[0].Cols)
+	slab := make([]int64, total*w)
 	out := make([]Row, 0, total)
 	for _, b := range bs {
 		for i := 0; i < b.Rows(); i++ {
 			ph := b.phys(i)
-			r := make(Row, len(b.Cols))
+			lo := len(out) * w
+			r := slab[lo : lo+w : lo+w]
 			for c := range b.Cols {
 				r[c] = b.Cols[c][ph]
 			}

@@ -7,9 +7,10 @@ import (
 )
 
 // Lock-manager micro-benchmarks. One iteration is one Acquire with its
-// Release, on the three paths an OLTP transaction takes: a key nobody
-// else holds, a key shared with other readers, and a key handed over
-// from a writer to the next one queued behind it.
+// Release, on the four paths an OLTP transaction takes: a key nobody
+// else holds, a key shared with other readers, a key handed over from a
+// writer to the next one queued behind it, and one of many keys a reader
+// holds at once.
 
 func benchInProc(b *testing.B, fn func(p *sim.Proc, m *Manager)) {
 	s, m, _ := setup()
@@ -41,6 +42,16 @@ func BenchmarkLockShared(b *testing.B) {
 			for o := int64(1); o <= 3; o++ {
 				m.Release(o, k)
 			}
+		}
+	})
+}
+
+// BenchmarkLockManyKeys: TPC-E marketWatch's shape, one owner S-locking
+// 100 rows and releasing them in reverse, so 100 keys share the table.
+func BenchmarkLockManyKeys(b *testing.B) {
+	benchInProc(b, func(p *sim.Proc, m *Manager) {
+		for n := 0; n < b.N; n += 100 {
+			lockManyKeys(p, m, 1, int64(n%1024))
 		}
 	})
 }

@@ -111,6 +111,7 @@ type waiter struct {
 // keys see one or two owners and no waiter) and keep whatever heap
 // capacity they grow across reuse.
 type entry struct {
+	key     Key
 	granted []grant
 	queue   []*waiter
 	next    *entry // free list
@@ -124,7 +125,7 @@ type Manager struct {
 	sm  *sim.Sim
 	ctr *metrics.Counters
 
-	entries map[Key]*entry
+	entries table
 
 	// Free lists. An entry is in entries or on freeEntries, never both;
 	// neither list is ever trimmed, so both are bounded by the peak number
@@ -149,9 +150,85 @@ const DefaultLockTimeout = 50 * sim.Millisecond
 func NewManager(sm *sim.Sim, ctr *metrics.Counters) *Manager {
 	return &Manager{
 		sm: sm, ctr: ctr,
-		entries: make(map[Key]*entry),
+		entries: newTable(),
 		Timeout: DefaultLockTimeout,
 	}
+}
+
+// table maps each locked key to its entry: an open-addressed array of
+// power-of-two length, probed linearly from a multiplicative hash of the
+// key. It doubles when more than half its slots are full and never
+// shrinks; a removal shifts the probe run behind it back, so no slot is
+// ever a tombstone.
+type table struct {
+	slots []*entry
+	n     int  // non-nil slots
+	shift uint // 64 - log2(len(slots)): home reads the hash's top bits
+}
+
+const tableMinSlots = 64
+
+func newTable() table {
+	return table{slots: make([]*entry, tableMinSlots), shift: 64 - 6} // 6 = log2(tableMinSlots)
+}
+
+// home is key's first probe slot (Fibonacci hashing of both fields).
+func (t *table) home(k Key) int {
+	h := (uint64(k.Row) + uint64(k.Obj)*0xc2b2ae3d27d4eb4f) * 0x9e3779b97f4a7c15
+	return int(h >> t.shift)
+}
+
+// find walks key's probe run once: it returns key's slot and entry, or
+// the nil slot that ends the run and a nil entry.
+func (t *table) find(k Key) (int, *entry) {
+	mask := len(t.slots) - 1
+	for i := t.home(k); ; i = (i + 1) & mask {
+		e := t.slots[i]
+		if e == nil || e.key == k {
+			return i, e
+		}
+	}
+}
+
+// claim puts e in slot i, the nil slot find returned for e.key.
+func (t *table) claim(i int, e *entry) {
+	t.slots[i] = e
+	t.n++
+	if 2*t.n > len(t.slots) {
+		t.grow()
+	}
+}
+
+func (t *table) grow() {
+	old := t.slots
+	t.slots = make([]*entry, 2*len(old))
+	t.shift--
+	mask := len(t.slots) - 1
+	for _, e := range old {
+		if e == nil {
+			continue
+		}
+		i := t.home(e.key)
+		for t.slots[i] != nil {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = e
+	}
+}
+
+// remove clears slot i by backward-shift deletion: each later entry of
+// the probe run whose home is not between the hole and itself moves
+// back into the hole, so every key stays reachable from its home.
+func (t *table) remove(i int) {
+	mask := len(t.slots) - 1
+	for j := (i + 1) & mask; t.slots[j] != nil; j = (j + 1) & mask {
+		if (j-t.home(t.slots[j].key))&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = nil
+	t.n--
 }
 
 // compatibleWithGranted reports whether owner may take mode given the
@@ -190,10 +267,10 @@ func (e *entry) findGrant(owner int64) *grant {
 // hazard is converter starvation under a continuous reader stream, which
 // the timeout converts into a victim abort.
 func (m *Manager) Acquire(p *sim.Proc, owner int64, key Key, mode Mode) (sim.Duration, bool) {
-	e := m.entries[key]
+	i, e := m.entries.find(key)
 	if e == nil {
-		e = m.newEntry()
-		m.entries[key] = e
+		e = m.newEntry(key)
+		m.entries.claim(i, e)
 	}
 	if g := e.findGrant(owner); g != nil {
 		if covers(g.mode, mode) {
@@ -212,7 +289,7 @@ func (m *Manager) Acquire(p *sim.Proc, owner int64, key Key, mode Mode) (sim.Dur
 		e.queue = append(e.queue, nil)
 		copy(e.queue[1:], e.queue)
 		e.queue[0] = w
-		return m.waitFor(p, key, e, w)
+		return m.waitFor(p, e, w)
 	}
 	if e.compatibleWithGranted(owner, mode) {
 		e.granted = append(e.granted, grant{owner: owner, mode: mode, count: 1})
@@ -220,18 +297,19 @@ func (m *Manager) Acquire(p *sim.Proc, owner int64, key Key, mode Mode) (sim.Dur
 	}
 	w := m.newWaiter(p, owner, mode)
 	e.queue = append(e.queue, w)
-	return m.waitFor(p, key, e, w)
+	return m.waitFor(p, e, w)
 }
 
-// newEntry takes an empty entry off the free list, or makes one.
-func (m *Manager) newEntry() *entry {
+// newEntry takes an empty entry off the free list, or makes one, for key.
+func (m *Manager) newEntry(key Key) *entry {
 	e := m.freeEntries
 	if e == nil {
 		e = &entry{}
 		e.granted, e.queue = e.grantBuf[:0], e.queueBuf[:0]
-		return e
+	} else {
+		m.freeEntries, e.next = e.next, nil
 	}
-	m.freeEntries, e.next = e.next, nil
+	e.key = key
 	return e
 }
 
@@ -257,13 +335,13 @@ func (e *entry) unqueue(i int) {
 
 // waitFor parks until the waiter is granted or the timeout expires, then
 // recycles the waiter: granted or withdrawn, nothing else refers to it.
-func (m *Manager) waitFor(p *sim.Proc, key Key, e *entry, w *waiter) (sim.Duration, bool) {
-	wait, ok := m.park(p, key, e, w)
+func (m *Manager) waitFor(p *sim.Proc, e *entry, w *waiter) (sim.Duration, bool) {
+	wait, ok := m.park(p, e, w)
 	w.next, m.freeWaiters = m.freeWaiters, w
 	return wait, ok
 }
 
-func (m *Manager) park(p *sim.Proc, key Key, e *entry, w *waiter) (sim.Duration, bool) {
+func (m *Manager) park(p *sim.Proc, e *entry, w *waiter) (sim.Duration, bool) {
 	start := p.Now()
 	deadline := start + sim.Time(m.Timeout)
 	for !w.ready {
@@ -286,7 +364,8 @@ func (m *Manager) park(p *sim.Proc, key Key, e *entry, w *waiter) (sim.Duration,
 			wait := sim.Duration(p.Now() - start)
 			metrics.ChargeWait(p, m.ctr, metrics.WaitLock, wait)
 			m.Timeouts++
-			m.promote(key, e)
+			i, _ := m.entries.find(e.key) // the table may have moved e while p was parked
+			m.promote(i, e)
 			return wait, false
 		}
 	}
@@ -312,7 +391,7 @@ func (e *entry) mergeGrant(owner int64, mode Mode) {
 // Release drops one reference to the owner's grant on key, removing the
 // grant when the count reaches zero and promoting eligible waiters.
 func (m *Manager) Release(owner int64, key Key) {
-	e := m.entries[key]
+	slot, e := m.entries.find(key)
 	if e == nil {
 		return
 	}
@@ -325,11 +404,12 @@ func (m *Manager) Release(owner int64, key Key) {
 			break
 		}
 	}
-	m.promote(key, e)
+	m.promote(slot, e)
 }
 
-// promote grants queued waiters FIFO as long as they are compatible.
-func (m *Manager) promote(key Key, e *entry) {
+// promote grants e's queued waiters FIFO as long as they are compatible,
+// and recycles e, which sits in slot i, once nothing holds or awaits it.
+func (m *Manager) promote(i int, e *entry) {
 	for len(e.queue) > 0 {
 		w := e.queue[0]
 		if !e.compatibleWithGranted(w.owner, w.mode) {
@@ -345,7 +425,7 @@ func (m *Manager) promote(key Key, e *entry) {
 		}
 	}
 	if len(e.granted) == 0 && len(e.queue) == 0 {
-		delete(m.entries, key)
+		m.entries.remove(i)
 		e.next, m.freeEntries = m.freeEntries, e
 	}
 }
@@ -353,7 +433,10 @@ func (m *Manager) promote(key Key, e *entry) {
 // WaitingLongest returns the age of the oldest waiter, for liveness checks.
 func (m *Manager) WaitingLongest(now sim.Time) sim.Duration {
 	var max sim.Duration
-	for _, e := range m.entries {
+	for _, e := range m.entries.slots {
+		if e == nil {
+			continue
+		}
 		for _, w := range e.queue {
 			if d := sim.Duration(now - w.since); d > max {
 				max = d
@@ -365,11 +448,8 @@ func (m *Manager) WaitingLongest(now sim.Time) sim.Duration {
 
 // Held reports whether owner currently holds any grant on key.
 func (m *Manager) Held(owner int64, key Key) bool {
-	e := m.entries[key]
-	if e == nil {
-		return false
-	}
-	return e.findGrant(owner) != nil
+	_, e := m.entries.find(key)
+	return e != nil && e.findGrant(owner) != nil
 }
 
 // NamedLatch is a short-duration exclusive latch (allocation structures,

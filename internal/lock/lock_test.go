@@ -537,7 +537,8 @@ func runLockSchedule(seed int64, mk func(*sim.Sim, *metrics.Counters) locker) ([
 // TestPooledManagerMatchesReference runs seeded random schedules against
 // the pooled manager and the reference: same grants in the same order
 // after the same waits, same victims, same Held and WaitingLongest at
-// every sample, same wait accounting, and nothing left locked. It then
+// every sample, same wait accounting, and nothing left locked: the table
+// counts no key and no slot still reaches a recycled entry. It then
 // checks the pool itself: whatever sits on a free list is empty all the
 // way down its backing arrays.
 func TestPooledManagerMatchesReference(t *testing.T) {
@@ -572,8 +573,13 @@ func TestPooledManagerMatchesReference(t *testing.T) {
 		if *haveCtr != *wantCtr {
 			t.Fatalf("seed %d: counters differ from the reference", seed)
 		}
-		if len(got.entries) != 0 || len(ref.entries) != 0 {
-			t.Fatalf("seed %d: %d entries left locked, reference %d", seed, len(got.entries), len(ref.entries))
+		if got.entries.n != 0 || len(ref.entries) != 0 {
+			t.Fatalf("seed %d: %d entries left locked, reference %d", seed, got.entries.n, len(ref.entries))
+		}
+		for i, e := range got.entries.slots {
+			if e != nil {
+				t.Fatalf("seed %d: slot %d still points at an entry", seed, i)
+			}
 		}
 
 		if got.freeEntries == nil {
@@ -598,6 +604,18 @@ func TestPooledManagerMatchesReference(t *testing.T) {
 	}
 	if !sawTimeout || !sawWait || !sawSpill {
 		t.Fatalf("schedules too tame: timeout %v, wait %v, spill past the inline array %v", sawTimeout, sawWait, sawSpill)
+	}
+}
+
+// lockManyKeys is TPC-E marketWatch's shape: one owner S-locks 100
+// distinct rows of obj, starting at row first, then releases them in
+// reverse.
+func lockManyKeys(p *sim.Proc, m *Manager, obj int, first int64) {
+	for r := first; r < first+100; r++ {
+		m.Acquire(p, 1, Key{Obj: obj, Row: r}, S)
+	}
+	for r := first + 99; r >= first; r-- {
+		m.Release(1, Key{Obj: obj, Row: r})
 	}
 }
 
@@ -628,6 +646,14 @@ func TestAcquireReleaseAllocatesNothing(t *testing.T) {
 		shared() // warm-up: the third sharer spills the entry's inline array once
 		if n := testing.AllocsPerRun(1000, shared); n != 0 {
 			t.Errorf("shared S×3 then release: %v allocs, want 0", n)
+		}
+		manyKeys := func() {
+			lockManyKeys(p, m, 3, i)
+			i++
+		}
+		manyKeys() // warm-up: 100 entries from the heap, and the table grows to hold them
+		if n := testing.AllocsPerRun(100, manyKeys); n != 0 {
+			t.Errorf("S on 100 rows then release in reverse: %v allocs, want 0", n)
 		}
 	})
 	s.Run(sim.Time(sim.Second))
