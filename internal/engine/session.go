@@ -245,6 +245,18 @@ func logRecord(tx *txn.Txn, t *storage.Table, page wal.PageID, ops []wal.Op) {
 	tx.LogOp(t.RowWidth()+wal.RecHeaderBytes, page, ops)
 }
 
+// logOp registers a modification with one logical op. Under recording the
+// op is built in the Update writer's buffer, which is free outside its
+// callback, and LogOp copies it; otherwise there is nothing to keep.
+func (sess *Session) logOp(tx *txn.Txn, t *storage.Table, page wal.PageID, op wal.Op) {
+	var ops []wal.Op
+	if sess.S.Txns.Recording() {
+		sess.rw.ops = append(sess.rw.ops[:0], op)
+		ops = sess.rw.ops
+	}
+	logRecord(tx, t, page, ops)
+}
+
 // dataPage returns the PageID of a table's data page holding nominal row
 // nid.
 func dataPage(t *storage.Table, nid int64) wal.PageID {
@@ -335,7 +347,7 @@ func (sess *Session) Update(tx *txn.Txn, ix *access.BTIndex, key btree.Key, nid 
 	}
 	access.Heap{T: ix.Table}.ProbePoint(sess.Ctx, nid, true)
 	w := &sess.rw
-	*w = RowWriter{t: ix.Table, row: rowID, rec: sess.S.Txns.Recording()}
+	*w = RowWriter{t: ix.Table, row: rowID, rec: sess.S.Txns.Recording(), ops: w.ops[:0]}
 	if fn != nil {
 		fn(w)
 	}
@@ -345,7 +357,9 @@ func (sess *Session) Update(tx *txn.Txn, ix *access.BTIndex, key btree.Key, nid 
 
 // RowBuf returns the session's scratch for an n-column row (contents
 // unspecified), for drivers to build the row of an Insert in: valid until
-// that Insert returns, which copies whatever it keeps.
+// that Insert returns, which copies whatever it keeps. Under recording an
+// Insert copies a row built elsewhere into this buffer for its WAL image,
+// which LogOp copies in turn.
 func (sess *Session) RowBuf(n int) []int64 {
 	if cap(sess.row) < n {
 		sess.row = make([]int64, n)
@@ -371,6 +385,15 @@ func (sess *Session) Insert(tx *txn.Txn, t *storage.Table, row []int64, indexes 
 	}
 	before := t.ActualRows()
 	nid := t.InsertNominal(row)
+	// LogOp and AddAbortResidue copy the WAL image, but handing them row
+	// would make every caller's row escape to the heap: under recording
+	// the image goes through the session's row buffer, where a RowBuf
+	// caller built it already.
+	var img []int64
+	if sess.S.Txns.Recording() {
+		img = sess.RowBuf(len(row))
+		copy(img, row)
+	}
 	if !tx.Lock(sess.P, lock.Key{Obj: t.ID, Row: nid}, lock.X) {
 		// Victim mid-insert: the nominal append stands (a ghost row),
 		// as after a rolled-back insert awaiting cleanup. The abort ran
@@ -379,12 +402,10 @@ func (sess *Session) Insert(tx *txn.Txn, t *storage.Table, row []int64, indexes 
 		// fact — replicas must reproduce it.
 		sess.setErr(ErrVictim, "insert")
 		t.DeleteNominal()
-		if sess.S.Txns.Recording() {
-			tx.AddAbortResidue(wal.Op{
-				Kind: wal.OpInsert, T: t, Row: t.ActualRows() - 1,
-				Img: append([]int64(nil), row...), Materialized: t.ActualRows() > before,
-			})
-		}
+		tx.AddAbortResidue(wal.Op{
+			Kind: wal.OpInsert, T: t, Row: t.ActualRows() - 1,
+			Img: img, Materialized: t.ActualRows() > before,
+		})
 		return -1
 	}
 	materialized := t.ActualRows() > before
@@ -401,14 +422,10 @@ func (sess *Session) Insert(tx *txn.Txn, t *storage.Table, row []int64, indexes 
 		csi.Ix.AppendDelta(row)
 		csi.Ix.CompressDelta()
 	}
-	var ops []wal.Op
-	if sess.S.Txns.Recording() {
-		ops = []wal.Op{{
-			Kind: wal.OpInsert, T: t, Row: t.ActualRows() - 1,
-			Img: append([]int64(nil), row...), Materialized: materialized, Indexed: true,
-		}}
-	}
-	logRecord(tx, t, dataPage(t, nid), ops)
+	sess.logOp(tx, t, dataPage(t, nid), wal.Op{
+		Kind: wal.OpInsert, T: t, Row: t.ActualRows() - 1,
+		Img: img, Materialized: materialized, Indexed: true,
+	})
 	return nid
 }
 
@@ -430,10 +447,6 @@ func (sess *Session) Delete(tx *txn.Txn, ix *access.BTIndex, key btree.Key, nid 
 	}
 	access.Heap{T: ix.Table}.ProbePoint(sess.Ctx, nid, true)
 	ix.Table.DeleteNominal()
-	var ops []wal.Op
-	if sess.S.Txns.Recording() {
-		ops = []wal.Op{{Kind: wal.OpDelete, T: ix.Table}}
-	}
-	logRecord(tx, ix.Table, dataPage(ix.Table, nid), ops)
+	sess.logOp(tx, ix.Table, dataPage(ix.Table, nid), wal.Op{Kind: wal.OpDelete, T: ix.Table})
 	return true
 }

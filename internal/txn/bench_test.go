@@ -7,8 +7,9 @@ import (
 )
 
 // Transaction-lifecycle micro-benchmarks. One iteration is one
-// transaction: Begin, four row locks, a log record, a group-committed
-// Commit — alone on the machine, so the commit wait is one flush.
+// transaction: Begin, four row locks, a log record with one insert op, a
+// group-committed Commit — alone on the machine, so the commit wait is
+// one flush.
 
 func benchTxns(b *testing.B, recording bool) {
 	b.ReportAllocs()
@@ -45,5 +46,6 @@ func benchTxns(b *testing.B, recording bool) {
 func BenchmarkTxn(b *testing.B) { benchTxns(b, false) }
 
 // BenchmarkTxnRecording: recording on — every transaction is retained,
-// its Txn and typed log records cut from the Manager's slabs.
+// its Txn, typed log records and the copy of its op cut from the
+// Manager's slabs.
 func BenchmarkTxnRecording(b *testing.B) { benchTxns(b, true) }

@@ -11,9 +11,9 @@ import (
 	"repro/internal/wal"
 )
 
-// Layout of recorded transactions: Txns and log records come from the
-// Manager's slabs, a record list starts on a window of the list slab, and
-// an op lives only in its record.
+// Layout of recorded transactions: Txns, log records, and the copies of
+// ops and row images come from the Manager's slabs, a record list starts
+// on a window of the list slab, and an op lives only in its record.
 
 // undoTable is a one-column table of eight rows for ops to revert.
 func undoTable() *storage.Table {
@@ -43,10 +43,10 @@ func recOps(tx *Txn) []wal.Op {
 func TestRecordedTxnAllocatesNothingOfItsOwn(t *testing.T) {
 	s, m, _, l := setup()
 	l.Recording = true
-	// One op per transaction, built before the measurement: the slice is
-	// the caller's, and the record keeps it.
+	// One caller buffer, an insert op with a row image, logged by every
+	// transaction: the record keeps a slab copy of both.
 	const maxTxns = 1 << 14
-	ops := make([]wal.Op, maxTxns)
+	ops := []wal.Op{{Kind: wal.OpInsert, Row: 1, Img: []int64{7, 8, 9}}}
 	stop := false
 	commits := 0
 	s.Spawn("t", func(p *sim.Proc) {
@@ -59,7 +59,7 @@ func TestRecordedTxnAllocatesNothingOfItsOwn(t *testing.T) {
 				tx.Lock(p, lock.Key{Obj: 1, Row: (i*4 + j) % 4096}, lock.X)
 			}
 			tx.LogOp(300, wal.PageID{File: 1, Page: 1}, nil)
-			tx.LogOp(300, wal.PageID{File: 1, Page: 2}, ops[i:i+1:i+1])
+			tx.LogOp(300, wal.PageID{File: 1, Page: 2}, ops)
 			tx.Commit(p)
 			commits++
 		}
@@ -81,12 +81,54 @@ func TestRecordedTxnAllocatesNothingOfItsOwn(t *testing.T) {
 	if avg := float64(mallocs()-start) / float64(n); avg >= 0.05 {
 		t.Errorf("%.3f mallocs per recorded Begin → Lock×4 → LogOp×2 → Commit over %d transactions, want < 0.05", avg, n)
 	}
+	if img := m.All()[0].Recs()[1].Ops[0].Img; &img[0] == &ops[0].Img[0] {
+		t.Error("the record keeps the caller's row image, not a copy")
+	}
 	stop = true
 	window()
 	l.Stop()
 	s.Run(s.Now() + sim.Time(sim.Second))
 	if s.Live() != 0 {
 		t.Fatalf("%d procs still live", s.Live())
+	}
+}
+
+// A window's capacity stops at its length; one larger than a chunk is
+// private; and appending past a window never writes into the next one.
+func TestSlabWindow(t *testing.T) {
+	var s slab[wal.Op]
+	if n := s.chunkLen(); n != slabLen {
+		t.Fatalf("a chunk of ops holds %d, want slabLen = %d", n, slabLen)
+	}
+	if n := (&slab[int64]{}).chunkLen(); n != slabBytes/8 {
+		t.Fatalf("a chunk of row-image words holds %d, want %d", n, slabBytes/8)
+	}
+	one := s.window(1)
+	if len(one) != 0 || cap(one) != 1 || len(s.chunk) != slabLen-1 {
+		t.Fatalf("window(1): len %d cap %d, %d left in the chunk: want 0, 1, %d", len(one), cap(one), len(s.chunk), slabLen-1)
+	}
+	big := s.window(slabLen + 1)
+	if len(big) != 0 || cap(big) != slabLen+1 || len(s.chunk) != slabLen-1 {
+		t.Fatalf("window(slabLen+1): len %d cap %d, %d left in the chunk: want 0, %d, %d (private)",
+			len(big), cap(big), len(s.chunk), slabLen+1, slabLen-1)
+	}
+	full := s.window(slabLen)
+	if len(full) != 0 || cap(full) != slabLen || len(s.chunk) != 0 {
+		t.Fatalf("window(slabLen): len %d cap %d, %d left in the chunk: want 0, %d, 0", len(full), cap(full), len(s.chunk), slabLen)
+	}
+	a, b := s.window(2), s.window(2)
+	b = append(b, wal.Op{Row: 1}, wal.Op{Row: 2})
+	for _, w := range [][]wal.Op{a, b, big, full} {
+		_ = append(w[:cap(w)], wal.Op{Row: -1})
+	}
+	if b[0].Row != 1 || b[1].Row != 2 {
+		t.Errorf("appending past a window of 2 wrote into the next one: %+v", b)
+	}
+	if rest := s.window(1)[:1]; rest[0].Row != 0 {
+		t.Errorf("appending past a window wrote into the chunk's free part: %+v", rest[0])
+	}
+	if got := s.clone(nil); got != nil {
+		t.Errorf("clone(nil) = %v, want nil", got)
 	}
 }
 
@@ -171,6 +213,15 @@ func TestUndoWalksRecordsInOrder(t *testing.T) {
 					!sameOp(abort.Residue[0], want[0]) || !sameOp(abort.Residue[1], want[2]) {
 					t.Errorf("abort record %v carries residue %v: want the two inserts in execution order", abort.Type, abort.Residue)
 				}
+				// A victim's late insert joins the residue past its window,
+				// with a copy of the caller's image.
+				img := []int64{42}
+				tx.AddAbortResidue(wal.Op{Kind: wal.OpInsert, T: tb, Row: 9, Img: img})
+				img[0] = -1
+				if r := abort.Residue; len(r) != 3 || !sameOp(r[0], want[0]) || !sameOp(r[1], want[2]) ||
+					r[2].Row != 9 || !slices.Equal(r[2].Img, []int64{42}) {
+					t.Errorf("after AddAbortResidue the residue is %+v: want the two inserts, then row 9 with image [42]", r)
+				}
 				continue
 			}
 			for i := len(want) - 1; i >= 0; i-- {
@@ -204,9 +255,12 @@ func TestUndoWalksRecordsInOrder(t *testing.T) {
 
 // FuzzRecordedTxn runs an interleaved program over up to four recorded
 // transactions against a model that keeps each transaction's ops as one
-// plain list: every Recs(), PeekUndo and UndoNext, every abort record's
-// residue, and the place of every committed transaction's records in the
-// log image must agree with it.
+// plain list, numbering them itself: every Recs(), PeekUndo and UndoNext,
+// every abort record's residue, and the place of every committed
+// transaction's records in the log image must agree with it. Every LogOp
+// is fed from one reused caller buffer whose ops and row images are
+// overwritten as soon as the call returns, so a record that kept the
+// caller's slice or images instead of copies would diverge.
 func FuzzRecordedTxn(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 3, 5, 7, 9, 8, 12, 13, 16, 17})
 	f.Add([]byte{0, 4, 3, 255, 4, 3, 1, 2, 8, 8, 4, 0, 4, 1, 12, 16, 1, 5, 17, 2, 0, 1})
@@ -225,6 +279,11 @@ func FuzzRecordedTxn(f *testing.F) {
 			done  bool
 		}
 		var committed []*model
+		var (
+			buf  []wal.Op // the caller's ops, reused by every LogOp
+			imgs [3]int64 // the caller's row images, one word per op
+			seq  int64    // the model's last op sequence number
+		)
 		s.Spawn("prog", func(p *sim.Proc) {
 			var slots [4]*model
 			next := func() byte {
@@ -252,20 +311,30 @@ func FuzzRecordedTxn(f *testing.F) {
 					}
 					slots[b&3] = &model{tx: m.BeginIn(prev)}
 				case 1: // LogOp with 0–3 ops of mixed kinds
-					var ops []wal.Op
-					for range next() % 4 {
+					buf = buf[:0]
+					var stmt []wal.Op
+					for i := range int(next() % 4) {
 						c := next()
+						var op wal.Op
 						switch c % 3 {
 						case 0:
-							ops = append(ops, wal.Op{Kind: wal.OpSet, T: tb, Row: int64(c>>2) % 8, Old: int64(c), New: int64(c) + 1})
+							op = wal.Op{Kind: wal.OpSet, T: tb, Row: int64(c>>2) % 8, Old: int64(c), New: int64(c) + 1}
 						case 1:
-							ops = append(ops, wal.Op{Kind: wal.OpInsert, T: tb, Row: int64(c), Img: []int64{int64(c)}, Materialized: c&4 != 0, Indexed: c&8 != 0})
+							imgs[i] = int64(c)
+							op = wal.Op{Kind: wal.OpInsert, T: tb, Row: int64(c), Img: imgs[i : i+1], Materialized: c&4 != 0, Indexed: c&8 != 0}
 						default:
-							ops = append(ops, wal.Op{Kind: wal.OpDelete, T: tb, Row: int64(c)})
+							op = wal.Op{Kind: wal.OpDelete, T: tb, Row: int64(c)}
 						}
+						buf = append(buf, op)
+						seq++
+						op.Seq, op.Img = seq, slices.Clone(op.Img)
+						stmt = append(stmt, op)
 					}
-					md.tx.LogOp(int64(100+len(md.stmts)), wal.PageID{File: 1, Page: int64(len(md.stmts))}, ops)
-					stmt := slices.Clone(ops)
+					md.tx.LogOp(int64(100+len(md.stmts)), wal.PageID{File: 1, Page: int64(len(md.stmts))}, buf)
+					for i := range buf {
+						buf[i] = wal.Op{Kind: wal.OpSet, Row: -1, Old: -1, New: -1, Seq: -1}
+					}
+					imgs = [3]int64{-1, -1, -1}
 					md.stmts = append(md.stmts, stmt)
 					md.ops = append(md.ops, stmt...)
 				case 2: // UndoNext

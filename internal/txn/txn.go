@@ -5,6 +5,7 @@ package txn
 
 import (
 	"slices"
+	"unsafe"
 
 	"repro/internal/lock"
 	"repro/internal/metrics"
@@ -40,22 +41,36 @@ type Manager struct {
 	// the slice.
 	batch []*wal.Record
 
-	// Under Recording a transaction's Txn, its log records and the first
-	// slots of its record list are cut from these slabs: the history
-	// (all, the log image, the archive) keeps every one of them until the
-	// cell ends, so a chunk lives no longer than its elements would.
+	// Under Recording a transaction's Txn, its log records, the first
+	// slots of its record list, and the copies of its ops and their row
+	// images are cut from these slabs: the history (all, the log image,
+	// the archive) keeps every one of them until the cell ends, so a chunk
+	// lives no longer than its elements would.
 	txns     slab[Txn]
 	recs     slab[wal.Record]
 	recLists slab[*wal.Record]
+	ops      slab[wal.Op]
+	imgs     slab[int64]
 }
 
-// slabLen is the number of elements in one slab chunk.
-const slabLen = 256
+// A slab chunk holds slabLen elements, or as many as fill slabBytes if
+// that is more, so a chunk of row-image words or record pointers is about
+// as large as a chunk of the ops and records they belong to.
+const (
+	slabLen   = 256
+	slabBytes = 16 << 10
+)
 
-// slab hands out elements of a chunk of slabLen, allocating the next
-// chunk only when one is used up.
+// slab hands out elements of a chunk, allocating the next chunk only when
+// one is used up.
 type slab[T any] struct {
 	chunk []T
+}
+
+// chunkLen returns the number of elements in one chunk of s.
+func (s *slab[T]) chunkLen() int {
+	var zero T
+	return max(slabLen, slabBytes/int(unsafe.Sizeof(zero)))
 }
 
 // one returns the next zero element.
@@ -63,16 +78,28 @@ func (s *slab[T]) one() *T {
 	return &s.window(1)[:1][0]
 }
 
-// window returns an empty slice over the next n zero elements (n <=
-// slabLen). Its capacity stops at n, so a list that outgrows its window
-// reallocates privately instead of writing into its neighbour's.
+// window returns an empty slice over the next n zero elements. Its
+// capacity stops at n, so a list that outgrows its window reallocates
+// privately instead of writing into its neighbour's. A window larger than
+// a chunk is a private allocation of exactly n.
 func (s *slab[T]) window(n int) []T {
 	if len(s.chunk) < n {
-		s.chunk = make([]T, slabLen)
+		if n > s.chunkLen() {
+			return make([]T, 0, n)
+		}
+		s.chunk = make([]T, s.chunkLen())
 	}
 	w := s.chunk[0:0:n]
 	s.chunk = s.chunk[n:]
 	return w
+}
+
+// clone returns a slab copy of src, nil if src is empty.
+func (s *slab[T]) clone(src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	return append(s.window(len(src)), src...)
 }
 
 // record returns a slab copy of r.
@@ -178,23 +205,26 @@ func (t *Txn) LogWrite(bytes int64) {
 
 // LogOp registers one modification: bytes of log records, the page the
 // record covers, and the logical ops needed to undo it. Ops are applied
-// by the caller before registration; here they only gain their global
-// sequence numbers and join the transaction's undo chain. The record
-// keeps ops itself, not a copy, so the caller must not modify the slice
-// after the call.
+// by the caller before registration. Under Recording the record keeps a
+// copy of ops, each op's Img copied too, cut from the Manager's slabs;
+// the copies gain their global sequence numbers and join the
+// transaction's undo chain. The caller keeps its slice and its images
+// and may reuse them as soon as LogOp returns.
 func (t *Txn) LogOp(bytes int64, page wal.PageID, ops []wal.Op) {
 	t.logBytes += bytes
 	if !t.m.Recording() {
 		return
 	}
-	for i := range ops {
-		ops[i].Seq = t.m.Log.NextSeq()
+	own := t.m.ops.clone(ops)
+	for i := range own {
+		own[i].Seq = t.m.Log.NextSeq()
+		own[i].Img = t.m.imgs.clone(own[i].Img)
 	}
 	if t.recs == nil {
 		t.recs = t.m.recLists.window(4)
 	}
-	t.recs = append(t.recs, t.m.record(wal.Record{Type: wal.RecUpdate, Txn: t.id, Bytes: bytes, Page: page, Ops: ops}))
-	t.nops += len(ops)
+	t.recs = append(t.recs, t.m.record(wal.Record{Type: wal.RecUpdate, Txn: t.id, Bytes: bytes, Page: page, Ops: own}))
+	t.nops += len(own)
 }
 
 // Commit makes the transaction durable (waiting on the group commit) and
@@ -277,8 +307,17 @@ func (t *Txn) Abort() {
 		// inserts leave the nominal high-water mark bumped (and possibly a
 		// materialized ghost row), which replicas can only learn from the
 		// shipped stream via this record — the forward records never enter
-		// the log (they are buffered until commit).
-		var residue []wal.Op
+		// the log (they are buffered until commit). Its ops share their
+		// images with the forward records' copies.
+		n := 0
+		for _, r := range t.recs {
+			for _, op := range r.Ops {
+				if op.Kind == wal.OpInsert {
+					n++
+				}
+			}
+		}
+		residue := t.m.ops.window(n)
 		for _, r := range t.recs {
 			for _, op := range r.Ops {
 				if op.Kind == wal.OpInsert {
@@ -313,9 +352,12 @@ func (t *Txn) CommitRec() *wal.Record { return t.commitRec }
 // inside the lock wait (before the caller can register the op) yet the
 // nominal append already happened and must reach replicas. No proc
 // parks between the abort's AppendBatch and this attachment, so the
-// record cannot have been flushed (let alone shipped) without it.
+// record cannot have been flushed (let alone shipped) without it. The
+// record keeps a copy of op.Img, as LogOp does; the residue's window is
+// capped at the abort's own inserts, so growing it reallocates privately.
 func (t *Txn) AddAbortResidue(op wal.Op) {
 	if t.abortRec != nil {
+		op.Img = t.m.imgs.clone(op.Img)
 		t.abortRec.Residue = append(t.abortRec.Residue, op)
 	}
 }

@@ -289,18 +289,20 @@ func TestRecordingBeginInTakesHeldList(t *testing.T) {
 	s.Run(sim.Time(2 * sim.Second))
 }
 
-// txnLoop runs Begin → Lock×4 → Commit back to back on one proc until
-// *stop, through begin, and returns a function that advances the
-// simulation by n transactions' worth of time.
+// txnLoop runs Begin → Lock×4 → LogOp → Commit back to back on one proc
+// until *stop, through begin, and returns the count of commits. The log
+// record carries one insert op with a 3-word row image, from one buffer
+// reused by every transaction.
 func txnLoop(s *sim.Sim, stop *bool, begin func() *Txn) (commits *int) {
 	commits = new(int)
+	ops := []wal.Op{{Kind: wal.OpInsert, Row: 1, Img: []int64{7, 8, 9}}}
 	s.Spawn("t", func(p *sim.Proc) {
 		for i := int64(0); !*stop; i++ {
 			tx := begin()
 			for j := int64(0); j < 4; j++ {
 				tx.Lock(p, lock.Key{Obj: 1, Row: (i*4 + j) % 4096}, lock.X)
 			}
-			tx.LogWrite(300)
+			tx.LogOp(300, wal.PageID{File: 1, Page: 1}, ops)
 			tx.Commit(p)
 			*commits++
 		}
@@ -317,7 +319,7 @@ func TestNonRecordingTxnAllocatesNothing(t *testing.T) {
 	window() // warm-up: lock entries, held capacity, queue arrays
 	before := *commits
 	if avg := testing.AllocsPerRun(20, window); avg != 0 {
-		t.Errorf("%v allocs per 10 ms window of Begin → Lock×4 → Commit, want 0", avg)
+		t.Errorf("%v allocs per 10 ms window of Begin → Lock×4 → LogOp → Commit, want 0", avg)
 	}
 	if *commits-before < 100 {
 		t.Fatalf("only %d transactions in the measured windows", *commits-before)
