@@ -77,13 +77,14 @@ type SegScanCursor struct {
 }
 
 // NewSegScanCursor starts an incremental charge of one column segment.
-func (c *CSI) NewSegScanCursor(colPos, seg, preds int) *SegScanCursor {
+// It returns a value, so a scan can keep its cursors in one slice.
+func (c *CSI) NewSegScanCursor(colPos, seg, preds int) SegScanCursor {
 	if c.segsSeen != c.Ix.Segments() {
 		c.layout()
 	}
 	s := c.Ix.Segment(colPos, seg)
 	bytes := c.Ix.SegmentNominalBytes(colPos, seg)
-	return &SegScanCursor{
+	return SegScanCursor{
 		c:       c,
 		preds:   preds,
 		segRows: int64(s.N),

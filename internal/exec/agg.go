@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"encoding/binary"
 	"math"
 	"slices"
 )
@@ -14,72 +13,105 @@ func aggWidth(k AggKind) int {
 	return 1
 }
 
-type groupEnt struct {
-	key   Row
-	state []int64
-	part  int // the parallel stage's partition the group's rows hash to
-}
-
-// maxInlineGroupCols is the widest group-by the fixed-width array key
-// covers; wider keys fall back to the byte-string encoding.
-const maxInlineGroupCols = 4
-
-// inlineKey is a fixed-width group key: group column values padded with
-// zeros. Comparable, so it indexes a map without allocating per row.
-type inlineKey [maxInlineGroupCols]int64
-
-// aggTable is a group hash table keeping entries in insertion order.
-// Narrow group-bys use a fixed-width array key and wide ones a byte
-// string encoded into buf, so looking up an existing group allocates
-// nothing.
+// aggTable is the hash aggregate's group table. A group is an index in
+// insertion order; its key, aggregate state and partition live in three
+// slabs grown by append, and slots is an open-addressed index over them
+// (linear probing, at most half full). A new group allocates only when a
+// slab or the index doubles, at any group-by width, and looking up an
+// existing group allocates nothing.
 type aggTable struct {
 	groups []int
 	aggs   []AggSpec
-	inline map[inlineKey]int32
-	wide   map[string]int32
-	buf    []byte
-	ents   []*groupEnt
+	slots  []int32 // group index + 1 per slot; 0 is empty
+	shift  uint    // 64 - log2(len(slots))
+	keys   []int64 // len(groups) words per group
+	states []int64 // len(init) words per group
+	parts  []int32 // the parallel stage's partition each group's rows hash to
+	init   []int64 // a new group's state
 }
+
+// aggSlotsLog is log2 of a new table's slot count.
+const aggSlotsLog = 4
 
 func newAggTable(groups []int, aggs []AggSpec) *aggTable {
-	t := &aggTable{groups: groups, aggs: aggs}
-	if len(groups) <= maxInlineGroupCols {
-		t.inline = make(map[inlineKey]int32)
-	} else {
-		t.wide = make(map[string]int32)
+	return &aggTable{
+		groups: groups, aggs: aggs, init: newAggState(aggs),
+		slots: make([]int32, 1<<aggSlotsLog), shift: 64 - aggSlotsLog,
 	}
-	return t
 }
 
-// entCols returns the group entry of one columnar row, creating it on
-// first sight: group values come from cols[groups[i]][phys].
-func (t *aggTable) entCols(cols [][]int64, phys int32) *groupEnt {
-	if t.inline != nil {
-		var k inlineKey
-		for i, c := range t.groups {
-			k[i] = cols[c][phys]
+// count returns the number of groups.
+func (t *aggTable) count() int { return len(t.parts) }
+
+// key returns group g's key, one word per group column.
+func (t *aggTable) key(g int32) []int64 {
+	w := len(t.groups)
+	return t.keys[int(g)*w : int(g)*w+w : int(g)*w+w]
+}
+
+// state returns group g's aggregate state.
+func (t *aggTable) state(g int32) []int64 {
+	w := len(t.init)
+	return t.states[int(g)*w : int(g)*w+w : int(g)*w+w]
+}
+
+// home returns the slot a key hash's probe starts at: the top bits of a
+// multiplicative hash.
+func (t *aggTable) home(h uint64) int {
+	return int((h * 0x9e3779b97f4a7c15) >> t.shift)
+}
+
+// group returns the group of one columnar row, creating it (in
+// partition 0) on first sight: group values come from
+// cols[groups[i]][phys]. isNew reports a creation.
+func (t *aggTable) group(cols [][]int64, phys int32) (g int32, isNew bool) {
+	mask := len(t.slots) - 1
+	i := t.home(hashCols(cols, t.groups, phys))
+	for ; t.slots[i] != 0; i = (i + 1) & mask {
+		g = t.slots[i] - 1
+		if t.keyAt(g, cols, phys) {
+			return g, false
 		}
-		if ix, ok := t.inline[k]; ok {
-			return t.ents[ix]
-		}
-		t.inline[k] = int32(len(t.ents))
-	} else {
-		t.buf = t.buf[:0]
-		for _, c := range t.groups {
-			t.buf = binary.LittleEndian.AppendUint64(t.buf, uint64(cols[c][phys]))
-		}
-		if ix, ok := t.wide[string(t.buf)]; ok {
-			return t.ents[ix]
-		}
-		t.wide[string(t.buf)] = int32(len(t.ents))
 	}
-	key := make(Row, len(t.groups))
-	for i, c := range t.groups {
-		key[i] = cols[c][phys]
+	g = int32(t.count())
+	t.slots[i] = g + 1
+	for _, c := range t.groups {
+		t.keys = append(t.keys, cols[c][phys])
 	}
-	g := &groupEnt{key: key, state: newAggState(t.aggs)}
-	t.ents = append(t.ents, g)
-	return g
+	t.states = append(t.states, t.init...)
+	t.parts = append(t.parts, 0)
+	if 2*t.count() > len(t.slots) {
+		t.grow()
+	}
+	return g, true
+}
+
+// keyAt reports whether group g's key is the row's.
+func (t *aggTable) keyAt(g int32, cols [][]int64, phys int32) bool {
+	for i, v := range t.key(g) {
+		if cols[t.groups[i]][phys] != v {
+			return false
+		}
+	}
+	return true
+}
+
+// grow doubles the index and reinserts every group.
+func (t *aggTable) grow() {
+	t.slots = make([]int32, 2*len(t.slots))
+	t.shift--
+	mask := len(t.slots) - 1
+	for g := range int32(t.count()) {
+		h := uint64(hashSeed)
+		for _, v := range t.key(g) {
+			h = hashStep(h, v)
+		}
+		i := t.home(h)
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = g + 1
+	}
 }
 
 // aggregate is the hash aggregate's host pass: one group table over in,
@@ -94,16 +126,15 @@ func aggregate(in []*Batch, n *Node, parts int, weight int64) (at *aggTable, row
 	for _, b := range in {
 		for i := 0; i < b.Rows(); i++ {
 			ph := b.phys(i)
-			known := len(at.ents)
-			g := at.entCols(b.Cols, ph)
-			if len(at.ents) > known {
+			g, isNew := at.group(b.Cols, ph)
+			if isNew {
 				if parts > 1 {
-					g.part = int(hashCols(b.Cols, n.Groups, ph) % uint64(parts))
+					at.parts[g] = int32(hashCols(b.Cols, n.Groups, ph) % uint64(parts))
 				}
-				groups[g.part]++
+				groups[at.parts[g]]++
 			}
-			rows[g.part]++
-			accumulateCols(g.state, n.Aggs, b.Cols, ph, weight)
+			rows[at.parts[g]]++
+			accumulateCols(at.state(g), n.Aggs, b.Cols, ph, weight)
 		}
 	}
 	return at, rows, groups
@@ -153,45 +184,58 @@ func accumulateCols(st []int64, aggs []AggSpec, cols [][]int64, phys int32, weig
 	}
 }
 
-func finalize(key Row, st []int64, aggs []AggSpec) Row {
-	out := make(Row, 0, len(key)+len(aggs))
-	out = append(out, key...)
-	i := 0
-	for _, a := range aggs {
-		switch a.Kind {
-		case AggAvg:
-			if st[i+1] > 0 {
-				out = append(out, st[i]/st[i+1])
-			} else {
-				out = append(out, 0)
+// finalizeAggs writes one group's aggregate results, read from its
+// state st, into row i of cols: one column per aggregate. A MIN or MAX
+// that saw no row reads 0.
+func finalizeAggs(cols [][]int64, i int, aggs []AggSpec, st []int64) {
+	s := 0
+	for c, a := range aggs {
+		v := st[s]
+		switch {
+		case a.Kind == AggAvg:
+			v = 0
+			if st[s+1] > 0 {
+				v = st[s] / st[s+1]
 			}
-		default:
-			v := st[i]
-			if a.Kind == AggMin && v == math.MaxInt64 {
-				v = 0
-			}
-			if a.Kind == AggMax && v == math.MinInt64 {
-				v = 0
-			}
-			out = append(out, v)
+		case a.Kind == AggMin && v == math.MaxInt64, a.Kind == AggMax && v == math.MinInt64:
+			v = 0
 		}
-		i += aggWidth(a.Kind)
+		cols[c][i] = v
+		s += aggWidth(a.Kind)
+	}
+}
+
+// live returns the groups of the partitions that ran, in insertion
+// order.
+func (t *aggTable) live(ran []bool) []int32 {
+	out := make([]int32, 0, t.count())
+	for g, p := range t.parts {
+		if ran[p] {
+			out = append(out, int32(g))
+		}
 	}
 	return out
 }
 
-// finalizeGroups emits finalized groups in group-key order (the keys are
-// distinct, so the order is total), and the scalar aggregate over an
-// empty input as one zero row.
-func finalizeGroups(ents []*groupEnt, groups []int, aggs []AggSpec) []Row {
-	if len(groups) == 0 && len(ents) == 0 {
-		return []Row{finalize(nil, newAggState(aggs), aggs)}
+// emit writes the given groups, finalized, into compact batches of size
+// rows in group-key order (the keys are distinct, so the order is
+// total): the group columns, then one column per aggregate. The scalar
+// aggregate over an empty input emits one zero row.
+func (t *aggTable) emit(groups []int32, size int) []*Batch {
+	ng := len(t.groups)
+	bb := newBatchBuilder(ng+len(t.aggs), size, max(len(groups), 1))
+	if ng == 0 && len(groups) == 0 {
+		dst, i := bb.room()
+		finalizeAggs(dst.Cols, i, t.aggs, t.init)
+		return bb.finish()
 	}
-	out := make([]Row, len(ents))
-	for i, g := range ents {
-		out[i] = finalize(g.key, g.state, aggs)
+	slices.SortFunc(groups, func(a, b int32) int { return slices.Compare(t.key(a), t.key(b)) })
+	for _, g := range groups {
+		dst, i := bb.room()
+		for c, v := range t.key(g) {
+			dst.Cols[c][i] = v
+		}
+		finalizeAggs(dst.Cols[ng:], i, t.aggs, t.state(g))
 	}
-	ng := len(groups)
-	slices.SortFunc(out, func(a, b Row) int { return slices.Compare(a[:ng], b[:ng]) })
-	return out
+	return bb.finish()
 }

@@ -184,8 +184,8 @@ func benchGroups(te *testEnv, rows int64) *storage.Table {
 }
 
 // BenchmarkHashAgg runs a parallel scan → hash aggregate at DOP 4 over
-// 100 000 rows into 1 000 groups, keyed by one column (the inline key)
-// and by five (the encoded wide key).
+// 100 000 rows into 1 000 groups, keyed by one column (inline) and by
+// five (wide5).
 func BenchmarkHashAgg(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -210,6 +210,27 @@ func BenchmarkHashAgg(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkColScanFiltered runs a filtered columnstore scan at DOP 4
+// over 64 segments of 1 024 rows: a predicate on two columns keeps about
+// a third of the rows and the scan projects two others.
+func BenchmarkColScanFiltered(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		te := newTestEnv(4)
+		_, csi := te.csiTable(64*1024, 1024, []int{0, 1, 2, 3, 4, 5}, func(r, c int) int64 { return int64(r * (c + 1) % 97) })
+		root := &Node{
+			Kind: KColScan, CSI: csi, Proj: []int{0, 3},
+			Pred: func(r Row) bool { return r[1] < 64 && r[2]%3 != 0 }, NPred: 2, PredCols: []int{1, 2},
+			Weight: csi.Ix.Table.K, Parallel: true, Name: "csi",
+		}
+		b.StartTimer()
+		if _, n := runBench(te, Run, root); n == 0 {
+			b.Fatal("no rows")
+		}
 	}
 }
 

@@ -128,36 +128,58 @@ func (e *Env) EffectiveDop() int {
 	return d
 }
 
-// newCtx builds a worker context bound to a core.
-func (e *Env) newCtx(p *sim.Proc, core int) *access.Ctx {
-	return &access.Ctx{
+// worker is one worker's context with the RNG stream it owns, so a
+// stage cuts both from one slab.
+type worker struct {
+	ctx access.Ctx
+	rng sim.RNG
+}
+
+// bind makes w a worker context bound to a core and forks its RNG
+// stream from the query's: the stream e.RNG.Fork() returns, copied into
+// w instead of allocated.
+func (e *Env) bind(w *worker, p *sim.Proc, core int) *access.Ctx {
+	w.rng = *sim.NewRNG(int64(e.RNG.Uint64()))
+	w.ctx = access.Ctx{
 		P:        p,
 		Core:     core,
 		M:        e.M,
 		BP:       e.BP,
 		Ctr:      e.Ctr,
 		Cost:     e.Cost,
-		RNG:      e.RNG.Fork(),
+		RNG:      &w.rng,
 		MetaBase: e.MetaBase,
 	}
+	return &w.ctx
+}
+
+// newCtx builds a coordinator context bound to a core.
+func (e *Env) newCtx(p *sim.Proc, core int) *access.Ctx {
+	return e.bind(new(worker), p, core)
+}
+
+// workers returns how many workers a stage over nParts partitions runs:
+// the stage's DOP, at most one per partition. One runs the stage inline
+// on the coordinator.
+func (e *Env) workers(nParts int) int {
+	return max(min(e.EffectiveDop(), nParts), 1)
 }
 
 // parallel runs f over nParts partitions using the stage's DOP. Worker w
-// processes partitions w, w+dop, w+2*dop, ... With DOP 1 the stage runs
-// inline on the coordinator's proc (a serial plan has no exchange or
-// worker startup cost). The coordinator blocks until the stage finishes.
-func (e *Env) parallel(p *sim.Proc, nParts int, f func(ctx *access.Ctx, part int)) {
-	dop := e.EffectiveDop()
-	if dop > nParts {
-		dop = nParts
-	}
-	if dop <= 1 {
+// (0 <= w < workers(nParts)) processes partitions w, w+dop, w+2*dop, ...
+// one after another, so state indexed by w is never shared by two
+// partitions at once. With DOP 1 the stage runs inline on the
+// coordinator's proc (a serial plan has no exchange or worker startup
+// cost). The coordinator blocks until the stage finishes.
+func (e *Env) parallel(p *sim.Proc, nParts int, f func(ctx *access.Ctx, w, part int)) {
+	dop := e.workers(nParts)
+	if dop == 1 {
 		ctx := e.newCtx(p, e.home())
 		for part := 0; part < nParts; part++ {
 			if e.expired(p.Now()) {
 				break
 			}
-			f(ctx, part)
+			f(ctx, 0, part)
 		}
 		ctx.Flush()
 		if err := p.TakeFail(); err != nil {
@@ -168,19 +190,20 @@ func (e *Env) parallel(p *sim.Proc, nParts int, f func(ctx *access.Ctx, part int
 	remaining := dop
 	var done sim.WaitQueue
 	attr := p.Attr() // workers charge the coordinator's statement
+	ws := make([]worker, dop)
 	for w := 0; w < dop; w++ {
 		w := w
 		core := e.Cores[w%len(e.Cores)]
 		e.Sim.Spawn("qworker", func(wp *sim.Proc) {
 			wp.SetAttr(attr)
-			ctx := e.newCtx(wp, core)
+			ctx := e.bind(&ws[w], wp, core)
 			// Thread startup / exchange setup cost.
 			ctx.Stall(e.Cost.WorkerStartNs)
 			for part := w; part < nParts; part += dop {
 				if e.expired(wp.Now()) {
 					break
 				}
-				f(ctx, part)
+				f(ctx, w, part)
 			}
 			ctx.Flush()
 			if err := wp.TakeFail(); err != nil {

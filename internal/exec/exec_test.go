@@ -350,6 +350,25 @@ func TestHomeRespectsShrunkCpuset(t *testing.T) {
 	}
 }
 
+// TestWorkerRNGIsFork pins bind's copy of sim.RNG.Fork: a worker's
+// stream is the one Fork would have returned at the same point, and the
+// query's stream advances as Fork advances it.
+func TestWorkerRNGIsFork(t *testing.T) {
+	e, ref := &Env{RNG: sim.NewRNG(11)}, sim.NewRNG(11)
+	for i := 0; i < 3; i++ {
+		var w worker
+		got, want := e.bind(&w, nil, 0).RNG, ref.Fork()
+		for j := 0; j < 4; j++ {
+			if a, b := got.Uint64(), want.Uint64(); a != b {
+				t.Fatalf("worker %d draw %d: %#x, Fork gives %#x", i, j, a, b)
+			}
+		}
+	}
+	if a, b := e.RNG.Uint64(), ref.Uint64(); a != b {
+		t.Fatalf("query stream after three workers: %#x, after three Forks %#x", a, b)
+	}
+}
+
 func TestColScanCountStarShape(t *testing.T) {
 	// COUNT(*)-shaped plans project no columns and filter on none; the
 	// scan must still report every row (via the index's first column)

@@ -72,7 +72,7 @@ func runNLIndexJoin(p *sim.Proc, env *Env, n *Node, st *QueryStats, outer []Row)
 	parts := stageDop(env, n)
 	chunks := chunkRows(outer, parts)
 	results := make([][]Row, parts)
-	env.parallel(p, parts, func(ctx *access.Ctx, part int) {
+	env.parallel(p, parts, func(ctx *access.Ctx, _, part int) {
 		var out []Row
 		for _, or := range chunks[part] {
 			key := n.probeKeyOf(or)

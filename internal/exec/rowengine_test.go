@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/access"
@@ -100,7 +101,7 @@ func runRowScan(p *sim.Proc, env *Env, n *Node) []Row {
 	parts := stageDop(env, n)
 	results := make([][]Row, parts)
 	chunk := (total + int64(parts) - 1) / int64(parts)
-	env.parallel(p, parts, func(ctx *access.Ctx, part int) {
+	env.parallel(p, parts, func(ctx *access.Ctx, _, part int) {
 		lo := int64(part) * chunk
 		hi := lo + chunk
 		if hi > total {
@@ -164,7 +165,7 @@ func runColScan(p *sim.Proc, env *Env, n *Node) []Row {
 		parts = 1
 	}
 	results := make([][]Row, parts+1)
-	env.parallel(p, parts, func(ctx *access.Ctx, seg int) {
+	env.parallel(p, parts, func(ctx *access.Ctx, _, seg int) {
 		if segs == 0 {
 			return
 		}
@@ -289,7 +290,7 @@ func runHashJoin(p *sim.Proc, env *Env, n *Node, st *QueryStats, build, probe []
 	parts := stageDop(env, n)
 	tables := make([]*joinTable, parts)
 	buildParts := partitionRows(build, n.BuildKeys, parts)
-	env.parallel(p, parts, func(ctx *access.Ctx, part int) {
+	env.parallel(p, parts, func(ctx *access.Ctx, _, part int) {
 		jt := newJoinTable()
 		rows := buildParts[part]
 		for _, r := range rows {
@@ -307,7 +308,7 @@ func runHashJoin(p *sim.Proc, env *Env, n *Node, st *QueryStats, build, probe []
 
 	probeParts := partitionRows(probe, n.ProbeKeys, parts)
 	results := make([][]Row, parts)
-	env.parallel(p, parts, func(ctx *access.Ctx, part int) {
+	env.parallel(p, parts, func(ctx *access.Ctx, _, part int) {
 		jt := tables[part]
 		rows := probeParts[part]
 		w := int64(len(rows)) * n.Right.Weight
@@ -363,8 +364,7 @@ func partitionRows(rows []Row, keys []int, parts int) [][]Row {
 	return out
 }
 
-// encodeKey builds a map key from group columns (the fallback for
-// group-bys wider than maxInlineGroupCols; allocates per call).
+// encodeKey builds the oracle's group key from group columns.
 func encodeKey(r Row, groups []int) string {
 	b := make([]byte, 0, len(groups)*8)
 	for _, c := range groups {
@@ -375,29 +375,79 @@ func encodeKey(r Row, groups []int) string {
 	return string(b)
 }
 
+// groupEnt is one group of the oracle's hash aggregate.
+type groupEnt struct {
+	key   Row
+	state []int64
+}
+
+// rowAggTable is the oracle's group table: one entry per group, in
+// insertion order, found by its encoded key. It shares nothing with the
+// executor's slab table (aggTable).
+type rowAggTable struct {
+	groups []int
+	aggs   []AggSpec
+	index  map[string]int
+	ents   []*groupEnt
+}
+
+func newRowAggTable(groups []int, aggs []AggSpec) *rowAggTable {
+	return &rowAggTable{groups: groups, aggs: aggs, index: map[string]int{}}
+}
+
 // entRow returns row r's group entry, creating it on first sight.
-func (t *aggTable) entRow(r Row) *groupEnt {
-	if t.inline != nil {
-		var k inlineKey
-		for i, c := range t.groups {
-			k[i] = r[c]
-		}
-		if ix, ok := t.inline[k]; ok {
-			return t.ents[ix]
-		}
-		g := &groupEnt{key: project(r, t.groups), state: newAggState(t.aggs)}
-		t.inline[k] = int32(len(t.ents))
-		t.ents = append(t.ents, g)
-		return g
-	}
+func (t *rowAggTable) entRow(r Row) *groupEnt {
 	k := encodeKey(r, t.groups)
-	if ix, ok := t.wide[k]; ok {
+	if ix, ok := t.index[k]; ok {
 		return t.ents[ix]
 	}
 	g := &groupEnt{key: project(r, t.groups), state: newAggState(t.aggs)}
-	t.wide[k] = int32(len(t.ents))
+	t.index[k] = len(t.ents)
 	t.ents = append(t.ents, g)
 	return g
+}
+
+func finalize(key Row, st []int64, aggs []AggSpec) Row {
+	out := make(Row, 0, len(key)+len(aggs))
+	out = append(out, key...)
+	i := 0
+	for _, a := range aggs {
+		switch a.Kind {
+		case AggAvg:
+			if st[i+1] > 0 {
+				out = append(out, st[i]/st[i+1])
+			} else {
+				out = append(out, 0)
+			}
+		default:
+			v := st[i]
+			if a.Kind == AggMin && v == math.MaxInt64 {
+				v = 0
+			}
+			if a.Kind == AggMax && v == math.MinInt64 {
+				v = 0
+			}
+			out = append(out, v)
+		}
+		i += aggWidth(a.Kind)
+	}
+	return out
+}
+
+// finalizeGroups emits finalized groups in group-key order (the keys are
+// distinct, so the order is total), and the scalar aggregate over an
+// empty input as one zero row.
+func finalizeGroups(ents []*groupEnt, groups []int, aggs []AggSpec) []Row {
+	if len(groups) == 0 && len(ents) == 0 {
+		return []Row{finalize(nil, newAggState(aggs), aggs)}
+	}
+	out := make([]Row, len(ents))
+	for i, g := range ents {
+		out[i] = finalize(g.key, g.state, aggs)
+	}
+	ng := len(groups)
+	slices.SortFunc(out, func(a, b Row) int { return slices.Compare(a[:ng], b[:ng]) })
+	return out
 }
 
 func accumulate(st []int64, aggs []AggSpec, r Row, weight int64) {
@@ -437,9 +487,9 @@ func runHashAgg(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []Row) []Row 
 	}
 
 	inParts := partitionRows(in, n.Groups, parts)
-	partials := make([]*aggTable, parts)
-	env.parallel(p, parts, func(ctx *access.Ctx, part int) {
-		at := newAggTable(n.Groups, n.Aggs)
+	partials := make([]*rowAggTable, parts)
+	env.parallel(p, parts, func(ctx *access.Ctx, _, part int) {
+		at := newRowAggTable(n.Groups, n.Aggs)
 		rows := inParts[part]
 		for _, r := range rows {
 			accumulate(at.entRow(r).state, n.Aggs, r, weight)
@@ -514,7 +564,7 @@ func runSort(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []Row) []Row {
 
 	parts := stageDop(env, n)
 	chunks := chunkRows(in, parts)
-	env.parallel(p, parts, func(ctx *access.Ctx, part int) {
+	env.parallel(p, parts, func(ctx *access.Ctx, _, part int) {
 		rows := chunks[part]
 		if len(rows) == 0 {
 			return

@@ -219,13 +219,20 @@ func batchesToRows(bs []*Batch) []Row {
 // hashCols hashes key columns at one physical row; must match hashRow,
 // which the test-only row engine partitions by.
 func hashCols(cols [][]int64, keys []int, phys int32) uint64 {
-	h := uint64(0xcbf29ce484222325)
+	h := uint64(hashSeed)
 	for _, c := range keys {
-		h ^= uint64(cols[c][phys])
-		h *= 0x100000001b3
-		h ^= h >> 29
+		h = hashStep(h, cols[c][phys])
 	}
 	return h
+}
+
+// hashSeed starts a key hash and hashStep folds one key value into it.
+const hashSeed = 0xcbf29ce484222325
+
+func hashStep(h uint64, v int64) uint64 {
+	h ^= uint64(v)
+	h *= 0x100000001b3
+	return h ^ h>>29
 }
 
 // partitionBatches is the hash join's exchange: it hash-partitions

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/access"
 	"repro/internal/sim"
@@ -93,7 +92,7 @@ func vecRowScan(p *sim.Proc, env *Env, n *Node) []*Batch {
 	for i, c := range n.Proj {
 		srcCols[i] = t.Col(c)
 	}
-	env.parallel(p, parts, func(ctx *access.Ctx, part int) {
+	env.parallel(p, parts, func(ctx *access.Ctx, _, part int) {
 		lo := int64(part) * chunk
 		hi := lo + chunk
 		if hi > total {
@@ -146,30 +145,34 @@ func vecRowScan(p *sim.Proc, env *Env, n *Node) []*Batch {
 // vecColScan decodes each needed column segment in batch-sized row
 // ranges (colstore.DecodeRange). The predicate-free path decodes each
 // range straight into its output batch, which is sized to the segment;
-// a predicate is evaluated over reused scratch vectors.
+// a predicate is evaluated over scratch vectors each worker reuses
+// across its segments. Every segment's cursors are cut from one slab.
 func vecColScan(p *sim.Proc, env *Env, n *Node) []*Batch {
 	csi := n.CSI
 	ix := csi.Ix
 	segs := ix.Segments()
 	size := batchSize(env)
-	needCols := map[int]bool{}
-	for _, c := range n.Proj {
-		needCols[c] = true
-	}
-	for _, c := range n.PredCols {
-		needCols[c] = true
-	}
+	// colPoss are the needed columns' positions in the index, ascending;
+	// needCols[i] is the table column at colPoss[i], and projAt[c] is the
+	// index into colPoss of projected column c.
 	var colPoss []int
-	colOfPos := map[int]int{}
-	for tc := range needCols {
+	for _, tc := range slices.Concat(n.Proj, n.PredCols) {
 		cp := ix.ColPos(tc)
 		if cp < 0 {
 			panic(fmt.Sprintf("exec: column %d not in columnstore %s", tc, ix.File.Name))
 		}
 		colPoss = append(colPoss, cp)
-		colOfPos[tc] = cp
 	}
-	sort.Ints(colPoss)
+	slices.Sort(colPoss)
+	colPoss = slices.Compact(colPoss)
+	needCols := make([]int, len(colPoss))
+	for i, cp := range colPoss {
+		needCols[i] = ix.Cols[cp]
+	}
+	projAt := make([]int, len(n.Proj))
+	for c, tc := range n.Proj {
+		projAt[c], _ = slices.BinarySearch(colPoss, ix.ColPos(tc))
+	}
 	// COUNT(*)-shaped plans project no columns and filter on none;
 	// segment row counts then come from the index's first column.
 	countPos := 0
@@ -182,21 +185,30 @@ func vecColScan(p *sim.Proc, env *Env, n *Node) []*Batch {
 		parts = 1
 	}
 	results := make([][]*Batch, parts+1)
-	env.parallel(p, parts, func(ctx *access.Ctx, seg int) {
+	curs := make([]access.SegScanCursor, segs*len(colPoss))
+	// A worker's sparse row and decoded vectors (dec[i] is column
+	// colPoss[i]), reused across the segments it runs in turn.
+	type scratch struct {
+		row Row
+		dec [][]int64
+	}
+	scr := make([]scratch, env.workers(parts))
+	env.parallel(p, parts, func(ctx *access.Ctx, w, seg int) {
 		if segs == 0 {
 			return
 		}
 		nrows := ix.Segment(countPos, seg).N
-		curs := make([]*access.SegScanCursor, len(colPoss))
+		cs := curs[seg*len(colPoss) : (seg+1)*len(colPoss)]
 		for i, cp := range colPoss {
-			curs[i] = csi.NewSegScanCursor(cp, seg, n.NPred)
+			cs[i] = csi.NewSegScanCursor(cp, seg, n.NPred)
 		}
 		expect := nrows // a predicate-free scan emits the whole segment
-		var row Row
-		var dec map[int][]int64 // decoded vectors by column position
+		sc := &scr[w]
 		if n.Pred != nil {
-			row = make(Row, ix.Table.NCols())
-			dec = make(map[int][]int64, len(colPoss))
+			if sc.row == nil {
+				sc.row = make(Row, ix.Table.NCols())
+				sc.dec = make([][]int64, len(colPoss))
+			}
 			expect = 0
 		}
 		bb := newBatchBuilder(len(n.Proj), size, expect)
@@ -208,38 +220,38 @@ func vecColScan(p *sim.Proc, env *Env, n *Node) []*Batch {
 			if hi > nrows {
 				hi = nrows
 			}
-			for i := range colPoss {
-				curs[i].ChargeRows(ctx, lo, hi)
+			for i := range cs {
+				cs[i].ChargeRows(ctx, lo, hi)
 			}
 			if n.Pred == nil {
 				for r := lo; r < hi; {
 					b, i, k := bb.reserve(hi - r)
-					for c, tc := range n.Proj {
-						ix.Segment(colOfPos[tc], seg).DecodeRange(r, r+k, b.Cols[c][i:i+k])
+					for c, at := range projAt {
+						ix.Segment(colPoss[at], seg).DecodeRange(r, r+k, b.Cols[c][i:i+k])
 					}
 					r += k
 				}
 				continue
 			}
-			for _, cp := range colPoss {
-				dec[cp] = ix.Segment(cp, seg).DecodeRange(lo, hi, dec[cp])
+			for i, cp := range colPoss {
+				sc.dec[i] = ix.Segment(cp, seg).DecodeRange(lo, hi, sc.dec[i])
 			}
 			for r := 0; r < hi-lo; r++ {
 				// Materialize only the needed columns into a sparse row.
-				for tc, cp := range colOfPos {
-					row[tc] = dec[cp][r]
+				for i, tc := range needCols {
+					sc.row[tc] = sc.dec[i][r]
 				}
-				if !n.Pred(row) {
+				if !n.Pred(sc.row) {
 					continue
 				}
 				dst, i := bb.room()
-				for c, tc := range n.Proj {
-					dst.Cols[c][i] = dec[colOfPos[tc]][r]
+				for c, at := range projAt {
+					dst.Cols[c][i] = sc.dec[at][r]
 				}
 			}
 		}
-		for _, cur := range curs {
-			cur.Close(ctx)
+		for i := range cs {
+			cs[i].Close(ctx)
 		}
 		if parts > 1 {
 			ctx.CPU(float64(int64(bb.rows)*n.Weight) * ctx.Cost.ExchangeIPR)
@@ -351,7 +363,7 @@ func vecHashAgg(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []*Batch) []*
 
 	at, rows, groups := aggregate(in, n, parts, weight)
 	ran := make([]bool, parts)
-	env.parallel(p, parts, func(ctx *access.Ctx, part int) {
+	env.parallel(p, parts, func(ctx *access.Ctx, _, part int) {
 		w := rows[part] * weight
 		ctx.CPU(float64(w) * ctx.Cost.AggIPR)
 		groupBytes := groups[part] * tupleBytes(env, n.Left)
@@ -363,8 +375,8 @@ func vecHashAgg(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []*Batch) []*
 	})
 
 	// A partition the deadline skipped adds no charge and no groups.
-	ents := slices.DeleteFunc(at.ents, func(g *groupEnt) bool { return !ran[g.part] })
-	totalGroups := int64(len(ents))
+	live := at.live(ran)
+	totalGroups := int64(len(live))
 	needBytes := totalGroups * tupleBytes(env, n.Left)
 	overflow := env.Grant.Reserve(needBytes)
 	defer env.Grant.Release(needBytes - overflow)
@@ -373,10 +385,9 @@ func vecHashAgg(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []*Batch) []*
 	}
 
 	ctx := env.newCtx(p, env.home())
-	out := finalizeGroups(ents, n.Groups, n.Aggs)
 	ctx.CPU(float64(totalGroups) * ctx.Cost.AggIPR)
 	ctx.Flush()
-	return rowsToBatches(out, batchSize(env))
+	return at.emit(live, batchSize(env))
 }
 
 // vecJoinTable is one partition's hash table over columnar build rows:
@@ -447,7 +458,7 @@ func vecHashJoin(p *sim.Proc, env *Env, n *Node, st *QueryStats, build, probe []
 	buildW := batchWidth(build)
 	tables := make([]*vecJoinTable, parts)
 	buildParts := partitionBatches(build, n.BuildKeys, parts, size)
-	env.parallel(p, parts, func(ctx *access.Ctx, part int) {
+	env.parallel(p, parts, func(ctx *access.Ctx, _, part int) {
 		jt := newVecJoinTable(buildParts[part], n.BuildKeys)
 		w := int64(jt.n) * n.Left.Weight
 		ctx.CPU(float64(w) * ctx.Cost.HashBuildIPR)
@@ -466,7 +477,7 @@ func vecHashJoin(p *sim.Proc, env *Env, n *Node, st *QueryStats, build, probe []
 	}
 	probeParts := partitionBatches(probe, n.ProbeKeys, parts, size)
 	results := make([][]*Batch, parts)
-	env.parallel(p, parts, func(ctx *access.Ctx, part int) {
+	env.parallel(p, parts, func(ctx *access.Ctx, _, part int) {
 		jt := tables[part]
 		if jt == nil {
 			return // build stage was cut short by the deadline
@@ -544,7 +555,7 @@ func vecSort(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []*Batch) []*Bat
 
 	parts := stageDop(env, n)
 	chunk := (total + parts - 1) / parts
-	env.parallel(p, parts, func(ctx *access.Ctx, part int) {
+	env.parallel(p, parts, func(ctx *access.Ctx, _, part int) {
 		rows := min(chunk, total-part*chunk)
 		if rows <= 0 {
 			return

@@ -201,7 +201,7 @@ func DecodeHello(payload []byte) (Hello, error) {
 		Version: binary.LittleEndian.Uint16(payload[4:]),
 	}
 	var err error
-	h.Client, _, err = readString(payload[6:])
+	h.Client, err = readString(payload[6:])
 	if err != nil {
 		return Hello{}, err
 	}
@@ -227,15 +227,26 @@ func EncodeRequest(kind Kind, id uint64, r Request) []byte {
 	return appendString(p, r.Name)
 }
 
-// DecodeRequest parses a KExec/KQuery payload.
-func DecodeRequest(payload []byte) (Request, error) {
+// DecodeRequest parses a KExec/KQuery payload. A statement name equal to
+// one of known is returned as that string, so decoding a served name
+// allocates nothing; any other name is copied out of the payload.
+func DecodeRequest(payload []byte, known ...string) (Request, error) {
 	if len(payload) < 8 {
 		return Request{}, ErrBadFrame
 	}
 	r := Request{Arg: binary.LittleEndian.Uint64(payload)}
-	var err error
-	r.Name, _, err = readString(payload[8:])
-	return r, err
+	name, err := readBytes(payload[8:])
+	if err != nil {
+		return r, err
+	}
+	for _, k := range known {
+		if string(name) == k {
+			r.Name = k
+			return r, nil
+		}
+	}
+	r.Name = string(name)
+	return r, nil
 }
 
 // Result is the success payload.
@@ -269,7 +280,7 @@ func DecodeError(payload []byte) (Code, string, error) {
 		return 0, "", ErrBadFrame
 	}
 	code := Code(binary.LittleEndian.Uint16(payload))
-	msg, _, err := readString(payload[2:])
+	msg, err := readString(payload[2:])
 	return code, msg, err
 }
 
@@ -289,13 +300,20 @@ func appendString(p []byte, s string) []byte {
 	return append(p, s...)
 }
 
-func readString(p []byte) (string, int, error) {
+// readString copies a length-prefixed string out of p.
+func readString(p []byte) (string, error) {
+	b, err := readBytes(p)
+	return string(b), err
+}
+
+// readBytes returns a length-prefixed string's bytes, aliasing p.
+func readBytes(p []byte) ([]byte, error) {
 	if len(p) < 2 {
-		return "", 0, ErrBadFrame
+		return nil, ErrBadFrame
 	}
 	n := int(binary.LittleEndian.Uint16(p))
 	if len(p) < 2+n {
-		return "", 0, ErrBadFrame
+		return nil, ErrBadFrame
 	}
-	return string(p[2 : 2+n]), 2 + n, nil
+	return p[2 : 2+n], nil
 }

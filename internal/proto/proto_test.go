@@ -263,5 +263,33 @@ func FuzzRequestRoundTrip(f *testing.F) {
 		if err != nil || fr.Kind != KQuery || fr.ID != arg^1 || r.Name != name || r.Arg != arg {
 			t.Fatalf("got %v id %d %+v, err %v; want query id %d {%q %d}", fr.Kind, fr.ID, r, err, arg^1, name, arg)
 		}
+		// Against a catalogue the name decodes the same, known or not,
+		// and owns its bytes: overwriting the frame leaves it intact.
+		r, err = DecodeRequest(fr.Payload, "asdb.PointRead", "asdb.SumBig")
+		clear(frame)
+		if err != nil || r.Name != name || r.Arg != arg {
+			t.Fatalf("against a catalogue: %+v, err %v; want {%q %d}", r, err, name, arg)
+		}
 	})
+}
+
+// TestDecodeRequestResolvesKnownNames pins the served path's decode: a
+// name in the catalogue comes back as the catalogue's own string without
+// an allocation, and any other name is copied out of the payload.
+func TestDecodeRequestResolvesKnownNames(t *testing.T) {
+	known := []string{"asdb.PointRead", "asdb.Update", "asdb.SumBig"}
+	f, _, _ := Decode(EncodeRequest(KExec, 1, Request{Name: "asdb.Update", Arg: 7}))
+	var r Request
+	if n := testing.AllocsPerRun(100, func() { r, _ = DecodeRequest(f.Payload, known...) }); n != 0 {
+		t.Errorf("decoding a known name allocates %v, want 0", n)
+	}
+	if r.Name != "asdb.Update" || r.Arg != 7 {
+		t.Fatalf("known name: %+v", r)
+	}
+	f, _, _ = Decode(EncodeRequest(KExec, 2, Request{Name: "asdb.Nope", Arg: 8}))
+	r, err := DecodeRequest(f.Payload, known...)
+	clear(f.Payload)
+	if err != nil || r.Name != "asdb.Nope" || r.Arg != 8 {
+		t.Fatalf("unknown name: %+v, err %v", r, err)
+	}
 }

@@ -236,7 +236,7 @@ func (f *Frontend) handle(p *sim.Proc, c *net.Conn) {
 		case proto.KGoodbye:
 			return
 		case proto.KExec, proto.KQuery:
-			req, rerr := proto.DecodeRequest(fr.Payload)
+			req, rerr := proto.DecodeRequest(fr.Payload, asdb.ServedNames()...)
 			if rerr != nil {
 				f.Ctr.BadRequest++
 				c.Send(p, proto.EncodeError(fr.ID, proto.CodeBadRequest, rerr.Error()))

@@ -216,8 +216,9 @@ func TestStopIsIdempotent(t *testing.T) {
 
 // TestWarmExecRoundTripAllocations pins the serving wire path's steady
 // state: on an established connection, an Exec round trip allocates the
-// request frame, the statement name DecodeRequest copies out of it, and
-// the reply frame — no queue on the way regrows and no request is boxed.
+// request frame and the reply frame. DecodeRequest resolves the statement
+// name against the served catalogue instead of copying it, no queue on
+// the way regrows and no request is boxed.
 func TestWarmExecRoundTripAllocations(t *testing.T) {
 	srv, f := boot(t)
 	sm := srv.Sim
@@ -248,8 +249,8 @@ func TestWarmExecRoundTripAllocations(t *testing.T) {
 		sm.Run(sim.Forever)
 	}
 	roundTrip() // the connection's first request
-	if n := testing.AllocsPerRun(200, roundTrip); n > 3 {
-		t.Errorf("%v allocations per warm Exec round trip, want at most 3", n)
+	if n := testing.AllocsPerRun(200, roundTrip); n > 2 {
+		t.Errorf("%v allocations per warm Exec round trip, want at most 2", n)
 	}
 	stop = true
 	kick.WakeOne(sm)

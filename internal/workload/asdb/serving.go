@@ -103,14 +103,32 @@ func (d *Dataset) SumBig(sel float64) *opt.LNode {
 		Aggs:    []exec.AggSpec{{Kind: exec.AggSum, Col: 2}, {Kind: exec.AggCount}},
 		NGroups: 1, Name: "groupby",
 	}
-	root.Label = "asdb.SumBig"
+	root.Label = sumBig
 	return root
 }
+
+// sumBig is the analytical statement's catalog name.
+const sumBig = "asdb.SumBig"
+
+// servedNames is every served statement name: the OLTP catalogue's, in
+// catalogue order, then sumBig.
+var servedNames = func() []string {
+	names := make([]string, 0, len(ops)+1)
+	for _, o := range ops {
+		names = append(names, o.name)
+	}
+	return append(names, sumBig)
+}()
+
+// ServedNames returns every statement name the catalog serves, for a
+// wire decoder to resolve names against instead of copying them. The
+// caller must not modify the slice.
+func ServedNames() []string { return servedNames }
 
 // QueryOp resolves a served analytical statement by catalog name; the wire
 // argument selects the selectivity cell in tenths (arg%8+1 → 0.1..0.8).
 func (d *Dataset) QueryOp(name string, arg uint64) (*opt.LNode, bool) {
-	if name != "asdb.SumBig" {
+	if name != sumBig {
 		return nil, false
 	}
 	return d.SumBig(float64(arg%8+1) / 10), true
