@@ -32,6 +32,11 @@ type Index struct {
 	File  *storage.File
 
 	segs [][]*Segment // [colIdx][segment]
+	// segBytes[ci][sg] is segs[ci][sg]'s nominal compressed bytes, fixed
+	// when seal adds the segment; segSum is their total, so an insert
+	// resizes the file in O(1) whatever the number of sealed segments.
+	segBytes [][]int64
+	segSum   int64
 
 	// Delta store: row-major recent inserts not yet compressed.
 	delta        [][]int64
@@ -54,33 +59,38 @@ func Build(id int, tbl *storage.Table, cols []int) *Index {
 	}
 	n := int(tbl.ActualRows())
 	ix.segs = make([][]*Segment, len(cols))
+	ix.segBytes = make([][]int64, len(cols))
 	for ci, col := range cols {
 		data := tbl.Col(col)
+		w := int64(tbl.Cols[col].Width)
 		for start := 0; start < n; start += segRows {
 			end := start + segRows
 			if end > n {
 				end = n
 			}
-			ix.segs[ci] = append(ix.segs[ci], Encode(data[start:end]))
+			ix.seal(ci, w, data[start:end])
 		}
 	}
-	ix.refreshSize()
+	ix.resize()
 	return ix
 }
 
-// refreshSize recomputes the nominal compressed size from measured
-// per-segment compression ratios.
-func (ix *Index) refreshSize() {
-	var nominal int64
-	for ci, col := range ix.Cols {
-		w := int64(ix.Table.Cols[col].Width)
-		for _, s := range ix.segs[ci] {
-			segNominalRaw := int64(s.N) * ix.Table.K * w
-			nominal += int64(float64(segNominalRaw) * nominalRatio(s.Ratio()))
-		}
-	}
-	// Delta store is uncompressed row-major pages.
-	nominal += ix.deltaNominal * ix.Table.RowWidth()
+// seal compresses vals into a new segment of column position ci, whose
+// values are w nominal bytes wide. The segment's nominal size — the
+// nominal raw bytes it stands for, scaled by its measured compression
+// ratio — is computed here, once, and added to segSum.
+func (ix *Index) seal(ci int, w int64, vals []int64) {
+	s := Encode(vals)
+	b := int64(float64(int64(s.N)*ix.Table.K*w) * nominalRatio(s.Ratio()))
+	ix.segs[ci] = append(ix.segs[ci], s)
+	ix.segBytes[ci] = append(ix.segBytes[ci], b)
+	ix.segSum += b
+}
+
+// resize sets the file's pages to the sealed segments' nominal bytes plus
+// the delta store's, which is uncompressed row-major pages.
+func (ix *Index) resize() {
+	nominal := ix.segSum + ix.deltaNominal*ix.Table.RowWidth()
 	ix.File.Pages = (nominal + storage.PageBytes - 1) / storage.PageBytes
 }
 
@@ -113,9 +123,7 @@ func (ix *Index) NominalBytes() int64 { return ix.File.Bytes() }
 // SegmentNominalBytes returns the nominal compressed bytes of one
 // column's segment — the I/O cost of scanning it at paper scale.
 func (ix *Index) SegmentNominalBytes(colPos, seg int) int64 {
-	s := ix.segs[colPos][seg]
-	w := int64(ix.Table.Cols[ix.Cols[colPos]].Width)
-	return int64(float64(int64(s.N)*ix.Table.K*w) * nominalRatio(s.Ratio()))
+	return ix.segBytes[colPos][seg]
 }
 
 // AppendDelta adds one nominal row to the delta store (an OLTP insert
@@ -132,7 +140,7 @@ func (ix *Index) AppendDelta(row []int64) {
 		}
 		ix.delta = append(ix.delta, r)
 	}
-	ix.refreshSize()
+	ix.resize()
 }
 
 // DeltaNominalRows returns the nominal delta-store cardinality.
@@ -148,16 +156,16 @@ func (ix *Index) CompressDelta() bool {
 	if ix.deltaNominal < NominalSegmentRows || len(ix.delta) == 0 {
 		return false
 	}
-	for ci := range ix.Cols {
+	for ci, c := range ix.Cols {
 		col := make([]int64, len(ix.delta))
 		for ri, r := range ix.delta {
 			col[ri] = r[ci]
 		}
-		ix.segs[ci] = append(ix.segs[ci], Encode(col))
+		ix.seal(ci, int64(ix.Table.Cols[c].Width), col)
 	}
 	ix.delta = nil
 	ix.deltaNominal = 0
-	ix.refreshSize()
+	ix.resize()
 	return true
 }
 
