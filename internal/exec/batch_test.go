@@ -66,27 +66,6 @@ func buildRows(rows []Row, width, size, expect int) []*Batch {
 	return bb.finish()
 }
 
-// TestPartitionBatchesExactCapacity: each partition's builder is sized
-// by the counting pass, so no output column holds spare capacity.
-func TestPartitionBatchesExactCapacity(t *testing.T) {
-	rows := seqRows(3000, 5)
-	parts := partitionBatches(rowsToBatches(rows, 1024), []int{0, 2}, 32, 1024)
-	var total int
-	for p, bs := range parts {
-		for i, b := range bs {
-			for c, col := range b.Cols {
-				if cap(col) != len(col) {
-					t.Fatalf("part %d batch %d column %d: cap %d, len %d", p, i, c, cap(col), len(col))
-				}
-			}
-		}
-		total += batchRowCount(bs)
-	}
-	if total != len(rows) {
-		t.Fatalf("partitions hold %d rows, want %d", total, len(rows))
-	}
-}
-
 // TestBatchBuilderKeepsBoundaries: whether the writer knows its row
 // count or not, a batch is sealed only at size rows or at finish.
 func TestBatchBuilderKeepsBoundaries(t *testing.T) {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -111,22 +112,6 @@ func BenchmarkVectorizedSpeedup(b *testing.B) {
 	b.ReportMetric(0, "ns/op") // the per-engine times are what matter
 }
 
-// BenchmarkPartitionBatches is the exchange the vectorized engine runs
-// before both stages of a parallel hash join: 4 096 rows of 5 columns
-// into 32 partitions, the MAXDOP 32 shape where most partitions get few
-// rows.
-func BenchmarkPartitionBatches(b *testing.B) {
-	rows := make([]Row, 4096)
-	for i := range rows {
-		rows[i] = Row{int64(i), int64(i % 97), int64(i * 13 % 1000), int64(i >> 3), 7}
-	}
-	in := rowsToBatches(rows, 1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		partitionBatches(in, []int{1}, 32, 1024)
-	}
-}
-
 // benchDim builds a (dkey, attr) dimension table with unique keys.
 func benchDim(te *testEnv, rows int64) *storage.Table {
 	sch := storage.NewSchema("bench_dim",
@@ -142,26 +127,31 @@ func benchDim(te *testEnv, rows int64) *storage.Table {
 	return t
 }
 
-// BenchmarkHashJoinBuildProbe runs an inner hash join at DOP 4: a
-// 4 096-row dimension builds the partitioned tables and benchRows fact
-// rows probe them, each matching one build row.
+// BenchmarkHashJoinBuildProbe runs an inner hash join at DOP 4 and at
+// DOP 32, the MAXDOP tpch_power runs at: a 4 096-row dimension builds
+// the table and benchRows fact rows probe it, each matching one build
+// row.
 func BenchmarkHashJoinBuildProbe(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		te := newTestEnv(4)
-		fact := benchTable(te, benchRows)
-		root := &Node{
-			Kind:      KHashJoin,
-			Left:      scanNode(benchDim(te, 4096), []int{0, 1}, nil, 0, true),
-			Right:     scanNode(fact, []int{0, 1, 2}, nil, 0, true),
-			BuildKeys: []int{0}, ProbeKeys: []int{1},
-			JoinType: InnerJoin, Weight: fact.K, Parallel: true,
-		}
-		b.StartTimer()
-		if _, n := runBench(te, Run, root); n != benchRows {
-			b.Fatalf("join rows = %d, want %d", n, benchRows)
-		}
+	for _, dop := range []int{4, 32} {
+		b.Run(fmt.Sprintf("dop%d", dop), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				te := newTestEnv(dop)
+				fact := benchTable(te, benchRows)
+				root := &Node{
+					Kind:      KHashJoin,
+					Left:      scanNode(benchDim(te, 4096), []int{0, 1}, nil, 0, true),
+					Right:     scanNode(fact, []int{0, 1, 2}, nil, 0, true),
+					BuildKeys: []int{0}, ProbeKeys: []int{1},
+					JoinType: InnerJoin, Weight: fact.K, Parallel: true,
+				}
+				b.StartTimer()
+				if _, n := runBench(te, Run, root); n != benchRows {
+					b.Fatalf("join rows = %d, want %d", n, benchRows)
+				}
+			}
+		})
 	}
 }
 

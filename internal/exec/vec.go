@@ -5,7 +5,7 @@ package exec
 // columns of equal physical length plus an optional selection vector
 // listing the live rows, so a filter can narrow a batch by attaching a
 // selection instead of copying column data. Operators that materialize
-// (builders, partitioners) always emit compact batches (Sel == nil).
+// (builders) always emit compact batches (Sel == nil).
 
 // Batch is one fixed-capacity column-vector batch.
 type Batch struct {
@@ -235,39 +235,6 @@ func hashStep(h uint64, v int64) uint64 {
 	return h ^ h>>29
 }
 
-// partitionBatches is the hash join's exchange: it hash-partitions
-// batches by key columns, preserving input order within each partition.
-// A counting pass sizes each partition's builder to exactly the rows it
-// will receive.
-func partitionBatches(bs []*Batch, keys []int, parts, size int) [][]*Batch {
-	if parts <= 1 {
-		return [][]*Batch{bs}
-	}
-	partOf := func(b *Batch, ph int32) int { return int(hashCols(b.Cols, keys, ph) % uint64(parts)) }
-	counts := make([]int, parts)
-	for _, b := range bs {
-		for i := 0; i < b.Rows(); i++ {
-			counts[partOf(b, b.phys(i))]++
-		}
-	}
-	width := batchWidth(bs)
-	builders := make([]*batchBuilder, parts)
-	for i := range builders {
-		builders[i] = newBatchBuilder(width, size, counts[i])
-	}
-	for _, b := range bs {
-		for i := 0; i < b.Rows(); i++ {
-			ph := b.phys(i)
-			builders[partOf(b, ph)].appendBatchRow(b, ph)
-		}
-	}
-	out := make([][]*Batch, parts)
-	for i, bb := range builders {
-		out[i] = bb.finish()
-	}
-	return out
-}
-
 // flattenBatches concatenates per-partition batch lists in partition
 // order (the vectorized analogue of flatten).
 func flattenBatches(parts [][]*Batch) []*Batch {
@@ -284,7 +251,7 @@ func flattenBatches(parts [][]*Batch) []*Batch {
 
 // colset is a single compacted columnar buffer, its columns cut from one
 // slab; sort and top compact their input into one to permute it by
-// index, and a hash-join build partition is one.
+// index, and the hash join's build side is one.
 type colset struct {
 	cols [][]int64
 	n    int

@@ -540,9 +540,9 @@ const aggAllocsPerDoubling = 8
 
 // TestAggregatePartitionAccounting pins what the parallel hash
 // aggregate's charges rest on: aggregate's rows[p] and groups[p] are the
-// rows and distinct group keys partitionBatches puts in partition p, and
-// every group's part is the partition all of its rows go to, so no group
-// spans two partitions.
+// rows and distinct group keys the oracle's partitionRows puts in
+// partition p, and every group's part is the partition all of its rows
+// go to, so no group spans two partitions.
 func TestAggregatePartitionAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	input := func(nrows int) []*Batch {
@@ -577,11 +577,11 @@ func TestAggregatePartitionAccounting(t *testing.T) {
 		n := &Node{Groups: c.groups, Aggs: aggs}
 		for _, parts := range []int{1, 2, 3, 4, 8} {
 			at, rows, groups := aggregate(in, n, parts, 3)
-			ref := partitionBatches(in, c.groups, parts, 64)
+			ref := partitionRows(batchesToRows(in), c.groups, parts)
 			var sumGroups int64
 			for p := 0; p < parts; p++ {
 				distinct := map[string]bool{}
-				for _, b := range ref[p] {
+				for _, b := range rowsToBatches(ref[p], 64) {
 					for i := 0; i < b.Rows(); i++ {
 						ph := b.phys(i)
 						if g, isNew := at.group(b.Cols, ph); int(at.parts[g]) != p || isNew {
@@ -595,11 +595,11 @@ func TestAggregatePartitionAccounting(t *testing.T) {
 						distinct[fmt.Sprint(key)] = true
 					}
 				}
-				if rows[p] != int64(batchRowCount(ref[p])) {
-					t.Fatalf("%s/%d: rows[%d] = %d, partitionBatches gives %d", c.name, parts, p, rows[p], batchRowCount(ref[p]))
+				if rows[p] != int64(len(ref[p])) {
+					t.Fatalf("%s/%d: rows[%d] = %d, partitionRows gives %d", c.name, parts, p, rows[p], len(ref[p]))
 				}
 				if groups[p] != int64(len(distinct)) {
-					t.Fatalf("%s/%d: groups[%d] = %d, partitionBatches gives %d", c.name, parts, p, groups[p], len(distinct))
+					t.Fatalf("%s/%d: groups[%d] = %d, partitionRows gives %d", c.name, parts, p, groups[p], len(distinct))
 				}
 				sumGroups += groups[p]
 			}

@@ -390,7 +390,7 @@ func vecHashAgg(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []*Batch) []*
 	return at.emit(live, batchSize(env))
 }
 
-// vecJoinTable is one partition's hash table over columnar build rows:
+// vecJoinTable is the hash join's table over the columnar build rows:
 // the rows compacted into one colset, head mapping a key hash to its
 // first row and next chaining each row to the following one of the same
 // hash (-1 ends a chain).
@@ -400,15 +400,19 @@ type vecJoinTable struct {
 	next []int32
 }
 
-// newVecJoinTable builds the table over one build partition. The chains
-// are linked from the last row to the first, so walking one from head
-// visits its rows in insertion order.
-func newVecJoinTable(bs []*Batch, keys []int) *vecJoinTable {
+// newVecJoinTable builds the table over the build side and counts the
+// rows of each of parts hash partitions: rows[p] holds the build rows
+// whose key hash is p modulo parts. The chains are linked from the last
+// row to the first, so walking one from head visits its rows in build
+// order.
+func newVecJoinTable(bs []*Batch, keys []int, parts int) (*vecJoinTable, []int64) {
 	jt := &vecJoinTable{colset: concatBatches(bs)}
 	jt.head = make(map[uint64]int32, jt.n)
 	jt.next = make([]int32, jt.n)
+	rows := make([]int64, parts)
 	for r := int32(jt.n) - 1; r >= 0; r-- {
 		h := hashCols(jt.cols, keys, r)
+		rows[h%uint64(parts)]++
 		nx, ok := jt.head[h]
 		if !ok {
 			nx = -1
@@ -416,7 +420,7 @@ func newVecJoinTable(bs []*Batch, keys []int) *vecJoinTable {
 		jt.next[r] = nx
 		jt.head[h] = r
 	}
-	return jt
+	return jt, rows
 }
 
 // first returns the first build row whose key hash is h, or -1.
@@ -437,13 +441,63 @@ func keysEqualColsAt(acols [][]int64, ak []int, ai int32, bcols [][]int64, bk []
 	return true
 }
 
-// vecHashJoin builds partitioned hash tables over the build (left)
-// side, which stays columnar, and probes with the right side; inner
-// matches are gathered column-wise into probe++build output batches.
-// Exceeding the memory grant spills partitions to tempdb (charged as
-// write+read of the spilled nominal bytes).
+// probe runs the probe side through the table once, in input order, and
+// writes each probe row's output to the builder of the partition its key
+// hash picks (modulo parts). Rows of one hash share a partition, so each
+// partition's output is what a table over its own build rows would give,
+// in input order; inner matches are gathered column-wise into
+// probe++build rows. rows[p] counts partition p's probe rows.
+func (jt *vecJoinTable) probe(n *Node, probe []*Batch, parts, size int) ([]*batchBuilder, []int64) {
+	probeW := batchWidth(probe)
+	outW := probeW
+	if n.JoinType == InnerJoin {
+		outW += len(jt.cols)
+	}
+	out := make([]*batchBuilder, parts)
+	for part := range out {
+		out[part] = newBatchBuilder(outW, size, 0)
+	}
+	rows := make([]int64, parts)
+	for _, b := range probe {
+		for i := 0; i < b.Rows(); i++ {
+			ph := b.phys(i)
+			h := hashCols(b.Cols, n.ProbeKeys, ph)
+			part := h % uint64(parts)
+			rows[part]++
+			bb := out[part]
+			matched := false
+			for bi := jt.first(h); bi >= 0; bi = jt.next[bi] {
+				if !keysEqualColsAt(jt.cols, n.BuildKeys, bi, b.Cols, n.ProbeKeys, ph) {
+					continue
+				}
+				matched = true
+				if n.JoinType != InnerJoin {
+					break
+				}
+				dst, di := bb.room()
+				for c := 0; c < probeW; c++ {
+					dst.Cols[c][di] = b.Cols[c][ph]
+				}
+				for c, col := range jt.cols {
+					dst.Cols[probeW+c][di] = col[bi]
+				}
+			}
+			if (n.JoinType == SemiJoin && matched) || (n.JoinType == AntiJoin && !matched) {
+				bb.appendBatchRow(b, ph)
+			}
+		}
+	}
+	return out, rows
+}
+
+// vecHashJoin joins on the host once: one table over the build (left)
+// side, which stays columnar, and one probe pass with the right side.
+// The two parallel stages only charge each hash partition its build and
+// probe rows; a partition emits its output only if the deadline left
+// both of its stages to run. Exceeding the memory grant spills
+// partitions to tempdb (charged as write+read of the spilled nominal
+// bytes).
 func vecHashJoin(p *sim.Proc, env *Env, n *Node, st *QueryStats, build, probe []*Batch) []*Batch {
-	size := batchSize(env)
 	rowBytes := tupleBytes(env, n.Left)
 	needBytes := int64(batchRowCount(build)) * n.Left.Weight * rowBytes
 	overflow := env.Grant.Reserve(needBytes)
@@ -455,80 +509,23 @@ func vecHashJoin(p *sim.Proc, env *Env, n *Node, st *QueryStats, build, probe []
 
 	region := env.M.ReserveRegion(needBytes + 1)
 	parts := stageDop(env, n)
-	buildW := batchWidth(build)
-	tables := make([]*vecJoinTable, parts)
-	buildParts := partitionBatches(build, n.BuildKeys, parts, size)
-	env.parallel(p, parts, func(ctx *access.Ctx, _, part int) {
-		jt := newVecJoinTable(buildParts[part], n.BuildKeys)
-		w := int64(jt.n) * n.Left.Weight
-		ctx.CPU(float64(w) * ctx.Cost.HashBuildIPR)
-		share := needBytes / int64(parts)
-		if share < 1 {
-			share = 1
-		}
-		ctx.TouchRandom(region+uint64(part)*uint64(share), share, w, true, 4)
-		tables[part] = jt
-	})
+	share := max(needBytes/int64(parts), 1)
+	jt, buildRows := newVecJoinTable(build, n.BuildKeys, parts)
+	out, probeRows := jt.probe(n, probe, parts, batchSize(env))
 
-	probeW := batchWidth(probe)
-	outW := probeW
-	if n.JoinType == InnerJoin {
-		outW = probeW + buildW
-	}
-	probeParts := partitionBatches(probe, n.ProbeKeys, parts, size)
+	env.parallel(p, parts, func(ctx *access.Ctx, _, part int) {
+		w := buildRows[part] * n.Left.Weight
+		ctx.CPU(float64(w) * ctx.Cost.HashBuildIPR)
+		ctx.TouchRandom(region+uint64(part)*uint64(share), share, w, true, 4)
+	})
+	// A deadline that skips a build partition has latched env.killed, so
+	// the probe stage then runs no partition at all.
 	results := make([][]*Batch, parts)
 	env.parallel(p, parts, func(ctx *access.Ctx, _, part int) {
-		jt := tables[part]
-		if jt == nil {
-			return // build stage was cut short by the deadline
-		}
-		var nrows int64
-		for _, b := range probeParts[part] {
-			nrows += int64(b.Rows())
-		}
-		w := nrows * n.Right.Weight
+		w := probeRows[part] * n.Right.Weight
 		ctx.CPU(float64(w) * ctx.Cost.HashProbeIPR)
-		share := needBytes / int64(parts)
-		if share < 1 {
-			share = 1
-		}
 		ctx.TouchRandom(region+uint64(part)*uint64(share), share, w, false, 4)
-		bb := newBatchBuilder(outW, size, 0)
-		for _, b := range probeParts[part] {
-			for i := 0; i < b.Rows(); i++ {
-				ph := b.phys(i)
-				h := hashCols(b.Cols, n.ProbeKeys, ph)
-				matched := false
-				for bi := jt.first(h); bi >= 0; bi = jt.next[bi] {
-					if !keysEqualColsAt(jt.cols, n.BuildKeys, bi, b.Cols, n.ProbeKeys, ph) {
-						continue
-					}
-					matched = true
-					if n.JoinType == InnerJoin {
-						dst, di := bb.room()
-						for c := 0; c < probeW; c++ {
-							dst.Cols[c][di] = b.Cols[c][ph]
-						}
-						for c := 0; c < buildW; c++ {
-							dst.Cols[probeW+c][di] = jt.cols[c][bi]
-						}
-					} else {
-						break
-					}
-				}
-				switch n.JoinType {
-				case SemiJoin:
-					if matched {
-						bb.appendBatchRow(b, ph)
-					}
-				case AntiJoin:
-					if !matched {
-						bb.appendBatchRow(b, ph)
-					}
-				}
-			}
-		}
-		results[part] = bb.finish()
+		results[part] = out[part].finish()
 	})
 	return flattenBatches(results)
 }

@@ -127,6 +127,10 @@ func TestLockTableMatchesMap(t *testing.T) {
 	}
 }
 
+// FuzzLockTable runs runTableOps on arbitrary operation bytes: find-or-
+// insert and remove on adjacent rows, object locks and keys whose probe
+// runs wrap past the last slot, checked after every operation against a
+// Go map through growth and backward-shift deletion.
 func FuzzLockTable(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0})       // insert, then remove, the same row

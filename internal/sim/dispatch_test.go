@@ -152,6 +152,10 @@ var dispatchSeeds = [][]byte{
 	{7, 0x06, 0x14, 0x25, 0x0c, 0x32, 0x42, 0x12, 0x0c, 0x1d, 0x0e, 0x0c, 0x0c, 0x0c, 0x0c},
 }
 
+// FuzzDispatchOrder runs checkDispatch on arbitrary scripts: schedules at,
+// after and before now, nexts cut off by a horizon, finished procs and
+// sweeps over up to eight procs, against the reference's linear minimum
+// by (at, seq) with the epoch rule.
 func FuzzDispatchOrder(f *testing.F) {
 	for _, seed := range dispatchSeeds {
 		f.Add(seed)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -19,8 +20,12 @@ const profEvery = 64 // a power of two
 
 var profEnabled atomic.Bool
 
-// EnableProfiling arms the simulator's self-profiling phase timers.
-func EnableProfiling() { profEnabled.Store(true) }
+// EnableProfiling arms the simulator's self-profiling phase timers,
+// calibrating the cost of a clock read first.
+func EnableProfiling() {
+	profClock.Store(int64(calibrateProfClock()))
+	profEnabled.Store(true)
+}
 
 // DisableProfiling disarms the phase timers (accumulated totals remain;
 // take ProfSnapshot deltas to scope a measurement). Benchmarks use this
@@ -71,6 +76,23 @@ var profEpoch = time.Now()
 
 func profNow() ProfMark { return ProfMark(time.Since(profEpoch)) + 1 } // never the untimed 0
 
+// profClock is the cost of one profNow, calibrated when profiling is
+// armed. A timed stretch spans one read of its own, the tail of the read
+// that opens it and the head of the one that closes it, and profStop
+// takes it back out.
+var profClock atomic.Int64
+
+// calibrateProfClock returns the least gap between back-to-back profNow
+// reads over a burst of 1 000: one read with no work between.
+func calibrateProfClock() ProfMark {
+	prev, least := profNow(), ProfMark(math.MaxInt64)
+	for range 1000 {
+		t := profNow()
+		least, prev = min(least, t-prev), t
+	}
+	return least
+}
+
 // ProfStart opens an entry of the per-call phase ph if the Run in progress
 // is profiled, and returns its mark for ProfStop. Only the guard inlines.
 func (s *Sim) ProfStart(ph *ProfPhase) ProfMark {
@@ -88,8 +110,8 @@ func (s *Sim) profStart(ph *ProfPhase) ProfMark {
 	return profNow()
 }
 
-// ProfStop closes ph's entry marked m, a timed one's wall counting profEvery
-// times. Only the guard inlines.
+// ProfStop closes ph's entry marked m, a timed one's wall, less one clock
+// read and at least 0, counting profEvery times. Only the guard inlines.
 func (s *Sim) ProfStop(ph *ProfPhase, m ProfMark) {
 	if m != 0 {
 		s.profStop(ph, m)
@@ -98,7 +120,8 @@ func (s *Sim) ProfStop(ph *ProfPhase, m ProfMark) {
 
 //go:noinline
 func (s *Sim) profStop(ph *ProfPhase, m ProfMark) {
-	s.tally[ph.slot].wall += time.Duration(profEvery * (profNow() - m))
+	d := max(profNow()-m-ProfMark(profClock.Load()), 0)
+	s.tally[ph.slot].wall += time.Duration(profEvery * d)
 }
 
 // Restart marks a further stretch of the same entry, timed if the entry is.

@@ -772,6 +772,29 @@ func TestProfilingCountsEveryResumeAndFitsInsideRun(t *testing.T) {
 	}
 }
 
+// TestProfStopTakesOutTheClockRead: a timed stretch counts what elapsed
+// less one calibrated clock read, profEvery times, and never less than 0.
+func TestProfStopTakesOutTheClockRead(t *testing.T) {
+	if c := calibrateProfClock(); c < 0 || c > ProfMark(100*time.Microsecond) {
+		t.Fatalf("one clock read calibrated at %d ns", c)
+	}
+	defer profClock.Store(profClock.Load())
+	s := New(1)
+	wall := func(clock, ago time.Duration) time.Duration {
+		profClock.Store(int64(clock))
+		before := s.tally[ProfCache.slot].wall
+		s.profStop(ProfCache, profNow()-ProfMark(ago))
+		return s.tally[ProfCache.slot].wall - before
+	}
+	if w := wall(time.Hour, time.Millisecond); w != 0 {
+		t.Errorf("a stretch shorter than a clock read counts %v, want 0", w)
+	}
+	const ago, clock = 10 * time.Millisecond, 4 * time.Millisecond
+	if w := wall(clock, ago); w < profEvery*(ago-clock) || w >= profEvery*ago {
+		t.Errorf("a %v stretch less a %v read counts %v, want %d × at least %v and below %v", ago, clock, w, profEvery, ago-clock, ago)
+	}
+}
+
 // vacated reports whether every slot of the queue's backing array past its
 // length is nil: a dequeued proc must not stay reachable through it.
 func vacated(q *WaitQueue) bool {
